@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .inequalities import (
+    EqualityClassification,
     check_conj1,
     check_conj2,
     check_firey,
@@ -28,11 +29,10 @@ from .inequalities import (
     classify_equality,
     prepare_random,
 )
-from .monotone import CatalogError, parse_function_spec
+from .monotone import MonotoneFunction, checked_spec, parse_function_spec
 from .states import derive_seed, random_partition
 
 REPORT_VERSION = "qfi-report/1"
-CHECK_NAMES = ("main", "conj1", "conj2", "firey", "robertson", "equality", "contraction")
 STATE_KINDS = ("generic", "degenerate", "near-singular")
 VIOLATION_CAP = 100
 DEFAULT_T_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -40,6 +40,59 @@ DEFAULT_T_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 class ConfigError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class CheckPlan:
+    """What the checks of one instance range over, with one generator per check.
+
+    Each generator yields (outcome, f label, g label, t) and looks its check
+    function up by module name when it runs, so that replacing
+    ``campaign.check_main`` (a test double, a tracer) reaches every dispatch.
+    """
+
+    functions: tuple[MonotoneFunction, ...]
+    pairs: tuple[tuple[MonotoneFunction, MonotoneFunction], ...]
+    tol: float
+    t_grid: tuple[float, ...] = ()
+
+    def main(self, inst, derived):
+        for f in self.functions:
+            yield check_main(inst, f, self.tol), f.label, None, None
+
+    def conj1(self, inst, derived):
+        for f in self.functions:
+            yield check_conj1(inst, f, self.tol), f.label, None, None
+
+    def conj2(self, inst, derived):
+        for f, g in self.pairs:
+            yield check_conj2(inst, f, g, self.tol), f.label, g.label, None
+
+    def firey(self, inst, derived):
+        for t in self.t_grid:
+            for f in self.functions:
+                yield check_firey(inst, f, t, tol=self.tol), f.label, None, t
+            for f, g in self.pairs:
+                yield check_firey(inst, f, t, g=g, tol=self.tol), f.label, g.label, t
+
+    def robertson(self, inst, derived):
+        yield check_robertson(inst, self.tol), None, None, None
+
+    def equality(self, inst, derived):
+        for f, g in self.pairs or ((self.functions[0], None),):
+            got = classify_equality(inst, f, g, self.tol)
+            yield got, f.label, g.label if g is not None else None, None
+
+    def contraction(self, inst, derived):
+        partition = random_partition(inst.state.dim, derive_seed("partition", derived))
+        for f in self.functions:
+            rep = check_metric_contraction(inst.state, inst.observables[0], f, partition, self.tol)
+            yield rep, f.label, None, None
+
+
+CHECK_NAMES = ("main", "conj1", "conj2", "firey", "robertson", "equality", "contraction")
+# check name -> entry(plan, instance, derived seed), in the order checks run
+CHECKS = {name: getattr(CheckPlan, name) for name in CHECK_NAMES}
 
 
 @dataclass(frozen=True)
@@ -87,10 +140,10 @@ class CampaignConfig:
         if not self.functions:
             raise ConfigError("functions: need at least one function spec")
         for spec in self.functions:
-            _checked_spec(spec, "functions")
+            checked_spec(spec, "functions", ConfigError)
         for fs, gs in self.function_pairs:
-            _checked_spec(fs, "function_pairs")
-            _checked_spec(gs, "function_pairs")
+            checked_spec(fs, "function_pairs", ConfigError)
+            checked_spec(gs, "function_pairs", ConfigError)
         if not self.kinds:
             raise ConfigError("kinds: need at least one state kind")
         for kind in self.kinds:
@@ -106,13 +159,6 @@ class CampaignConfig:
         for check in self.checks:
             if check not in CHECK_NAMES:
                 raise ConfigError(f"checks: unknown check {check!r}; expected one of {', '.join(CHECK_NAMES)}")
-
-
-def _checked_spec(spec: str, field: str) -> None:
-    try:
-        parse_function_spec(spec)
-    except CatalogError as exc:
-        raise ConfigError(f"{field}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -154,24 +200,42 @@ class CampaignReport:
 
 
 def _run_cell(config: CampaignConfig, n: int, n_obs: int, kind: str) -> dict:
-    functions = [parse_function_spec(s) for s in config.functions]
-    pairs = [(parse_function_spec(a), parse_function_spec(b)) for a, b in config.function_pairs]
-    eq_pairs = pairs if pairs else [(functions[0], None)]
-    tol = config.tol
+    plan = CheckPlan(
+        functions=tuple(parse_function_spec(s) for s in config.functions),
+        pairs=tuple((parse_function_spec(a), parse_function_spec(b)) for a, b in config.function_pairs),
+        tol=config.tol,
+        t_grid=config.t_grid,
+    )
+    # registry order, whatever the order of config.checks
+    active = [(name, entry) for name, entry in CHECKS.items() if name in config.checks]
     # row value: [pass, fail, clamps, worst_margin, worst_instance]
     rows: dict[tuple, list] = {}
     counts = {c: {"pass": 0, "fail": 0, "hypothesis_skipped": 0, "clamped": 0} for c in config.checks}
     violations: list[dict] = []
 
-    def note(check, rep, fl, gl, t, index, derived):
+    def record(check, rep, fl, gl, t, index, derived):
+        extra = {}
+        if isinstance(rep, EqualityClassification):
+            # A contradicted equivalence fails at margin -1; an equality that
+            # fired without the dependence behind it is a skipped hypothesis.
+            passed = rep.consistent
+            hypothesis_ok = not passed or rep.resolved
+            clamps = 0
+            margin = 0.0 if passed else -1.0
+            extra["verdict"] = rep.verdict
+        else:
+            passed = rep.passed
+            hypothesis_ok = rep.hypothesis_ok
+            clamps = rep.clamps
+            margin = rep.margin
         row = rows.setdefault((check, n, n_obs, fl, gl, t), [0, 0, 0, None, ""])
         quad = counts[check]
-        if not rep.hypothesis_ok:
+        if not hypothesis_ok:
             quad["hypothesis_skipped"] += 1
             return
-        quad["clamped"] += rep.clamps
-        row[2] += rep.clamps
-        if rep.passed:
+        quad["clamped"] += clamps
+        row[2] += clamps
+        if passed:
             quad["pass"] += 1
             row[0] += 1
         else:
@@ -190,78 +254,20 @@ def _run_cell(config: CampaignConfig, n: int, n_obs: int, kind: str) -> dict:
                         "f": fl,
                         "g": gl,
                         "t": t,
-                        "margin": rep.margin,
+                        "margin": margin,
+                        **extra,
                     }
                 )
-        if row[3] is None or rep.margin < row[3]:
-            row[3] = rep.margin
+        if row[3] is None or margin < row[3]:
+            row[3] = margin
             row[4] = f"kind={kind},index={index}"
-
-    def note_classification(got, fl, gl, index):
-        row = rows.setdefault(("equality", n, n_obs, fl, gl, None), [0, 0, 0, None, ""])
-        quad = counts["equality"]
-        if not got.consistent:
-            quad["fail"] += 1
-            row[1] += 1
-            if row[3] is None or row[3] > -1.0:
-                row[3] = -1.0
-                row[4] = f"kind={kind},index={index}"
-            if len(violations) < VIOLATION_CAP:
-                violations.append(
-                    {
-                        "check": "equality",
-                        "n": n,
-                        "N": n_obs,
-                        "kind": kind,
-                        "index": index,
-                        "seed": config.seed,
-                        "derived_seed": derive_seed(config.seed, n, n_obs, kind, index),
-                        "f": fl,
-                        "g": gl,
-                        "t": None,
-                        "margin": -1.0,
-                        "verdict": got.verdict,
-                    }
-                )
-        elif not got.resolved:
-            quad["hypothesis_skipped"] += 1
-        else:
-            quad["pass"] += 1
-            row[0] += 1
-            if row[3] is None:
-                row[3] = 0.0
-                row[4] = f"kind={kind},index={index}"
 
     for index in range(config.instances_per_cell):
         derived = derive_seed(config.seed, n, n_obs, kind, index)
         inst = prepare_random(n, n_obs, derived, kind)
-        if "main" in counts:
-            for f in functions:
-                note("main", check_main(inst, f, tol), f.label, None, None, index, derived)
-        if "conj1" in counts:
-            for f in functions:
-                note("conj1", check_conj1(inst, f, tol), f.label, None, None, index, derived)
-        if "conj2" in counts:
-            for f, g in pairs:
-                note("conj2", check_conj2(inst, f, g, tol), f.label, g.label, None, index, derived)
-        if "firey" in counts:
-            for t in config.t_grid:
-                for f in functions:
-                    note("firey", check_firey(inst, f, t, tol=tol), f.label, None, t, index, derived)
-                for f, g in pairs:
-                    note("firey", check_firey(inst, f, t, g=g, tol=tol), f.label, g.label, t, index, derived)
-        if "robertson" in counts:
-            note("robertson", check_robertson(inst, tol), None, None, None, index, derived)
-        if "equality" in counts:
-            for f, g in eq_pairs:
-                got = classify_equality(inst, f, g, tol)
-                note_classification(got, f.label, g.label if g is not None else None, index)
-        if "contraction" in counts:
-            x = inst.observables[0]
-            partition = random_partition(n, derive_seed("partition", derived))
-            for f in functions:
-                rep = check_metric_contraction(inst.state, x, f, partition, tol)
-                note("contraction", rep, f.label, None, None, index, derived)
+        for name, entry in active:
+            for rep, fl, gl, t in entry(plan, inst, derived):
+                record(name, rep, fl, gl, t, index, derived)
 
     return {"rows": rows, "counts": counts, "violations": violations}
 

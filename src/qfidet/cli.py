@@ -12,22 +12,17 @@ from pathlib import Path
 
 from .campaign import (
     CHECK_NAMES,
+    CHECKS,
     STATE_KINDS,
     CampaignConfig,
+    CheckPlan,
     ConfigError,
     emit_report,
     run_campaign,
 )
-from .inequalities import (
-    check_conj1,
-    check_conj2,
-    check_main,
-    check_robertson,
-    classify_equality,
-    prepare,
-)
-from .io import InstanceFormatError, load_instance
-from .monotone import CatalogError, catalog_families, parse_function_spec
+from .inequalities import EqualityClassification, prepare
+from .io import load_instance
+from .monotone import catalog_families, parse_function_spec
 from .selftest import run_selftest
 
 
@@ -71,10 +66,7 @@ def _campaign_kwargs(args) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        config = CampaignConfig(**_campaign_kwargs(args))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    config = CampaignConfig(**_campaign_kwargs(args))
     report = run_campaign(config, workers=args.workers)
     text = emit_report(report, args.format, args.out)
     if args.out is None:
@@ -91,46 +83,46 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+def _show(rep) -> int:
+    """Print one outcome of ``compute``; return 1 if it counts as a failure."""
+    if isinstance(rep, EqualityClassification):
+        print(
+            f"  equality: verdict={rep.verdict} det_cov={rep.det_cov:.12g} "
+            f"det_qov_f={rep.det_qov_f:.12g} det_qov_g={rep.det_qov_g:.12g} "
+            f"consistent={rep.consistent}"
+        )
+        return 0 if rep.consistent else 1
+    status = "pass" if rep.passed else "FAIL"
+    if not rep.hypothesis_ok:
+        status = "skipped (dominance hypothesis not met)"
+    extras = " ".join(f"{k}={v:.12g}" for k, v in rep.components.items() if isinstance(v, float))
+    print(f"  {rep.name}: lhs={rep.lhs:.12g} rhs={rep.rhs:.12g} margin={rep.margin:.3e} [{status}]")
+    if extras:
+        print(f"    {extras}")
+    return 1 if rep.violated else 0
+
+
 def _cmd_compute(args) -> int:
     loaded = load_instance(args.instance)
     inst = prepare(loaded.state, list(loaded.observables), digest=Path(args.instance).name)
     tol = args.tol if args.tol is not None else 1e-9
     failures = 0
 
-    def show(rep):
-        nonlocal failures
-        status = "pass" if rep.passed else "FAIL"
-        if not rep.hypothesis_ok:
-            status = "skipped (dominance hypothesis not met)"
-        elif not rep.passed:
-            failures += 1
-        extras = " ".join(
-            f"{k}={v:.12g}" for k, v in rep.components.items() if isinstance(v, float)
-        )
-        print(f"  {rep.name}: lhs={rep.lhs:.12g} rhs={rep.rhs:.12g} margin={rep.margin:.3e} [{status}]")
-        if extras:
-            print(f"    {extras}")
+    def run(checks, functions=(), pairs=()) -> int:
+        plan = CheckPlan(functions=functions, pairs=pairs, tol=tol)
+        return sum(_show(rep) for check in checks for rep, *_ in CHECKS[check](plan, inst, None))
 
     print(f"instance {args.instance}: dim={loaded.state.dim}, observables={len(loaded.observables)}")
     print(f"  eigenvalues: {' '.join(f'{v:.6g}' for v in loaded.state.eigenvalues)}")
     for spec in loaded.functions:
         f = parse_function_spec(spec)
         print(f"function {f.label}:")
-        show(check_main(inst, f, tol))
-        show(check_conj1(inst, f, tol))
-    show(check_robertson(inst, tol))
+        failures += run(("main", "conj1"), functions=(f,))
+    failures += run(("robertson",))
     for fs, gs in loaded.pairs:
         f, g = parse_function_spec(fs), parse_function_spec(gs)
         print(f"pair ({f.label}, {g.label}):")
-        show(check_conj2(inst, f, g, tol))
-        got = classify_equality(inst, f, g, tol)
-        print(
-            f"  equality: verdict={got.verdict} det_cov={got.det_cov:.12g} "
-            f"det_qov_f={got.det_qov_f:.12g} det_qov_g={got.det_qov_g:.12g} "
-            f"consistent={got.consistent}"
-        )
-        if not got.consistent:
-            failures += 1
+        failures += run(("conj2", "equality"), pairs=((f, g),))
     return 0 if failures == 0 else 1
 
 
@@ -192,13 +184,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, InstanceFormatError, CatalogError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # ConfigError, InstanceFormatError and CatalogError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

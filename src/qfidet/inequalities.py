@@ -98,27 +98,30 @@ def _clamp(value: float, window: float, what: str) -> tuple[float, int]:
     )
 
 
+def _cross_terms(det_q: float, det_diff: float, n_obs: int, a: float, b: float) -> float:
+    """Weighted cross terms C(N,k) (a q^{1/N})^k (b c^{1/N})^{N-k}, k = 1..N-1.
+
+    Zero for N = 1 and whenever either weighted root vanishes.
+    """
+    if n_obs < 1:
+        raise ValueError(f"observable count must be >= 1, got {n_obs}")
+    for name, v in (("det_q", det_q), ("det_diff", det_diff)):
+        if v < -1e-12:
+            raise ValueError(f"{name} = {v!r} is negative beyond roundoff")
+    q = max(det_q, 0.0) ** (1.0 / n_obs) * a
+    c = max(det_diff, 0.0) ** (1.0 / n_obs) * b
+    if q == 0.0 or c == 0.0 or n_obs == 1:
+        return 0.0
+    return float(sum(math.comb(n_obs, k) * q**k * c ** (n_obs - k) for k in range(1, n_obs)))
+
+
 def remainder(det_q: float, det_diff: float, n_obs: int) -> float:
     """Binomial cross-term sum between the N-th roots of two determinants.
 
     Equals ((det_q)^{1/N} + (det_diff)^{1/N})^N minus the two pure terms;
     zero for N = 1 and whenever either determinant vanishes.
     """
-    if n_obs < 1:
-        raise ValueError(f"observable count must be >= 1, got {n_obs}")
-    values = []
-    for name, v in (("det_q", det_q), ("det_diff", det_diff)):
-        if v < -1e-12:
-            raise ValueError(f"{name} = {v!r} is negative beyond roundoff")
-        values.append(max(v, 0.0))
-    q, c = values
-    if q == 0.0 or c == 0.0 or n_obs == 1:
-        return 0.0
-    qr = q ** (1.0 / n_obs)
-    cr = c ** (1.0 / n_obs)
-    return float(
-        sum(math.comb(n_obs, k) * qr**k * cr ** (n_obs - k) for k in range(1, n_obs))
-    )
+    return _cross_terms(det_q, det_diff, n_obs, 1.0, 1.0)
 
 
 def remainder_t(det_q: float, det_diff: float, n_obs: int, t: float) -> float:
@@ -128,16 +131,7 @@ def remainder_t(det_q: float, det_diff: float, n_obs: int, t: float) -> float:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    if n_obs < 1:
-        raise ValueError(f"observable count must be >= 1, got {n_obs}")
-    for name, v in (("det_q", det_q), ("det_diff", det_diff)):
-        if v < -1e-12:
-            raise ValueError(f"{name} = {v!r} is negative beyond roundoff")
-    q = max(det_q, 0.0) ** (1.0 / n_obs) * (1.0 - t)
-    c = max(det_diff, 0.0) ** (1.0 / n_obs) * t
-    if q == 0.0 or c == 0.0 or n_obs == 1:
-        return 0.0
-    return float(sum(math.comb(n_obs, k) * q**k * c ** (n_obs - k) for k in range(1, n_obs)))
+    return _cross_terms(det_q, det_diff, n_obs, 1.0 - t, t)
 
 
 class PreparedInstance:
@@ -156,66 +150,54 @@ class PreparedInstance:
         self.frame = eigenframe(d, checked)
         self.scale = observable_scale(checked)
         self.digest = digest
-        self._qov: dict[MonotoneFunction, np.ndarray] = {}
+        self._matrix: dict = {}
         self._det: dict = {}
-        self._cov_matrix: np.ndarray | None = None
-        self._robertson: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return self.frame.size
 
-    @property
-    def cov(self) -> np.ndarray:
-        if self._cov_matrix is None:
-            self._cov_matrix = cov_matrix_frame(self.frame)
-        return self._cov_matrix
+    def matrix(self, side) -> np.ndarray:
+        """Memoized N x N matrix: Cov for "cov", Qov_f for a function f, and for
+        "robertson" the commutator bound matrix Im(S), S_kl = sum_h lambda_h A^k_hj A^l_jh."""
+        got = self._matrix.get(side)
+        if got is None:
+            if side == "cov":
+                got = cov_matrix_frame(self.frame)
+            elif side == "robertson":
+                stack = np.stack(self.frame.observables)
+                r = np.einsum("h,khj,ljh->kl", self.frame.lambdas, stack, stack).imag
+                got = 0.5 * (r - r.T)
+            else:
+                got = qov_matrix_frame(self.frame, side, allow_nonregular=True)
+            self._matrix[side] = got
+        return got
 
     def qov(self, f: MonotoneFunction) -> np.ndarray:
-        got = self._qov.get(f)
+        return self.matrix(f)
+
+    @property
+    def robertson(self) -> np.ndarray:
+        return self.matrix("robertson")
+
+    def det(self, big, small=None) -> float:
+        """Memoized determinant of ``matrix(big)``, or of ``matrix(big) - matrix(small)``."""
+        key = (big, small)
+        got = self._det.get(key)
         if got is None:
-            got = self._qov[f] = qov_matrix_frame(self.frame, f, allow_nonregular=True)
+            m = self.matrix(big) if small is None else self.matrix(big) - self.matrix(small)
+            got = self._det[key] = det_antisymmetric(m) if big == "robertson" else det_real_symmetric(m)
         return got
 
     @property
     def det_cov(self) -> float:
-        if "cov" not in self._det:
-            self._det["cov"] = det_real_symmetric(self.cov)
-        return self._det["cov"]
+        return self.det("cov")
 
     def det_qov(self, f: MonotoneFunction) -> float:
-        key = ("qov", f)
-        if key not in self._det:
-            self._det[key] = det_real_symmetric(self.qov(f))
-        return self._det[key]
+        return self.det(f)
 
     def det_diff(self, f: MonotoneFunction) -> float:
-        key = ("diff", f)
-        if key not in self._det:
-            self._det[key] = det_real_symmetric(self.cov - self.qov(f))
-        return self._det[key]
-
-    def det_pair_diff(self, f: MonotoneFunction, g: MonotoneFunction) -> float:
-        key = ("pair", f, g)
-        if key not in self._det:
-            self._det[key] = det_real_symmetric(self.qov(f) - self.qov(g))
-        return self._det[key]
-
-    @property
-    def robertson(self) -> np.ndarray:
-        """Commutator bound matrix Im(S), S_kl = sum_h lambda_h A^k_hj A^l_jh."""
-        if self._robertson is None:
-            stack = np.stack(self.frame.observables)
-            s = np.einsum("h,khj,ljh->kl", self.frame.lambdas, stack, stack)
-            r = s.imag
-            self._robertson = 0.5 * (r - r.T)
-        return self._robertson
-
-    @property
-    def det_robertson(self) -> float:
-        if "robertson" not in self._det:
-            self._det["robertson"] = det_antisymmetric(self.robertson)
-        return self._det["robertson"]
+        return self.det("cov", f)
 
 
 def prepare(d: DensityMatrix, obs: Sequence[np.ndarray], digest: str = "custom") -> PreparedInstance:
@@ -229,20 +211,21 @@ def prepare_random(n: int, n_obs: int, seed: int, kind: str = "generic") -> Prep
     return PreparedInstance(d, obs, digest=f"n={n},N={n_obs},kind={kind},seed={seed}")
 
 
-def _report(name, inst, lhs, rhs, tol, components, clamps=0, hypothesis_ok=True):
+def _report(name, lhs, rhs, scale, tol, components, digest, clamps=0, hypothesis_ok=True, window=None):
+    """Pass when margin >= -window, by default -tol * scale."""
     margin = lhs - rhs
     return InequalityReport(
         name=name,
         lhs=lhs,
         rhs=rhs,
         margin=margin,
-        scale=inst.scale,
+        scale=scale,
         tol=tol,
-        passed=bool(margin >= -tol * inst.scale),
+        passed=bool(margin >= -(tol * scale if window is None else window)),
         hypothesis_ok=hypothesis_ok,
         clamps=clamps,
         components=components,
-        digest=inst.digest,
+        digest=digest,
     )
 
 
@@ -250,20 +233,8 @@ def check_main(inst: PreparedInstance, f: MonotoneFunction, tol: float = DEFAULT
     """det Cov >= det Qov_f."""
     lhs = inst.det_cov
     rhs = inst.det_qov(f)
-    return _report("main", inst, lhs, rhs, tol, {"det_cov": lhs, "det_qov": rhs, "f": f.label})
-
-
-def check_conj1(inst: PreparedInstance, f: MonotoneFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """det Cov >= det Qov + det(Cov - Qov) + cross terms."""
-    window = tol * inst.scale
-    q, c1 = _clamp(inst.det_qov(f), window, "det Qov")
-    dd, c2 = _clamp(inst.det_diff(f), window, "det(Cov - Qov)")
-    rem = remainder(q, dd, inst.size)
-    rhs = q + dd + rem
-    if rhs < q:
-        raise AssertionError("cross terms made the bound weaker than det Qov")
-    components = {"det_cov": inst.det_cov, "det_qov": q, "det_diff": dd, "remainder": rem, "f": f.label}
-    return _report("conj1", inst, inst.det_cov, rhs, tol, components, clamps=c1 + c2)
+    components = {"det_cov": lhs, "det_qov": rhs, "f": f.label}
+    return _report("main", lhs, rhs, inst.scale, tol, components, inst.digest)
 
 
 def _pair_hypothesis(f: MonotoneFunction, g: MonotoneFunction) -> bool:
@@ -273,6 +244,51 @@ def _pair_hypothesis(f: MonotoneFunction, g: MonotoneFunction) -> bool:
     return f.regular and not g.regular
 
 
+def _pencil(name, keys, inst, f, g, tol, t=None):
+    """lhs >= a^N det K_small + b^N det(K_big - K_small) + weighted cross terms.
+
+    (K_big, K_small) is (Cov, Qov_f) with g omitted and (Qov_f, Qov_g) for
+    the pair, which needs strict dominance.  Without t, (a, b) = (1, 1) and
+    lhs = det K_big; with t, (a, b) = (1 - t, t) and
+    lhs = det(t K_big + (1 - 2t) K_small).  ``keys`` names the components
+    lhs, det K_small, det(K_big - K_small) and the cross terms.  Unit weights
+    multiply exactly, so conj1 is not 2^N firey(1/2), which can round apart.
+    """
+    if g is None:
+        big, small = "cov", f
+        labels = ("det Qov", "det(Cov - Qov)")
+        hypothesis_ok = True
+        names = {"f": f.label}
+    else:
+        big, small = f, g
+        labels = ("det Qov_g", "det(Qov_f - Qov_g)")
+        hypothesis_ok = _pair_hypothesis(f, g)
+        names = {"f": f.label, "g": g.label}
+    window = tol * inst.scale
+    q, c1 = _clamp(inst.det(small), window, labels[0])
+    dd, c2 = _clamp(inst.det(big, small), window, labels[1])
+    if t is None:
+        a = b = 1.0
+        lhs = inst.det(big)
+    else:
+        a, b = 1.0 - t, t
+        lhs = det_real_symmetric(t * inst.matrix(big) + (1.0 - 2.0 * t) * inst.matrix(small))
+        names = {"t": t, **names}
+    n = inst.size
+    rem = _cross_terms(q, dd, n, a, b)
+    first = a**n * q
+    rhs = first + b**n * dd + rem
+    if rhs < first:
+        raise AssertionError(f"{name}: cross terms made the bound weaker than its {labels[0]} term")
+    components = {**dict(zip(keys, (lhs, q, dd, rem))), **names}
+    return _report(name, lhs, rhs, inst.scale, tol, components, inst.digest, c1 + c2, hypothesis_ok)
+
+
+def check_conj1(inst: PreparedInstance, f: MonotoneFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
+    """det Cov >= det Qov + det(Cov - Qov) + cross terms."""
+    return _pencil("conj1", ("det_cov", "det_qov", "det_diff", "remainder"), inst, f, None, tol)
+
+
 def check_conj2(
     inst: PreparedInstance,
     f: MonotoneFunction,
@@ -280,23 +296,7 @@ def check_conj2(
     tol: float = DEFAULT_TOL,
 ) -> InequalityReport:
     """det Qov_f >= det Qov_g + det(Qov_f - Qov_g) + cross terms."""
-    hypothesis_ok = _pair_hypothesis(f, g)
-    window = tol * inst.scale
-    lhs = inst.det_qov(f)
-    qg, c1 = _clamp(inst.det_qov(g), window, "det Qov_g")
-    dd, c2 = _clamp(inst.det_pair_diff(f, g), window, "det(Qov_f - Qov_g)")
-    rem = remainder(qg, dd, inst.size)
-    components = {
-        "det_qov_f": lhs,
-        "det_qov_g": qg,
-        "det_diff_fg": dd,
-        "remainder": rem,
-        "f": f.label,
-        "g": g.label,
-    }
-    return _report(
-        "conj2", inst, lhs, qg + dd + rem, tol, components, clamps=c1 + c2, hypothesis_ok=hypothesis_ok
-    )
+    return _pencil("conj2", ("det_qov_f", "det_qov_g", "det_diff_fg", "remainder"), inst, f, g, tol)
 
 
 def check_firey(
@@ -314,34 +314,15 @@ def check_firey(
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    window = tol * inst.scale
-    if g is None:
-        big, small = inst.cov, inst.qov(f)
-        q, c1 = _clamp(inst.det_qov(f), window, "det Qov")
-        dd, c2 = _clamp(inst.det_diff(f), window, "det(Cov - Qov)")
-        hypothesis_ok = True
-        labels = {"f": f.label}
-    else:
-        big, small = inst.qov(f), inst.qov(g)
-        q, c1 = _clamp(inst.det_qov(g), window, "det Qov_g")
-        dd, c2 = _clamp(inst.det_pair_diff(f, g), window, "det(Qov_f - Qov_g)")
-        hypothesis_ok = _pair_hypothesis(f, g)
-        labels = {"f": f.label, "g": g.label}
-    mix = t * big + (1.0 - 2.0 * t) * small
-    lhs = det_real_symmetric(mix)
-    rem = remainder_t(q, dd, inst.size, t)
-    rhs = (1.0 - t) ** inst.size * q + t**inst.size * dd + rem
-    components = {"det_mix": lhs, "det_small": q, "det_diff": dd, "remainder_t": rem, "t": t, **labels}
-    return _report(
-        "firey", inst, lhs, rhs, tol, components, clamps=c1 + c2, hypothesis_ok=hypothesis_ok
-    )
+    return _pencil("firey", ("det_mix", "det_small", "det_diff", "remainder_t"), inst, f, g, tol, t)
 
 
 def check_robertson(inst: PreparedInstance, tol: float = DEFAULT_TOL) -> InequalityReport:
     """det Cov >= det of the commutator bound matrix (exactly 0 for odd N)."""
     lhs = inst.det_cov
-    rhs = inst.det_robertson
-    return _report("robertson", inst, lhs, rhs, tol, {"det_cov": lhs, "det_commutator": rhs})
+    rhs = inst.det("robertson")
+    components = {"det_cov": lhs, "det_commutator": rhs}
+    return _report("robertson", lhs, rhs, inst.scale, tol, components, inst.digest)
 
 
 @dataclass(frozen=True)
@@ -469,20 +450,8 @@ def minkowski_firey_selftest(
     det_mix, c3 = _clamp(det_real_symmetric((1.0 - t) * k + t * l), window, "det mix")
     lhs = det_mix ** (1.0 / n)
     rhs = (1.0 - t) * det_k ** (1.0 / n) + t * det_l ** (1.0 / n)
-    margin = lhs - rhs
-    return InequalityReport(
-        name="minkowski-firey",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        scale=scale,
-        tol=tol,
-        passed=bool(margin >= -tol * scale),
-        hypothesis_ok=True,
-        clamps=c1 + c2 + c3,
-        components={"det_k": det_k, "det_l": det_l, "det_mix": det_mix, "t": t},
-        digest=f"selftest[{n}x{n}]",
-    )
+    components = {"det_k": det_k, "det_l": det_l, "det_mix": det_mix, "t": t}
+    return _report("minkowski-firey", lhs, rhs, scale, tol, components, f"selftest[{n}x{n}]", c1 + c2 + c3)
 
 
 def check_metric_contraction(
@@ -503,7 +472,6 @@ def check_metric_contraction(
     before = metric_inner(d, f, x0, x0)
     pinched_state = density(pinching(d.matrix, partition))
     after = metric_inner(pinched_state, f, pinching(x0, partition), pinching(x0, partition))
-    margin = before - after
     scale = max(1.0, before)
     # Metric weights near a tiny eigenvalue lam are 1/lam-sized, and storing
     # the pinched matrix in doubles already limits lam to roughly
@@ -512,22 +480,11 @@ def check_metric_contraction(
     # for healthy spectra the extra term is far below tol*scale.
     lam_floor = float(min(d.eigenvalues[0], pinched_state.eigenvalues[0]))
     window = tol * scale + 4.0 * n * np.finfo(float).eps / lam_floor * before
-    return InequalityReport(
-        name="contraction",
-        lhs=before,
-        rhs=after,
-        margin=margin,
-        scale=scale,
-        tol=tol,
-        passed=bool(margin >= -window),
-        hypothesis_ok=True,
-        clamps=0,
-        components={
-            "before": before,
-            "after": after,
-            "window": window,
-            "blocks": len(list(partition)),
-            "f": f.label,
-        },
-        digest=f"contraction[n={n}]",
-    )
+    components = {
+        "before": before,
+        "after": after,
+        "window": window,
+        "blocks": len(list(partition)),
+        "f": f.label,
+    }
+    return _report("contraction", before, after, scale, tol, components, f"contraction[n={n}]", window=window)

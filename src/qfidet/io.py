@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .monotone import CatalogError, parse_function_spec
+from .monotone import checked_spec
 from .states import DensityMatrix, density, observable
 
 
@@ -46,14 +46,6 @@ def _complex_matrix(raw, dim: int, field: str) -> np.ndarray:
 def _encode_matrix(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
     return np.stack([m.real, m.imag], axis=-1).tolist()
-
-
-def _checked_spec(spec: str, field: str) -> str:
-    try:
-        parse_function_spec(spec)
-    except CatalogError as exc:
-        raise InstanceFormatError(f"{field}: {exc}") from None
-    return spec
 
 
 def load_instance(path: str | Path) -> LoadedInstance:
@@ -96,18 +88,14 @@ def load_instance(path: str | Path) -> LoadedInstance:
             raise InstanceFormatError(f"{name}: {exc}") from None
 
     functions = tuple(
-        _checked_spec(str(s), f"functions[{k}]") for k, s in enumerate(payload.get("functions", ["sld"]))
+        checked_spec(str(s), f"functions[{k}]", InstanceFormatError)
+        for k, s in enumerate(payload.get("functions", ["sld"]))
     )
     pairs = []
     for k, raw_pair in enumerate(payload.get("pairs", [])):
         if not isinstance(raw_pair, (list, tuple)) or len(raw_pair) != 2:
             raise InstanceFormatError(f"pairs[{k}]: expected a two-element [f, g] list, got {raw_pair!r}")
-        pairs.append(
-            (
-                _checked_spec(str(raw_pair[0]), f"pairs[{k}]"),
-                _checked_spec(str(raw_pair[1]), f"pairs[{k}]"),
-            )
-        )
+        pairs.append(tuple(checked_spec(str(s), f"pairs[{k}]", InstanceFormatError) for s in raw_pair))
     return LoadedInstance(state, tuple(checked), functions, tuple(pairs))
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "CATALOG_NAMES",
     "make_function",
     "parse_function_spec",
+    "checked_spec",
     "custom_function",
     "mean",
     "tilde",
@@ -225,6 +226,15 @@ def parse_function_spec(spec: str) -> MonotoneFunction:
     except ValueError:
         raise CatalogError(f"{spec!r}: parameter {rest!r} is not a number") from None
     return make_function(name, param)
+
+
+def checked_spec(spec: str, field: str, error: type[ValueError]) -> str:
+    """Return spec if it parses; otherwise raise ``error`` with the field name as prefix."""
+    try:
+        parse_function_spec(spec)
+    except CatalogError as exc:
+        raise error(f"{field}: {exc}") from None
+    return spec
 
 
 def custom_function(

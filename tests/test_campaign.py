@@ -12,6 +12,8 @@ from qfidet.campaign import (
     emit_report,
     run_campaign,
 )
+from qfidet.inequalities import EqualityClassification
+from qfidet.states import derive_seed
 
 TINY = CampaignConfig(
     dims=(2, 3),
@@ -195,3 +197,57 @@ def test_violation_entries_reproduce(monkeypatch):
     assert entry["seed"] == 5 and entry["kind"] == "generic" and entry["index"] == 0
     assert entry["n"] == 2 and entry["N"] == 1
     assert "derived_seed" in entry
+
+
+def _classification(dependent: bool, condition_a: bool) -> EqualityClassification:
+    return EqualityClassification(
+        det_cov=1.0,
+        det_qov_f=0.5,
+        det_qov_g=0.25,
+        condition_a=condition_a,
+        condition_b=False,
+        condition_c=dependent,
+        linearly_dependent=dependent,
+        offdiag_dependent=False,
+        rank=1,
+    )
+
+
+def test_equality_outcomes_reach_the_report(monkeypatch):
+    import qfidet.campaign as campaign_module
+
+    config = CampaignConfig(
+        dims=(2,),
+        num_obs=(1,),
+        instances_per_cell=2,
+        functions=("sld",),
+        function_pairs=(("sld", "wy"),),
+        kinds=("generic",),
+        checks=("equality",),
+        seed=5,
+    )
+    # a dependent family without its determinant equality contradicts the
+    # decidable direction of the equivalence: a violation
+    inconsistent = _classification(dependent=True, condition_a=False)
+    assert not inconsistent.consistent
+    monkeypatch.setattr(campaign_module, "classify_equality", lambda inst, f, g, tol: inconsistent)
+    report = run_campaign(config)
+    assert not report.ok
+    assert report.counts["equality"] == {"pass": 0, "fail": 2, "hypothesis_skipped": 0, "clamped": 0}
+    assert [v["index"] for v in report.violations] == [0, 1]
+    for entry in report.violations:
+        assert entry["check"] == "equality" and entry["margin"] == -1.0
+        assert entry["verdict"] == inconsistent.verdict
+        assert entry["derived_seed"] == derive_seed(5, 2, 1, "generic", entry["index"])
+        assert (entry["f"], entry["g"], entry["t"]) == ("sld", "wy", None)
+    assert report.worst["equality"]["margin"] == -1.0
+
+    # an equality that fired without the dependence behind it is unresolved:
+    # counted as a skipped hypothesis, neither pass nor violation
+    unresolved = _classification(dependent=False, condition_a=True)
+    assert unresolved.consistent and not unresolved.resolved
+    monkeypatch.setattr(campaign_module, "classify_equality", lambda inst, f, g, tol: unresolved)
+    report = run_campaign(config)
+    assert report.ok and report.violations == []
+    assert report.counts["equality"] == {"pass": 0, "fail": 0, "hypothesis_skipped": 2, "clamped": 0}
+    assert "equality" not in report.worst
