@@ -95,6 +95,18 @@ CHECK_NAMES = ("main", "conj1", "conj2", "firey", "robertson", "equality", "cont
 CHECKS = {name: getattr(CheckPlan, name) for name in CHECK_NAMES}
 
 
+def _label(spec: str, field: str) -> str:
+    return parse_function_spec(checked_spec(spec, field, ConfigError)).label
+
+
+def _require_distinct(field: str, items, keys) -> None:
+    seen = {}
+    for item, key in zip(items, keys):
+        if key in seen:
+            raise ConfigError(f"{field}: {seen[key]!r} and {item!r} both parse to {key!r}")
+        seen[key] = item
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     dims: tuple[int, ...] = (2, 3, 4)
@@ -139,11 +151,10 @@ class CampaignConfig:
             raise ConfigError(f"instances_per_cell: must be nonnegative, got {self.instances_per_cell}")
         if not self.functions:
             raise ConfigError("functions: need at least one function spec")
-        for spec in self.functions:
-            checked_spec(spec, "functions", ConfigError)
-        for fs, gs in self.function_pairs:
-            checked_spec(fs, "function_pairs", ConfigError)
-            checked_spec(gs, "function_pairs", ConfigError)
+        # a spec repeated under any spelling would count its outcomes twice
+        _require_distinct("functions", self.functions, [_label(s, "functions") for s in self.functions])
+        pair_labels = [tuple(_label(s, "function_pairs") for s in pair) for pair in self.function_pairs]
+        _require_distinct("function_pairs", self.function_pairs, pair_labels)
         if not self.kinds:
             raise ConfigError("kinds: need at least one state kind")
         for kind in self.kinds:

@@ -1,7 +1,8 @@
 """Command line front end: verify, compute, catalog, selftest.
 
 Exit codes: 0 all checks passed, 1 at least one inequality violation,
-2 configuration or input error.
+2 configuration or input error, 3 numerical invariant failure (a determinant
+below its clamp window, or a Jacobi iteration that did not converge).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .campaign import (
 )
 from .inequalities import EqualityClassification, prepare
 from .io import load_instance
+from .linalg import ConvergenceError
 from .monotone import catalog_families, parse_function_spec
 from .selftest import run_selftest
 
@@ -188,6 +190,9 @@ def main(argv=None) -> int:
         # ConfigError, InstanceFormatError and CatalogError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, ConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -32,7 +32,6 @@ from .linalg import det_antisymmetric, det_real_symmetric, min_eigenvalue, numer
 from .monotone import MonotoneFunction, dominates
 from .states import (
     DensityMatrix,
-    density,
     derive_seed,
     eigenframe,
     observable,
@@ -470,8 +469,9 @@ def check_metric_contraction(
     n = d.dim
     x0 = x - (np.trace(x).real / n) * np.eye(n)
     before = metric_inner(d, f, x0, x0)
-    pinched_state = density(pinching(d.matrix, partition))
-    after = metric_inner(pinched_state, f, pinching(x0, partition), pinching(x0, partition))
+    pinched_state = d.pinched(partition)
+    pinched_x0 = pinching(x0, partition)
+    after = metric_inner(pinched_state, f, pinched_x0, pinched_x0)
     scale = max(1.0, before)
     # Metric weights near a tiny eigenvalue lam are 1/lam-sized, and storing
     # the pinched matrix in doubles already limits lam to roughly

@@ -190,12 +190,46 @@ def apply_scalar_function(
     return hermitian_part((u * w) @ u.conj().T)
 
 
-def _det3(m: np.ndarray) -> float:
-    return float(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+def _det3(m: list) -> float:
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
+
+
+def _closed_form_eigenvalues(rows: list) -> list:
+    """Ascending eigenvalues of a 1x1 to 3x3 real symmetric matrix given as
+    nested lists of floats.
+
+    Plain floats, because numpy scalars cost more than the arithmetic at this
+    size.  Sums run left to right.  Diagonal offsets are squared as x * x and
+    off-diagonal entries with ** 2 (libm pow); the two can differ in the last
+    bit, and every determinant in a report depends on which one each term uses.
+    """
+    n = len(rows)
+    if n == 1:
+        return [rows[0][0]]
+    if n == 2:
+        (a, b), (_, d) = rows
+        half = 0.5 * (a + d)
+        spread = math.hypot(0.5 * (a - d), b)
+        return [half - spread, half + spread]
+    p1 = rows[0][1] ** 2 + rows[0][2] ** 2 + rows[1][2] ** 2
+    d0, d1, d2 = rows[0][0], rows[1][1], rows[2][2]
+    if p1 == 0.0:
+        return sorted((d0, d1, d2))
+    q = (d0 + d1 + d2) / 3.0
+    p2 = (d0 - q) * (d0 - q) + (d1 - q) * (d1 - q) + (d2 - q) * (d2 - q) + 2.0 * p1
+    p = math.sqrt(p2 / 6.0)
+    b = [[(x - q * (i == j)) / p for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    r = _det3(b) / 2.0
+    r = min(1.0, max(-1.0, r))
+    phi = math.acos(r) / 3.0
+    big = q + 2.0 * p * math.cos(phi)
+    small = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
+    mid = 3.0 * q - big - small
+    return sorted((small, mid, big))
 
 
 def real_symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -203,31 +237,10 @@ def real_symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
 
     Closed forms for n <= 3, Jacobi above that.
     """
-    n = m.shape[0]
-    if n == 1:
-        return np.array([float(m[0, 0])])
-    if n == 2:
-        half = 0.5 * (float(m[0, 0]) + float(m[1, 1]))
-        spread = math.hypot(0.5 * (float(m[0, 0]) - float(m[1, 1])), float(m[0, 1]))
-        return np.array([half - spread, half + spread])
-    if n == 3:
-        p1 = float(m[0, 1]) ** 2 + float(m[0, 2]) ** 2 + float(m[1, 2]) ** 2
-        diag = np.diagonal(m).astype(float)
-        if p1 == 0.0:
-            return np.sort(diag)
-        q = float(diag.sum()) / 3.0
-        p2 = float(((diag - q) ** 2).sum()) + 2.0 * p1
-        p = math.sqrt(p2 / 6.0)
-        b = (np.asarray(m, dtype=float) - q * np.eye(3)) / p
-        r = _det3(b) / 2.0
-        r = min(1.0, max(-1.0, r))
-        phi = math.acos(r) / 3.0
-        big = q + 2.0 * p * math.cos(phi)
-        small = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-        mid = 3.0 * q - big - small
-        return np.array(sorted((small, mid, big)))
-    sym = 0.5 * (np.asarray(m, dtype=float) + np.asarray(m, dtype=float).T)
-    return hermitian_eigen(sym).eigenvalues
+    a = np.asarray(m, dtype=float)
+    if 1 <= a.shape[0] <= 3:
+        return np.array(_closed_form_eigenvalues(a.tolist()))
+    return hermitian_eigen(0.5 * (a + a.T)).eigenvalues
 
 
 def det_real_symmetric(m, tol: float = 1e-12) -> float:
@@ -235,12 +248,19 @@ def det_real_symmetric(m, tol: float = 1e-12) -> float:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    asym = float(np.abs(a - a.T).max(initial=0.0))
+    n = a.shape[0]
+    if 1 <= n <= 3:
+        rows = a.tolist()
+        scale = max(1.0, max(abs(x) for row in rows for x in row))
+        asym = max(abs(rows[i][j] - rows[j][i]) for i in range(n) for j in range(n))
+    else:
+        scale = max(1.0, float(np.abs(a).max(initial=0.0)))
+        asym = float(np.abs(a - a.T).max(initial=0.0))
     if asym > tol * scale:
         raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym:.3e})")
-    vals = real_symmetric_eigenvalues(a)
-    return float(np.prod(vals))
+    if 1 <= n <= 3:
+        return math.prod(_closed_form_eigenvalues(rows))
+    return float(np.prod(real_symmetric_eigenvalues(a)))
 
 
 def det_antisymmetric(k, tol: float = 1e-12) -> float:

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 STANDARD_GRID = np.logspace(-4.0, 4.0, 41)
+STANDARD_GRID.flags.writeable = False
 
 # window around the removable singularity at x = 1 where series expansions
 # replace the closed forms
@@ -318,11 +319,29 @@ def dominates(
     grid: np.ndarray | None = None,
     strictness_floor: float = 1e-12,
 ) -> DominanceReport:
-    """Compare f(0)/f against g(0)/g pointwise on a grid (both must be regular)."""
+    """Compare f(0)/f against g(0)/g pointwise on a grid (both must be regular).
+
+    On the standard grid the report is computed once per (f, g, floor) and
+    shared, with read-only margins; an explicit grid is evaluated afresh.
+    """
     for h in (f, g):
         if not h.regular:
             raise CatalogError(f"{h.label}: dominance is defined for regular functions only")
-    pts = STANDARD_GRID if grid is None else np.asarray(grid, dtype=float)
+    if grid is None:
+        return _standard_dominance(f, g, strictness_floor)
+    return _dominance(f, g, np.asarray(grid, dtype=float), strictness_floor)
+
+
+@lru_cache(maxsize=None)
+def _standard_dominance(f: MonotoneFunction, g: MonotoneFunction, strictness_floor: float) -> DominanceReport:
+    report = _dominance(f, g, STANDARD_GRID, strictness_floor)
+    report.margins.flags.writeable = False
+    return report
+
+
+def _dominance(
+    f: MonotoneFunction, g: MonotoneFunction, pts: np.ndarray, strictness_floor: float
+) -> DominanceReport:
     margins = f.value_at_zero / f(pts) - g.value_at_zero / g(pts)
     k = int(np.argmin(margins))
     return DominanceReport(

@@ -10,7 +10,7 @@ formula shares.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,6 +63,7 @@ class DensityMatrix:
 
     matrix: np.ndarray
     eigen: EigenDecomposition
+    _pinched: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -71,6 +72,14 @@ class DensityMatrix:
     @property
     def eigenvalues(self) -> np.ndarray:
         return self.eigen.eigenvalues
+
+    def pinched(self, partition: Sequence[Iterable[int]]) -> DensityMatrix:
+        """The state pinched by ``partition``, memoized per partition on this state."""
+        key = tuple(tuple(int(i) for i in block) for block in partition)
+        got = self._pinched.get(key)
+        if got is None:
+            got = self._pinched[key] = density(pinching(self.matrix, key))
+        return got
 
 
 def density(

@@ -251,3 +251,20 @@ def test_equality_outcomes_reach_the_report(monkeypatch):
     assert report.ok and report.violations == []
     assert report.counts["equality"] == {"pass": 0, "fail": 0, "hypothesis_skipped": 2, "clamped": 0}
     assert "equality" not in report.worst
+
+
+@pytest.mark.parametrize(
+    "kwargs, first, second",
+    [
+        ({"functions": ("sld", "sld")}, "'sld'", "'sld'"),
+        ({"functions": ("wyd:0.3", "wyd:.3")}, "'wyd:0.3'", "'wyd:.3'"),
+        ({"function_pairs": (("wyd:0.3", "sld"), ("wyd:.3", "sld"))}, "('wyd:0.3', 'sld')", "('wyd:.3', 'sld')"),
+    ],
+    ids=["repeated", "respelled", "respelled-pair"],
+)
+def test_config_rejects_specs_with_one_label(kwargs, first, second):
+    field = next(iter(kwargs))
+    with pytest.raises(ConfigError) as info:
+        CampaignConfig(**kwargs)
+    message = str(info.value)
+    assert message.startswith(f"{field}: {first} and {second} ")

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from qfidet.cli import main
+from qfidet.linalg import ConvergenceError
 
 from conftest import FIXTURES
 
@@ -135,3 +136,16 @@ def test_module_entry_point_subprocess():
         timeout=120,
     )
     assert unknown.returncode == 2
+
+
+@pytest.mark.parametrize("exc", [ArithmeticError("det below the clamp window"), ConvergenceError("no convergence")])
+def test_verify_numerical_failure_exits_3(exc, monkeypatch, capsys):
+    import qfidet.campaign as campaign_module
+
+    def fail(inst, f, tol):
+        raise exc
+
+    monkeypatch.setattr(campaign_module, "check_main", fail)
+    args = ["verify", "--dims", "2", "--num-obs", "1", "--instances", "1", "--kinds", "generic"]
+    assert main(args + ["--checks", "main", "--functions", "sld", "--pairs", ""]) == 3
+    assert capsys.readouterr().err == f"error: {exc}\n"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, random_hermitian
-from oracles import det_cofactor
+from oracles import det_cofactor, det_real_symmetric_numpy
 
 from qfidet.linalg import (
     ConvergenceError,
@@ -208,3 +208,14 @@ def test_hermitian_part_and_coercion():
     assert np.abs(h - h.conj().T).max() == 0.0
     with pytest.raises(ValueError, match="square"):
         as_complex_matrix(np.ones((2, 3)))
+
+
+def test_small_det_is_bit_identical_to_the_numpy_closed_form():
+    rng = np.random.default_rng(31)
+    for k in range(21000):
+        n = 1 + k % 3
+        g = rng.standard_normal((n, n))
+        m = (g + g.T, g @ g.T, np.diag(np.diag(g)))[k // 3 % 3]
+        m = m * 10.0 ** rng.uniform(-8.0, 4.0)
+        got, ref = det_real_symmetric(m), det_real_symmetric_numpy(m)
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (m.tolist(), got, ref)

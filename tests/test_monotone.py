@@ -267,3 +267,29 @@ def test_catalog_listing():
     by_name = {f["name"]: f for f in fams}
     assert by_name["wy"]["transform"] == "sqrt(x)"
     assert by_name["kubo-mori"]["transform"] is None
+
+
+def test_dominance_report_is_shared_and_read_only():
+    sld, wy = make_function("sld"), make_function("wy")
+    first, again = dominates(sld, wy), dominates(sld, wy)
+    for name in ("f_label", "g_label", "strict", "weak", "min_margin", "min_margin_at", "classification"):
+        assert getattr(first, name) == getattr(again, name), name
+    assert np.array_equal(first.margins, again.margins)
+    assert not first.margins.flags.writeable
+    with pytest.raises(ValueError):
+        first.margins[0] = 0.0
+    assert not STANDARD_GRID.flags.writeable
+    with pytest.raises(ValueError):
+        STANDARD_GRID[0] = 0.0
+
+
+def test_dominance_on_an_explicit_grid_is_fresh():
+    sld, wy = make_function("sld"), make_function("wy")
+    grid = np.array([0.25, 1.0, 4.0])
+    rep = dominates(sld, wy, grid)
+    expected = 0.5 / sld(grid) - 0.25 / wy(grid)
+    assert np.array_equal(rep.margins, expected)
+    assert rep.margins.flags.writeable
+    assert dominates(sld, wy, grid) is not rep
+    assert rep.min_margin_at in grid.tolist()
+    assert rep.strict == dominates(sld, wy).strict
