@@ -35,6 +35,7 @@ from .states import derive_seed, random_partition
 REPORT_VERSION = "qfi-report/1"
 STATE_KINDS = ("generic", "degenerate", "near-singular")
 VIOLATION_CAP = 100
+COUNT_NAMES = ("pass", "fail", "hypothesis_skipped", "clamped")
 DEFAULT_T_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 
@@ -151,7 +152,7 @@ class CampaignConfig:
             raise ConfigError(f"instances_per_cell: must be nonnegative, got {self.instances_per_cell}")
         if not self.functions:
             raise ConfigError("functions: need at least one function spec")
-        # a spec repeated under any spelling would count its outcomes twice
+        # a value repeated under any spelling would count its outcomes twice
         _require_distinct("functions", self.functions, [_label(s, "functions") for s in self.functions])
         pair_labels = [tuple(_label(s, "function_pairs") for s in pair) for pair in self.function_pairs]
         _require_distinct("function_pairs", self.function_pairs, pair_labels)
@@ -170,6 +171,8 @@ class CampaignConfig:
         for check in self.checks:
             if check not in CHECK_NAMES:
                 raise ConfigError(f"checks: unknown check {check!r}; expected one of {', '.join(CHECK_NAMES)}")
+        for field in ("dims", "num_obs", "kinds", "t_grid", "checks"):
+            _require_distinct(field, getattr(self, field), getattr(self, field))
 
 
 @dataclass(frozen=True)
@@ -191,11 +194,7 @@ class CampaignReport:
         return self.total_failures == 0
 
     def totals(self) -> dict:
-        out = {"pass": 0, "fail": 0, "hypothesis_skipped": 0, "clamped": 0}
-        for quad in self.counts.values():
-            for key in out:
-                out[key] += quad[key]
-        return out
+        return {key: sum(quad[key] for quad in self.counts.values()) for key in COUNT_NAMES}
 
     def to_dict(self) -> dict:
         return {
@@ -210,7 +209,20 @@ class CampaignReport:
         }
 
 
-def _run_cell(config: CampaignConfig, n: int, n_obs: int, kind: str) -> dict:
+def _empty_row() -> list:
+    """A tally row: [pass, fail, hypothesis_skipped, clamped, worst_margin, worst_instance]."""
+    return [0, 0, 0, 0, None, ""]
+
+
+def _add_row(into: list, row: list) -> None:
+    """Add tally ``row`` into ``into``; the earlier worst stays on a tie."""
+    for k in range(4):
+        into[k] += row[k]
+    if row[4] is not None and (into[4] is None or row[4] < into[4]):
+        into[4:] = row[4:]
+
+
+def _run_cell(config: CampaignConfig, n: int, n_obs: int, kind: str) -> tuple[dict, list]:
     plan = CheckPlan(
         functions=tuple(parse_function_spec(s) for s in config.functions),
         pairs=tuple((parse_function_spec(a), parse_function_spec(b)) for a, b in config.function_pairs),
@@ -219,68 +231,38 @@ def _run_cell(config: CampaignConfig, n: int, n_obs: int, kind: str) -> dict:
     )
     # registry order, whatever the order of config.checks
     active = [(name, entry) for name, entry in CHECKS.items() if name in config.checks]
-    # row value: [pass, fail, clamps, worst_margin, worst_instance]
     rows: dict[tuple, list] = {}
-    counts = {c: {"pass": 0, "fail": 0, "hypothesis_skipped": 0, "clamped": 0} for c in config.checks}
     violations: list[dict] = []
-
-    def record(check, rep, fl, gl, t, index, derived):
-        extra = {}
-        if isinstance(rep, EqualityClassification):
-            # A contradicted equivalence fails at margin -1; an equality that
-            # fired without the dependence behind it is a skipped hypothesis.
-            passed = rep.consistent
-            hypothesis_ok = not passed or rep.resolved
-            clamps = 0
-            margin = 0.0 if passed else -1.0
-            extra["verdict"] = rep.verdict
-        else:
-            passed = rep.passed
-            hypothesis_ok = rep.hypothesis_ok
-            clamps = rep.clamps
-            margin = rep.margin
-        row = rows.setdefault((check, n, n_obs, fl, gl, t), [0, 0, 0, None, ""])
-        quad = counts[check]
-        if not hypothesis_ok:
-            quad["hypothesis_skipped"] += 1
-            return
-        quad["clamped"] += clamps
-        row[2] += clamps
-        if passed:
-            quad["pass"] += 1
-            row[0] += 1
-        else:
-            quad["fail"] += 1
-            row[1] += 1
-            if len(violations) < VIOLATION_CAP:
-                violations.append(
-                    {
-                        "check": check,
-                        "n": n,
-                        "N": n_obs,
-                        "kind": kind,
-                        "index": index,
-                        "seed": config.seed,
-                        "derived_seed": derived,
-                        "f": fl,
-                        "g": gl,
-                        "t": t,
-                        "margin": margin,
-                        **extra,
-                    }
-                )
-        if row[3] is None or margin < row[3]:
-            row[3] = margin
-            row[4] = f"kind={kind},index={index}"
-
     for index in range(config.instances_per_cell):
         derived = derive_seed(config.seed, n, n_obs, kind, index)
         inst = prepare_random(n, n_obs, derived, kind)
+        where = f"kind={kind},index={index}"
         for name, entry in active:
             for rep, fl, gl, t in entry(plan, inst, derived):
-                record(name, rep, fl, gl, t, index, derived)
-
-    return {"rows": rows, "counts": counts, "violations": violations}
+                if rep.hypothesis_ok:
+                    outcome = [int(rep.passed), int(not rep.passed), 0, rep.clamps, rep.margin, where]
+                else:
+                    outcome = [0, 0, 1, 0, None, ""]
+                _add_row(rows.setdefault((name, n, n_obs, fl, gl, t), _empty_row()), outcome)
+                if not rep.violated or len(violations) >= VIOLATION_CAP:
+                    continue
+                violation = {
+                    "check": name,
+                    "n": n,
+                    "N": n_obs,
+                    "kind": kind,
+                    "index": index,
+                    "seed": config.seed,
+                    "derived_seed": derived,
+                    "f": fl,
+                    "g": gl,
+                    "t": t,
+                    "margin": rep.margin,
+                }
+                if isinstance(rep, EqualityClassification):
+                    violation["verdict"] = rep.verdict
+                violations.append(violation)
+    return rows, violations
 
 
 def _cell_entry(args):
@@ -302,27 +284,20 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
         partials = [_run_cell(*cell) for cell in cells]
 
     merged: dict[tuple, list] = {}
-    counts = {c: {"pass": 0, "fail": 0, "hypothesis_skipped": 0, "clamped": 0} for c in config.checks}
     violations: list[dict] = []
-    for part in partials:
-        for key, val in part["rows"].items():
-            row = merged.setdefault(key, [0, 0, 0, None, ""])
-            row[0] += val[0]
-            row[1] += val[1]
-            row[2] += val[2]
-            if val[3] is not None and (row[3] is None or val[3] < row[3]):
-                row[3] = val[3]
-                row[4] = val[4]
-        for check, quad in part["counts"].items():
-            for name, value in quad.items():
-                counts[check][name] += value
-        violations.extend(part["violations"])
+    for cell_rows, cell_violations in partials:
+        for key, row in cell_rows.items():
+            _add_row(merged.setdefault(key, _empty_row()), row)
+        violations.extend(cell_violations)
     del violations[VIOLATION_CAP:]
 
+    per_check = {c: _empty_row() for c in config.checks}
     rows = []
+    worst: dict[str, dict] = {}
     for key in sorted(merged, key=_row_sort_key):
         check, n, n_obs, fl, gl, t = key
-        npass, nfail, clamps, margin, instance = merged[key]
+        _add_row(per_check[check], merged[key])
+        npass, nfail, _, clamps, margin, instance = merged[key]
         rows.append(
             {
                 "check": check,
@@ -338,26 +313,12 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
                 "worst_instance": instance,
             }
         )
-    worst: dict[str, dict] = {}
-    for row in rows:
-        margin = row["worst_margin"]
-        if margin is None:
-            continue
-        cur = worst.get(row["check"])
-        if cur is None or margin < cur["margin"]:
-            worst[row["check"]] = {
-                "margin": margin,
-                "n": row["n"],
-                "N": row["N"],
-                "f": row["f"],
-                "g": row["g"],
-                "t": row["t"],
-                "instance": row["worst_instance"],
-            }
+        if margin is not None and (check not in worst or margin < worst[check]["margin"]):
+            worst[check] = {"margin": margin, "n": n, "N": n_obs, "f": fl, "g": gl, "t": t, "instance": instance}
     runtime = time.perf_counter() - start
     return CampaignReport(
         config=config,
-        counts=counts,
+        counts={c: dict(zip(COUNT_NAMES, row)) for c, row in per_check.items()},
         rows=rows,
         worst=worst,
         violations=violations,

@@ -21,7 +21,7 @@ from .campaign import (
     emit_report,
     run_campaign,
 )
-from .inequalities import EqualityClassification, prepare
+from .inequalities import EqualityClassification, PreparedInstance
 from .io import load_instance
 from .linalg import ConvergenceError
 from .monotone import catalog_families, parse_function_spec
@@ -93,20 +93,20 @@ def _show(rep) -> int:
             f"det_qov_f={rep.det_qov_f:.12g} det_qov_g={rep.det_qov_g:.12g} "
             f"consistent={rep.consistent}"
         )
-        return 0 if rep.consistent else 1
-    status = "pass" if rep.passed else "FAIL"
-    if not rep.hypothesis_ok:
-        status = "skipped (dominance hypothesis not met)"
-    extras = " ".join(f"{k}={v:.12g}" for k, v in rep.components.items() if isinstance(v, float))
-    print(f"  {rep.name}: lhs={rep.lhs:.12g} rhs={rep.rhs:.12g} margin={rep.margin:.3e} [{status}]")
-    if extras:
-        print(f"    {extras}")
+    else:
+        status = "pass" if rep.passed else "FAIL"
+        if not rep.hypothesis_ok:
+            status = "skipped (dominance hypothesis not met)"
+        extras = " ".join(f"{k}={v:.12g}" for k, v in rep.components.items() if isinstance(v, float))
+        print(f"  {rep.name}: lhs={rep.lhs:.12g} rhs={rep.rhs:.12g} margin={rep.margin:.3e} [{status}]")
+        if extras:
+            print(f"    {extras}")
     return 1 if rep.violated else 0
 
 
 def _cmd_compute(args) -> int:
     loaded = load_instance(args.instance)
-    inst = prepare(loaded.state, list(loaded.observables), digest=Path(args.instance).name)
+    inst = PreparedInstance(loaded.state, list(loaded.observables), digest=Path(args.instance).name)
     tol = args.tol if args.tol is not None else 1e-9
     failures = 0
 

@@ -46,7 +46,6 @@ __all__ = [
     "InequalityReport",
     "EqualityClassification",
     "PreparedInstance",
-    "prepare",
     "prepare_random",
     "remainder",
     "remainder_t",
@@ -172,13 +171,6 @@ class PreparedInstance:
             self._matrix[side] = got
         return got
 
-    def qov(self, f: MonotoneFunction) -> np.ndarray:
-        return self.matrix(f)
-
-    @property
-    def robertson(self) -> np.ndarray:
-        return self.matrix("robertson")
-
     def det(self, big, small=None) -> float:
         """Memoized determinant of ``matrix(big)``, or of ``matrix(big) - matrix(small)``."""
         key = (big, small)
@@ -187,20 +179,6 @@ class PreparedInstance:
             m = self.matrix(big) if small is None else self.matrix(big) - self.matrix(small)
             got = self._det[key] = det_antisymmetric(m) if big == "robertson" else det_real_symmetric(m)
         return got
-
-    @property
-    def det_cov(self) -> float:
-        return self.det("cov")
-
-    def det_qov(self, f: MonotoneFunction) -> float:
-        return self.det(f)
-
-    def det_diff(self, f: MonotoneFunction) -> float:
-        return self.det("cov", f)
-
-
-def prepare(d: DensityMatrix, obs: Sequence[np.ndarray], digest: str = "custom") -> PreparedInstance:
-    return PreparedInstance(d, obs, digest)
 
 
 def prepare_random(n: int, n_obs: int, seed: int, kind: str = "generic") -> PreparedInstance:
@@ -230,8 +208,8 @@ def _report(name, lhs, rhs, scale, tol, components, digest, clamps=0, hypothesis
 
 def check_main(inst: PreparedInstance, f: MonotoneFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     """det Cov >= det Qov_f."""
-    lhs = inst.det_cov
-    rhs = inst.det_qov(f)
+    lhs = inst.det("cov")
+    rhs = inst.det(f)
     components = {"det_cov": lhs, "det_qov": rhs, "f": f.label}
     return _report("main", lhs, rhs, inst.scale, tol, components, inst.digest)
 
@@ -318,7 +296,7 @@ def check_firey(
 
 def check_robertson(inst: PreparedInstance, tol: float = DEFAULT_TOL) -> InequalityReport:
     """det Cov >= det of the commutator bound matrix (exactly 0 for odd N)."""
-    lhs = inst.det_cov
+    lhs = inst.det("cov")
     rhs = inst.det("robertson")
     components = {"det_cov": lhs, "det_commutator": rhs}
     return _report("robertson", lhs, rhs, inst.scale, tol, components, inst.digest)
@@ -381,6 +359,28 @@ class EqualityClassification:
             return False
         return True
 
+    # The campaign and ``compute`` read a classification as an outcome, with
+    # the names of InequalityReport: a contradicted equivalence fails at
+    # margin -1, and an equality that fired without the dependence behind it
+    # is a skipped hypothesis.
+    clamps = 0
+
+    @property
+    def passed(self) -> bool:
+        return self.consistent
+
+    @property
+    def hypothesis_ok(self) -> bool:
+        return not self.consistent or self.resolved
+
+    @property
+    def margin(self) -> float:
+        return 0.0 if self.consistent else -1.0
+
+    @property
+    def violated(self) -> bool:
+        return self.hypothesis_ok and not self.passed
+
 
 def classify_equality(
     inst: PreparedInstance,
@@ -389,9 +389,9 @@ def classify_equality(
     tol: float = DEFAULT_TOL,
 ) -> EqualityClassification:
     window = tol * inst.scale
-    det_cov = inst.det_cov
-    det_qf = inst.det_qov(f)
-    det_qg = None if g is None else inst.det_qov(g)
+    det_cov = inst.det("cov")
+    det_qf = inst.det(f)
+    det_qg = None if g is None else inst.det(g)
 
     n = inst.frame.dim
     vectors = np.empty((inst.size, 2 * n * n), dtype=float)

@@ -57,11 +57,20 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def _entry_scale(a: np.ndarray, label: str = "matrix") -> float:
+    """max(1, largest |entry|); a NaN or infinite entry raises ValueError naming it."""
+    largest = float(np.abs(a).max(initial=0.0))
+    if not math.isfinite(largest):
+        where = tuple(int(k) for k in np.argwhere(~np.isfinite(a))[0])
+        raise ValueError(f"{label}: non-finite entry {where} = {a[where]}")
+    return max(1.0, largest)
+
+
 def require_hermitian(m: np.ndarray, tol: float = 1e-12, label: str = "matrix") -> None:
-    """Raise with the offending entry if m deviates from m^dagger."""
+    """Raise with the offending entry if m deviates from m^dagger or is not finite."""
+    scale = _entry_scale(m, label)
     delta = np.abs(m - m.conj().T)
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if delta.max(initial=0.0) > tol * scale:
+    if not delta.max(initial=0.0) <= tol * scale:
         h, j = np.unravel_index(int(np.argmax(delta)), delta.shape)
         raise ValueError(
             f"{label}: not Hermitian, entry ({h},{j}) = {m[h, j]} vs "
@@ -254,12 +263,16 @@ def det_real_symmetric(m, tol: float = 1e-12) -> float:
         scale = max(1.0, max(abs(x) for row in rows for x in row))
         asym = max(abs(rows[i][j] - rows[j][i]) for i in range(n) for j in range(n))
     else:
-        scale = max(1.0, float(np.abs(a).max(initial=0.0)))
+        scale = _entry_scale(a)
         asym = float(np.abs(a - a.T).max(initial=0.0))
-    if asym > tol * scale:
+    if not asym <= tol * scale:
+        _entry_scale(a)
         raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym:.3e})")
     if 1 <= n <= 3:
-        return math.prod(_closed_form_eigenvalues(rows))
+        det = math.prod(_closed_form_eigenvalues(rows))
+        if not math.isfinite(det):
+            _entry_scale(a)  # Python's max can pass over a NaN above
+        return det
     return float(np.prod(real_symmetric_eigenvalues(a)))
 
 
@@ -272,9 +285,9 @@ def det_antisymmetric(k, tol: float = 1e-12) -> float:
     a = np.asarray(k, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
+    scale = _entry_scale(a)
     asym = float(np.abs(a + a.T).max(initial=0.0))
-    if asym > tol * scale:
+    if not asym <= tol * scale:
         raise ValueError(f"matrix is not antisymmetric (max |M + M^T| = {asym:.3e})")
     n = a.shape[0]
     if n % 2 == 1:
@@ -290,7 +303,7 @@ def min_eigenvalue(m) -> float:
         af = np.asarray(a, dtype=float)
         if af.ndim != 2 or af.shape[0] != af.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {af.shape}")
-        scale = max(1.0, float(np.abs(af).max(initial=0.0)))
+        scale = _entry_scale(af)
         if float(np.abs(af - af.T).max(initial=0.0)) <= 1e-11 * scale:
             return float(real_symmetric_eigenvalues(0.5 * (af + af.T))[0])
     return float(hermitian_eigen(a).eigenvalues[0])

@@ -21,7 +21,6 @@ from .inequalities import (
     check_robertson,
     classify_equality,
     minkowski_firey_selftest,
-    prepare,
     remainder,
     remainder_t,
 )
@@ -36,7 +35,7 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 def tight_witness_instance() -> PreparedInstance:
     """The qubit instance that attains the determinant bound exactly."""
     d = density(np.diag([0.75, 0.25]).astype(complex))
-    return prepare(d, [PAULI_X, PAULI_Y], digest="qubit-tight")
+    return PreparedInstance(d, [PAULI_X, PAULI_Y], digest="qubit-tight")
 
 
 def _within(value: float, target: float, tol: float) -> bool:
@@ -114,7 +113,7 @@ def _cases(tol: float):
         return ok, f"full pinching kills sigma_x: before {rep.lhs:.12g}, after {rep.rhs:.2e}"
 
     def case_equality():
-        single = prepare(d, [PAULI_Z], digest="single-diagonal")
+        single = PreparedInstance(d, [PAULI_Z], digest="single-diagonal")
         got = classify_equality(single, sld, wy, tol)
         ok = got.verdict == "b" and got.consistent and got.offdiag_dependent and not got.linearly_dependent
         return ok, f"single diagonal observable: verdict {got.verdict}"

@@ -39,13 +39,13 @@ from qfidet.covariance import (
     qov_frame,
 )
 from qfidet.inequalities import (
+    PreparedInstance,
     check_conj1,
     check_conj2,
     check_firey,
     check_metric_contraction,
     check_robertson,
     classify_equality,
-    prepare,
     prepare_random,
 )
 from qfidet.io import load_instance
@@ -284,7 +284,7 @@ def test_criterion_03_determinant_bounds_grid(grid_sweep: GridSweep) -> None:
 
 def test_criterion_04_tight_qubit_witness() -> None:
     d = density(np.diag([0.75, 0.25]).astype(complex))
-    inst = prepare(d, [PAULI_X, PAULI_Y], digest="qubit-tight")
+    inst = PreparedInstance(d, [PAULI_X, PAULI_Y], digest="qubit-tight")
     r1 = check_conj1(inst, SLD)
     c = r1.components
     devs = [
@@ -340,12 +340,12 @@ def test_criterion_06_equality_classifier() -> None:
             second = random_observable(n, derive_seed(SEED, "dependent-obs", i, 1))
             c1, c2 = rng.standard_normal(2)
             obs = [anchor, second, c1 * anchor + c2 * second + shift * np.eye(n)]
-        inst = prepare(d, obs, digest=f"dependent-{i}")
+        inst = PreparedInstance(d, obs, digest=f"dependent-{i}")
         got = classify_equality(inst, SLD, WY)
         assert got.condition_a and got.condition_b and got.condition_c, got.verdict
         assert got.linearly_dependent and got.offdiag_dependent
         window = 1e-10 * inst.scale
-        dets = (inst.det_cov, inst.det_qov(SLD), inst.det_qov(WY))
+        dets = (inst.det("cov"), inst.det(SLD), inst.det(WY))
         assert all(abs(v) <= window for v in dets), dets
         worst_det = max(worst_det, max(abs(v) for v in dets) / inst.scale)
 
@@ -404,13 +404,13 @@ def test_criterion_07_offdiagonal_collapse() -> None:
             last = last + coeff * a
         last = 0.5 * (last + last.conj().T)
         last = last / np.linalg.norm(last)
-        inst = prepare(d, base + [last], digest=f"offdiag-{i}")
+        inst = PreparedInstance(d, base + [last], digest=f"offdiag-{i}")
         assert offdiagonal_dependence(inst.frame).dependent
         got = classify_equality(inst, SLD, WY)
         assert not got.linearly_dependent and got.rank == n_obs
         assert got.condition_b and got.consistent
-        det_q = abs(inst.det_qov(SLD))
-        gap = inst.det_diff(SLD)
+        det_q = abs(inst.det(SLD))
+        gap = inst.det("cov", SLD)
         assert det_q <= 1e-10 * inst.scale, (i, det_q)
         assert gap > 1e-6 * inst.scale, (i, gap)
         worst_qov_det = max(worst_qov_det, det_q / inst.scale)
@@ -549,7 +549,7 @@ def test_criterion_10_campaign_interface(tmp_path, monkeypatch, capsys) -> None:
     monkeypatch.undo()
 
     loaded = load_instance(FIXTURES / "qubit_tight.json")
-    inst = prepare(loaded.state, list(loaded.observables), digest="fixture")
+    inst = PreparedInstance(loaded.state, list(loaded.observables), digest="fixture")
     r1 = check_conj1(inst, SLD)
     round_trip_dev = max(
         abs(r1.components["det_cov"] - 1.0),

@@ -1,18 +1,20 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
 from qfidet.campaign import (
     CHECK_NAMES,
+    VIOLATION_CAP,
     CampaignConfig,
     CampaignReport,
     ConfigError,
     emit_report,
     run_campaign,
 )
-from qfidet.inequalities import EqualityClassification
+from qfidet.inequalities import EqualityClassification, InequalityReport
 from qfidet.states import derive_seed
 
 TINY = CampaignConfig(
@@ -259,8 +261,13 @@ def test_equality_outcomes_reach_the_report(monkeypatch):
         ({"functions": ("sld", "sld")}, "'sld'", "'sld'"),
         ({"functions": ("wyd:0.3", "wyd:.3")}, "'wyd:0.3'", "'wyd:.3'"),
         ({"function_pairs": (("wyd:0.3", "sld"), ("wyd:.3", "sld"))}, "('wyd:0.3', 'sld')", "('wyd:.3', 'sld')"),
+        ({"dims": (2, 3, 2)}, "2", "2"),
+        ({"num_obs": (1, 1)}, "1", "1"),
+        ({"kinds": ("generic", "generic")}, "'generic'", "'generic'"),
+        ({"t_grid": (0.5, "0.50")}, "0.5", "0.5"),
+        ({"checks": ("main", "firey", "main")}, "'main'", "'main'"),
     ],
-    ids=["repeated", "respelled", "respelled-pair"],
+    ids=["repeated", "respelled", "respelled-pair", "dims", "num_obs", "kinds", "t_grid", "checks"],
 )
 def test_config_rejects_specs_with_one_label(kwargs, first, second):
     field = next(iter(kwargs))
@@ -268,3 +275,120 @@ def test_config_rejects_specs_with_one_label(kwargs, first, second):
         CampaignConfig(**kwargs)
     message = str(info.value)
     assert message.startswith(f"{field}: {first} and {second} ")
+
+
+TALLY = CampaignConfig(
+    dims=(2, 3),
+    num_obs=(1, 2),
+    instances_per_cell=20,
+    functions=("sld", "kubo-mori", "wy"),
+    function_pairs=(),
+    kinds=("generic", "degenerate"),
+    checks=("main",),
+    seed=3,
+)
+
+
+def _scripted(index: int, label: str) -> tuple[bool, float, int]:
+    """(hypothesis_ok, margin, clamps) of the stand-in main check.
+
+    Margins repeat with period 11 in the index, so every row sees ties, and
+    the minimum first falls on index 6, not on the first instance.  Every wy
+    outcome and every index = 2 (mod 7) is a skipped hypothesis, whose margin
+    and clamps must not reach the report.
+    """
+    if label == "wy" or index % 7 == 2:
+        return False, -9.0, 1
+    return True, ((5 * index + 3) % 11 - 6) * 0.25, index % 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tally_of_scripted_outcomes(monkeypatch, workers):
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the stand-ins only when forked")
+    import qfidet.campaign as campaign_module
+
+    index_of = {
+        derive_seed(TALLY.seed, n, n_obs, kind, index): index
+        for n in TALLY.dims
+        for n_obs in TALLY.num_obs
+        for kind in TALLY.kinds
+        for index in range(TALLY.instances_per_cell)
+    }
+
+    def scripted_main(index, f, tol):
+        ok, margin, clamps = _scripted(index, f.label)
+        return InequalityReport(
+            name="main",
+            lhs=margin,
+            rhs=0.0,
+            margin=margin,
+            scale=1.0,
+            tol=tol,
+            passed=margin >= 0.0,
+            hypothesis_ok=ok,
+            clamps=clamps,
+            components={},
+            digest="",
+        )
+
+    monkeypatch.setattr(campaign_module, "prepare_random", lambda n, n_obs, seed, kind: index_of[seed])
+    monkeypatch.setattr(campaign_module, "check_main", scripted_main)
+    report = run_campaign(TALLY, workers=workers)
+
+    # violations: the first VIOLATION_CAP failures in cell, index and function order
+    failures = [
+        (n, n_obs, kind, index, label)
+        for n in TALLY.dims
+        for n_obs in TALLY.num_obs
+        for kind in TALLY.kinds
+        for index in range(TALLY.instances_per_cell)
+        for label in TALLY.functions
+        for ok, margin, _ in [_scripted(index, label)]
+        if ok and margin < 0.0
+    ]
+    assert len(failures) > VIOLATION_CAP
+    assert [(v["n"], v["N"], v["kind"], v["index"], v["f"]) for v in report.violations] == failures[:VIOLATION_CAP]
+    assert all(v["margin"] == _scripted(v["index"], v["f"])[1] for v in report.violations)
+
+    # rows: each outcome an instance held, merged over kinds in cell order
+    assert len(report.rows) == len(TALLY.dims) * len(TALLY.num_obs) * len(TALLY.functions)
+    for row in report.rows:
+        held = [
+            (margin, clamps, f"kind={kind},index={index}")
+            for kind in TALLY.kinds
+            for index in range(TALLY.instances_per_cell)
+            for ok, margin, clamps in [_scripted(index, row["f"])]
+            if ok
+        ]
+        margins = [margin for margin, _, _ in held]
+        assert row["pass"] == sum(margin >= 0.0 for margin in margins)
+        assert row["fail"] == sum(margin < 0.0 for margin in margins)
+        assert row["clamps"] == sum(clamps for _, clamps, _ in held)
+        if held:
+            worst = min(margins)
+            assert row["worst_margin"] == worst
+            assert row["worst_instance"] == held[margins.index(worst)][2]  # the earliest one
+        else:  # wy: skipped outcomes leave zero counts and no worst instance
+            assert (row["pass"], row["fail"], row["clamps"]) == (0, 0, 0)
+            assert row["worst_margin"] is None and row["worst_instance"] == ""
+    assert report.rows[0]["worst_instance"] == "kind=generic,index=6"
+
+    skipped = sum(
+        not _scripted(index, label)[0]
+        for index in range(TALLY.instances_per_cell)
+        for label in TALLY.functions
+    ) * len(TALLY.dims) * len(TALLY.num_obs) * len(TALLY.kinds)
+    assert report.counts == {
+        "main": {
+            "pass": sum(row["pass"] for row in report.rows),
+            "fail": sum(row["fail"] for row in report.rows),
+            "hypothesis_skipped": skipped,
+            "clamped": sum(row["clamps"] for row in report.rows),
+        }
+    }
+    assert report.worst["main"]["instance"] == "kind=generic,index=6"
+    assert report.worst["main"]["margin"] == -1.5
+    counts = [row[k] for row in report.rows for k in ("pass", "fail", "clamps")]
+    counts += list(report.counts["main"].values()) + list(report.totals().values())
+    assert all(type(value) is int for value in counts)  # never a bool

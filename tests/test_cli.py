@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
@@ -91,6 +92,16 @@ def test_compute_invalid_instance(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     assert main(["compute", str(path)]) == 2
     assert "state" in capsys.readouterr().err
+
+
+def test_compute_rejects_non_finite_entries(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    payload = json.loads((FIXTURES / "qubit_tight.json").read_text())
+    payload["observables"][0][0][1] = [math.nan, 0.0]  # written as a JSON NaN literal
+    path.write_text(json.dumps(payload))
+    assert main(["compute", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "observables[0]" in err and "non-finite entry" in err
 
 
 def test_catalog_lists_families(capsys):

@@ -8,6 +8,7 @@ import pytest
 from qfidet.covariance import robertson_matrix
 from qfidet.inequalities import (
     EqualityClassification,
+    PreparedInstance,
     check_conj1,
     check_conj2,
     check_firey,
@@ -16,7 +17,6 @@ from qfidet.inequalities import (
     check_robertson,
     classify_equality,
     minkowski_firey_selftest,
-    prepare,
     prepare_random,
     remainder,
     remainder_t,
@@ -35,7 +35,7 @@ KM = make_function("kubo-mori")
 @pytest.fixture
 def tight():
     d = density(np.diag([0.75, 0.25]).astype(complex))
-    return prepare(d, [PAULI_X, PAULI_Y], digest="qubit-tight")
+    return PreparedInstance(d, [PAULI_X, PAULI_Y], digest="qubit-tight")
 
 
 def test_remainder_examples():
@@ -78,9 +78,9 @@ def test_remainder_t_halving(rng):
 
 
 def test_tight_witness_components(tight):
-    assert tight.det_cov == pytest.approx(1.0, abs=1e-12)
-    assert tight.det_qov(SLD) == pytest.approx(1.0 / 16.0, abs=1e-12)
-    assert tight.det_diff(SLD) == pytest.approx(9.0 / 16.0, abs=1e-12)
+    assert tight.det("cov") == pytest.approx(1.0, abs=1e-12)
+    assert tight.det(SLD) == pytest.approx(1.0 / 16.0, abs=1e-12)
+    assert tight.det("cov", SLD) == pytest.approx(9.0 / 16.0, abs=1e-12)
     rep = check_conj1(tight, SLD)
     assert rep.components["remainder"] == pytest.approx(3.0 / 8.0, abs=1e-12)
     assert abs(rep.margin) <= 1e-12
@@ -99,13 +99,13 @@ def test_tight_witness_firey_half(tight):
 
 def test_main_examples(tight):
     d = density(np.diag([0.75, 0.25]).astype(complex))
-    single = prepare(d, [PAULI_X])
+    single = PreparedInstance(d, [PAULI_X])
     rep = check_main(single, SLD)
     assert rep.lhs == pytest.approx(1.0, abs=1e-13)
     assert rep.rhs == pytest.approx(0.25, abs=1e-13)
     assert rep.passed and rep.margin == pytest.approx(0.75, abs=1e-12)
 
-    mixed = prepare(density(np.eye(2, dtype=complex) / 2), [PAULI_X, PAULI_Y])
+    mixed = PreparedInstance(density(np.eye(2, dtype=complex) / 2), [PAULI_X, PAULI_Y])
     rep2 = check_main(mixed, SLD)
     assert abs(rep2.rhs) <= 1e-13 and rep2.passed
 
@@ -137,14 +137,14 @@ def test_conj2_hand_values():
     d = density(np.diag([0.75, 0.25]).astype(complex))
     q_wy = (2.0 - math.sqrt(3.0)) / 2.0
 
-    single = prepare(d, [PAULI_X])
+    single = PreparedInstance(d, [PAULI_X])
     rep = check_conj2(single, SLD, WY)
     assert rep.hypothesis_ok
     assert rep.lhs == pytest.approx(0.25, abs=1e-13)
     assert rep.components["det_qov_g"] == pytest.approx(q_wy, abs=1e-13)
     assert abs(rep.margin) <= 1e-13
 
-    pair = prepare(d, [PAULI_X, PAULI_Y])
+    pair = PreparedInstance(d, [PAULI_X, PAULI_Y])
     rep2 = check_conj2(pair, SLD, WY)
     assert rep2.lhs == pytest.approx(1.0 / 16.0, abs=1e-13)
     assert rep2.components["det_qov_g"] == pytest.approx(q_wy**2, abs=1e-13)
@@ -214,7 +214,7 @@ def test_robertson_hand_values(tight):
     assert rep.rhs == pytest.approx(0.25, abs=1e-12)
     assert rep.passed
 
-    mixed = prepare(density(np.eye(2, dtype=complex) / 2), [PAULI_X, PAULI_Y])
+    mixed = PreparedInstance(density(np.eye(2, dtype=complex) / 2), [PAULI_X, PAULI_Y])
     assert abs(check_robertson(mixed).rhs) <= 1e-14
 
 
@@ -229,7 +229,7 @@ def test_robertson_frame_route_matches_trace_route(rng):
     for seed in range(15):
         inst = prepare_random(int(rng.integers(2, 5)), int(rng.integers(2, 4)), 40 + seed)
         direct = robertson_matrix(inst.state, list(inst.observables))
-        assert np.abs(direct - inst.robertson).max() <= 1e-12
+        assert np.abs(direct - inst.matrix("robertson")).max() <= 1e-12
 
 
 def test_robertson_passes_randomly(rng):
@@ -240,7 +240,7 @@ def test_robertson_passes_randomly(rng):
 
 def test_classify_collapsed_pair():
     d = density(np.diag([0.75, 0.25]).astype(complex))
-    inst = prepare(d, [PAULI_X, PAULI_X + np.eye(2)])
+    inst = PreparedInstance(d, [PAULI_X, PAULI_X + np.eye(2)])
     got = classify_equality(inst, SLD, WY)
     assert got.condition_a and got.condition_b and got.condition_c
     assert got.linearly_dependent and got.offdiag_dependent
@@ -251,7 +251,7 @@ def test_classify_collapsed_pair():
 def test_classify_identity_multiple_is_dependent():
     # Centering wipes out an observable proportional to the identity, so the
     # leftover rounding noise must not be counted as an independent direction.
-    inst = prepare(random_density(2, 77), [PAULI_X, 2.5 * np.eye(2, dtype=complex)])
+    inst = PreparedInstance(random_density(2, 77), [PAULI_X, 2.5 * np.eye(2, dtype=complex)])
     got = classify_equality(inst, SLD, WY)
     assert got.linearly_dependent and got.rank == 1
     assert got.condition_a and got.condition_c and got.consistent
@@ -268,7 +268,7 @@ def test_classify_independent_pair(tight):
 def test_classify_single_diagonal_observable():
     # offdiagonal dependence without linear dependence: b holds, a and c fail
     d = density(np.diag([0.75, 0.25]).astype(complex))
-    inst = prepare(d, [PAULI_Z])
+    inst = PreparedInstance(d, [PAULI_Z])
     got = classify_equality(inst, SLD, WY)
     assert got.condition_b and not got.condition_a and not got.condition_c
     assert got.offdiag_dependent and not got.linearly_dependent
@@ -311,13 +311,43 @@ def test_classify_degenerate_spectrum_is_flagged_not_failed():
     # at the maximally mixed state every commutator vanishes, so both Qov
     # determinants are exactly zero for independent observables: condition b
     # fires but cannot count against the equivalence
-    inst = prepare(density(np.eye(2, dtype=complex) / 2), [PAULI_X, PAULI_Y])
+    inst = PreparedInstance(density(np.eye(2, dtype=complex) / 2), [PAULI_X, PAULI_Y])
     got = classify_equality(inst, SLD, WY)
     assert got.det_qov_f == 0.0 and got.det_qov_g == 0.0
     assert got.condition_b and not got.offdiag_dependent
     assert not got.condition_a and not got.condition_c
     assert not got.resolved
     assert got.consistent
+
+
+@pytest.mark.parametrize(
+    "dependent, offdiag, condition_a, condition_b, outcome",
+    [
+        # (passed, hypothesis_ok, margin, violated)
+        (False, False, False, False, (True, True, 0.0, False)),
+        (True, True, True, True, (True, True, 0.0, False)),
+        (True, True, False, True, (False, True, -1.0, True)),  # dependent, no det equality
+        (False, True, False, False, (False, True, -1.0, True)),  # offdiag dependent, no b
+        (False, False, True, False, (True, False, 0.0, False)),  # a without dependence
+        (False, False, False, True, (True, False, 0.0, False)),  # b without dependence
+        (False, False, False, None, (True, True, 0.0, False)),  # no second function
+    ],
+)
+def test_classification_reads_as_an_outcome(dependent, offdiag, condition_a, condition_b, outcome):
+    got = EqualityClassification(
+        det_cov=1.0,
+        det_qov_f=0.5,
+        det_qov_g=None if condition_b is None else 0.25,
+        condition_a=condition_a,
+        condition_b=condition_b,
+        condition_c=dependent,
+        linearly_dependent=dependent,
+        offdiag_dependent=offdiag,
+        rank=1 if dependent else 2,
+    )
+    assert (got.passed, got.hypothesis_ok, got.margin, got.violated) == outcome
+    assert got.passed == got.consistent and got.clamps == 0
+    assert type(got.margin) is float
 
 
 def test_minkowski_selftest_hand_value():
@@ -396,9 +426,9 @@ def test_battery_over_random_instances(rng):
 
 
 def test_prepared_instance_caches(tight):
-    first = tight.qov(SLD)
-    assert tight.qov(SLD) is first
-    assert tight.det_qov(SLD) == tight.det_qov(SLD)
+    first = tight.matrix(SLD)
+    assert tight.matrix(SLD) is first
+    assert tight.det(SLD) == tight.det(SLD)
     inst = prepare_random(3, 2, 123, "degenerate")
     assert inst.digest == "n=3,N=2,kind=degenerate,seed=123"
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qfidet.inequalities import check_conj1, prepare
+from qfidet.inequalities import PreparedInstance, check_conj1
 from qfidet.io import InstanceFormatError, load_instance, save_instance
 from qfidet.monotone import make_function
 from qfidet.states import density, random_density, random_observable
@@ -23,7 +23,7 @@ def test_fixture_loads_and_is_tight():
     assert loaded.functions == ("sld",)
     assert loaded.pairs == (("sld", "wy"),)
 
-    inst = prepare(loaded.state, list(loaded.observables))
+    inst = PreparedInstance(loaded.state, list(loaded.observables))
     rep = check_conj1(inst, make_function(loaded.functions[0]))
     assert abs(rep.margin) <= 1e-12
 

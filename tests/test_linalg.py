@@ -152,6 +152,17 @@ def test_det_rejects_asymmetric():
         det_real_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_non_finite_entries_are_rejected(n, bad):
+    for h, j in ((0, 0), (n - 1, 0)):
+        m = np.eye(n)
+        m[h, j] = m[j, h] = bad
+        for solver in (hermitian_eigen, det_real_symmetric, det_antisymmetric, min_eigenvalue):
+            with pytest.raises(ValueError, match="non-finite entry"):
+                solver(m)
+
+
 def test_small_symmetric_eigenvalues_match_lapack(rng):
     for n in (2, 3):
         for _ in range(50):
