@@ -173,6 +173,11 @@ class CampaignConfig:
                 raise ConfigError(f"checks: unknown check {check!r}; expected one of {', '.join(CHECK_NAMES)}")
         for field in ("dims", "num_obs", "kinds", "t_grid", "checks"):
             _require_distinct(field, getattr(self, field), getattr(self, field))
+        # a check with nothing to range over would pass with zero outcomes
+        if "firey" in self.checks and not self.t_grid:
+            raise ConfigError("t_grid: the firey check needs at least one t value")
+        if "conj2" in self.checks and not self.function_pairs:
+            raise ConfigError("function_pairs: the conj2 check needs at least one pair")
 
 
 @dataclass(frozen=True)

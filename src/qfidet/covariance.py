@@ -29,6 +29,8 @@ __all__ = [
     "cov",
     "cov_frame",
     "metric_inner",
+    "rotated_products",
+    "metric_sum",
     "qov",
     "qov_frame",
     "alpha_coefficients",
@@ -73,11 +75,10 @@ def cov_frame(frame: EigenFrame, a: int, b: int) -> float:
     return float(np.sum(weights * am * bm.T).real)
 
 
-def metric_inner(d: DensityMatrix, f: MonotoneFunction, x: np.ndarray, y: np.ndarray) -> float:
-    """Scalar product sum conj(X_hj) Y_hj / m_f(lambda_h, lambda_j) in D's eigenbasis.
+def rotated_products(d: DensityMatrix, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Entrywise conj(X_hj) Y_hj of two Hermitian tangents rotated into D's eigenbasis.
 
-    Defined for arbitrary Hermitian tangents; positivity of the state keeps
-    every matrix mean strictly positive.
+    This is the part of ``metric_inner`` that does not depend on the function.
     """
     for label, t in (("x", x), ("y", y)):
         if t.shape != d.matrix.shape:
@@ -86,10 +87,24 @@ def metric_inner(d: DensityMatrix, f: MonotoneFunction, x: np.ndarray, y: np.nda
     u = d.eigen.unitary
     xr = u.conj().T @ x @ u
     yr = u.conj().T @ y @ u
-    means = pair_means(d.eigenvalues, f)
+    return xr.conj() * yr
+
+
+def metric_sum(products: np.ndarray, lambdas: np.ndarray, f: MonotoneFunction) -> float:
+    """Real part of sum products_hj / m_f(lambda_h, lambda_j)."""
+    means = pair_means(lambdas, f)
     if not np.all(means > 0.0):
         raise ValueError(f"matrix mean underflow for {f.label}: min {means.min():.3e}")
-    return float(np.sum(xr.conj() * yr / means).real)
+    return float(np.sum(products / means).real)
+
+
+def metric_inner(d: DensityMatrix, f: MonotoneFunction, x: np.ndarray, y: np.ndarray) -> float:
+    """Scalar product sum conj(X_hj) Y_hj / m_f(lambda_h, lambda_j) in D's eigenbasis.
+
+    Defined for arbitrary Hermitian tangents; positivity of the state keeps
+    every matrix mean strictly positive.
+    """
+    return metric_sum(rotated_products(d, x, y), d.eigenvalues, f)
 
 
 def qov(

@@ -24,11 +24,18 @@ import numpy as np
 
 from .covariance import (
     cov_matrix_frame,
-    metric_inner,
+    metric_sum,
     observable_scale,
     qov_matrix_frame,
+    rotated_products,
 )
-from .linalg import det_antisymmetric, det_real_symmetric, min_eigenvalue, numeric_rank
+from .linalg import (
+    det_antisymmetric,
+    det_real_symmetric,
+    det_symmetric_rows,
+    min_eigenvalue,
+    numeric_rank,
+)
 from .monotone import MonotoneFunction, dominates
 from .states import (
     DensityMatrix,
@@ -249,7 +256,13 @@ def _pencil(name, keys, inst, f, g, tol, t=None):
         lhs = inst.det(big)
     else:
         a, b = 1.0 - t, t
-        lhs = det_real_symmetric(t * inst.matrix(big) + (1.0 - 2.0 * t) * inst.matrix(small))
+        w = 1.0 - 2.0 * t
+        if inst.size <= 3:
+            # the multiply and add of the array expression below, on floats
+            big_rows, small_rows = inst.matrix(big).tolist(), inst.matrix(small).tolist()
+            lhs = det_symmetric_rows([[t * x + w * y for x, y in zip(rb, rs)] for rb, rs in zip(big_rows, small_rows)])
+        else:
+            lhs = det_real_symmetric(t * inst.matrix(big) + w * inst.matrix(small))
         names = {"t": t, **names}
     n = inst.size
     rem = _cross_terms(q, dd, n, a, b)
@@ -453,6 +466,17 @@ def minkowski_firey_selftest(
     return _report("minkowski-firey", lhs, rhs, scale, tol, components, f"selftest[{n}x{n}]", c1 + c2 + c3)
 
 
+def _contraction_parts(d: DensityMatrix, x, blocks: tuple) -> tuple:
+    """Products of the traceless tangent X0 in D's eigenbasis, the pinched
+    state, and products of the pinched X0 in the pinched state's eigenbasis."""
+    x = observable(x)
+    n = d.dim
+    x0 = x - (np.trace(x).real / n) * np.eye(n)
+    pinched_state = d.pinched(blocks)
+    pinched_x0 = pinching(x0, blocks)
+    return rotated_products(d, x0, x0), pinched_state, rotated_products(pinched_state, pinched_x0, pinched_x0)
+
+
 def check_metric_contraction(
     d: DensityMatrix,
     x: np.ndarray,
@@ -463,15 +487,17 @@ def check_metric_contraction(
     """Metric monotonicity under pinching: K_T(D)(T(X), T(X)) <= K_D(X, X).
 
     X is projected onto the traceless part first (tangent vectors of the
-    state space); pinching commutes with that projection.
+    state space); pinching commutes with that projection.  Everything but the
+    pair means of f is computed once per (state, tangent, partition) and
+    memoized on the state, so the functions of a campaign share it.
     """
-    x = observable(x)
+    xa = np.asarray(x)
+    blocks = tuple(tuple(int(i) for i in block) for block in partition)
+    key = ("contraction", xa.dtype.str, xa.shape, xa.tobytes(), blocks)
+    products, pinched_state, pinched_products = d.memo(key, lambda: _contraction_parts(d, xa, blocks))
+    before = metric_sum(products, d.eigenvalues, f)
+    after = metric_sum(pinched_products, pinched_state.eigenvalues, f)
     n = d.dim
-    x0 = x - (np.trace(x).real / n) * np.eye(n)
-    before = metric_inner(d, f, x0, x0)
-    pinched_state = d.pinched(partition)
-    pinched_x0 = pinching(x0, partition)
-    after = metric_inner(pinched_state, f, pinched_x0, pinched_x0)
     scale = max(1.0, before)
     # Metric weights near a tiny eigenvalue lam are 1/lam-sized, and storing
     # the pinched matrix in doubles already limits lam to roughly
@@ -484,7 +510,7 @@ def check_metric_contraction(
         "before": before,
         "after": after,
         "window": window,
-        "blocks": len(list(partition)),
+        "blocks": len(blocks),
         "f": f.label,
     }
     return _report("contraction", before, after, scale, tol, components, f"contraction[n={n}]", window=window)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "apply_scalar_function",
     "real_symmetric_eigenvalues",
     "det_real_symmetric",
+    "det_symmetric_rows",
     "det_antisymmetric",
     "min_eigenvalue",
     "numeric_rank",
@@ -100,6 +102,76 @@ def _offdiag_norm_sq(a: np.ndarray) -> float:
     return float(sq.sum())
 
 
+@lru_cache(maxsize=32)
+def _rotation_table(n: int) -> tuple:
+    """(p, q, read-only index array [p, q]) for every rotation of an n x n sweep, in cyclic order."""
+    table = tuple((p, q, np.array([p, q])) for p in range(n - 1) for q in range(p + 1, n))
+    for _, _, pq in table:
+        pq.flags.writeable = False
+    return table
+
+
+def _jacobi(h, sweep_seed: int | None, max_sweeps: int, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascending eigenvalues of a Hermitian matrix, with the unitary only when ``vectors``.
+
+    The rotations of ``a`` do not read the unitary, so the eigenvalues are the
+    same bits with or without it.
+    """
+    a = as_complex_matrix(h).copy()
+    require_hermitian(a)
+    n = a.shape[0]
+    if n == 1:
+        return np.array([a[0, 0].real]), np.eye(1, dtype=complex) if vectors else None
+    norm = frobenius(a)
+    threshold = OFFDIAG_THRESHOLD * norm
+    # rotations on entries already below this cutoff cannot matter for the
+    # sweep-level stopping rule
+    skip = threshold / math.sqrt(max(n * (n - 1), 1))
+    u = np.eye(n, dtype=complex) if vectors else None
+    table = _rotation_table(n)
+    rng = np.random.default_rng(sweep_seed) if sweep_seed is not None else None
+
+    converged = _offdiag_norm_sq(a) <= threshold**2
+    for _ in range(max_sweeps):
+        if converged:
+            break
+        order = table if rng is None else [table[i] for i in rng.permutation(len(table))]
+        for p, q, pq in order:
+            apq = a[p, q]
+            r = abs(apq)
+            if r <= skip:
+                continue
+            app = a[p, p].real
+            aqq = a[q, q].real
+            phase = apq / r
+            theta = 0.5 * math.atan2(2.0 * r, aqq - app)
+            c = math.cos(theta)
+            s = math.sin(theta)
+            v = np.array([[c * phase, s * phase], [-s, c]], dtype=complex)
+            a[:, pq] = a[:, pq] @ v
+            a[pq, :] = v.conj().T @ a[pq, :]
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+            if vectors:
+                u[:, pq] = u[:, pq] @ v
+        converged = _offdiag_norm_sq(a) <= threshold**2
+    else:
+        if not converged:
+            raise ConvergenceError(
+                f"Jacobi iteration did not converge in {max_sweeps} sweeps "
+                f"(off-diagonal norm {math.sqrt(_offdiag_norm_sq(a)):.3e}, "
+                f"threshold {threshold:.3e})"
+            )
+    values = np.diagonal(a).real.copy()
+    idx = np.argsort(values, kind="stable")
+    return values[idx], u[:, idx] if vectors else None
+
+
+def _eigenvalues(h) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, the bits ``hermitian_eigen`` gives."""
+    return _jacobi(h, None, MAX_SWEEPS, vectors=False)[0]
+
+
 def hermitian_eigen(
     h,
     *,
@@ -113,56 +185,8 @@ def hermitian_eigen(
     different internal basis.  Convergence is declared when the off-diagonal
     Frobenius norm drops below 1e-14 times the input norm.
     """
-    a = as_complex_matrix(h).copy()
-    require_hermitian(a)
-    n = a.shape[0]
-    if n == 1:
-        return EigenDecomposition(
-            eigenvalues=np.array([a[0, 0].real]),
-            unitary=np.eye(1, dtype=complex),
-        )
-    norm = frobenius(a)
-    threshold = OFFDIAG_THRESHOLD * norm
-    # rotations on entries already below this cutoff cannot matter for the
-    # sweep-level stopping rule
-    skip = threshold / math.sqrt(max(n * (n - 1), 1))
-    u = np.eye(n, dtype=complex)
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    rng = np.random.default_rng(sweep_seed) if sweep_seed is not None else None
-
-    converged = _offdiag_norm_sq(a) <= threshold**2
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        order = pairs if rng is None else [pairs[i] for i in rng.permutation(len(pairs))]
-        for p, q in order:
-            apq = a[p, q]
-            r = abs(apq)
-            if r <= skip:
-                continue
-            app = a[p, p].real
-            aqq = a[q, q].real
-            phase = apq / r
-            theta = 0.5 * math.atan2(2.0 * r, aqq - app)
-            c = math.cos(theta)
-            s = math.sin(theta)
-            v = np.array([[c * phase, s * phase], [-s, c]], dtype=complex)
-            a[:, [p, q]] = a[:, [p, q]] @ v
-            a[[p, q], :] = v.conj().T @ a[[p, q], :]
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            u[:, [p, q]] = u[:, [p, q]] @ v
-        converged = _offdiag_norm_sq(a) <= threshold**2
-    else:
-        if not converged:
-            raise ConvergenceError(
-                f"Jacobi iteration did not converge in {max_sweeps} sweeps "
-                f"(off-diagonal norm {math.sqrt(_offdiag_norm_sq(a)):.3e}, "
-                f"threshold {threshold:.3e})"
-            )
-    values = np.diagonal(a).real.copy()
-    idx = np.argsort(values, kind="stable")
-    return EigenDecomposition(eigenvalues=values[idx], unitary=u[:, idx])
+    values, unitary = _jacobi(h, sweep_seed, max_sweeps, vectors=True)
+    return EigenDecomposition(eigenvalues=values, unitary=unitary)
 
 
 def commutator(a, b) -> np.ndarray:
@@ -249,7 +273,25 @@ def real_symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if 1 <= a.shape[0] <= 3:
         return np.array(_closed_form_eigenvalues(a.tolist()))
-    return hermitian_eigen(0.5 * (a + a.T)).eigenvalues
+    return _eigenvalues(0.5 * (a + a.T))
+
+
+def det_symmetric_rows(rows: list, tol: float = 1e-12) -> float:
+    """Determinant of a 1x1 to 3x3 real symmetric matrix given as nested lists of floats.
+
+    The same checks and closed-form eigenvalues, and so the same bits, as
+    ``det_real_symmetric`` on the matrix as an array.
+    """
+    n = len(rows)
+    scale = max(1.0, max(abs(x) for row in rows for x in row))
+    asym = max(abs(rows[i][j] - rows[j][i]) for i in range(n) for j in range(n))
+    if not asym <= tol * scale:
+        _entry_scale(np.array(rows))
+        raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym:.3e})")
+    det = math.prod(_closed_form_eigenvalues(rows))
+    if not math.isfinite(det):
+        _entry_scale(np.array(rows))  # Python's max can pass over a NaN above
+    return det
 
 
 def det_real_symmetric(m, tol: float = 1e-12) -> float:
@@ -257,22 +299,12 @@ def det_real_symmetric(m, tol: float = 1e-12) -> float:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if 1 <= n <= 3:
-        rows = a.tolist()
-        scale = max(1.0, max(abs(x) for row in rows for x in row))
-        asym = max(abs(rows[i][j] - rows[j][i]) for i in range(n) for j in range(n))
-    else:
-        scale = _entry_scale(a)
-        asym = float(np.abs(a - a.T).max(initial=0.0))
+    if 1 <= a.shape[0] <= 3:
+        return det_symmetric_rows(a.tolist(), tol)
+    scale = _entry_scale(a)
+    asym = float(np.abs(a - a.T).max(initial=0.0))
     if not asym <= tol * scale:
-        _entry_scale(a)
         raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym:.3e})")
-    if 1 <= n <= 3:
-        det = math.prod(_closed_form_eigenvalues(rows))
-        if not math.isfinite(det):
-            _entry_scale(a)  # Python's max can pass over a NaN above
-        return det
     return float(np.prod(real_symmetric_eigenvalues(a)))
 
 
@@ -292,7 +324,7 @@ def det_antisymmetric(k, tol: float = 1e-12) -> float:
     n = a.shape[0]
     if n % 2 == 1:
         return 0.0
-    mu = hermitian_eigen(1j * a).eigenvalues
+    mu = _eigenvalues(1j * a)
     return float((((-1j) ** n) * np.prod(mu)).real)
 
 
@@ -306,7 +338,7 @@ def min_eigenvalue(m) -> float:
         scale = _entry_scale(af)
         if float(np.abs(af - af.T).max(initial=0.0)) <= 1e-11 * scale:
             return float(real_symmetric_eigenvalues(0.5 * (af + af.T))[0])
-    return float(hermitian_eigen(a).eigenvalues[0])
+    return float(_eigenvalues(a)[0])
 
 
 def numeric_rank(

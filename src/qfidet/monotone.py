@@ -64,16 +64,17 @@ class MonotoneFunction:
     value_at_zero: float
     regular: bool
     params: tuple[float, ...] = ()
+    # "name" or "name:p1,p2", set once here because reports read it per outcome
+    label: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def label(self) -> str:
-        if not self.params:
-            return self.name
-        return self.name + ":" + ",".join(f"{p:g}" for p in self.params)
+    def __post_init__(self):
+        label = self.name + ":" + ",".join(f"{p:g}" for p in self.params) if self.params else self.name
+        object.__setattr__(self, "label", label)
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0.0) or np.any(np.isnan(arr)):
+        # one comparison rejects negatives and NaN alike
+        if not np.all(arr >= 0.0):
             raise ValueError(f"{self.label}: arguments must be nonnegative, got {x!r}")
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
@@ -257,7 +258,7 @@ def mean(f: MonotoneFunction, x, y):
     """
     ax = np.asarray(x, dtype=float)
     ay = np.asarray(y, dtype=float)
-    if np.any(ax < 0.0) or np.any(ay < 0.0) or np.any(np.isnan(ax)) or np.any(np.isnan(ay)):
+    if not (np.all(ax >= 0.0) and np.all(ay >= 0.0)):
         raise ValueError("mean: arguments must be nonnegative")
     hi = np.maximum(ax, ay)
     lo = np.minimum(ax, ay)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class DensityMatrix:
 
     matrix: np.ndarray
     eigen: EigenDecomposition
-    _pinched: dict = field(default_factory=dict, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -73,13 +73,17 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         return self.eigen.eigenvalues
 
+    def memo(self, key, build: Callable[[], object]):
+        """``build()`` computed once per hashable ``key`` and kept as long as this state."""
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = build()
+        return got
+
     def pinched(self, partition: Sequence[Iterable[int]]) -> DensityMatrix:
         """The state pinched by ``partition``, memoized per partition on this state."""
         key = tuple(tuple(int(i) for i in block) for block in partition)
-        got = self._pinched.get(key)
-        if got is None:
-            got = self._pinched[key] = density(pinching(self.matrix, key))
-        return got
+        return self.memo(("pinched", key), lambda: density(pinching(self.matrix, key)))
 
 
 def density(

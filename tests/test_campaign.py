@@ -71,11 +71,20 @@ def test_config_coercion_and_defaults():
         ({"tol": 0.0}, "tol"),
         ({"checks": ()}, "checks"),
         ({"checks": ("nope",)}, "checks"),
+        ({"t_grid": ()}, "t_grid: the firey check needs"),
+        ({"t_grid": (), "checks": ("firey",)}, "t_grid: the firey check needs"),
+        ({"function_pairs": ()}, "function_pairs: the conj2 check needs"),
+        ({"function_pairs": (), "checks": ("conj2",)}, "function_pairs: the conj2 check needs"),
     ],
 )
 def test_config_validation(kwargs, message):
     with pytest.raises(ConfigError, match=message):
         CampaignConfig(**kwargs)
+
+
+def test_empty_ranges_are_fine_for_checks_that_do_not_use_them():
+    config = CampaignConfig(t_grid=(), function_pairs=(), checks=("main", "conj1", "equality"))
+    assert config.t_grid == () and config.function_pairs == ()
 
 
 def test_counts_sum_to_executions():
@@ -114,7 +123,12 @@ def test_repeat_run_is_identical():
 
 def test_empty_campaign():
     config = CampaignConfig(
-        dims=(2,), num_obs=(1,), instances_per_cell=0, functions=("sld",), function_pairs=()
+        dims=(2,),
+        num_obs=(1,),
+        instances_per_cell=0,
+        functions=("sld",),
+        function_pairs=(),
+        checks=("main", "conj1", "firey", "robertson", "equality", "contraction"),
     )
     report = run_campaign(config)
     assert report.ok

@@ -65,6 +65,8 @@ def test_verify_csv(tmp_path, capsys):
         ["verify", "--pairs", "sld"],
         ["verify", "--functions", "wyd:7"],
         ["verify", "--kinds", "weird"],
+        ["verify", "--t-grid", "", "--checks", "firey"],
+        ["verify", "--pairs", "", "--checks", "conj2"],
     ],
 )
 def test_verify_config_errors_exit_2(args, capsys):

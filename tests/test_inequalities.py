@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qfidet.covariance import robertson_matrix
+from qfidet.campaign import DEFAULT_T_GRID
+from qfidet.covariance import metric_inner, robertson_matrix
 from qfidet.inequalities import (
     EqualityClassification,
     PreparedInstance,
@@ -22,7 +23,8 @@ from qfidet.inequalities import (
     remainder_t,
 )
 from qfidet.monotone import make_function
-from qfidet.states import density, random_density, random_observable, random_partition
+from qfidet.linalg import det_real_symmetric
+from qfidet.states import density, observable, pinching, random_density, random_observable, random_partition
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
 
@@ -450,3 +452,56 @@ def test_contraction_with_a_warm_pinched_memo_matches_a_fresh_state():
     assert warm.pinched(part) is warm.pinched(part)
     for f in (SLD, WY):
         assert check_metric_contraction(warm, x, f, part) == check_metric_contraction(random_density(3, 8), x, f, part)
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_firey_left_side_is_the_array_determinant_of_the_mix():
+    pairs = ((SLD, WY), (SLD, WYD), (WY, WYD), (SLD, KM))
+    for trial in range(24):
+        n_obs = 1 + trial % 4
+        inst = prepare_random(2 + trial % 3, n_obs, 9100 + trial, ("generic", "degenerate", "near-singular")[trial % 3])
+        for t in DEFAULT_T_GRID:
+            w = 1.0 - 2.0 * t
+            for f in (SLD, WY, WYD, KM):
+                ref = det_real_symmetric(t * inst.matrix("cov") + w * inst.matrix(f))
+                assert _bits(check_firey(inst, f, t).components["det_mix"]) == _bits(ref), (trial, t, f.label)
+            for f, g in pairs:
+                ref = det_real_symmetric(t * inst.matrix(f) + w * inst.matrix(g))
+                got = check_firey(inst, f, t, g=g).components["det_mix"]
+                assert _bits(got) == _bits(ref), (trial, t, f.label, g.label)
+
+
+def _fresh_contraction_sides(seed: int, n: int, x, f, part) -> tuple[float, float]:
+    """Both sides of the contraction check through metric_inner on a fresh state."""
+    d = random_density(n, seed)
+    x0 = observable(x)
+    x0 = x0 - (np.trace(x0).real / n) * np.eye(n)
+    px0 = pinching(x0, part)
+    return metric_inner(d, f, x0, x0), metric_inner(density(pinching(d.matrix, part)), f, px0, px0)
+
+
+def test_contraction_shares_its_tangent_across_functions_in_any_order():
+    functions = (SLD, WY, WYD, KM, make_function("harmonic"))
+    for trial in range(12):
+        n = 2 + trial % 4
+        x = random_observable(n, 600 + trial)
+        part = random_partition(n, 700 + trial)
+        reports = {}
+        for order in (functions, functions[::-1], functions[1::2] + functions[::2]):
+            d = random_density(n, 500 + trial)
+            for f in order:
+                rep = check_metric_contraction(d, x, f, part)
+                before, after = _fresh_contraction_sides(500 + trial, n, x, f, part)
+                assert _bits(rep.components["before"]) == _bits(before), (trial, f.label)
+                assert _bits(rep.components["after"]) == _bits(after), (trial, f.label)
+                assert reports.setdefault(f.label, rep) == rep
+        # another tangent and another partition on a warm state are not mixed up
+        other = random_observable(n, 800 + trial)
+        rep = check_metric_contraction(d, other, SLD, part)
+        assert _bits(rep.components["before"]) == _bits(_fresh_contraction_sides(500 + trial, n, other, SLD, part)[0])
+        whole = [range(n)]
+        rep = check_metric_contraction(d, x, SLD, whole)
+        assert _bits(rep.components["after"]) == _bits(_fresh_contraction_sides(500 + trial, n, x, SLD, whole)[1])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -293,3 +294,75 @@ def test_dominance_on_an_explicit_grid_is_fresh():
     assert dominates(sld, wy, grid) is not rep
     assert rep.min_margin_at in grid.tolist()
     assert rep.strict == dominates(sld, wy).strict
+
+
+@pytest.mark.parametrize(
+    "x, shown",
+    [
+        (-0.5, "-0.5"),
+        (math.nan, "nan"),
+        (np.array([0.5, -1e-300]), "array([ 5.e-001, -1.e-300])"),
+        (np.array([[1.0], [math.nan]]), "array([[ 1.],\n       [nan]])"),
+        ([2.0, -3.0], "[2.0, -3.0]"),
+        ((0.0, math.nan), "(0.0, nan)"),
+    ],
+)
+def test_evaluation_rejects_negative_and_nan_arguments(x, shown):
+    for spec in ("sld", "wyd:0.3", "kubo-mori"):
+        f = parse_function_spec(spec)
+        with pytest.raises(ValueError) as caught:
+            f(x)
+        assert str(caught.value) == f"{f.label}: arguments must be nonnegative, got {shown}"
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (-0.5, 0.5),
+        (0.5, math.nan),
+        (np.array([0.5, -1.0]), np.array([0.5, 0.5])),
+        (np.array([0.5, 0.25]), np.array([math.nan, 0.5])),
+        (0.5, np.array([0.25, -0.25])),
+        (np.array([[0.5], [math.nan]]), 0.25),
+    ],
+)
+def test_mean_rejects_negative_and_nan_arguments(x, y):
+    for spec in ("sld", "wyd:0.3", "harmonic"):
+        with pytest.raises(ValueError) as caught:
+            mean(parse_function_spec(spec), x, y)
+        assert str(caught.value) == "mean: arguments must be nonnegative"
+
+
+def test_signed_zero_and_infinity_are_valid_arguments():
+    f = make_function("sld")
+    assert f(-0.0) == 0.5
+    assert f(math.inf) == math.inf
+    assert mean(f, -0.0, 0.5) == 0.25
+    assert mean(f, np.array([-0.0, 1.0]), np.array([0.0, math.inf])).tolist()[0] == 0.0
+
+
+def _label_as_formatted_on_read(f) -> str:
+    """The label as the property used to format it on every read."""
+    if not f.params:
+        return f.name
+    return f.name + ":" + ",".join(f"{p:g}" for p in f.params)
+
+
+def test_label_is_the_formatted_name_and_parameters():
+    members = [parse_function_spec(s) for s in ALL_SPECS + ["wyd:-0.25", "alpha:0.5", "wyd:.3", "alpha:1e-7"]]
+    members.append(make_function("wyd", 2.0, allow_unvalidated_range=True))
+    members += [tilde(f) for f in members if f.regular]
+    members.append(custom_function("mine", lambda x: 0.5 * (1.0 + x), 0.5))
+    for f in members:
+        assert f.label == _label_as_formatted_on_read(f)
+    assert parse_function_spec("wyd:0.3").label == "wyd:0.3"
+    assert parse_function_spec("alpha:1e-7").label == "alpha:1e-07"
+    assert parse_function_spec("wyd:0.30000000000000004").label == "wyd:0.3"
+    assert make_function("wyd", 2.0, allow_unvalidated_range=True).label == "wyd:2"
+    assert tilde(parse_function_spec("wyd:0.3")).label == "tilde(wyd:0.3)"
+    # the stored label takes no part in the repr, equality or hash
+    f = parse_function_spec("wyd:0.3")
+    assert "label" not in repr(f)
+    twin = dataclasses.replace(f)
+    assert twin == f and hash(twin) == hash(f) and twin.label == f.label
+    assert dataclasses.replace(f, params=(0.4,)).label == "wyd:0.4"
