@@ -32,7 +32,7 @@ from .inequalities import (
 from .monotone import MonotoneFunction, checked_spec, parse_function_spec
 from .states import derive_seed, random_partition
 
-REPORT_VERSION = "qfi-report/1"
+REPORT_VERSION = "qfi-report/2"
 STATE_KINDS = ("generic", "degenerate", "near-singular")
 VIOLATION_CAP = 100
 COUNT_NAMES = ("pass", "fail", "hypothesis_skipped", "clamped")

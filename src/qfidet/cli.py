@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks passed, 1 at least one inequality violation,
 2 configuration or input error, 3 numerical invariant failure (a determinant
-below its clamp window, or a Jacobi iteration that did not converge).
+below its clamp window, or a LAPACK eigensolver that did not converge).
 """
 
 from __future__ import annotations
@@ -11,9 +11,12 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .campaign import (
     CHECK_NAMES,
     CHECKS,
+    DEFAULT_T_GRID,
     STATE_KINDS,
     CampaignConfig,
     CheckPlan,
@@ -23,7 +26,6 @@ from .campaign import (
 )
 from .inequalities import EqualityClassification, PreparedInstance
 from .io import load_instance
-from .linalg import ConvergenceError
 from .monotone import catalog_families, parse_function_spec
 from .selftest import run_selftest
 
@@ -111,7 +113,7 @@ def _cmd_compute(args) -> int:
     failures = 0
 
     def run(checks, functions=(), pairs=()) -> int:
-        plan = CheckPlan(functions=functions, pairs=pairs, tol=tol)
+        plan = CheckPlan(functions=functions, pairs=pairs, tol=tol, t_grid=DEFAULT_T_GRID)
         return sum(_show(rep) for check in checks for rep, *_ in CHECKS[check](plan, inst, None))
 
     print(f"instance {args.instance}: dim={loaded.state.dim}, observables={len(loaded.observables)}")
@@ -119,12 +121,12 @@ def _cmd_compute(args) -> int:
     for spec in loaded.functions:
         f = parse_function_spec(spec)
         print(f"function {f.label}:")
-        failures += run(("main", "conj1"), functions=(f,))
+        failures += run(("main", "conj1", "firey", "contraction"), functions=(f,))
     failures += run(("robertson",))
     for fs, gs in loaded.pairs:
         f, g = parse_function_spec(fs), parse_function_spec(gs)
         print(f"pair ({f.label}, {g.label}):")
-        failures += run(("conj2", "equality"), pairs=((f, g),))
+        failures += run(("conj2", "firey", "equality"), pairs=((f, g),))
     return 0 if failures == 0 else 1
 
 
@@ -186,13 +188,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        # before ValueError: LinAlgError is one
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, FileNotFoundError) as exc:
         # ConfigError, InstanceFormatError and CatalogError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 def entry() -> None:

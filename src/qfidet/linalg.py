@@ -1,22 +1,19 @@
 """Dense Hermitian linear algebra at desk scale (n <= 16 or so).
 
-Matrices are plain complex128 ndarrays.  The eigensolver is a cyclic Jacobi
-iteration written here so that the sweep order can be shuffled (useful for
-probing basis freedom inside degenerate eigenspaces) and so that determinants
-of near-singular symmetric matrices come from an eigenvalue product rather
-than an LU factorization.
+Matrices are plain complex128 ndarrays.  Eigensystems come from LAPACK
+(``np.linalg.eigh`` and ``eigvalsh``).  Real symmetric matrices up to 3x3 take
+closed-form eigenvalues on plain floats instead, and determinants of symmetric
+and antisymmetric matrices are products of eigenvalues.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "ConvergenceError",
     "EigenDecomposition",
     "as_complex_matrix",
     "hermitian_part",
@@ -32,13 +29,6 @@ __all__ = [
     "min_eigenvalue",
     "numeric_rank",
 ]
-
-MAX_SWEEPS = 100
-OFFDIAG_THRESHOLD = 1e-14  # times the Frobenius norm of the input
-
-
-class ConvergenceError(RuntimeError):
-    """The Jacobi iteration did not reach its off-diagonal threshold."""
 
 
 def as_complex_matrix(a, label: str = "matrix") -> np.ndarray:
@@ -96,96 +86,14 @@ class EigenDecomposition:
         return frobenius(u.conj().T @ u - np.eye(u.shape[0]))
 
 
-def _offdiag_norm_sq(a: np.ndarray) -> float:
-    sq = np.abs(a) ** 2
-    np.fill_diagonal(sq, 0.0)
-    return float(sq.sum())
+def hermitian_eigen(h) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix by LAPACK (``np.linalg.eigh``).
 
-
-@lru_cache(maxsize=32)
-def _rotation_table(n: int) -> tuple:
-    """(p, q, read-only index array [p, q]) for every rotation of an n x n sweep, in cyclic order."""
-    table = tuple((p, q, np.array([p, q])) for p in range(n - 1) for q in range(p + 1, n))
-    for _, _, pq in table:
-        pq.flags.writeable = False
-    return table
-
-
-def _jacobi(h, sweep_seed: int | None, max_sweeps: int, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Ascending eigenvalues of a Hermitian matrix, with the unitary only when ``vectors``.
-
-    The rotations of ``a`` do not read the unitary, so the eigenvalues are the
-    same bits with or without it.
+    Inside a degenerate eigenspace the basis is whichever one LAPACK returns.
     """
-    a = as_complex_matrix(h).copy()
-    require_hermitian(a)
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real]), np.eye(1, dtype=complex) if vectors else None
-    norm = frobenius(a)
-    threshold = OFFDIAG_THRESHOLD * norm
-    # rotations on entries already below this cutoff cannot matter for the
-    # sweep-level stopping rule
-    skip = threshold / math.sqrt(max(n * (n - 1), 1))
-    u = np.eye(n, dtype=complex) if vectors else None
-    table = _rotation_table(n)
-    rng = np.random.default_rng(sweep_seed) if sweep_seed is not None else None
-
-    converged = _offdiag_norm_sq(a) <= threshold**2
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        order = table if rng is None else [table[i] for i in rng.permutation(len(table))]
-        for p, q, pq in order:
-            apq = a[p, q]
-            r = abs(apq)
-            if r <= skip:
-                continue
-            app = a[p, p].real
-            aqq = a[q, q].real
-            phase = apq / r
-            theta = 0.5 * math.atan2(2.0 * r, aqq - app)
-            c = math.cos(theta)
-            s = math.sin(theta)
-            v = np.array([[c * phase, s * phase], [-s, c]], dtype=complex)
-            a[:, pq] = a[:, pq] @ v
-            a[pq, :] = v.conj().T @ a[pq, :]
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            if vectors:
-                u[:, pq] = u[:, pq] @ v
-        converged = _offdiag_norm_sq(a) <= threshold**2
-    else:
-        if not converged:
-            raise ConvergenceError(
-                f"Jacobi iteration did not converge in {max_sweeps} sweeps "
-                f"(off-diagonal norm {math.sqrt(_offdiag_norm_sq(a)):.3e}, "
-                f"threshold {threshold:.3e})"
-            )
-    values = np.diagonal(a).real.copy()
-    idx = np.argsort(values, kind="stable")
-    return values[idx], u[:, idx] if vectors else None
-
-
-def _eigenvalues(h) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, the bits ``hermitian_eigen`` gives."""
-    return _jacobi(h, None, MAX_SWEEPS, vectors=False)[0]
-
-
-def hermitian_eigen(
-    h,
-    *,
-    sweep_seed: int | None = None,
-    max_sweeps: int = MAX_SWEEPS,
-) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    ``sweep_seed`` shuffles the rotation order of each sweep; any seed gives a
-    valid decomposition, but degenerate eigenspaces may come out in a
-    different internal basis.  Convergence is declared when the off-diagonal
-    Frobenius norm drops below 1e-14 times the input norm.
-    """
-    values, unitary = _jacobi(h, sweep_seed, max_sweeps, vectors=True)
+    m = as_complex_matrix(h)
+    require_hermitian(m)
+    values, unitary = np.linalg.eigh(m)
     return EigenDecomposition(eigenvalues=values, unitary=unitary)
 
 
@@ -265,15 +173,33 @@ def _closed_form_eigenvalues(rows: list) -> list:
     return sorted((small, mid, big))
 
 
-def real_symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
+def _checked_real(m, tol: float, sign: float = 1.0) -> np.ndarray:
+    """m as a float array, which must be square, finite and symmetric
+    (``sign`` = 1) or antisymmetric (``sign`` = -1) within tol times its
+    largest entry; ValueError otherwise."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    scale = _entry_scale(a)
+    asym = float(np.abs(a - sign * a.T).max(initial=0.0))
+    if not asym <= tol * scale:
+        if sign > 0:
+            raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym:.3e})")
+        raise ValueError(f"matrix is not antisymmetric (max |M + M^T| = {asym:.3e})")
+    return a
+
+
+def real_symmetric_eigenvalues(m, tol: float = 1e-12) -> np.ndarray:
     """Ascending eigenvalues of a real symmetric matrix.
 
-    Closed forms for n <= 3, Jacobi above that.
+    Closed forms up to 3x3, LAPACK ``eigvalsh`` of the symmetric part above.
+    Input that is not square, not finite or not symmetric within ``tol``
+    raises ValueError, with the messages of ``det_real_symmetric``.
     """
-    a = np.asarray(m, dtype=float)
+    a = _checked_real(m, tol)
     if 1 <= a.shape[0] <= 3:
         return np.array(_closed_form_eigenvalues(a.tolist()))
-    return _eigenvalues(0.5 * (a + a.T))
+    return np.linalg.eigvalsh(0.5 * (a + a.T))
 
 
 def det_symmetric_rows(rows: list, tol: float = 1e-12) -> float:
@@ -297,15 +223,9 @@ def det_symmetric_rows(rows: list, tol: float = 1e-12) -> float:
 def det_real_symmetric(m, tol: float = 1e-12) -> float:
     """Determinant of a real symmetric matrix as the product of its eigenvalues."""
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if 1 <= a.shape[0] <= 3:
+    if a.ndim == 2 and 1 <= a.shape[0] == a.shape[1] <= 3:
         return det_symmetric_rows(a.tolist(), tol)
-    scale = _entry_scale(a)
-    asym = float(np.abs(a - a.T).max(initial=0.0))
-    if not asym <= tol * scale:
-        raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym:.3e})")
-    return float(np.prod(real_symmetric_eigenvalues(a)))
+    return float(np.prod(real_symmetric_eigenvalues(a, tol)))
 
 
 def det_antisymmetric(k, tol: float = 1e-12) -> float:
@@ -314,17 +234,11 @@ def det_antisymmetric(k, tol: float = 1e-12) -> float:
     Eigenvalues of K are -i times those of iK, so det K = (-i)^n prod(mu);
     the imaginary residue vanishes and odd sizes land on zero.
     """
-    a = np.asarray(k, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = _entry_scale(a)
-    asym = float(np.abs(a + a.T).max(initial=0.0))
-    if not asym <= tol * scale:
-        raise ValueError(f"matrix is not antisymmetric (max |M + M^T| = {asym:.3e})")
+    a = _checked_real(k, tol, sign=-1.0)
     n = a.shape[0]
     if n % 2 == 1:
         return 0.0
-    mu = _eigenvalues(1j * a)
+    mu = np.linalg.eigvalsh(1j * a)
     return float((((-1j) ** n) * np.prod(mu)).real)
 
 
@@ -332,13 +246,10 @@ def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a Hermitian (or real symmetric) matrix."""
     a = np.asarray(m)
     if np.isrealobj(a):
-        af = np.asarray(a, dtype=float)
-        if af.ndim != 2 or af.shape[0] != af.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {af.shape}")
-        scale = _entry_scale(af)
-        if float(np.abs(af - af.T).max(initial=0.0)) <= 1e-11 * scale:
-            return float(real_symmetric_eigenvalues(0.5 * (af + af.T))[0])
-    return float(_eigenvalues(a)[0])
+        return float(real_symmetric_eigenvalues(a, tol=1e-11)[0])
+    h = as_complex_matrix(a)
+    require_hermitian(h)
+    return float(np.linalg.eigvalsh(h)[0])
 
 
 def numeric_rank(

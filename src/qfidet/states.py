@@ -86,12 +86,7 @@ class DensityMatrix:
         return self.memo(("pinched", key), lambda: density(pinching(self.matrix, key)))
 
 
-def density(
-    matrix,
-    *,
-    eigen: EigenDecomposition | None = None,
-    sweep_seed: int | None = None,
-) -> DensityMatrix:
+def density(matrix, *, eigen: EigenDecomposition | None = None) -> DensityMatrix:
     """Validate and wrap a state.
 
     A precomputed eigendecomposition may be supplied (the random generators
@@ -105,7 +100,7 @@ def density(
     if abs(tr - 1.0) > _TRACE_TOL:
         raise ValueError(f"state trace is {tr!r}, expected 1 within {_TRACE_TOL:g}")
     if eigen is None:
-        eigen = hermitian_eigen(m, sweep_seed=sweep_seed)
+        eigen = hermitian_eigen(m)
     else:
         residual = frobenius(eigen.reconstruct() - m)
         if residual > 1e-11 * max(1.0, frobenius(m)):

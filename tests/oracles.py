@@ -1,8 +1,9 @@
 """Independent reference computations used only by the test suite.
 
 Everything here deliberately avoids the library's own code paths: determinants
-by cofactor expansion, eigen-work through numpy's LAPACK bindings, and the
-metric through an explicit superoperator matrix in the standard basis.
+by cofactor expansion, and the metric through an explicit superoperator matrix
+in the standard basis, diagonalized whole by numpy's ``eigh`` instead of
+through the state's eigenframe.
 """
 from __future__ import annotations
 
@@ -103,58 +104,3 @@ def det_real_symmetric_numpy(m) -> float:
     else:
         raise ValueError(f"closed forms cover N <= 3, got {n}")
     return float(np.prod(vals))
-
-
-def jacobi_eigen_loop(h, sweep_seed=None, max_sweeps: int = 100):
-    """Ascending eigenvalues and unitary by the cyclic Jacobi loop as it ran
-    before the library shared one rotation table and built the unitary only
-    on request.
-
-    Kept as the bit-level reference for every Jacobi route of the library:
-    same threshold, same rotation order, same ``[p, q]`` list indexing and
-    the same matmuls, with the unitary updated on every rotation.
-    """
-    a = np.asarray(h, dtype=complex).copy()
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real]), np.eye(1, dtype=complex)
-
-    def offdiag_norm_sq(m):
-        sq = np.abs(m) ** 2
-        np.fill_diagonal(sq, 0.0)
-        return float(sq.sum())
-
-    threshold = 1e-14 * float(np.linalg.norm(a))
-    skip = threshold / math.sqrt(max(n * (n - 1), 1))
-    u = np.eye(n, dtype=complex)
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    rng = np.random.default_rng(sweep_seed) if sweep_seed is not None else None
-    converged = offdiag_norm_sq(a) <= threshold**2
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        order = pairs if rng is None else [pairs[i] for i in rng.permutation(len(pairs))]
-        for p, q in order:
-            apq = a[p, q]
-            r = abs(apq)
-            if r <= skip:
-                continue
-            app = a[p, p].real
-            aqq = a[q, q].real
-            phase = apq / r
-            theta = 0.5 * math.atan2(2.0 * r, aqq - app)
-            c = math.cos(theta)
-            s = math.sin(theta)
-            v = np.array([[c * phase, s * phase], [-s, c]], dtype=complex)
-            a[:, [p, q]] = a[:, [p, q]] @ v
-            a[[p, q], :] = v.conj().T @ a[[p, q], :]
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            u[:, [p, q]] = u[:, [p, q]] @ v
-        converged = offdiag_norm_sq(a) <= threshold**2
-    else:
-        if not converged:
-            raise RuntimeError("Jacobi iteration did not converge")
-    values = np.diagonal(a).real.copy()
-    idx = np.argsort(values, kind="stable")
-    return values[idx], u[:, idx]

@@ -5,10 +5,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qfidet.cli import main
-from qfidet.linalg import ConvergenceError
 
 from conftest import FIXTURES
 
@@ -30,7 +30,7 @@ def test_verify_stdout_json(capsys):
     out = capsys.readouterr().out
     assert code == 0
     payload = json.loads(out)
-    assert payload["version"] == "qfi-report/1"
+    assert payload["version"] == "qfi-report/2"
     assert payload["totals"]["fail"] == 0
 
 
@@ -81,6 +81,7 @@ def test_compute_fixture(capsys):
     assert code == 0
     assert "conj1" in out and "margin" in out and "pass" in out
     assert "verdict=none" in out
+    assert "\n  firey: " in out and "\n  contraction: " in out
 
 
 def test_compute_missing_file(capsys):
@@ -151,7 +152,7 @@ def test_module_entry_point_subprocess():
     assert unknown.returncode == 2
 
 
-@pytest.mark.parametrize("exc", [ArithmeticError("det below the clamp window"), ConvergenceError("no convergence")])
+@pytest.mark.parametrize("exc", [ArithmeticError("det below the clamp window"), np.linalg.LinAlgError("Eigenvalues did not converge")])
 def test_verify_numerical_failure_exits_3(exc, monkeypatch, capsys):
     import qfidet.campaign as campaign_module
 

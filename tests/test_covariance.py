@@ -20,7 +20,7 @@ from qfidet.covariance import (
     qov_matrix_frame,
     robertson_matrix,
 )
-from qfidet.linalg import det_real_symmetric, min_eigenvalue
+from qfidet.linalg import EigenDecomposition, det_real_symmetric, min_eigenvalue
 from qfidet.monotone import make_function, parse_function_spec
 from qfidet.states import density, eigenframe, random_density, random_observable
 
@@ -294,9 +294,21 @@ def test_transpose_convention_is_neutral(rng):
 def test_degenerate_state_results_do_not_depend_on_basis_choice():
     base = random_density(4, 123, "degenerate")
     obs = [random_observable(4, 300 + k) for k in range(2)]
+    lam = base.eigenvalues
+    # the averaged pair is exactly equal, so adjacent in the ascending spectrum
+    k = int(np.flatnonzero(lam[1:] == lam[:-1])[0])
+    pair = [k, k + 1]
+    rng = np.random.default_rng(5)
+    bases = [base.eigen.unitary]
+    for _ in range(3):
+        w, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        u = base.eigen.unitary.copy()
+        u[:, pair] = u[:, pair] @ w
+        assert np.abs(u - base.eigen.unitary).max() > 1e-2
+        bases.append(u)
     values = []
-    for sweep_seed in (None, 1, 2, 3):
-        d = density(base.matrix, sweep_seed=sweep_seed)
+    for u in bases:
+        d = density(base.matrix, eigen=EigenDecomposition(lam, u))
         frame = eigenframe(d, obs)
         values.append(
             (

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, random_hermitian
-from oracles import det_cofactor, det_real_symmetric_numpy, jacobi_eigen_loop
+from oracles import det_cofactor, det_real_symmetric_numpy
 
-from qfidet import linalg
 from qfidet.linalg import (
-    ConvergenceError,
     apply_scalar_function,
     as_complex_matrix,
     commutator,
@@ -66,23 +64,9 @@ def test_eigen_matches_lapack(rng):
         assert np.abs(mine - ref).max() < 1e-11 * max(1.0, frobenius(h))
 
 
-def test_eigen_shuffled_sweeps_same_spectrum(rng):
-    h = random_hermitian(rng, 6)
-    base = hermitian_eigen(h)
-    for seed in (1, 7, 23):
-        alt = hermitian_eigen(h, sweep_seed=seed)
-        assert np.abs(alt.eigenvalues - base.eigenvalues).max() < 1e-11
-        assert frobenius(alt.reconstruct() - h) < 1e-11 * max(1.0, frobenius(h))
-
-
 def test_eigen_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_eigen_convergence_error():
-    with pytest.raises(ConvergenceError):
-        hermitian_eigen(PAULI_X, max_sweeps=0)
 
 
 def test_commutator_paulis():
@@ -160,9 +144,20 @@ def test_non_finite_entries_are_rejected(n, bad):
     for h, j in ((0, 0), (n - 1, 0)):
         m = np.eye(n)
         m[h, j] = m[j, h] = bad
-        for solver in (hermitian_eigen, det_real_symmetric, det_antisymmetric, min_eigenvalue):
+        for solver in (hermitian_eigen, real_symmetric_eigenvalues, det_real_symmetric, det_antisymmetric, min_eigenvalue):
             with pytest.raises(ValueError, match="non-finite entry"):
                 solver(m)
+
+
+def test_real_symmetric_eigenvalues_check_their_input():
+    with pytest.raises(ValueError, match=r"not symmetric \(max \|M - M\^T\| = 5.000e\+00\)"):
+        real_symmetric_eigenvalues(np.array([[1.0, 5.0], [0.0, 2.0]]))
+    with pytest.raises(ValueError, match=r"not symmetric"):
+        real_symmetric_eigenvalues(np.triu(np.ones((5, 5))))
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        real_symmetric_eigenvalues(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="not symmetric"):
+        min_eigenvalue(np.array([[1.0, 5.0], [0.0, 2.0]]))
 
 
 def test_small_symmetric_eigenvalues_match_lapack(rng):
@@ -232,49 +227,6 @@ def test_small_det_is_bit_identical_to_the_numpy_closed_form():
         m = m * 10.0 ** rng.uniform(-8.0, 4.0)
         got, ref = det_real_symmetric(m), det_real_symmetric_numpy(m)
         assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (m.tolist(), got, ref)
-
-
-def _jacobi_inputs(seed: int):
-    """Hermitian, real symmetric and i times real antisymmetric matrices, n = 2..8."""
-    rng = np.random.default_rng(seed)
-    for n in range(2, 9):
-        for _ in range(8):
-            g = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-6.0, 3.0)
-            yield random_hermitian(rng, n)
-            yield g + g.T
-            yield 1j * (g - g.T)
-
-
-def test_every_jacobi_route_is_bit_identical_to_the_loop():
-    for k, h in enumerate(_jacobi_inputs(41)):
-        values, unitary = jacobi_eigen_loop(h)
-        eig = hermitian_eigen(h)
-        assert eig.eigenvalues.tobytes() == values.tobytes()
-        assert eig.unitary.tobytes() == unitary.tobytes()
-        # the eigenvalue-only core skips the unitary and nothing else
-        assert linalg._eigenvalues(h).tobytes() == values.tobytes()
-        if np.iscomplexobj(h):
-            assert np.float64(min_eigenvalue(h)).tobytes() == values[:1].tobytes()
-        seeded_values, seeded_unitary = jacobi_eigen_loop(h, sweep_seed=k)
-        seeded = hermitian_eigen(h, sweep_seed=k)
-        assert seeded.eigenvalues.tobytes() == seeded_values.tobytes()
-        assert seeded.unitary.tobytes() == seeded_unitary.tobytes()
-
-
-def test_jacobi_determinants_are_bit_identical_to_the_loop():
-    rng = np.random.default_rng(43)
-    for k in range(400):
-        n = 4 + k % 5
-        g = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-4.0, 2.0)
-        for m in (g + g.T, g @ g.T):
-            ref = float(np.prod(jacobi_eigen_loop(0.5 * (m + m.T))[0]))
-            assert np.float64(det_real_symmetric(m)).tobytes() == np.float64(ref).tobytes()
-            assert real_symmetric_eigenvalues(m).tobytes() == jacobi_eigen_loop(0.5 * (m + m.T))[0].tobytes()
-        a = g - g.T
-        n = n - n % 2
-        a = a[:n, :n]
-        ref = float((((-1j) ** n) * np.prod(jacobi_eigen_loop(1j * a)[0])).real)
-        assert np.float64(det_antisymmetric(a)).tobytes() == np.float64(ref).tobytes()
 
 
 def test_det_on_rows_is_det_on_the_array():
