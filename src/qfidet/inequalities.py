@@ -32,7 +32,6 @@ from .covariance import (
 from .linalg import (
     det_antisymmetric,
     det_real_symmetric,
-    det_symmetric_rows,
     min_eigenvalue,
     numeric_rank,
 )
@@ -256,13 +255,7 @@ def _pencil(name, keys, inst, f, g, tol, t=None):
         lhs = inst.det(big)
     else:
         a, b = 1.0 - t, t
-        w = 1.0 - 2.0 * t
-        if inst.size <= 3:
-            # the multiply and add of the array expression below, on floats
-            big_rows, small_rows = inst.matrix(big).tolist(), inst.matrix(small).tolist()
-            lhs = det_symmetric_rows([[t * x + w * y for x, y in zip(rb, rs)] for rb, rs in zip(big_rows, small_rows)])
-        else:
-            lhs = det_real_symmetric(t * inst.matrix(big) + w * inst.matrix(small))
+        lhs = det_real_symmetric(t * inst.matrix(big) + (1.0 - 2.0 * t) * inst.matrix(small))
         names = {"t": t, **names}
     n = inst.size
     rem = _cross_terms(q, dd, n, a, b)

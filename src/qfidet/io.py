@@ -87,12 +87,17 @@ def load_instance(path: str | Path) -> LoadedInstance:
                 raise
             raise InstanceFormatError(f"{name}: {exc}") from None
 
+    raw_functions = payload.get("functions", ["sld"])
+    if not isinstance(raw_functions, list) or not raw_functions:
+        raise InstanceFormatError(f"functions: expected a non-empty list of function specs, got {raw_functions!r}")
     functions = tuple(
-        checked_spec(str(s), f"functions[{k}]", InstanceFormatError)
-        for k, s in enumerate(payload.get("functions", ["sld"]))
+        checked_spec(str(s), f"functions[{k}]", InstanceFormatError) for k, s in enumerate(raw_functions)
     )
+    raw_pairs = payload.get("pairs", [])
+    if not isinstance(raw_pairs, list):
+        raise InstanceFormatError(f"pairs: expected a list of [f, g] lists, got {raw_pairs!r}")
     pairs = []
-    for k, raw_pair in enumerate(payload.get("pairs", [])):
+    for k, raw_pair in enumerate(raw_pairs):
         if not isinstance(raw_pair, (list, tuple)) or len(raw_pair) != 2:
             raise InstanceFormatError(f"pairs[{k}]: expected a two-element [f, g] list, got {raw_pair!r}")
         pairs.append(tuple(checked_spec(str(s), f"pairs[{k}]", InstanceFormatError) for s in raw_pair))

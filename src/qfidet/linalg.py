@@ -1,9 +1,8 @@
 """Dense Hermitian linear algebra at desk scale (n <= 16 or so).
 
-Matrices are plain complex128 ndarrays.  Eigensystems come from LAPACK
-(``np.linalg.eigh`` and ``eigvalsh``).  Real symmetric matrices up to 3x3 take
-closed-form eigenvalues on plain floats instead, and determinants of symmetric
-and antisymmetric matrices are products of eigenvalues.
+Matrices are plain complex128 ndarrays.  Eigenvalues and eigenvectors come
+only from LAPACK (``np.linalg.eigh`` and ``eigvalsh``).  Determinants are taken
+directly: by cofactor expansion up to 3x3 and by LU above.
 """
 from __future__ import annotations
 
@@ -22,9 +21,7 @@ __all__ = [
     "hermitian_eigen",
     "commutator",
     "apply_scalar_function",
-    "real_symmetric_eigenvalues",
     "det_real_symmetric",
-    "det_symmetric_rows",
     "det_antisymmetric",
     "min_eigenvalue",
     "numeric_rank",
@@ -131,48 +128,6 @@ def apply_scalar_function(
     return hermitian_part((u * w) @ u.conj().T)
 
 
-def _det3(m: list) -> float:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def _closed_form_eigenvalues(rows: list) -> list:
-    """Ascending eigenvalues of a 1x1 to 3x3 real symmetric matrix given as
-    nested lists of floats.
-
-    Plain floats, because numpy scalars cost more than the arithmetic at this
-    size.  Sums run left to right.  Diagonal offsets are squared as x * x and
-    off-diagonal entries with ** 2 (libm pow); the two can differ in the last
-    bit, and every determinant in a report depends on which one each term uses.
-    """
-    n = len(rows)
-    if n == 1:
-        return [rows[0][0]]
-    if n == 2:
-        (a, b), (_, d) = rows
-        half = 0.5 * (a + d)
-        spread = math.hypot(0.5 * (a - d), b)
-        return [half - spread, half + spread]
-    p1 = rows[0][1] ** 2 + rows[0][2] ** 2 + rows[1][2] ** 2
-    d0, d1, d2 = rows[0][0], rows[1][1], rows[2][2]
-    if p1 == 0.0:
-        return sorted((d0, d1, d2))
-    q = (d0 + d1 + d2) / 3.0
-    p2 = (d0 - q) * (d0 - q) + (d1 - q) * (d1 - q) + (d2 - q) * (d2 - q) + 2.0 * p1
-    p = math.sqrt(p2 / 6.0)
-    b = [[(x - q * (i == j)) / p for j, x in enumerate(row)] for i, row in enumerate(rows)]
-    r = _det3(b) / 2.0
-    r = min(1.0, max(-1.0, r))
-    phi = math.acos(r) / 3.0
-    big = q + 2.0 * p * math.cos(phi)
-    small = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    mid = 3.0 * q - big - small
-    return sorted((small, mid, big))
-
-
 def _checked_real(m, tol: float, sign: float = 1.0) -> np.ndarray:
     """m as a float array, which must be square, finite and symmetric
     (``sign`` = 1) or antisymmetric (``sign`` = -1) within tol times its
@@ -189,64 +144,54 @@ def _checked_real(m, tol: float, sign: float = 1.0) -> np.ndarray:
     return a
 
 
-def real_symmetric_eigenvalues(m, tol: float = 1e-12) -> np.ndarray:
-    """Ascending eigenvalues of a real symmetric matrix.
+def det_real_symmetric(m, tol: float = 1e-12) -> float:
+    """Determinant of a real symmetric matrix.
 
-    Closed forms up to 3x3, LAPACK ``eigvalsh`` of the symmetric part above.
+    Up to 3x3 by cofactor expansion on plain floats, since numpy calls cost
+    more than the arithmetic at this size; LU (``np.linalg.det``) above.
+    numpy forms the LU determinant as the exp of a sum of logs, so its
+    relative error grows with |log det|.
     Input that is not square, not finite or not symmetric within ``tol``
-    raises ValueError, with the messages of ``det_real_symmetric``.
+    times its largest entry raises ValueError.
     """
-    a = _checked_real(m, tol)
-    if 1 <= a.shape[0] <= 3:
-        return np.array(_closed_form_eigenvalues(a.tolist()))
-    return np.linalg.eigvalsh(0.5 * (a + a.T))
-
-
-def det_symmetric_rows(rows: list, tol: float = 1e-12) -> float:
-    """Determinant of a 1x1 to 3x3 real symmetric matrix given as nested lists of floats.
-
-    The same checks and closed-form eigenvalues, and so the same bits, as
-    ``det_real_symmetric`` on the matrix as an array.
-    """
-    n = len(rows)
-    scale = max(1.0, max(abs(x) for row in rows for x in row))
-    asym = max(abs(rows[i][j] - rows[j][i]) for i in range(n) for j in range(n))
+    a = np.asarray(m, dtype=float)
+    if not (a.ndim == 2 and 1 <= a.shape[0] == a.shape[1] <= 3):
+        return float(np.linalg.det(_checked_real(a, tol)))
+    r = a.tolist()
+    n = len(r)
+    scale = max(1.0, max(abs(x) for row in r for x in row))
+    asym = max(abs(r[i][j] - r[j][i]) for i in range(n) for j in range(n))
     if not asym <= tol * scale:
-        _entry_scale(np.array(rows))
+        _entry_scale(a)
         raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym:.3e})")
-    det = math.prod(_closed_form_eigenvalues(rows))
+    if n == 1:
+        det = r[0][0]
+    elif n == 2:
+        det = r[0][0] * r[1][1] - r[0][1] * r[1][0]
+    else:
+        det = (
+            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
+        )
     if not math.isfinite(det):
-        _entry_scale(np.array(rows))  # Python's max can pass over a NaN above
+        _entry_scale(a)  # Python's max can pass over a NaN above
     return det
 
 
-def det_real_symmetric(m, tol: float = 1e-12) -> float:
-    """Determinant of a real symmetric matrix as the product of its eigenvalues."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim == 2 and 1 <= a.shape[0] == a.shape[1] <= 3:
-        return det_symmetric_rows(a.tolist(), tol)
-    return float(np.prod(real_symmetric_eigenvalues(a, tol)))
-
-
 def det_antisymmetric(k, tol: float = 1e-12) -> float:
-    """Determinant of a real antisymmetric matrix via the Hermitian matrix iK.
-
-    Eigenvalues of K are -i times those of iK, so det K = (-i)^n prod(mu);
-    the imaginary residue vanishes and odd sizes land on zero.
-    """
+    """Determinant of a real antisymmetric matrix: exactly zero at odd sizes, LU at even ones."""
     a = _checked_real(k, tol, sign=-1.0)
-    n = a.shape[0]
-    if n % 2 == 1:
+    if a.shape[0] % 2 == 1:
         return 0.0
-    mu = np.linalg.eigvalsh(1j * a)
-    return float((((-1j) ** n) * np.prod(mu)).real)
+    return float(np.linalg.det(a))
 
 
 def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a Hermitian (or real symmetric) matrix."""
     a = np.asarray(m)
     if np.isrealobj(a):
-        return float(real_symmetric_eigenvalues(a, tol=1e-11)[0])
+        return float(np.linalg.eigvalsh(_checked_real(a, 1e-11))[0])
     h = as_complex_matrix(a)
     require_hermitian(h)
     return float(np.linalg.eigvalsh(h)[0])

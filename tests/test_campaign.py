@@ -138,14 +138,14 @@ def test_empty_campaign():
         for quad in report.counts.values()
     )
     payload = json.loads(emit_report(report, "json"))
-    assert payload["version"] == "qfi-report/2"
+    assert payload["version"] == "qfi-report/3"
     assert payload["totals"]["pass"] == 0
 
 
 def test_json_report_shape():
     report = run_campaign(TINY)
     payload = json.loads(emit_report(report, "json"))
-    assert payload["version"] == "qfi-report/2"
+    assert payload["version"] == "qfi-report/3"
     assert payload["config"]["seed"] == 99
     assert set(payload["counts"]) == set(TINY.checks)
     assert payload["totals"]["fail"] == 0

@@ -30,7 +30,7 @@ def test_verify_stdout_json(capsys):
     out = capsys.readouterr().out
     assert code == 0
     payload = json.loads(out)
-    assert payload["version"] == "qfi-report/2"
+    assert payload["version"] == "qfi-report/3"
     assert payload["totals"]["fail"] == 0
 
 
@@ -95,6 +95,12 @@ def test_compute_invalid_instance(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     assert main(["compute", str(path)]) == 2
     assert "state" in capsys.readouterr().err
+    for functions in ("sld", []):  # a bare string, and nothing to evaluate
+        payload = json.loads((FIXTURES / "qubit_tight.json").read_text())
+        payload["functions"] = functions
+        path.write_text(json.dumps(payload))
+        assert main(["compute", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: functions: expected a non-empty list")
 
 
 def test_compute_rejects_non_finite_entries(tmp_path, capsys):

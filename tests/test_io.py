@@ -95,6 +95,12 @@ def test_rejects_missing_and_bad_fields(tmp_path):
         load_instance(_write(tmp_path, dict(GOOD, pairs=[["sld"]])))
     with pytest.raises(InstanceFormatError, match=r"pairs\[0\]"):
         load_instance(_write(tmp_path, dict(GOOD, pairs=[["sld", "nope"]])))
+    for value in ("sld", [], {"f": "sld"}):
+        with pytest.raises(InstanceFormatError, match=r"functions: expected a non-empty list of function specs"):
+            load_instance(_write(tmp_path, dict(GOOD, functions=value)))
+    for value in ("sld/wy", {"sld": "wy"}):
+        with pytest.raises(InstanceFormatError, match=r"pairs: expected a list of \[f, g\] lists"):
+            load_instance(_write(tmp_path, dict(GOOD, pairs=value)))
     with pytest.raises(InstanceFormatError, match="top level"):
         load_instance(_write(tmp_path, [1, 2]))
 
