@@ -32,7 +32,7 @@ from .inequalities import (
 from .monotone import MonotoneFunction, checked_spec, parse_function_spec
 from .states import derive_seed, random_partition
 
-REPORT_VERSION = "qfi-report/3"
+REPORT_VERSION = "qfi-report/4"
 STATE_KINDS = ("generic", "degenerate", "near-singular")
 VIOLATION_CAP = 100
 COUNT_NAMES = ("pass", "fail", "hypothesis_skipped", "clamped")
@@ -187,7 +187,7 @@ class CampaignReport:
     rows: list
     worst: dict
     violations: list
-    runtime: float
+    runtime: float  # seconds; left out of to_dict() so that report files are deterministic
     version: str = REPORT_VERSION
 
     @property
@@ -210,7 +210,6 @@ class CampaignReport:
             "worst": self.worst,
             "violations": self.violations,
             "totals": self.totals(),
-            "runtime": self.runtime,
         }
 
 

@@ -1,21 +1,21 @@
 """Classical covariance, monotone-metric inner products, and quantum covariance.
 
-Every scalar here is computed by two genuinely different routes that the test
-suite forces to agree:
+Every quantity here is computed by two genuinely different routes that the
+test suite forces to agree:
 
-* ``cov`` works directly with traces of matrix products, while ``cov_frame``
-  evaluates the eigenbasis double sum with arithmetic-mean weights
-  (lambda_h + lambda_j)/2.
+* ``cov`` works directly with traces of matrix products, while
+  ``cov_matrix_frame`` evaluates the eigenbasis double sum with
+  arithmetic-mean weights (lambda_h + lambda_j)/2.
 * ``qov`` follows its definition, f(0)/2 times the metric inner product of
   i[D, A] and i[D, B], where the metric divides by the matrix mean
-  m_f(lambda_h, lambda_j).  ``qov_frame`` instead sums the coefficients
-  alpha_hj = (lambda_h + lambda_j)/2 - m_tilde(lambda_h, lambda_j) against
-  the frame matrices; the mean subtraction never sees a commutator or a
-  division, so agreement is informative.
+  m_f(lambda_h, lambda_j).  ``qov_matrix_frame`` instead sums the
+  coefficients alpha_hj = (lambda_h + lambda_j)/2 - m_tilde(lambda_h, lambda_j)
+  against the frame matrices; the mean subtraction never sees a commutator or
+  a division, so agreement is informative.
 
-Matrix assemblers exist in both flavours as well.  The frame versions are the
-fast path (one einsum per matrix); the entrywise versions stay close to the
-definitions and are what the assemblers are tested against.
+The frame assemblers are the fast path (one einsum per matrix); the entrywise
+assemblers ``cov_matrix`` and ``qov_matrix`` stay close to the definitions and
+are what the frame assemblers are tested against.
 """
 from __future__ import annotations
 
@@ -27,12 +27,10 @@ from .states import DensityMatrix, EigenFrame
 
 __all__ = [
     "cov",
-    "cov_frame",
     "metric_inner",
     "rotated_products",
     "metric_sum",
     "qov",
-    "qov_frame",
     "alpha_coefficients",
     "pair_means",
     "cov_matrix",
@@ -55,24 +53,9 @@ def cov(d: DensityMatrix, a: np.ndarray, b: np.ndarray) -> float:
     return sym - mean_a * mean_b
 
 
-def _check_index(frame: EigenFrame, idx: int) -> np.ndarray:
-    if not 0 <= idx < frame.size:
-        raise IndexError(f"observable index {idx} out of range for frame of size {frame.size}")
-    return frame.observables[idx]
-
-
 def pair_means(lambdas: np.ndarray, f: MonotoneFunction) -> np.ndarray:
     """Matrix of m_f(lambda_h, lambda_j) over all eigenvalue pairs."""
     return mean(f, lambdas[:, None], lambdas[None, :])
-
-
-def cov_frame(frame: EigenFrame, a: int, b: int) -> float:
-    """Eigenbasis double sum with weights (lambda_h + lambda_j)/2."""
-    am = _check_index(frame, a)
-    bm = _check_index(frame, b)
-    lam = frame.lambdas
-    weights = 0.5 * (lam[:, None] + lam[None, :])
-    return float(np.sum(weights * am * bm.T).real)
 
 
 def rotated_products(d: DensityMatrix, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -144,14 +127,6 @@ def alpha_coefficients(lambdas: np.ndarray, f: MonotoneFunction) -> np.ndarray:
     lam = np.asarray(lambdas, dtype=float)
     arithmetic = 0.5 * (lam[:, None] + lam[None, :])
     return arithmetic - pair_means(lam, tilde(f))
-
-
-def qov_frame(frame: EigenFrame, f: MonotoneFunction, a: int, b: int) -> float:
-    """Eigenbasis double sum with the alpha coefficients of ``f``."""
-    am = _check_index(frame, a)
-    bm = _check_index(frame, b)
-    weights = alpha_coefficients(frame.lambdas, f)
-    return float(np.sum(weights * am * bm.T).real)
 
 
 def _entrywise(obs_count: int, entry) -> np.ndarray:

@@ -38,6 +38,7 @@ from .linalg import (
 from .monotone import MonotoneFunction, dominates
 from .states import (
     DensityMatrix,
+    density,
     derive_seed,
     eigenframe,
     observable,
@@ -465,7 +466,7 @@ def _contraction_parts(d: DensityMatrix, x, blocks: tuple) -> tuple:
     x = observable(x)
     n = d.dim
     x0 = x - (np.trace(x).real / n) * np.eye(n)
-    pinched_state = d.pinched(blocks)
+    pinched_state = density(pinching(d.matrix, blocks))
     pinched_x0 = pinching(x0, blocks)
     return rotated_products(d, x0, x0), pinched_state, rotated_products(pinched_state, pinched_x0, pinched_x0)
 

@@ -103,21 +103,10 @@ def commutator(a, b) -> np.ndarray:
     return ma @ mb - mb @ ma
 
 
-def apply_scalar_function(
-    h,
-    phi: Callable[[np.ndarray], np.ndarray],
-    domain: tuple[float, float] | None = None,
-) -> np.ndarray:
+def apply_scalar_function(h, phi: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """phi applied to a Hermitian matrix through its eigenvalues."""
     eig = hermitian_eigen(h)
     vals = eig.eigenvalues
-    if domain is not None:
-        lo, hi = domain
-        if vals[0] < lo or vals[-1] > hi:
-            bad = vals[0] if vals[0] < lo else vals[-1]
-            raise ValueError(
-                f"eigenvalue {bad!r} outside the function domain [{lo}, {hi}]"
-            )
     try:
         w = np.asarray(phi(vals), dtype=float)
         if w.shape != vals.shape:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "DominanceReport",
     "OrderCheckReport",
     "STANDARD_GRID",
+    "STRICTNESS_FLOOR",
     "CATALOG_NAMES",
     "make_function",
     "parse_function_spec",
@@ -45,6 +46,9 @@ __all__ = [
 
 STANDARD_GRID = np.logspace(-4.0, 4.0, 41)
 STANDARD_GRID.flags.writeable = False
+
+# dominance margins above this are strict; margins at or above its negative are weak
+STRICTNESS_FLOOR = 1e-12
 
 # window around the removable singularity at x = 1 where series expansions
 # replace the closed forms
@@ -96,48 +100,6 @@ def _km_core(x: np.ndarray) -> np.ndarray:
     return np.where(near, series, direct)
 
 
-def _sld_eval(x):
-    return 0.5 * (1.0 + x)
-
-
-def _harmonic_eval(x):
-    return 2.0 * x / (1.0 + x)
-
-
-def _log_square_eval(x):
-    return _km_core(x) ** 2 * 2.0 / (1.0 + x)
-
-
-def _sqrt_log_eval(x):
-    return _km_core(x) * 2.0 * np.sqrt(x) / (1.0 + x)
-
-
-def _wy_eval(x):
-    return 0.25 * (np.sqrt(x) + 1.0) ** 2
-
-
-def _alpha_eval(a: float):
-    def ev(x):
-        return 2.0 * x ** (a + 0.5) / (1.0 + x ** (2.0 * a))
-
-    return ev
-
-
-def _wyd_eval(b: float):
-    m = b * (1.0 - b)
-
-    def ev(x):
-        u = x - 1.0
-        near = np.abs(u) < SERIES_WINDOW
-        safe = np.where(near, 2.0, x)
-        lx = np.log(safe)
-        direct = m * (safe - 1.0) ** 2 / (np.expm1(b * lx) * np.expm1((1.0 - b) * lx))
-        series = 1.0 + u * 0.5 - (1.0 - m) * u**2 / 12.0
-        return np.where(near, series, direct)
-
-    return ev
-
-
 def _validate_grid(f: MonotoneFunction, grid: np.ndarray = STANDARD_GRID) -> None:
     vals = f(grid)
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
@@ -163,46 +125,99 @@ def _validate_grid(f: MonotoneFunction, grid: np.ndarray = STANDARD_GRID) -> Non
         )
 
 
-_PARAMETRIC = {"alpha", "wyd"}
-CATALOG_NAMES = ("sld", "harmonic", "kubo-mori", "log-square", "sqrt-log", "alpha", "wyd", "wy")
+def _fixed(evaluator: Callable[[np.ndarray], np.ndarray], f0: float):
+    """Builder of a family that takes no parameter."""
+    return lambda param, allow_unvalidated_range: (evaluator, f0)
+
+
+def _alpha(a: float, allow_unvalidated_range: bool):
+    """Builder of 2 x^(a + 1/2)/(1 + x^(2a)), a in [0, 1/2]."""
+    if not 0.0 <= a <= 0.5:
+        raise CatalogError(f"alpha: parameter must lie in [0, 1/2], got {a!r}")
+
+    def ev(x):
+        return 2.0 * x ** (a + 0.5) / (1.0 + x ** (2.0 * a))
+
+    return ev, 0.0
+
+
+def _wyd(b: float, allow_unvalidated_range: bool):
+    """Builder of the Wigner-Yanase-Dyson member; a series covers the x = 1 window."""
+    in_default = 0.0 < abs(b) < 1.0
+    in_wide = -1.0 <= b <= 2.0 and b not in (0.0, 1.0)
+    if not in_default and not (allow_unvalidated_range and in_wide):
+        hint = "; pass allow_unvalidated_range=True for the wider [-1, 2] range" if in_wide else ""
+        raise CatalogError(f"wyd: parameter must satisfy 0 < |beta| < 1, got {b!r}{hint}")
+    m = b * (1.0 - b)
+
+    def ev(x):
+        u = x - 1.0
+        near = np.abs(u) < SERIES_WINDOW
+        safe = np.where(near, 2.0, x)
+        lx = np.log(safe)
+        direct = m * (safe - 1.0) ** 2 / (np.expm1(b * lx) * np.expm1((1.0 - b) * lx))
+        series = 1.0 + u * 0.5 - (1.0 - m) * u**2 / 12.0
+        return np.where(near, series, direct)
+
+    return ev, (m if 0.0 < b < 1.0 else 0.0)
+
+
+class _Family(NamedTuple):
+    """One catalogue row: how to build the member, and what ``qfidet catalog`` prints."""
+
+    # (param, allow_unvalidated_range) -> (evaluator, f(0)); raises CatalogError
+    build: Callable[[float | None, bool], tuple[Callable[[np.ndarray], np.ndarray], float]]
+    formula: str
+    parameter: str | None  # None: the family takes no parameter
+    value_at_zero: str
+    regularity: str
+    transform: str | None
+
+
+_CATALOG = {
+    "sld": _Family(
+        _fixed(lambda x: 0.5 * (1.0 + x), 0.5), "(1 + x)/2", None, "1/2", "regular", "2x/(1 + x)"
+    ),
+    "harmonic": _Family(
+        _fixed(lambda x: 2.0 * x / (1.0 + x), 0.0), "2x/(1 + x)", None, "0", "nonregular", None
+    ),
+    "kubo-mori": _Family(_fixed(_km_core, 0.0), "(x - 1)/log x", None, "0", "nonregular", None),
+    "log-square": _Family(
+        _fixed(lambda x: _km_core(x) ** 2 * 2.0 / (1.0 + x), 0.0),
+        "2(x - 1)^2/((1 + x) log^2 x)", None, "0", "nonregular", None,
+    ),
+    "sqrt-log": _Family(
+        _fixed(lambda x: _km_core(x) * 2.0 * np.sqrt(x) / (1.0 + x), 0.0),
+        "2(x - 1) sqrt(x)/((1 + x) log x)", None, "0", "nonregular", None,
+    ),
+    "alpha": _Family(_alpha, "2 x^(a + 1/2)/(1 + x^(2a))", "a in [0, 1/2]", "0", "nonregular", None),
+    "wyd": _Family(
+        _wyd,
+        "b(1 - b)(x - 1)^2/((x^b - 1)(x^(1-b) - 1))",
+        "0 < |b| < 1 (wider [-1, 2] behind allow_unvalidated_range)",
+        "b(1 - b) for 0 < b < 1, else 0",
+        "regular for 0 < b < 1, else nonregular",
+        "defined for 0 < b < 1 (no simple closed form)",
+    ),
+    "wy": _Family(
+        _fixed(lambda x: 0.25 * (np.sqrt(x) + 1.0) ** 2, 0.25),
+        "(sqrt(x) + 1)^2/4", None, "1/4", "regular", "sqrt(x)",
+    ),
+}
+CATALOG_NAMES = tuple(_CATALOG)
 
 
 @lru_cache(maxsize=None)
 def _build(name: str, param: float | None, allow_unvalidated_range: bool) -> MonotoneFunction:
-    if name in _PARAMETRIC and param is None:
-        raise CatalogError(f"{name}: a parameter is required (e.g. '{name}:0.3')")
-    if name not in _PARAMETRIC and param is not None:
-        raise CatalogError(f"{name}: does not take a parameter")
-    if name == "sld":
-        f = MonotoneFunction("sld", _sld_eval, 0.5, True)
-    elif name == "harmonic":
-        f = MonotoneFunction("harmonic", _harmonic_eval, 0.0, False)
-    elif name == "kubo-mori":
-        f = MonotoneFunction("kubo-mori", _km_core, 0.0, False)
-    elif name == "log-square":
-        f = MonotoneFunction("log-square", _log_square_eval, 0.0, False)
-    elif name == "sqrt-log":
-        f = MonotoneFunction("sqrt-log", _sqrt_log_eval, 0.0, False)
-    elif name == "wy":
-        f = MonotoneFunction("wy", _wy_eval, 0.25, True)
-    elif name == "alpha":
-        if not 0.0 <= param <= 0.5:
-            raise CatalogError(f"alpha: parameter must lie in [0, 1/2], got {param!r}")
-        f = MonotoneFunction("alpha", _alpha_eval(param), 0.0, False, params=(param,))
-    elif name == "wyd":
-        in_default = 0.0 < abs(param) < 1.0
-        in_wide = -1.0 <= param <= 2.0 and param not in (0.0, 1.0)
-        if not in_default and not (allow_unvalidated_range and in_wide):
-            hint = (
-                "; pass allow_unvalidated_range=True for the wider [-1, 2] range"
-                if in_wide
-                else ""
-            )
-            raise CatalogError(f"wyd: parameter must satisfy 0 < |beta| < 1, got {param!r}{hint}")
-        f0 = param * (1.0 - param) if 0.0 < param < 1.0 else 0.0
-        f = MonotoneFunction("wyd", _wyd_eval(param), f0, f0 > 0.0, params=(param,))
-    else:
+    family = _CATALOG.get(name)
+    if family is None:
         raise CatalogError(f"unknown function name {name!r} (choose from {CATALOG_NAMES})")
+    if family.parameter is not None and param is None:
+        raise CatalogError(f"{name}: a parameter is required (e.g. '{name}:0.3')")
+    if family.parameter is None and param is not None:
+        raise CatalogError(f"{name}: does not take a parameter")
+    evaluator, f0 = family.build(param, allow_unvalidated_range)
+    f = MonotoneFunction(name, evaluator, f0, f0 > 0.0, params=() if param is None else (param,))
     _validate_grid(f)
     return f
 
@@ -314,46 +329,31 @@ class DominanceReport:
         return "neither"
 
 
-def dominates(
-    f: MonotoneFunction,
-    g: MonotoneFunction,
-    grid: np.ndarray | None = None,
-    strictness_floor: float = 1e-12,
-) -> DominanceReport:
-    """Compare f(0)/f against g(0)/g pointwise on a grid (both must be regular).
+def dominates(f: MonotoneFunction, g: MonotoneFunction) -> DominanceReport:
+    """Compare f(0)/f against g(0)/g pointwise on the standard grid (both must be regular).
 
-    On the standard grid the report is computed once per (f, g, floor) and
-    shared, with read-only margins; an explicit grid is evaluated afresh.
+    The report is computed once per (f, g) and shared, with read-only margins.
     """
     for h in (f, g):
         if not h.regular:
             raise CatalogError(f"{h.label}: dominance is defined for regular functions only")
-    if grid is None:
-        return _standard_dominance(f, g, strictness_floor)
-    return _dominance(f, g, np.asarray(grid, dtype=float), strictness_floor)
+    return _dominance(f, g)
 
 
 @lru_cache(maxsize=None)
-def _standard_dominance(f: MonotoneFunction, g: MonotoneFunction, strictness_floor: float) -> DominanceReport:
-    report = _dominance(f, g, STANDARD_GRID, strictness_floor)
-    report.margins.flags.writeable = False
-    return report
-
-
-def _dominance(
-    f: MonotoneFunction, g: MonotoneFunction, pts: np.ndarray, strictness_floor: float
-) -> DominanceReport:
-    margins = f.value_at_zero / f(pts) - g.value_at_zero / g(pts)
+def _dominance(f: MonotoneFunction, g: MonotoneFunction) -> DominanceReport:
+    margins = f.value_at_zero / f(STANDARD_GRID) - g.value_at_zero / g(STANDARD_GRID)
+    margins.flags.writeable = False
     k = int(np.argmin(margins))
     return DominanceReport(
         f_label=f.label,
         g_label=g.label,
-        grid=pts,
+        grid=STANDARD_GRID,
         margins=margins,
-        strict=bool(np.all(margins > strictness_floor)),
-        weak=bool(np.all(margins >= -strictness_floor)),
+        strict=bool(np.all(margins > STRICTNESS_FLOOR)),
+        weak=bool(np.all(margins >= -STRICTNESS_FLOOR)),
         min_margin=float(margins[k]),
-        min_margin_at=float(pts[k]),
+        min_margin_at=float(STANDARD_GRID[k]),
     )
 
 
@@ -410,70 +410,15 @@ def check_operator_monotone(
 
 
 def catalog_families() -> list[dict]:
-    """Static listing of the built-in families."""
+    """Listing of the built-in families, one dict per catalogue row."""
     return [
         {
-            "name": "sld",
-            "formula": "(1 + x)/2",
-            "parameter": None,
-            "value_at_zero": "1/2",
-            "class": "regular",
-            "transform": "2x/(1 + x)",
-        },
-        {
-            "name": "harmonic",
-            "formula": "2x/(1 + x)",
-            "parameter": None,
-            "value_at_zero": "0",
-            "class": "nonregular",
-            "transform": None,
-        },
-        {
-            "name": "kubo-mori",
-            "formula": "(x - 1)/log x",
-            "parameter": None,
-            "value_at_zero": "0",
-            "class": "nonregular",
-            "transform": None,
-        },
-        {
-            "name": "log-square",
-            "formula": "2(x - 1)^2/((1 + x) log^2 x)",
-            "parameter": None,
-            "value_at_zero": "0",
-            "class": "nonregular",
-            "transform": None,
-        },
-        {
-            "name": "sqrt-log",
-            "formula": "2(x - 1) sqrt(x)/((1 + x) log x)",
-            "parameter": None,
-            "value_at_zero": "0",
-            "class": "nonregular",
-            "transform": None,
-        },
-        {
-            "name": "alpha",
-            "formula": "2 x^(a + 1/2)/(1 + x^(2a))",
-            "parameter": "a in [0, 1/2]",
-            "value_at_zero": "0",
-            "class": "nonregular",
-            "transform": None,
-        },
-        {
-            "name": "wyd",
-            "formula": "b(1 - b)(x - 1)^2/((x^b - 1)(x^(1-b) - 1))",
-            "parameter": "0 < |b| < 1 (wider [-1, 2] behind allow_unvalidated_range)",
-            "value_at_zero": "b(1 - b) for 0 < b < 1, else 0",
-            "class": "regular for 0 < b < 1, else nonregular",
-            "transform": "defined for 0 < b < 1 (no simple closed form)",
-        },
-        {
-            "name": "wy",
-            "formula": "(sqrt(x) + 1)^2/4",
-            "parameter": None,
-            "value_at_zero": "1/4",
-            "class": "regular",
-            "transform": "sqrt(x)",
-        },
+            "name": name,
+            "formula": family.formula,
+            "parameter": family.parameter,
+            "value_at_zero": family.value_at_zero,
+            "class": family.regularity,
+            "transform": family.transform,
+        }
+        for name, family in _CATALOG.items()
     ]

@@ -80,11 +80,6 @@ class DensityMatrix:
             got = self._memo[key] = build()
         return got
 
-    def pinched(self, partition: Sequence[Iterable[int]]) -> DensityMatrix:
-        """The state pinched by ``partition``, memoized per partition on this state."""
-        key = tuple(tuple(int(i) for i in block) for block in partition)
-        return self.memo(("pinched", key), lambda: density(pinching(self.matrix, key)))
-
 
 def density(matrix, *, eigen: EigenDecomposition | None = None) -> DensityMatrix:
     """Validate and wrap a state.

@@ -108,16 +108,12 @@ def test_rows_cover_every_combination():
 def test_worker_determinism():
     one = run_campaign(TINY, workers=1).to_dict()
     two = run_campaign(TINY, workers=2).to_dict()
-    one.pop("runtime")
-    two.pop("runtime")
     assert one == two
 
 
 def test_repeat_run_is_identical():
     first = run_campaign(TINY).to_dict()
     second = run_campaign(TINY).to_dict()
-    first.pop("runtime")
-    second.pop("runtime")
     assert first == second
 
 
@@ -138,14 +134,15 @@ def test_empty_campaign():
         for quad in report.counts.values()
     )
     payload = json.loads(emit_report(report, "json"))
-    assert payload["version"] == "qfi-report/3"
+    assert payload["version"] == "qfi-report/4"
     assert payload["totals"]["pass"] == 0
 
 
 def test_json_report_shape():
     report = run_campaign(TINY)
     payload = json.loads(emit_report(report, "json"))
-    assert payload["version"] == "qfi-report/3"
+    assert payload["version"] == "qfi-report/4"
+    assert "runtime" not in payload
     assert payload["config"]["seed"] == 99
     assert set(payload["counts"]) == set(TINY.checks)
     assert payload["totals"]["fail"] == 0

@@ -30,7 +30,7 @@ def test_verify_stdout_json(capsys):
     out = capsys.readouterr().out
     assert code == 0
     payload = json.loads(out)
-    assert payload["version"] == "qfi-report/3"
+    assert payload["version"] == "qfi-report/4"
     assert payload["totals"]["fail"] == 0
 
 
@@ -39,10 +39,7 @@ def test_verify_out_file_and_workers(tmp_path, capsys):
     assert main(TINY_ARGS + ["--out", str(a)]) == 0
     assert main(TINY_ARGS + ["--workers", "2", "--out", str(b)]) == 0
     capsys.readouterr()
-    one, two = json.loads(a.read_text()), json.loads(b.read_text())
-    one.pop("runtime")
-    two.pop("runtime")
-    assert one == two
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_verify_csv(tmp_path, capsys):
@@ -121,6 +118,11 @@ def test_catalog_lists_families(capsys):
     kubo_line = next(line for line in out.splitlines() if line.startswith("kubo-mori"))
     assert "nonregular" in kubo_line and "ftilde" not in kubo_line
     assert len(out.strip().splitlines()) == 8
+
+
+def test_catalog_output_matches_the_golden_file(capsys):
+    assert main(["catalog"]) == 0
+    assert capsys.readouterr().out.encode() == (FIXTURES / "catalog.txt").read_bytes()
 
 
 def test_selftest_passes(capsys):

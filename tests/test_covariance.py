@@ -8,14 +8,12 @@ import pytest
 from qfidet.covariance import (
     alpha_coefficients,
     cov,
-    cov_frame,
     cov_matrix,
     cov_matrix_frame,
     metric_inner,
     observable_scale,
     pair_means,
     qov,
-    qov_frame,
     qov_matrix,
     qov_matrix_frame,
     robertson_matrix,
@@ -47,15 +45,14 @@ def test_cov_hand_values():
 def test_cov_frame_matches_and_is_nearly_real():
     d = qubit()
     frame = eigenframe(d, [PAULI_X, PAULI_Z])
-    assert cov_frame(frame, 0, 0) == pytest.approx(1.0, abs=1e-12)
-    assert cov_frame(frame, 1, 1) == pytest.approx(0.75, abs=1e-12)
+    c = cov_matrix_frame(frame)
+    assert c[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert c[1, 1] == pytest.approx(0.75, abs=1e-12)
     # the un-real-parted double sum already lands on the real axis
     lam = frame.lambdas
     w = 0.5 * (lam[:, None] + lam[None, :])
     a, b = frame.observables
     assert abs(np.sum(w * a * b.T).imag) <= 1e-11
-    with pytest.raises(IndexError):
-        cov_frame(frame, 0, 2)
 
 
 def test_cov_frame_commuting_case_is_classical():
@@ -64,7 +61,7 @@ def test_cov_frame_commuting_case_is_classical():
     a = np.diag([1.0, 0.0, -1.0]).astype(complex)
     frame = eigenframe(d, [a])
     classical = np.sum(lam * np.diag(a).real ** 2) - np.sum(lam * np.diag(a).real) ** 2
-    assert cov_frame(frame, 0, 0) == pytest.approx(classical, abs=1e-14)
+    assert cov_matrix_frame(frame)[0, 0] == pytest.approx(classical, abs=1e-14)
 
 
 def test_metric_inner_maximally_mixed():
@@ -169,18 +166,18 @@ def test_qov_frame_matches_definition_route(rng):
         b = random_observable(n, 7200 + trial)
         frame = eigenframe(d, [a, b])
         c_direct = cov(d, a, b)
-        c_frame = cov_frame(frame, 0, 1)
+        c_frame = cov_matrix_frame(frame)[0, 1]
         assert abs(c_direct - c_frame) <= 1e-10 * max(1.0, abs(c_direct))
         for f in REGULAR:
             q_direct = qov(d, f, a, b)
-            q_frame = qov_frame(frame, f, 0, 1)
+            q_frame = qov_matrix_frame(frame, f)[0, 1]
             assert abs(q_direct - q_frame) <= 1e-10 * max(1.0, abs(q_direct))
 
 
 def test_qov_frame_diagonal_observables_vanish():
     d = density(np.diag([0.2, 0.8]).astype(complex))
     frame = eigenframe(d, [PAULI_Z])
-    assert qov_frame(frame, make_function("sld"), 0, 0) == 0.0
+    assert qov_matrix_frame(frame, make_function("sld"))[0, 0] == 0.0
 
 
 def test_shift_invariance(rng):
@@ -284,10 +281,10 @@ def test_transpose_convention_is_neutral(rng):
         obs = [random_observable(3, 9100 + 10 * trial + k) for k in range(2)]
         frame = eigenframe(d, obs)
         flipped = EigenFrame(frame.lambdas, tuple(m.T.copy() for m in frame.observables))
-        assert cov_frame(frame, 0, 1) == pytest.approx(cov_frame(flipped, 0, 1), abs=1e-12)
+        assert cov_matrix_frame(frame)[0, 1] == pytest.approx(cov_matrix_frame(flipped)[0, 1], abs=1e-12)
         for f in REGULAR:
-            assert qov_frame(frame, f, 0, 1) == pytest.approx(
-                qov_frame(flipped, f, 0, 1), abs=1e-12
+            assert qov_matrix_frame(frame, f)[0, 1] == pytest.approx(
+                qov_matrix_frame(flipped, f)[0, 1], abs=1e-12
             )
 
 
@@ -312,9 +309,9 @@ def test_degenerate_state_results_do_not_depend_on_basis_choice():
         frame = eigenframe(d, obs)
         values.append(
             (
-                cov_frame(frame, 0, 1),
-                qov_frame(frame, make_function("sld"), 0, 1),
-                qov_frame(frame, make_function("wy"), 0, 0),
+                cov_matrix_frame(frame)[0, 1],
+                qov_matrix_frame(frame, make_function("sld"))[0, 1],
+                qov_matrix_frame(frame, make_function("wy"))[0, 0],
             )
         )
     ref = np.array(values[0])

@@ -443,13 +443,12 @@ def test_report_shape(tight):
     assert rep.components["f"] == "sld"
 
 
-def test_contraction_with_a_warm_pinched_memo_matches_a_fresh_state():
+def test_contraction_with_a_warm_memo_matches_a_fresh_state():
     part = [[0, 2], [1]]
     x = random_observable(3, 5)
     warm = random_density(3, 8)
     for f in (SLD, WY):
         check_metric_contraction(warm, x, f, part)
-    assert warm.pinched(part) is warm.pinched(part)
     for f in (SLD, WY):
         assert check_metric_contraction(warm, x, f, part) == check_metric_contraction(random_density(3, 8), x, f, part)
 

@@ -107,11 +107,6 @@ def test_scalar_function_on_scaled_identity():
     assert np.abs(out - math.sqrt(3.0) * np.eye(3)).max() == 0.0
 
 
-def test_scalar_function_domain_violation():
-    with pytest.raises(ValueError, match="outside the function domain"):
-        apply_scalar_function(np.diag([1.0, -2.0]), np.sqrt, domain=(0.0, np.inf))
-
-
 def test_scalar_function_accepts_scalar_callable():
     out = apply_scalar_function(np.diag([1.0, 4.0]), lambda x: math.sqrt(x))
     assert np.abs(out - np.diag([1.0, 2.0])).max() < 1e-14

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qfidet.monotone import (
+    CATALOG_NAMES,
     STANDARD_GRID,
     CatalogError,
     catalog_families,
@@ -270,6 +271,20 @@ def test_catalog_listing():
     assert by_name["kubo-mori"]["transform"] is None
 
 
+def test_unknown_name_with_a_parameter_is_reported_as_unknown():
+    with pytest.raises(CatalogError, match="unknown function name 'nope'"):
+        parse_function_spec("nope:0.3")
+
+
+def test_catalog_names_and_classes_agree_with_the_listing():
+    fams = catalog_families()
+    assert CATALOG_NAMES == tuple(fam["name"] for fam in fams)
+    for fam in fams:
+        if fam["parameter"] is None:
+            built = "regular" if make_function(fam["name"]).regular else "nonregular"
+            assert fam["class"] == built, fam["name"]
+
+
 def test_dominance_report_is_shared_and_read_only():
     sld, wy = make_function("sld"), make_function("wy")
     first, again = dominates(sld, wy), dominates(sld, wy)
@@ -282,18 +297,6 @@ def test_dominance_report_is_shared_and_read_only():
     assert not STANDARD_GRID.flags.writeable
     with pytest.raises(ValueError):
         STANDARD_GRID[0] = 0.0
-
-
-def test_dominance_on_an_explicit_grid_is_fresh():
-    sld, wy = make_function("sld"), make_function("wy")
-    grid = np.array([0.25, 1.0, 4.0])
-    rep = dominates(sld, wy, grid)
-    expected = 0.5 / sld(grid) - 0.25 / wy(grid)
-    assert np.array_equal(rep.margins, expected)
-    assert rep.margins.flags.writeable
-    assert dominates(sld, wy, grid) is not rep
-    assert rep.min_margin_at in grid.tolist()
-    assert rep.strict == dominates(sld, wy).strict
 
 
 @pytest.mark.parametrize(

@@ -239,13 +239,3 @@ def test_random_partition_covers_range():
         assert 1 <= len(part) <= 5
     assert random_partition(5, 9) == random_partition(5, 9)
 
-
-def test_pinched_state_is_memoized_per_partition():
-    d = random_density(4, 3)
-    first = d.pinched([[0, 2], [1, 3]])
-    assert d.pinched(((0, 2), (1, 3))) is first
-    assert np.array_equal(first.matrix, pinching(d.matrix, [[0, 2], [1, 3]]))
-    other = d.pinched([[0], [1, 2, 3]])
-    assert other is not first
-    assert not np.array_equal(other.matrix, first.matrix)
-    assert random_density(4, 3).pinched([[0, 2], [1, 3]]) is not first
