@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -30,10 +31,9 @@ from .inequalities import (
     prepare_random,
 )
 from .monotone import MonotoneFunction, checked_spec, parse_function_spec
-from .states import derive_seed, random_partition
+from .states import STATE_KINDS, derive_seed, random_partition
 
 REPORT_VERSION = "qfi-report/4"
-STATE_KINDS = ("generic", "degenerate", "near-singular")
 VIOLATION_CAP = 100
 COUNT_NAMES = ("pass", "fail", "hypothesis_skipped", "clamped")
 DEFAULT_T_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -164,8 +164,8 @@ class CampaignConfig:
         for t in self.t_grid:
             if not 0.0 <= t <= 1.0:
                 raise ConfigError(f"t_grid: values must lie in [0, 1], got {t}")
-        if not self.tol > 0.0:
-            raise ConfigError(f"tol: must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigError(f"tol: must be positive and finite, got {self.tol}")
         if not self.checks:
             raise ConfigError("checks: need at least one check")
         for check in self.checks:

@@ -8,6 +8,7 @@ below its clamp window, or a LAPACK eigensolver that did not converge).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -17,17 +18,25 @@ from .campaign import (
     CHECK_NAMES,
     CHECKS,
     DEFAULT_T_GRID,
-    STATE_KINDS,
     CampaignConfig,
     CheckPlan,
     ConfigError,
     emit_report,
     run_campaign,
 )
-from .inequalities import EqualityClassification, PreparedInstance
+from .inequalities import DEFAULT_TOL, EqualityClassification, PreparedInstance
 from .io import load_instance
 from .monotone import catalog_families, parse_function_spec
 from .selftest import run_selftest
+from .states import STATE_KINDS
+
+
+def _tolerance(text: str) -> float:
+    """Type of every ``--tol`` option: a finite number above 0."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
+    return value
 
 
 def _csv_list(text: str) -> list[str]:
@@ -109,11 +118,10 @@ def _show(rep) -> int:
 def _cmd_compute(args) -> int:
     loaded = load_instance(args.instance)
     inst = PreparedInstance(loaded.state, list(loaded.observables), digest=Path(args.instance).name)
-    tol = args.tol if args.tol is not None else 1e-9
     failures = 0
 
     def run(checks, functions=(), pairs=()) -> int:
-        plan = CheckPlan(functions=functions, pairs=pairs, tol=tol, t_grid=DEFAULT_T_GRID)
+        plan = CheckPlan(functions=functions, pairs=pairs, tol=args.tol, t_grid=DEFAULT_T_GRID)
         return sum(_show(rep) for check in checks for rep, *_ in CHECKS[check](plan, inst, None))
 
     print(f"instance {args.instance}: dim={loaded.state.dim}, observables={len(loaded.observables)}")
@@ -131,11 +139,17 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    for family in catalog_families():
-        name = family["name"]
+    families = catalog_families()
+    for family in families:
         if family["parameter"]:
-            name = f"{name} ({family['parameter']})"
-        line = f"{name:<28} f(x) = {family['formula']:<34} f(0) = {family['value_at_zero']:<10} {family['class']}"
+            family["name"] = f"{family['name']} ({family['parameter']})"
+    # each padded column as wide as its widest entry
+    w = {key: max(len(family[key]) for family in families) for key in ("name", "formula", "value_at_zero")}
+    for family in families:
+        line = (
+            f"{family['name']:<{w['name']}} f(x) = {family['formula']:<{w['formula']}} "
+            f"f(0) = {family['value_at_zero']:<{w['value_at_zero']}} {family['class']}"
+        )
         if family["transform"]:
             line += f"  ftilde = {family['transform']}"
         print(line)
@@ -143,18 +157,19 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    tol = args.tol if args.tol is not None else 1e-9
-    return 0 if run_selftest(tol) else 1
+    return 0 if run_selftest(args.tol) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # exit_on_error=False: main() reports a bad option value like any other input error
     parser = argparse.ArgumentParser(
         prog="qfidet",
         description="Verify determinant bounds between covariance and quantum covariance matrices.",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    verify = sub.add_parser("verify", help="run a randomized verification campaign")
+    verify = sub.add_parser("verify", help="run a randomized verification campaign", exit_on_error=False)
     verify.add_argument("--seed", type=int, default=None, help="root seed for instance derivation")
     verify.add_argument("--dims", default=None, help="comma-separated state dimensions, e.g. 2,3,4")
     verify.add_argument("--num-obs", default=None, help="comma-separated observable counts")
@@ -162,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--functions", default=None, help="comma-separated function specs, e.g. sld,wyd:0.3")
     verify.add_argument("--pairs", default=None, help="comma-separated f/g pairs, e.g. sld/wy")
     verify.add_argument("--t-grid", default=None, help="comma-separated t values in [0,1]")
-    verify.add_argument("--tol", type=float, default=None, help="relative tolerance (default 1e-9)")
+    verify.add_argument("--tol", type=_tolerance, default=None, help="relative tolerance (default 1e-9)")
     verify.add_argument("--kinds", default=None, help=f"state kinds from: {','.join(STATE_KINDS)}")
     verify.add_argument("--checks", default=None, help=f"checks from: {','.join(CHECK_NAMES)}")
     verify.add_argument("--out", default=None, help="write the report to this path")
@@ -170,29 +185,29 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--workers", type=int, default=1)
     verify.set_defaults(handler=_cmd_verify)
 
-    compute = sub.add_parser("compute", help="run every check on one instance file")
+    compute = sub.add_parser("compute", help="run every check on one instance file", exit_on_error=False)
     compute.add_argument("instance", help="path to an instance JSON file")
-    compute.add_argument("--tol", type=float, default=None)
+    compute.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     compute.set_defaults(handler=_cmd_compute)
 
     catalog = sub.add_parser("catalog", help="list the built-in monotone function families")
     catalog.set_defaults(handler=_cmd_catalog)
 
-    selftest = sub.add_parser("selftest", help="run the hand-derived fixture battery")
-    selftest.add_argument("--tol", type=float, default=None)
+    selftest = sub.add_parser("selftest", help="run the hand-derived fixture battery", exit_on_error=False)
+    selftest.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     selftest.set_defaults(handler=_cmd_selftest)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         # before ValueError: LinAlgError is one
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, argparse.ArgumentError) as exc:
         # ConfigError, InstanceFormatError and CatalogError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2

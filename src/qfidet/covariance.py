@@ -16,6 +16,10 @@ test suite forces to agree:
 The frame assemblers are the fast path (one einsum per matrix); the entrywise
 assemblers ``cov_matrix`` and ``qov_matrix`` stay close to the definitions and
 are what the frame assemblers are tested against.
+
+A nonregular f (f(0) = 0) makes Qov_f identically zero.  ``qov``,
+``qov_matrix`` and ``qov_matrix_frame`` reject it rather than return that
+zero; ``inequalities.PreparedInstance`` supplies the zero matrix itself.
 """
 from __future__ import annotations
 
@@ -90,28 +94,16 @@ def metric_inner(d: DensityMatrix, f: MonotoneFunction, x: np.ndarray, y: np.nda
     return metric_sum(rotated_products(d, x, y), d.eigenvalues, f)
 
 
-def qov(
-    d: DensityMatrix,
-    f: MonotoneFunction,
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
-    allow_nonregular: bool = False,
-) -> float:
-    """Quantum covariance f(0)/2 * <i[D,A], i[D,B]>_{D,f}.
-
-    Nonregular f (f(0) = 0) is rejected by default: the factor f(0) makes
-    the value identically zero, which silently erases the quantity the
-    caller probably wanted.  Pass allow_nonregular=True to accept the exact
-    zero (the degenerate member that some of the determinant bounds use).
-    """
+def _require_regular(f: MonotoneFunction) -> None:
     if not f.regular:
-        if allow_nonregular:
-            return 0.0
         raise ValueError(
-            f"{f.label} is not regular (f(0) = 0), so its quantum covariance "
-            "is identically zero; pass allow_nonregular=True to accept that"
+            f"{f.label} is not regular (f(0) = 0), so its quantum covariance is identically zero"
         )
+
+
+def qov(d: DensityMatrix, f: MonotoneFunction, a: np.ndarray, b: np.ndarray) -> float:
+    """Quantum covariance f(0)/2 * <i[D,A], i[D,B]>_{D,f}; f must be regular."""
+    _require_regular(f)
     ca = hermitian_part(1j * commutator(d.matrix, a))
     cb = hermitian_part(1j * commutator(d.matrix, b))
     return 0.5 * f.value_at_zero * metric_inner(d, f, ca, cb)
@@ -143,23 +135,15 @@ def cov_matrix(d: DensityMatrix, obs) -> np.ndarray:
     return _entrywise(len(obs), lambda i, j: cov(d, obs[i], obs[j]))
 
 
-def qov_matrix(
-    d: DensityMatrix,
-    f: MonotoneFunction,
-    obs,
-    *,
-    allow_nonregular: bool = False,
-) -> np.ndarray:
+def qov_matrix(d: DensityMatrix, f: MonotoneFunction, obs) -> np.ndarray:
     """N x N matrix of pairwise quantum covariances, entrywise from the definition."""
     obs = list(obs)
-    return _entrywise(
-        len(obs), lambda i, j: qov(d, f, obs[i], obs[j], allow_nonregular=allow_nonregular)
-    )
+    return _entrywise(len(obs), lambda i, j: qov(d, f, obs[i], obs[j]))
 
 
 def _frame_quadratic(frame: EigenFrame, weights: np.ndarray) -> np.ndarray:
-    stack = np.stack(frame.observables)
-    raw = np.einsum("hj,khj,ljh->kl", weights, stack, stack).real
+    x = frame.observables
+    raw = np.einsum("hj,khj,ljh->kl", weights, x, x).real
     return 0.5 * (raw + raw.T)
 
 
@@ -169,20 +153,9 @@ def cov_matrix_frame(frame: EigenFrame) -> np.ndarray:
     return _frame_quadratic(frame, 0.5 * (lam[:, None] + lam[None, :]))
 
 
-def qov_matrix_frame(
-    frame: EigenFrame,
-    f: MonotoneFunction,
-    *,
-    allow_nonregular: bool = False,
-) -> np.ndarray:
+def qov_matrix_frame(frame: EigenFrame, f: MonotoneFunction) -> np.ndarray:
     """Same matrix as qov_matrix, assembled in one pass from the frame."""
-    if not f.regular:
-        if allow_nonregular:
-            return np.zeros((frame.size, frame.size))
-        raise ValueError(
-            f"{f.label} is not regular (f(0) = 0); pass allow_nonregular=True "
-            "for the identically-zero matrix"
-        )
+    _require_regular(f)
     return _frame_quadratic(frame, alpha_coefficients(frame.lambdas, f))
 
 

@@ -30,6 +30,7 @@ from .covariance import (
     rotated_products,
 )
 from .linalg import (
+    RANK_TOL,
     det_antisymmetric,
     det_real_symmetric,
     min_eigenvalue,
@@ -142,10 +143,10 @@ def remainder_t(det_q: float, det_diff: float, n_obs: int, t: float) -> float:
 class PreparedInstance:
     """One (state, observables) pair with every derived matrix memoized.
 
-    Quantum covariance matrices are produced for nonregular functions too:
-    they are exactly zero there (the f(0) factor), which is the degenerate
-    reading that keeps the determinant bounds meaningful for the whole
-    catalogue.
+    Quantum covariance matrices are produced here for nonregular functions
+    too, which the covariance assemblers reject: they are exactly zero there
+    (the f(0) factor), which is the degenerate reading that keeps the
+    determinant bounds meaningful for the whole catalogue.
     """
 
     def __init__(self, d: DensityMatrix, obs: Sequence[np.ndarray], digest: str = "custom"):
@@ -170,11 +171,13 @@ class PreparedInstance:
             if side == "cov":
                 got = cov_matrix_frame(self.frame)
             elif side == "robertson":
-                stack = np.stack(self.frame.observables)
-                r = np.einsum("h,khj,ljh->kl", self.frame.lambdas, stack, stack).imag
+                x = self.frame.observables
+                r = np.einsum("h,khj,ljh->kl", self.frame.lambdas, x, x).imag
                 got = 0.5 * (r - r.T)
+            elif not side.regular:
+                got = np.zeros((self.size, self.size))
             else:
-                got = qov_matrix_frame(self.frame, side, allow_nonregular=True)
+                got = qov_matrix_frame(self.frame, side)
             self._matrix[side] = got
         return got
 
@@ -400,16 +403,13 @@ def classify_equality(
     det_qf = inst.det(f)
     det_qg = None if g is None else inst.det(g)
 
-    n = inst.frame.dim
-    vectors = np.empty((inst.size, 2 * n * n), dtype=float)
-    for k, a in enumerate(inst.frame.observables):
-        vectors[k, : n * n] = a.real.ravel()
-        vectors[k, n * n :] = a.imag.ravel()
+    flat = inst.frame.observables.reshape(inst.size, -1)
+    vectors = np.concatenate((flat.real, flat.imag), axis=1)
     # Centering an observable proportional to the identity leaves only
     # rounding noise behind; a floor at the raw observables' scale keeps
     # such a row from counting as an independent direction.
     obs_scale = max([1.0] + [float(np.linalg.norm(a)) for a in inst.observables])
-    rank = numeric_rank(vectors, tol=1e-9, floor=1e-9 * obs_scale)
+    rank = numeric_rank(vectors, floor=RANK_TOL * obs_scale)
     dependent = rank < inst.size
     offdiag = offdiagonal_dependence(inst.frame).dependent
 

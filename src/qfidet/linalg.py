@@ -25,7 +25,14 @@ __all__ = [
     "det_antisymmetric",
     "min_eigenvalue",
     "numeric_rank",
+    "SYMMETRY_TOL",
+    "RANK_TOL",
 ]
+
+# largest |M - M^H| (or |M -+ M^T|) accepted, relative to the largest entry
+SYMMETRY_TOL = 1e-12
+# singular values at or below this fraction of the largest one count as zero
+RANK_TOL = 1e-9
 
 
 def as_complex_matrix(a, label: str = "matrix") -> np.ndarray:
@@ -55,11 +62,11 @@ def _entry_scale(a: np.ndarray, label: str = "matrix") -> float:
     return max(1.0, largest)
 
 
-def require_hermitian(m: np.ndarray, tol: float = 1e-12, label: str = "matrix") -> None:
+def require_hermitian(m: np.ndarray, label: str = "matrix") -> None:
     """Raise with the offending entry if m deviates from m^dagger or is not finite."""
     scale = _entry_scale(m, label)
     delta = np.abs(m - m.conj().T)
-    if not delta.max(initial=0.0) <= tol * scale:
+    if not delta.max(initial=0.0) <= SYMMETRY_TOL * scale:
         h, j = np.unravel_index(int(np.argmax(delta)), delta.shape)
         raise ValueError(
             f"{label}: not Hermitian, entry ({h},{j}) = {m[h, j]} vs "
@@ -104,15 +111,9 @@ def commutator(a, b) -> np.ndarray:
 
 
 def apply_scalar_function(h, phi: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """phi applied to a Hermitian matrix through its eigenvalues."""
+    """phi, which maps an array of eigenvalues elementwise, applied to a Hermitian matrix."""
     eig = hermitian_eigen(h)
-    vals = eig.eigenvalues
-    try:
-        w = np.asarray(phi(vals), dtype=float)
-        if w.shape != vals.shape:
-            raise TypeError
-    except TypeError:
-        w = np.array([float(phi(v)) for v in vals])
+    w = np.asarray(phi(eig.eigenvalues), dtype=float)
     u = eig.unitary
     return hermitian_part((u * w) @ u.conj().T)
 
@@ -133,24 +134,24 @@ def _checked_real(m, tol: float, sign: float = 1.0) -> np.ndarray:
     return a
 
 
-def det_real_symmetric(m, tol: float = 1e-12) -> float:
+def det_real_symmetric(m) -> float:
     """Determinant of a real symmetric matrix.
 
     Up to 3x3 by cofactor expansion on plain floats, since numpy calls cost
     more than the arithmetic at this size; LU (``np.linalg.det``) above.
     numpy forms the LU determinant as the exp of a sum of logs, so its
     relative error grows with |log det|.
-    Input that is not square, not finite or not symmetric within ``tol``
-    times its largest entry raises ValueError.
+    Input that is not square, not finite or not symmetric within
+    ``SYMMETRY_TOL`` times its largest entry raises ValueError.
     """
     a = np.asarray(m, dtype=float)
     if not (a.ndim == 2 and 1 <= a.shape[0] == a.shape[1] <= 3):
-        return float(np.linalg.det(_checked_real(a, tol)))
+        return float(np.linalg.det(_checked_real(a, SYMMETRY_TOL)))
     r = a.tolist()
     n = len(r)
     scale = max(1.0, max(abs(x) for row in r for x in row))
     asym = max(abs(r[i][j] - r[j][i]) for i in range(n) for j in range(n))
-    if not asym <= tol * scale:
+    if not asym <= SYMMETRY_TOL * scale:
         _entry_scale(a)
         raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym:.3e})")
     if n == 1:
@@ -168,9 +169,9 @@ def det_real_symmetric(m, tol: float = 1e-12) -> float:
     return det
 
 
-def det_antisymmetric(k, tol: float = 1e-12) -> float:
+def det_antisymmetric(k) -> float:
     """Determinant of a real antisymmetric matrix: exactly zero at odd sizes, LU at even ones."""
-    a = _checked_real(k, tol, sign=-1.0)
+    a = _checked_real(k, SYMMETRY_TOL, sign=-1.0)
     if a.shape[0] % 2 == 1:
         return 0.0
     return float(np.linalg.det(a))
@@ -186,18 +187,14 @@ def min_eigenvalue(m) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
-def numeric_rank(
-    vectors: Sequence[np.ndarray] | np.ndarray, tol: float = 1e-9, floor: float = 0.0
-) -> int:
-    """Number of singular values above tol times the largest one.
+def numeric_rank(vectors: Sequence[np.ndarray] | np.ndarray, floor: float = 0.0) -> int:
+    """Number of singular values above ``RANK_TOL`` times the largest one.
 
     A purely relative threshold calls a stack of rounding-noise rows full
     rank, since the noise is compared only against itself.  Callers that
     know the scale the rows were produced at can pass ``floor`` (an absolute
     singular value below which a direction counts as zero).
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     if floor < 0:
         raise ValueError(f"floor must be nonnegative, got {floor}")
     rows = np.atleast_2d(np.asarray(vectors, dtype=float))
@@ -206,4 +203,4 @@ def numeric_rank(
     s = np.linalg.svd(rows, compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > max(tol * s[0], floor)))
+    return int(np.count_nonzero(s > max(RANK_TOL * s[0], floor)))

@@ -9,6 +9,11 @@ are called regular; they admit the companion transform
 which lands back in the catalogue's nonregular class.  The induced mean
 m_f(x, y) = x f(y/x) interpolates between the harmonic and arithmetic means.
 
+The built-in members come from one table, ``_CATALOG``: each row builds its
+member from the parameter alone (param -> (evaluator, f(0))) and holds the
+text that ``qfidet catalog`` prints.  A parameter outside the range a row
+states is rejected.
+
 Functions are validated on a fixed logarithmic grid; the grid check is a
 necessary condition only, so user-supplied evaluators are accepted but never
 certified as operator monotone.  A sampled matrix-order check is available
@@ -100,19 +105,19 @@ def _km_core(x: np.ndarray) -> np.ndarray:
     return np.where(near, series, direct)
 
 
-def _validate_grid(f: MonotoneFunction, grid: np.ndarray = STANDARD_GRID) -> None:
-    vals = f(grid)
+def _validate_grid(f: MonotoneFunction) -> None:
+    vals = f(STANDARD_GRID)
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
         raise CatalogError(f"{f.label}: not strictly positive and finite on the grid")
     one = float(f(np.array(1.0)))
     if abs(one - 1.0) > 1e-12:
         raise CatalogError(f"{f.label}: f(1) = {one!r}, expected 1 within 1e-12")
-    swapped = grid * f(1.0 / grid)
+    swapped = STANDARD_GRID * f(1.0 / STANDARD_GRID)
     sym = np.abs(vals - swapped) / np.abs(vals)
     if sym.max() > 1e-10:
         k = int(np.argmax(sym))
         raise CatalogError(
-            f"{f.label}: symmetry f(x) = x f(1/x) violated at x = {grid[k]:g} "
+            f"{f.label}: symmetry f(x) = x f(1/x) violated at x = {STANDARD_GRID[k]:g} "
             f"(relative gap {sym.max():.3e})"
         )
     drops = np.diff(vals)
@@ -127,10 +132,10 @@ def _validate_grid(f: MonotoneFunction, grid: np.ndarray = STANDARD_GRID) -> Non
 
 def _fixed(evaluator: Callable[[np.ndarray], np.ndarray], f0: float):
     """Builder of a family that takes no parameter."""
-    return lambda param, allow_unvalidated_range: (evaluator, f0)
+    return lambda param: (evaluator, f0)
 
 
-def _alpha(a: float, allow_unvalidated_range: bool):
+def _alpha(a: float):
     """Builder of 2 x^(a + 1/2)/(1 + x^(2a)), a in [0, 1/2]."""
     if not 0.0 <= a <= 0.5:
         raise CatalogError(f"alpha: parameter must lie in [0, 1/2], got {a!r}")
@@ -141,13 +146,10 @@ def _alpha(a: float, allow_unvalidated_range: bool):
     return ev, 0.0
 
 
-def _wyd(b: float, allow_unvalidated_range: bool):
+def _wyd(b: float):
     """Builder of the Wigner-Yanase-Dyson member; a series covers the x = 1 window."""
-    in_default = 0.0 < abs(b) < 1.0
-    in_wide = -1.0 <= b <= 2.0 and b not in (0.0, 1.0)
-    if not in_default and not (allow_unvalidated_range and in_wide):
-        hint = "; pass allow_unvalidated_range=True for the wider [-1, 2] range" if in_wide else ""
-        raise CatalogError(f"wyd: parameter must satisfy 0 < |beta| < 1, got {b!r}{hint}")
+    if not 0.0 < abs(b) < 1.0:
+        raise CatalogError(f"wyd: parameter must satisfy 0 < |beta| < 1, got {b!r}")
     m = b * (1.0 - b)
 
     def ev(x):
@@ -165,8 +167,8 @@ def _wyd(b: float, allow_unvalidated_range: bool):
 class _Family(NamedTuple):
     """One catalogue row: how to build the member, and what ``qfidet catalog`` prints."""
 
-    # (param, allow_unvalidated_range) -> (evaluator, f(0)); raises CatalogError
-    build: Callable[[float | None, bool], tuple[Callable[[np.ndarray], np.ndarray], float]]
+    # param -> (evaluator, f(0)); raises CatalogError
+    build: Callable[[float | None], tuple[Callable[[np.ndarray], np.ndarray], float]]
     formula: str
     parameter: str | None  # None: the family takes no parameter
     value_at_zero: str
@@ -194,7 +196,7 @@ _CATALOG = {
     "wyd": _Family(
         _wyd,
         "b(1 - b)(x - 1)^2/((x^b - 1)(x^(1-b) - 1))",
-        "0 < |b| < 1 (wider [-1, 2] behind allow_unvalidated_range)",
+        "0 < |b| < 1",
         "b(1 - b) for 0 < b < 1, else 0",
         "regular for 0 < b < 1, else nonregular",
         "defined for 0 < b < 1 (no simple closed form)",
@@ -208,7 +210,7 @@ CATALOG_NAMES = tuple(_CATALOG)
 
 
 @lru_cache(maxsize=None)
-def _build(name: str, param: float | None, allow_unvalidated_range: bool) -> MonotoneFunction:
+def _build(name: str, param: float | None) -> MonotoneFunction:
     family = _CATALOG.get(name)
     if family is None:
         raise CatalogError(f"unknown function name {name!r} (choose from {CATALOG_NAMES})")
@@ -216,20 +218,15 @@ def _build(name: str, param: float | None, allow_unvalidated_range: bool) -> Mon
         raise CatalogError(f"{name}: a parameter is required (e.g. '{name}:0.3')")
     if family.parameter is None and param is not None:
         raise CatalogError(f"{name}: does not take a parameter")
-    evaluator, f0 = family.build(param, allow_unvalidated_range)
+    evaluator, f0 = family.build(param)
     f = MonotoneFunction(name, evaluator, f0, f0 > 0.0, params=() if param is None else (param,))
     _validate_grid(f)
     return f
 
 
-def make_function(
-    name: str,
-    param: float | None = None,
-    *,
-    allow_unvalidated_range: bool = False,
-) -> MonotoneFunction:
+def make_function(name: str, param: float | None = None) -> MonotoneFunction:
     """Build a catalogue member by name, e.g. make_function('wyd', 0.3)."""
-    return _build(name, None if param is None else float(param), allow_unvalidated_range)
+    return _build(name, None if param is None else float(param))
 
 
 def parse_function_spec(spec: str) -> MonotoneFunction:

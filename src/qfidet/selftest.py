@@ -136,7 +136,7 @@ def _cases(tol: float):
     ]
 
 
-def run_selftest(tol: float = 1e-9, emit=print) -> bool:
+def run_selftest(tol: float = 1e-9) -> bool:
     all_ok = True
     for name, case in _cases(tol):
         try:
@@ -144,5 +144,5 @@ def run_selftest(tol: float = 1e-9, emit=print) -> bool:
         except Exception as exc:  # a fixture raising is itself a failure
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         all_ok = all_ok and ok
-        emit(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
+        print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
     return all_ok

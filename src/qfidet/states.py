@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .linalg import (
+    RANK_TOL,
     EigenDecomposition,
     as_complex_matrix,
     frobenius,
@@ -27,6 +28,7 @@ from .linalg import (
 
 __all__ = [
     "POSITIVITY_FLOOR",
+    "STATE_KINDS",
     "DensityMatrix",
     "EigenFrame",
     "DependenceReport",
@@ -47,7 +49,7 @@ __all__ = [
 POSITIVITY_FLOOR = 1e-10
 
 _TRACE_TOL = 1e-12
-_RANDOM_KINDS = ("generic", "degenerate", "near-singular")
+STATE_KINDS = ("generic", "degenerate", "near-singular")
 
 
 def derive_seed(*parts) -> int:
@@ -128,13 +130,14 @@ def centered(d: DensityMatrix, a: np.ndarray) -> np.ndarray:
 class EigenFrame:
     """Spectrum of a state plus all observables centered and rotated into its eigenbasis.
 
-    ``observables[k][h, j]`` is the (h, j) entry of U† (A_k - Tr(D A_k) I) U
-    where D = U diag(lambdas) U†.  The double sums behind every covariance
-    formula read their inputs from here.
+    ``observables`` is one read-only (N, n, n) array: ``observables[k, h, j]``
+    is the (h, j) entry of U† (A_k - Tr(D A_k) I) U where
+    D = U diag(lambdas) U†.  The double sums behind every covariance formula
+    read their inputs from here.
     """
 
     lambdas: np.ndarray
-    observables: tuple[np.ndarray, ...]
+    observables: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -151,7 +154,7 @@ def eigenframe(d: DensityMatrix, obs: Sequence[np.ndarray]) -> EigenFrame:
         raise ValueError("eigenframe needs at least one observable")
     u = d.eigen.unitary
     lambdas = d.eigen.eigenvalues
-    rotated = []
+    rotated = np.empty((len(obs),) + d.matrix.shape, dtype=complex)
     for k, a in enumerate(obs):
         if a.shape != d.matrix.shape:
             raise ValueError(
@@ -161,8 +164,9 @@ def eigenframe(d: DensityMatrix, obs: Sequence[np.ndarray]) -> EigenFrame:
         residue = abs(float(np.sum(lambdas * checked.diagonal().real)))
         if residue > 1e-11 * max(1.0, frobenius(checked)):
             raise ValueError(f"observable {k}: centering residue {residue:.3e} after rotation")
-        rotated.append(checked)
-    return EigenFrame(lambdas, tuple(rotated))
+        rotated[k] = checked
+    rotated.flags.writeable = False
+    return EigenFrame(lambdas, rotated)
 
 
 def random_density(n: int, seed: int, kind: str = "generic") -> DensityMatrix:
@@ -175,8 +179,8 @@ def random_density(n: int, seed: int, kind: str = "generic") -> DensityMatrix:
     """
     if not 2 <= n <= 16:
         raise ValueError(f"dimension must be in [2, 16], got {n}")
-    if kind not in _RANDOM_KINDS:
-        raise ValueError(f"kind must be one of {_RANDOM_KINDS}, got {kind!r}")
+    if kind not in STATE_KINDS:
+        raise ValueError(f"kind must be one of {STATE_KINDS}, got {kind!r}")
     rng = np.random.default_rng(derive_seed("density", n, seed, kind))
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = hermitian_part(g @ g.conj().T)
@@ -214,7 +218,7 @@ class DependenceReport:
     rank: int
 
 
-def offdiagonal_dependence(frame: EigenFrame, tol: float = 1e-9) -> DependenceReport:
+def offdiagonal_dependence(frame: EigenFrame) -> DependenceReport:
     """Can some real combination of the frame's observables be made diagonal?
 
     Each rotated observable is flattened to the real vector of its strictly
@@ -222,18 +226,14 @@ def offdiagonal_dependence(frame: EigenFrame, tol: float = 1e-9) -> DependenceRe
     triangle is redundant by Hermiticity).  A combination is diagonal exactly
     when it kills all these vectors, so dependence is a rank deficiency.
     """
-    n = frame.dim
-    iu = np.triu_indices(n, k=1)
-    vectors = np.empty((frame.size, n * (n - 1)), dtype=float)
-    for k, a in enumerate(frame.observables):
-        upper = a[iu]
-        vectors[k, : upper.size] = upper.real
-        vectors[k, upper.size :] = upper.imag
+    h, j = np.triu_indices(frame.dim, k=1)
+    upper = frame.observables[:, h, j]
+    vectors = np.concatenate((upper.real, upper.imag), axis=1)
     # An observable diagonal in the eigenbasis leaves rounding noise in its
     # off-diagonal entries whenever the basis itself was computed; measure
     # that noise against the observables, not against itself.
     scale = max([1.0] + [float(np.linalg.norm(a)) for a in frame.observables])
-    rank = numeric_rank(vectors, tol=tol, floor=tol * scale)
+    rank = numeric_rank(vectors, floor=RANK_TOL * scale)
     return DependenceReport(dependent=rank < frame.size, rank=rank)
 
 

@@ -75,6 +75,8 @@ def test_config_coercion_and_defaults():
         ({"t_grid": (), "checks": ("firey",)}, "t_grid: the firey check needs"),
         ({"function_pairs": ()}, "function_pairs: the conj2 check needs"),
         ({"function_pairs": (), "checks": ("conj2",)}, "function_pairs: the conj2 check needs"),
+        ({"tol": float("inf")}, "tol"),
+        ({"tol": float("nan")}, "tol"),
     ],
 )
 def test_config_validation(kwargs, message):

@@ -72,6 +72,18 @@ def test_verify_config_errors_exit_2(args, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("tol", ["inf", "-1", "nan"])
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "--instances", "0"], ["compute", str(FIXTURES / "qubit_tight.json")], ["selftest"]],
+    ids=["verify", "compute", "selftest"],
+)
+def test_tol_must_be_finite_and_positive(command, tol, capsys):
+    assert main(command + ["--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: argument --tol") and captured.out == ""
+
+
 def test_compute_fixture(capsys):
     code = main(["compute", str(FIXTURES / "qubit_tight.json")])
     out = capsys.readouterr().out

@@ -18,6 +18,7 @@ from qfidet.covariance import (
     qov_matrix_frame,
     robertson_matrix,
 )
+from qfidet.inequalities import PreparedInstance
 from qfidet.linalg import EigenDecomposition, det_real_symmetric, min_eigenvalue
 from qfidet.monotone import make_function, parse_function_spec
 from qfidet.states import density, eigenframe, random_density, random_observable
@@ -26,6 +27,7 @@ from conftest import PAULI_X, PAULI_Y, PAULI_Z
 from oracles import metric_inner_superop, qov_superop
 
 REGULAR = [make_function("sld"), make_function("wy"), make_function("wyd", 0.3)]
+NONREGULAR = ["harmonic", "kubo-mori", "log-square", "sqrt-log", "alpha:0.2", "wyd:-0.4"]
 
 
 def qubit(p=0.75):
@@ -111,10 +113,24 @@ def test_qov_hand_values():
 
 def test_qov_rejects_nonregular_by_default():
     d = qubit()
-    with pytest.raises(ValueError, match="allow_nonregular"):
+    with pytest.raises(ValueError, match="not regular"):
         qov(d, make_function("kubo-mori"), PAULI_X, PAULI_X)
-    value = qov(d, make_function("kubo-mori"), PAULI_X, PAULI_X, allow_nonregular=True)
-    assert value == 0.0
+
+
+@pytest.mark.parametrize("spec", NONREGULAR)
+def test_nonregular_qov_is_rejected_here_and_zero_on_an_instance(spec):
+    f = parse_function_spec(spec)
+    d = random_density(3, 77)
+    obs = [random_observable(3, 78 + k) for k in range(2)]
+    for assemble in (
+        lambda: qov(d, f, obs[0], obs[1]),
+        lambda: qov_matrix(d, f, obs),
+        lambda: qov_matrix_frame(eigenframe(d, obs), f),
+    ):
+        with pytest.raises(ValueError, match="not regular"):
+            assemble()
+    zero = PreparedInstance(d, obs).matrix(f)
+    assert zero.shape == (2, 2) and not zero.any()
 
 
 def test_qov_against_superoperator(rng):
@@ -247,10 +263,8 @@ def test_dependent_family_makes_qov_singular():
 def test_qov_matrix_nonregular_gate():
     d = qubit()
     frame = eigenframe(d, [PAULI_X])
-    with pytest.raises(ValueError, match="allow_nonregular"):
+    with pytest.raises(ValueError, match="not regular"):
         qov_matrix_frame(frame, make_function("harmonic"))
-    zero = qov_matrix_frame(frame, make_function("harmonic"), allow_nonregular=True)
-    assert np.array_equal(zero, np.zeros((1, 1)))
 
 
 def test_robertson_hand_values():
@@ -280,7 +294,7 @@ def test_transpose_convention_is_neutral(rng):
         d = random_density(3, 9000 + trial)
         obs = [random_observable(3, 9100 + 10 * trial + k) for k in range(2)]
         frame = eigenframe(d, obs)
-        flipped = EigenFrame(frame.lambdas, tuple(m.T.copy() for m in frame.observables))
+        flipped = EigenFrame(frame.lambdas, frame.observables.transpose(0, 2, 1))
         assert cov_matrix_frame(frame)[0, 1] == pytest.approx(cov_matrix_frame(flipped)[0, 1], abs=1e-12)
         for f in REGULAR:
             assert qov_matrix_frame(frame, f)[0, 1] == pytest.approx(

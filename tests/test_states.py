@@ -117,6 +117,13 @@ def test_eigenframe_centering_residue(rng):
             assert abs(np.sum(frame.lambdas * a.diagonal().real)) <= 1e-12
 
 
+def test_eigenframe_observables_are_one_read_only_array():
+    frame = eigenframe(random_density(3, 5), [random_observable(3, 6 + k) for k in range(2)])
+    assert frame.observables.shape == (2, 3, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        frame.observables[0, 0, 1] = 0.0
+
+
 def test_eigenframe_input_validation():
     d = qubit_state()
     with pytest.raises(ValueError, match="at least one"):
