@@ -15,7 +15,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -70,6 +69,8 @@ class CheckPlan:
             yield check_conj2(inst, f, g, self.tol), f.label, g.label, None
 
     def firey(self, inst, derived):
+        # every pencil's whole t-grid in one array evaluation; each check reads its row
+        inst.fill_firey([(f, None) for f in self.functions] + list(self.pairs), self.t_grid)
         for t in self.t_grid:
             for f in self.functions:
                 yield check_firey(inst, f, t, tol=self.tol), f.label, None, t
@@ -243,11 +244,18 @@ def _run_cell(config: CampaignConfig, n: int, n_obs: int, kind: str) -> tuple[di
         where = f"kind={kind},index={index}"
         for name, entry in active:
             for rep, fl, gl, t in entry(plan, inst, derived):
-                if rep.hypothesis_ok:
-                    outcome = [int(rep.passed), int(not rep.passed), 0, rep.clamps, rep.margin, where]
+                key = (name, n, n_obs, fl, gl, t)
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = _empty_row()
+                # the tally of _add_row, one outcome at a time
+                if not rep.hypothesis_ok:
+                    row[2] += 1
                 else:
-                    outcome = [0, 0, 1, 0, None, ""]
-                _add_row(rows.setdefault((name, n, n_obs, fl, gl, t), _empty_row()), outcome)
+                    row[0 if rep.passed else 1] += 1
+                    row[3] += rep.clamps
+                    if row[4] is None or rep.margin < row[4]:
+                        row[4:] = rep.margin, where
                 if not rep.violated or len(violations) >= VIOLATION_CAP:
                     continue
                 violation = {
@@ -282,6 +290,9 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
     start = time.perf_counter()
     cells = [(config, n, n_obs, kind) for n in config.dims for n_obs in config.num_obs for kind in config.kinds]
     if workers > 1 and len(cells) > 1:
+        # imported here: it loads multiprocessing, which a 1-worker run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_cell_entry, cells))
     else:

@@ -160,16 +160,23 @@ def _cmd_selftest(args) -> int:
     return 0 if run_selftest(args.tol) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises on every usage error instead of exiting,
+    so that main() reports it like any other input error.  Its subcommand
+    parsers are of this class too."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # exit_on_error=False: main() reports a bad option value like any other input error
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qfidet",
         description="Verify determinant bounds between covariance and quantum covariance matrices.",
-        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    verify = sub.add_parser("verify", help="run a randomized verification campaign", exit_on_error=False)
+    verify = sub.add_parser("verify", help="run a randomized verification campaign")
     verify.add_argument("--seed", type=int, default=None, help="root seed for instance derivation")
     verify.add_argument("--dims", default=None, help="comma-separated state dimensions, e.g. 2,3,4")
     verify.add_argument("--num-obs", default=None, help="comma-separated observable counts")
@@ -185,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--workers", type=int, default=1)
     verify.set_defaults(handler=_cmd_verify)
 
-    compute = sub.add_parser("compute", help="run every check on one instance file", exit_on_error=False)
+    compute = sub.add_parser("compute", help="run every check on one instance file")
     compute.add_argument("instance", help="path to an instance JSON file")
     compute.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     compute.set_defaults(handler=_cmd_compute)
@@ -193,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     catalog = sub.add_parser("catalog", help="list the built-in monotone function families")
     catalog.set_defaults(handler=_cmd_catalog)
 
-    selftest = sub.add_parser("selftest", help="run the hand-derived fixture battery", exit_on_error=False)
+    selftest = sub.add_parser("selftest", help="run the hand-derived fixture battery")
     selftest.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     selftest.set_defaults(handler=_cmd_selftest)
     return parser

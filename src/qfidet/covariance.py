@@ -58,8 +58,12 @@ def cov(d: DensityMatrix, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def pair_means(lambdas: np.ndarray, f: MonotoneFunction) -> np.ndarray:
-    """Matrix of m_f(lambda_h, lambda_j) over all eigenvalue pairs."""
-    return mean(f, lambdas[:, None], lambdas[None, :])
+    """Matrix of m_f(lambda_h, lambda_j) over all eigenvalue pairs.
+
+    A stack of spectra (..., n) gives the stack of their matrices from one
+    ``mean`` call.
+    """
+    return mean(f, lambdas[..., :, None], lambdas[..., None, :])
 
 
 def rotated_products(d: DensityMatrix, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -77,9 +81,8 @@ def rotated_products(d: DensityMatrix, x: np.ndarray, y: np.ndarray) -> np.ndarr
     return xr.conj() * yr
 
 
-def metric_sum(products: np.ndarray, lambdas: np.ndarray, f: MonotoneFunction) -> float:
-    """Real part of sum products_hj / m_f(lambda_h, lambda_j)."""
-    means = pair_means(lambdas, f)
+def metric_sum(products: np.ndarray, means: np.ndarray, f: MonotoneFunction) -> float:
+    """Real part of sum products_hj / m_f(lambda_h, lambda_j), given the means from ``pair_means``."""
     if not np.all(means > 0.0):
         raise ValueError(f"matrix mean underflow for {f.label}: min {means.min():.3e}")
     return float(np.sum(products / means).real)
@@ -91,7 +94,7 @@ def metric_inner(d: DensityMatrix, f: MonotoneFunction, x: np.ndarray, y: np.nda
     Defined for arbitrary Hermitian tangents; positivity of the state keeps
     every matrix mean strictly positive.
     """
-    return metric_sum(rotated_products(d, x, y), d.eigenvalues, f)
+    return metric_sum(rotated_products(d, x, y), pair_means(d.eigenvalues, f), f)
 
 
 def _require_regular(f: MonotoneFunction) -> None:

@@ -6,7 +6,8 @@ one or two monotone functions, their differences, and binomial cross terms
 (the Minkowski/Firey machinery).  A PreparedInstance carries the shared
 eigenframe and memoizes every matrix and determinant, so that a campaign can
 run the whole battery of checks on an instance for the price of computing
-each ingredient once.
+each ingredient once.  It also memoizes the rows of the Firey check, which
+it evaluates as arrays over every (pencil, t) of the instance at once.
 
 Pass/fail is always margin >= -tol * scale with scale = max(1, sum of squared
 Frobenius norms of the observables).  Hypothesis failures (a function pair
@@ -26,6 +27,7 @@ from .covariance import (
     cov_matrix_frame,
     metric_sum,
     observable_scale,
+    pair_means,
     qov_matrix_frame,
     rotated_products,
 )
@@ -33,6 +35,7 @@ from .linalg import (
     RANK_TOL,
     det_antisymmetric,
     det_real_symmetric,
+    det_real_symmetric_stack,
     min_eigenvalue,
     numeric_rank,
 )
@@ -104,21 +107,45 @@ def _clamp(value: float, window: float, what: str) -> tuple[float, int]:
     )
 
 
-def _cross_terms(det_q: float, det_diff: float, n_obs: int, a: float, b: float) -> float:
-    """Weighted cross terms C(N,k) (a q^{1/N})^k (b c^{1/N})^{N-k}, k = 1..N-1.
+def _require_unit(t: float) -> None:
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t must lie in [0, 1], got {t!r}")
 
-    Zero for N = 1 and whenever either weighted root vanishes.
+
+def _pow(x, k: int):
+    """x ** k for a float, or elementwise for an array, always by the C library's pow.
+
+    numpy's vectorized power rounds differently from it on some hosts, which
+    would move margins by an ulp against the scalar formula.
     """
+    if k == 1:
+        return x
+    if isinstance(x, float):
+        return x**k
+    return np.array([v**k for v in x.tolist()])
+
+
+def _root(det: float, n_obs: int) -> float:
+    """det^{1/N}, with a roundoff-negative det (down to -1e-12) read as 0."""
     if n_obs < 1:
         raise ValueError(f"observable count must be >= 1, got {n_obs}")
-    for name, v in (("det_q", det_q), ("det_diff", det_diff)):
-        if v < -1e-12:
-            raise ValueError(f"{name} = {v!r} is negative beyond roundoff")
-    q = max(det_q, 0.0) ** (1.0 / n_obs) * a
-    c = max(det_diff, 0.0) ** (1.0 / n_obs) * b
-    if q == 0.0 or c == 0.0 or n_obs == 1:
-        return 0.0
-    return float(sum(math.comb(n_obs, k) * q**k * c ** (n_obs - k) for k in range(1, n_obs)))
+    if det < -1e-12:
+        raise ValueError(f"determinant {det!r} is negative beyond roundoff")
+    return det ** (1.0 / n_obs) if det > 0.0 else 0.0
+
+
+def _cross_terms(q, c, n_obs: int):
+    """Binomial cross terms C(N,k) q^k c^{N-k}, k = 1..N-1, of two weighted
+    roots q = a det_q^{1/N} >= 0 and c = b det_diff^{1/N}: floats, or arrays
+    of them (elementwise).  Zero for N = 1 and wherever q or c vanishes."""
+    total = 0.0 * q
+    for k in range(1, n_obs):
+        total = total + math.comb(n_obs, k) * _pow(q, k) * _pow(c, n_obs - k)
+    return total
+
+
+def _weaker(name: str, label: str) -> AssertionError:
+    return AssertionError(f"{name}: cross terms made the bound weaker than its {label} term")
 
 
 def remainder(det_q: float, det_diff: float, n_obs: int) -> float:
@@ -127,7 +154,7 @@ def remainder(det_q: float, det_diff: float, n_obs: int) -> float:
     Equals ((det_q)^{1/N} + (det_diff)^{1/N})^N minus the two pure terms;
     zero for N = 1 and whenever either determinant vanishes.
     """
-    return _cross_terms(det_q, det_diff, n_obs, 1.0, 1.0)
+    return _cross_terms(_root(det_q, n_obs), _root(det_diff, n_obs), n_obs)
 
 
 def remainder_t(det_q: float, det_diff: float, n_obs: int, t: float) -> float:
@@ -135,9 +162,48 @@ def remainder_t(det_q: float, det_diff: float, n_obs: int, t: float) -> float:
 
     At t = 1/2 this is exactly 2^{-N} times ``remainder``.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    return _cross_terms(det_q, det_diff, n_obs, 1.0 - t, t)
+    _require_unit(t)
+    return _cross_terms(_root(det_q, n_obs) * (1.0 - t), _root(det_diff, n_obs) * t, n_obs)
+
+
+def _sides(f: MonotoneFunction, g: MonotoneFunction | None) -> tuple:
+    """(K_big, K_small) of a pencil: (Cov, Qov_f) with g None, else (Qov_f, Qov_g)."""
+    return ("cov", f) if g is None else (f, g)
+
+
+def _firey_rows(inst, todo: dict) -> list:
+    """Firey rows (det_mix, remainder_t, rhs) for ``todo``, pencil (f, g) ->
+    its t values, in that order, evaluated as arrays over every (pencil, t).
+
+    The mixes t K_big + (1 - 2t) K_small form one (M, N, N) stack with one
+    determinant call.  The right side (1-t)^N q + t^N dd + cross terms
+    takes q = det K_small and dd = det(K_big - K_small) of each pencil at
+    zero where they are roundoff-negative (the check clamps them the same
+    way, or raises).  Every operation is elementwise, so a row is
+    bit-identical whichever other rows shared the evaluation.
+    """
+    n = inst.size
+    counts = [len(ts) for ts in todo.values()]
+    sides = [_sides(f, g) for f, g in todo]
+    q = [max(inst.det(small), 0.0) for _, small in sides]
+    dd = [max(inst.det(big, small), 0.0) for big, small in sides]
+
+    def per_row(values) -> np.ndarray:
+        return np.repeat(np.array(values), counts, axis=0)
+
+    t = np.array([t for ts in todo.values() for t in ts], dtype=float)
+    a = 1.0 - t
+    big = per_row([inst.matrix(big) for big, _ in sides])
+    small = per_row([inst.matrix(small) for _, small in sides])
+    lhs = det_real_symmetric_stack(t[:, None, None] * big + (1.0 - 2.0 * t)[:, None, None] * small)
+    rem = _cross_terms(per_row([_root(v, n) for v in q]) * a, per_row([_root(v, n) for v in dd]) * t, n)
+    first = _pow(a, n) * per_row(q)
+    rhs = first + _pow(t, n) * per_row(dd) + rem
+    weaker = rhs < first
+    if weaker.any():
+        g = [g for (_, g), ts in todo.items() for _ in ts][int(np.argmax(weaker))]
+        raise _weaker("firey", "det Qov" if g is None else "det Qov_g")
+    return list(zip(lhs.tolist(), rem.tolist(), rhs.tolist()))
 
 
 class PreparedInstance:
@@ -158,6 +224,8 @@ class PreparedInstance:
         self.digest = digest
         self._matrix: dict = {}
         self._det: dict = {}
+        self._firey: dict = {}
+        self._structure = None
 
     @property
     def size(self) -> int:
@@ -189,6 +257,47 @@ class PreparedInstance:
             m = self.matrix(big) if small is None else self.matrix(big) - self.matrix(small)
             got = self._det[key] = det_antisymmetric(m) if big == "robertson" else det_real_symmetric(m)
         return got
+
+    def fill_firey(self, pencils, ts) -> None:
+        """Compute the Firey rows (det_mix, remainder_t, rhs) of every pencil,
+        (f, None) for (Cov, Qov_f) and (f, g) for (Qov_f, Qov_g), at every t
+        of ``ts`` not yet known, all in one array evaluation."""
+        for t in ts:
+            _require_unit(t)
+        todo = {}
+        for pencil in pencils:
+            known = self._firey.setdefault(pencil, {})
+            missing = [t for t in ts if t not in known]
+            if missing:
+                todo[pencil] = missing
+        if todo:
+            rows = iter(_firey_rows(self, todo))
+            for pencil, missing in todo.items():
+                self._firey[pencil].update(zip(missing, rows))
+
+    def firey_row(self, f, g, t) -> tuple[float, float, float]:
+        """Memoized Firey row at one t; one not filled before is evaluated
+        as a grid of one."""
+        got = self._firey.get((f, g), {}).get(t)
+        if got is None:
+            self.fill_firey(((f, g),), (t,))
+            got = self._firey[f, g][t]
+        return got
+
+    def structure(self) -> tuple[int, bool]:
+        """Memoized rank of the frame observables as real vectors, and whether
+        some real combination of them is diagonal in the state's eigenbasis.
+        Neither depends on a function, so every equality check shares them."""
+        if self._structure is None:
+            flat = self.frame.observables.reshape(self.size, -1)
+            vectors = np.concatenate((flat.real, flat.imag), axis=1)
+            # Centering an observable proportional to the identity leaves only
+            # rounding noise behind; a floor at the raw observables' scale keeps
+            # such a row from counting as an independent direction.
+            obs_scale = max([1.0] + [float(np.linalg.norm(a)) for a in self.observables])
+            rank = numeric_rank(vectors, floor=RANK_TOL * obs_scale)
+            self._structure = (rank, offdiagonal_dependence(self.frame).dependent)
+        return self._structure
 
 
 def prepare_random(n: int, n_obs: int, seed: int, kind: str = "generic") -> PreparedInstance:
@@ -236,18 +345,18 @@ def _pencil(name, keys, inst, f, g, tol, t=None):
 
     (K_big, K_small) is (Cov, Qov_f) with g omitted and (Qov_f, Qov_g) for
     the pair, which needs strict dominance.  Without t, (a, b) = (1, 1) and
-    lhs = det K_big; with t, (a, b) = (1 - t, t) and
-    lhs = det(t K_big + (1 - 2t) K_small).  ``keys`` names the components
+    lhs = det K_big; with t, (a, b) = (1 - t, t),
+    lhs = det(t K_big + (1 - 2t) K_small), and lhs, the cross terms and
+    the right side are the instance's memoized Firey row.  ``keys`` names the components
     lhs, det K_small, det(K_big - K_small) and the cross terms.  Unit weights
     multiply exactly, so conj1 is not 2^N firey(1/2), which can round apart.
     """
+    big, small = _sides(f, g)
     if g is None:
-        big, small = "cov", f
         labels = ("det Qov", "det(Cov - Qov)")
         hypothesis_ok = True
         names = {"f": f.label}
     else:
-        big, small = f, g
         labels = ("det Qov_g", "det(Qov_f - Qov_g)")
         hypothesis_ok = _pair_hypothesis(f, g)
         names = {"f": f.label, "g": g.label}
@@ -255,18 +364,15 @@ def _pencil(name, keys, inst, f, g, tol, t=None):
     q, c1 = _clamp(inst.det(small), window, labels[0])
     dd, c2 = _clamp(inst.det(big, small), window, labels[1])
     if t is None:
-        a = b = 1.0
         lhs = inst.det(big)
+        n = inst.size
+        rem = _cross_terms(_root(q, n), _root(dd, n), n)
+        rhs = q + dd + rem
+        if rhs < q:
+            raise _weaker(name, labels[0])
     else:
-        a, b = 1.0 - t, t
-        lhs = det_real_symmetric(t * inst.matrix(big) + (1.0 - 2.0 * t) * inst.matrix(small))
+        lhs, rem, rhs = inst.firey_row(f, g, t)
         names = {"t": t, **names}
-    n = inst.size
-    rem = _cross_terms(q, dd, n, a, b)
-    first = a**n * q
-    rhs = first + b**n * dd + rem
-    if rhs < first:
-        raise AssertionError(f"{name}: cross terms made the bound weaker than its {labels[0]} term")
     components = {**dict(zip(keys, (lhs, q, dd, rem))), **names}
     return _report(name, lhs, rhs, inst.scale, tol, components, inst.digest, c1 + c2, hypothesis_ok)
 
@@ -299,8 +405,7 @@ def check_firey(
     Note t K_big + (1-2t) K_small = (1-t) K_small + t (K_big - K_small), so
     this is the Firey combination of the two summands on the right.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
+    _require_unit(t)
     return _pencil("firey", ("det_mix", "det_small", "det_diff", "remainder_t"), inst, f, g, tol, t)
 
 
@@ -402,16 +507,8 @@ def classify_equality(
     det_cov = inst.det("cov")
     det_qf = inst.det(f)
     det_qg = None if g is None else inst.det(g)
-
-    flat = inst.frame.observables.reshape(inst.size, -1)
-    vectors = np.concatenate((flat.real, flat.imag), axis=1)
-    # Centering an observable proportional to the identity leaves only
-    # rounding noise behind; a floor at the raw observables' scale keeps
-    # such a row from counting as an independent direction.
-    obs_scale = max([1.0] + [float(np.linalg.norm(a)) for a in inst.observables])
-    rank = numeric_rank(vectors, floor=RANK_TOL * obs_scale)
+    rank, offdiag = inst.structure()
     dependent = rank < inst.size
-    offdiag = offdiagonal_dependence(inst.frame).dependent
 
     return EqualityClassification(
         det_cov=det_cov,
@@ -437,8 +534,7 @@ def minkowski_firey_selftest(
     Standalone check of the classical inequality the main bounds reduce to;
     takes plain matrices, no quantum structure.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
+    _require_unit(t)
     k = np.asarray(k, dtype=float)
     l = np.asarray(l, dtype=float)
     if k.shape != l.shape or k.ndim != 2 or k.shape[0] != k.shape[1]:
@@ -461,14 +557,16 @@ def minkowski_firey_selftest(
 
 
 def _contraction_parts(d: DensityMatrix, x, blocks: tuple) -> tuple:
-    """Products of the traceless tangent X0 in D's eigenbasis, the pinched
-    state, and products of the pinched X0 in the pinched state's eigenbasis."""
+    """Products of the traceless tangent X0 in D's eigenbasis, products of
+    the pinched X0 in the pinched state's eigenbasis, and the two spectra
+    stacked (D's first) for one ``pair_means`` call per function."""
     x = observable(x)
     n = d.dim
     x0 = x - (np.trace(x).real / n) * np.eye(n)
     pinched_state = density(pinching(d.matrix, blocks))
     pinched_x0 = pinching(x0, blocks)
-    return rotated_products(d, x0, x0), pinched_state, rotated_products(pinched_state, pinched_x0, pinched_x0)
+    spectra = np.stack((d.eigenvalues, pinched_state.eigenvalues))
+    return rotated_products(d, x0, x0), rotated_products(pinched_state, pinched_x0, pinched_x0), spectra
 
 
 def check_metric_contraction(
@@ -488,9 +586,10 @@ def check_metric_contraction(
     xa = np.asarray(x)
     blocks = tuple(tuple(int(i) for i in block) for block in partition)
     key = ("contraction", xa.dtype.str, xa.shape, xa.tobytes(), blocks)
-    products, pinched_state, pinched_products = d.memo(key, lambda: _contraction_parts(d, xa, blocks))
-    before = metric_sum(products, d.eigenvalues, f)
-    after = metric_sum(pinched_products, pinched_state.eigenvalues, f)
+    products, pinched_products, spectra = d.memo(key, lambda: _contraction_parts(d, xa, blocks))
+    means = pair_means(spectra, f)
+    before = metric_sum(products, means[0], f)
+    after = metric_sum(pinched_products, means[1], f)
     n = d.dim
     scale = max(1.0, before)
     # Metric weights near a tiny eigenvalue lam are 1/lam-sized, and storing
@@ -498,7 +597,7 @@ def check_metric_contraction(
     # eps*||D||/lam relative accuracy, so the achievable precision of the
     # two sides degrades by that factor.  Widen the window accordingly;
     # for healthy spectra the extra term is far below tol*scale.
-    lam_floor = float(min(d.eigenvalues[0], pinched_state.eigenvalues[0]))
+    lam_floor = float(min(spectra[0, 0], spectra[1, 0]))
     window = tol * scale + 4.0 * n * np.finfo(float).eps / lam_floor * before
     components = {
         "before": before,

@@ -22,6 +22,7 @@ __all__ = [
     "commutator",
     "apply_scalar_function",
     "det_real_symmetric",
+    "det_real_symmetric_stack",
     "det_antisymmetric",
     "min_eigenvalue",
     "numeric_rank",
@@ -154,19 +155,51 @@ def det_real_symmetric(m) -> float:
     if not asym <= SYMMETRY_TOL * scale:
         _entry_scale(a)
         raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym:.3e})")
-    if n == 1:
-        det = r[0][0]
-    elif n == 2:
-        det = r[0][0] * r[1][1] - r[0][1] * r[1][0]
-    else:
-        det = (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
+    det = _cofactor_det(r)
     if not math.isfinite(det):
         _entry_scale(a)  # Python's max can pass over a NaN above
     return det
+
+
+def _cofactor_det(r):
+    """Cofactor expansion of an N x N matrix, N <= 3, given as rows of entries.
+
+    The entries are floats for one matrix, or arrays that hold one entry of
+    every matrix of a stack; either way the operations and their order are
+    the same, so a stacked determinant equals the single one bit for bit.
+    """
+    if len(r) == 1:
+        return r[0][0]
+    if len(r) == 2:
+        return r[0][0] * r[1][1] - r[0][1] * r[1][0]
+    return (
+        r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+        - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+        + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
+    )
+
+
+def det_real_symmetric_stack(ms) -> np.ndarray:
+    """Determinants of a (T, N, N) stack of real symmetric matrices.
+
+    Each equals ``det_real_symmetric`` of its matrix bit for bit: the same
+    cofactor expressions on array columns up to 3x3, and the same LU above.
+    The first matrix that is not finite or not symmetric raises the
+    ValueError that ``det_real_symmetric`` raises for it.
+    """
+    a = np.asarray(ms, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    largest = np.abs(a).max(axis=(1, 2))
+    asym = np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = ~(asym <= SYMMETRY_TOL * np.maximum(1.0, largest))
+    if bad.any():
+        k = int(np.argmax(bad))
+        _entry_scale(a[k])
+        raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym[k]:.3e})")
+    if a.shape[1] > 3:
+        return np.linalg.det(a)
+    return _cofactor_det(a.transpose(1, 2, 0))
 
 
 def det_antisymmetric(k) -> float:

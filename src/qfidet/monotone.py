@@ -75,10 +75,17 @@ class MonotoneFunction:
     params: tuple[float, ...] = ()
     # "name" or "name:p1,p2", set once here because reports read it per outcome
     label: str = field(init=False, repr=False, compare=False)
+    # hash of the compared fields, set once here because every memo lookup takes it
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         label = self.name + ":" + ",".join(f"{p:g}" for p in self.params) if self.params else self.name
         object.__setattr__(self, "label", label)
+        key = (self.name, self.evaluator, self.value_at_zero, self.regular, self.params)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)

@@ -64,12 +64,14 @@ def test_verify_csv(tmp_path, capsys):
         ["verify", "--kinds", "weird"],
         ["verify", "--t-grid", "", "--checks", "firey"],
         ["verify", "--pairs", "", "--checks", "conj2"],
+        [],
+        ["verify", "--bogus"],
     ],
 )
 def test_verify_config_errors_exit_2(args, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("tol", ["inf", "-1", "nan"])

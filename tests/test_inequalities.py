@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qfidet.campaign import DEFAULT_T_GRID
+from qfidet.campaign import DEFAULT_T_GRID, CheckPlan
 from qfidet.covariance import metric_inner, robertson_matrix
 from qfidet.inequalities import (
     EqualityClassification,
@@ -471,6 +471,61 @@ def test_firey_left_side_is_the_array_determinant_of_the_mix():
                 ref = det_real_symmetric(t * inst.matrix(f) + w * inst.matrix(g))
                 got = check_firey(inst, f, t, g=g).components["det_mix"]
                 assert _bits(got) == _bits(ref), (trial, t, f.label, g.label)
+
+
+MEMO_PAIRS = ((SLD, WY), (SLD, WYD), (WY, WYD), (SLD, KM))
+KINDS = ("generic", "degenerate", "near-singular")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_firey_rows_do_not_depend_on_the_memo_order(kind, rng):
+    plan = CheckPlan(functions=(SLD, WY, WYD, KM), pairs=MEMO_PAIRS, tol=1e-9, t_grid=DEFAULT_T_GRID)
+    pencils = [(f, None) for f in plan.functions] + list(MEMO_PAIRS)
+    off_grid = 0.37
+    for n in (2, 3, 4):
+        for n_obs in (1, 2, 3, 4):
+            seed = int(rng.integers(2**32))
+            filled = prepare_random(n, n_obs, seed, kind)
+            got = {(fl, gl, t): rep for rep, fl, gl, t in plan.firey(filled, seed)}
+            got.update({(f.label, g and g.label, off_grid): check_firey(filled, f, off_grid, g=g) for f, g in pencils})
+            fresh = prepare_random(n, n_obs, seed, kind)
+            # one t at a time, in a shuffled order of t and of the pencils
+            for t in [off_grid, *rng.permutation(DEFAULT_T_GRID).tolist()]:
+                for k in rng.permutation(len(pencils)):
+                    f, g = pencils[k]
+                    want = check_firey(fresh, f, t, g=g)
+                    rep = got[f.label, g and g.label, t]
+                    assert rep == want, (n, n_obs, t, f.label)
+                    for key in ("det_mix", "remainder_t"):
+                        assert _bits(rep.components[key]) == _bits(want.components[key]), (n, n_obs, t, key)
+                    assert _bits(rep.margin) == _bits(want.margin), (n, n_obs, t, f.label)
+
+
+def test_firey_right_side_is_the_scalar_formula_bit_for_bit(rng):
+    # the grid's powers must round as Python's float power does, not as numpy's
+    plan = CheckPlan(functions=(SLD, WY, WYD, KM), pairs=MEMO_PAIRS, tol=1e-9, t_grid=DEFAULT_T_GRID)
+    for trial in range(30):
+        n_obs = 2 + trial % 3
+        inst = prepare_random(2 + trial % 3, n_obs, int(rng.integers(2**32)), KINDS[trial % 3])
+        for rep, fl, gl, t in plan.firey(inst, None):
+            c = rep.components
+            rem = remainder_t(c["det_small"], c["det_diff"], n_obs, t)
+            rhs = (1.0 - t) ** n_obs * c["det_small"] + t**n_obs * c["det_diff"] + rem
+            assert _bits(c["remainder_t"]) == _bits(rem), (trial, fl, gl, t)
+            assert _bits(rep.rhs) == _bits(rhs), (trial, fl, gl, t)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_equality_classification_does_not_depend_on_the_pair_order(kind, rng):
+    queries = [*MEMO_PAIRS, (SLD, None), (WYD, None)]
+    for n in (2, 3, 4):
+        for n_obs in (1, 2, 3, 4):
+            seed = int(rng.integers(2**32))
+            results = []
+            for order in (queries, queries[::-1], queries[1::2] + queries[::2]):
+                inst = prepare_random(n, n_obs, seed, kind)
+                results.append({(f.label, g and g.label): classify_equality(inst, f, g) for f, g in order})
+            assert results[0] == results[1] == results[2], (n, n_obs)
 
 
 def _fresh_contraction_sides(seed: int, n: int, x, f, part) -> tuple[float, float]:
