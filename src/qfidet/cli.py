@@ -39,6 +39,14 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _worker_count(text: str) -> int:
+    """Type of ``--workers``: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text}")
+    return value
+
+
 def _csv_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
@@ -189,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--checks", default=None, help=f"checks from: {','.join(CHECK_NAMES)}")
     verify.add_argument("--out", default=None, help="write the report to this path")
     verify.add_argument("--format", choices=("json", "csv"), default="json")
-    verify.add_argument("--workers", type=int, default=1)
+    verify.add_argument("--workers", type=_worker_count, default=1)
     verify.set_defaults(handler=_cmd_verify)
 
     compute = sub.add_parser("compute", help="run every check on one instance file")
@@ -214,8 +222,9 @@ def main(argv=None) -> int:
         # before ValueError: LinAlgError is one
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError, argparse.ArgumentError) as exc:
-        # ConfigError, InstanceFormatError and CatalogError are ValueErrors
+    except (ValueError, OSError, argparse.ArgumentError) as exc:
+        # ConfigError, InstanceFormatError and CatalogError are ValueErrors;
+        # an OSError is a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

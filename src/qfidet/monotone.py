@@ -14,38 +14,31 @@ member from the parameter alone (param -> (evaluator, f(0))) and holds the
 text that ``qfidet catalog`` prints.  A parameter outside the range a row
 states is rejected.
 
-Functions are validated on a fixed logarithmic grid; the grid check is a
-necessary condition only, so user-supplied evaluators are accepted but never
-certified as operator monotone.  A sampled matrix-order check is available
-for stronger evidence.
+Every member is validated on a fixed logarithmic grid when it is built.
+That check is a necessary condition only; the operator monotonicity of the
+catalogue's families is a known result, not something this module tests.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import apply_scalar_function, min_eigenvalue
-
 __all__ = [
     "CatalogError",
     "MonotoneFunction",
     "DominanceReport",
-    "OrderCheckReport",
     "STANDARD_GRID",
     "STRICTNESS_FLOOR",
     "CATALOG_NAMES",
     "make_function",
     "parse_function_spec",
     "checked_spec",
-    "custom_function",
     "mean",
     "tilde",
     "dominates",
-    "check_operator_monotone",
     "catalog_families",
 ]
 
@@ -258,17 +251,6 @@ def checked_spec(spec: str, field: str, error: type[ValueError]) -> str:
     return spec
 
 
-def custom_function(
-    name: str,
-    evaluator: Callable[[np.ndarray], np.ndarray],
-    value_at_zero: float,
-) -> MonotoneFunction:
-    """Wrap a user evaluator.  Grid-checked only, never certified."""
-    f = MonotoneFunction(name, evaluator, float(value_at_zero), abs(value_at_zero) > 1e-12)
-    _validate_grid(f)
-    return f
-
-
 def mean(f: MonotoneFunction, x, y):
     """The induced mean m_f(x, y) = x f(y/x), extended symmetrically to zero.
 
@@ -358,58 +340,6 @@ def _dominance(f: MonotoneFunction, g: MonotoneFunction) -> DominanceReport:
         weak=bool(np.all(margins >= -STRICTNESS_FLOOR)),
         min_margin=float(margins[k]),
         min_margin_at=float(STANDARD_GRID[k]),
-    )
-
-
-@dataclass(frozen=True)
-class OrderCheckReport:
-    """Sampled matrix-order check: does A <= B imply f(A) <= f(B)?"""
-
-    label: str
-    dim: int
-    trials: int
-    violations: tuple[tuple[int, float], ...]
-    worst_margin: float
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def check_operator_monotone(
-    f: MonotoneFunction,
-    dim: int = 3,
-    trials: int = 200,
-    seed: int = 0,
-    threshold: float = -1e-9,
-) -> OrderCheckReport:
-    """Sample random pairs 0 < A <= B and test min eig of f(B) - f(A).
-
-    Evidence only: passing certifies nothing, a failure is disqualifying.
-    """
-    if not 1 <= dim <= 3:
-        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    rng = np.random.default_rng(seed)
-    violations = []
-    worst = math.inf
-    for k in range(trials):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        a = g @ g.conj().T / dim + 0.05 * np.eye(dim)
-        h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        b = a + rng.uniform(0.0, 1.0) * (h @ h.conj().T) / dim
-        gap = apply_scalar_function(b, f) - apply_scalar_function(a, f)
-        m = min_eigenvalue(gap)
-        worst = min(worst, m)
-        if m < threshold:
-            violations.append((k, m))
-    return OrderCheckReport(
-        label=f.label,
-        dim=dim,
-        trials=trials,
-        violations=tuple(violations),
-        worst_margin=worst,
     )
 
 

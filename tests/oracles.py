@@ -1,15 +1,24 @@
 """Independent reference computations used only by the test suite.
 
 Everything here deliberately avoids the library's own code paths: exact
-determinants by elimination in rationals, and the metric through an explicit
+determinants by elimination in rationals, the metric through an explicit
 superoperator matrix in the standard basis, diagonalized whole by numpy's
-``eigh`` instead of through the state's eigenframe.
+``eigh`` instead of through the state's eigenframe, and matrix functions and
+smallest eigenvalues straight from numpy's ``eigh`` and ``eigvalsh``.
+
+The one exception is ``custom_function``: it wraps a test's evaluator in the
+library's ``MonotoneFunction`` and runs the library's grid validation on it,
+so that the order check and the catalogue tests can take it like a member.
 """
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from qfidet.monotone import MonotoneFunction, _validate_grid
 
 
 def det_exact(m) -> Fraction:
@@ -67,3 +76,59 @@ def qov_superop(d: np.ndarray, f, a: np.ndarray, b: np.ndarray) -> float:
     xa = 1j * (d @ a - a @ d)
     xb = 1j * (d @ b - b @ d)
     return 0.5 * f(0.0) * metric_inner_superop(d, f, xa, xb)
+
+
+def unitarity_residual(eig) -> float:
+    """Frobenius norm of U^dagger U - I for an eigendecomposition's unitary."""
+    u = eig.unitary
+    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
+
+
+def apply_scalar_function(h, phi) -> np.ndarray:
+    """phi, which maps an array of eigenvalues elementwise, applied to a Hermitian matrix."""
+    w, u = np.linalg.eigh(np.asarray(h, dtype=complex))
+    m = (u * np.asarray(phi(w), dtype=float)) @ u.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+def custom_function(name: str, evaluator, value_at_zero: float) -> MonotoneFunction:
+    """Wrap a test's evaluator as a function of the catalogue's kind.  Grid-checked only."""
+    f = MonotoneFunction(name, evaluator, float(value_at_zero), abs(value_at_zero) > 1e-12)
+    _validate_grid(f)
+    return f
+
+
+@dataclass(frozen=True)
+class OrderCheckReport:
+    """Sampled matrix-order check: does A <= B imply f(A) <= f(B)?"""
+
+    label: str
+    dim: int
+    trials: int
+    violations: tuple[tuple[int, float], ...]
+    worst_margin: float
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+
+def check_operator_monotone(f, dim: int, trials: int, seed: int) -> OrderCheckReport:
+    """Sample random pairs 0 < A <= B and test min eig of f(B) - f(A) against -1e-9.
+
+    Evidence only: passing certifies nothing, a failure is disqualifying.
+    """
+    rng = np.random.default_rng(seed)
+    violations = []
+    worst = math.inf
+    for k in range(trials):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        a = g @ g.conj().T / dim + 0.05 * np.eye(dim)
+        h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        b = a + rng.uniform(0.0, 1.0) * (h @ h.conj().T) / dim
+        gap = apply_scalar_function(b, f) - apply_scalar_function(a, f)
+        m = float(np.linalg.eigvalsh(gap)[0])
+        worst = min(worst, m)
+        if m < -1e-9:
+            violations.append((k, m))
+    return OrderCheckReport(f.label, dim, trials, tuple(violations), worst)

@@ -26,7 +26,7 @@ import pytest
 from conftest import FIXTURES, PAULI_X, PAULI_Y
 
 import qfidet.campaign as campaign_module
-from oracles import qov_superop
+from oracles import check_operator_monotone, qov_superop
 from qfidet.campaign import REPORT_VERSION, CampaignConfig, run_campaign
 from qfidet.cli import main as cli_main
 from qfidet.covariance import (
@@ -51,7 +51,6 @@ from qfidet.inequalities import (
 from qfidet.io import load_instance
 from qfidet.monotone import (
     STANDARD_GRID,
-    check_operator_monotone,
     dominates,
     make_function,
     parse_function_spec,

@@ -66,6 +66,8 @@ def test_verify_csv(tmp_path, capsys):
         ["verify", "--pairs", "", "--checks", "conj2"],
         [],
         ["verify", "--bogus"],
+        ["verify", "--workers", "0"],
+        ["verify", "--workers", "-3"],
     ],
 )
 def test_verify_config_errors_exit_2(args, capsys):
@@ -97,6 +99,16 @@ def test_compute_fixture(capsys):
 
 def test_compute_missing_file(capsys):
     assert main(["compute", "/nonexistent/inst.json"]) == 2
+
+
+def test_unreadable_or_unwritable_path_exits_2(tmp_path, capsys):
+    # a directory where a file is expected: read by compute, written by verify
+    expected = f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    assert main(["compute", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == expected
+    args = ["verify", "--instances", "1", "--dims", "2", "--num-obs", "1", "--out", str(tmp_path)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == expected
 
 
 def test_compute_invalid_instance(tmp_path, capsys):

@@ -1,21 +1,22 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, random_hermitian
-from oracles import det_exact
+from oracles import apply_scalar_function, det_exact, unitarity_residual
 
 from qfidet.inequalities import prepare_random
 from qfidet.linalg import (
-    apply_scalar_function,
     as_complex_matrix,
     commutator,
     det_antisymmetric,
     det_real_symmetric,
+    det_real_symmetric_stack,
     frobenius,
     hermitian_eigen,
     hermitian_part,
@@ -50,7 +51,7 @@ def test_diagonal_input_is_exact():
 def test_zero_matrix():
     eig = hermitian_eigen(np.zeros((3, 3)))
     assert np.all(eig.eigenvalues == 0.0)
-    assert eig.unitarity_residual() == 0.0
+    assert unitarity_residual(eig) == 0.0
 
 
 def test_eigen_random_reconstruction(rng):
@@ -61,7 +62,7 @@ def test_eigen_random_reconstruction(rng):
         eig = hermitian_eigen(h)
         scale = max(1.0, frobenius(h))
         assert frobenius(eig.reconstruct() - h) <= 1e-11 * scale
-        assert eig.unitarity_residual() <= 1e-12
+        assert unitarity_residual(eig) <= 1e-12
         assert np.all(np.diff(eig.eigenvalues) >= 0.0)
 
 
@@ -171,6 +172,8 @@ def test_non_finite_entries_are_rejected(n, bad):
     for h, j in ((0, 0), (n - 1, 0)):
         m = np.eye(n)
         m[h, j] = m[j, h] = bad
+        with pytest.raises(ValueError, match="non-finite entry"):
+            det_real_symmetric_stack([np.eye(n), m])
         for solver in (hermitian_eigen, det_real_symmetric, det_antisymmetric, min_eigenvalue):
             with pytest.raises(ValueError, match="non-finite entry"):
                 solver(m)
@@ -188,6 +191,35 @@ def test_det_and_min_eigenvalue_check_their_input():
             solver(np.ones((2, 3)))
     with pytest.raises(ValueError, match=r"non-finite entry \(0, 1\) = nan"):
         det_real_symmetric(np.array([[1.0, math.nan], [math.nan, 1.0]]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_det_stack_equals_det_real_symmetric_bit_for_bit(n):
+    rng = np.random.default_rng(derive_seed("det-stack", n))
+    g = rng.standard_normal((300, n, n))
+    stack = (g + g.transpose(0, 2, 1)) * 10.0 ** rng.uniform(-8.0, 4.0, size=(300, 1, 1))
+    stack[0] = 0.0
+    dets = det_real_symmetric_stack(stack)
+    singles = np.array([det_real_symmetric(m) for m in stack])
+    assert dets.shape == (300,)
+    assert np.array_equal(dets.view(np.uint64), singles.view(np.uint64))
+
+
+def test_det_stack_checks_its_input():
+    # on both sides of the size switch, the first asymmetric matrix is the one named
+    for n in (2, 4):
+        stack = np.stack([np.eye(n)] * 5)
+        stack[2, 0, 1] += 0.25
+        stack[4, 1, 0] += 7.0
+        with pytest.raises(ValueError, match=r"not symmetric \(max \|M - M\^T\| = 2.500e-01\)"):
+            det_real_symmetric_stack(stack)
+    stack = np.stack([np.eye(4)] * 5)
+    stack[3, 1, 2] = stack[3, 2, 1] = math.inf
+    with pytest.raises(ValueError, match=r"non-finite entry \(1, 2\) = inf"):
+        det_real_symmetric_stack(stack)
+    for shape in ((3, 3), (2, 2, 3), (4, 0, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"expected a stack of square matrices, got shape {shape}")):
+            det_real_symmetric_stack(np.ones(shape))
 
 
 def test_det_antisymmetric_examples(rng):

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import check_operator_monotone, custom_function
+
 from qfidet.monotone import (
     CATALOG_NAMES,
     STANDARD_GRID,
     CatalogError,
     catalog_families,
-    check_operator_monotone,
-    custom_function,
     dominates,
     make_function,
     mean,

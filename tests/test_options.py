@@ -42,10 +42,6 @@ DEFAULTED = [
     "linalg._checked_real(sign)",
     "linalg.numeric_rank(floor)",
     "monotone.make_function(param)",
-    "monotone.check_operator_monotone(dim)",
-    "monotone.check_operator_monotone(trials)",
-    "monotone.check_operator_monotone(seed)",
-    "monotone.check_operator_monotone(threshold)",
     "selftest.run_selftest(tol)",
     "states.density(eigen)",
     "states.random_density(kind)",
