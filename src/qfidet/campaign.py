@@ -237,26 +237,32 @@ def _run_cell(config: CampaignConfig, n: int, n_obs: int, kind: str) -> tuple[di
     # registry order, whatever the order of config.checks
     active = [(name, entry) for name, entry in CHECKS.items() if name in config.checks]
     rows: dict[tuple, list] = {}
+    # Every instance yields its outcomes in the same order, so the first one
+    # binds each position to its row and the others index by position.
+    slots: list[list] = []
     violations: list[dict] = []
     for index in range(config.instances_per_cell):
         derived = derive_seed(config.seed, n, n_obs, kind, index)
         inst = prepare_random(n, n_obs, derived, kind)
         where = f"kind={kind},index={index}"
+        position = 0
         for name, entry in active:
             for rep, fl, gl, t in entry(plan, inst, derived):
-                key = (name, n, n_obs, fl, gl, t)
-                row = rows.get(key)
-                if row is None:
-                    row = rows[key] = _empty_row()
+                if index == 0:
+                    slots.append(rows.setdefault((name, n, n_obs, fl, gl, t), _empty_row()))
+                row = slots[position]
+                position += 1
                 # the tally of _add_row, one outcome at a time
                 if not rep.hypothesis_ok:
                     row[2] += 1
-                else:
-                    row[0 if rep.passed else 1] += 1
-                    row[3] += rep.clamps
-                    if row[4] is None or rep.margin < row[4]:
-                        row[4:] = rep.margin, where
-                if not rep.violated or len(violations) >= VIOLATION_CAP:
+                    continue
+                passed = rep.passed
+                row[0 if passed else 1] += 1
+                row[3] += rep.clamps
+                if row[4] is None or rep.margin < row[4]:
+                    row[4:] = rep.margin, where
+                # a violation: the hypothesis held and the bound failed
+                if passed or len(violations) >= VIOLATION_CAP:
                     continue
                 violation = {
                     "check": name,
@@ -274,6 +280,8 @@ def _run_cell(config: CampaignConfig, n: int, n_obs: int, kind: str) -> tuple[di
                 if isinstance(rep, EqualityClassification):
                     violation["verdict"] = rep.verdict
                 violations.append(violation)
+        if position != len(slots):
+            raise AssertionError(f"instance {index} of a cell yielded {position} outcomes, the first {len(slots)}")
     return rows, violations
 
 

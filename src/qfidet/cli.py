@@ -31,9 +31,17 @@ from .selftest import run_selftest
 from .states import STATE_KINDS
 
 
+def _convert(text: str, kind: type):
+    """``kind(text)`` for int or float; argparse prefixes an error with the option's name."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not {'an integer' if kind is int else 'a number'}: {text!r}") from None
+
+
 def _tolerance(text: str) -> float:
     """Type of every ``--tol`` option: a finite number above 0."""
-    value = float(text)
+    value = _convert(text, float)
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
     return value
@@ -41,7 +49,7 @@ def _tolerance(text: str) -> float:
 
 def _worker_count(text: str) -> int:
     """Type of ``--workers``: an integer of at least 1."""
-    value = int(text)
+    value = _convert(text, int)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text}")
     return value
@@ -49,6 +57,11 @@ def _worker_count(text: str) -> int:
 
 def _csv_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _items(kind: type):
+    """Type of an option that lists ``kind`` values, separated by commas."""
+    return lambda text: [_convert(part, kind) for part in _csv_list(text)]
 
 
 def _parse_pairs(text: str) -> list[tuple[str, str]]:
@@ -64,9 +77,9 @@ def _parse_pairs(text: str) -> list[tuple[str, str]]:
 def _campaign_kwargs(args) -> dict:
     kwargs = {}
     if args.dims is not None:
-        kwargs["dims"] = [int(x) for x in _csv_list(args.dims)]
+        kwargs["dims"] = args.dims
     if args.num_obs is not None:
-        kwargs["num_obs"] = [int(x) for x in _csv_list(args.num_obs)]
+        kwargs["num_obs"] = args.num_obs
     if args.instances is not None:
         kwargs["instances_per_cell"] = args.instances
     if args.functions is not None:
@@ -74,7 +87,7 @@ def _campaign_kwargs(args) -> dict:
     if args.pairs is not None:
         kwargs["function_pairs"] = _parse_pairs(args.pairs)
     if args.t_grid is not None:
-        kwargs["t_grid"] = [float(x) for x in _csv_list(args.t_grid)]
+        kwargs["t_grid"] = args.t_grid
     if args.tol is not None:
         kwargs["tol"] = args.tol
     if args.kinds is not None:
@@ -186,12 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a randomized verification campaign")
     verify.add_argument("--seed", type=int, default=None, help="root seed for instance derivation")
-    verify.add_argument("--dims", default=None, help="comma-separated state dimensions, e.g. 2,3,4")
-    verify.add_argument("--num-obs", default=None, help="comma-separated observable counts")
+    verify.add_argument("--dims", type=_items(int), default=None, help="comma-separated state dimensions, e.g. 2,3,4")
+    verify.add_argument("--num-obs", type=_items(int), default=None, help="comma-separated observable counts")
     verify.add_argument("--instances", type=int, default=None, help="instances per (n, N, kind) cell")
     verify.add_argument("--functions", default=None, help="comma-separated function specs, e.g. sld,wyd:0.3")
     verify.add_argument("--pairs", default=None, help="comma-separated f/g pairs, e.g. sld/wy")
-    verify.add_argument("--t-grid", default=None, help="comma-separated t values in [0,1]")
+    verify.add_argument("--t-grid", type=_items(float), default=None, help="comma-separated t values in [0,1]")
     verify.add_argument("--tol", type=_tolerance, default=None, help="relative tolerance (default 1e-9)")
     verify.add_argument("--kinds", default=None, help=f"state kinds from: {','.join(STATE_KINDS)}")
     verify.add_argument("--checks", default=None, help=f"checks from: {','.join(CHECK_NAMES)}")

@@ -83,7 +83,7 @@ def rotated_products(d: DensityMatrix, x: np.ndarray, y: np.ndarray) -> np.ndarr
 
 def metric_sum(products: np.ndarray, means: np.ndarray, f: MonotoneFunction) -> float:
     """Real part of sum products_hj / m_f(lambda_h, lambda_j), given the means from ``pair_means``."""
-    if not np.all(means > 0.0):
+    if not means.min(initial=np.inf) > 0.0:
         raise ValueError(f"matrix mean underflow for {f.label}: min {means.min():.3e}")
     return float(np.sum(products / means).real)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .covariance import (
     observable_scale,
     pair_means,
     qov_matrix_frame,
-    rotated_products,
 )
 from .linalg import (
     RANK_TOL,
@@ -71,11 +70,11 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    """Outcome of one inequality check on one instance."""
+class InequalityReport(NamedTuple):
+    """Outcome of one inequality check on one instance (an immutable record)."""
 
     name: str
     lhs: float
@@ -166,43 +165,54 @@ def remainder_t(det_q: float, det_diff: float, n_obs: int, t: float) -> float:
     return _cross_terms(_root(det_q, n_obs) * (1.0 - t), _root(det_diff, n_obs) * t, n_obs)
 
 
-def _sides(f: MonotoneFunction, g: MonotoneFunction | None) -> tuple:
-    """(K_big, K_small) of a pencil: (Cov, Qov_f) with g None, else (Qov_f, Qov_g)."""
-    return ("cov", f) if g is None else (f, g)
+class _Pencil(NamedTuple):
+    """One pencil (K_big, K_small), (Cov, Qov_f) or (Qov_f, Qov_g), of an instance:
+    det K_small and det(K_big - K_small) as computed (``raw``) and clamped at 0,
+    their clamp count, and the Firey rows t -> (det_mix, remainder_t, rhs)."""
+
+    sides: tuple
+    labels: tuple[str, str]
+    raw: tuple[float, float]
+    q: float
+    dd: float
+    clamps: int
+    rows: dict
+
+    def clamped(self, window: float) -> _Pencil:
+        """Self, or the error of ``_clamp`` for a determinant below the caller's -window."""
+        if not (self.raw[0] >= -window and self.raw[1] >= -window):
+            for value, what in zip(self.raw, self.labels):
+                _clamp(value, window, what)
+        return self
 
 
-def _firey_rows(inst, todo: dict) -> list:
-    """Firey rows (det_mix, remainder_t, rhs) for ``todo``, pencil (f, g) ->
-    its t values, in that order, evaluated as arrays over every (pencil, t).
+def _firey_rows(inst, todo: list) -> list:
+    """Firey rows (det_mix, remainder_t, rhs) for ``todo``, (pencil, its t
+    values) pairs, in that order, evaluated as arrays over every (pencil, t).
 
     The mixes t K_big + (1 - 2t) K_small form one (M, N, N) stack with one
     determinant call.  The right side (1-t)^N q + t^N dd + cross terms
-    takes q = det K_small and dd = det(K_big - K_small) of each pencil at
-    zero where they are roundoff-negative (the check clamps them the same
-    way, or raises).  Every operation is elementwise, so a row is
-    bit-identical whichever other rows shared the evaluation.
+    takes each pencil's clamped determinants.  Every operation is
+    elementwise, so a row is bit-identical whichever other rows shared the
+    evaluation.
     """
     n = inst.size
-    counts = [len(ts) for ts in todo.values()]
-    sides = [_sides(f, g) for f, g in todo]
-    q = [max(inst.det(small), 0.0) for _, small in sides]
-    dd = [max(inst.det(big, small), 0.0) for big, small in sides]
+    pencils = [p for p, _ in todo]
+    counts = [len(ts) for _, ts in todo]
 
     def per_row(values) -> np.ndarray:
         return np.repeat(np.array(values), counts, axis=0)
 
-    t = np.array([t for ts in todo.values() for t in ts], dtype=float)
+    t = np.array([t for _, ts in todo for t in ts], dtype=float)
     a = 1.0 - t
-    big = per_row([inst.matrix(big) for big, _ in sides])
-    small = per_row([inst.matrix(small) for _, small in sides])
+    big, small = (per_row([inst.matrix(p.sides[k]) for p in pencils]) for k in (0, 1))
     lhs = det_real_symmetric_stack(t[:, None, None] * big + (1.0 - 2.0 * t)[:, None, None] * small)
-    rem = _cross_terms(per_row([_root(v, n) for v in q]) * a, per_row([_root(v, n) for v in dd]) * t, n)
-    first = _pow(a, n) * per_row(q)
-    rhs = first + _pow(t, n) * per_row(dd) + rem
+    rem = _cross_terms(per_row([_root(p.q, n) for p in pencils]) * a, per_row([_root(p.dd, n) for p in pencils]) * t, n)
+    first = _pow(a, n) * per_row([p.q for p in pencils])
+    rhs = first + _pow(t, n) * per_row([p.dd for p in pencils]) + rem
     weaker = rhs < first
     if weaker.any():
-        g = [g for (_, g), ts in todo.items() for _ in ts][int(np.argmax(weaker))]
-        raise _weaker("firey", "det Qov" if g is None else "det Qov_g")
+        raise _weaker("firey", [p.labels[0] for p, ts in todo for _ in ts][int(np.argmax(weaker))])
     return list(zip(lhs.tolist(), rem.tolist(), rhs.tolist()))
 
 
@@ -224,7 +234,7 @@ class PreparedInstance:
         self.digest = digest
         self._matrix: dict = {}
         self._det: dict = {}
-        self._firey: dict = {}
+        self._pencils: dict = {}
         self._structure = None
 
     @property
@@ -258,31 +268,33 @@ class PreparedInstance:
             got = self._det[key] = det_antisymmetric(m) if big == "robertson" else det_real_symmetric(m)
         return got
 
+    def pencil(self, f, g) -> _Pencil:
+        """Memoized constants of the pencil (Cov, Qov_f) for g None, else (Qov_f, Qov_g)."""
+        got = self._pencils.get((f, g))
+        if got is None:
+            sides = ("cov", f) if g is None else (f, g)
+            labels = ("det Qov", "det(Cov - Qov)") if g is None else ("det Qov_g", "det(Qov_f - Qov_g)")
+            raw = (self.det(sides[1]), self.det(*sides))
+            q, dd = (v if v >= 0.0 else 0.0 for v in raw)
+            clamps = sum(not v >= 0.0 for v in raw)
+            got = self._pencils[f, g] = _Pencil(sides, labels, raw, q, dd, clamps, {})
+        return got
+
     def fill_firey(self, pencils, ts) -> None:
-        """Compute the Firey rows (det_mix, remainder_t, rhs) of every pencil,
-        (f, None) for (Cov, Qov_f) and (f, g) for (Qov_f, Qov_g), at every t
-        of ``ts`` not yet known, all in one array evaluation."""
+        """Compute the Firey rows (det_mix, remainder_t, rhs) of every pencil
+        (f, g) at every t of ``ts`` not yet known, all in one array evaluation."""
         for t in ts:
             _require_unit(t)
-        todo = {}
-        for pencil in pencils:
-            known = self._firey.setdefault(pencil, {})
-            missing = [t for t in ts if t not in known]
+        todo = []
+        for f, g in pencils:
+            p = self.pencil(f, g)
+            missing = [t for t in ts if t not in p.rows]
             if missing:
-                todo[pencil] = missing
+                todo.append((p, missing))
         if todo:
             rows = iter(_firey_rows(self, todo))
-            for pencil, missing in todo.items():
-                self._firey[pencil].update(zip(missing, rows))
-
-    def firey_row(self, f, g, t) -> tuple[float, float, float]:
-        """Memoized Firey row at one t; one not filled before is evaluated
-        as a grid of one."""
-        got = self._firey.get((f, g), {}).get(t)
-        if got is None:
-            self.fill_firey(((f, g),), (t,))
-            got = self._firey[f, g][t]
-        return got
+            for p, missing in todo:
+                p.rows.update(zip(missing, rows))
 
     def structure(self) -> tuple[int, bool]:
         """Memoized rank of the frame observables as real vectors, and whether
@@ -310,19 +322,8 @@ def prepare_random(n: int, n_obs: int, seed: int, kind: str = "generic") -> Prep
 def _report(name, lhs, rhs, scale, tol, components, digest, clamps=0, hypothesis_ok=True, window=None):
     """Pass when margin >= -window, by default -tol * scale."""
     margin = lhs - rhs
-    return InequalityReport(
-        name=name,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        scale=scale,
-        tol=tol,
-        passed=bool(margin >= -(tol * scale if window is None else window)),
-        hypothesis_ok=hypothesis_ok,
-        clamps=clamps,
-        components=components,
-        digest=digest,
-    )
+    passed = bool(margin >= -(tol * scale if window is None else window))
+    return InequalityReport(name, lhs, rhs, margin, scale, tol, passed, hypothesis_ok, clamps, components, digest)
 
 
 def check_main(inst: PreparedInstance, f: MonotoneFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -340,41 +341,26 @@ def _pair_hypothesis(f: MonotoneFunction, g: MonotoneFunction) -> bool:
     return f.regular and not g.regular
 
 
-def _pencil(name, keys, inst, f, g, tol, t=None):
-    """lhs >= a^N det K_small + b^N det(K_big - K_small) + weighted cross terms.
+def _pencil(name, keys, inst, f, g, tol):
+    """det K_big >= det K_small + det(K_big - K_small) + cross terms.
 
-    (K_big, K_small) is (Cov, Qov_f) with g omitted and (Qov_f, Qov_g) for
-    the pair, which needs strict dominance.  Without t, (a, b) = (1, 1) and
-    lhs = det K_big; with t, (a, b) = (1 - t, t),
-    lhs = det(t K_big + (1 - 2t) K_small), and lhs, the cross terms and
-    the right side are the instance's memoized Firey row.  ``keys`` names the components
+    (K_big, K_small) is (Cov, Qov_f) with g None and (Qov_f, Qov_g) for the
+    pair, which needs strict dominance.  ``keys`` names the components
     lhs, det K_small, det(K_big - K_small) and the cross terms.  Unit weights
     multiply exactly, so conj1 is not 2^N firey(1/2), which can round apart.
     """
-    big, small = _sides(f, g)
-    if g is None:
-        labels = ("det Qov", "det(Cov - Qov)")
-        hypothesis_ok = True
-        names = {"f": f.label}
-    else:
-        labels = ("det Qov_g", "det(Qov_f - Qov_g)")
-        hypothesis_ok = _pair_hypothesis(f, g)
-        names = {"f": f.label, "g": g.label}
-    window = tol * inst.scale
-    q, c1 = _clamp(inst.det(small), window, labels[0])
-    dd, c2 = _clamp(inst.det(big, small), window, labels[1])
-    if t is None:
-        lhs = inst.det(big)
-        n = inst.size
-        rem = _cross_terms(_root(q, n), _root(dd, n), n)
-        rhs = q + dd + rem
-        if rhs < q:
-            raise _weaker(name, labels[0])
-    else:
-        lhs, rem, rhs = inst.firey_row(f, g, t)
-        names = {"t": t, **names}
-    components = {**dict(zip(keys, (lhs, q, dd, rem))), **names}
-    return _report(name, lhs, rhs, inst.scale, tol, components, inst.digest, c1 + c2, hypothesis_ok)
+    hypothesis_ok = True if g is None else _pair_hypothesis(f, g)
+    p = inst.pencil(f, g).clamped(tol * inst.scale)
+    lhs = inst.det(p.sides[0])
+    n = inst.size
+    rem = _cross_terms(_root(p.q, n), _root(p.dd, n), n)
+    rhs = p.q + p.dd + rem
+    if rhs < p.q:
+        raise _weaker(name, p.labels[0])
+    components = dict(zip(keys, (lhs, p.q, p.dd, rem)), f=f.label)
+    if g is not None:
+        components["g"] = g.label
+    return _report(name, lhs, rhs, inst.scale, tol, components, inst.digest, p.clamps, hypothesis_ok)
 
 
 def check_conj1(inst: PreparedInstance, f: MonotoneFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -403,10 +389,21 @@ def check_firey(
 
     With g omitted the pair is (Cov, Qov_f); with g it is (Qov_f, Qov_g).
     Note t K_big + (1-2t) K_small = (1-t) K_small + t (K_big - K_small), so
-    this is the Firey combination of the two summands on the right.
+    this is the Firey combination of the two summands on the right.  Both
+    sides are the pencil's Firey row at t; a t not filled before is a grid of one.
     """
     _require_unit(t)
-    return _pencil("firey", ("det_mix", "det_small", "det_diff", "remainder_t"), inst, f, g, tol, t)
+    hypothesis_ok = True if g is None else _pair_hypothesis(f, g)
+    p = inst.pencil(f, g).clamped(tol * inst.scale)
+    row = p.rows.get(t)
+    if row is None:
+        inst.fill_firey(((f, g),), (t,))
+        row = p.rows[t]
+    lhs, rem, rhs = row
+    components = {"det_mix": lhs, "det_small": p.q, "det_diff": p.dd, "remainder_t": rem, "t": t, "f": f.label}
+    if g is not None:
+        components["g"] = g.label
+    return _report("firey", lhs, rhs, inst.scale, tol, components, inst.digest, p.clamps, hypothesis_ok)
 
 
 def check_robertson(inst: PreparedInstance, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -559,14 +556,21 @@ def minkowski_firey_selftest(
 def _contraction_parts(d: DensityMatrix, x, blocks: tuple) -> tuple:
     """Products of the traceless tangent X0 in D's eigenbasis, products of
     the pinched X0 in the pinched state's eigenbasis, and the two spectra
-    stacked (D's first) for one ``pair_means`` call per function."""
+    stacked (D's first) for one ``pair_means`` call per function.  Only the
+    inputs and the pinched state are checked: X0 and its pinching are Hermitian
+    by construction, so each is rotated once, unchecked."""
     x = observable(x)
+    if x.shape != d.matrix.shape:
+        raise ValueError(f"tangent x shape {x.shape} does not match the state")
     n = d.dim
     x0 = x - (np.trace(x).real / n) * np.eye(n)
     pinched_state = density(pinching(d.matrix, blocks))
-    pinched_x0 = pinching(x0, blocks)
-    spectra = np.stack((d.eigenvalues, pinched_state.eigenvalues))
-    return rotated_products(d, x0, x0), rotated_products(pinched_state, pinched_x0, pinched_x0), spectra
+    products = []
+    for state, tangent in ((d, x0), (pinched_state, pinching(x0, blocks))):
+        u = state.eigen.unitary
+        r = u.conj().T @ tangent @ u
+        products.append(r.conj() * r)
+    return products[0], products[1], np.stack((d.eigenvalues, pinched_state.eigenvalues))
 
 
 def check_metric_contraction(
@@ -584,7 +588,7 @@ def check_metric_contraction(
     memoized on the state, so the functions of a campaign share it.
     """
     xa = np.asarray(x)
-    blocks = tuple(tuple(int(i) for i in block) for block in partition)
+    blocks = tuple(map(tuple, partition))
     key = ("contraction", xa.dtype.str, xa.shape, xa.tobytes(), blocks)
     products, pinched_products, spectra = d.memo(key, lambda: _contraction_parts(d, xa, blocks))
     means = pair_means(spectra, f)
@@ -598,12 +602,6 @@ def check_metric_contraction(
     # two sides degrades by that factor.  Widen the window accordingly;
     # for healthy spectra the extra term is far below tol*scale.
     lam_floor = float(min(spectra[0, 0], spectra[1, 0]))
-    window = tol * scale + 4.0 * n * np.finfo(float).eps / lam_floor * before
-    components = {
-        "before": before,
-        "after": after,
-        "window": window,
-        "blocks": len(blocks),
-        "f": f.label,
-    }
+    window = tol * scale + 4.0 * n * _EPS / lam_floor * before
+    components = {"before": before, "after": after, "window": window, "blocks": len(blocks), "f": f.label}
     return _report("contraction", before, after, scale, tol, components, f"contraction[n={n}]", window=window)

@@ -58,10 +58,11 @@ def load_instance(path: str | Path) -> LoadedInstance:
 
     if "dim" not in payload:
         raise InstanceFormatError("dim: missing")
-    try:
-        dim = int(payload["dim"])
-    except (TypeError, ValueError):
-        raise InstanceFormatError(f"dim: not an integer ({payload['dim']!r})") from None
+    dim = payload["dim"]
+    # a whole float (2.0) is an integer; a bool (JSON true), though an int subclass, is not
+    if type(dim) is not int and not (type(dim) is float and dim.is_integer()):
+        raise InstanceFormatError(f"dim: not an integer ({dim!r})")
+    dim = int(dim)
     if dim < 2:
         raise InstanceFormatError(f"dim: must be at least 2, got {dim}")
 
@@ -74,9 +75,9 @@ def load_instance(path: str | Path) -> LoadedInstance:
             raise
         raise InstanceFormatError(f"state: {exc}") from None
 
-    raw_obs = payload.get("observables") or []
-    if not raw_obs:
-        raise InstanceFormatError("observables: need at least one matrix")
+    raw_obs = payload.get("observables", [])
+    if not isinstance(raw_obs, list) or not raw_obs:
+        raise InstanceFormatError(f"observables: expected a non-empty list of matrices, got {raw_obs!r}")
     checked = []
     for k, raw in enumerate(raw_obs):
         name = f"observables[{k}]"

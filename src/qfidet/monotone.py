@@ -82,16 +82,19 @@ class MonotoneFunction:
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
-        # one comparison rejects negatives and NaN alike
-        if not np.all(arr >= 0.0):
-            raise ValueError(f"{self.label}: arguments must be nonnegative, got {x!r}")
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        out = np.empty_like(arr)
-        pos = arr > 0.0
-        if pos.any():
+        low = arr.min(initial=np.inf)
+        # one comparison rejects negatives and NaN alike
+        if not low >= 0.0:
+            raise ValueError(f"{self.label}: arguments must be nonnegative, got {x!r}")
+        if low > 0.0:
+            out = self.evaluator(arr)
+        else:
+            out = np.empty_like(arr)
+            pos = arr > 0.0
             out[pos] = self.evaluator(arr[pos])
-        out[~pos] = self.value_at_zero
+            out[~pos] = self.value_at_zero
         return float(out[0]) if scalar else out
 
 
@@ -259,11 +262,13 @@ def mean(f: MonotoneFunction, x, y):
     """
     ax = np.asarray(x, dtype=float)
     ay = np.asarray(y, dtype=float)
-    if not (np.all(ax >= 0.0) and np.all(ay >= 0.0)):
+    lo = np.minimum(ax, ay)
+    low = lo.min(initial=np.inf)
+    # a negative or NaN argument in either makes lo negative or NaN
+    if not low >= 0.0:
         raise ValueError("mean: arguments must be nonnegative")
     hi = np.maximum(ax, ay)
-    lo = np.minimum(ax, ay)
-    ratio = np.divide(lo, np.where(hi > 0.0, hi, 1.0))
+    ratio = lo / (hi if low > 0.0 else np.where(hi > 0.0, hi, 1.0))
     out = hi * f(ratio)
     if out.ndim == 0:
         return float(out)

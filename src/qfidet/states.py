@@ -97,7 +97,8 @@ def density(matrix, *, eigen: EigenDecomposition | None = None) -> DensityMatrix
     if abs(tr - 1.0) > _TRACE_TOL:
         raise ValueError(f"state trace is {tr!r}, expected 1 within {_TRACE_TOL:g}")
     if eigen is None:
-        eigen = hermitian_eigen(m)
+        # m is exactly Hermitian now, so LAPACK needs no second check
+        eigen = EigenDecomposition(*np.linalg.eigh(m))
     else:
         residual = frobenius(eigen.reconstruct() - m)
         if residual > 1e-11 * max(1.0, frobenius(m)):
@@ -248,11 +249,10 @@ def pinching(x: np.ndarray, partition: Sequence[Iterable[int]]) -> np.ndarray:
     flat = sorted(i for block in blocks for i in block)
     if flat != list(range(n)):
         raise ValueError(f"partition {blocks!r} does not partition range({n})")
-    out = np.zeros_like(np.asarray(x, dtype=complex))
-    for block in blocks:
-        ix = np.ix_(block, block)
-        out[ix] = x[ix]
-    return out
+    owner = np.empty(n, dtype=int)
+    for k, block in enumerate(blocks):
+        owner[block] = k
+    return np.where(owner[:, None] == owner[None, :], np.asarray(x, dtype=complex), 0.0)
 
 
 def random_partition(n: int, seed: int) -> list[list[int]]:

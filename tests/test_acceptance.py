@@ -15,7 +15,6 @@ deviation it saw next to the window it had to stay inside.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 from dataclasses import dataclass
@@ -540,7 +539,7 @@ def test_criterion_10_campaign_interface(tmp_path, monkeypatch, capsys) -> None:
     real_check = campaign_module.check_main
 
     def failing_check(inst, f, tol=1e-9):
-        return dataclasses.replace(real_check(inst, f, tol), passed=False, margin=-1.0)
+        return real_check(inst, f, tol)._replace(passed=False, margin=-1.0)
 
     monkeypatch.setattr(campaign_module, "check_main", failing_check)
     code_violation = cli_main(args + ["--out", str(tmp_path / "bad.json"), "--workers", "1"])

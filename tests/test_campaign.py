@@ -5,17 +5,35 @@ import multiprocessing
 
 import pytest
 
+import dataclasses
+
+import numpy as np
+
 from qfidet.campaign import (
     CHECK_NAMES,
+    CHECKS,
     VIOLATION_CAP,
     CampaignConfig,
     CampaignReport,
+    CheckPlan,
     ConfigError,
     emit_report,
     run_campaign,
 )
-from qfidet.inequalities import EqualityClassification, InequalityReport
-from qfidet.states import derive_seed
+from qfidet.inequalities import (
+    EqualityClassification,
+    InequalityReport,
+    check_conj1,
+    check_conj2,
+    check_firey,
+    check_main,
+    check_metric_contraction,
+    check_robertson,
+    classify_equality,
+    prepare_random,
+)
+from qfidet.monotone import parse_function_spec
+from qfidet.states import derive_seed, random_partition
 
 TINY = CampaignConfig(
     dims=(2, 3),
@@ -405,3 +423,52 @@ def test_tally_of_scripted_outcomes(monkeypatch, workers):
     counts = [row[k] for row in report.rows for k in ("pass", "fail", "clamps")]
     counts += list(report.counts["main"].values()) + list(report.totals().values())
     assert all(type(value) is int for value in counts)  # never a bool
+
+
+def _facts(rep) -> tuple:
+    """What a report says about an outcome, with every float as its bits."""
+    fields = dataclasses.asdict(rep) if isinstance(rep, EqualityClassification) else dict(rep.components, lhs=rep.lhs, rhs=rep.rhs)
+    fields = {k: np.float64(v).tobytes() if isinstance(v, float) else v for k, v in fields.items()}
+    return np.float64(rep.margin).tobytes(), rep.clamps, rep.hypothesis_ok, rep.passed, fields
+
+
+def _fresh_outcome(check, n, n_obs, kind, derived, fl, gl, t, tol):
+    """The public check on a newly drawn instance, whose memos are empty."""
+    inst = prepare_random(n, n_obs, derived, kind)
+    f = None if fl is None else parse_function_spec(fl)
+    g = None if gl is None else parse_function_spec(gl)
+    if check == "contraction":
+        partition = random_partition(n, derive_seed("partition", derived))
+        return check_metric_contraction(inst.state, inst.observables[0], f, partition, tol)
+    calls = {
+        "main": lambda: check_main(inst, f, tol),
+        "conj1": lambda: check_conj1(inst, f, tol),
+        "conj2": lambda: check_conj2(inst, f, g, tol),
+        "firey": lambda: check_firey(inst, f, t, g=g, tol=tol),
+        "robertson": lambda: check_robertson(inst, tol),
+        "equality": lambda: classify_equality(inst, f, g, tol),
+    }
+    return calls[check]()
+
+
+def test_shared_memos_change_no_outcome():
+    # one instance per cell of the default grid, through the registry as a campaign runs it
+    config = CampaignConfig(instances_per_cell=1)
+    plan = CheckPlan(
+        functions=tuple(parse_function_spec(s) for s in config.functions),
+        pairs=tuple((parse_function_spec(a), parse_function_spec(b)) for a, b in config.function_pairs),
+        tol=config.tol,
+        t_grid=config.t_grid,
+    )
+    compared = 0
+    for n in config.dims:
+        for n_obs in config.num_obs:
+            for kind in config.kinds:
+                derived = derive_seed(config.seed, n, n_obs, kind, 0)
+                inst = prepare_random(n, n_obs, derived, kind)
+                for check, entry in CHECKS.items():
+                    for rep, fl, gl, t in entry(plan, inst, derived):
+                        want = _fresh_outcome(check, n, n_obs, kind, derived, fl, gl, t, config.tol)
+                        assert _facts(rep) == _facts(want), (n, n_obs, kind, check, fl, gl, t)
+                        compared += 1
+    assert compared == 27 * 96

@@ -76,6 +76,33 @@ def test_verify_config_errors_exit_2(args, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify", "--tol", "abc"], "argument --tol: not a number: 'abc'"),
+        (["compute", str(FIXTURES / "qubit_tight.json"), "--tol", "1e-9x"], "argument --tol: not a number: '1e-9x'"),
+        (["selftest", "--tol", ""], "argument --tol: not a number: ''"),
+        (["verify", "--workers", "1.5"], "argument --workers: not an integer: '1.5'"),
+        (["verify", "--dims", "2,x"], "argument --dims: not an integer: 'x'"),
+        (["verify", "--num-obs", "1,2.5"], "argument --num-obs: not an integer: '2.5'"),
+        (["verify", "--t-grid", "0.5,x"], "argument --t-grid: not a number: 'x'"),
+    ],
+)
+def test_numeric_option_errors_name_the_option_and_the_text(args, message, capsys):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_compute_rejects_observables_that_are_not_a_list(tmp_path, capsys):
+    path = tmp_path / "five.json"
+    payload = json.loads((FIXTURES / "qubit_tight.json").read_text())
+    payload["observables"] = 5
+    path.write_text(json.dumps(payload))
+    assert main(["compute", str(path)]) == 2
+    assert capsys.readouterr().err == "error: observables: expected a non-empty list of matrices, got 5\n"
+
+
 @pytest.mark.parametrize("tol", ["inf", "-1", "nan"])
 @pytest.mark.parametrize(
     "command",
@@ -149,6 +176,13 @@ def test_catalog_lists_families(capsys):
 def test_catalog_output_matches_the_golden_file(capsys):
     assert main(["catalog"]) == 0
     assert capsys.readouterr().out.encode() == (FIXTURES / "catalog.txt").read_bytes()
+
+
+def test_compute_output_matches_the_golden_file(monkeypatch, capsys):
+    # run from the repository root: the first line echoes the path as given
+    monkeypatch.chdir(FIXTURES.parent.parent)
+    assert main(["compute", "tests/fixtures/qubit_tight.json"]) == 0
+    assert capsys.readouterr().out.encode() == (FIXTURES / "qubit_tight_compute.txt").read_bytes()
 
 
 def test_selftest_passes(capsys):

@@ -501,6 +501,24 @@ def test_firey_rows_do_not_depend_on_the_memo_order(kind, rng):
                     assert _bits(rep.margin) == _bits(want.margin), (n, n_obs, t, f.label)
 
 
+def test_a_clamp_from_a_wide_window_is_not_reused_in_a_narrow_one():
+    # at n = 2, N = 3 det Qov_f is structurally zero and lands a rounding away from 0
+    seed = next(s for s in range(100) if check_firey(prepare_random(2, 3, s), SLD, 0.5).clamps)
+    inst = prepare_random(2, 3, seed)
+    plan = CheckPlan(functions=(SLD,), pairs=((SLD, WY),), tol=1e-9, t_grid=DEFAULT_T_GRID)
+    assert any(rep.clamps for rep, *_ in plan.firey(inst, seed))
+    for check in (
+        lambda i: check_firey(i, SLD, 0.5, tol=1e-30),
+        lambda i: check_firey(i, SLD, 0.37, tol=1e-30),
+        lambda i: check_conj1(i, SLD, 1e-30),
+    ):
+        with pytest.raises(ArithmeticError) as fresh:
+            check(prepare_random(2, 3, seed))
+        with pytest.raises(ArithmeticError) as filled:
+            check(inst)
+        assert str(filled.value) == str(fresh.value)
+
+
 def test_firey_right_side_is_the_scalar_formula_bit_for_bit(rng):
     # the grid's powers must round as Python's float power does, not as numpy's
     plan = CheckPlan(functions=(SLD, WY, WYD, KM), pairs=MEMO_PAIRS, tol=1e-9, t_grid=DEFAULT_T_GRID)

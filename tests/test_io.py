@@ -105,6 +105,24 @@ def test_rejects_missing_and_bad_fields(tmp_path):
         load_instance(_write(tmp_path, [1, 2]))
 
 
+@pytest.mark.parametrize("value", [2.7, True, False, "2", None, [2]])
+def test_dim_must_be_a_json_integer(tmp_path, value):
+    with pytest.raises(InstanceFormatError, match=r"^dim: not an integer"):
+        load_instance(_write(tmp_path, dict(GOOD, dim=value)))
+
+
+def test_dim_may_be_written_as_a_whole_float(tmp_path):
+    assert load_instance(_write(tmp_path, dict(GOOD, dim=2.0))).state.dim == 2
+
+
+@pytest.mark.parametrize("value", [5, {"a": 1}, "x", [], None])
+def test_observables_must_be_a_non_empty_list(tmp_path, value):
+    with pytest.raises(InstanceFormatError, match=r"^observables: expected a non-empty list of matrices"):
+        load_instance(_write(tmp_path, dict(GOOD, observables=value)))
+    with pytest.raises(InstanceFormatError, match=r"^observables: expected a non-empty list of matrices"):
+        load_instance(_write(tmp_path, {k: v for k, v in GOOD.items() if k != "observables"}))
+
+
 def test_rejects_garbage_file(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")

@@ -22,7 +22,6 @@ DEFAULTED = [
     "inequalities._report(hypothesis_ok)",
     "inequalities._report(window)",
     "inequalities.check_main(tol)",
-    "inequalities._pencil(t)",
     "inequalities.check_conj1(tol)",
     "inequalities.check_conj2(tol)",
     "inequalities.check_firey(g)",
