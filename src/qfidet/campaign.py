@@ -70,7 +70,7 @@ class CheckPlan:
 
     def firey(self, inst, derived):
         # every pencil's whole t-grid in one array evaluation; each check reads its row
-        inst.fill_firey([(f, None) for f in self.functions] + list(self.pairs), self.t_grid)
+        inst.fill_firey([(f, None) for f in self.functions] + list(self.pairs), self.t_grid, self.tol * inst.scale)
         for t in self.t_grid:
             for f in self.functions:
                 yield check_firey(inst, f, t, tol=self.tol), f.label, None, t
@@ -301,7 +301,8 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
         # imported here: it loads multiprocessing, which a 1-worker run never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # at most one process per cell: the executor forks all of them up front
+        with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
             partials = list(pool.map(_cell_entry, cells))
     else:
         partials = [_run_cell(*cell) for cell in cells]

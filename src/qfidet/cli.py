@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 at least one inequality violation,
 2 configuration or input error, 3 numerical invariant failure (a determinant
-below its clamp window, or a LAPACK eigensolver that did not converge).
+below its clamp window, a determinant of finite entries that overflows, or a
+LAPACK eigensolver that did not converge).
 """
 
 from __future__ import annotations
@@ -198,10 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run a randomized verification campaign")
-    verify.add_argument("--seed", type=int, default=None, help="root seed for instance derivation")
+    verify.add_argument("--seed", type=lambda text: _convert(text, int), default=None, help="root seed for instance derivation")
     verify.add_argument("--dims", type=_items(int), default=None, help="comma-separated state dimensions, e.g. 2,3,4")
     verify.add_argument("--num-obs", type=_items(int), default=None, help="comma-separated observable counts")
-    verify.add_argument("--instances", type=int, default=None, help="instances per (n, N, kind) cell")
+    verify.add_argument("--instances", type=lambda text: _convert(text, int), default=None, help="instances per (n, N, kind) cell")
     verify.add_argument("--functions", default=None, help="comma-separated function specs, e.g. sld,wyd:0.3")
     verify.add_argument("--pairs", default=None, help="comma-separated f/g pairs, e.g. sld/wy")
     verify.add_argument("--t-grid", type=_items(float), default=None, help="comma-separated t values in [0,1]")

@@ -23,6 +23,8 @@ zero; ``inequalities.PreparedInstance`` supplies the zero matrix itself.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .linalg import commutator, frobenius, hermitian_part, require_hermitian
@@ -32,7 +34,6 @@ from .states import DensityMatrix, EigenFrame
 __all__ = [
     "cov",
     "metric_inner",
-    "rotated_products",
     "metric_sum",
     "qov",
     "alpha_coefficients",
@@ -66,21 +67,6 @@ def pair_means(lambdas: np.ndarray, f: MonotoneFunction) -> np.ndarray:
     return mean(f, lambdas[..., :, None], lambdas[..., None, :])
 
 
-def rotated_products(d: DensityMatrix, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Entrywise conj(X_hj) Y_hj of two Hermitian tangents rotated into D's eigenbasis.
-
-    This is the part of ``metric_inner`` that does not depend on the function.
-    """
-    for label, t in (("x", x), ("y", y)):
-        if t.shape != d.matrix.shape:
-            raise ValueError(f"tangent {label} shape {t.shape} does not match the state")
-        require_hermitian(t, label=f"tangent {label}")
-    u = d.eigen.unitary
-    xr = u.conj().T @ x @ u
-    yr = u.conj().T @ y @ u
-    return xr.conj() * yr
-
-
 def metric_sum(products: np.ndarray, means: np.ndarray, f: MonotoneFunction) -> float:
     """Real part of sum products_hj / m_f(lambda_h, lambda_j), given the means from ``pair_means``."""
     if not means.min(initial=np.inf) > 0.0:
@@ -94,7 +80,14 @@ def metric_inner(d: DensityMatrix, f: MonotoneFunction, x: np.ndarray, y: np.nda
     Defined for arbitrary Hermitian tangents; positivity of the state keeps
     every matrix mean strictly positive.
     """
-    return metric_sum(rotated_products(d, x, y), pair_means(d.eigenvalues, f), f)
+    for label, t in (("x", x), ("y", y)):
+        if t.shape != d.matrix.shape:
+            raise ValueError(f"tangent {label} shape {t.shape} does not match the state")
+        require_hermitian(t, label=f"tangent {label}")
+    u = d.eigen.unitary
+    xr = u.conj().T @ x @ u
+    yr = u.conj().T @ y @ u
+    return metric_sum(xr.conj() * yr, pair_means(d.eigenvalues, f), f)
 
 
 def _require_regular(f: MonotoneFunction) -> None:
@@ -178,5 +171,14 @@ def robertson_matrix(d: DensityMatrix, obs) -> np.ndarray:
 
 
 def observable_scale(obs) -> float:
-    """Tolerance scale max(1, sum of squared Frobenius norms)."""
-    return max(1.0, sum(frobenius(a) ** 2 for a in obs))
+    """Tolerance scale max(1, sum of squared Frobenius norms); ValueError, naming the observables, where it overflows."""
+    with np.errstate(over="ignore"):
+        norms = [frobenius(a) for a in obs]
+    try:
+        total = sum(v**2 for v in norms)  # Python's float power raises OverflowError past the float range
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        listed = ", ".join(f"norm of observables[{k}] = {v:.3e}" for k, v in enumerate(norms))
+        raise ValueError(f"observables: the sum of squared Frobenius norms overflows ({listed})")
+    return max(1.0, total)

@@ -6,8 +6,11 @@ one or two monotone functions, their differences, and binomial cross terms
 (the Minkowski/Firey machinery).  A PreparedInstance carries the shared
 eigenframe and memoizes every matrix and determinant, so that a campaign can
 run the whole battery of checks on an instance for the price of computing
-each ingredient once.  It also memoizes the rows of the Firey check, which
-it evaluates as arrays over every (pencil, t) of the instance at once.
+each ingredient once.  conj1, conj2 and firey are one inequality on a pencil
+(K_big, K_small) of PSD matrices; the instance keeps one record per pencil
+and clamp window, whose rows hold both sides of the unit-weight bound and of
+the Firey bound at each t, the latter evaluated as arrays over every
+(pencil, t) of the instance at once, and the three checks share one body.
 
 Pass/fail is always margin >= -tol * scale with scale = max(1, sum of squared
 Frobenius norms of the observables).  Hypothesis failures (a function pair
@@ -143,10 +146,6 @@ def _cross_terms(q, c, n_obs: int):
     return total
 
 
-def _weaker(name: str, label: str) -> AssertionError:
-    return AssertionError(f"{name}: cross terms made the bound weaker than its {label} term")
-
-
 def remainder(det_q: float, det_diff: float, n_obs: int) -> float:
     """Binomial cross-term sum between the N-th roots of two determinants.
 
@@ -166,54 +165,16 @@ def remainder_t(det_q: float, det_diff: float, n_obs: int, t: float) -> float:
 
 
 class _Pencil(NamedTuple):
-    """One pencil (K_big, K_small), (Cov, Qov_f) or (Qov_f, Qov_g), of an instance:
-    det K_small and det(K_big - K_small) as computed (``raw``) and clamped at 0,
-    their clamp count, and the Firey rows t -> (det_mix, remainder_t, rhs)."""
+    """One pencil (K_big, K_small), (Cov, Qov_f) or (Qov_f, Qov_g), of an
+    instance, clamped in one window: det K_small and det(K_big - K_small)
+    clamped at 0, their clamp count, and the rows (lhs, cross terms, rhs):
+    under None the unit-weight row of conj1/conj2, under t the Firey row."""
 
     sides: tuple
-    labels: tuple[str, str]
-    raw: tuple[float, float]
     q: float
     dd: float
     clamps: int
     rows: dict
-
-    def clamped(self, window: float) -> _Pencil:
-        """Self, or the error of ``_clamp`` for a determinant below the caller's -window."""
-        if not (self.raw[0] >= -window and self.raw[1] >= -window):
-            for value, what in zip(self.raw, self.labels):
-                _clamp(value, window, what)
-        return self
-
-
-def _firey_rows(inst, todo: list) -> list:
-    """Firey rows (det_mix, remainder_t, rhs) for ``todo``, (pencil, its t
-    values) pairs, in that order, evaluated as arrays over every (pencil, t).
-
-    The mixes t K_big + (1 - 2t) K_small form one (M, N, N) stack with one
-    determinant call.  The right side (1-t)^N q + t^N dd + cross terms
-    takes each pencil's clamped determinants.  Every operation is
-    elementwise, so a row is bit-identical whichever other rows shared the
-    evaluation.
-    """
-    n = inst.size
-    pencils = [p for p, _ in todo]
-    counts = [len(ts) for _, ts in todo]
-
-    def per_row(values) -> np.ndarray:
-        return np.repeat(np.array(values), counts, axis=0)
-
-    t = np.array([t for _, ts in todo for t in ts], dtype=float)
-    a = 1.0 - t
-    big, small = (per_row([inst.matrix(p.sides[k]) for p in pencils]) for k in (0, 1))
-    lhs = det_real_symmetric_stack(t[:, None, None] * big + (1.0 - 2.0 * t)[:, None, None] * small)
-    rem = _cross_terms(per_row([_root(p.q, n) for p in pencils]) * a, per_row([_root(p.dd, n) for p in pencils]) * t, n)
-    first = _pow(a, n) * per_row([p.q for p in pencils])
-    rhs = first + _pow(t, n) * per_row([p.dd for p in pencils]) + rem
-    weaker = rhs < first
-    if weaker.any():
-        raise _weaker("firey", [p.labels[0] for p, ts in todo for _ in ts][int(np.argmax(weaker))])
-    return list(zip(lhs.tolist(), rem.tolist(), rhs.tolist()))
 
 
 class PreparedInstance:
@@ -227,10 +188,10 @@ class PreparedInstance:
 
     def __init__(self, d: DensityMatrix, obs: Sequence[np.ndarray], digest: str = "custom"):
         checked = tuple(observable(a) for a in obs)
+        self.scale = observable_scale(checked)  # first: it rejects norms that would overflow below
         self.state = d
         self.observables = checked
         self.frame = eigenframe(d, checked)
-        self.scale = observable_scale(checked)
         self.digest = digest
         self._matrix: dict = {}
         self._det: dict = {}
@@ -268,33 +229,46 @@ class PreparedInstance:
             got = self._det[key] = det_antisymmetric(m) if big == "robertson" else det_real_symmetric(m)
         return got
 
-    def pencil(self, f, g) -> _Pencil:
-        """Memoized constants of the pencil (Cov, Qov_f) for g None, else (Qov_f, Qov_g)."""
-        got = self._pencils.get((f, g))
+    def pencil(self, f, g, window: float) -> _Pencil:
+        """Memoized record of the pencil (Cov, Qov_f) for g None, else (Qov_f, Qov_g), clamped
+        in ``window``: a narrower window builds its own record, which raises as on a fresh
+        instance.  Its first row, under None, has unit weights, which multiply exactly, so
+        it is not 2^N times the Firey row at t = 1/2: the two can round apart."""
+        key = (f, g, window)
+        got = self._pencils.get(key)
         if got is None:
             sides = ("cov", f) if g is None else (f, g)
             labels = ("det Qov", "det(Cov - Qov)") if g is None else ("det Qov_g", "det(Qov_f - Qov_g)")
-            raw = (self.det(sides[1]), self.det(*sides))
-            q, dd = (v if v >= 0.0 else 0.0 for v in raw)
-            clamps = sum(not v >= 0.0 for v in raw)
-            got = self._pencils[f, g] = _Pencil(sides, labels, raw, q, dd, clamps, {})
+            q, small_clamps = _clamp(self.det(sides[1]), window, labels[0])
+            dd, diff_clamps = _clamp(self.det(*sides), window, labels[1])
+            rem = remainder(q, dd, self.size)
+            row = (self.det(sides[0]), rem, q + dd + rem)
+            got = self._pencils[key] = _Pencil(sides, q, dd, small_clamps + diff_clamps, {None: row})
         return got
 
-    def fill_firey(self, pencils, ts) -> None:
-        """Compute the Firey rows (det_mix, remainder_t, rhs) of every pencil
-        (f, g) at every t of ``ts`` not yet known, all in one array evaluation."""
+    def fill_firey(self, pencils, ts, window: float) -> None:
+        """Compute the Firey rows (det_mix, remainder_t, rhs) of every pencil (f, g),
+        clamped in ``window``, at every t of ``ts``, as one array evaluation of the grid:
+        the mixes t K_big + (1 - 2t) K_small form one broadcast (P·T, N, N) stack with one
+        determinant call, and the right side (1-t)^N q + t^N dd + cross terms takes each
+        record's clamped determinants.  Every operation is elementwise, so a row is
+        bit-identical whichever other rows shared the evaluation, and filling a row
+        again writes the same bits."""
         for t in ts:
             _require_unit(t)
-        todo = []
-        for f, g in pencils:
-            p = self.pencil(f, g)
-            missing = [t for t in ts if t not in p.rows]
-            if missing:
-                todo.append((p, missing))
-        if todo:
-            rows = iter(_firey_rows(self, todo))
-            for p, missing in todo:
-                p.rows.update(zip(missing, rows))
+        records = [self.pencil(f, g, window) for f, g in pencils]
+        n = self.size
+        t = np.array(ts, dtype=float)
+        a = 1.0 - t
+        # one row per pencil, broadcast over t
+        big, small = (np.array([self.matrix(p.sides[k]) for p in records])[:, None] for k in (0, 1))
+        q, dd, root_q, root_dd = np.array([(p.q, p.dd, _root(p.q, n), _root(p.dd, n)) for p in records]).T[:, :, None]
+        lhs = det_real_symmetric_stack((t[:, None, None] * big + (1.0 - 2.0 * t)[:, None, None] * small).reshape(-1, n, n))
+        rem = _cross_terms((root_q * a).ravel(), (root_dd * t).ravel(), n)
+        rhs = (_pow(a, n) * q + _pow(t, n) * dd).ravel() + rem
+        per_pencil = zip(*(v.reshape(len(records), len(ts)).tolist() for v in (lhs, rem, rhs)))
+        for p, columns in zip(records, per_pencil):
+            p.rows.update(zip(ts, zip(*columns)))
 
     def structure(self) -> tuple[int, bool]:
         """Memoized rank of the frame observables as real vectors, and whether
@@ -320,9 +294,12 @@ def prepare_random(n: int, n_obs: int, seed: int, kind: str = "generic") -> Prep
 
 
 def _report(name, lhs, rhs, scale, tol, components, digest, clamps=0, hypothesis_ok=True, window=None):
-    """Pass when margin >= -window, by default -tol * scale."""
+    """Pass when margin >= -window, by default -tol * scale.  A NaN margin
+    raises ArithmeticError instead of reading as a violation."""
     margin = lhs - rhs
     passed = bool(margin >= -(tol * scale if window is None else window))
+    if not passed and margin != margin:
+        raise ArithmeticError(f"{name}: margin is NaN (lhs {lhs!r}, rhs {rhs!r})")
     return InequalityReport(name, lhs, rhs, margin, scale, tol, passed, hypothesis_ok, clamps, components, digest)
 
 
@@ -341,23 +318,27 @@ def _pair_hypothesis(f: MonotoneFunction, g: MonotoneFunction) -> bool:
     return f.regular and not g.regular
 
 
-def _pencil(name, keys, inst, f, g, tol):
-    """det K_big >= det K_small + det(K_big - K_small) + cross terms.
+def _pencil(name, keys, inst, f, g, t, tol):
+    """det K_big >= det K_small + det(K_big - K_small) + cross terms, with unit
+    weights for t None and the Firey weights (1 - t, t) otherwise.
 
     (K_big, K_small) is (Cov, Qov_f) with g None and (Qov_f, Qov_g) for the
-    pair, which needs strict dominance.  ``keys`` names the components
-    lhs, det K_small, det(K_big - K_small) and the cross terms.  Unit weights
-    multiply exactly, so conj1 is not 2^N firey(1/2), which can round apart.
+    pair, which needs strict dominance.  ``keys`` names the components lhs,
+    det K_small, det(K_big - K_small) and the cross terms.  Both sides are row
+    t of the pencil's record in the window tol * scale; a missing t is a grid of one.
     """
     hypothesis_ok = True if g is None else _pair_hypothesis(f, g)
-    p = inst.pencil(f, g).clamped(tol * inst.scale)
-    lhs = inst.det(p.sides[0])
-    n = inst.size
-    rem = _cross_terms(_root(p.q, n), _root(p.dd, n), n)
-    rhs = p.q + p.dd + rem
-    if rhs < p.q:
-        raise _weaker(name, p.labels[0])
-    components = dict(zip(keys, (lhs, p.q, p.dd, rem)), f=f.label)
+    window = tol * inst.scale
+    p = inst.pencil(f, g, window)
+    row = p.rows.get(t)
+    if row is None:
+        inst.fill_firey(((f, g),), (t,), window)
+        row = p.rows[t]
+    lhs, rem, rhs = row
+    if t is None:
+        components = {keys[0]: lhs, keys[1]: p.q, keys[2]: p.dd, keys[3]: rem, "f": f.label}
+    else:
+        components = {keys[0]: lhs, keys[1]: p.q, keys[2]: p.dd, keys[3]: rem, "t": t, "f": f.label}
     if g is not None:
         components["g"] = g.label
     return _report(name, lhs, rhs, inst.scale, tol, components, inst.digest, p.clamps, hypothesis_ok)
@@ -365,7 +346,7 @@ def _pencil(name, keys, inst, f, g, tol):
 
 def check_conj1(inst: PreparedInstance, f: MonotoneFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     """det Cov >= det Qov + det(Cov - Qov) + cross terms."""
-    return _pencil("conj1", ("det_cov", "det_qov", "det_diff", "remainder"), inst, f, None, tol)
+    return _pencil("conj1", ("det_cov", "det_qov", "det_diff", "remainder"), inst, f, None, None, tol)
 
 
 def check_conj2(
@@ -375,7 +356,7 @@ def check_conj2(
     tol: float = DEFAULT_TOL,
 ) -> InequalityReport:
     """det Qov_f >= det Qov_g + det(Qov_f - Qov_g) + cross terms."""
-    return _pencil("conj2", ("det_qov_f", "det_qov_g", "det_diff_fg", "remainder"), inst, f, g, tol)
+    return _pencil("conj2", ("det_qov_f", "det_qov_g", "det_diff_fg", "remainder"), inst, f, g, None, tol)
 
 
 def check_firey(
@@ -389,21 +370,10 @@ def check_firey(
 
     With g omitted the pair is (Cov, Qov_f); with g it is (Qov_f, Qov_g).
     Note t K_big + (1-2t) K_small = (1-t) K_small + t (K_big - K_small), so
-    this is the Firey combination of the two summands on the right.  Both
-    sides are the pencil's Firey row at t; a t not filled before is a grid of one.
+    this is the Firey combination of the two summands on the right.
     """
     _require_unit(t)
-    hypothesis_ok = True if g is None else _pair_hypothesis(f, g)
-    p = inst.pencil(f, g).clamped(tol * inst.scale)
-    row = p.rows.get(t)
-    if row is None:
-        inst.fill_firey(((f, g),), (t,))
-        row = p.rows[t]
-    lhs, rem, rhs = row
-    components = {"det_mix": lhs, "det_small": p.q, "det_diff": p.dd, "remainder_t": rem, "t": t, "f": f.label}
-    if g is not None:
-        components["g"] = g.label
-    return _report("firey", lhs, rhs, inst.scale, tol, components, inst.digest, p.clamps, hypothesis_ok)
+    return _pencil("firey", ("det_mix", "det_small", "det_diff", "remainder_t"), inst, f, g, t, tol)
 
 
 def check_robertson(inst: PreparedInstance, tol: float = DEFAULT_TOL) -> InequalityReport:

@@ -106,20 +106,38 @@ def commutator(a, b) -> np.ndarray:
     return ma @ mb - mb @ ma
 
 
-def _checked_real(m, tol: float, sign: float = 1.0) -> np.ndarray:
+def _checked_real(m, tol: float, sign: float = 1.0) -> tuple[np.ndarray, float]:
     """m as a float array, which must be square, finite and symmetric
     (``sign`` = 1) or antisymmetric (``sign`` = -1) within tol times its
-    largest entry; ValueError otherwise."""
+    largest entry (ValueError otherwise), and max(1, that entry)."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     scale = _entry_scale(a)
-    asym = float(np.abs(a - sign * a.T).max(initial=0.0))
+    asym = float(np.abs(a - a.T if sign > 0 else a + a.T).max(initial=0.0))
     if not asym <= tol * scale:
         if sign > 0:
             raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym:.3e})")
         raise ValueError(f"matrix is not antisymmetric (max |M + M^T| = {asym:.3e})")
-    return a
+    return a, scale
+
+
+def _overflow(a: np.ndarray) -> OverflowError:
+    return OverflowError(f"determinant of finite entries up to {np.abs(a).max():.3e} overflows the float range")
+
+
+def _lu_det(a: np.ndarray, scale: float) -> float:
+    """``np.linalg.det`` of a checked matrix with entries of at most ``scale``.  By Hadamard's
+    inequality |det| <= (sqrt(N) scale)^N, so below e^700 no step of the LU can overflow and
+    only larger entries pay for silencing numpy; a result that is not finite raises OverflowError."""
+    n = a.shape[0]
+    if n * math.log(n * scale * scale) < 1400.0:
+        return float(np.linalg.det(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = float(np.linalg.det(a))
+    if not math.isfinite(det):
+        raise _overflow(a)
+    return det
 
 
 def det_real_symmetric(m) -> float:
@@ -130,11 +148,12 @@ def det_real_symmetric(m) -> float:
     numpy forms the LU determinant as the exp of a sum of logs, so its
     relative error grows with |log det|.
     Input that is not square, not finite or not symmetric within
-    ``SYMMETRY_TOL`` times its largest entry raises ValueError.
+    ``SYMMETRY_TOL`` times its largest entry raises ValueError, and a
+    determinant of finite entries that overflows raises OverflowError.
     """
     a = np.asarray(m, dtype=float)
     if not (a.ndim == 2 and 1 <= a.shape[0] == a.shape[1] <= 3):
-        return float(np.linalg.det(_checked_real(a, SYMMETRY_TOL)))
+        return _lu_det(*_checked_real(a, SYMMETRY_TOL))
     r = a.tolist()
     n = len(r)
     scale = max(1.0, max(abs(x) for row in r for x in row))
@@ -145,6 +164,7 @@ def det_real_symmetric(m) -> float:
     det = _cofactor_det(r)
     if not math.isfinite(det):
         _entry_scale(a)  # Python's max can pass over a NaN above
+        raise _overflow(a)
     return det
 
 
@@ -172,37 +192,40 @@ def det_real_symmetric_stack(ms) -> np.ndarray:
     Each equals ``det_real_symmetric`` of its matrix bit for bit: the same
     cofactor expressions on array columns up to 3x3, and the same LU above.
     The first matrix that is not finite or not symmetric raises the
-    ValueError that ``det_real_symmetric`` raises for it.
+    ValueError that ``det_real_symmetric`` raises for it, and an overflow OverflowError.
     """
     a = np.asarray(ms, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
         raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
     largest = np.abs(a).max(axis=(1, 2))
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the test below flags
+    # the symmetry test flags the NaN of inf - inf; one test of the results finds an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
         asym = np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2))
-    bad = ~(asym <= SYMMETRY_TOL * np.maximum(1.0, largest))
-    if bad.any():
-        k = int(np.argmax(bad))
-        _entry_scale(a[k])
-        raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym[k]:.3e})")
-    if a.shape[1] > 3:
-        return np.linalg.det(a)
-    return _cofactor_det(a.transpose(1, 2, 0))
+        bad = ~(asym <= SYMMETRY_TOL * np.maximum(1.0, largest))
+        if bad.any():
+            k = int(np.argmax(bad))
+            _entry_scale(a[k])
+            raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym[k]:.3e})")
+        dets = np.linalg.det(a) if a.shape[1] > 3 else _cofactor_det(a.transpose(1, 2, 0))
+    finite = np.isfinite(dets)
+    if not finite.all():
+        raise _overflow(a[int(np.argmin(finite))])
+    return dets
 
 
 def det_antisymmetric(k) -> float:
-    """Determinant of a real antisymmetric matrix: exactly zero at odd sizes, LU at even ones."""
-    a = _checked_real(k, SYMMETRY_TOL, sign=-1.0)
+    """Determinant of a real antisymmetric matrix: exactly zero at odd sizes, LU (``_lu_det``) at even ones."""
+    a, scale = _checked_real(k, SYMMETRY_TOL, sign=-1.0)
     if a.shape[0] % 2 == 1:
         return 0.0
-    return float(np.linalg.det(a))
+    return _lu_det(a, scale)
 
 
 def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a Hermitian (or real symmetric) matrix."""
     a = np.asarray(m)
     if np.isrealobj(a):
-        return float(np.linalg.eigvalsh(_checked_real(a, 1e-11))[0])
+        return float(np.linalg.eigvalsh(_checked_real(a, 1e-11)[0])[0])
     h = as_complex_matrix(a)
     require_hermitian(h)
     return float(np.linalg.eigvalsh(h)[0])

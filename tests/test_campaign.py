@@ -131,6 +131,34 @@ def test_worker_determinism():
     assert one == two
 
 
+def test_the_pool_has_at_most_one_process_per_cell(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class InlineExecutor:
+        """Stands in for the process pool: records its size and runs the cells inline, starting no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    config = dataclasses.replace(TINY, instances_per_cell=1)
+    cells = len(config.dims) * len(config.num_obs) * len(config.kinds)
+    assert run_campaign(config, workers=64).to_dict() == run_campaign(config).to_dict()
+    run_campaign(config, workers=2)
+    assert sizes == [cells, 2]
+
+
 def test_repeat_run_is_identical():
     first = run_campaign(TINY).to_dict()
     second = run_campaign(TINY).to_dict()

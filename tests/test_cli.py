@@ -86,6 +86,8 @@ def test_verify_config_errors_exit_2(args, capsys):
         (["verify", "--dims", "2,x"], "argument --dims: not an integer: 'x'"),
         (["verify", "--num-obs", "1,2.5"], "argument --num-obs: not an integer: '2.5'"),
         (["verify", "--t-grid", "0.5,x"], "argument --t-grid: not a number: 'x'"),
+        (["verify", "--instances", "abc"], "argument --instances: not an integer: 'abc'"),
+        (["verify", "--seed", "1.5"], "argument --seed: not an integer: '1.5'"),
     ],
 )
 def test_numeric_option_errors_name_the_option_and_the_text(args, message, capsys):
@@ -183,6 +185,36 @@ def test_compute_output_matches_the_golden_file(monkeypatch, capsys):
     monkeypatch.chdir(FIXTURES.parent.parent)
     assert main(["compute", "tests/fixtures/qubit_tight.json"]) == 0
     assert capsys.readouterr().out.encode() == (FIXTURES / "qubit_tight_compute.txt").read_bytes()
+
+
+def _scaled_fixture(tmp_path, factor: float) -> str:
+    payload = json.loads((FIXTURES / "qubit_tight.json").read_text())
+    payload["observables"] = [[[[factor * v for v in entry] for entry in row] for row in m] for m in payload["observables"]]
+    path = tmp_path / f"scaled_{factor:g}.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "factor, code, message",
+    [
+        # Cov entries near 1e160: det Cov overflows, a numerical failure
+        (1e80, 3, "error: determinant of finite entries up to 1.000e+160 overflows the float range\n"),
+        # squared observable norms near 1e320: the input itself is out of range
+        (1e160, 2, "error: observables: the sum of squared Frobenius norms overflows "),
+    ],
+)
+def test_compute_on_overflowing_observables_reports_an_error_not_a_violation(tmp_path, capsys, factor, code, message):
+    # the suite turns RuntimeWarning into errors, as CI runs the command line
+    assert main(["compute", _scaled_fixture(tmp_path, factor)]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert "FAIL" not in captured.out and "lhs=" not in captured.out
+
+
+def test_selftest_output_matches_the_golden_file(capsys):
+    assert main(["selftest"]) == 0
+    assert capsys.readouterr().out.encode() == (FIXTURES / "selftest.txt").read_bytes()
 
 
 def test_selftest_passes(capsys):

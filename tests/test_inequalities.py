@@ -10,6 +10,7 @@ from qfidet.covariance import metric_inner, robertson_matrix
 from qfidet.inequalities import (
     EqualityClassification,
     PreparedInstance,
+    _report,
     check_conj1,
     check_conj2,
     check_firey,
@@ -488,17 +489,24 @@ def test_firey_rows_do_not_depend_on_the_memo_order(kind, rng):
             filled = prepare_random(n, n_obs, seed, kind)
             got = {(fl, gl, t): rep for rep, fl, gl, t in plan.firey(filled, seed)}
             got.update({(f.label, g and g.label, off_grid): check_firey(filled, f, off_grid, g=g) for f, g in pencils})
+            # single rows first, on and off the grid, then the whole grid over them
+            refilled = prepare_random(n, n_obs, seed, kind)
+            early = {(f.label, g and g.label, t): check_firey(refilled, f, t, g=g) for f, g in pencils for t in (off_grid, 0.3)}
+            late = {(fl, gl, t): rep for rep, fl, gl, t in plan.firey(refilled, seed)}
             fresh = prepare_random(n, n_obs, seed, kind)
             # one t at a time, in a shuffled order of t and of the pencils
             for t in [off_grid, *rng.permutation(DEFAULT_T_GRID).tolist()]:
                 for k in rng.permutation(len(pencils)):
                     f, g = pencils[k]
+                    key = f.label, g and g.label, t
                     want = check_firey(fresh, f, t, g=g)
-                    rep = got[f.label, g and g.label, t]
-                    assert rep == want, (n, n_obs, t, f.label)
-                    for key in ("det_mix", "remainder_t"):
-                        assert _bits(rep.components[key]) == _bits(want.components[key]), (n, n_obs, t, key)
-                    assert _bits(rep.margin) == _bits(want.margin), (n, n_obs, t, f.label)
+                    for rep in (got[key], late.get(key), early.get(key)):
+                        if rep is None:
+                            continue
+                        assert rep == want, (n, n_obs, t, f.label)
+                        for c in ("det_mix", "remainder_t"):
+                            assert _bits(rep.components[c]) == _bits(want.components[c]), (n, n_obs, t, c)
+                        assert _bits(rep.margin) == _bits(want.margin), (n, n_obs, t, f.label)
 
 
 def test_a_clamp_from_a_wide_window_is_not_reused_in_a_narrow_one():
@@ -531,6 +539,31 @@ def test_firey_right_side_is_the_scalar_formula_bit_for_bit(rng):
             rhs = (1.0 - t) ** n_obs * c["det_small"] + t**n_obs * c["det_diff"] + rem
             assert _bits(c["remainder_t"]) == _bits(rem), (trial, fl, gl, t)
             assert _bits(rep.rhs) == _bits(rhs), (trial, fl, gl, t)
+        # conj1 and conj2 read the unit-weight rows of the records the grid built
+        outcomes = [(check_conj1(inst, f), "cov") for f in plan.functions]
+        outcomes += [(check_conj2(inst, f, g), f) for f, g in MEMO_PAIRS]
+        for rep, big in outcomes:
+            lhs, q, dd, rem = list(rep.components.values())[:4]
+            assert _bits(lhs) == _bits(rep.lhs) == _bits(det_real_symmetric(inst.matrix(big))), (trial, rep.name)
+            assert _bits(rem) == _bits(remainder(q, dd, n_obs)), (trial, rep.name)
+            assert _bits(rep.rhs) == _bits(q + dd + rem), (trial, rep.name)
+
+
+def test_a_nan_margin_raises_instead_of_reading_as_a_violation():
+    with pytest.raises(ArithmeticError, match="robertson: margin is NaN"):
+        _report("robertson", math.inf, math.inf, 1.0, 1e-9, {}, "custom")
+    assert _report("main", math.inf, 1.0, 1.0, 1e-9, {}, "custom").passed
+    assert _report("main", 1.0, math.inf, 1.0, 1e-9, {}, "custom").violated
+
+
+def test_overflowing_observables_raise_instead_of_failing(tight):
+    # Cov entries near 1e160 give a determinant past the float range
+    scaled = PreparedInstance(tight.state, [1e80 * a for a in tight.observables])
+    with pytest.raises(OverflowError):
+        check_main(scaled, SLD)
+    # squared norms past the float range are rejected before anything warns
+    with pytest.raises(ValueError, match=r"observables: .*observables\[1\] = inf"):
+        PreparedInstance(tight.state, [PAULI_X, 1e160 * PAULI_Y])
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -222,6 +222,31 @@ def test_det_stack_checks_its_input():
             det_real_symmetric_stack(np.ones(shape))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_a_determinant_that_overflows_raises_overflow_error(n):
+    # finite entries on both sides of the size switch: a product past the
+    # float range (inf), and at n = 2 a difference of two of them (inf - inf)
+    big = np.eye(n) * 1e308 ** (2.0 / n)
+    cases = [big] + ([np.full((2, 2), 1e200)] if n == 2 else [])
+    for m in cases:
+        with pytest.raises(OverflowError, match="overflows the float range"):
+            det_real_symmetric(m)
+        with pytest.raises(OverflowError, match="overflows the float range"):
+            det_real_symmetric_stack([np.eye(n), m])
+    if n % 2 == 0:
+        k = np.kron(np.eye(n // 2), np.array([[0.0, 1e200], [-1e200, 0.0]]))
+        with pytest.raises(OverflowError, match="overflows the float range"):
+            det_antisymmetric(k)
+    # large entries whose determinant stays in range pass, within Hadamard's
+    # bound (sqrt(N) max|entry|)^N <= e^700 and beyond it
+    for m in (np.eye(n) * 1e300 ** (1.0 / n), np.diag([1e200] + [1e-50] * (n - 1))):
+        assert 0.0 < det_real_symmetric(m) < math.inf
+        assert 0.0 < det_real_symmetric_stack([m])[0] < math.inf
+    if n % 2 == 0:
+        k = np.kron(np.diag([1e154] + [1e-50] * (n // 2 - 1)), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        assert 0.0 < det_antisymmetric(k) < math.inf
+
+
 def test_det_antisymmetric_examples(rng):
     k = np.array([[0.0, 0.5], [-0.5, 0.0]])
     assert det_antisymmetric(k) == pytest.approx(0.25, rel=1e-13)
