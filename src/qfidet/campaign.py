@@ -3,9 +3,12 @@
 Every instance is generated from hash(seed, n, N, kind, index), so any cell
 or single instance reproduces in isolation and the report is identical for
 any worker count: cells are independent work items and the merge happens in
-a fixed order.  The JSON report is the source of truth; CSV is a flattened
-view with one row per (check, n, N, f, g, t) combination, aggregated over
-state kinds and instances.
+a fixed order.  A cell runs its instances in blocks of ``BLOCK_INSTANCES``:
+each instance is drawn alone, the block evaluates what the active checks read
+as stacked arrays, and the checks then read memos, instance by instance, so
+the report is identical for any block size too.  The JSON report is the
+source of truth; CSV is a flattened view with one row per (check, n, N, f, g, t)
+combination, aggregated over state kinds and instances.
 """
 
 from __future__ import annotations
@@ -19,15 +22,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .inequalities import (
-    EqualityClassification,
-    check_conj1,
-    check_conj2,
-    check_firey,
-    check_main,
-    check_metric_contraction,
-    check_robertson,
-    classify_equality,
-    prepare_random,
+    EqualityClassification, InstanceBlock, check_conj1, check_conj2, check_firey, check_main,
+    check_metric_contraction, check_robertson, classify_equality, fill_contraction, prepare_random,
 )
 from .monotone import MonotoneFunction, checked_spec, parse_function_spec
 from .states import STATE_KINDS, derive_seed, random_partition
@@ -36,10 +32,20 @@ REPORT_VERSION = "qfi-report/4"
 VIOLATION_CAP = 100
 COUNT_NAMES = ("pass", "fail", "hypothesis_skipped", "clamped")
 DEFAULT_T_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+# instances of a cell evaluated as one stack; the stacks grow with it, so it bounds memory
+BLOCK_INSTANCES = 32
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _partition(inst, derived) -> list:
+    """The random partition of an instance's contraction check, drawn once per state."""
+    key = ("partition", derived)
+    if key not in inst.state.memo:
+        inst.state.memo[key] = random_partition(inst.state.dim, derive_seed("partition", derived))
+    return inst.state.memo[key]
 
 
 @dataclass(frozen=True)
@@ -49,12 +55,31 @@ class CheckPlan:
     Each generator yields (outcome, f label, g label, t) and looks its check
     function up by module name when it runs, so that replacing
     ``campaign.check_main`` (a test double, a tracer) reaches every dispatch.
+    ``evaluate`` fills, for a block of instances, what the generators read.
     """
 
     functions: tuple[MonotoneFunction, ...]
     pairs: tuple[tuple[MonotoneFunction, MonotoneFunction], ...]
     tol: float
     t_grid: tuple[float, ...] = ()
+
+    def evaluate(self, instances, seeds, names) -> None:
+        """Evaluate as stacks over ``instances`` (derived seeds ``seeds``) what the checks in
+        ``names`` read, and nothing else, so that their entries only read memos."""
+        unit = [(f, None) for f in self.functions]
+        equality = [h for pair in self.pairs or unit[:1] for h in pair if h is not None]
+        reads = {"main": ["cov", *self.functions], "robertson": ["cov", "robertson"], "equality": ["cov", *equality]}
+        sides = [side for name in CHECK_NAMES if name in names for side in reads.get(name, ())]
+        pencils = (unit if {"conj1", "firey"} & names else []) + (list(self.pairs) if {"conj2", "firey"} & names else [])
+        block = InstanceBlock(instances)  # the instances' memos start afresh
+        block.build_pencils(pencils, self.tol, sides)  # one determinant call for all
+        if "firey" in names:
+            block.fill_firey(pencils, self.t_grid, self.tol)
+        if "equality" in names:
+            block.find_structure()
+        if "contraction" in names:
+            cases = [(inst.state, inst.observables[0], _partition(inst, seed)) for inst, seed in zip(instances, seeds)]
+            fill_contraction(cases, self.functions)
 
     def main(self, inst, derived):
         for f in self.functions:
@@ -69,8 +94,6 @@ class CheckPlan:
             yield check_conj2(inst, f, g, self.tol), f.label, g.label, None
 
     def firey(self, inst, derived):
-        # every pencil's whole t-grid in one array evaluation; each check reads its row
-        inst.fill_firey([(f, None) for f in self.functions] + list(self.pairs), self.t_grid, self.tol * inst.scale)
         for t in self.t_grid:
             for f in self.functions:
                 yield check_firey(inst, f, t, tol=self.tol), f.label, None, t
@@ -86,7 +109,7 @@ class CheckPlan:
             yield got, f.label, g.label if g is not None else None, None
 
     def contraction(self, inst, derived):
-        partition = random_partition(inst.state.dim, derive_seed("partition", derived))
+        partition = _partition(inst, derived)
         for f in self.functions:
             rep = check_metric_contraction(inst.state, inst.observables[0], f, partition, self.tol)
             yield rep, f.label, None, None
@@ -236,52 +259,46 @@ def _run_cell(config: CampaignConfig, n: int, n_obs: int, kind: str) -> tuple[di
     )
     # registry order, whatever the order of config.checks
     active = [(name, entry) for name, entry in CHECKS.items() if name in config.checks]
+    names = {name for name, _ in active}
     rows: dict[tuple, list] = {}
     # Every instance yields its outcomes in the same order, so the first one
     # binds each position to its row and the others index by position.
     slots: list[list] = []
     violations: list[dict] = []
-    for index in range(config.instances_per_cell):
-        derived = derive_seed(config.seed, n, n_obs, kind, index)
-        inst = prepare_random(n, n_obs, derived, kind)
-        where = f"kind={kind},index={index}"
-        position = 0
-        for name, entry in active:
-            for rep, fl, gl, t in entry(plan, inst, derived):
-                if index == 0:
-                    slots.append(rows.setdefault((name, n, n_obs, fl, gl, t), _empty_row()))
-                row = slots[position]
-                position += 1
-                # the tally of _add_row, one outcome at a time
-                if not rep.hypothesis_ok:
-                    row[2] += 1
-                    continue
-                passed = rep.passed
-                row[0 if passed else 1] += 1
-                row[3] += rep.clamps
-                if row[4] is None or rep.margin < row[4]:
-                    row[4:] = rep.margin, where
-                # a violation: the hypothesis held and the bound failed
-                if passed or len(violations) >= VIOLATION_CAP:
-                    continue
-                violation = {
-                    "check": name,
-                    "n": n,
-                    "N": n_obs,
-                    "kind": kind,
-                    "index": index,
-                    "seed": config.seed,
-                    "derived_seed": derived,
-                    "f": fl,
-                    "g": gl,
-                    "t": t,
-                    "margin": rep.margin,
-                }
-                if isinstance(rep, EqualityClassification):
-                    violation["verdict"] = rep.verdict
-                violations.append(violation)
-        if position != len(slots):
-            raise AssertionError(f"instance {index} of a cell yielded {position} outcomes, the first {len(slots)}")
+    count = config.instances_per_cell
+    for start in range(0, count, BLOCK_INSTANCES):
+        indices = range(start, min(start + BLOCK_INSTANCES, count))
+        seeds = [derive_seed(config.seed, n, n_obs, kind, index) for index in indices]
+        block = [prepare_random(n, n_obs, derived, kind) for derived in seeds]
+        plan.evaluate(block, seeds, names)
+        for index, derived, inst in zip(indices, seeds, block):
+            where = f"kind={kind},index={index}"
+            position = 0
+            for name, entry in active:
+                for rep, fl, gl, t in entry(plan, inst, derived):
+                    if index == 0:
+                        slots.append(rows.setdefault((name, n, n_obs, fl, gl, t), _empty_row()))
+                    row = slots[position]
+                    position += 1
+                    # the tally of _add_row, one outcome at a time
+                    if not rep.hypothesis_ok:
+                        row[2] += 1
+                        continue
+                    passed = rep.passed
+                    row[0 if passed else 1] += 1
+                    row[3] += rep.clamps
+                    if row[4] is None or rep.margin < row[4]:
+                        row[4:] = rep.margin, where
+                    # a violation: the hypothesis held and the bound failed
+                    if passed or len(violations) >= VIOLATION_CAP:
+                        continue
+                    violation = dict(check=name, n=n, N=n_obs, kind=kind, index=index, seed=config.seed)
+                    violation.update(derived_seed=derived, f=fl, g=gl, t=t, margin=rep.margin)
+                    if isinstance(rep, EqualityClassification):
+                        violation["verdict"] = rep.verdict
+                    violations.append(violation)
+            if position != len(slots):
+                raise AssertionError(f"instance {index} of a cell yielded {position} outcomes, the first {len(slots)}")
     return rows, violations
 
 

@@ -13,9 +13,9 @@ test suite forces to agree:
   against the frame matrices; the mean subtraction never sees a commutator or
   a division, so agreement is informative.
 
-The frame assemblers are the fast path (one einsum per matrix); the entrywise
-assemblers ``cov_matrix`` and ``qov_matrix`` stay close to the definitions and
-are what the frame assemblers are tested against.
+The frame assemblers are the fast path (one einsum per matrix, or per stack of
+a block's matrices); the entrywise assemblers ``cov_matrix`` and ``qov_matrix``
+stay close to the definitions and are what the frame assemblers are tested against.
 
 A nonregular f (f(0) = 0) makes Qov_f identically zero.  ``qov``,
 ``qov_matrix`` and ``qov_matrix_frame`` reject it rather than return that
@@ -67,11 +67,14 @@ def pair_means(lambdas: np.ndarray, f: MonotoneFunction) -> np.ndarray:
     return mean(f, lambdas[..., :, None], lambdas[..., None, :])
 
 
-def metric_sum(products: np.ndarray, means: np.ndarray, f: MonotoneFunction) -> float:
-    """Real part of sum products_hj / m_f(lambda_h, lambda_j), given the means from ``pair_means``."""
-    if not means.min(initial=np.inf) > 0.0:
-        raise ValueError(f"matrix mean underflow for {f.label}: min {means.min():.3e}")
-    return float(np.sum(products / means).real)
+def metric_sum(products: np.ndarray, means: np.ndarray, f: MonotoneFunction):
+    """Real part of sum products_hj / m_f(lambda_h, lambda_j), given the means from ``pair_means``;
+    the array of these sums for stacks (..., n, n), the first nonpositive mean raising ValueError."""
+    lows = means.min(axis=(-2, -1), initial=np.inf).ravel()
+    bad = ~(lows > 0.0)
+    if bad.any():
+        raise ValueError(f"matrix mean underflow for {f.label}: min {lows[np.argmax(bad)]:.3e}")
+    return np.sum(products / means, axis=(-2, -1)).real
 
 
 def metric_inner(d: DensityMatrix, f: MonotoneFunction, x: np.ndarray, y: np.ndarray) -> float:
@@ -87,7 +90,7 @@ def metric_inner(d: DensityMatrix, f: MonotoneFunction, x: np.ndarray, y: np.nda
     u = d.eigen.unitary
     xr = u.conj().T @ x @ u
     yr = u.conj().T @ y @ u
-    return metric_sum(xr.conj() * yr, pair_means(d.eigenvalues, f), f)
+    return float(metric_sum(xr.conj() * yr, pair_means(d.eigenvalues, f), f))
 
 
 def _require_regular(f: MonotoneFunction) -> None:
@@ -110,10 +113,10 @@ def alpha_coefficients(lambdas: np.ndarray, f: MonotoneFunction) -> np.ndarray:
 
     Zero on the diagonal, strictly positive off it (for distinct eigenvalues);
     equal to f(0)(lambda_h - lambda_j)^2 / (2 m_f) by the transform identity,
-    which the tests check but this route never uses.
+    which the tests check but this route never uses.  Spectra (..., n) give a stack.
     """
     lam = np.asarray(lambdas, dtype=float)
-    arithmetic = 0.5 * (lam[:, None] + lam[None, :])
+    arithmetic = 0.5 * (lam[..., :, None] + lam[..., None, :])
     return arithmetic - pair_means(lam, tilde(f))
 
 
@@ -139,18 +142,18 @@ def qov_matrix(d: DensityMatrix, f: MonotoneFunction, obs) -> np.ndarray:
 
 def _frame_quadratic(frame: EigenFrame, weights: np.ndarray) -> np.ndarray:
     x = frame.observables
-    raw = np.einsum("hj,khj,ljh->kl", weights, x, x).real
-    return 0.5 * (raw + raw.T)
+    raw = np.einsum("...hj,...khj,...ljh->...kl", weights, x, x).real
+    return 0.5 * (raw + np.swapaxes(raw, -1, -2))
 
 
 def cov_matrix_frame(frame: EigenFrame) -> np.ndarray:
-    """Same matrix as cov_matrix, assembled in one pass from the frame."""
+    """Same matrix as cov_matrix, assembled in one pass from the frame (a stack from a stacked frame)."""
     lam = frame.lambdas
-    return _frame_quadratic(frame, 0.5 * (lam[:, None] + lam[None, :]))
+    return _frame_quadratic(frame, 0.5 * (lam[..., :, None] + lam[..., None, :]))
 
 
 def qov_matrix_frame(frame: EigenFrame, f: MonotoneFunction) -> np.ndarray:
-    """Same matrix as qov_matrix, assembled in one pass from the frame."""
+    """Same matrix as qov_matrix, assembled in one pass from the frame (a stack from a stacked frame)."""
     _require_regular(f)
     return _frame_quadratic(frame, alpha_coefficients(frame.lambdas, f))
 
@@ -170,10 +173,11 @@ def robertson_matrix(d: DensityMatrix, obs) -> np.ndarray:
     return out
 
 
-def observable_scale(obs) -> float:
-    """Tolerance scale max(1, sum of squared Frobenius norms); ValueError, naming the observables, where it overflows."""
+def observable_scale(obs) -> tuple[float, tuple[float, ...]]:
+    """Tolerance scale max(1, sum of squared Frobenius norms), and the norms it
+    is computed from; ValueError, naming the observables, where it overflows."""
     with np.errstate(over="ignore"):
-        norms = [frobenius(a) for a in obs]
+        norms = tuple(frobenius(a) for a in obs)
     try:
         total = sum(v**2 for v in norms)  # Python's float power raises OverflowError past the float range
     except OverflowError:
@@ -181,4 +185,4 @@ def observable_scale(obs) -> float:
     if total == math.inf:
         listed = ", ".join(f"norm of observables[{k}] = {v:.3e}" for k, v in enumerate(norms))
         raise ValueError(f"observables: the sum of squared Frobenius norms overflows ({listed})")
-    return max(1.0, total)
+    return max(1.0, total), norms

@@ -3,14 +3,12 @@
 The bounds all compare determinants of N x N matrices built from one state
 and N observables: the covariance matrix, the quantum covariance matrices of
 one or two monotone functions, their differences, and binomial cross terms
-(the Minkowski/Firey machinery).  A PreparedInstance carries the shared
-eigenframe and memoizes every matrix and determinant, so that a campaign can
-run the whole battery of checks on an instance for the price of computing
-each ingredient once.  conj1, conj2 and firey are one inequality on a pencil
-(K_big, K_small) of PSD matrices; the instance keeps one record per pencil
-and clamp window, whose rows hold both sides of the unit-weight bound and of
-the Firey bound at each t, the latter evaluated as arrays over every
-(pencil, t) of the instance at once, and the three checks share one body.
+(the Minkowski/Firey machinery).  Instances of one (n, N) are evaluated as a
+block: each matrix, determinant, pencil record and Firey row is computed for
+all of them at once from stacked arrays and memoized per block, so that the
+checks of an instance only read memos; an instance on its own is a block of
+one.  conj1, conj2 and firey are one inequality on a pencil (K_big, K_small)
+of PSD matrices, with one record per pencil and clamp window and one check body.
 
 Pass/fail is always margin >= -tol * scale with scale = max(1, sum of squared
 Frobenius norms of the observables).  Hypothesis failures (a function pair
@@ -22,54 +20,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .covariance import (
-    cov_matrix_frame,
-    metric_sum,
-    observable_scale,
-    pair_means,
-    qov_matrix_frame,
-)
-from .linalg import (
-    RANK_TOL,
-    det_antisymmetric,
-    det_real_symmetric,
-    det_real_symmetric_stack,
-    min_eigenvalue,
-    numeric_rank,
-)
+from .covariance import cov_matrix_frame, metric_sum, observable_scale, pair_means, qov_matrix_frame
+from .linalg import RANK_TOL, det_antisymmetric, det_real_symmetric_stack, min_eigenvalue, numeric_rank
 from .monotone import MonotoneFunction, dominates
 from .states import (
-    DensityMatrix,
-    density,
-    derive_seed,
-    eigenframe,
-    observable,
-    offdiagonal_dependence,
-    pinching,
-    random_density,
-    random_observable,
+    DensityMatrix, EigenFrame, density, derive_seed, eigenframe,
+    observable, offdiagonal_dependence, pinching, random_density, random_observable,
 )
 
 __all__ = [
-    "DEFAULT_TOL",
-    "InequalityReport",
-    "EqualityClassification",
-    "PreparedInstance",
-    "prepare_random",
-    "remainder",
-    "remainder_t",
-    "check_main",
-    "check_conj1",
-    "check_conj2",
-    "check_firey",
-    "check_robertson",
-    "classify_equality",
-    "minkowski_firey_selftest",
-    "check_metric_contraction",
+    "DEFAULT_TOL", "InequalityReport", "EqualityClassification", "PreparedInstance",
+    "prepare_random", "InstanceBlock", "fill_contraction", "remainder", "remainder_t", "check_main",
+    "check_conj1", "check_conj2", "check_firey", "check_robertson", "classify_equality",
+    "minkowski_firey_selftest", "check_metric_contraction",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -165,10 +133,9 @@ def remainder_t(det_q: float, det_diff: float, n_obs: int, t: float) -> float:
 
 
 class _Pencil(NamedTuple):
-    """One pencil (K_big, K_small), (Cov, Qov_f) or (Qov_f, Qov_g), of an
-    instance, clamped in one window: det K_small and det(K_big - K_small)
-    clamped at 0, their clamp count, and the rows (lhs, cross terms, rhs):
-    under None the unit-weight row of conj1/conj2, under t the Firey row."""
+    """An instance's pencil (K_big, K_small), (Cov, Qov_f) or (Qov_f, Qov_g), clamped in one
+    window: det K_small and det(K_big - K_small) clamped at 0, their clamp count, and the rows
+    (lhs, cross terms, rhs), under None the unit-weight row of conj1/conj2, under t the Firey row."""
 
     sides: tuple
     q: float
@@ -178,7 +145,7 @@ class _Pencil(NamedTuple):
 
 
 class PreparedInstance:
-    """One (state, observables) pair with every derived matrix memoized.
+    """One (state, observables) pair whose derived quantities its block memoizes.
 
     Quantum covariance matrices are produced here for nonregular functions
     too, which the covariance assemblers reject: they are exactly zero there
@@ -188,102 +155,156 @@ class PreparedInstance:
 
     def __init__(self, d: DensityMatrix, obs: Sequence[np.ndarray], digest: str = "custom"):
         checked = tuple(observable(a) for a in obs)
-        self.scale = observable_scale(checked)  # first: it rejects norms that would overflow below
+        self.scale, self.norms = observable_scale(checked)  # first: it rejects norms that would overflow below
         self.state = d
         self.observables = checked
         self.frame = eigenframe(d, checked)
         self.digest = digest
-        self._matrix: dict = {}
-        self._det: dict = {}
-        self._pencils: dict = {}
-        self._structure = None
+        InstanceBlock((self,))
 
     @property
     def size(self) -> int:
         return self.frame.size
 
+    def _memo(self, memo: dict, key, fill):
+        got = memo.get(key)
+        if got is None:
+            fill()
+            got = memo[key]
+        return got[self._index]
+
     def matrix(self, side) -> np.ndarray:
         """Memoized N x N matrix: Cov for "cov", Qov_f for a function f, and for
         "robertson" the commutator bound matrix Im(S), S_kl = sum_h lambda_h A^k_hj A^l_jh."""
-        got = self._matrix.get(side)
-        if got is None:
-            if side == "cov":
-                got = cov_matrix_frame(self.frame)
-            elif side == "robertson":
-                x = self.frame.observables
-                r = np.einsum("h,khj,ljh->kl", self.frame.lambdas, x, x).imag
-                got = 0.5 * (r - r.T)
-            elif not side.regular:
-                got = np.zeros((self.size, self.size))
-            else:
-                got = qov_matrix_frame(self.frame, side)
-            self._matrix[side] = got
-        return got
+        return self._memo(self._block.matrix, side, lambda: self._block.assemble((side,)))
 
     def det(self, big, small=None) -> float:
         """Memoized determinant of ``matrix(big)``, or of ``matrix(big) - matrix(small)``."""
-        key = (big, small)
-        got = self._det.get(key)
-        if got is None:
-            m = self.matrix(big) if small is None else self.matrix(big) - self.matrix(small)
-            got = self._det[key] = det_antisymmetric(m) if big == "robertson" else det_real_symmetric(m)
-        return got
+        return self._memo(self._block.det, (big, small), lambda: self._block.determinants(((big, small),)))
 
-    def pencil(self, f, g, window: float) -> _Pencil:
-        """Memoized record of the pencil (Cov, Qov_f) for g None, else (Qov_f, Qov_g), clamped
-        in ``window``: a narrower window builds its own record, which raises as on a fresh
-        instance.  Its first row, under None, has unit weights, which multiply exactly, so
-        it is not 2^N times the Firey row at t = 1/2: the two can round apart."""
-        key = (f, g, window)
-        got = self._pencils.get(key)
+    def pencil(self, f, g, tol: float) -> _Pencil:
+        """Memoized record of the pencil (Cov, Qov_f) for g None, else (Qov_f, Qov_g), clamped in
+        the window tol * scale.  Its unit-weight row multiplies exactly, so it is not 2^N times
+        the Firey row at t = 1/2: the two can round apart."""
+        got = self._block.pencil.get((f, g, tol))
         if got is None:
-            sides = ("cov", f) if g is None else (f, g)
-            labels = ("det Qov", "det(Cov - Qov)") if g is None else ("det Qov_g", "det(Qov_f - Qov_g)")
-            q, small_clamps = _clamp(self.det(sides[1]), window, labels[0])
-            dd, diff_clamps = _clamp(self.det(*sides), window, labels[1])
-            rem = remainder(q, dd, self.size)
-            row = (self.det(sides[0]), rem, q + dd + rem)
-            got = self._pencils[key] = _Pencil(sides, q, dd, small_clamps + diff_clamps, {None: row})
-        return got
+            self._block.build_pencils(((f, g),), tol, ())
+            got = self._block.pencil[f, g, tol]
+        return got[self._index]
 
-    def fill_firey(self, pencils, ts, window: float) -> None:
-        """Compute the Firey rows (det_mix, remainder_t, rhs) of every pencil (f, g),
-        clamped in ``window``, at every t of ``ts``, as one array evaluation of the grid:
-        the mixes t K_big + (1 - 2t) K_small form one broadcast (P·T, N, N) stack with one
-        determinant call, and the right side (1-t)^N q + t^N dd + cross terms takes each
-        record's clamped determinants.  Every operation is elementwise, so a row is
-        bit-identical whichever other rows shared the evaluation, and filling a row
-        again writes the same bits."""
+    def structure(self) -> tuple[int, bool]:
+        """Memoized rank of the frame observables as real vectors, and whether some real
+        combination of them is diagonal in the state's eigenbasis; every equality check shares them."""
+        return self._memo(self._block.structure, None, self._block.find_structure)
+
+
+class InstanceBlock:
+    """Instances of one (n, N), evaluated together: each memo maps a key to its value for
+    every instance, computed on first use by one stacked evaluation.  A campaign fills the
+    memos its checks read with ``build_pencils``, ``fill_firey`` and ``find_structure``.
+    Every stacked operation acts on each instance's slice alone (elementwise, or LAPACK
+    per matrix), so a value is bit-identical whichever block computed it."""
+
+    def __init__(self, instances):
+        # what the block reads of its instances, not the instances: they refer to it
+        self.frames, self.scales, self.norms = zip(*((inst.frame, inst.scale, inst.norms) for inst in instances))
+        for k, inst in enumerate(instances):
+            inst._block, inst._index = self, k
+        self.matrix: dict = {}  # side -> (B, N, N) stack
+        self.det: dict = {}  # (big, small) -> B determinants
+        self.pencil: dict = {}  # (f, g, tol) -> B _Pencil records
+        self.structure: dict = {}  # None -> B (rank, off-diagonal dependence) pairs
+
+    @cached_property
+    def frame(self) -> EigenFrame:
+        return EigenFrame(*(np.stack([getattr(fr, a) for fr in self.frames]) for a in ("lambdas", "observables", "norms")))
+
+    def assemble(self, sides) -> None:
+        """Each missing side by one einsum over the stacked frames (zeros for a nonregular f)."""
+        for side in dict.fromkeys(sides):
+            if side in self.matrix:
+                continue
+            frame = self.frame
+            if side == "cov":
+                got = cov_matrix_frame(frame)
+            elif side == "robertson":
+                x = frame.observables
+                r = np.einsum("...h,...khj,...ljh->...kl", frame.lambdas, x, x).imag
+                got = 0.5 * (r - np.swapaxes(r, -1, -2))
+            elif not side.regular:
+                got = np.zeros((len(self.frames), frame.size, frame.size))
+            else:
+                got = qov_matrix_frame(frame, side)
+            self.matrix[side] = got
+
+    def determinants(self, keys) -> None:
+        """det(big), or det(big - small), of each missing key (big, small): the symmetric ones by
+        one ``det_real_symmetric_stack`` call on the instance-major (B·K, N, N) stack, the
+        commutator matrix's by ``det_antisymmetric`` per instance."""
+        todo = [key for key in dict.fromkeys(keys) if key not in self.det]
+        self.assemble([side for key in todo for side in key if side is not None])
+        m = self.matrix
+        symmetric = [key for key in todo if key[0] != "robertson"]
+        if symmetric:
+            stack = np.stack([m[big] if small is None else m[big] - m[small] for big, small in symmetric], axis=1)
+            values = det_real_symmetric_stack(stack.reshape(-1, *stack.shape[2:])).reshape(stack.shape[:2])
+            self.det.update(zip(symmetric, values.T.tolist()))
+        if ("robertson", None) in todo:
+            self.det["robertson", None] = [det_antisymmetric(r) for r in m["robertson"]]
+
+    def build_pencils(self, pencils, tol: float, sides) -> None:
+        """The missing records of the pencils (f, g), their determinants taken in one call with
+        those of ``sides``.  Each instance is clamped by ``_clamp`` in its own window tol * scale,
+        in instance order: a failure raises the error its instance raises alone."""
+        todo = [(f, g) for f, g in dict.fromkeys(pencils) if (f, g, tol) not in self.pencil]
+        pairs = [("cov", f) if g is None else (f, g) for f, g in todo]
+        keys = [(side, None) for side in sides]
+        self.determinants(keys + [key for big, small in pairs for key in ((small, None), (big, small), (big, None))])
+        n = self.frames[0].size
+        records = [[] for _ in todo]
+        for k, scale in enumerate(self.scales):
+            window = tol * scale
+            for out, (f, g), (big, small) in zip(records, todo, pairs):
+                labels = ("det Qov", "det(Cov - Qov)") if g is None else ("det Qov_g", "det(Qov_f - Qov_g)")
+                q, small_clamps = _clamp(self.det[small, None][k], window, labels[0])
+                dd, diff_clamps = _clamp(self.det[big, small][k], window, labels[1])
+                rem = remainder(q, dd, n)
+                row = (self.det[big, None][k], rem, q + dd + rem)
+                out.append(_Pencil((big, small), q, dd, small_clamps + diff_clamps, {None: row}))
+        self.pencil.update(((f, g, tol), out) for (f, g), out in zip(todo, records))
+
+    def fill_firey(self, pencils, ts, tol: float) -> None:
+        """The Firey rows (det_mix, remainder_t, rhs) of every pencil (f, g) of every instance at
+        every t of ``ts``: the mixes t K_big + (1 - 2t) K_small form one broadcast (B·P·T, N, N)
+        stack with one determinant call, and the right side (1-t)^N q + t^N dd + cross terms
+        takes each record's clamped determinants.  Every operation is elementwise."""
         for t in ts:
             _require_unit(t)
-        records = [self.pencil(f, g, window) for f, g in pencils]
-        n = self.size
+        self.build_pencils(pencils, tol, ())
+        per_pencil = [self.pencil[f, g, tol] for f, g in pencils]
+        records = [p for per_instance in zip(*per_pencil) for p in per_instance]
+        n = self.frames[0].size
         t = np.array(ts, dtype=float)
         a = 1.0 - t
-        # one row per pencil, broadcast over t
-        big, small = (np.array([self.matrix(p.sides[k]) for p in records])[:, None] for k in (0, 1))
+        # (B, P, 1, N, N), broadcast over t
+        big, small = (np.stack([self.matrix[p[0].sides[k]] for p in per_pencil], axis=1)[:, :, None] for k in (0, 1))
         q, dd, root_q, root_dd = np.array([(p.q, p.dd, _root(p.q, n), _root(p.dd, n)) for p in records]).T[:, :, None]
         lhs = det_real_symmetric_stack((t[:, None, None] * big + (1.0 - 2.0 * t)[:, None, None] * small).reshape(-1, n, n))
         rem = _cross_terms((root_q * a).ravel(), (root_dd * t).ravel(), n)
         rhs = (_pow(a, n) * q + _pow(t, n) * dd).ravel() + rem
-        per_pencil = zip(*(v.reshape(len(records), len(ts)).tolist() for v in (lhs, rem, rhs)))
-        for p, columns in zip(records, per_pencil):
+        for p, columns in zip(records, zip(*(v.reshape(len(records), len(ts)).tolist() for v in (lhs, rem, rhs)))):
             p.rows.update(zip(ts, zip(*columns)))
 
-    def structure(self) -> tuple[int, bool]:
-        """Memoized rank of the frame observables as real vectors, and whether
-        some real combination of them is diagonal in the state's eigenbasis.
-        Neither depends on a function, so every equality check shares them."""
-        if self._structure is None:
-            flat = self.frame.observables.reshape(self.size, -1)
-            vectors = np.concatenate((flat.real, flat.imag), axis=1)
-            # Centering an observable proportional to the identity leaves only
-            # rounding noise behind; a floor at the raw observables' scale keeps
-            # such a row from counting as an independent direction.
-            obs_scale = max([1.0] + [float(np.linalg.norm(a)) for a in self.observables])
-            rank = numeric_rank(vectors, floor=RANK_TOL * obs_scale)
-            self._structure = (rank, offdiagonal_dependence(self.frame).dependent)
-        return self._structure
+    def find_structure(self) -> None:
+        """Every ``structure()``, by one batched SVD for the ranks and one for the dependence."""
+        frame = self.frame
+        flat = frame.observables.reshape(len(self.frames), frame.size, -1)
+        # Centering an observable proportional to the identity leaves only
+        # rounding noise behind; a floor at the raw observables' scale keeps
+        # such a row from counting as an independent direction.
+        floors = RANK_TOL * np.array([max([1.0, *norms]) for norms in self.norms])
+        ranks = numeric_rank(np.concatenate((flat.real, flat.imag), axis=-1), floor=floors).tolist()
+        self.structure[None] = list(zip(ranks, offdiagonal_dependence(frame).dependent.tolist()))
 
 
 def prepare_random(n: int, n_obs: int, seed: int, kind: str = "generic") -> PreparedInstance:
@@ -328,11 +349,10 @@ def _pencil(name, keys, inst, f, g, t, tol):
     t of the pencil's record in the window tol * scale; a missing t is a grid of one.
     """
     hypothesis_ok = True if g is None else _pair_hypothesis(f, g)
-    window = tol * inst.scale
-    p = inst.pencil(f, g, window)
+    p = inst.pencil(f, g, tol)
     row = p.rows.get(t)
     if row is None:
-        inst.fill_firey(((f, g),), (t,), window)
+        inst._block.fill_firey(((f, g),), (t,), tol)
         row = p.rows[t]
     lhs, rem, rhs = row
     if t is None:
@@ -514,33 +534,46 @@ def minkowski_firey_selftest(
         if min_eigenvalue(m.astype(complex)) < -1e-10 * scale:
             raise ValueError(f"{name} is not positive semidefinite")
     window = tol * scale**n
-    det_k, c1 = _clamp(det_real_symmetric(k), window, "det K")
-    det_l, c2 = _clamp(det_real_symmetric(l), window, "det L")
-    det_mix, c3 = _clamp(det_real_symmetric((1.0 - t) * k + t * l), window, "det mix")
+    dets = det_real_symmetric_stack(np.stack((k, l, (1.0 - t) * k + t * l))).tolist()
+    det_k, c1 = _clamp(dets[0], window, "det K")
+    det_l, c2 = _clamp(dets[1], window, "det L")
+    det_mix, c3 = _clamp(dets[2], window, "det mix")
     lhs = det_mix ** (1.0 / n)
     rhs = (1.0 - t) * det_k ** (1.0 / n) + t * det_l ** (1.0 / n)
     components = {"det_k": det_k, "det_l": det_l, "det_mix": det_mix, "t": t}
     return _report("minkowski-firey", lhs, rhs, scale, tol, components, f"selftest[{n}x{n}]", c1 + c2 + c3)
 
 
-def _contraction_parts(d: DensityMatrix, x, blocks: tuple) -> tuple:
-    """Products of the traceless tangent X0 in D's eigenbasis, products of
-    the pinched X0 in the pinched state's eigenbasis, and the two spectra
-    stacked (D's first) for one ``pair_means`` call per function.  Only the
-    inputs and the pinched state are checked: X0 and its pinching are Hermitian
-    by construction, so each is rotated once, unchecked."""
-    x = observable(x)
-    if x.shape != d.matrix.shape:
-        raise ValueError(f"tangent x shape {x.shape} does not match the state")
-    n = d.dim
-    x0 = x - (np.trace(x).real / n) * np.eye(n)
-    pinched_state = density(pinching(d.matrix, blocks))
-    products = []
-    for state, tangent in ((d, x0), (pinched_state, pinching(x0, blocks))):
-        u = state.eigen.unitary
-        r = u.conj().T @ tangent @ u
-        products.append(r.conj() * r)
-    return products[0], products[1], np.stack((d.eigenvalues, pinched_state.eigenvalues))
+def _contraction_key(x, partition) -> tuple:
+    xa = np.asarray(x)
+    return ("contraction", xa.dtype.str, xa.shape, xa.tobytes(), tuple(map(tuple, partition)))
+
+
+def fill_contraction(cases, functions) -> None:
+    """Both sides of the contraction check for each f and each (state D, tangent X, partition)
+    of ``cases``, kept in D's memo with the least eigenvalue of D and the pinched state: the
+    traceless X0 and its pinching rotated by one stacked matmul (both Hermitian by construction,
+    so unchecked), then per function one ``pair_means`` call over the (B, 2, n) spectra and
+    one weighted sum over the (B, 2, n, n) products."""
+    keys, eigen, tangents = [], [], []
+    for d, x, partition in cases:
+        keys.append(_contraction_key(x, partition))
+        x = observable(x)
+        if x.shape != d.matrix.shape:
+            raise ValueError(f"tangent x shape {x.shape} does not match the state")
+        x0 = x - (np.trace(x).real / d.dim) * np.eye(d.dim)
+        pinched = pinching(np.stack((d.matrix, x0)), keys[-1][-1])
+        eigen.append((d.eigen, density(pinched[0]).eigen))
+        tangents.append((x0, pinched[1]))
+    u = np.array([[e.unitary for e in pair] for pair in eigen])
+    r = np.swapaxes(u.conj(), -1, -2) @ np.array(tangents) @ u
+    products = r.conj() * r
+    spectra = np.array([[e.eigenvalues for e in pair] for pair in eigen])
+    floors = spectra[:, :, 0].min(axis=1).tolist()
+    for f in functions:
+        sums = metric_sum(products, pair_means(spectra, f), f).tolist()
+        for (d, _, _), key, (before, after), lam_floor in zip(cases, keys, sums, floors):
+            d.memo[key, f] = (before, after, lam_floor)
 
 
 def check_metric_contraction(
@@ -553,17 +586,14 @@ def check_metric_contraction(
     """Metric monotonicity under pinching: K_T(D)(T(X), T(X)) <= K_D(X, X).
 
     X is projected onto the traceless part first (tangent vectors of the
-    state space); pinching commutes with that projection.  Everything but the
-    pair means of f is computed once per (state, tangent, partition) and
-    memoized on the state, so the functions of a campaign share it.
+    state space); pinching commutes with that projection.  Both sides come
+    from the state's memo, which ``fill_contraction`` fills for a block of
+    states, or here for this one.
     """
-    xa = np.asarray(x)
-    blocks = tuple(map(tuple, partition))
-    key = ("contraction", xa.dtype.str, xa.shape, xa.tobytes(), blocks)
-    products, pinched_products, spectra = d.memo(key, lambda: _contraction_parts(d, xa, blocks))
-    means = pair_means(spectra, f)
-    before = metric_sum(products, means[0], f)
-    after = metric_sum(pinched_products, means[1], f)
+    key = (_contraction_key(x, partition), f)
+    if key not in d.memo:
+        fill_contraction(((d, x, partition),), (f,))
+    before, after, lam_floor = d.memo[key]
     n = d.dim
     scale = max(1.0, before)
     # Metric weights near a tiny eigenvalue lam are 1/lam-sized, and storing
@@ -571,7 +601,6 @@ def check_metric_contraction(
     # eps*||D||/lam relative accuracy, so the achievable precision of the
     # two sides degrades by that factor.  Widen the window accordingly;
     # for healthy spectra the extra term is far below tol*scale.
-    lam_floor = float(min(spectra[0, 0], spectra[1, 0]))
     window = tol * scale + 4.0 * n * _EPS / lam_floor * before
-    components = {"before": before, "after": after, "window": window, "blocks": len(blocks), "f": f.label}
+    components = {"before": before, "after": after, "window": window, "blocks": len(key[0][-1]), "f": f.label}
     return _report("contraction", before, after, scale, tol, components, f"contraction[n={n}]", window=window)

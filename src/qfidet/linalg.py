@@ -141,7 +141,7 @@ def _lu_det(a: np.ndarray, scale: float) -> float:
 
 
 def det_real_symmetric(m) -> float:
-    """Determinant of a real symmetric matrix.
+    """Determinant of a real symmetric matrix; the reference ``det_real_symmetric_stack`` is tested against.
 
     Up to 3x3 by cofactor expansion on plain floats, since numpy calls cost
     more than the arithmetic at this size; LU (``np.linalg.det``) above.
@@ -231,20 +231,22 @@ def min_eigenvalue(m) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
-def numeric_rank(vectors: Sequence[np.ndarray] | np.ndarray, floor: float = 0.0) -> int:
+def numeric_rank(vectors: Sequence[np.ndarray] | np.ndarray, floor=0.0):
     """Number of singular values above ``RANK_TOL`` times the largest one.
 
     A purely relative threshold calls a stack of rounding-noise rows full
     rank, since the noise is compared only against itself.  Callers that
     know the scale the rows were produced at can pass ``floor`` (an absolute
-    singular value below which a direction counts as zero).
+    singular value below which a direction counts as zero).  A stack (..., rows,
+    cols) gives its ranks from one batched SVD, each with its own entry of ``floor``.
     """
-    if floor < 0:
+    floors = np.asarray(floor, dtype=float)
+    if not (floors >= 0).all():
         raise ValueError(f"floor must be nonnegative, got {floor}")
     rows = np.atleast_2d(np.asarray(vectors, dtype=float))
     if rows.size == 0:
         return 0
     s = np.linalg.svd(rows, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > max(RANK_TOL * s[0], floor)))
+    # all-zero rows give s = 0, which no threshold max(0, floor) counts
+    ranks = np.count_nonzero(s > np.maximum(RANK_TOL * s[..., :1], floors[..., None]), axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks

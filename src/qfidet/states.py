@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,11 +61,12 @@ def derive_seed(*parts) -> int:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A strictly positive trace-one Hermitian matrix with its spectrum cached."""
+    """A strictly positive trace-one Hermitian matrix with its spectrum cached, and a
+    ``memo`` for what callers derive from it (contraction sums, a campaign's partition)."""
 
     matrix: np.ndarray
     eigen: EigenDecomposition
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -74,13 +75,6 @@ class DensityMatrix:
     @property
     def eigenvalues(self) -> np.ndarray:
         return self.eigen.eigenvalues
-
-    def memo(self, key, build: Callable[[], object]):
-        """``build()`` computed once per hashable ``key`` and kept as long as this state."""
-        got = self._memo.get(key)
-        if got is None:
-            got = self._memo[key] = build()
-        return got
 
 
 def density(matrix, *, eigen: EigenDecomposition | None = None) -> DensityMatrix:
@@ -133,20 +127,22 @@ class EigenFrame:
 
     ``observables`` is one read-only (N, n, n) array: ``observables[k, h, j]``
     is the (h, j) entry of U† (A_k - Tr(D A_k) I) U where
-    D = U diag(lambdas) U†.  The double sums behind every covariance formula
-    read their inputs from here.
+    D = U diag(lambdas) U†, and ``norms`` their Frobenius norms.  The double sums
+    behind every covariance formula read their inputs from here.  A block stacks
+    frames along a leading axis, and the assemblers then return stacks.
     """
 
     lambdas: np.ndarray
     observables: np.ndarray
+    norms: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.lambdas.shape[0]
+        return self.lambdas.shape[-1]
 
     @property
     def size(self) -> int:
-        return len(self.observables)
+        return self.observables.shape[-3]
 
 
 def eigenframe(d: DensityMatrix, obs: Sequence[np.ndarray]) -> EigenFrame:
@@ -156,6 +152,7 @@ def eigenframe(d: DensityMatrix, obs: Sequence[np.ndarray]) -> EigenFrame:
     u = d.eigen.unitary
     lambdas = d.eigen.eigenvalues
     rotated = np.empty((len(obs),) + d.matrix.shape, dtype=complex)
+    norms = np.empty(len(obs))
     for k, a in enumerate(obs):
         if a.shape != d.matrix.shape:
             raise ValueError(
@@ -163,11 +160,12 @@ def eigenframe(d: DensityMatrix, obs: Sequence[np.ndarray]) -> EigenFrame:
             )
         checked = hermitian_part(u.conj().T @ centered(d, a) @ u)
         residue = abs(float(np.sum(lambdas * checked.diagonal().real)))
-        if residue > 1e-11 * max(1.0, frobenius(checked)):
+        norms[k] = frobenius(checked)
+        if residue > 1e-11 * max(1.0, norms[k]):
             raise ValueError(f"observable {k}: centering residue {residue:.3e} after rotation")
         rotated[k] = checked
     rotated.flags.writeable = False
-    return EigenFrame(lambdas, rotated)
+    return EigenFrame(lambdas, rotated, norms)
 
 
 def random_density(n: int, seed: int, kind: str = "generic") -> DensityMatrix:
@@ -215,8 +213,8 @@ def random_observable(n: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DependenceReport:
-    dependent: bool
-    rank: int
+    dependent: bool | np.ndarray
+    rank: int | np.ndarray
 
 
 def offdiagonal_dependence(frame: EigenFrame) -> DependenceReport:
@@ -225,26 +223,27 @@ def offdiagonal_dependence(frame: EigenFrame) -> DependenceReport:
     Each rotated observable is flattened to the real vector of its strictly
     upper-triangular entries (real parts then imaginary parts; the lower
     triangle is redundant by Hermiticity).  A combination is diagonal exactly
-    when it kills all these vectors, so dependence is a rank deficiency.
+    when it kills all these vectors, so dependence is a rank deficiency (arrays
+    of them for a stacked frame, from one batched SVD).
     """
     h, j = np.triu_indices(frame.dim, k=1)
-    upper = frame.observables[:, h, j]
-    vectors = np.concatenate((upper.real, upper.imag), axis=1)
+    upper = frame.observables[..., h, j]
+    vectors = np.concatenate((upper.real, upper.imag), axis=-1)
     # An observable diagonal in the eigenbasis leaves rounding noise in its
     # off-diagonal entries whenever the basis itself was computed; measure
     # that noise against the observables, not against itself.
-    scale = max([1.0] + [float(np.linalg.norm(a)) for a in frame.observables])
+    scale = np.maximum(1.0, frame.norms.max(axis=-1))
     rank = numeric_rank(vectors, floor=RANK_TOL * scale)
     return DependenceReport(dependent=rank < frame.size, rank=rank)
 
 
 def pinching(x: np.ndarray, partition: Sequence[Iterable[int]]) -> np.ndarray:
-    """Block-diagonal truncation sum(P_i x P_i) over coordinate projections.
+    """Block-diagonal truncation sum(P_i x P_i) over coordinate projections (of each of a stack).
 
     The simplest completely positive trace-preserving map that is not a
     unitary conjugation; used to exercise monotonicity under coarse-graining.
     """
-    n = x.shape[0]
+    n = x.shape[-1]
     blocks = [sorted(int(i) for i in block) for block in partition]
     flat = sorted(i for block in blocks for i in block)
     if flat != list(range(n)):

@@ -131,7 +131,7 @@ def route_sweep() -> RouteSweep:
                 a = random_observable(n, derive_seed(seed, "a"))
                 b = random_observable(n, derive_seed(seed, "b"))
                 frame = eigenframe(d, [a, b])
-                scale = observable_scale([a, b])
+                scale, _ = observable_scale([a, b])
                 window = 1e-10 * scale
                 dev = abs(cov(d, a, b) - cov_matrix_frame(frame)[0, 1])
                 out.worst_cov = max(out.worst_cov, dev / scale)

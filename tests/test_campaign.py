@@ -392,6 +392,8 @@ def test_tally_of_scripted_outcomes(monkeypatch, workers):
         )
 
     monkeypatch.setattr(campaign_module, "prepare_random", lambda n, n_obs, seed, kind: index_of[seed])
+    # the stand-in instances hold no arrays for a block to evaluate
+    monkeypatch.setattr(campaign_module.CheckPlan, "evaluate", lambda *args: None)
     monkeypatch.setattr(campaign_module, "check_main", scripted_main)
     report = run_campaign(TALLY, workers=workers)
 
@@ -479,9 +481,9 @@ def _fresh_outcome(check, n, n_obs, kind, derived, fl, gl, t, tol):
     return calls[check]()
 
 
-def test_shared_memos_change_no_outcome():
-    # one instance per cell of the default grid, through the registry as a campaign runs it
-    config = CampaignConfig(instances_per_cell=1)
+def _compare_with_fresh_outcomes(config) -> int:
+    """Run every cell in blocks of ``instances_per_cell`` as a campaign does and compare each
+    outcome with the public check on a fresh instance; return the number compared."""
     plan = CheckPlan(
         functions=tuple(parse_function_spec(s) for s in config.functions),
         pairs=tuple((parse_function_spec(a), parse_function_spec(b)) for a, b in config.function_pairs),
@@ -492,11 +494,50 @@ def test_shared_memos_change_no_outcome():
     for n in config.dims:
         for n_obs in config.num_obs:
             for kind in config.kinds:
-                derived = derive_seed(config.seed, n, n_obs, kind, 0)
-                inst = prepare_random(n, n_obs, derived, kind)
-                for check, entry in CHECKS.items():
-                    for rep, fl, gl, t in entry(plan, inst, derived):
-                        want = _fresh_outcome(check, n, n_obs, kind, derived, fl, gl, t, config.tol)
-                        assert _facts(rep) == _facts(want), (n, n_obs, kind, check, fl, gl, t)
-                        compared += 1
-    assert compared == 27 * 96
+                seeds = [derive_seed(config.seed, n, n_obs, kind, index) for index in range(config.instances_per_cell)]
+                block = [prepare_random(n, n_obs, derived, kind) for derived in seeds]
+                plan.evaluate(block, seeds, set(CHECKS))
+                for inst, derived in zip(block, seeds):
+                    for check, entry in CHECKS.items():
+                        for rep, fl, gl, t in entry(plan, inst, derived):
+                            want = _fresh_outcome(check, n, n_obs, kind, derived, fl, gl, t, config.tol)
+                            assert _facts(rep) == _facts(want), (n, n_obs, kind, check, fl, gl, t)
+                            compared += 1
+    return compared
+
+
+def test_shared_memos_change_no_outcome():
+    # blocks of two instances in every cell of the default grid (cofactor determinants, N <= 3)
+    assert _compare_with_fresh_outcomes(CampaignConfig(instances_per_cell=2)) == 27 * 2 * 96
+
+
+def test_shared_memos_change_no_outcome_at_n4_5_and_N4_5():
+    # the LU branch of the pencil determinants and of the Firey stack, with conj2 and firey
+    config = CampaignConfig(dims=(4, 5), num_obs=(4, 5), instances_per_cell=2, seed=11)
+    assert _compare_with_fresh_outcomes(config) == 12 * 2 * 96
+
+
+@pytest.mark.parametrize(
+    "config",
+    [CampaignConfig(instances_per_cell=3), CampaignConfig(dims=(4, 5), num_obs=(4, 5), instances_per_cell=3, seed=11)],
+    ids=["default-grid", "n4-5,N4-5"],
+)
+def test_report_bytes_do_not_depend_on_the_block_size(monkeypatch, config):
+    import qfidet.campaign as campaign_module
+
+    sizes = []
+
+    class Recorded(campaign_module.InstanceBlock):
+        def __init__(self, instances):
+            sizes.append(len(instances))
+            super().__init__(instances)
+
+    monkeypatch.setattr(campaign_module, "InstanceBlock", Recorded)
+    reports = {}
+    for size in (1, 2, 3, 7):
+        monkeypatch.setattr(campaign_module, "BLOCK_INSTANCES", size)
+        sizes.clear()
+        reports[size] = emit_report(run_campaign(config))
+        cells = len(config.dims) * len(config.num_obs) * len(config.kinds)
+        assert sizes == {1: [1, 1, 1], 2: [2, 1], 3: [3], 7: [3]}[size] * cells
+    assert reports[1] == reports[2] == reports[3] == reports[7]

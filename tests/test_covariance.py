@@ -238,7 +238,7 @@ def test_matrix_positivity_and_ordering(rng):
         d = random_density(3, 8500 + trial)
         obs = [random_observable(3, 8600 + 10 * trial + k) for k in range(3)]
         frame = eigenframe(d, obs)
-        scale = observable_scale(obs)
+        scale, _ = observable_scale(obs)
         cm = cov_matrix_frame(frame)
         qm_f = qov_matrix_frame(frame, sld)
         qm_g = qov_matrix_frame(frame, wy)
@@ -294,7 +294,7 @@ def test_transpose_convention_is_neutral(rng):
         d = random_density(3, 9000 + trial)
         obs = [random_observable(3, 9100 + 10 * trial + k) for k in range(2)]
         frame = eigenframe(d, obs)
-        flipped = EigenFrame(frame.lambdas, frame.observables.transpose(0, 2, 1))
+        flipped = EigenFrame(frame.lambdas, frame.observables.transpose(0, 2, 1), frame.norms)
         assert cov_matrix_frame(frame)[0, 1] == pytest.approx(cov_matrix_frame(flipped)[0, 1], abs=1e-12)
         for f in REGULAR:
             assert qov_matrix_frame(frame, f)[0, 1] == pytest.approx(
@@ -334,5 +334,5 @@ def test_degenerate_state_results_do_not_depend_on_basis_choice():
 
 
 def test_observable_scale():
-    assert observable_scale([PAULI_X]) == pytest.approx(2.0)
-    assert observable_scale([0.1 * PAULI_X]) == 1.0
+    assert observable_scale([PAULI_X]) == (pytest.approx(2.0), (pytest.approx(math.sqrt(2.0)),))
+    assert observable_scale([0.1 * PAULI_X])[0] == 1.0

@@ -430,7 +430,7 @@ def test_battery_over_random_instances(rng):
 
 def test_prepared_instance_caches(tight):
     first = tight.matrix(SLD)
-    assert tight.matrix(SLD) is first
+    assert np.shares_memory(tight.matrix(SLD), first)  # a view of the memo, not a recomputation
     assert tight.det(SLD) == tight.det(SLD)
     inst = prepare_random(3, 2, 123, "degenerate")
     assert inst.digest == "n=3,N=2,kind=degenerate,seed=123"
@@ -525,6 +525,59 @@ def test_a_clamp_from_a_wide_window_is_not_reused_in_a_narrow_one():
         with pytest.raises(ArithmeticError) as filled:
             check(inst)
         assert str(filled.value) == str(fresh.value)
+
+
+def test_a_clamp_failure_inside_a_block_raises_its_instances_error():
+    # n = 2, N = 3: det Qov_f is structurally zero and lands a rounding away from 0
+    plan = CheckPlan(functions=(SLD,), pairs=(), tol=1e-30, t_grid=())
+
+    def fails(seed):
+        try:
+            check_conj1(prepare_random(2, 3, seed), SLD, 1e-30)
+        except ArithmeticError:
+            return True
+        return False
+
+    clean = next(s for s in range(100) if not fails(s))
+    first, second = [s for s in range(100) if fails(s)][:2]
+    with pytest.raises(ArithmeticError) as alone:
+        check_conj1(prepare_random(2, 3, first), SLD, 1e-30)
+    block = [prepare_random(2, 3, s) for s in (clean, first, second)]
+    with pytest.raises(ArithmeticError) as inside:
+        plan.evaluate(block, [clean, first, second], {"conj1"})
+    assert str(inside.value) == str(alone.value)
+
+
+def test_each_instance_of_a_block_clamps_in_its_own_window():
+    # The copy scaled by 1e3 has a window 1e6 times wider; its structurally zero det Qov
+    # rounds to a negative value inside its own window but far outside the original's.
+    tol = 1e-6
+    for seed in range(300):
+        inst = prepare_random(2, 3, seed)
+        scaled = PreparedInstance(inst.state, [1e3 * a for a in inst.observables])
+        if inst.det(SLD) < 0.0 and -tol * scaled.scale <= scaled.det(SLD) < -tol * inst.scale:
+            break
+    else:
+        pytest.fail("no n = 2, N = 3 seed below 300 clamps in both windows")
+    plan = CheckPlan(functions=(SLD,), pairs=((SLD, WY),), tol=tol, t_grid=DEFAULT_T_GRID)
+    names = {"conj1", "conj2", "firey"}
+
+    def outcomes(inst):
+        return [rep for name in ("conj1", "conj2", "firey") for rep, *_ in getattr(plan, name)(inst, None)]
+
+    def fresh(which):
+        base = prepare_random(2, 3, seed)
+        return base if which == "inst" else PreparedInstance(base.state, [1e3 * a for a in base.observables])
+
+    want = {which: outcomes(fresh(which)) for which in ("inst", "scaled")}
+    assert all(rep.clamps and rep.passed for reps in want.values() for rep in reps[:1])
+    for order in (("inst", "scaled"), ("scaled", "inst")):
+        block = [fresh(which) for which in order]
+        plan.evaluate(block, [None, None], names)
+        for which, member in zip(order, block):
+            got = outcomes(member)
+            assert got == want[which], order
+            assert [_bits(rep.margin) for rep in got] == [_bits(rep.margin) for rep in want[which]], order
 
 
 def test_firey_right_side_is_the_scalar_formula_bit_for_bit(rng):
