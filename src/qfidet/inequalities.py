@@ -25,19 +25,52 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .covariance import cov_matrix_frame, metric_sum, observable_scale, pair_means, qov_matrix_frame
-from .linalg import RANK_TOL, det_antisymmetric, det_real_symmetric_stack, min_eigenvalue, numeric_rank
+from .covariance import (
+    cov_matrix_frame,
+    metric_sum,
+    observable_scale,
+    pair_means,
+    qov_matrix_frame,
+)
+from .linalg import (
+    RANK_TOL,
+    det_antisymmetric,
+    det_real_symmetric,
+    min_eigenvalue,
+    numeric_rank,
+)
 from .monotone import MonotoneFunction, dominates
 from .states import (
-    DensityMatrix, EigenFrame, density, derive_seed, eigenframe,
-    observable, offdiagonal_dependence, pinching, random_density, random_observable,
+    DensityMatrix,
+    EigenFrame,
+    density,
+    derive_seed,
+    eigenframe,
+    observable,
+    offdiagonal_dependence,
+    pinching,
+    random_density,
+    random_observable,
 )
 
 __all__ = [
-    "DEFAULT_TOL", "InequalityReport", "EqualityClassification", "PreparedInstance",
-    "prepare_random", "InstanceBlock", "fill_contraction", "remainder", "remainder_t", "check_main",
-    "check_conj1", "check_conj2", "check_firey", "check_robertson", "classify_equality",
-    "minkowski_firey_selftest", "check_metric_contraction",
+    "DEFAULT_TOL",
+    "InequalityReport",
+    "EqualityClassification",
+    "PreparedInstance",
+    "InstanceBlock",
+    "prepare_random",
+    "fill_contraction",
+    "remainder",
+    "remainder_t",
+    "check_main",
+    "check_conj1",
+    "check_conj2",
+    "check_firey",
+    "check_robertson",
+    "classify_equality",
+    "minkowski_firey_selftest",
+    "check_metric_contraction",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -182,15 +215,18 @@ class PreparedInstance:
         """Memoized determinant of ``matrix(big)``, or of ``matrix(big) - matrix(small)``."""
         return self._memo(self._block.det, (big, small), lambda: self._block.determinants(((big, small),)))
 
-    def pencil(self, f, g, tol: float) -> _Pencil:
+    def pencil(self, f, g, t, tol: float) -> tuple[_Pencil, tuple]:
         """Memoized record of the pencil (Cov, Qov_f) for g None, else (Qov_f, Qov_g), clamped in
-        the window tol * scale.  Its unit-weight row multiplies exactly, so it is not 2^N times
-        the Firey row at t = 1/2: the two can round apart."""
-        got = self._block.pencil.get((f, g, tol))
-        if got is None:
-            self._block.build_pencils(((f, g),), tol, ())
-            got = self._block.pencil[f, g, tol]
-        return got[self._index]
+        the window tol * scale, and its row t: the unit-weight row for t None, else the Firey row
+        at t, filled for the block when it is missing (a t off the grid is a grid of one).  Unit
+        weights multiply exactly, so that row is not 2^N times the Firey row at t = 1/2: the two
+        can round apart."""
+        p = self._memo(self._block.pencil, (f, g, tol), lambda: self._block.build_pencils(((f, g),), tol, ()))
+        row = p.rows.get(t)
+        if row is None:
+            self._block.fill_firey(((f, g),), (t,), tol)
+            row = p.rows[t]
+        return p, row
 
     def structure(self) -> tuple[int, bool]:
         """Memoized rank of the frame observables as real vectors, and whether some real
@@ -217,6 +253,8 @@ class InstanceBlock:
 
     @cached_property
     def frame(self) -> EigenFrame:
+        """The instances' frames stacked along a leading axis, built on first use: a block of one
+        that a campaign regroups never needs it."""
         return EigenFrame(*(np.stack([getattr(fr, a) for fr in self.frames]) for a in ("lambdas", "observables", "norms")))
 
     def assemble(self, sides) -> None:
@@ -232,14 +270,14 @@ class InstanceBlock:
                 r = np.einsum("...h,...khj,...ljh->...kl", frame.lambdas, x, x).imag
                 got = 0.5 * (r - np.swapaxes(r, -1, -2))
             elif not side.regular:
-                got = np.zeros((len(self.frames), frame.size, frame.size))
+                got = np.zeros((len(self.scales), frame.size, frame.size))
             else:
                 got = qov_matrix_frame(frame, side)
             self.matrix[side] = got
 
     def determinants(self, keys) -> None:
         """det(big), or det(big - small), of each missing key (big, small): the symmetric ones by
-        one ``det_real_symmetric_stack`` call on the instance-major (B·K, N, N) stack, the
+        one ``det_real_symmetric`` call on the instance-major (N, N, B·K) stack, the
         commutator matrix's by ``det_antisymmetric`` per instance."""
         todo = [key for key in dict.fromkeys(keys) if key not in self.det]
         self.assemble([side for key in todo for side in key if side is not None])
@@ -247,7 +285,7 @@ class InstanceBlock:
         symmetric = [key for key in todo if key[0] != "robertson"]
         if symmetric:
             stack = np.stack([m[big] if small is None else m[big] - m[small] for big, small in symmetric], axis=1)
-            values = det_real_symmetric_stack(stack.reshape(-1, *stack.shape[2:])).reshape(stack.shape[:2])
+            values = det_real_symmetric(stack.reshape(-1, *stack.shape[2:]).transpose(1, 2, 0)).reshape(stack.shape[:2])
             self.det.update(zip(symmetric, values.T.tolist()))
         if ("robertson", None) in todo:
             self.det["robertson", None] = [det_antisymmetric(r) for r in m["robertson"]]
@@ -260,7 +298,7 @@ class InstanceBlock:
         pairs = [("cov", f) if g is None else (f, g) for f, g in todo]
         keys = [(side, None) for side in sides]
         self.determinants(keys + [key for big, small in pairs for key in ((small, None), (big, small), (big, None))])
-        n = self.frames[0].size
+        n = self.frame.size
         records = [[] for _ in todo]
         for k, scale in enumerate(self.scales):
             window = tol * scale
@@ -275,7 +313,7 @@ class InstanceBlock:
 
     def fill_firey(self, pencils, ts, tol: float) -> None:
         """The Firey rows (det_mix, remainder_t, rhs) of every pencil (f, g) of every instance at
-        every t of ``ts``: the mixes t K_big + (1 - 2t) K_small form one broadcast (B·P·T, N, N)
+        every t of ``ts``: the mixes t K_big + (1 - 2t) K_small form one broadcast B·P·T
         stack with one determinant call, and the right side (1-t)^N q + t^N dd + cross terms
         takes each record's clamped determinants.  Every operation is elementwise."""
         for t in ts:
@@ -283,13 +321,14 @@ class InstanceBlock:
         self.build_pencils(pencils, tol, ())
         per_pencil = [self.pencil[f, g, tol] for f, g in pencils]
         records = [p for per_instance in zip(*per_pencil) for p in per_instance]
-        n = self.frames[0].size
+        n = self.frame.size
         t = np.array(ts, dtype=float)
         a = 1.0 - t
         # (B, P, 1, N, N), broadcast over t
         big, small = (np.stack([self.matrix[p[0].sides[k]] for p in per_pencil], axis=1)[:, :, None] for k in (0, 1))
         q, dd, root_q, root_dd = np.array([(p.q, p.dd, _root(p.q, n), _root(p.dd, n)) for p in records]).T[:, :, None]
-        lhs = det_real_symmetric_stack((t[:, None, None] * big + (1.0 - 2.0 * t)[:, None, None] * small).reshape(-1, n, n))
+        mixes = (t[:, None, None] * big + (1.0 - 2.0 * t)[:, None, None] * small).reshape(-1, n, n)
+        lhs = det_real_symmetric(mixes.transpose(1, 2, 0))
         rem = _cross_terms((root_q * a).ravel(), (root_dd * t).ravel(), n)
         rhs = (_pow(a, n) * q + _pow(t, n) * dd).ravel() + rem
         for p, columns in zip(records, zip(*(v.reshape(len(records), len(ts)).tolist() for v in (lhs, rem, rhs)))):
@@ -298,7 +337,7 @@ class InstanceBlock:
     def find_structure(self) -> None:
         """Every ``structure()``, by one batched SVD for the ranks and one for the dependence."""
         frame = self.frame
-        flat = frame.observables.reshape(len(self.frames), frame.size, -1)
+        flat = frame.observables.reshape(len(self.scales), frame.size, -1)
         # Centering an observable proportional to the identity leaves only
         # rounding noise behind; a floor at the raw observables' scale keeps
         # such a row from counting as an independent direction.
@@ -346,15 +385,10 @@ def _pencil(name, keys, inst, f, g, t, tol):
     (K_big, K_small) is (Cov, Qov_f) with g None and (Qov_f, Qov_g) for the
     pair, which needs strict dominance.  ``keys`` names the components lhs,
     det K_small, det(K_big - K_small) and the cross terms.  Both sides are row
-    t of the pencil's record in the window tol * scale; a missing t is a grid of one.
+    t of the pencil's record in the window tol * scale.
     """
     hypothesis_ok = True if g is None else _pair_hypothesis(f, g)
-    p = inst.pencil(f, g, tol)
-    row = p.rows.get(t)
-    if row is None:
-        inst._block.fill_firey(((f, g),), (t,), tol)
-        row = p.rows[t]
-    lhs, rem, rhs = row
+    p, (lhs, rem, rhs) = inst.pencil(f, g, t, tol)
     if t is None:
         components = {keys[0]: lhs, keys[1]: p.q, keys[2]: p.dd, keys[3]: rem, "f": f.label}
     else:
@@ -534,7 +568,7 @@ def minkowski_firey_selftest(
         if min_eigenvalue(m.astype(complex)) < -1e-10 * scale:
             raise ValueError(f"{name} is not positive semidefinite")
     window = tol * scale**n
-    dets = det_real_symmetric_stack(np.stack((k, l, (1.0 - t) * k + t * l))).tolist()
+    dets = det_real_symmetric(np.stack((k, l, (1.0 - t) * k + t * l), axis=-1)).tolist()
     det_k, c1 = _clamp(dets[0], window, "det K")
     det_l, c2 = _clamp(dets[1], window, "det L")
     det_mix, c3 = _clamp(dets[2], window, "det mix")

@@ -21,7 +21,6 @@ __all__ = [
     "hermitian_eigen",
     "commutator",
     "det_real_symmetric",
-    "det_real_symmetric_stack",
     "det_antisymmetric",
     "min_eigenvalue",
     "numeric_rank",
@@ -126,55 +125,45 @@ def _overflow(a: np.ndarray) -> OverflowError:
     return OverflowError(f"determinant of finite entries up to {np.abs(a).max():.3e} overflows the float range")
 
 
-def _lu_det(a: np.ndarray, scale: float) -> float:
-    """``np.linalg.det`` of a checked matrix with entries of at most ``scale``.  By Hadamard's
-    inequality |det| <= (sqrt(N) scale)^N, so below e^700 no step of the LU can overflow and
-    only larger entries pay for silencing numpy; a result that is not finite raises OverflowError."""
-    n = a.shape[0]
-    if n * math.log(n * scale * scale) < 1400.0:
-        return float(np.linalg.det(a))
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = float(np.linalg.det(a))
-    if not math.isfinite(det):
-        raise _overflow(a)
-    return det
+def det_real_symmetric(m):
+    """Determinant of a real symmetric N x N matrix ``m``, or the K determinants of an
+    (N, N, K) stack of them; either way ``len(m)`` is N.
 
-
-def det_real_symmetric(m) -> float:
-    """Determinant of a real symmetric matrix; the reference ``det_real_symmetric_stack`` is tested against.
-
-    Up to 3x3 by cofactor expansion on plain floats, since numpy calls cost
-    more than the arithmetic at this size; LU (``np.linalg.det``) above.
+    The stack runs along the last axis, so that ``m[i, j]`` holds entry (i, j)
+    of every matrix.  Up to 3x3 by cofactor expansion on those entries (the
+    same operations in the same order for each matrix, so a determinant does
+    not depend on the stack it is taken in), LU (``np.linalg.det``) above.
     numpy forms the LU determinant as the exp of a sum of logs, so its
     relative error grows with |log det|.
     Input that is not square, not finite or not symmetric within
-    ``SYMMETRY_TOL`` times its largest entry raises ValueError, and a
-    determinant of finite entries that overflows raises OverflowError.
+    ``SYMMETRY_TOL`` times its largest entry raises ValueError naming the
+    first such matrix, and a determinant of finite entries that overflows
+    raises OverflowError.
     """
     a = np.asarray(m, dtype=float)
-    if not (a.ndim == 2 and 1 <= a.shape[0] == a.shape[1] <= 3):
-        return _lu_det(*_checked_real(a, SYMMETRY_TOL))
-    r = a.tolist()
-    n = len(r)
-    scale = max(1.0, max(abs(x) for row in r for x in row))
-    asym = max(abs(r[i][j] - r[j][i]) for i in range(n) for j in range(n))
-    if not asym <= SYMMETRY_TOL * scale:
-        _entry_scale(a)
-        raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym:.3e})")
-    det = _cofactor_det(r)
-    if not math.isfinite(det):
-        _entry_scale(a)  # Python's max can pass over a NaN above
-        raise _overflow(a)
-    return det
+    stacked = a.ndim == 3
+    if a.ndim not in (2, 3) or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        what = "an (N, N, K) stack of square matrices" if stacked else "a square matrix"
+        raise ValueError(f"expected {what}, got shape {a.shape}")
+    s = a if stacked else a[:, :, None]
+    largest = np.abs(s).max(axis=(0, 1))
+    # the symmetry test flags the NaN of inf - inf; one test of the results finds an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        asym = np.abs(s - s.transpose(1, 0, 2)).max(axis=(0, 1))
+        bad = ~(asym <= SYMMETRY_TOL * np.maximum(1.0, largest))
+        if bad.any():
+            k = int(np.argmax(bad))
+            _entry_scale(s[:, :, k])
+            raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym[k]:.3e})")
+        dets = np.linalg.det(s.transpose(2, 0, 1)) if len(s) > 3 else _cofactor_det(s)
+    finite = np.isfinite(dets)
+    if not finite.all():
+        raise _overflow(s[:, :, int(np.argmin(finite))])
+    return dets if stacked else float(dets[0])
 
 
 def _cofactor_det(r):
-    """Cofactor expansion of an N x N matrix, N <= 3, given as rows of entries.
-
-    The entries are floats for one matrix, or arrays that hold one entry of
-    every matrix of a stack; either way the operations and their order are
-    the same, so a stacked determinant equals the single one bit for bit.
-    """
+    """Cofactor expansion of an N x N matrix, N <= 3, given as rows of entries."""
     if len(r) == 1:
         return r[0][0]
     if len(r) == 2:
@@ -186,39 +175,22 @@ def _cofactor_det(r):
     )
 
 
-def det_real_symmetric_stack(ms) -> np.ndarray:
-    """Determinants of a (T, N, N) stack of real symmetric matrices.
-
-    Each equals ``det_real_symmetric`` of its matrix bit for bit: the same
-    cofactor expressions on array columns up to 3x3, and the same LU above.
-    The first matrix that is not finite or not symmetric raises the
-    ValueError that ``det_real_symmetric`` raises for it, and an overflow OverflowError.
-    """
-    a = np.asarray(ms, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
-        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
-    largest = np.abs(a).max(axis=(1, 2))
-    # the symmetry test flags the NaN of inf - inf; one test of the results finds an overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        asym = np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2))
-        bad = ~(asym <= SYMMETRY_TOL * np.maximum(1.0, largest))
-        if bad.any():
-            k = int(np.argmax(bad))
-            _entry_scale(a[k])
-            raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym[k]:.3e})")
-        dets = np.linalg.det(a) if a.shape[1] > 3 else _cofactor_det(a.transpose(1, 2, 0))
-    finite = np.isfinite(dets)
-    if not finite.all():
-        raise _overflow(a[int(np.argmin(finite))])
-    return dets
-
-
 def det_antisymmetric(k) -> float:
-    """Determinant of a real antisymmetric matrix: exactly zero at odd sizes, LU (``_lu_det``) at even ones."""
+    """Determinant of a real antisymmetric matrix: exactly zero at odd sizes, LU (``np.linalg.det``) at
+    even ones.  By Hadamard's inequality |det| <= (sqrt(N) max|entry|)^N, so below e^700 no step of the
+    LU can overflow and only larger entries pay for silencing numpy; a result that is not finite
+    raises OverflowError."""
     a, scale = _checked_real(k, SYMMETRY_TOL, sign=-1.0)
-    if a.shape[0] % 2 == 1:
+    n = a.shape[0]
+    if n % 2 == 1:
         return 0.0
-    return _lu_det(a, scale)
+    if n * math.log(n * scale * scale) < 1400.0:
+        return float(np.linalg.det(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = float(np.linalg.det(a))
+    if not math.isfinite(det):
+        raise _overflow(a)
+    return det
 
 
 def min_eigenvalue(m) -> float:

@@ -16,7 +16,6 @@ from qfidet.linalg import (
     commutator,
     det_antisymmetric,
     det_real_symmetric,
-    det_real_symmetric_stack,
     frobenius,
     hermitian_eigen,
     hermitian_part,
@@ -173,7 +172,7 @@ def test_non_finite_entries_are_rejected(n, bad):
         m = np.eye(n)
         m[h, j] = m[j, h] = bad
         with pytest.raises(ValueError, match="non-finite entry"):
-            det_real_symmetric_stack([np.eye(n), m])
+            det_real_symmetric(np.stack([np.eye(n), m], axis=-1))
         for solver in (hermitian_eigen, det_real_symmetric, det_antisymmetric, min_eigenvalue):
             with pytest.raises(ValueError, match="non-finite entry"):
                 solver(m)
@@ -199,27 +198,45 @@ def test_det_stack_equals_det_real_symmetric_bit_for_bit(n):
     g = rng.standard_normal((300, n, n))
     stack = (g + g.transpose(0, 2, 1)) * 10.0 ** rng.uniform(-8.0, 4.0, size=(300, 1, 1))
     stack[0] = 0.0
-    dets = det_real_symmetric_stack(stack)
+    dets = det_real_symmetric(stack.transpose(1, 2, 0))
     singles = np.array([det_real_symmetric(m) for m in stack])
+    # the closed forms on Python floats up to 3x3, numpy's LU one matrix at a time above
+    reference = np.array([_cofactor_on_floats(m.tolist()) if n <= 3 else float(np.linalg.det(m)) for m in stack])
     assert dets.shape == (300,)
     assert np.array_equal(dets.view(np.uint64), singles.view(np.uint64))
+    assert np.array_equal(dets.view(np.uint64), reference.view(np.uint64))
+
+
+def _cofactor_on_floats(r):
+    if len(r) == 1:
+        return r[0][0]
+    if len(r) == 2:
+        return r[0][0] * r[1][1] - r[0][1] * r[1][0]
+    return (
+        r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+        - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+        + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
+    )
 
 
 def test_det_stack_checks_its_input():
     # on both sides of the size switch, the first asymmetric matrix is the one named
     for n in (2, 4):
-        stack = np.stack([np.eye(n)] * 5)
-        stack[2, 0, 1] += 0.25
-        stack[4, 1, 0] += 7.0
+        stack = np.stack([np.eye(n)] * 5, axis=-1)
+        stack[0, 1, 2] += 0.25
+        stack[1, 0, 4] += 7.0
         with pytest.raises(ValueError, match=r"not symmetric \(max \|M - M\^T\| = 2.500e-01\)"):
-            det_real_symmetric_stack(stack)
-    stack = np.stack([np.eye(4)] * 5)
-    stack[3, 1, 2] = stack[3, 2, 1] = math.inf
+            det_real_symmetric(stack)
+    stack = np.stack([np.eye(4)] * 5, axis=-1)
+    stack[1, 2, 3] = stack[2, 1, 3] = math.inf
     with pytest.raises(ValueError, match=r"non-finite entry \(1, 2\) = inf"):
-        det_real_symmetric_stack(stack)
-    for shape in ((3, 3), (2, 2, 3), (4, 0, 0)):
-        with pytest.raises(ValueError, match=re.escape(f"expected a stack of square matrices, got shape {shape}")):
-            det_real_symmetric_stack(np.ones(shape))
+        det_real_symmetric(stack)
+    for shape, what in (((3,), "a square matrix"), ((2, 3, 2), "an (N, N, K) stack of square matrices")):
+        with pytest.raises(ValueError, match=re.escape(f"expected {what}, got shape {shape}")):
+            det_real_symmetric(np.ones(shape))
+    for shape in ((0, 0), (0, 0, 4), (2, 2, 3, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            det_real_symmetric(np.ones(shape))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -232,7 +249,7 @@ def test_a_determinant_that_overflows_raises_overflow_error(n):
         with pytest.raises(OverflowError, match="overflows the float range"):
             det_real_symmetric(m)
         with pytest.raises(OverflowError, match="overflows the float range"):
-            det_real_symmetric_stack([np.eye(n), m])
+            det_real_symmetric(np.stack([np.eye(n), m], axis=-1))
     if n % 2 == 0:
         k = np.kron(np.eye(n // 2), np.array([[0.0, 1e200], [-1e200, 0.0]]))
         with pytest.raises(OverflowError, match="overflows the float range"):
@@ -241,7 +258,7 @@ def test_a_determinant_that_overflows_raises_overflow_error(n):
     # bound (sqrt(N) max|entry|)^N <= e^700 and beyond it
     for m in (np.eye(n) * 1e300 ** (1.0 / n), np.diag([1e200] + [1e-50] * (n - 1))):
         assert 0.0 < det_real_symmetric(m) < math.inf
-        assert 0.0 < det_real_symmetric_stack([m])[0] < math.inf
+        assert 0.0 < det_real_symmetric(m[:, :, None])[0] < math.inf
     if n % 2 == 0:
         k = np.kron(np.diag([1e154] + [1e-50] * (n // 2 - 1)), np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert 0.0 < det_antisymmetric(k) < math.inf
