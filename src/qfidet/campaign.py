@@ -83,9 +83,8 @@ class CheckPlan:
         sides = [side for name in CHECK_NAMES if name in names for side in reads.get(name, ())]
         pencils = (unit if {"conj1", "firey"} & names else []) + (list(self.pairs) if {"conj2", "firey"} & names else [])
         block = InstanceBlock(instances)  # the instances' memos start afresh
-        block.build_pencils(pencils, self.tol, sides)  # one determinant call for all
-        if "firey" in names:
-            block.fill_firey(pencils, self.t_grid, self.tol)
+        # one determinant call for all, then one for the Firey grid
+        block.fill_pencils(pencils, (None, *(self.t_grid if "firey" in names else ())), sides)
         if "equality" in names:
             block.find_structure()
         if "contraction" in names:

@@ -4,11 +4,13 @@ The bounds all compare determinants of N x N matrices built from one state
 and N observables: the covariance matrix, the quantum covariance matrices of
 one or two monotone functions, their differences, and binomial cross terms
 (the Minkowski/Firey machinery).  Instances of one (n, N) are evaluated as a
-block: each matrix, determinant, pencil record and Firey row is computed for
-all of them at once from stacked arrays and memoized per block, so that the
-checks of an instance only read memos; an instance on its own is a block of
-one.  conj1, conj2 and firey are one inequality on a pencil (K_big, K_small)
-of PSD matrices, with one record per pencil and clamp window and one check body.
+block: each matrix, determinant and pencil row is computed for all of them at
+once from stacked arrays and memoized per block, so that the checks of an
+instance only read memos; an instance on its own is a block of one.  conj1,
+conj2 and firey are one inequality on a pencil (K_big, K_small) of PSD
+matrices, with one check body.  Its unit-weight and Firey rows come from one
+elementwise kernel and hold no clamp window: each outcome reads the hypothesis
+first, then tests its clamped determinants in its own window.
 
 Pass/fail is always margin >= -tol * scale with scale = max(1, sum of squared
 Frobenius norms of the observables).  Hypothesis failures (a function pair
@@ -165,18 +167,6 @@ def remainder_t(det_q: float, det_diff: float, n_obs: int, t: float) -> float:
     return _cross_terms(_root(det_q, n_obs) * (1.0 - t), _root(det_diff, n_obs) * t, n_obs)
 
 
-class _Pencil(NamedTuple):
-    """An instance's pencil (K_big, K_small), (Cov, Qov_f) or (Qov_f, Qov_g), clamped in one
-    window: det K_small and det(K_big - K_small) clamped at 0, their clamp count, and the rows
-    (lhs, cross terms, rhs), under None the unit-weight row of conj1/conj2, under t the Firey row."""
-
-    sides: tuple
-    q: float
-    dd: float
-    clamps: int
-    rows: dict
-
-
 class PreparedInstance:
     """One (state, observables) pair whose derived quantities its block memoizes.
 
@@ -215,18 +205,11 @@ class PreparedInstance:
         """Memoized determinant of ``matrix(big)``, or of ``matrix(big) - matrix(small)``."""
         return self._memo(self._block.det, (big, small), lambda: self._block.determinants(((big, small),)))
 
-    def pencil(self, f, g, t, tol: float) -> tuple[_Pencil, tuple]:
-        """Memoized record of the pencil (Cov, Qov_f) for g None, else (Qov_f, Qov_g), clamped in
-        the window tol * scale, and its row t: the unit-weight row for t None, else the Firey row
-        at t, filled for the block when it is missing (a t off the grid is a grid of one).  Unit
-        weights multiply exactly, so that row is not 2^N times the Firey row at t = 1/2: the two
-        can round apart."""
-        p = self._memo(self._block.pencil, (f, g, tol), lambda: self._block.build_pencils(((f, g),), tol, ()))
-        row = p.rows.get(t)
-        if row is None:
-            self._block.fill_firey(((f, g),), (t,), tol)
-            row = p.rows[t]
-        return p, row
+    def pencil(self, f, g, t) -> tuple:
+        """Memoized row t of the pencil (Cov, Qov_f) for g None, else (Qov_f, Qov_g): the
+        unit-weight row for t None, else the Firey row at t, filled for the block by
+        ``InstanceBlock.fill_pencils`` when it is missing (a t off the grid is a grid of one)."""
+        return self._memo(self._block.pencil, (f, g, t), lambda: self._block.fill_pencils(((f, g),), (t,), ()))
 
     def structure(self) -> tuple[int, bool]:
         """Memoized rank of the frame observables as real vectors, and whether some real
@@ -237,7 +220,7 @@ class PreparedInstance:
 class InstanceBlock:
     """Instances of one (n, N), evaluated together: each memo maps a key to its value for
     every instance, computed on first use by one stacked evaluation.  A campaign fills the
-    memos its checks read with ``build_pencils``, ``fill_firey`` and ``find_structure``.
+    memos its checks read with ``fill_pencils`` and ``find_structure``.
     Every stacked operation acts on each instance's slice alone (elementwise, or LAPACK
     per matrix), so a value is bit-identical whichever block computed it."""
 
@@ -248,7 +231,7 @@ class InstanceBlock:
             inst._block, inst._index = self, k
         self.matrix: dict = {}  # side -> (B, N, N) stack
         self.det: dict = {}  # (big, small) -> B determinants
-        self.pencil: dict = {}  # (f, g, tol) -> B _Pencil records
+        self.pencil: dict = {}  # (f, g, t) -> B pencil rows
         self.structure: dict = {}  # None -> B (rank, off-diagonal dependence) pairs
 
     @cached_property
@@ -290,49 +273,47 @@ class InstanceBlock:
         if ("robertson", None) in todo:
             self.det["robertson", None] = [det_antisymmetric(r) for r in m["robertson"]]
 
-    def build_pencils(self, pencils, tol: float, sides) -> None:
-        """The missing records of the pencils (f, g), their determinants taken in one call with
-        those of ``sides``.  Each instance is clamped by ``_clamp`` in its own window tol * scale,
-        in instance order: a failure raises the error its instance raises alone."""
-        todo = [(f, g) for f, g in dict.fromkeys(pencils) if (f, g, tol) not in self.pencil]
-        pairs = [("cov", f) if g is None else (f, g) for f, g in todo]
-        keys = [(side, None) for side in sides]
-        self.determinants(keys + [key for big, small in pairs for key in ((small, None), (big, small), (big, None))])
+    def fill_pencils(self, pencils, ts, sides) -> None:
+        """Rows t of the pencils (f, g) for every instance, their determinants taken in one call
+        with those of ``sides``.  Row None has the weights (a, b) = (1, 1) and lhs det K_big; row
+        t has (1 - t, t) and lhs det(t K_big + (1 - 2t) K_small), the mixes of every t in one
+        broadcast B·P·T stack.  One elementwise formula gives every right side,
+        a^N q + b^N dd + cross terms of a q^{1/N} and b dd^{1/N}, where q = det K_small and
+        dd = det(K_big - K_small) are clamped at 0.  A row is (lhs, cross terms, rhs, q, dd,
+        clamp count, raw det K_small, raw det(K_big - K_small)): no window enters it, each
+        outcome tests its own.  Unit weights multiply exactly, so row None is not 2^N times
+        row 1/2: the two can round apart."""
+        firey = [k for k, t in enumerate(ts) if t is not None]
+        for k in firey:
+            _require_unit(ts[k])
+        pairs = [("cov", f) if g is None else (f, g) for f, g in pencils]
+        keys = [key for big, small in pairs for key in ((small, None), (big, small), (big, None))]
+        self.determinants([(side, None) for side in sides] + keys)
+        if not pencils:
+            return
         n = self.frame.size
-        records = [[] for _ in todo]
-        for k, scale in enumerate(self.scales):
-            window = tol * scale
-            for out, (f, g), (big, small) in zip(records, todo, pairs):
-                labels = ("det Qov", "det(Cov - Qov)") if g is None else ("det Qov_g", "det(Qov_f - Qov_g)")
-                q, small_clamps = _clamp(self.det[small, None][k], window, labels[0])
-                dd, diff_clamps = _clamp(self.det[big, small][k], window, labels[1])
-                rem = remainder(q, dd, n)
-                row = (self.det[big, None][k], rem, q + dd + rem)
-                out.append(_Pencil((big, small), q, dd, small_clamps + diff_clamps, {None: row}))
-        self.pencil.update(((f, g, tol), out) for (f, g), out in zip(todo, records))
-
-    def fill_firey(self, pencils, ts, tol: float) -> None:
-        """The Firey rows (det_mix, remainder_t, rhs) of every pencil (f, g) of every instance at
-        every t of ``ts``: the mixes t K_big + (1 - 2t) K_small form one broadcast B·P·T
-        stack with one determinant call, and the right side (1-t)^N q + t^N dd + cross terms
-        takes each record's clamped determinants.  Every operation is elementwise."""
-        for t in ts:
-            _require_unit(t)
-        self.build_pencils(pencils, tol, ())
-        per_pencil = [self.pencil[f, g, tol] for f, g in pencils]
-        records = [p for per_instance in zip(*per_pencil) for p in per_instance]
-        n = self.frame.size
-        t = np.array(ts, dtype=float)
-        a = 1.0 - t
-        # (B, P, 1, N, N), broadcast over t
-        big, small = (np.stack([self.matrix[p[0].sides[k]] for p in per_pencil], axis=1)[:, :, None] for k in (0, 1))
-        q, dd, root_q, root_dd = np.array([(p.q, p.dd, _root(p.q, n), _root(p.dd, n)) for p in records]).T[:, :, None]
-        mixes = (t[:, None, None] * big + (1.0 - 2.0 * t)[:, None, None] * small).reshape(-1, n, n)
-        lhs = det_real_symmetric(mixes.transpose(1, 2, 0))
-        rem = _cross_terms((root_q * a).ravel(), (root_dd * t).ravel(), n)
-        rhs = (_pow(a, n) * q + _pow(t, n) * dd).ravel() + rem
-        for p, columns in zip(records, zip(*(v.reshape(len(records), len(ts)).tolist() for v in (lhs, rem, rhs)))):
-            p.rows.update(zip(ts, zip(*columns)))
+        # det K_small, det(K_big - K_small) and det K_big, each (B, P, 1) to broadcast over the rows
+        raw = np.array([self.det[key] for key in keys]).reshape(len(pairs), 3, -1, 1).transpose(1, 2, 0, 3)
+        ok = raw[:2] >= 0.0
+        clamped = np.where(ok, raw[:2], 0.0)  # keeps -0.0, as _clamp does
+        q, dd = clamped
+        root_q, root_dd = np.array([_root(v, n) for v in clamped.ravel().tolist()]).reshape(clamped.shape)
+        a = np.array([1.0 if t is None else 1.0 - t for t in ts])
+        b = np.array([1.0 if t is None else t for t in ts])
+        lhs = np.repeat(raw[2], len(ts), axis=2)
+        if firey:
+            grid = b[firey]
+            big, small = (np.stack([self.matrix[pair[k]] for pair in pairs], axis=1)[:, :, None] for k in (0, 1))
+            mixes = (grid[:, None, None] * big + (1.0 - 2.0 * grid)[:, None, None] * small).reshape(-1, n, n)
+            lhs[:, :, firey] = det_real_symmetric(mixes.transpose(1, 2, 0)).reshape(*lhs.shape[:2], -1)
+        rem = _cross_terms((root_q * a).ravel(), (root_dd * b).ravel(), n)
+        rhs = (_pow(a, n) * q + _pow(b, n) * dd).ravel() + rem
+        # per pencil: (T, B) lists of lhs, rem and rhs, then (B,) lists of the row's other entries
+        columns = [v.reshape(lhs.shape).transpose(1, 2, 0).tolist() for v in (lhs, rem, rhs)]
+        columns += [v[:, :, 0].T.tolist() for v in (q, dd, 2 - ok.sum(axis=0), raw[0], raw[1])]
+        for (f, g), lhs_t, rem_t, rhs_t, *rest in zip(pencils, *columns):
+            for t, lhs_b, rem_b, rhs_b in zip(ts, lhs_t, rem_t, rhs_t):
+                self.pencil[f, g, t] = list(zip(lhs_b, rem_b, rhs_b, *rest))
 
     def find_structure(self) -> None:
         """Every ``structure()``, by one batched SVD for the ranks and one for the dependence."""
@@ -385,17 +366,27 @@ def _pencil(name, keys, inst, f, g, t, tol):
     (K_big, K_small) is (Cov, Qov_f) with g None and (Qov_f, Qov_g) for the
     pair, which needs strict dominance.  ``keys`` names the components lhs,
     det K_small, det(K_big - K_small) and the cross terms.  Both sides are row
-    t of the pencil's record in the window tol * scale.
+    t of the pencil, where both determinants enter clamped at 0.  A clamped
+    determinant must lie in the window tol * scale, or ``_clamp`` raises:
+    K_small (Qov_f or Qov_g) is PSD, so det K_small is tested in every outcome,
+    and K_big - K_small is PSD only under the hypothesis (Cov >= Qov_f always,
+    Qov_f >= Qov_g when f dominates g), so det(K_big - K_small) is tested only
+    where it holds.
     """
     hypothesis_ok = True if g is None else _pair_hypothesis(f, g)
-    p, (lhs, rem, rhs) = inst.pencil(f, g, t, tol)
+    lhs, rem, rhs, q, dd, clamps, raw_q, raw_dd = inst.pencil(f, g, t)
+    if clamps:
+        window = tol * inst.scale
+        _clamp(raw_q, window, "det Qov" if g is None else "det Qov_g")
+        if hypothesis_ok:
+            _clamp(raw_dd, window, "det(Cov - Qov)" if g is None else "det(Qov_f - Qov_g)")
     if t is None:
-        components = {keys[0]: lhs, keys[1]: p.q, keys[2]: p.dd, keys[3]: rem, "f": f.label}
+        components = {keys[0]: lhs, keys[1]: q, keys[2]: dd, keys[3]: rem, "f": f.label}
     else:
-        components = {keys[0]: lhs, keys[1]: p.q, keys[2]: p.dd, keys[3]: rem, "t": t, "f": f.label}
+        components = {keys[0]: lhs, keys[1]: q, keys[2]: dd, keys[3]: rem, "t": t, "f": f.label}
     if g is not None:
         components["g"] = g.label
-    return _report(name, lhs, rhs, inst.scale, tol, components, inst.digest, p.clamps, hypothesis_ok)
+    return _report(name, lhs, rhs, inst.scale, tol, components, inst.digest, clamps, hypothesis_ok)
 
 
 def check_conj1(inst: PreparedInstance, f: MonotoneFunction, tol: float = DEFAULT_TOL) -> InequalityReport:

@@ -116,6 +116,22 @@ def test_counts_sum_to_executions():
     assert report.violations == []
 
 
+def test_pairs_without_dominance_are_skipped_not_aborted():
+    # neither wyd:0.7 nor kubo-mori dominates sld, so det(Qov_f - Qov_g) is legitimately negative
+    config = CampaignConfig(
+        dims=(3,), num_obs=(1, 3), instances_per_cell=5, functions=("sld",),
+        function_pairs=(("wyd:0.7", "sld"), ("kubo-mori", "sld")),
+    )
+    report = run_campaign(config)
+    expected = expected_executions(config)
+    assert report.ok
+    assert report.counts["conj2"] == {"pass": 0, "fail": 0, "hypothesis_skipped": expected["conj2"], "clamped": 0}
+    pair_firey = expected["conj2"] * len(config.t_grid)
+    assert report.counts["firey"]["hypothesis_skipped"] == pair_firey
+    assert report.counts["firey"]["pass"] == expected["firey"] - pair_firey
+    assert all(row["pass"] + row["fail"] == 0 for row in report.rows if row["g"] is not None and row["check"] != "equality")
+
+
 def test_rows_cover_every_combination():
     report = run_campaign(TINY)
     combos = {(r["check"], r["n"], r["N"], r["f"], r["g"], r["t"]) for r in report.rows}

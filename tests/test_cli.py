@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from qfidet.cli import main
+from qfidet.io import save_instance
+from qfidet.states import density, random_observable
 
 from conftest import FIXTURES
 
@@ -124,6 +126,18 @@ def test_compute_fixture(capsys):
     assert "conj1" in out and "margin" in out and "pass" in out
     assert "verdict=none" in out
     assert "\n  firey: " in out and "\n  contraction: " in out
+
+
+def test_compute_skips_a_pair_without_dominance(tmp_path, capsys):
+    # N = 1: det(Qov_f - Qov_g) is Qov_wyd:0.7 - Qov_sld itself, a negative number
+    d = density(np.diag([0.7, 0.2, 0.1]).astype(complex))
+    path = tmp_path / "pair.json"
+    save_instance(path, d, [random_observable(3, 5)], functions=("sld",), pairs=(("wyd:0.7", "sld"),))
+    assert main(["compute", str(path)]) == 0
+    out = capsys.readouterr().out
+    pair = out[out.index("pair (wyd:0.7, sld):") :]
+    assert "\n  conj2: " in pair and "\n  firey: " in pair
+    assert all(line.endswith("[skipped (dominance hypothesis not met)]") for line in pair.splitlines() if "margin=" in line)
 
 
 def test_compute_missing_file(capsys):

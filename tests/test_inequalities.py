@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qfidet.campaign import DEFAULT_T_GRID, CheckPlan
+from qfidet.campaign import BLOCK_INSTANCES, DEFAULT_T_GRID, CampaignConfig, CheckPlan, run_campaign
 from qfidet.covariance import metric_inner, robertson_matrix
 from qfidet.inequalities import (
     EqualityClassification,
@@ -25,7 +25,15 @@ from qfidet.inequalities import (
 )
 from qfidet.monotone import make_function
 from qfidet.linalg import det_real_symmetric
-from qfidet.states import density, observable, pinching, random_density, random_observable, random_partition
+from qfidet.states import (
+    density,
+    derive_seed,
+    observable,
+    pinching,
+    random_density,
+    random_observable,
+    random_partition,
+)
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
 
@@ -527,25 +535,57 @@ def test_a_clamp_from_a_wide_window_is_not_reused_in_a_narrow_one():
         assert str(filled.value) == str(fresh.value)
 
 
+def _conj1_error(seed: int) -> str | None:
+    """The error text of conj1 at tol 1e-30 on the n = 2, N = 3 instance ``seed`` alone."""
+    try:
+        check_conj1(prepare_random(2, 3, seed), SLD, 1e-30)
+    except ArithmeticError as exc:
+        return str(exc)
+    return None
+
+
 def test_a_clamp_failure_inside_a_block_raises_its_instances_error():
     # n = 2, N = 3: det Qov_f is structurally zero and lands a rounding away from 0
     plan = CheckPlan(functions=(SLD,), pairs=(), tol=1e-30, t_grid=())
-
-    def fails(seed):
-        try:
-            check_conj1(prepare_random(2, 3, seed), SLD, 1e-30)
-        except ArithmeticError:
-            return True
-        return False
-
-    clean = next(s for s in range(100) if not fails(s))
-    first, second = [s for s in range(100) if fails(s)][:2]
-    with pytest.raises(ArithmeticError) as alone:
-        check_conj1(prepare_random(2, 3, first), SLD, 1e-30)
+    clean = next(s for s in range(100) if _conj1_error(s) is None)
+    first, second = [s for s in range(100) if _conj1_error(s) is not None][:2]
     block = [prepare_random(2, 3, s) for s in (clean, first, second)]
-    with pytest.raises(ArithmeticError) as inside:
-        plan.evaluate(block, [clean, first, second], {"conj1"})
-    assert str(inside.value) == str(alone.value)
+    # the block's rows hold no window: evaluating them raises nothing, each outcome tests its own
+    plan.evaluate(block, [clean, first, second], {"conj1"})
+    assert next(plan.conj1(block[0], clean))[0].passed
+    for inst, seed in zip(block[1:], (first, second)):
+        with pytest.raises(ArithmeticError) as inside:
+            next(plan.conj1(inst, seed))
+        assert str(inside.value) == _conj1_error(seed)
+    # a campaign that reaches such an instance stops with its text
+    config = CampaignConfig(
+        dims=(2,), num_obs=(3,), instances_per_cell=BLOCK_INSTANCES + 4, functions=("sld",), function_pairs=(),
+        kinds=("generic",), tol=1e-30, checks=("main", "conj1"),
+    )
+    texts = [_conj1_error(derive_seed(config.seed, 2, 3, "generic", k)) for k in range(config.instances_per_cell)]
+    index = next(k for k, text in enumerate(texts) if text is not None)
+    assert 0 < index < BLOCK_INSTANCES - 1  # inside a block, after a clean instance
+    with pytest.raises(ArithmeticError) as campaign:
+        run_campaign(config)
+    assert str(campaign.value) == texts[index]
+
+
+def test_a_det_qov_g_below_its_window_raises_though_the_hypothesis_failed():
+    # wyd:0.7 does not dominate sld, so det(Qov_f - Qov_g) may be negative and is not tested;
+    # det Qov_sld is structurally zero at n = 2, N = 3 and must still lie in its window
+    wyd07 = make_function("wyd", 0.7)
+    seed = next(s for s in range(100) if prepare_random(2, 3, s).det(SLD) < 0.0)
+    checks = (
+        lambda inst: check_conj2(inst, wyd07, SLD, 1e-30),
+        lambda inst: check_firey(inst, wyd07, 0.5, g=SLD, tol=1e-30),
+    )
+    for check in checks:
+        with pytest.raises(ArithmeticError, match=r"^det Qov_g = -\S+ is below the clamp window -"):
+            check(prepare_random(2, 3, seed))
+    # in the default window the same outcomes are skipped, not raised
+    for check in (lambda inst: check_conj2(inst, wyd07, SLD), lambda inst: check_firey(inst, wyd07, 0.5, g=SLD)):
+        rep = check(prepare_random(2, 3, seed))
+        assert not rep.hypothesis_ok and not rep.violated
 
 
 def test_each_instance_of_a_block_clamps_in_its_own_window():
@@ -592,7 +632,7 @@ def test_firey_right_side_is_the_scalar_formula_bit_for_bit(rng):
             rhs = (1.0 - t) ** n_obs * c["det_small"] + t**n_obs * c["det_diff"] + rem
             assert _bits(c["remainder_t"]) == _bits(rem), (trial, fl, gl, t)
             assert _bits(rep.rhs) == _bits(rhs), (trial, fl, gl, t)
-        # conj1 and conj2 read the unit-weight rows of the records the grid built
+        # conj1 and conj2 read the unit-weight rows, from the same kernel with the weights (1, 1)
         outcomes = [(check_conj1(inst, f), "cov") for f in plan.functions]
         outcomes += [(check_conj2(inst, f, g), f) for f, g in MEMO_PAIRS]
         for rep, big in outcomes:
