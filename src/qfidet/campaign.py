@@ -3,9 +3,11 @@
 Every instance is generated from hash(seed, n, N, kind, index), so any cell
 or single instance reproduces in isolation and the report is identical for
 any worker count: cells are independent work items and the merge happens in
-a fixed order.  A cell runs its instances in blocks of ``BLOCK_INSTANCES``:
+a fixed order.  The config fixes, before the first instance is drawn, the
+(check, f, g, t) of every outcome of an instance: a cell tallies one row per
+entry of that layout.  It runs its instances in blocks of ``BLOCK_INSTANCES``:
 each instance is drawn alone, the block evaluates what the active checks read
-as stacked arrays, and the checks then read memos, instance by instance, so
+as stacked arrays, and the outcomes then read memos, instance by instance, so
 the report is identical for any block size too.  The JSON report is the
 source of truth; CSV is a flattened view with one row per (check, n, N, f, g, t)
 combination, aggregated over state kinds and instances.
@@ -28,9 +30,9 @@ from .inequalities import (
     check_conj2,
     check_firey,
     check_main,
-    check_metric_contraction,
     check_robertson,
     classify_equality,
+    contraction_report,
     fill_contraction,
     prepare_random,
 )
@@ -51,22 +53,13 @@ class ConfigError(ValueError):
     pass
 
 
-def _partition(inst, derived) -> list:
-    """The random partition of an instance's contraction check, drawn once per state."""
-    key = ("partition", derived)
-    if key not in inst.state.memo:
-        inst.state.memo[key] = random_partition(inst.state.dim, derive_seed("partition", derived))
-    return inst.state.memo[key]
-
-
 @dataclass(frozen=True)
 class CheckPlan:
-    """What the checks of one instance range over, with one generator per check.
+    """What the checks of one instance range over.
 
-    Each generator yields (outcome, f label, g label, t) and looks its check
-    function up by module name when it runs, so that replacing
-    ``campaign.check_main`` (a test double, a tracer) reaches every dispatch.
-    ``evaluate`` fills, for a block of instances, what the generators read.
+    ``layout`` lists the (check, f, g, t) of every outcome, fixed by the plan
+    before any instance is drawn; ``CHECKS`` gives an instance's outcome at one
+    entry.  ``evaluate`` fills, for a block of instances, what the outcomes read.
     """
 
     functions: tuple[MonotoneFunction, ...]
@@ -74,9 +67,24 @@ class CheckPlan:
     tol: float
     t_grid: tuple[float, ...] = ()
 
+    def layout(self, names) -> list[tuple]:
+        """(check, f, g, t) of each outcome of the checks in ``names``, in registry order."""
+        unit = [(f, None, None) for f in self.functions]
+        pairs = [(f, g, None) for f, g in self.pairs]
+        ranges = {
+            "main": unit,
+            "conj1": unit,
+            "conj2": pairs,
+            "firey": [(f, g, t) for t in self.t_grid for f, g, _ in unit + pairs],
+            "robertson": [(None, None, None)],
+            "equality": pairs or unit[:1],
+            "contraction": unit,
+        }
+        return [(name, *entry) for name in CHECK_NAMES if name in names for entry in ranges[name]]
+
     def evaluate(self, instances, seeds, names) -> None:
         """Evaluate as stacks over ``instances`` (derived seeds ``seeds``) what the checks in
-        ``names`` read, and nothing else, so that their entries only read memos."""
+        ``names`` read, and nothing else, so that their outcomes only read memos."""
         unit = [(f, None) for f in self.functions]
         equality = [h for pair in self.pairs or unit[:1] for h in pair if h is not None]
         reads = {"main": ["cov", *self.functions], "robertson": ["cov", "robertson"], "equality": ["cov", *equality]}
@@ -88,46 +96,26 @@ class CheckPlan:
         if "equality" in names:
             block.find_structure()
         if "contraction" in names:
-            cases = [(inst.state, inst.observables[0], _partition(inst, seed)) for inst, seed in zip(instances, seeds)]
-            fill_contraction(cases, self.functions)
-
-    def main(self, inst, derived):
-        for f in self.functions:
-            yield check_main(inst, f, self.tol), f.label, None, None
-
-    def conj1(self, inst, derived):
-        for f in self.functions:
-            yield check_conj1(inst, f, self.tol), f.label, None, None
-
-    def conj2(self, inst, derived):
-        for f, g in self.pairs:
-            yield check_conj2(inst, f, g, self.tol), f.label, g.label, None
-
-    def firey(self, inst, derived):
-        for t in self.t_grid:
-            for f in self.functions:
-                yield check_firey(inst, f, t, tol=self.tol), f.label, None, t
-            for f, g in self.pairs:
-                yield check_firey(inst, f, t, g=g, tol=self.tol), f.label, g.label, t
-
-    def robertson(self, inst, derived):
-        yield check_robertson(inst, self.tol), None, None, None
-
-    def equality(self, inst, derived):
-        for f, g in self.pairs or ((self.functions[0], None),):
-            got = classify_equality(inst, f, g, self.tol)
-            yield got, f.label, g.label if g is not None else None, None
-
-    def contraction(self, inst, derived):
-        partition = _partition(inst, derived)
-        for f in self.functions:
-            rep = check_metric_contraction(inst.state, inst.observables[0], f, partition, self.tol)
-            yield rep, f.label, None, None
+            cases = [
+                (inst.state, inst.observables[0], random_partition(inst.state.dim, derive_seed("partition", seed)))
+                for inst, seed in zip(instances, seeds)
+            ]
+            block.contraction.update(fill_contraction(cases, self.functions))
 
 
-CHECK_NAMES = ("main", "conj1", "conj2", "firey", "robertson", "equality", "contraction")
-# check name -> entry(plan, instance, derived seed), in the order checks run
-CHECKS = {name: getattr(CheckPlan, name) for name in CHECK_NAMES}
+# check name -> its outcome (plan, instance, f, g, t) at one layout entry, in the order checks
+# run.  Each looks its check function up by module name when it runs, so that replacing
+# ``campaign.check_main`` (a test double, a tracer) reaches every dispatch.
+CHECKS = {
+    "main": lambda plan, inst, f, g, t: check_main(inst, f, plan.tol),
+    "conj1": lambda plan, inst, f, g, t: check_conj1(inst, f, plan.tol),
+    "conj2": lambda plan, inst, f, g, t: check_conj2(inst, f, g, plan.tol),
+    "firey": lambda plan, inst, f, g, t: check_firey(inst, f, t, g=g, tol=plan.tol),
+    "robertson": lambda plan, inst, f, g, t: check_robertson(inst, plan.tol),
+    "equality": lambda plan, inst, f, g, t: classify_equality(inst, f, g, plan.tol),
+    "contraction": lambda plan, inst, f, g, t: contraction_report(inst.contraction(f), f, inst.state.dim, plan.tol),
+}
+CHECK_NAMES = tuple(CHECKS)
 
 
 def _label(spec: str, field: str) -> str:
@@ -267,13 +255,10 @@ def _run_cell(config: CampaignConfig, n: int, n_obs: int, kind: str) -> tuple[di
         tol=config.tol,
         t_grid=config.t_grid,
     )
-    # registry order, whatever the order of config.checks
-    active = [(name, entry) for name, entry in CHECKS.items() if name in config.checks]
-    names = {name for name, _ in active}
-    rows: dict[tuple, list] = {}
-    # Every instance yields its outcomes in the same order, so the first one
-    # binds each position to its row and the others index by position.
-    slots: list[list] = []
+    names = set(config.checks)
+    layout = plan.layout(names)
+    # one tally row per layout entry, as every instance has an outcome at each
+    tally = [_empty_row() for _ in layout]
     violations: list[dict] = []
     count = config.instances_per_cell
     for start in range(0, count, BLOCK_INSTANCES):
@@ -283,44 +268,39 @@ def _run_cell(config: CampaignConfig, n: int, n_obs: int, kind: str) -> tuple[di
         plan.evaluate(block, seeds, names)
         for index, derived, inst in zip(indices, seeds, block):
             where = f"kind={kind},index={index}"
-            position = 0
-            for name, entry in active:
-                for rep, fl, gl, t in entry(plan, inst, derived):
-                    if index == 0:
-                        slots.append(rows.setdefault((name, n, n_obs, fl, gl, t), _empty_row()))
-                    row = slots[position]
-                    position += 1
-                    # the tally of _add_row, one outcome at a time
-                    if not rep.hypothesis_ok:
-                        row[2] += 1
-                        continue
-                    passed = rep.passed
-                    row[0 if passed else 1] += 1
-                    row[3] += rep.clamps
-                    if row[4] is None or rep.margin < row[4]:
-                        row[4:] = rep.margin, where
-                    # a violation: the hypothesis held and the bound failed
-                    if passed or len(violations) >= VIOLATION_CAP:
-                        continue
-                    violation = {
-                        "check": name,
-                        "n": n,
-                        "N": n_obs,
-                        "kind": kind,
-                        "index": index,
-                        "seed": config.seed,
-                        "derived_seed": derived,
-                        "f": fl,
-                        "g": gl,
-                        "t": t,
-                        "margin": rep.margin,
-                    }
-                    if isinstance(rep, EqualityClassification):
-                        violation["verdict"] = rep.verdict
-                    violations.append(violation)
-            if position != len(slots):
-                raise AssertionError(f"instance {index} of a cell yielded {position} outcomes, the first {len(slots)}")
-    return rows, violations
+            for (name, f, g, t), row in zip(layout, tally):
+                rep = CHECKS[name](plan, inst, f, g, t)
+                # the tally of _add_row, one outcome at a time
+                if not rep.hypothesis_ok:
+                    row[2] += 1
+                    continue
+                passed = rep.passed
+                row[0 if passed else 1] += 1
+                row[3] += rep.clamps
+                if row[4] is None or rep.margin < row[4]:
+                    row[4:] = rep.margin, where
+                # a violation: the hypothesis held and the bound failed
+                if passed or len(violations) >= VIOLATION_CAP:
+                    continue
+                violation = {
+                    "check": name,
+                    "n": n,
+                    "N": n_obs,
+                    "kind": kind,
+                    "index": index,
+                    "seed": config.seed,
+                    "derived_seed": derived,
+                    "f": f and f.label,
+                    "g": g and g.label,
+                    "t": t,
+                    "margin": rep.margin,
+                }
+                if isinstance(rep, EqualityClassification):
+                    violation["verdict"] = rep.verdict
+                violations.append(violation)
+    # a cell without instances has no rows
+    rows = {(name, n, n_obs, f and f.label, g and g.label, t): row for (name, f, g, t), row in zip(layout, tally)}
+    return rows if count else {}, violations
 
 
 def _cell_entry(args):

@@ -144,7 +144,8 @@ def _cmd_compute(args) -> int:
 
     def run(checks, functions=(), pairs=()) -> int:
         plan = CheckPlan(functions=functions, pairs=pairs, tol=args.tol, t_grid=DEFAULT_T_GRID)
-        return sum(_show(rep) for check in checks for rep, *_ in CHECKS[check](plan, inst, None))
+        plan.evaluate([inst], [None], set(checks))
+        return sum(_show(CHECKS[name](plan, inst, f, g, t)) for name, f, g, t in plan.layout(checks))
 
     print(f"instance {args.instance}: dim={loaded.state.dim}, observables={len(loaded.observables)}")
     print(f"  eigenvalues: {' '.join(f'{v:.6g}' for v in loaded.state.eigenvalues)}")

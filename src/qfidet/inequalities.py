@@ -63,6 +63,7 @@ __all__ = [
     "InstanceBlock",
     "prepare_random",
     "fill_contraction",
+    "contraction_report",
     "remainder",
     "remainder_t",
     "check_main",
@@ -117,19 +118,6 @@ def _require_unit(t: float) -> None:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
 
 
-def _pow(x, k: int):
-    """x ** k for a float, or elementwise for an array, always by the C library's pow.
-
-    numpy's vectorized power rounds differently from it on some hosts, which
-    would move margins by an ulp against the scalar formula.
-    """
-    if k == 1:
-        return x
-    if isinstance(x, float):
-        return x**k
-    return np.array([v**k for v in x.tolist()])
-
-
 def _root(det: float, n_obs: int) -> float:
     """det^{1/N}, with a roundoff-negative det (down to -1e-12) read as 0."""
     if n_obs < 1:
@@ -139,13 +127,19 @@ def _root(det: float, n_obs: int) -> float:
     return det ** (1.0 / n_obs) if det > 0.0 else 0.0
 
 
-def _cross_terms(q, c, n_obs: int):
-    """Binomial cross terms C(N,k) q^k c^{N-k}, k = 1..N-1, of two weighted
-    roots q = a det_q^{1/N} >= 0 and c = b det_diff^{1/N}: floats, or arrays
-    of them (elementwise).  Zero for N = 1 and wherever q or c vanishes."""
+def _cross_terms(q, c, n_obs: int) -> np.ndarray:
+    """Binomial cross terms C(N,k) q^k c^{N-k}, k = 1..N-1, elementwise over two arrays of
+    weighted roots q = a det_q^{1/N} >= 0 and c = b det_diff^{1/N}.  Zero for N = 1 and wherever
+    q or c vanishes.  Each side's powers come from one list pass through Python's float power,
+    the C library's pow, since numpy's vectorized power rounds differently on some hosts."""
+    q, c = np.asarray(q, dtype=float), np.asarray(c, dtype=float)
+    # x^1 is x itself, and x^2..x^{N-1} come from one list pass
+    powers_q, powers_c = (
+        [x, *np.reshape([v**k for k in range(2, n_obs) for v in x.tolist()], (max(n_obs - 2, 0), x.size))] for x in (q, c)
+    )
     total = 0.0 * q
     for k in range(1, n_obs):
-        total = total + math.comb(n_obs, k) * _pow(q, k) * _pow(c, n_obs - k)
+        total = total + math.comb(n_obs, k) * powers_q[k - 1] * powers_c[n_obs - k - 1]
     return total
 
 
@@ -155,7 +149,7 @@ def remainder(det_q: float, det_diff: float, n_obs: int) -> float:
     Equals ((det_q)^{1/N} + (det_diff)^{1/N})^N minus the two pure terms;
     zero for N = 1 and whenever either determinant vanishes.
     """
-    return _cross_terms(_root(det_q, n_obs), _root(det_diff, n_obs), n_obs)
+    return float(_cross_terms([_root(det_q, n_obs)], [_root(det_diff, n_obs)], n_obs)[0])
 
 
 def remainder_t(det_q: float, det_diff: float, n_obs: int, t: float) -> float:
@@ -164,7 +158,7 @@ def remainder_t(det_q: float, det_diff: float, n_obs: int, t: float) -> float:
     At t = 1/2 this is exactly 2^{-N} times ``remainder``.
     """
     _require_unit(t)
-    return _cross_terms(_root(det_q, n_obs) * (1.0 - t), _root(det_diff, n_obs) * t, n_obs)
+    return float(_cross_terms([_root(det_q, n_obs) * (1.0 - t)], [_root(det_diff, n_obs) * t], n_obs)[0])
 
 
 class PreparedInstance:
@@ -216,11 +210,17 @@ class PreparedInstance:
         combination of them is diagonal in the state's eigenbasis; every equality check shares them."""
         return self._memo(self._block.structure, None, self._block.find_structure)
 
+    def contraction(self, f) -> tuple:
+        """The contraction sums for f (``fill_contraction``'s), which ``CheckPlan.evaluate`` stores
+        in the block with the partition it draws from the instance's seed."""
+        return self._block.contraction[f][self._index]
+
 
 class InstanceBlock:
     """Instances of one (n, N), evaluated together: each memo maps a key to its value for
     every instance, computed on first use by one stacked evaluation.  A campaign fills the
-    memos its checks read with ``fill_pencils`` and ``find_structure``.
+    memos its checks read with ``fill_pencils`` and ``find_structure``, and stores the
+    contraction sums, which need each instance's partition.
     Every stacked operation acts on each instance's slice alone (elementwise, or LAPACK
     per matrix), so a value is bit-identical whichever block computed it."""
 
@@ -233,6 +233,7 @@ class InstanceBlock:
         self.det: dict = {}  # (big, small) -> B determinants
         self.pencil: dict = {}  # (f, g, t) -> B pencil rows
         self.structure: dict = {}  # None -> B (rank, off-diagonal dependence) pairs
+        self.contraction: dict = {}  # f -> B contraction sums, filled only by CheckPlan.evaluate
 
     @cached_property
     def frame(self) -> EigenFrame:
@@ -307,7 +308,7 @@ class InstanceBlock:
             mixes = (grid[:, None, None] * big + (1.0 - 2.0 * grid)[:, None, None] * small).reshape(-1, n, n)
             lhs[:, :, firey] = det_real_symmetric(mixes.transpose(1, 2, 0)).reshape(*lhs.shape[:2], -1)
         rem = _cross_terms((root_q * a).ravel(), (root_dd * b).ravel(), n)
-        rhs = (_pow(a, n) * q + _pow(b, n) * dd).ravel() + rem
+        rhs = (np.array([v**n for v in a.tolist()]) * q + np.array([v**n for v in b.tolist()]) * dd).ravel() + rem
         # per pencil: (T, B) lists of lhs, rem and rhs, then (B,) lists of the row's other entries
         columns = [v.reshape(lhs.shape).transpose(1, 2, 0).tolist() for v in (lhs, rem, rhs)]
         columns += [v[:, :, 0].T.tolist() for v in (q, dd, 2 - ok.sum(axis=0), raw[0], raw[1])]
@@ -569,25 +570,19 @@ def minkowski_firey_selftest(
     return _report("minkowski-firey", lhs, rhs, scale, tol, components, f"selftest[{n}x{n}]", c1 + c2 + c3)
 
 
-def _contraction_key(x, partition) -> tuple:
-    xa = np.asarray(x)
-    return ("contraction", xa.dtype.str, xa.shape, xa.tobytes(), tuple(map(tuple, partition)))
-
-
-def fill_contraction(cases, functions) -> None:
-    """Both sides of the contraction check for each f and each (state D, tangent X, partition)
-    of ``cases``, kept in D's memo with the least eigenvalue of D and the pinched state: the
-    traceless X0 and its pinching rotated by one stacked matmul (both Hermitian by construction,
-    so unchecked), then per function one ``pair_means`` call over the (B, 2, n) spectra and
-    one weighted sum over the (B, 2, n, n) products."""
-    keys, eigen, tangents = [], [], []
+def fill_contraction(cases, functions) -> dict:
+    """Both sides of the contraction check for each f and each (state D, tangent X, partition) of
+    ``cases``: f -> one (before, after, least eigenvalue of D and of the pinched state, number of
+    blocks) per case.  The traceless X0 and its pinching are rotated by one stacked matmul (both
+    Hermitian by construction, so unchecked), then per function one ``pair_means`` call over the
+    (B, 2, n) spectra and one weighted sum over the (B, 2, n, n) products."""
+    eigen, tangents = [], []
     for d, x, partition in cases:
-        keys.append(_contraction_key(x, partition))
         x = observable(x)
         if x.shape != d.matrix.shape:
             raise ValueError(f"tangent x shape {x.shape} does not match the state")
         x0 = x - (np.trace(x).real / d.dim) * np.eye(d.dim)
-        pinched = pinching(np.stack((d.matrix, x0)), keys[-1][-1])
+        pinched = pinching(np.stack((d.matrix, x0)), partition)
         eigen.append((d.eigen, density(pinched[0]).eigen))
         tangents.append((x0, pinched[1]))
     u = np.array([[e.unitary for e in pair] for pair in eigen])
@@ -595,10 +590,26 @@ def fill_contraction(cases, functions) -> None:
     products = r.conj() * r
     spectra = np.array([[e.eigenvalues for e in pair] for pair in eigen])
     floors = spectra[:, :, 0].min(axis=1).tolist()
+    blocks = [len(partition) for _, _, partition in cases]
+    got = {}
     for f in functions:
         sums = metric_sum(products, pair_means(spectra, f), f).tolist()
-        for (d, _, _), key, (before, after), lam_floor in zip(cases, keys, sums, floors):
-            d.memo[key, f] = (before, after, lam_floor)
+        got[f] = [(before, after, floor, k) for (before, after), floor, k in zip(sums, floors, blocks)]
+    return got
+
+
+def contraction_report(sums, f: MonotoneFunction, n: int, tol: float) -> InequalityReport:
+    """The contraction outcome of an n-level state from its ``fill_contraction`` sums for f."""
+    before, after, lam_floor, blocks = sums
+    scale = max(1.0, before)
+    # Metric weights near a tiny eigenvalue lam are 1/lam-sized, and storing
+    # the pinched matrix in doubles already limits lam to roughly
+    # eps*||D||/lam relative accuracy, so the achievable precision of the
+    # two sides degrades by that factor.  Widen the window accordingly;
+    # for healthy spectra the extra term is far below tol*scale.
+    window = tol * scale + 4.0 * n * _EPS / lam_floor * before
+    components = {"before": before, "after": after, "window": window, "blocks": blocks, "f": f.label}
+    return _report("contraction", before, after, scale, tol, components, f"contraction[n={n}]", window=window)
 
 
 def check_metric_contraction(
@@ -611,21 +622,8 @@ def check_metric_contraction(
     """Metric monotonicity under pinching: K_T(D)(T(X), T(X)) <= K_D(X, X).
 
     X is projected onto the traceless part first (tangent vectors of the
-    state space); pinching commutes with that projection.  Both sides come
-    from the state's memo, which ``fill_contraction`` fills for a block of
-    states, or here for this one.
+    state space); pinching commutes with that projection.  Both sides are
+    ``fill_contraction``'s for this one case.
     """
-    key = (_contraction_key(x, partition), f)
-    if key not in d.memo:
-        fill_contraction(((d, x, partition),), (f,))
-    before, after, lam_floor = d.memo[key]
-    n = d.dim
-    scale = max(1.0, before)
-    # Metric weights near a tiny eigenvalue lam are 1/lam-sized, and storing
-    # the pinched matrix in doubles already limits lam to roughly
-    # eps*||D||/lam relative accuracy, so the achievable precision of the
-    # two sides degrades by that factor.  Widen the window accordingly;
-    # for healthy spectra the extra term is far below tol*scale.
-    window = tol * scale + 4.0 * n * _EPS / lam_floor * before
-    components = {"before": before, "after": after, "window": window, "blocks": len(key[0][-1]), "f": f.label}
-    return _report("contraction", before, after, scale, tol, components, f"contraction[n={n}]", window=window)
+    (sums,) = fill_contraction(((d, x, partition),), (f,))[f]
+    return contraction_report(sums, f, d.dim, tol)

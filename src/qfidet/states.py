@@ -10,7 +10,7 @@ formula shares.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -61,12 +61,10 @@ def derive_seed(*parts) -> int:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A strictly positive trace-one Hermitian matrix with its spectrum cached, and a
-    ``memo`` for what callers derive from it (contraction sums, a campaign's partition)."""
+    """A strictly positive trace-one Hermitian matrix with its spectrum cached."""
 
     matrix: np.ndarray
     eigen: EigenDecomposition
-    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:

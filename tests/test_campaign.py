@@ -12,6 +12,7 @@ import numpy as np
 from qfidet.campaign import (
     CHECK_NAMES,
     CHECKS,
+    DEFAULT_T_GRID,
     VIOLATION_CAP,
     CampaignConfig,
     CampaignReport,
@@ -497,15 +498,56 @@ def _fresh_outcome(check, n, n_obs, kind, derived, fl, gl, t, tol):
     return calls[check]()
 
 
-def _compare_with_fresh_outcomes(config) -> int:
-    """Run every cell in blocks of ``instances_per_cell`` as a campaign does and compare each
-    outcome with the public check on a fresh instance; return the number compared."""
-    plan = CheckPlan(
+def _plan(config) -> CheckPlan:
+    """The plan a campaign's cells run for ``config``."""
+    return CheckPlan(
         functions=tuple(parse_function_spec(s) for s in config.functions),
         pairs=tuple((parse_function_spec(a), parse_function_spec(b)) for a, b in config.function_pairs),
         tol=config.tol,
         t_grid=config.t_grid,
     )
+
+
+def _labelled_layout(config) -> list[tuple]:
+    return [(name, f and f.label, g and g.label, t) for name, f, g, t in _plan(config).layout(config.checks)]
+
+
+def test_the_layout_lists_each_outcome_of_an_instance_once_in_registry_order():
+    functions = ["sld", "wy", "wyd:0.3", "kubo-mori"]
+    pairs = [("sld", "wy"), ("sld", "wyd:0.3"), ("wy", "wyd:0.3")]
+    unit = [(f, None) for f in functions]
+    want = [("main", f, None, None) for f in functions]
+    want += [("conj1", f, None, None) for f in functions]
+    want += [("conj2", f, g, None) for f, g in pairs]
+    want += [("firey", f, g, t) for t in DEFAULT_T_GRID for f, g in unit + pairs]
+    want += [("robertson", None, None, None)]
+    want += [("equality", f, g, None) for f, g in pairs]
+    want += [("contraction", f, None, None) for f in functions]
+    assert _labelled_layout(CampaignConfig()) == want
+    # without pairs, equality ranges over the first function alone
+    bare = CampaignConfig(functions=("wy", "sld"), function_pairs=(), checks=("equality", "conj1"))
+    assert _labelled_layout(bare) == [
+        ("conj1", "wy", None, None),
+        ("conj1", "sld", None, None),
+        ("equality", "wy", None, None),
+    ]
+    # checks listed out of registry order still run in it, and t keeps the grid's order
+    shuffled = CampaignConfig(function_pairs=(("sld", "wy"),), t_grid=(0.5, 0.0), checks=("contraction", "firey", "main"))
+    firey = [("firey", f, g, t) for t in (0.5, 0.0) for f, g in [*unit, ("sld", "wy")]]
+    assert _labelled_layout(shuffled) == want[:4] + firey + want[-4:]
+    for config in (CampaignConfig(), bare, shuffled):
+        # one entry per outcome of an instance, and each a distinct row of the report
+        one = dataclasses.replace(config, dims=(3,), num_obs=(2,), kinds=("generic",), instances_per_cell=1)
+        layout = _labelled_layout(one)
+        assert len(layout) == sum(expected_executions(one).values())
+        rows = [(row["check"], row["f"], row["g"], row["t"]) for row in run_campaign(one).rows]
+        assert sorted(rows, key=str) == sorted(layout, key=str)
+
+
+def _compare_with_fresh_outcomes(config) -> int:
+    """Run every cell in blocks of ``instances_per_cell`` as a campaign does and compare each
+    outcome with the public check on a fresh instance; return the number compared."""
+    plan = _plan(config)
     compared = 0
     for n in config.dims:
         for n_obs in config.num_obs:
@@ -514,11 +556,12 @@ def _compare_with_fresh_outcomes(config) -> int:
                 block = [prepare_random(n, n_obs, derived, kind) for derived in seeds]
                 plan.evaluate(block, seeds, set(CHECKS))
                 for inst, derived in zip(block, seeds):
-                    for check, entry in CHECKS.items():
-                        for rep, fl, gl, t in entry(plan, inst, derived):
-                            want = _fresh_outcome(check, n, n_obs, kind, derived, fl, gl, t, config.tol)
-                            assert _facts(rep) == _facts(want), (n, n_obs, kind, check, fl, gl, t)
-                            compared += 1
+                    for check, f, g, t in plan.layout(CHECKS):
+                        rep = CHECKS[check](plan, inst, f, g, t)
+                        fl, gl = f and f.label, g and g.label
+                        want = _fresh_outcome(check, n, n_obs, kind, derived, fl, gl, t, config.tol)
+                        assert _facts(rep) == _facts(want), (n, n_obs, kind, check, fl, gl, t)
+                        compared += 1
     return compared
 
 

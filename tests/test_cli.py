@@ -194,11 +194,38 @@ def test_catalog_output_matches_the_golden_file(capsys):
     assert capsys.readouterr().out.encode() == (FIXTURES / "catalog.txt").read_bytes()
 
 
-def test_compute_output_matches_the_golden_file(monkeypatch, capsys):
+def _compute_matches_its_golden_file(monkeypatch, capsys, name: str) -> None:
     # run from the repository root: the first line echoes the path as given
     monkeypatch.chdir(FIXTURES.parent.parent)
-    assert main(["compute", "tests/fixtures/qubit_tight.json"]) == 0
-    assert capsys.readouterr().out.encode() == (FIXTURES / "qubit_tight_compute.txt").read_bytes()
+    assert main(["compute", f"tests/fixtures/{name}.json"]) == 0
+    assert capsys.readouterr().out.encode() == (FIXTURES / f"{name}_compute.txt").read_bytes()
+
+
+def test_compute_output_matches_the_golden_file(monkeypatch, capsys):
+    _compute_matches_its_golden_file(monkeypatch, capsys, "qubit_tight")
+
+
+def test_compute_output_at_n4_matches_the_golden_file(monkeypatch, capsys):
+    # n = 4, N = 4, four functions and the pair sld/wy: the LU determinants, the Firey grid,
+    # conj2, equality and contraction at a size past the cofactor formulas
+    _compute_matches_its_golden_file(monkeypatch, capsys, "n4_pair")
+
+
+def test_compute_fills_the_pencils_once_per_plan(monkeypatch, capsys):
+    from qfidet.inequalities import InstanceBlock
+
+    fill, calls = InstanceBlock.fill_pencils, []
+
+    def counted(self, pencils, ts, sides):
+        calls.append((len(pencils), len(ts)))
+        return fill(self, pencils, ts, sides)
+
+    monkeypatch.setattr(InstanceBlock, "fill_pencils", counted)
+    assert main(["compute", str(FIXTURES / "n4_pair.json")]) == 0
+    capsys.readouterr()
+    # a plan per function, one for robertson and one for the pair, each filling every row of
+    # its pencils (the unit row and the 11 Firey rows) in one call
+    assert calls == [(1, 12)] * 4 + [(0, 1), (1, 12)]
 
 
 def _scaled_fixture(tmp_path, factor: float) -> str:

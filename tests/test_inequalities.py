@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qfidet.campaign import BLOCK_INSTANCES, DEFAULT_T_GRID, CampaignConfig, CheckPlan, run_campaign
+from qfidet.campaign import BLOCK_INSTANCES, CHECKS, DEFAULT_T_GRID, CampaignConfig, CheckPlan, run_campaign
 from qfidet.covariance import metric_inner, robertson_matrix
 from qfidet.inequalities import (
     EqualityClassification,
@@ -395,6 +395,7 @@ def test_contraction_identity_partition_is_equality():
     rep = check_metric_contraction(d, x, WY, [range(3)])
     assert abs(rep.margin) <= 1e-10 * rep.scale
     assert rep.passed
+    assert rep.components["blocks"] == 1
 
 
 def test_contraction_kills_offdiagonal_tangent():
@@ -402,6 +403,7 @@ def test_contraction_kills_offdiagonal_tangent():
     rep = check_metric_contraction(d, PAULI_X, SLD, [[0], [1]])
     assert rep.rhs == pytest.approx(0.0, abs=1e-13)
     assert rep.lhs > 0.0 and rep.passed
+    assert rep.components["blocks"] == 2
 
 
 @pytest.mark.parametrize("spec", ["sld", "wy", "kubo-mori", "harmonic", "wyd:0.3"])
@@ -486,6 +488,11 @@ MEMO_PAIRS = ((SLD, WY), (SLD, WYD), (WY, WYD), (SLD, KM))
 KINDS = ("generic", "degenerate", "near-singular")
 
 
+def _outcomes(plan, inst, names) -> dict:
+    """(check, f label, g label, t) -> the outcome on ``inst`` at each layout entry of ``names``."""
+    return {(name, f.label, g and g.label, t): CHECKS[name](plan, inst, f, g, t) for name, f, g, t in plan.layout(names)}
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_firey_rows_do_not_depend_on_the_memo_order(kind, rng):
     plan = CheckPlan(functions=(SLD, WY, WYD, KM), pairs=MEMO_PAIRS, tol=1e-9, t_grid=DEFAULT_T_GRID)
@@ -494,13 +501,15 @@ def test_firey_rows_do_not_depend_on_the_memo_order(kind, rng):
     for n in (2, 3, 4):
         for n_obs in (1, 2, 3, 4):
             seed = int(rng.integers(2**32))
+            # the whole grid in one evaluation, then single rows off the grid
             filled = prepare_random(n, n_obs, seed, kind)
-            got = {(fl, gl, t): rep for rep, fl, gl, t in plan.firey(filled, seed)}
+            plan.evaluate([filled], [seed], {"firey"})
+            got = {key[1:]: rep for key, rep in _outcomes(plan, filled, {"firey"}).items()}
             got.update({(f.label, g and g.label, off_grid): check_firey(filled, f, off_grid, g=g) for f, g in pencils})
-            # single rows first, on and off the grid, then the whole grid over them
+            # single rows first, on and off the grid, then the grid row by row over them
             refilled = prepare_random(n, n_obs, seed, kind)
             early = {(f.label, g and g.label, t): check_firey(refilled, f, t, g=g) for f, g in pencils for t in (off_grid, 0.3)}
-            late = {(fl, gl, t): rep for rep, fl, gl, t in plan.firey(refilled, seed)}
+            late = {key[1:]: rep for key, rep in _outcomes(plan, refilled, {"firey"}).items()}
             fresh = prepare_random(n, n_obs, seed, kind)
             # one t at a time, in a shuffled order of t and of the pencils
             for t in [off_grid, *rng.permutation(DEFAULT_T_GRID).tolist()]:
@@ -522,7 +531,7 @@ def test_a_clamp_from_a_wide_window_is_not_reused_in_a_narrow_one():
     seed = next(s for s in range(100) if check_firey(prepare_random(2, 3, s), SLD, 0.5).clamps)
     inst = prepare_random(2, 3, seed)
     plan = CheckPlan(functions=(SLD,), pairs=((SLD, WY),), tol=1e-9, t_grid=DEFAULT_T_GRID)
-    assert any(rep.clamps for rep, *_ in plan.firey(inst, seed))
+    assert any(rep.clamps for rep in _outcomes(plan, inst, {"firey"}).values())
     for check in (
         lambda i: check_firey(i, SLD, 0.5, tol=1e-30),
         lambda i: check_firey(i, SLD, 0.37, tol=1e-30),
@@ -552,10 +561,11 @@ def test_a_clamp_failure_inside_a_block_raises_its_instances_error():
     block = [prepare_random(2, 3, s) for s in (clean, first, second)]
     # the block's rows hold no window: evaluating them raises nothing, each outcome tests its own
     plan.evaluate(block, [clean, first, second], {"conj1"})
-    assert next(plan.conj1(block[0], clean))[0].passed
+    ((_, f, g, t),) = plan.layout({"conj1"})
+    assert CHECKS["conj1"](plan, block[0], f, g, t).passed
     for inst, seed in zip(block[1:], (first, second)):
         with pytest.raises(ArithmeticError) as inside:
-            next(plan.conj1(inst, seed))
+            CHECKS["conj1"](plan, inst, f, g, t)
         assert str(inside.value) == _conj1_error(seed)
     # a campaign that reaches such an instance stops with its text
     config = CampaignConfig(
@@ -603,7 +613,7 @@ def test_each_instance_of_a_block_clamps_in_its_own_window():
     names = {"conj1", "conj2", "firey"}
 
     def outcomes(inst):
-        return [rep for name in ("conj1", "conj2", "firey") for rep, *_ in getattr(plan, name)(inst, None)]
+        return list(_outcomes(plan, inst, names).values())
 
     def fresh(which):
         base = prepare_random(2, 3, seed)
@@ -626,7 +636,7 @@ def test_firey_right_side_is_the_scalar_formula_bit_for_bit(rng):
     for trial in range(30):
         n_obs = 2 + trial % 3
         inst = prepare_random(2 + trial % 3, n_obs, int(rng.integers(2**32)), KINDS[trial % 3])
-        for rep, fl, gl, t in plan.firey(inst, None):
+        for (_, fl, gl, t), rep in _outcomes(plan, inst, {"firey"}).items():
             c = rep.components
             rem = remainder_t(c["det_small"], c["det_diff"], n_obs, t)
             rhs = (1.0 - t) ** n_obs * c["det_small"] + t**n_obs * c["det_diff"] + rem
