@@ -1,16 +1,16 @@
 """Verification campaigns over derived-seed random instances.
 
 Every instance is generated from hash(seed, n, N, kind, index), so any cell
-or single instance reproduces in isolation and the report is identical for
-any worker count: cells are independent work items and the merge happens in
-a fixed order.  The config fixes, before the first instance is drawn, the
-(check, f, g, t) of every outcome of an instance: a cell tallies one row per
-entry of that layout.  It runs its instances in blocks of ``BLOCK_INSTANCES``:
-each instance is drawn alone, the block evaluates what the active checks read
-as stacked arrays, and the outcomes then read memos, instance by instance, so
-the report is identical for any block size too.  The JSON report is the
-source of truth; CSV is a flattened view with one row per (check, n, N, f, g, t)
-combination, aggregated over state kinds and instances.
+or single instance reproduces in isolation.  A work item is a block of up to
+``BLOCK_INSTANCES`` consecutive instances of one (n, N) in (kind, index) order,
+which may span kinds: it is drawn, evaluated and tallied on its own, and the
+merge adds the block tallies in that order, so the report is identical for any
+worker count and block size.  The config fixes, before the first instance is
+drawn, the (check, f, g, t) of every outcome of an instance: a block tallies one
+row per entry of that layout.  Each instance is drawn alone, the block evaluates
+what the active checks read as stacked arrays, and the outcomes then read memos,
+instance by instance.  The JSON report is the source of truth; CSV is a flattened
+view with one row per (check, n, N, f, g, t), aggregated over kinds and instances.
 """
 
 from __future__ import annotations
@@ -19,8 +19,10 @@ import csv
 import io
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass
+from itertools import product
 from pathlib import Path
 
 from .inequalities import (
@@ -43,9 +45,9 @@ REPORT_VERSION = "qfi-report/4"
 VIOLATION_CAP = 100
 COUNT_NAMES = ("pass", "fail", "hypothesis_skipped", "clamped")
 DEFAULT_T_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-# instances of a cell evaluated as one stack; the stacks grow with it, so it bounds memory.
-# On the default grid at 1000 instances per cell (1 worker, 2-core AMD EPYC), 16 ran as fast
-# as 32, 64 or 128 with the least memory of them; whole cells doubled the peak RSS.
+# instances of one (n, N), of any kinds, in one stack and one work item; it bounds the stacks' memory.
+# On the default grid at 1000 instances per cell (1 worker, 2-core AMD EPYC), 16 ran as fast as 32,
+# 64 or 128 with the least memory of them; whole cells doubled the peak RSS.
 BLOCK_INSTANCES = 16
 
 
@@ -248,7 +250,8 @@ def _add_row(into: list, row: list) -> None:
         into[4:] = row[4:]
 
 
-def _run_cell(config: CampaignConfig, n: int, n_obs: int, kind: str) -> tuple[dict, list]:
+def _run_block(config: CampaignConfig, n: int, n_obs: int, positions: range) -> tuple[dict, list]:
+    """Draw, evaluate and tally the instances at ``positions`` of (n, N), numbered in (kind, index) order."""
     plan = CheckPlan(
         functions=tuple(parse_function_spec(s) for s in config.functions),
         pairs=tuple((parse_function_spec(a), parse_function_spec(b)) for a, b in config.function_pairs),
@@ -261,50 +264,44 @@ def _run_cell(config: CampaignConfig, n: int, n_obs: int, kind: str) -> tuple[di
     tally = [_empty_row() for _ in layout]
     violations: list[dict] = []
     count = config.instances_per_cell
-    for start in range(0, count, BLOCK_INSTANCES):
-        indices = range(start, min(start + BLOCK_INSTANCES, count))
-        seeds = [derive_seed(config.seed, n, n_obs, kind, index) for index in indices]
-        block = [prepare_random(n, n_obs, derived, kind) for derived in seeds]
-        plan.evaluate(block, seeds, names)
-        for index, derived, inst in zip(indices, seeds, block):
-            where = f"kind={kind},index={index}"
-            for (name, f, g, t), row in zip(layout, tally):
-                rep = CHECKS[name](plan, inst, f, g, t)
-                # the tally of _add_row, one outcome at a time
-                if not rep.hypothesis_ok:
-                    row[2] += 1
-                    continue
-                passed = rep.passed
-                row[0 if passed else 1] += 1
-                row[3] += rep.clamps
-                if row[4] is None or rep.margin < row[4]:
-                    row[4:] = rep.margin, where
-                # a violation: the hypothesis held and the bound failed
-                if passed or len(violations) >= VIOLATION_CAP:
-                    continue
-                violation = {
-                    "check": name,
-                    "n": n,
-                    "N": n_obs,
-                    "kind": kind,
-                    "index": index,
-                    "seed": config.seed,
-                    "derived_seed": derived,
-                    "f": f and f.label,
-                    "g": g and g.label,
-                    "t": t,
-                    "margin": rep.margin,
-                }
-                if isinstance(rep, EqualityClassification):
-                    violation["verdict"] = rep.verdict
-                violations.append(violation)
-    # a cell without instances has no rows
+    members = [(config.kinds[k // count], k % count) for k in positions]
+    seeds = [derive_seed(config.seed, n, n_obs, kind, index) for kind, index in members]
+    block = [prepare_random(n, n_obs, derived, kind) for derived, (kind, _) in zip(seeds, members)]
+    plan.evaluate(block, seeds, names)
+    for (kind, index), derived, inst in zip(members, seeds, block):
+        where = f"kind={kind},index={index}"
+        for (name, f, g, t), row in zip(layout, tally):
+            rep = CHECKS[name](plan, inst, f, g, t)
+            # the tally of _add_row, one outcome at a time
+            if not rep.hypothesis_ok:
+                row[2] += 1
+                continue
+            passed = rep.passed
+            row[0 if passed else 1] += 1
+            row[3] += rep.clamps
+            if row[4] is None or rep.margin < row[4]:
+                row[4:] = rep.margin, where
+            # a violation: the hypothesis held and the bound failed
+            if passed or len(violations) >= VIOLATION_CAP:
+                continue
+            violation = {
+                "check": name,
+                "n": n,
+                "N": n_obs,
+                "kind": kind,
+                "index": index,
+                "seed": config.seed,
+                "derived_seed": derived,
+                "f": f and f.label,
+                "g": g and g.label,
+                "t": t,
+                "margin": rep.margin,
+            }
+            if isinstance(rep, EqualityClassification):
+                violation["verdict"] = rep.verdict
+            violations.append(violation)
     rows = {(name, n, n_obs, f and f.label, g and g.label, t): row for (name, f, g, t), row in zip(layout, tally)}
-    return rows if count else {}, violations
-
-
-def _cell_entry(args):
-    return _run_cell(*args)
+    return rows, violations
 
 
 def _row_sort_key(key):
@@ -314,23 +311,26 @@ def _row_sort_key(key):
 
 def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
     start = time.perf_counter()
-    cells = [(config, n, n_obs, kind) for n in config.dims for n_obs in config.num_obs for kind in config.kinds]
-    if workers > 1 and len(cells) > 1:
+    span = len(config.kinds) * config.instances_per_cell
+    ranges = [range(k, min(k + BLOCK_INSTANCES, span)) for k in range(0, span, BLOCK_INSTANCES)]
+    blocks = [(config, n, n_obs, r) for n, n_obs, r in product(config.dims, config.num_obs, ranges)]
+    # the executor forks all of its processes up front, so no more than there are blocks or CPUs
+    processes = min(workers, len(blocks), os.cpu_count() or 1)
+    if processes > 1:
         # imported here: it loads multiprocessing, which a 1-worker run never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        # at most one process per cell: the executor forks all of them up front
-        with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-            partials = list(pool.map(_cell_entry, cells))
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            partials = list(pool.map(_run_block, *zip(*blocks)))
     else:
-        partials = [_run_cell(*cell) for cell in cells]
+        partials = [_run_block(*block) for block in blocks]
 
     merged: dict[tuple, list] = {}
     violations: list[dict] = []
-    for cell_rows, cell_violations in partials:
-        for key, row in cell_rows.items():
+    for block_rows, block_violations in partials:
+        for key, row in block_rows.items():
             _add_row(merged.setdefault(key, _empty_row()), row)
-        violations.extend(cell_violations)
+        violations.extend(block_violations)
     del violations[VIOLATION_CAP:]
 
     per_check = {c: _empty_row() for c in config.checks}

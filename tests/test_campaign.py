@@ -148,13 +148,16 @@ def test_worker_determinism():
     assert one == two
 
 
-def test_the_pool_has_at_most_one_process_per_cell(monkeypatch):
+def test_the_pool_has_at_most_one_process_per_block_and_cpu(monkeypatch):
     import concurrent.futures
+    import os
+
+    import qfidet.campaign as campaign_module
 
     sizes = []
 
     class InlineExecutor:
-        """Stands in for the process pool: records its size and runs the cells inline, starting no process."""
+        """Stands in for the process pool: records its size and runs the blocks inline, starting no process."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -165,15 +168,19 @@ def test_the_pool_has_at_most_one_process_per_cell(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     config = dataclasses.replace(TINY, instances_per_cell=1)
-    cells = len(config.dims) * len(config.num_obs) * len(config.kinds)
-    assert run_campaign(config, workers=64).to_dict() == run_campaign(config).to_dict()
-    run_campaign(config, workers=2)
-    assert sizes == [cells, 2]
+    expected = run_campaign(config).to_dict()
+    # (CPUs, workers, BLOCK_INSTANCES): at 16, one block per (n, N), 4 in all; at 1, one per instance, 8 in all
+    for cpus, workers, block in [(64, 64, 16), (64, 64, 1), (4, 64, 1), (4, 2, 1), (1, 64, 1)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(campaign_module, "BLOCK_INSTANCES", block)
+        assert run_campaign(config, workers=workers).to_dict() == expected
+    # bounded by the blocks, the blocks, the CPUs and the workers; a bound of 1 runs inline
+    assert sizes == [4, 8, 4, 2]
 
 
 def test_repeat_run_is_identical():
@@ -378,11 +385,19 @@ def _scripted(index: int, label: str) -> tuple[bool, float, int]:
     return True, ((5 * index + 3) % 11 - 6) * 0.25, index % 3
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_tally_of_scripted_outcomes(monkeypatch, workers):
+# 40 instances per (n, N): a block boundary inside a kind (7), blocks across the kind boundary at
+# index 20 (7, 16), and a whole (n, N) in one block (64); the default size keeps its plain ids
+@pytest.mark.parametrize(
+    "workers,block",
+    [(w, b) for b in (16, 7, 64) for w in (1, 2)],
+    ids=[str(w) if b == 16 else f"{w}-block{b}" for b in (16, 7, 64) for w in (1, 2)],
+)
+def test_tally_of_scripted_outcomes(monkeypatch, workers, block):
     if workers > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("pool workers see the stand-ins only when forked")
     import qfidet.campaign as campaign_module
+
+    monkeypatch.setattr(campaign_module, "BLOCK_INSTANCES", block)
 
     index_of = {
         derive_seed(TALLY.seed, n, n_obs, kind, index): index
@@ -584,19 +599,28 @@ def test_shared_memos_change_no_outcome_at_n4_5_and_N4_5():
 def test_report_bytes_do_not_depend_on_the_block_size(monkeypatch, config):
     import qfidet.campaign as campaign_module
 
-    sizes = []
+    drawn, sizes, mixed = [], [], set()
+
+    def recorded_prepare(n, n_obs, seed, kind):
+        drawn.append(kind)
+        return prepare_random(n, n_obs, seed, kind)
 
     class Recorded(campaign_module.InstanceBlock):
         def __init__(self, instances):
             sizes.append(len(instances))
+            if len(set(drawn[-len(instances):])) > 1:
+                mixed.add(size)
             super().__init__(instances)
 
+    monkeypatch.setattr(campaign_module, "prepare_random", recorded_prepare)
     monkeypatch.setattr(campaign_module, "InstanceBlock", Recorded)
     reports = {}
-    for size in (1, 2, 3, 7):
+    # 3 instances per cell and 3 kinds: 9 consecutive instances per (n, N), split into blocks
+    spans = {1: [1] * 9, 2: [2, 2, 2, 2, 1], 3: [3, 3, 3], 7: [7, 2], 16: [9]}
+    for size, span in spans.items():
         monkeypatch.setattr(campaign_module, "BLOCK_INSTANCES", size)
         sizes.clear()
         reports[size] = emit_report(run_campaign(config))
-        cells = len(config.dims) * len(config.num_obs) * len(config.kinds)
-        assert sizes == {1: [1, 1, 1], 2: [2, 1], 3: [3], 7: [3]}[size] * cells
-    assert reports[1] == reports[2] == reports[3] == reports[7]
+        assert sizes == span * len(config.dims) * len(config.num_obs)
+    assert mixed == {2, 7, 16}  # a block holds two kinds unless the size divides the kind boundaries
+    assert reports[1] == reports[2] == reports[3] == reports[7] == reports[16]
