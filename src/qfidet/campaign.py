@@ -310,6 +310,8 @@ def _row_sort_key(key):
 
 
 def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
+    if workers < 1:
+        raise ConfigError(f"workers: must be at least 1, got {workers}")
     start = time.perf_counter()
     span = len(config.kinds) * config.instances_per_cell
     ranges = [range(k, min(k + BLOCK_INSTANCES, span)) for k in range(0, span, BLOCK_INSTANCES)]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -75,33 +76,11 @@ def _parse_pairs(text: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def _campaign_kwargs(args) -> dict:
-    kwargs = {}
-    if args.dims is not None:
-        kwargs["dims"] = args.dims
-    if args.num_obs is not None:
-        kwargs["num_obs"] = args.num_obs
-    if args.instances is not None:
-        kwargs["instances_per_cell"] = args.instances
-    if args.functions is not None:
-        kwargs["functions"] = _csv_list(args.functions)
-    if args.pairs is not None:
-        kwargs["function_pairs"] = _parse_pairs(args.pairs)
-    if args.t_grid is not None:
-        kwargs["t_grid"] = args.t_grid
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    if args.kinds is not None:
-        kwargs["kinds"] = _csv_list(args.kinds)
-    if args.checks is not None:
-        kwargs["checks"] = _csv_list(args.checks)
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    return kwargs
-
-
 def _cmd_verify(args) -> int:
-    config = CampaignConfig(**_campaign_kwargs(args))
+    if args.function_pairs is not None:
+        args.function_pairs = _parse_pairs(args.function_pairs)
+    # each verify option is stored under its config field; an option not given keeps the field's default
+    config = CampaignConfig(**{f.name: getattr(args, f.name) for f in fields(CampaignConfig) if getattr(args, f.name) is not None})
     report = run_campaign(config, workers=args.workers)
     text = emit_report(report, args.format, args.out)
     if args.out is None:
@@ -203,13 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=lambda text: _convert(text, int), default=None, help="root seed for instance derivation")
     verify.add_argument("--dims", type=_items(int), default=None, help="comma-separated state dimensions, e.g. 2,3,4")
     verify.add_argument("--num-obs", type=_items(int), default=None, help="comma-separated observable counts")
-    verify.add_argument("--instances", type=lambda text: _convert(text, int), default=None, help="instances per (n, N, kind) cell")
-    verify.add_argument("--functions", default=None, help="comma-separated function specs, e.g. sld,wyd:0.3")
-    verify.add_argument("--pairs", default=None, help="comma-separated f/g pairs, e.g. sld/wy")
+    verify.add_argument(
+        "--instances", dest="instances_per_cell", type=lambda text: _convert(text, int), default=None, help="instances per (n, N, kind) cell"
+    )
+    verify.add_argument("--functions", type=_csv_list, default=None, help="comma-separated function specs, e.g. sld,wyd:0.3")
+    verify.add_argument("--pairs", dest="function_pairs", default=None, help="comma-separated f/g pairs, e.g. sld/wy")
     verify.add_argument("--t-grid", type=_items(float), default=None, help="comma-separated t values in [0,1]")
     verify.add_argument("--tol", type=_tolerance, default=None, help="relative tolerance (default 1e-9)")
-    verify.add_argument("--kinds", default=None, help=f"state kinds from: {','.join(STATE_KINDS)}")
-    verify.add_argument("--checks", default=None, help=f"checks from: {','.join(CHECK_NAMES)}")
+    verify.add_argument("--kinds", type=_csv_list, default=None, help=f"state kinds from: {','.join(STATE_KINDS)}")
+    verify.add_argument("--checks", type=_csv_list, default=None, help=f"checks from: {','.join(CHECK_NAMES)}")
     verify.add_argument("--out", default=None, help="write the report to this path")
     verify.add_argument("--format", choices=("json", "csv"), default="json")
     verify.add_argument("--workers", type=_worker_count, default=1)

@@ -36,9 +36,9 @@ from .covariance import (
 )
 from .linalg import (
     RANK_TOL,
+    _real_stack,
     det_antisymmetric,
     det_real_symmetric,
-    min_eigenvalue,
     numeric_rank,
 )
 from .monotone import MonotoneFunction, dominates
@@ -262,7 +262,7 @@ class InstanceBlock:
     def determinants(self, keys) -> None:
         """det(big), or det(big - small), of each missing key (big, small): the symmetric ones by
         one ``det_real_symmetric`` call on the instance-major (N, N, B·K) stack, the
-        commutator matrix's by ``det_antisymmetric`` per instance."""
+        commutator matrices' by one ``det_antisymmetric`` call on their (N, N, B) stack."""
         todo = [key for key in dict.fromkeys(keys) if key not in self.det]
         self.assemble([side for key in todo for side in key if side is not None])
         m = self.matrix
@@ -272,7 +272,7 @@ class InstanceBlock:
             values = det_real_symmetric(stack.reshape(-1, *stack.shape[2:]).transpose(1, 2, 0)).reshape(stack.shape[:2])
             self.det.update(zip(symmetric, values.T.tolist()))
         if ("robertson", None) in todo:
-            self.det["robertson", None] = [det_antisymmetric(r) for r in m["robertson"]]
+            self.det["robertson", None] = det_antisymmetric(m["robertson"].transpose(1, 2, 0)).tolist()
 
     def fill_pencils(self, pencils, ts, sides) -> None:
         """Rows t of the pencils (f, g) for every instance, their determinants taken in one call
@@ -553,11 +553,11 @@ def minkowski_firey_selftest(
     if k.shape != l.shape or k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError(f"need two equal square matrices, got {k.shape} and {l.shape}")
     n = k.shape[0]
-    scale = max(1.0, float(np.abs(k).max()), float(np.abs(l).max()))
-    for name, m in (("K", k), ("L", l)):
-        if np.abs(m - m.T).max() > 1e-11 * scale:
-            raise ValueError(f"{name} is not symmetric")
-        if min_eigenvalue(m.astype(complex)) < -1e-10 * scale:
+    named = (("K", k), ("L", l))
+    # each checked as its determinant call checks it, then max(1, the largest entry of either)
+    scale = max(1.0, *(float(np.abs(_real_stack(m, 1.0, name)).max()) for name, m in named))
+    for name, m in named:
+        if np.linalg.eigvalsh(m)[0] < -1e-10 * scale:
             raise ValueError(f"{name} is not positive semidefinite")
     window = tol * scale**n
     dets = det_real_symmetric(np.stack((k, l, (1.0 - t) * k + t * l), axis=-1)).tolist()

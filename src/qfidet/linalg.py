@@ -105,24 +105,36 @@ def commutator(a, b) -> np.ndarray:
     return ma @ mb - mb @ ma
 
 
-def _checked_real(m, tol: float, sign: float = 1.0) -> tuple[np.ndarray, float]:
-    """m as a float array, which must be square, finite and symmetric
-    (``sign`` = 1) or antisymmetric (``sign`` = -1) within tol times its
-    largest entry (ValueError otherwise), and max(1, that entry)."""
+def _real_stack(m, sign: float, label: str) -> np.ndarray:
+    """A real N x N matrix ``m``, or an (N, N, K) stack of K of them, as an (N, N, K) float
+    stack, once every matrix is checked: N >= 1, finite entries, and symmetric (``sign`` = 1)
+    or antisymmetric (``sign`` = -1) within ``SYMMETRY_TOL`` times max(1, its largest entry).
+    Otherwise ValueError names the first matrix that is not, as ``label``."""
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = _entry_scale(a)
-    asym = float(np.abs(a - a.T if sign > 0 else a + a.T).max(initial=0.0))
-    if not asym <= tol * scale:
-        if sign > 0:
-            raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym:.3e})")
-        raise ValueError(f"matrix is not antisymmetric (max |M + M^T| = {asym:.3e})")
-    return a, scale
+    if a.ndim not in (2, 3) or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        what = "an (N, N, K) stack of square matrices" if a.ndim == 3 else "a square matrix"
+        raise ValueError(f"expected {what}, got shape {a.shape}")
+    s = a if a.ndim == 3 else a[:, :, None]
+    largest = np.abs(s).max(axis=(0, 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, and overflowing sums
+        asym = np.abs(s - sign * s.transpose(1, 0, 2)).max(axis=(0, 1))
+        bad = ~((asym <= SYMMETRY_TOL * np.maximum(1.0, largest)) & np.isfinite(largest))
+    if bad.any():
+        k = int(np.argmax(bad))
+        _entry_scale(s[:, :, k], label)
+        what = "symmetric (max |M - M^T|" if sign > 0 else "antisymmetric (max |M + M^T|"
+        raise ValueError(f"{label} is not {what} = {asym[k]:.3e})")
+    return s
 
 
-def _overflow(a: np.ndarray) -> OverflowError:
-    return OverflowError(f"determinant of finite entries up to {np.abs(a).max():.3e} overflows the float range")
+def _finite(dets: np.ndarray, s: np.ndarray, stacked: bool):
+    """The determinants of the stack ``s``, or the one of a matrix, once all are finite: a
+    determinant of finite entries that overflows raises OverflowError."""
+    finite = np.isfinite(dets)
+    if not finite.all():
+        largest = np.abs(s[:, :, int(np.argmin(finite))]).max()
+        raise OverflowError(f"determinant of finite entries up to {largest:.3e} overflows the float range")
+    return dets if stacked else float(dets[0])
 
 
 def det_real_symmetric(m):
@@ -140,26 +152,10 @@ def det_real_symmetric(m):
     first such matrix, and a determinant of finite entries that overflows
     raises OverflowError.
     """
-    a = np.asarray(m, dtype=float)
-    stacked = a.ndim == 3
-    if a.ndim not in (2, 3) or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        what = "an (N, N, K) stack of square matrices" if stacked else "a square matrix"
-        raise ValueError(f"expected {what}, got shape {a.shape}")
-    s = a if stacked else a[:, :, None]
-    largest = np.abs(s).max(axis=(0, 1))
-    # the symmetry test flags the NaN of inf - inf; one test of the results finds an overflow
+    s = _real_stack(m, 1.0, "matrix")
     with np.errstate(over="ignore", invalid="ignore"):
-        asym = np.abs(s - s.transpose(1, 0, 2)).max(axis=(0, 1))
-        bad = ~(asym <= SYMMETRY_TOL * np.maximum(1.0, largest))
-        if bad.any():
-            k = int(np.argmax(bad))
-            _entry_scale(s[:, :, k])
-            raise ValueError(f"matrix is not symmetric (max |M - M^T| = {asym[k]:.3e})")
         dets = np.linalg.det(s.transpose(2, 0, 1)) if len(s) > 3 else _cofactor_det(s)
-    finite = np.isfinite(dets)
-    if not finite.all():
-        raise _overflow(s[:, :, int(np.argmin(finite))])
-    return dets if stacked else float(dets[0])
+    return _finite(dets, s, np.ndim(m) == 3)
 
 
 def _cofactor_det(r):
@@ -175,29 +171,25 @@ def _cofactor_det(r):
     )
 
 
-def det_antisymmetric(k) -> float:
-    """Determinant of a real antisymmetric matrix: exactly zero at odd sizes, LU (``np.linalg.det``) at
-    even ones.  By Hadamard's inequality |det| <= (sqrt(N) max|entry|)^N, so below e^700 no step of the
-    LU can overflow and only larger entries pay for silencing numpy; a result that is not finite
-    raises OverflowError."""
-    a, scale = _checked_real(k, SYMMETRY_TOL, sign=-1.0)
-    n = a.shape[0]
-    if n % 2 == 1:
-        return 0.0
-    if n * math.log(n * scale * scale) < 1400.0:
-        return float(np.linalg.det(a))
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = float(np.linalg.det(a))
-    if not math.isfinite(det):
-        raise _overflow(a)
-    return det
+def det_antisymmetric(k):
+    """Determinant of a real antisymmetric N x N matrix ``k``, or the K determinants of an
+    (N, N, K) stack of them, checked and stacked as in ``det_real_symmetric``: exactly zero
+    at odd N, LU (``np.linalg.det``, one matrix at a time) at even N, and OverflowError for
+    a determinant of finite entries that overflows."""
+    s = _real_stack(k, -1.0, "matrix")
+    if len(s) % 2 == 1:
+        dets = np.zeros(s.shape[2])
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            dets = np.linalg.det(s.transpose(2, 0, 1))
+    return _finite(dets, s, np.ndim(k) == 3)
 
 
 def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a Hermitian (or real symmetric) matrix."""
     a = np.asarray(m)
-    if np.isrealobj(a):
-        return float(np.linalg.eigvalsh(_checked_real(a, 1e-11)[0])[0])
+    if np.isrealobj(a) and a.ndim == 2:
+        return float(np.linalg.eigvalsh(_real_stack(a, 1.0, "matrix")[:, :, 0])[0])
     h = as_complex_matrix(a)
     require_hermitian(h)
     return float(np.linalg.eigvalsh(h)[0])

@@ -26,7 +26,7 @@ from conftest import FIXTURES, PAULI_X, PAULI_Y
 
 import qfidet.campaign as campaign_module
 from oracles import check_operator_monotone, qov_superop
-from qfidet.campaign import REPORT_VERSION, CampaignConfig, run_campaign
+from qfidet.campaign import BLOCK_INSTANCES, REPORT_VERSION, CampaignConfig, CheckPlan, run_campaign
 from qfidet.cli import main as cli_main
 from qfidet.covariance import (
     alpha_coefficients,
@@ -38,6 +38,7 @@ from qfidet.covariance import (
     qov_matrix_frame,
 )
 from qfidet.inequalities import (
+    DEFAULT_TOL,
     PreparedInstance,
     check_conj1,
     check_conj2,
@@ -102,6 +103,19 @@ def _line(tag: str, ok: bool, detail: str) -> str:
     text = f"[{tag}] {'PASS' if ok else 'FAIL'} {detail}"
     print(text)
     return text
+
+
+def _evaluated(plan: CheckPlan, names: set, tag: str, n: int, n_obs: int, count: int, kinds: tuple):
+    """Instances k = 0..count-1 of (n, N), from derive_seed(SEED, tag, n, N, k) and kind
+    kinds[k % len(kinds)], evaluated by ``plan`` in runs of ``BLOCK_INSTANCES`` as a campaign
+    evaluates them.  A row does not depend on its block, so each value is the one the
+    instance gives alone."""
+    for start in range(0, count, BLOCK_INSTANCES):
+        members = range(start, min(start + BLOCK_INSTANCES, count))
+        seeds = [derive_seed(SEED, tag, n, n_obs, k) for k in members]
+        block = [prepare_random(n, n_obs, seed, kind=kinds[k % len(kinds)]) for seed, k in zip(seeds, members)]
+        plan.evaluate(block, seeds, names)
+        yield from block
 
 
 @dataclass
@@ -188,13 +202,13 @@ class GridSweep:
 def grid_sweep() -> GridSweep:
     functions = [parse_function_spec(s) for s in GRID_SPECS]
     pairs = [(parse_function_spec(f), parse_function_spec(g)) for f, g in PAIR_SPECS]
+    plan = CheckPlan(functions=tuple(functions), pairs=tuple(pairs), tol=DEFAULT_TOL, t_grid=T_GRID)
+    names = {"conj1", "conj2", "firey", "robertson"}
     out = GridSweep()
     t0 = time.perf_counter()
     for n in GRID_DIMS:
         for n_obs in GRID_SIZES:
-            for k in range(GRID_PER_CELL):
-                seed = derive_seed(SEED, "grid", n, n_obs, k)
-                inst = prepare_random(n, n_obs, seed, kind=KINDS[k % 3])
+            for inst in _evaluated(plan, names, "grid", n, n_obs, GRID_PER_CELL, KINDS):
                 halver = 2.0**n_obs
                 for f in functions:
                     r1 = check_conj1(inst, f)
@@ -352,11 +366,10 @@ def test_criterion_06_equality_classifier() -> None:
     unresolved = 0
     mismatches = 0
     inconsistent = 0
+    plan = CheckPlan(functions=(), pairs=((SLD, WY),), tol=DEFAULT_TOL)
     for n in GRID_DIMS:
         for n_obs in GRID_SIZES:
-            for k in range(FAMILIES_PER_CELL):
-                seed = derive_seed(SEED, "random-family", n, n_obs, k)
-                inst = prepare_random(n, n_obs, seed, kind="generic")
+            for inst in _evaluated(plan, {"equality"}, "random-family", n, n_obs, FAMILIES_PER_CELL, ("generic",)):
                 got = classify_equality(inst, SLD, WY)
                 families += 1
                 inconsistent += not got.consistent

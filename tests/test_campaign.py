@@ -103,6 +103,12 @@ def test_config_validation(kwargs, message):
         CampaignConfig(**kwargs)
 
 
+@pytest.mark.parametrize("workers", [0, -5])
+def test_run_campaign_rejects_a_worker_count_below_one(workers):
+    with pytest.raises(ConfigError, match=f"workers: must be at least 1, got {workers}"):
+        run_campaign(dataclasses.replace(TINY, instances_per_cell=1), workers=workers)
+
+
 def test_empty_ranges_are_fine_for_checks_that_do_not_use_them():
     config = CampaignConfig(t_grid=(), function_pairs=(), checks=("main", "conj1", "equality"))
     assert config.t_grid == () and config.function_pairs == ()

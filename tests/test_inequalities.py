@@ -389,6 +389,22 @@ def test_minkowski_selftest_validation():
         minkowski_firey_selftest(np.eye(2), np.eye(3), 0.5)
 
 
+def test_minkowski_selftest_checks_k_and_l_as_its_determinants_do():
+    # an asymmetry past SYMMETRY_TOL is named after its matrix; one inside it passes
+    for off, name in ((5e-12, "L"), (5e-13, None)):
+        l = np.eye(2)
+        l[0, 1] += off
+        if name is None:
+            assert minkowski_firey_selftest(np.eye(2), l, 0.5).passed
+        else:
+            with pytest.raises(ValueError, match=r"^L is not symmetric \(max \|M - M\^T\| = 5.000e-12\)$"):
+                minkowski_firey_selftest(np.eye(2), l, 0.5)
+    with pytest.raises(ValueError, match=r"^K: non-finite entry \(0, 1\) = nan$"):
+        minkowski_firey_selftest(np.array([[1.0, math.nan], [math.nan, 1.0]]), np.eye(2), 0.5)
+    with pytest.raises(ValueError, match=r"^L: non-finite entry \(1, 1\) = inf$"):
+        minkowski_firey_selftest(np.eye(2), np.diag([1.0, math.inf]), 0.5)
+
+
 def test_contraction_identity_partition_is_equality():
     d = random_density(3, 5)
     x = random_observable(3, 6)

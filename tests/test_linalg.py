@@ -192,6 +192,23 @@ def test_det_and_min_eigenvalue_check_their_input():
         det_real_symmetric(np.array([[1.0, math.nan], [math.nan, 1.0]]))
 
 
+def test_real_matrices_share_one_symmetry_tolerance():
+    """The determinants and the real path of min_eigenvalue accept an asymmetry up to
+    SYMMETRY_TOL times max(1, the largest entry) and reject one above it."""
+    for scale in (1.0, 1e6):
+        for off, ok in ((0.5e-12, True), (5e-12, False)):
+            m = scale * np.eye(4)
+            m[0, 1] += off * scale
+            k = np.kron(np.eye(2), np.array([[0.0, scale], [-scale, 0.0]]))
+            k[0, 1] += off * scale
+            for solver, matrix in ((det_real_symmetric, m), (min_eigenvalue, m), (det_antisymmetric, k)):
+                if ok:
+                    solver(matrix)
+                else:
+                    with pytest.raises(ValueError, match="not (anti)?symmetric"):
+                        solver(matrix)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_det_stack_equals_det_real_symmetric_bit_for_bit(n):
     rng = np.random.default_rng(derive_seed("det-stack", n))
@@ -235,8 +252,9 @@ def test_det_stack_checks_its_input():
         with pytest.raises(ValueError, match=re.escape(f"expected {what}, got shape {shape}")):
             det_real_symmetric(np.ones(shape))
     for shape in ((0, 0), (0, 0, 4), (2, 2, 3, 1)):
-        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
-            det_real_symmetric(np.ones(shape))
+        for det in (det_real_symmetric, det_antisymmetric):
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                det(np.ones(shape))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -262,6 +280,31 @@ def test_a_determinant_that_overflows_raises_overflow_error(n):
     if n % 2 == 0:
         k = np.kron(np.diag([1e154] + [1e-50] * (n // 2 - 1)), np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert 0.0 < det_antisymmetric(k) < math.inf
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_det_antisymmetric_stack_equals_single_matrices_bit_for_bit(n):
+    rng = np.random.default_rng(derive_seed("det-anti-stack", n))
+    g = rng.standard_normal((300, n, n))
+    stack = (g - g.transpose(0, 2, 1)) * 10.0 ** rng.uniform(-8.0, 4.0, size=(300, 1, 1))
+    dets = det_antisymmetric(stack.transpose(1, 2, 0))
+    singles = np.array([det_antisymmetric(m) for m in stack])
+    # exactly zero at odd sizes, numpy's LU one matrix at a time at even ones
+    reference = np.array([0.0 if n % 2 else float(np.linalg.det(m)) for m in stack])
+    assert dets.shape == (300,)
+    assert np.array_equal(dets.view(np.uint64), singles.view(np.uint64))
+    assert np.array_equal(dets.view(np.uint64), reference.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_det_antisymmetric_stack_names_its_first_bad_matrix(n):
+    for first, second in ((1, 3), (3, 1)):
+        stack = np.zeros((n, n, 5))
+        stack[0, 1, first] = math.nan
+        stack[1, 0, second] = 0.25  # +0.25 against 0: not antisymmetric
+        message = r"matrix: non-finite entry \(0, 1\) = nan" if first < second else r"not antisymmetric \(max \|M \+ M\^T\| = 2.500e-01\)"
+        with pytest.raises(ValueError, match=message):
+            det_antisymmetric(stack)
 
 
 def test_det_antisymmetric_examples(rng):

@@ -38,7 +38,6 @@ DEFAULTED = [
     "linalg.as_complex_matrix(label)",
     "linalg._entry_scale(label)",
     "linalg.require_hermitian(label)",
-    "linalg._checked_real(sign)",
     "linalg.numeric_rank(floor)",
     "monotone.make_function(param)",
     "selftest.run_selftest(tol)",
