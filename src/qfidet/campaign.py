@@ -7,10 +7,11 @@ which may span kinds: it is drawn, evaluated and tallied on its own, and the
 merge adds the block tallies in that order, so the report is identical for any
 worker count and block size.  The config fixes, before the first instance is
 drawn, the (check, f, g, t) of every outcome of an instance: a block tallies one
-row per entry of that layout.  Each instance is drawn alone, the block evaluates
-what the active checks read as stacked arrays, and the outcomes then read memos,
-instance by instance.  The JSON report is the source of truth; CSV is a flattened
-view with one row per (check, n, N, f, g, t), aggregated over kinds and instances.
+row per entry of that layout.  Each instance is drawn alone; the block then
+checks, eigensolves and rotates all of them at once, evaluates what the active
+checks read as stacked arrays, and the outcomes read memos, instance by instance.
+The JSON report is the source of truth; CSV is a flattened view with one row per
+(check, n, N, f, g, t), aggregated over kinds and instances.
 """
 
 from __future__ import annotations

@@ -173,16 +173,24 @@ def robertson_matrix(d: DensityMatrix, obs) -> np.ndarray:
     return out
 
 
-def observable_scale(obs) -> tuple[float, tuple[float, ...]]:
+def observable_scale(obs):
     """Tolerance scale max(1, sum of squared Frobenius norms), and the norms it
-    is computed from; ValueError, naming the observables, where it overflows."""
+    is computed from; ValueError, naming the observables, where it overflows.
+
+    A (B, N, n, n) stack of families gives the list of their B scales and the
+    (B, N) array of their norms, from one ``frobenius`` call; the first family
+    that overflows raises.
+    """
     with np.errstate(over="ignore"):
-        norms = tuple(frobenius(a) for a in obs)
-    try:
-        total = sum(v**2 for v in norms)  # Python's float power raises OverflowError past the float range
-    except OverflowError:
-        total = math.inf
-    if total == math.inf:
-        listed = ", ".join(f"norm of observables[{k}] = {v:.3e}" for k, v in enumerate(norms))
-        raise ValueError(f"observables: the sum of squared Frobenius norms overflows ({listed})")
-    return max(1.0, total), norms
+        norms = frobenius(np.asarray(obs))
+    scales = []
+    for family in np.reshape(norms, (-1, norms.shape[-1])).tolist():
+        try:
+            total = sum(v**2 for v in family)  # Python's float power raises OverflowError past the float range
+        except OverflowError:
+            total = math.inf
+        if total == math.inf:
+            listed = ", ".join(f"norm of observables[{k}] = {v:.3e}" for k, v in enumerate(family))
+            raise ValueError(f"observables: the sum of squared Frobenius norms overflows ({listed})")
+        scales.append(max(1.0, total))
+    return (scales, norms) if norms.ndim > 1 else (scales[0], tuple(norms.tolist()))

@@ -3,10 +3,11 @@
 The bounds all compare determinants of N x N matrices built from one state
 and N observables: the covariance matrix, the quantum covariance matrices of
 one or two monotone functions, their differences, and binomial cross terms
-(the Minkowski/Firey machinery).  Instances of one (n, N) are evaluated as a
-block: each matrix, determinant and pencil row is computed for all of them at
-once from stacked arrays and memoized per block, so that the checks of an
-instance only read memos; an instance on its own is a block of one.  conj1,
+(the Minkowski/Firey machinery).  Instances of one (n, N) are built and
+evaluated as a block: their states, checks and frames, then each matrix,
+determinant and pencil row, are computed for all of them at once from stacked
+arrays and memoized per block, so that the checks of an instance only read
+memos; an instance on its own is a block of one.  conj1,
 conj2 and firey are one inequality on a pencil (K_big, K_small) of PSD
 matrices, with one check body.  Its unit-weight and Firey rows come from one
 elementwise kernel and hold no clamp window: each outcome reads the hypothesis
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -36,22 +36,27 @@ from .covariance import (
 )
 from .linalg import (
     RANK_TOL,
+    EigenDecomposition,
     _real_stack,
+    as_complex_matrix,
     det_antisymmetric,
     det_real_symmetric,
+    hermitian_part,
     numeric_rank,
+    require_hermitian,
 )
 from .monotone import MonotoneFunction, dominates
 from .states import (
     DensityMatrix,
     EigenFrame,
-    density,
+    density_stack,
     derive_seed,
-    eigenframe,
-    observable,
+    draw_state,
+    eigenframe_stack,
+    observable_stack,
     offdiagonal_dependence,
     pinching,
-    random_density,
+    random_density_stack,
     random_observable,
 )
 
@@ -164,6 +169,11 @@ def remainder_t(det_q: float, det_diff: float, n_obs: int, t: float) -> float:
 class PreparedInstance:
     """One (state, observables) pair whose derived quantities its block memoizes.
 
+    ``PreparedInstance(d, obs)`` is built at once, as a block of one.  A drawn
+    instance (``prepare_random``'s) is built by the first block it joins, or
+    alone when it is first used: its state and frame come from the same stacked
+    path either way, so they have the same bits.
+
     Quantum covariance matrices are produced here for nonregular functions
     too, which the covariance assemblers reject: they are exactly zero there
     (the f(0) factor), which is the degenerate reading that keeps the
@@ -171,13 +181,23 @@ class PreparedInstance:
     """
 
     def __init__(self, d: DensityMatrix, obs: Sequence[np.ndarray], digest: str = "custom"):
-        checked = tuple(observable(a) for a in obs)
-        self.scale, self.norms = observable_scale(checked)  # first: it rejects norms that would overflow below
-        self.state = d
-        self.observables = checked
-        self.frame = eigenframe(d, checked)
+        self._source = d, observable_stack(d.matrix.shape, [as_complex_matrix(a, label="observable") for a in obs])
         self.digest = digest
         InstanceBlock((self,))
+
+    @classmethod
+    def _drawn(cls, state: tuple, obs: np.ndarray, digest: str) -> PreparedInstance:
+        """An instance of a drawn state (``draw_state``'s) and its observables, built later."""
+        inst = cls.__new__(cls)
+        inst._source, inst.digest = (state, obs), digest
+        return inst
+
+    def __getattr__(self, name):
+        # reached for an attribute the instance lacks: one that no block has built yet, or none
+        if name.startswith("__") or "frame" in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        InstanceBlock((self,))
+        return getattr(self, name)
 
     @property
     def size(self) -> int:
@@ -216,30 +236,55 @@ class PreparedInstance:
         return self._block.contraction[f][self._index]
 
 
+def _build(instances) -> None:
+    """Build instances of one (n, N) that no block has built, all at once.  Drawn states go through
+    ``random_density_stack``, a given ``DensityMatrix`` is used as it is.  The observables are
+    checked as one stack, their norms give the scales (overflow raises before anything on the
+    observables can warn), and ``eigenframe_stack`` centers and rotates them all.  A failing
+    check raises the error of its first failing instance, the one that instance raises alone."""
+    states, families = zip(*(inst._source for inst in instances))
+    if isinstance(states[0], DensityMatrix):  # only a PreparedInstance(d, obs), which builds alone
+        matrices, values, vectors = (np.array(a) for a in zip(*((d.matrix, d.eigenvalues, d.eigen.unitary) for d in states)))
+    else:
+        matrices, values, vectors = random_density_stack(states)
+    obs = np.array(families, dtype=complex)
+    require_hermitian(obs, label="observable")
+    obs = hermitian_part(obs)
+    scales, norms = observable_scale(obs)
+    frame = eigenframe_stack((matrices, values, vectors), obs)
+    for k, (inst, d) in enumerate(zip(instances, states)):
+        inst.state = d if isinstance(d, DensityMatrix) else DensityMatrix(matrices[k], EigenDecomposition(values[k], vectors[k]))
+        inst.observables = tuple(obs[k])
+        inst.frame = EigenFrame(frame.lambdas[k], frame.observables[k], frame.norms[k])
+        inst.scale, inst.norms = scales[k], tuple(norms[k].tolist())
+
+
 class InstanceBlock:
     """Instances of one (n, N), evaluated together: each memo maps a key to its value for
-    every instance, computed on first use by one stacked evaluation.  A campaign fills the
-    memos its checks read with ``fill_pencils`` and ``find_structure``, and stores the
-    contraction sums, which need each instance's partition.
-    Every stacked operation acts on each instance's slice alone (elementwise, or LAPACK
+    every instance, computed on first use by one stacked evaluation.  The block first builds
+    the instances that no block has built (``_build``), so a campaign's block of drawn
+    instances checks, eigensolves and rotates them all at once.  A campaign fills the memos its
+    checks read with ``fill_pencils`` and ``find_structure``, and stores the contraction sums,
+    which need each instance's partition.
+    Every stacked operation acts on each instance's slice alone (elementwise, or LAPACK and BLAS
     per matrix), so a value is bit-identical whichever block computed it."""
 
     def __init__(self, instances):
+        todo = [inst for inst in instances if "frame" not in vars(inst)]
+        if todo:
+            _build(todo)
         # what the block reads of its instances, not the instances: they refer to it
-        self.frames, self.scales, self.norms = zip(*((inst.frame, inst.scale, inst.norms) for inst in instances))
+        frames = [inst.frame for inst in instances]
+        self.frame = EigenFrame(*(np.stack([getattr(fr, a) for fr in frames]) for a in ("lambdas", "observables", "norms")))
+        self.norms = np.array([inst.norms for inst in instances])
         for k, inst in enumerate(instances):
             inst._block, inst._index = self, k
+        self.size = len(instances)
         self.matrix: dict = {}  # side -> (B, N, N) stack
         self.det: dict = {}  # (big, small) -> B determinants
         self.pencil: dict = {}  # (f, g, t) -> B pencil rows
         self.structure: dict = {}  # None -> B (rank, off-diagonal dependence) pairs
         self.contraction: dict = {}  # f -> B contraction sums, filled only by CheckPlan.evaluate
-
-    @cached_property
-    def frame(self) -> EigenFrame:
-        """The instances' frames stacked along a leading axis, built on first use: a block of one
-        that a campaign regroups never needs it."""
-        return EigenFrame(*(np.stack([getattr(fr, a) for fr in self.frames]) for a in ("lambdas", "observables", "norms")))
 
     def assemble(self, sides) -> None:
         """Each missing side by one einsum over the stacked frames (zeros for a nonregular f)."""
@@ -254,7 +299,7 @@ class InstanceBlock:
                 r = np.einsum("...h,...khj,...ljh->...kl", frame.lambdas, x, x).imag
                 got = 0.5 * (r - np.swapaxes(r, -1, -2))
             elif not side.regular:
-                got = np.zeros((len(self.scales), frame.size, frame.size))
+                got = np.zeros((self.size, frame.size, frame.size))
             else:
                 got = qov_matrix_frame(frame, side)
             self.matrix[side] = got
@@ -319,20 +364,21 @@ class InstanceBlock:
     def find_structure(self) -> None:
         """Every ``structure()``, by one batched SVD for the ranks and one for the dependence."""
         frame = self.frame
-        flat = frame.observables.reshape(len(self.scales), frame.size, -1)
+        flat = frame.observables.reshape(self.size, frame.size, -1)
         # Centering an observable proportional to the identity leaves only
         # rounding noise behind; a floor at the raw observables' scale keeps
         # such a row from counting as an independent direction.
-        floors = RANK_TOL * np.array([max([1.0, *norms]) for norms in self.norms])
+        floors = RANK_TOL * np.maximum(1.0, self.norms.max(axis=-1))
         ranks = numeric_rank(np.concatenate((flat.real, flat.imag), axis=-1), floor=floors).tolist()
         self.structure[None] = list(zip(ranks, offdiagonal_dependence(frame).dependent.tolist()))
 
 
 def prepare_random(n: int, n_obs: int, seed: int, kind: str = "generic") -> PreparedInstance:
-    """Instance from derived seeds; reproducible from the digest alone."""
-    d = random_density(n, seed, kind)
-    obs = [random_observable(n, derive_seed("obs", seed, k)) for k in range(n_obs)]
-    return PreparedInstance(d, obs, digest=f"n={n},N={n_obs},kind={kind},seed={seed}")
+    """Draw an instance from derived seeds, reproducible from the digest alone.  It only draws:
+    the block it joins builds it, or it builds alone on first use."""
+    state = draw_state(n, seed, kind)
+    obs = observable_stack((n, n), [random_observable(n, derive_seed("obs", seed, k)) for k in range(n_obs)])
+    return PreparedInstance._drawn(state, obs, f"n={n},N={n_obs},kind={kind},seed={seed}")
 
 
 def _report(name, lhs, rhs, scale, tol, components, digest, clamps=0, hypothesis_ok=True, window=None):
@@ -573,22 +619,25 @@ def minkowski_firey_selftest(
 def fill_contraction(cases, functions) -> dict:
     """Both sides of the contraction check for each f and each (state D, tangent X, partition) of
     ``cases``: f -> one (before, after, least eigenvalue of D and of the pinched state, number of
-    blocks) per case.  The traceless X0 and its pinching are rotated by one stacked matmul (both
-    Hermitian by construction, so unchecked), then per function one ``pair_means`` call over the
-    (B, 2, n) spectra and one weighted sum over the (B, 2, n, n) products."""
-    eigen, tangents = [], []
-    for d, x, partition in cases:
-        x = observable(x)
-        if x.shape != d.matrix.shape:
-            raise ValueError(f"tangent x shape {x.shape} does not match the state")
-        x0 = x - (np.trace(x).real / d.dim) * np.eye(d.dim)
-        pinched = pinching(np.stack((d.matrix, x0)), partition)
-        eigen.append((d.eigen, density(pinched[0]).eigen))
-        tangents.append((x0, pinched[1]))
-    u = np.array([[e.unitary for e in pair] for pair in eigen])
-    r = np.swapaxes(u.conj(), -1, -2) @ np.array(tangents) @ u
+    blocks) per case.  The tangents are checked as one stack and the pinched states by one
+    ``density_stack`` call, one ``eigh`` for all.  The traceless X0 and its pinching are rotated by
+    one stacked matmul (both Hermitian by construction, so unchecked), then per function one
+    ``pair_means`` call over the (B, 2, n) spectra and one weighted sum over the (B, 2, n, n)
+    products."""
+    for d, x, _ in cases:
+        if np.shape(as_complex_matrix(x, label="observable")) != d.matrix.shape:
+            raise ValueError(f"tangent x shape {np.shape(x)} does not match the state")
+    x = np.array([x for _, x, _ in cases], dtype=complex)
+    require_hermitian(x, label="observable")
+    x = hermitian_part(x)
+    n = x.shape[-1]
+    x0 = x - (np.trace(x, axis1=-2, axis2=-1).real / n)[:, None, None] * np.eye(n)
+    pinched = np.array([pinching(np.stack((d.matrix, tangent)), partition) for (d, _, partition), tangent in zip(cases, x0)])
+    _, values, vectors = density_stack(pinched[:, 0], None)
+    u = np.stack((np.array([d.eigen.unitary for d, _, _ in cases]), vectors), axis=1)
+    r = np.swapaxes(u.conj(), -1, -2) @ np.stack((x0, pinched[:, 1]), axis=1) @ u
     products = r.conj() * r
-    spectra = np.array([[e.eigenvalues for e in pair] for pair in eigen])
+    spectra = np.stack((np.array([d.eigen.eigenvalues for d, _, _ in cases]), values), axis=1)
     floors = spectra[:, :, 0].min(axis=1).tolist()
     blocks = [len(partition) for _, _, partition in cases]
     got = {}

@@ -6,7 +6,6 @@ directly: by cofactor expansion up to 3x3 and by LU above.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,33 +42,52 @@ def as_complex_matrix(a, label: str = "matrix") -> np.ndarray:
 
 
 def hermitian_part(a) -> np.ndarray:
-    """(A + A^dagger) / 2."""
-    m = as_complex_matrix(a)
-    return 0.5 * (m + m.conj().T)
+    """(A + A^dagger) / 2, of each of a stack (..., n, n) too."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 3:
+        m = as_complex_matrix(m)
+    return 0.5 * (m + np.swapaxes(m.conj(), -1, -2))
 
 
-def frobenius(a) -> float:
-    return float(np.linalg.norm(a))
+def frobenius(a):
+    """Frobenius norm of a matrix, or the array of norms of a stack (..., n, n).
+
+    Each norm of a stack has the bits of ``np.linalg.norm`` of its matrix
+    alone: the BLAS dot of the real parts with themselves plus that of the
+    imaginary parts, from one matmul of row vectors over the stack.  A plain
+    sum of squares rounds differently.
+    """
+    m = np.asarray(a)
+    if m.ndim < 3:
+        return float(np.linalg.norm(m))
+    flat = m.reshape(*m.shape[:-2], 1, -1)
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    return np.sqrt(sum(p @ np.swapaxes(p, -1, -2) for p in parts))[..., 0, 0]
 
 
-def _entry_scale(a: np.ndarray, label: str = "matrix") -> float:
-    """max(1, largest |entry|); a NaN or infinite entry raises ValueError naming it."""
-    largest = float(np.abs(a).max(initial=0.0))
-    if not math.isfinite(largest):
+def _require_finite(a: np.ndarray, label: str) -> None:
+    """Raise ValueError naming the first NaN or infinite entry of ``a``, if it has one."""
+    if not np.isfinite(a).all():
         where = tuple(int(k) for k in np.argwhere(~np.isfinite(a))[0])
         raise ValueError(f"{label}: non-finite entry {where} = {a[where]}")
-    return max(1.0, largest)
 
 
 def require_hermitian(m: np.ndarray, label: str = "matrix") -> None:
-    """Raise with the offending entry if m deviates from m^dagger or is not finite."""
-    scale = _entry_scale(m, label)
-    delta = np.abs(m - m.conj().T)
-    if not delta.max(initial=0.0) <= SYMMETRY_TOL * scale:
-        h, j = np.unravel_index(int(np.argmax(delta)), delta.shape)
+    """Raise with the offending entry if m deviates from m^dagger or is not finite; for a
+    stack (..., n, n), with that of its first such matrix, from one vectorized test of all."""
+    flat = m.reshape(-1, *m.shape[-2:])
+    largest = np.abs(flat).max(axis=(-2, -1), initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, and overflowing differences
+        delta = np.abs(flat - np.swapaxes(flat.conj(), -1, -2))
+        fine = delta.max(axis=(-2, -1), initial=0.0) <= SYMMETRY_TOL * np.maximum(1.0, largest)
+    bad = ~(fine & np.isfinite(largest))
+    if bad.any():
+        k = int(np.argmax(bad))
+        _require_finite(flat[k], label)
+        h, j = np.unravel_index(int(np.argmax(delta[k])), delta.shape[-2:])
         raise ValueError(
-            f"{label}: not Hermitian, entry ({h},{j}) = {m[h, j]} vs "
-            f"conjugate of ({j},{h}) = {np.conj(m[j, h])}"
+            f"{label}: not Hermitian, entry ({h},{j}) = {flat[k, h, j]} vs "
+            f"conjugate of ({j},{h}) = {np.conj(flat[k, j, h])}"
         )
 
 
@@ -81,16 +99,22 @@ class EigenDecomposition:
     unitary: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
+        """U diag(eigenvalues) U^dagger, of each of a stack too."""
         u = self.unitary
-        return (u * self.eigenvalues) @ u.conj().T
+        return (u * np.asarray(self.eigenvalues)[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
 
 
 def hermitian_eigen(h) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by LAPACK (``np.linalg.eigh``).
+    """Eigendecomposition of a Hermitian n x n matrix ``h`` by LAPACK (``np.linalg.eigh``), or
+    of an (n, n, K) stack of K of them, from one call; either way ``len(h)`` is n.
 
-    Inside a degenerate eigenspace the basis is whichever one LAPACK returns.
+    The stack runs along the last axis, as in ``det_real_symmetric``; its K
+    eigenvalue rows and unitaries come back stacked along a leading axis,
+    each with the bits of its matrix's decomposition alone.  Inside a
+    degenerate eigenspace the basis is whichever one LAPACK returns.
     """
-    m = as_complex_matrix(h)
+    m = np.asarray(h, dtype=complex)
+    m = as_complex_matrix(m) if m.ndim != 3 or m.shape[0] != m.shape[1] else np.moveaxis(m, -1, 0)
     require_hermitian(m)
     values, unitary = np.linalg.eigh(m)
     return EigenDecomposition(eigenvalues=values, unitary=unitary)
@@ -121,7 +145,7 @@ def _real_stack(m, sign: float, label: str) -> np.ndarray:
         bad = ~((asym <= SYMMETRY_TOL * np.maximum(1.0, largest)) & np.isfinite(largest))
     if bad.any():
         k = int(np.argmax(bad))
-        _entry_scale(s[:, :, k], label)
+        _require_finite(s[:, :, k], label)
         what = "symmetric (max |M - M^T|" if sign > 0 else "antisymmetric (max |M + M^T|"
         raise ValueError(f"{label} is not {what} = {asym[k]:.3e})")
     return s

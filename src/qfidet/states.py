@@ -33,10 +33,15 @@ __all__ = [
     "EigenFrame",
     "DependenceReport",
     "density",
+    "density_stack",
     "observable",
+    "observable_stack",
     "centered",
     "eigenframe",
+    "eigenframe_stack",
+    "draw_state",
     "random_density",
+    "random_density_stack",
     "random_observable",
     "derive_seed",
     "offdiagonal_dependence",
@@ -76,32 +81,53 @@ class DensityMatrix:
 
 
 def density(matrix, *, eigen: EigenDecomposition | None = None) -> DensityMatrix:
-    """Validate and wrap a state.
+    """Validate and wrap a state: ``density_stack`` of a block of one.
 
-    A precomputed eigendecomposition may be supplied (the random generators
-    do this after editing a spectrum); it is accepted only if it reconstructs
-    the matrix.
+    A precomputed eigendecomposition may be supplied; it is accepted only if
+    it reconstructs the matrix.
     """
     m = as_complex_matrix(matrix, label="state")
-    require_hermitian(m, label="state")
-    m = hermitian_part(m)
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > _TRACE_TOL:
-        raise ValueError(f"state trace is {tr!r}, expected 1 within {_TRACE_TOL:g}")
+    if eigen is not None:
+        eigen = EigenDecomposition(np.asarray(eigen.eigenvalues)[None], np.asarray(eigen.unitary)[None])
+    m, values, vectors = density_stack(m[None], eigen)
+    return DensityMatrix(m[0], EigenDecomposition(values[0], vectors[0]))
+
+
+def density_stack(matrices: np.ndarray, eigen: EigenDecomposition | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate a (B, n, n) stack of states; return their Hermitian parts, eigenvalues and eigenvectors.
+
+    Each matrix must be finite and Hermitian, of trace one within
+    ``_TRACE_TOL``, and its least eigenvalue must reach ``POSITIVITY_FLOOR``.
+    The eigendecompositions come from one ``np.linalg.eigh`` of the stack for
+    ``eigen`` None; supplied ones, an ``EigenDecomposition`` of stacks, must
+    reconstruct their matrices.  The first matrix that fails raises the
+    ``ValueError`` that ``density`` raises for it alone.
+    """
+    require_hermitian(matrices, label="state")
+    m = hermitian_part(matrices)
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    wrong = np.abs(tr - 1.0) > _TRACE_TOL
+    if wrong.any():
+        raise ValueError(f"state trace is {float(tr[np.argmax(wrong)])!r}, expected 1 within {_TRACE_TOL:g}")
     if eigen is None:
         # m is exactly Hermitian now, so LAPACK needs no second check
-        eigen = EigenDecomposition(*np.linalg.eigh(m))
+        values, vectors = np.linalg.eigh(m)
     else:
+        values, vectors = eigen.eigenvalues, eigen.unitary
         residual = frobenius(eigen.reconstruct() - m)
-        if residual > 1e-11 * max(1.0, frobenius(m)):
-            raise ValueError(f"supplied eigendecomposition does not match the state (residual {residual:.3e})")
-    smallest = float(eigen.eigenvalues[0])
-    if smallest < POSITIVITY_FLOOR:
+        wrong = residual > 1e-11 * np.maximum(1.0, frobenius(m))
+        if wrong.any():
+            raise ValueError(
+                f"supplied eigendecomposition does not match the state (residual {residual[np.argmax(wrong)]:.3e})"
+            )
+    smallest = values[:, 0]
+    wrong = smallest < POSITIVITY_FLOOR
+    if wrong.any():
         raise ValueError(
-            f"state is not strictly positive: min eigenvalue {smallest:.3e} "
+            f"state is not strictly positive: min eigenvalue {smallest[np.argmax(wrong)]:.3e} "
             f"is below the floor {POSITIVITY_FLOOR:g}"
         )
-    return DensityMatrix(m, eigen)
+    return m, values, vectors
 
 
 def observable(matrix) -> np.ndarray:
@@ -111,12 +137,17 @@ def observable(matrix) -> np.ndarray:
     return hermitian_part(m)
 
 
+def _centered(states: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """obs - Tr(D obs) I, for states D and observables that broadcast against each other."""
+    expectation = np.trace(states @ obs, axis1=-2, axis2=-1).real
+    return obs - expectation[..., None, None] * np.eye(obs.shape[-1])
+
+
 def centered(d: DensityMatrix, a: np.ndarray) -> np.ndarray:
     """Subtract the state expectation: a - Tr(d a) * identity."""
     if a.shape != d.matrix.shape:
         raise ValueError(f"observable shape {a.shape} does not match state shape {d.matrix.shape}")
-    expectation = float(np.trace(d.matrix @ a).real)
-    return a - expectation * np.eye(d.dim)
+    return _centered(d.matrix, a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,27 +174,61 @@ class EigenFrame:
         return self.observables.shape[-3]
 
 
-def eigenframe(d: DensityMatrix, obs: Sequence[np.ndarray]) -> EigenFrame:
-    """Center every observable and rotate it into the eigenbasis of ``d``."""
-    if not obs:
+def observable_stack(shape: tuple, obs: Sequence) -> np.ndarray:
+    """The observables ``obs`` as one complex (N, n, n) stack, once there is one and each has
+    the state's ``shape``."""
+    if not len(obs):
         raise ValueError("eigenframe needs at least one observable")
-    u = d.eigen.unitary
-    lambdas = d.eigen.eigenvalues
-    rotated = np.empty((len(obs),) + d.matrix.shape, dtype=complex)
-    norms = np.empty(len(obs))
     for k, a in enumerate(obs):
-        if a.shape != d.matrix.shape:
-            raise ValueError(
-                f"observable {k} has shape {a.shape}, state has shape {d.matrix.shape}"
-            )
-        checked = hermitian_part(u.conj().T @ centered(d, a) @ u)
-        residue = abs(float(np.sum(lambdas * checked.diagonal().real)))
-        norms[k] = frobenius(checked)
-        if residue > 1e-11 * max(1.0, norms[k]):
-            raise ValueError(f"observable {k}: centering residue {residue:.3e} after rotation")
-        rotated[k] = checked
+        if np.shape(a) != shape:
+            raise ValueError(f"observable {k} has shape {np.shape(a)}, state has shape {shape}")
+    return np.array(obs, dtype=complex)
+
+
+def eigenframe(d: DensityMatrix, obs: Sequence[np.ndarray]) -> EigenFrame:
+    """Center every observable and rotate it into the eigenbasis of ``d``: ``eigenframe_stack``
+    of a block of one."""
+    state = (d.matrix[None], d.eigen.eigenvalues[None], d.eigen.unitary[None])
+    frame = eigenframe_stack(state, observable_stack(d.matrix.shape, obs)[None])
+    return EigenFrame(frame.lambdas[0], frame.observables[0], frame.norms[0])
+
+
+def eigenframe_stack(states: tuple, obs: np.ndarray) -> EigenFrame:
+    """The stacked frame of B states, given as ``density_stack`` returns them, and their
+    (B, N, n, n) observables: all centered and rotated in one stacked matmul.
+
+    Every operation acts on one matrix at a time (the BLAS products, and the
+    norms through ``frobenius``), so each frame has the bits it has alone.  An
+    observable whose rotated diagonal does not average to zero over the
+    spectrum raises ``ValueError`` naming it, for the first such instance.
+    """
+    matrices, lambdas, u = states
+    u = u[:, None]
+    rotated = hermitian_part(np.swapaxes(u.conj(), -1, -2) @ _centered(matrices[:, None], obs) @ u)
+    residue = np.abs(np.sum(lambdas[:, None, :] * np.diagonal(rotated, axis1=-2, axis2=-1).real, axis=-1))
+    norms = frobenius(rotated)
+    wrong = residue > 1e-11 * np.maximum(1.0, norms)
+    if wrong.any():
+        _, k = np.unravel_index(np.argmax(wrong), wrong.shape)
+        raise ValueError(f"observable {k}: centering residue {residue.flat[np.argmax(wrong)]:.3e} after rotation")
     rotated.flags.writeable = False
     return EigenFrame(lambdas, rotated, norms)
+
+
+def draw_state(n: int, seed: int, kind: str) -> tuple:
+    """The generator's part of ``random_density``: everything it draws for a state, in its
+    order, as (the normalized Gaussian product, kind, the eigenvalue pair a degenerate state
+    merges or None)."""
+    if not 2 <= n <= 16:
+        raise ValueError(f"dimension must be in [2, 16], got {n}")
+    if kind not in STATE_KINDS:
+        raise ValueError(f"kind must be one of {STATE_KINDS}, got {kind!r}")
+    rng = np.random.default_rng(derive_seed("density", n, seed, kind))
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    pair = tuple(int(i) for i in sorted(rng.choice(n, size=2, replace=False))) if kind == "degenerate" else None
+    m = hermitian_part(g @ g.conj().T)
+    m /= np.trace(m).real
+    return m, kind, pair
 
 
 def random_density(n: int, seed: int, kind: str = "generic") -> DensityMatrix:
@@ -173,30 +238,38 @@ def random_density(n: int, seed: int, kind: str = "generic") -> DensityMatrix:
     degenerate: generic spectrum with one uniformly chosen eigenvalue pair
     replaced by its average.
     near-singular: smallest eigenvalue forced down to 1e-8.
+    The state is ``random_density_stack`` of a block of one.
     """
-    if not 2 <= n <= 16:
-        raise ValueError(f"dimension must be in [2, 16], got {n}")
-    if kind not in STATE_KINDS:
-        raise ValueError(f"kind must be one of {STATE_KINDS}, got {kind!r}")
-    rng = np.random.default_rng(derive_seed("density", n, seed, kind))
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    m = hermitian_part(g @ g.conj().T)
-    m /= np.trace(m).real
-    if kind == "generic":
-        return density(m)
-    eig = hermitian_eigen(m)
-    lam = eig.eigenvalues.copy()
-    if kind == "degenerate":
-        i, j = sorted(rng.choice(n, size=2, replace=False))
-        lam[i] = lam[j] = 0.5 * (lam[i] + lam[j])
-    else:
-        lam[0] = 1e-8
-    lam /= lam.sum()
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    u = eig.unitary[:, order]
-    rebuilt = hermitian_part((u * lam) @ u.conj().T)
-    return density(rebuilt, eigen=EigenDecomposition(lam, u))
+    m, values, vectors = random_density_stack([draw_state(n, seed, kind)])
+    return DensityMatrix(m[0], EigenDecomposition(values[0], vectors[0]))
+
+
+def random_density_stack(draws: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The states of ``draws`` (``draw_state``'s) of one dimension, as ``density_stack`` returns them.
+
+    One ``hermitian_eigen`` call over all drawn matrices, then one stacked edit
+    of the spectra of the degenerate and near-singular ones: renormalized,
+    sorted, and rebuilt into their matrices.  ``density_stack`` then checks
+    every state against its decomposition.
+    """
+    matrices, kinds, pairs = zip(*draws)
+    m = np.array(matrices)
+    eigen = hermitian_eigen(np.moveaxis(m, 0, -1))  # a drawn matrix is exactly Hermitian
+    values, vectors = eigen.eigenvalues, eigen.unitary
+    edited = [k for k, kind in enumerate(kinds) if kind != "generic"]
+    if edited:
+        # a degenerate state averages its pair (i, j), a near-singular one sets (0, 0) to 1e-8
+        lam, rows = values[edited], np.arange(len(edited))
+        i, j = np.array([pairs[k] or (0, 0) for k in edited]).T
+        singular = np.array([kinds[k] == "near-singular" for k in edited])
+        lam[rows, i] = lam[rows, j] = np.where(singular, 1e-8, 0.5 * (lam[rows, i] + lam[rows, j]))
+        lam /= lam.sum(axis=-1, keepdims=True)
+        order = np.argsort(lam, axis=-1, kind="stable")
+        lam = np.take_along_axis(lam, order, axis=-1)
+        u = np.take_along_axis(vectors[edited], order[:, None, :], axis=-1)
+        m[edited] = hermitian_part(EigenDecomposition(lam, u).reconstruct())
+        values[edited], vectors[edited] = lam, u
+    return density_stack(m, EigenDecomposition(values, vectors))
 
 
 def random_observable(n: int, seed: int) -> np.ndarray:

@@ -91,6 +91,47 @@ def apply_scalar_function(h, phi) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+def prepared_per_matrix(matrix, kind: str, pair, observables) -> dict:
+    """The state, frame, scale and norms of one drawn instance, one matrix at a time.
+
+    Takes what a draw holds: the normalized Gaussian product of the state, its
+    kind, the eigenvalue pair a degenerate state merges, and the observables.
+    Works as the per-instance code did before instances were built in blocks:
+    ``np.linalg.eigh`` on one matrix, the spectrum edit and rebuild of the
+    degenerate and near-singular kinds, then for each observable
+    U^dagger (A - Tr(D A) I) U, and ``np.linalg.norm`` per matrix.
+    """
+
+    def hermitian(x):
+        return 0.5 * (x + x.conj().T)
+
+    m = hermitian(matrix)
+    lam, u = np.linalg.eigh(m if kind == "generic" else matrix)
+    if kind != "generic":
+        lam = lam.copy()
+        if kind == "degenerate":
+            i, j = pair
+            lam[i] = lam[j] = 0.5 * (lam[i] + lam[j])
+        else:
+            lam[0] = 1e-8
+        lam /= lam.sum()
+        order = np.argsort(lam, kind="stable")
+        lam, u = lam[order], u[:, order]
+        m = hermitian(hermitian((u * lam) @ u.conj().T))
+    obs = [hermitian(np.asarray(a, dtype=complex)) for a in observables]
+    norms = [float(np.linalg.norm(a)) for a in obs]
+    rotated = [hermitian(u.conj().T @ (a - float(np.trace(m @ a).real) * np.eye(len(m))) @ u) for a in obs]
+    return {
+        "matrix": m,
+        "eigenvalues": lam,
+        "unitary": u,
+        "observables": np.array(rotated),
+        "frame_norms": np.array([float(np.linalg.norm(r)) for r in rotated]),
+        "scale": max(1.0, sum(v**2 for v in norms)),
+        "norms": np.array(norms),
+    }
+
+
 def custom_function(name: str, evaluator, value_at_zero: float) -> MonotoneFunction:
     """Wrap a test's evaluator as a function of the catalogue's kind.  Grid-checked only."""
     f = MonotoneFunction(name, evaluator, float(value_at_zero), abs(value_at_zero) > 1e-12)

@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 
 from qfidet.campaign import (
+    BLOCK_INSTANCES,
     CHECK_NAMES,
     CHECKS,
     DEFAULT_T_GRID,
@@ -502,7 +503,11 @@ def _facts(rep) -> tuple:
 
 def _fresh_outcome(check, n, n_obs, kind, derived, fl, gl, t, tol):
     """The public check on a newly drawn instance, whose memos are empty."""
-    inst = prepare_random(n, n_obs, derived, kind)
+    return _outcome_alone(prepare_random(n, n_obs, derived, kind), check, n, derived, fl, gl, t, tol)
+
+
+def _outcome_alone(inst, check, n, derived, fl, gl, t, tol):
+    """The public check on ``inst`` (drawn from seed ``derived``), outside any campaign block."""
     f = None if fl is None else parse_function_spec(fl)
     g = None if gl is None else parse_function_spec(gl)
     if check == "contraction":
@@ -584,6 +589,25 @@ def _compare_with_fresh_outcomes(config) -> int:
                         assert _facts(rep) == _facts(want), (n, n_obs, kind, check, fl, gl, t)
                         compared += 1
     return compared
+
+
+def test_a_drawn_instance_used_alone_gives_its_campaign_block_outcomes():
+    # the first block of (3, 2): 16 instances that span the three kinds
+    config = CampaignConfig(dims=(3,), num_obs=(2,), instances_per_cell=6)
+    plan, names = _plan(config), set(config.checks)
+    members = [(kind, index) for kind in config.kinds for index in range(config.instances_per_cell)][:BLOCK_INSTANCES]
+    seeds = [derive_seed(config.seed, 3, 2, kind, index) for kind, index in members]
+    block = [prepare_random(3, 2, seed, kind) for seed, (kind, _) in zip(seeds, members)]
+    plan.evaluate(block, seeds, names)
+    for inst, seed, (kind, _) in zip(block, seeds, members):
+        used, computed = prepare_random(3, 2, seed, kind), prepare_random(3, 2, seed, kind)
+        assert "frame" not in vars(used)  # drawn only, until its first use
+        plan.evaluate([computed], [seed], names)  # as ``qfidet compute`` evaluates its instance
+        for check, f, g, t in plan.layout(names):
+            want = _facts(CHECKS[check](plan, inst, f, g, t))
+            assert _facts(_outcome_alone(used, check, 3, seed, f and f.label, g and g.label, t, config.tol)) == want
+            assert _facts(CHECKS[check](plan, computed, f, g, t)) == want
+        assert used._block.size == computed._block.size == 1 and inst._block.size == BLOCK_INSTANCES
 
 
 def test_shared_memos_change_no_outcome():

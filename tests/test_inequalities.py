@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qfidet.campaign import BLOCK_INSTANCES, CHECKS, DEFAULT_T_GRID, CampaignConfig, CheckPlan, run_campaign
-from qfidet.covariance import metric_inner, robertson_matrix
+from qfidet.covariance import metric_inner, observable_scale, robertson_matrix
 from qfidet.inequalities import (
     EqualityClassification,
+    InstanceBlock,
     PreparedInstance,
     _report,
     check_conj1,
@@ -36,6 +38,7 @@ from qfidet.states import (
 )
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
+from oracles import prepared_per_matrix
 
 SLD = make_function("sld")
 WY = make_function("wy")
@@ -729,3 +732,79 @@ def test_contraction_shares_its_tangent_across_functions_in_any_order():
         whole = [range(n)]
         rep = check_metric_contraction(d, x, SLD, whole)
         assert _bits(rep.components["after"]) == _bits(_fresh_contraction_sides(500 + trial, n, x, SLD, whole)[1])
+
+
+def _drawn_block(n: int, n_obs: int, tag: str) -> list:
+    """16 instances of (n, N), drawn but not built, in runs of the three kinds as a campaign block
+    holds them: 6 generic, then 5 degenerate, then 5 near-singular."""
+    return [prepare_random(n, n_obs, derive_seed(tag, n, n_obs, k), KINDS[3 * k // 16]) for k in range(16)]
+
+
+def _built(inst) -> dict:
+    """What building an instance gives, keyed as ``prepared_per_matrix`` keys it."""
+    return {
+        "matrix": inst.state.matrix,
+        "eigenvalues": inst.state.eigenvalues,
+        "unitary": inst.state.eigen.unitary,
+        "observables": inst.frame.observables,
+        "frame_norms": inst.frame.norms,
+        "scale": inst.scale,
+        "norms": np.array(inst.norms),
+    }
+
+
+@pytest.mark.parametrize("n, n_obs", [(2, 1), (3, 3), (4, 2), (8, 6)])
+def test_a_block_builds_each_instance_with_the_bits_it_has_alone(n, n_obs):
+    block, alone = _drawn_block(n, n_obs, "bits"), _drawn_block(n, n_obs, "bits")
+    assert not any("frame" in vars(inst) for inst in block + alone)  # drawn only
+    InstanceBlock(block)
+    for inst, single in zip(block, alone):
+        state, obs = single._source
+        want = prepared_per_matrix(*state, obs)
+        got, by_itself = _built(inst), _built(single)  # the second builds ``single`` as a block of one
+        assert inst._block.size == 16 and single._block.size == 1
+        for key in want:
+            # np.linalg.norm takes BLAS dots; a stacked sum of squares would round apart here
+            assert np.array_equal(got[key], by_itself[key]), (inst.digest, key)
+            assert np.array_equal(got[key], want[key]), (inst.digest, key)
+
+
+def _fault(kind: str, state: tuple, obs: list):
+    """The draws with ``kind`` of fault, and the error that the library's check for one matrix or
+    family raises for it."""
+    if kind == "non-Hermitian observable":
+        bad = obs[1].copy()
+        bad[0, 1] += 1e-6
+        return state, [obs[0], bad], lambda: observable(bad)
+    if kind == "trace":
+        bad = state[0] * (1.0 + 1e-9)
+        return (bad, "generic", None), obs, lambda: density(bad)
+    if kind == "floor":
+        bad = np.diag([1e-11, 0.4, 0.6 - 1e-11]).astype(complex)
+        return (bad, "generic", None), obs, lambda: density(bad)
+    huge = [obs[0], 1e160 * obs[1]]
+    return state, huge, lambda: observable_scale(huge)
+
+
+@pytest.mark.parametrize("kind", ["non-Hermitian observable", "trace", "floor", "overflowing norms"])
+def test_a_block_raises_the_error_of_its_failing_instance_alone(kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        block = _drawn_block(3, 2, "faults")
+        state, obs = block[4]._source
+        assert state[1] == "generic"
+        state, obs, check = _fault(kind, state, obs)
+        block[4] = PreparedInstance._drawn(state, obs, "fifth")
+        with pytest.raises(ValueError) as inside:
+            InstanceBlock(block)
+        with pytest.raises(ValueError) as alone:
+            PreparedInstance._drawn(state, obs, "alone").frame
+        with pytest.raises(ValueError) as reference:
+            check()
+        assert type(inside.value) is type(alone.value) is type(reference.value)
+        assert str(inside.value) == str(alone.value) == str(reference.value)
+
+
+def test_drawing_an_instance_without_observables_fails_at_once():
+    with pytest.raises(ValueError, match="^eigenframe needs at least one observable$"):
+        prepare_random(3, 0, 1)

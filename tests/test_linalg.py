@@ -78,6 +78,21 @@ def test_eigen_rejects_non_hermitian():
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eigen_of_a_stack_gives_each_matrix_its_bits_alone(rng):
+    for n in (2, 3, 8):
+        mats = [random_hermitian(rng, n) for _ in range(5)]
+        stack = np.stack(mats, axis=-1)
+        eig = hermitian_eigen(stack)
+        assert eig.eigenvalues.shape == (5, n) and eig.unitary.shape == (5, n, n)
+        for k, m in enumerate(mats):
+            alone = hermitian_eigen(m)
+            assert np.array_equal(eig.eigenvalues[k], alone.eigenvalues)
+            assert np.array_equal(eig.unitary[k], alone.unitary)
+        stack[0, 1, 3] += 1e-6
+        with pytest.raises(ValueError, match=r"not Hermitian, entry \(0,1\)"):
+            hermitian_eigen(stack)
+
+
 def test_commutator_paulis():
     # [sigma_x, sigma_y] = 2i sigma_z
     assert np.abs(commutator(PAULI_X, PAULI_Y) - 2j * PAULI_Z).max() == 0.0

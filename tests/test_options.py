@@ -36,7 +36,6 @@ DEFAULTED = [
     "io.save_instance(functions)",
     "io.save_instance(pairs)",
     "linalg.as_complex_matrix(label)",
-    "linalg._entry_scale(label)",
     "linalg.require_hermitian(label)",
     "linalg.numeric_rank(floor)",
     "monotone.make_function(param)",
