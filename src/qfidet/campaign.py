@@ -7,9 +7,9 @@ which may span kinds: it is drawn, evaluated and tallied on its own, and the
 merge adds the block tallies in that order, so the report is identical for any
 worker count and block size.  The config fixes, before the first instance is
 drawn, the (check, f, g, t) of every outcome of an instance: a block tallies one
-row per entry of that layout.  Each instance is drawn alone; the block then
-checks, eigensolves and rotates all of them at once, evaluates what the active
-checks read as stacked arrays, and the outcomes read memos, instance by instance.
+row per entry of that layout.  An instance draws from one generator of its
+derived seed; the block forms, checks, eigensolves and rotates all at once,
+evaluates what the active checks read as stacks, and the outcomes read memos.
 The JSON report is the source of truth; CSV is a flattened view with one row per
 (check, n, N, f, g, t), aggregated over kinds and instances.
 """
@@ -40,9 +40,9 @@ from .inequalities import (
     prepare_random,
 )
 from .monotone import MonotoneFunction, checked_spec, parse_function_spec
-from .states import STATE_KINDS, derive_seed, random_partition
+from .states import STATE_KINDS, derive_seed
 
-REPORT_VERSION = "qfi-report/4"
+REPORT_VERSION = "qfi-report/5"
 VIOLATION_CAP = 100
 COUNT_NAMES = ("pass", "fail", "hypothesis_skipped", "clamped")
 DEFAULT_T_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -85,9 +85,9 @@ class CheckPlan:
         }
         return [(name, *entry) for name in CHECK_NAMES if name in names for entry in ranges[name]]
 
-    def evaluate(self, instances, seeds, names) -> None:
-        """Evaluate as stacks over ``instances`` (derived seeds ``seeds``) what the checks in
-        ``names`` read, and nothing else, so that their outcomes only read memos."""
+    def evaluate(self, instances, names) -> None:
+        """Evaluate as stacks over ``instances`` what the checks in ``names`` read, and nothing
+        else, so that their outcomes only read memos."""
         unit = [(f, None) for f in self.functions]
         equality = [h for pair in self.pairs or unit[:1] for h in pair if h is not None]
         reads = {"main": ["cov", *self.functions], "robertson": ["cov", "robertson"], "equality": ["cov", *equality]}
@@ -99,10 +99,7 @@ class CheckPlan:
         if "equality" in names:
             block.find_structure()
         if "contraction" in names:
-            cases = [
-                (inst.state, inst.observables[0], random_partition(inst.state.dim, derive_seed("partition", seed)))
-                for inst, seed in zip(instances, seeds)
-            ]
+            cases = [(inst.state, inst.observables[0], inst.partition) for inst in instances]
             block.contraction.update(fill_contraction(cases, self.functions))
 
 
@@ -268,7 +265,7 @@ def _run_block(config: CampaignConfig, n: int, n_obs: int, positions: range) -> 
     members = [(config.kinds[k // count], k % count) for k in positions]
     seeds = [derive_seed(config.seed, n, n_obs, kind, index) for kind, index in members]
     block = [prepare_random(n, n_obs, derived, kind) for derived, (kind, _) in zip(seeds, members)]
-    plan.evaluate(block, seeds, names)
+    plan.evaluate(block, names)
     for (kind, index), derived, inst in zip(members, seeds, block):
         where = f"kind={kind},index={index}"
         for (name, f, g, t), row in zip(layout, tally):

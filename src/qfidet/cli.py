@@ -123,7 +123,7 @@ def _cmd_compute(args) -> int:
 
     def run(checks, functions=(), pairs=()) -> int:
         plan = CheckPlan(functions=functions, pairs=pairs, tol=args.tol, t_grid=DEFAULT_T_GRID)
-        plan.evaluate([inst], [None], set(checks))
+        plan.evaluate([inst], set(checks))
         return sum(_show(CHECKS[name](plan, inst, f, g, t)) for name, f, g, t in plan.layout(checks))
 
     print(f"instance {args.instance}: dim={loaded.state.dim}, observables={len(loaded.observables)}")

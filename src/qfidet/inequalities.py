@@ -4,11 +4,11 @@ The bounds all compare determinants of N x N matrices built from one state
 and N observables: the covariance matrix, the quantum covariance matrices of
 one or two monotone functions, their differences, and binomial cross terms
 (the Minkowski/Firey machinery).  Instances of one (n, N) are built and
-evaluated as a block: their states, checks and frames, then each matrix,
-determinant and pencil row, are computed for all of them at once from stacked
-arrays and memoized per block, so that the checks of an instance only read
-memos; an instance on its own is a block of one.  conj1,
-conj2 and firey are one inequality on a pencil (K_big, K_small) of PSD
+evaluated as a block: their drawn states and observables are formed, checked
+and rotated, then each matrix, determinant and pencil row is computed for all
+of them at once from stacked arrays and memoized per block, so that the checks
+of an instance only read memos; an instance on its own is a block of one.
+conj1, conj2 and firey are one inequality on a pencil (K_big, K_small) of PSD
 matrices, with one check body.  Its unit-weight and Firey rows come from one
 elementwise kernel and hold no clamp window: each outcome reads the hypothesis
 first, then tests its clamped determinants in its own window.
@@ -49,15 +49,17 @@ from .monotone import MonotoneFunction, dominates
 from .states import (
     DensityMatrix,
     EigenFrame,
+    _draw_gaussians,
+    _draw_partition,
+    _unit_observables,
     density_stack,
     derive_seed,
-    draw_state,
     eigenframe_stack,
     observable_stack,
     offdiagonal_dependence,
     pinching,
     random_density_stack,
-    random_observable,
+    random_partition,
 )
 
 __all__ = [
@@ -182,15 +184,8 @@ class PreparedInstance:
 
     def __init__(self, d: DensityMatrix, obs: Sequence[np.ndarray], digest: str = "custom"):
         self._source = d, observable_stack(d.matrix.shape, [as_complex_matrix(a, label="observable") for a in obs])
-        self.digest = digest
+        self.partition, self.digest = random_partition(d.dim, derive_seed("partition", None)), digest
         InstanceBlock((self,))
-
-    @classmethod
-    def _drawn(cls, state: tuple, obs: np.ndarray, digest: str) -> PreparedInstance:
-        """An instance of a drawn state (``draw_state``'s) and its observables, built later."""
-        inst = cls.__new__(cls)
-        inst._source, inst.digest = (state, obs), digest
-        return inst
 
     def __getattr__(self, name):
         # reached for an attribute the instance lacks: one that no block has built yet, or none
@@ -231,29 +226,31 @@ class PreparedInstance:
         return self._memo(self._block.structure, None, self._block.find_structure)
 
     def contraction(self, f) -> tuple:
-        """The contraction sums for f (``fill_contraction``'s), which ``CheckPlan.evaluate`` stores
-        in the block with the partition it draws from the instance's seed."""
+        """The contraction sums for f (``fill_contraction``'s) at the instance's ``partition``, which
+        ``CheckPlan.evaluate`` stores in the block."""
         return self._block.contraction[f][self._index]
 
 
 def _build(instances) -> None:
-    """Build instances of one (n, N) that no block has built, all at once.  Drawn states go through
-    ``random_density_stack``, a given ``DensityMatrix`` is used as it is.  The observables are
-    checked as one stack, their norms give the scales (overflow raises before anything on the
-    observables can warn), and ``eigenframe_stack`` centers and rotates them all.  A failing
-    check raises the error of its first failing instance, the one that instance raises alone."""
-    states, families = zip(*(inst._source for inst in instances))
-    if isinstance(states[0], DensityMatrix):  # only a PreparedInstance(d, obs), which builds alone
-        matrices, values, vectors = (np.array(a) for a in zip(*((d.matrix, d.eigenvalues, d.eigen.unitary) for d in states)))
+    """Build instances of one (n, N) that no block has built, all at once: drawn Gaussians form the
+    states (``random_density_stack``) and observables (``_unit_observables``) as stacks, a given
+    state is taken as it is.  The observables are checked as one stack, their norms give the scales
+    (overflow raises before anything on them can warn), and ``eigenframe_stack`` rotates them all.
+    A failing check raises the error of its first failing instance, the one it raises alone."""
+    if isinstance(instances[0]._source[0], DensityMatrix):  # only a PreparedInstance(d, obs), which builds alone
+        d, obs = instances[0]._source
+        matrices, values, vectors, obs = d.matrix[None], d.eigenvalues[None], d.eigen.unitary[None], obs[None]
     else:
-        matrices, values, vectors = random_density_stack(states)
-    obs = np.array(families, dtype=complex)
+        x, kinds, pairs = zip(*(inst._source for inst in instances))
+        x = np.array(x)
+        matrices, values, vectors = random_density_stack(x[:, 0], kinds, pairs)
+        obs = _unit_observables(x[:, 1:])
     require_hermitian(obs, label="observable")
     obs = hermitian_part(obs)
     scales, norms = observable_scale(obs)
     frame = eigenframe_stack((matrices, values, vectors), obs)
-    for k, (inst, d) in enumerate(zip(instances, states)):
-        inst.state = d if isinstance(d, DensityMatrix) else DensityMatrix(matrices[k], EigenDecomposition(values[k], vectors[k]))
+    for k, inst in enumerate(instances):
+        inst.state = DensityMatrix(matrices[k], EigenDecomposition(values[k], vectors[k]))
         inst.observables = tuple(obs[k])
         inst.frame = EigenFrame(frame.lambdas[k], frame.observables[k], frame.norms[k])
         inst.scale, inst.norms = scales[k], tuple(norms[k].tolist())
@@ -263,9 +260,9 @@ class InstanceBlock:
     """Instances of one (n, N), evaluated together: each memo maps a key to its value for
     every instance, computed on first use by one stacked evaluation.  The block first builds
     the instances that no block has built (``_build``), so a campaign's block of drawn
-    instances checks, eigensolves and rotates them all at once.  A campaign fills the memos its
-    checks read with ``fill_pencils`` and ``find_structure``, and stores the contraction sums,
-    which need each instance's partition.
+    instances forms, checks, eigensolves and rotates them all at once.  A campaign fills the memos
+    its checks read with ``fill_pencils`` and ``find_structure``, and stores the contraction sums
+    at each instance's partition.
     Every stacked operation acts on each instance's slice alone (elementwise, or LAPACK and BLAS
     per matrix), so a value is bit-identical whichever block computed it."""
 
@@ -374,11 +371,16 @@ class InstanceBlock:
 
 
 def prepare_random(n: int, n_obs: int, seed: int, kind: str = "generic") -> PreparedInstance:
-    """Draw an instance from derived seeds, reproducible from the digest alone.  It only draws:
-    the block it joins builds it, or it builds alone on first use."""
-    state = draw_state(n, seed, kind)
-    obs = observable_stack((n, n), [random_observable(n, derive_seed("obs", seed, k)) for k in range(n_obs)])
-    return PreparedInstance._drawn(state, obs, f"n={n},N={n_obs},kind={kind},seed={seed}")
+    """Draw an instance from one generator seeded with ``seed``, reproducible from the digest alone:
+    the Gaussians of the state and its N observables and a degenerate pair (``_draw_gaussians``), then
+    the partition (``_draw_partition``), whatever checks run.  The block it joins forms and builds it."""
+    if n_obs < 1:
+        raise ValueError("eigenframe needs at least one observable")
+    rng, inst = np.random.default_rng(seed), PreparedInstance.__new__(PreparedInstance)
+    x, pair = _draw_gaussians(rng, n, 1 + n_obs, kind)
+    inst._source, inst.partition = (x, kind, pair), _draw_partition(rng, n)
+    inst.digest = f"n={n},N={n_obs},kind={kind},seed={seed}"
+    return inst
 
 
 def _report(name, lhs, rhs, scale, tol, components, digest, clamps=0, hypothesis_ok=True, window=None):

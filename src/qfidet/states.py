@@ -39,7 +39,6 @@ __all__ = [
     "centered",
     "eigenframe",
     "eigenframe_stack",
-    "draw_state",
     "random_density",
     "random_density_stack",
     "random_observable",
@@ -215,20 +214,16 @@ def eigenframe_stack(states: tuple, obs: np.ndarray) -> EigenFrame:
     return EigenFrame(lambdas, rotated, norms)
 
 
-def draw_state(n: int, seed: int, kind: str) -> tuple:
-    """The generator's part of ``random_density``: everything it draws for a state, in its
-    order, as (the normalized Gaussian product, kind, the eigenvalue pair a degenerate state
-    merges or None)."""
+def _draw_gaussians(rng: np.random.Generator, n: int, count: int, kind: str) -> tuple:
+    """What a drawn state and its observables take from ``rng`` first: ``count`` complex Gaussian
+    n x n matrices from one ``standard_normal`` call, as a (count, 2, n, n) array of each one's real
+    then imaginary parts, then the eigenvalue pair that a degenerate state merges (else None)."""
     if not 2 <= n <= 16:
         raise ValueError(f"dimension must be in [2, 16], got {n}")
     if kind not in STATE_KINDS:
         raise ValueError(f"kind must be one of {STATE_KINDS}, got {kind!r}")
-    rng = np.random.default_rng(derive_seed("density", n, seed, kind))
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    pair = tuple(int(i) for i in sorted(rng.choice(n, size=2, replace=False))) if kind == "degenerate" else None
-    m = hermitian_part(g @ g.conj().T)
-    m /= np.trace(m).real
-    return m, kind, pair
+    x = rng.standard_normal((count, 2, n, n))
+    return x, tuple(sorted(rng.choice(n, size=2, replace=False).tolist())) if kind == "degenerate" else None
 
 
 def random_density(n: int, seed: int, kind: str = "generic") -> DensityMatrix:
@@ -240,20 +235,24 @@ def random_density(n: int, seed: int, kind: str = "generic") -> DensityMatrix:
     near-singular: smallest eigenvalue forced down to 1e-8.
     The state is ``random_density_stack`` of a block of one.
     """
-    m, values, vectors = random_density_stack([draw_state(n, seed, kind)])
+    x, pair = _draw_gaussians(np.random.default_rng(derive_seed("density", n, seed, kind)), n, 1, kind)
+    m, values, vectors = random_density_stack(x, (kind,), (pair,))
     return DensityMatrix(m[0], EigenDecomposition(values[0], vectors[0]))
 
 
-def random_density_stack(draws: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The states of ``draws`` (``draw_state``'s) of one dimension, as ``density_stack`` returns them.
+def random_density_stack(x: np.ndarray, kinds: Sequence[str], pairs: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The states of B drawn Gaussians ``x`` of shape (B, 2, n, n), with their ``kinds`` and
+    ``pairs`` (``_draw_gaussians``'s), as ``density_stack`` returns them.
 
-    One ``hermitian_eigen`` call over all drawn matrices, then one stacked edit
-    of the spectra of the degenerate and near-singular ones: renormalized,
+    One stacked G G† / Tr (a BLAS product per matrix, so each state has the
+    bits it has alone), one ``hermitian_eigen`` call over all of them, then one
+    stacked edit of the degenerate and near-singular spectra: renormalized,
     sorted, and rebuilt into their matrices.  ``density_stack`` then checks
     every state against its decomposition.
     """
-    matrices, kinds, pairs = zip(*draws)
-    m = np.array(matrices)
+    g = x[:, 0] + 1j * x[:, 1]
+    m = hermitian_part(g @ np.swapaxes(g.conj(), -1, -2))
+    m /= np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
     eigen = hermitian_eigen(np.moveaxis(m, 0, -1))  # a drawn matrix is exactly Hermitian
     values, vectors = eigen.eigenvalues, eigen.unitary
     edited = [k for k, kind in enumerate(kinds) if kind != "generic"]
@@ -272,14 +271,17 @@ def random_density_stack(draws: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray
     return density_stack(m, EigenDecomposition(values, vectors))
 
 
+def _unit_observables(x: np.ndarray) -> np.ndarray:
+    """The Hermitian parts of drawn Gaussians, ``x`` of shape (..., 2, n, n), each divided by its
+    Frobenius norm (``frobenius``'s, so each has the bits it has alone)."""
+    h = hermitian_part(x[..., 0, :, :] + 1j * x[..., 1, :, :])
+    return h / frobenius(h)[..., None, None]
+
+
 def random_observable(n: int, seed: int) -> np.ndarray:
     """Hermitian part of a complex Gaussian matrix, unit Frobenius norm."""
-    if not 2 <= n <= 16:
-        raise ValueError(f"dimension must be in [2, 16], got {n}")
-    rng = np.random.default_rng(derive_seed("observable", n, seed))
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = hermitian_part(g)
-    return h / frobenius(h)
+    x, _ = _draw_gaussians(np.random.default_rng(derive_seed("observable", n, seed)), n, 1, "generic")
+    return _unit_observables(x)[0]
 
 
 @dataclass(frozen=True)
@@ -326,14 +328,13 @@ def pinching(x: np.ndarray, partition: Sequence[Iterable[int]]) -> np.ndarray:
 
 
 def random_partition(n: int, seed: int) -> list[list[int]]:
-    """A uniformly shuffled partition of range(n) into 1..n contiguous chunks."""
-    rng = np.random.default_rng(derive_seed("partition", n, seed))
-    perm = rng.permutation(n)
-    k = int(rng.integers(1, n + 1))
-    cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False)) if k > 1 else []
-    out = []
-    start = 0
-    for cut in list(cuts) + [n]:
-        out.append(sorted(int(i) for i in perm[start:cut]))
-        start = cut
-    return out
+    """A uniformly shuffled partition of range(n) into 1..n contiguous chunks, from its own generator."""
+    return _draw_partition(np.random.default_rng(derive_seed("partition", n, seed)), n)
+
+
+def _draw_partition(rng: np.random.Generator, n: int) -> list[list[int]]:
+    """A shuffle of range(n), a chunk count k in 1..n, then k - 1 distinct cuts of 1..n-1 with the
+    bits of ``rng.choice(np.arange(1, n), ...)``, all from ``rng``; the chunks between, each sorted."""
+    perm, k = rng.permutation(n).tolist(), int(rng.integers(1, n + 1))
+    bounds = [0, *sorted((rng.choice(n - 1, size=k - 1, replace=False) + 1).tolist() if k > 1 else []), n]
+    return [sorted(perm[a:b]) for a, b in zip(bounds, bounds[1:])]

@@ -91,11 +91,38 @@ def apply_scalar_function(h, phi) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def prepared_per_matrix(matrix, kind: str, pair, observables) -> dict:
-    """The state, frame, scale and norms of one drawn instance, one matrix at a time.
+def draw_per_matrix(n: int, n_obs: int, seed: int, kind: str) -> tuple:
+    """What ``prepare_random(n, n_obs, seed, kind)`` draws, one matrix at a time.
 
-    Takes what a draw holds: the normalized Gaussian product of the state, its
-    kind, the eigenvalue pair a degenerate state merges, and the observables.
+    One generator seeded with ``seed`` draws, in this order: for the state and
+    then for each observable, the real and then the imaginary parts of a
+    complex Gaussian matrix; a degenerate state's eigenvalue pair; the
+    partition, as a shuffle of range(n), a chunk count k and k - 1 cut points.
+    Returns the normalized state G G^dagger / Tr, its kind and pair, the
+    Hermitian parts of the observables' Gaussians divided by ``np.linalg.norm``,
+    and the partition.
+    """
+    rng = np.random.default_rng(seed)
+    gaussians = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(1 + n_obs)]
+    pair = tuple(sorted(int(i) for i in rng.choice(n, size=2, replace=False))) if kind == "degenerate" else None
+    perm = rng.permutation(n)
+    k = int(rng.integers(1, n + 1))
+    cuts = sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False).tolist()) if k > 1 else []
+    bounds = [0, *cuts, n]
+    partition = [sorted(int(i) for i in perm[a:b]) for a, b in zip(bounds, bounds[1:])]
+    state = gaussians[0] @ gaussians[0].conj().T
+    state = 0.5 * (state + state.conj().T)
+    state = state / np.trace(state).real
+    hermitian = [0.5 * (g + g.conj().T) for g in gaussians[1:]]
+    return state, kind, pair, [h / np.linalg.norm(h) for h in hermitian], partition
+
+
+def prepared_per_matrix(matrix, kind: str, pair, observables, partition) -> dict:
+    """The state, frame, scale, norms and partition of one drawn instance, one matrix at a time.
+
+    Takes what ``draw_per_matrix`` returns: the normalized Gaussian product of
+    the state, its kind, the eigenvalue pair a degenerate state merges, the
+    observables and the partition.
     Works as the per-instance code did before instances were built in blocks:
     ``np.linalg.eigh`` on one matrix, the spectrum edit and rebuild of the
     degenerate and near-singular kinds, then for each observable
@@ -129,6 +156,7 @@ def prepared_per_matrix(matrix, kind: str, pair, observables) -> dict:
         "frame_norms": np.array([float(np.linalg.norm(r)) for r in rotated]),
         "scale": max(1.0, sum(v**2 for v in norms)),
         "norms": np.array(norms),
+        "partition": partition,
     }
 
 

@@ -114,7 +114,7 @@ def _evaluated(plan: CheckPlan, names: set, tag: str, n: int, n_obs: int, count:
         members = range(start, min(start + BLOCK_INSTANCES, count))
         seeds = [derive_seed(SEED, tag, n, n_obs, k) for k in members]
         block = [prepare_random(n, n_obs, seed, kind=kinds[k % len(kinds)]) for seed, k in zip(seeds, members)]
-        plan.evaluate(block, seeds, names)
+        plan.evaluate(block, names)
         yield from block
 
 

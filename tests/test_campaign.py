@@ -35,7 +35,7 @@ from qfidet.inequalities import (
     prepare_random,
 )
 from qfidet.monotone import parse_function_spec
-from qfidet.states import derive_seed, random_partition
+from qfidet.states import derive_seed
 
 TINY = CampaignConfig(
     dims=(2, 3),
@@ -213,14 +213,14 @@ def test_empty_campaign():
         for quad in report.counts.values()
     )
     payload = json.loads(emit_report(report, "json"))
-    assert payload["version"] == "qfi-report/4"
+    assert payload["version"] == "qfi-report/5"
     assert payload["totals"]["pass"] == 0
 
 
 def test_json_report_shape():
     report = run_campaign(TINY)
     payload = json.loads(emit_report(report, "json"))
-    assert payload["version"] == "qfi-report/4"
+    assert payload["version"] == "qfi-report/5"
     assert "runtime" not in payload
     assert payload["config"]["seed"] == 99
     assert set(payload["counts"]) == set(TINY.checks)
@@ -503,16 +503,15 @@ def _facts(rep) -> tuple:
 
 def _fresh_outcome(check, n, n_obs, kind, derived, fl, gl, t, tol):
     """The public check on a newly drawn instance, whose memos are empty."""
-    return _outcome_alone(prepare_random(n, n_obs, derived, kind), check, n, derived, fl, gl, t, tol)
+    return _outcome_alone(prepare_random(n, n_obs, derived, kind), check, fl, gl, t, tol)
 
 
-def _outcome_alone(inst, check, n, derived, fl, gl, t, tol):
-    """The public check on ``inst`` (drawn from seed ``derived``), outside any campaign block."""
+def _outcome_alone(inst, check, fl, gl, t, tol):
+    """The public check on ``inst`` outside any campaign block, at the partition it drew."""
     f = None if fl is None else parse_function_spec(fl)
     g = None if gl is None else parse_function_spec(gl)
     if check == "contraction":
-        partition = random_partition(n, derive_seed("partition", derived))
-        return check_metric_contraction(inst.state, inst.observables[0], f, partition, tol)
+        return check_metric_contraction(inst.state, inst.observables[0], f, inst.partition, tol)
     calls = {
         "main": lambda: check_main(inst, f, tol),
         "conj1": lambda: check_conj1(inst, f, tol),
@@ -580,7 +579,7 @@ def _compare_with_fresh_outcomes(config) -> int:
             for kind in config.kinds:
                 seeds = [derive_seed(config.seed, n, n_obs, kind, index) for index in range(config.instances_per_cell)]
                 block = [prepare_random(n, n_obs, derived, kind) for derived in seeds]
-                plan.evaluate(block, seeds, set(CHECKS))
+                plan.evaluate(block, set(CHECKS))
                 for inst, derived in zip(block, seeds):
                     for check, f, g, t in plan.layout(CHECKS):
                         rep = CHECKS[check](plan, inst, f, g, t)
@@ -598,16 +597,30 @@ def test_a_drawn_instance_used_alone_gives_its_campaign_block_outcomes():
     members = [(kind, index) for kind in config.kinds for index in range(config.instances_per_cell)][:BLOCK_INSTANCES]
     seeds = [derive_seed(config.seed, 3, 2, kind, index) for kind, index in members]
     block = [prepare_random(3, 2, seed, kind) for seed, (kind, _) in zip(seeds, members)]
-    plan.evaluate(block, seeds, names)
+    plan.evaluate(block, names)
     for inst, seed, (kind, _) in zip(block, seeds, members):
         used, computed = prepare_random(3, 2, seed, kind), prepare_random(3, 2, seed, kind)
         assert "frame" not in vars(used)  # drawn only, until its first use
-        plan.evaluate([computed], [seed], names)  # as ``qfidet compute`` evaluates its instance
+        plan.evaluate([computed], names)  # as ``qfidet compute`` evaluates its instance
         for check, f, g, t in plan.layout(names):
             want = _facts(CHECKS[check](plan, inst, f, g, t))
-            assert _facts(_outcome_alone(used, check, 3, seed, f and f.label, g and g.label, t, config.tol)) == want
+            assert _facts(_outcome_alone(used, check, f and f.label, g and g.label, t, config.tol)) == want
             assert _facts(CHECKS[check](plan, computed, f, g, t)) == want
         assert used._block.size == computed._block.size == 1 and inst._block.size == BLOCK_INSTANCES
+
+
+def test_each_worst_row_replays_from_its_derived_seed_alone():
+    # a report row names (n, N, kind, index); the derived seed alone redraws the instance,
+    # its contraction partition included
+    config = CampaignConfig(instances_per_cell=6)
+    report = run_campaign(config)
+    assert set(report.worst) == set(config.checks)
+    for check, worst in report.worst.items():
+        kind, index = (part.split("=")[1] for part in worst["instance"].split(","))
+        derived = derive_seed(config.seed, worst["n"], worst["N"], kind, int(index))
+        inst = prepare_random(worst["n"], worst["N"], derived, kind)
+        rep = _outcome_alone(inst, check, worst["f"], worst["g"], worst["t"], config.tol)
+        assert np.float64(rep.margin).tobytes() == np.float64(worst["margin"]).tobytes(), check
 
 
 def test_shared_memos_change_no_outcome():

@@ -32,7 +32,7 @@ def test_verify_stdout_json(capsys):
     out = capsys.readouterr().out
     assert code == 0
     payload = json.loads(out)
-    assert payload["version"] == "qfi-report/4"
+    assert payload["version"] == "qfi-report/5"
     assert payload["totals"]["fail"] == 0
 
 

@@ -38,7 +38,7 @@ from qfidet.states import (
 )
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
-from oracles import prepared_per_matrix
+from oracles import draw_per_matrix, prepared_per_matrix
 
 SLD = make_function("sld")
 WY = make_function("wy")
@@ -311,14 +311,14 @@ def test_classify_no_false_equalities(rng):
 def test_classify_near_pure_state_is_flagged_not_failed():
     # n = 2 near-singular states are nearly pure, where Cov -> Qov_sld and the
     # condition-a determinant gap shrinks to the order of the smallest
-    # eigenvalue; when it lands inside the window the instance is unresolved
-    from qfidet.states import derive_seed
-
-    inst = prepare_random(2, 2, derive_seed(2026, 2, 2, "near-singular", 0), "near-singular")
-    got = classify_equality(inst, SLD, WY)
-    assert got.condition_a and not got.linearly_dependent
-    assert not got.resolved
-    assert got.consistent
+    # eigenvalue; where it lands inside the window the instance is unresolved
+    drawn = [prepare_random(2, 2, derive_seed(2026, 2, 2, "near-singular", k), "near-singular") for k in range(20)]
+    fired = [got for got in (classify_equality(inst, SLD, WY) for inst in drawn) if got.condition_a]
+    assert fired
+    for got in fired:
+        assert not got.linearly_dependent
+        assert not got.resolved
+        assert got.consistent
 
 
 def test_classify_degenerate_spectrum_is_flagged_not_failed():
@@ -522,7 +522,7 @@ def test_firey_rows_do_not_depend_on_the_memo_order(kind, rng):
             seed = int(rng.integers(2**32))
             # the whole grid in one evaluation, then single rows off the grid
             filled = prepare_random(n, n_obs, seed, kind)
-            plan.evaluate([filled], [seed], {"firey"})
+            plan.evaluate([filled], {"firey"})
             got = {key[1:]: rep for key, rep in _outcomes(plan, filled, {"firey"}).items()}
             got.update({(f.label, g and g.label, off_grid): check_firey(filled, f, off_grid, g=g) for f, g in pencils})
             # single rows first, on and off the grid, then the grid row by row over them
@@ -579,7 +579,7 @@ def test_a_clamp_failure_inside_a_block_raises_its_instances_error():
     first, second = [s for s in range(100) if _conj1_error(s) is not None][:2]
     block = [prepare_random(2, 3, s) for s in (clean, first, second)]
     # the block's rows hold no window: evaluating them raises nothing, each outcome tests its own
-    plan.evaluate(block, [clean, first, second], {"conj1"})
+    plan.evaluate(block, {"conj1"})
     ((_, f, g, t),) = plan.layout({"conj1"})
     assert CHECKS["conj1"](plan, block[0], f, g, t).passed
     for inst, seed in zip(block[1:], (first, second)):
@@ -642,7 +642,7 @@ def test_each_instance_of_a_block_clamps_in_its_own_window():
     assert all(rep.clamps and rep.passed for reps in want.values() for rep in reps[:1])
     for order in (("inst", "scaled"), ("scaled", "inst")):
         block = [fresh(which) for which in order]
-        plan.evaluate(block, [None, None], names)
+        plan.evaluate(block, names)
         for which, member in zip(order, block):
             got = outcomes(member)
             assert got == want[which], order
@@ -734,10 +734,15 @@ def test_contraction_shares_its_tangent_across_functions_in_any_order():
         assert _bits(rep.components["after"]) == _bits(_fresh_contraction_sides(500 + trial, n, x, SLD, whole)[1])
 
 
+def _members(n: int, n_obs: int, tag: str) -> list:
+    """(seed, kind) of 16 instances of (n, N), in runs of the three kinds as a campaign block holds
+    them: 6 generic, then 5 degenerate, then 5 near-singular."""
+    return [(derive_seed(tag, n, n_obs, k), KINDS[3 * k // 16]) for k in range(16)]
+
+
 def _drawn_block(n: int, n_obs: int, tag: str) -> list:
-    """16 instances of (n, N), drawn but not built, in runs of the three kinds as a campaign block
-    holds them: 6 generic, then 5 degenerate, then 5 near-singular."""
-    return [prepare_random(n, n_obs, derive_seed(tag, n, n_obs, k), KINDS[3 * k // 16]) for k in range(16)]
+    """The 16 instances of ``_members``, drawn but not built."""
+    return [prepare_random(n, n_obs, seed, kind) for seed, kind in _members(n, n_obs, tag)]
 
 
 def _built(inst) -> dict:
@@ -758,9 +763,9 @@ def test_a_block_builds_each_instance_with_the_bits_it_has_alone(n, n_obs):
     block, alone = _drawn_block(n, n_obs, "bits"), _drawn_block(n, n_obs, "bits")
     assert not any("frame" in vars(inst) for inst in block + alone)  # drawn only
     InstanceBlock(block)
-    for inst, single in zip(block, alone):
-        state, obs = single._source
-        want = prepared_per_matrix(*state, obs)
+    for inst, single, (seed, kind) in zip(block, alone, _members(n, n_obs, "bits")):
+        want = prepared_per_matrix(*draw_per_matrix(n, n_obs, seed, kind))
+        assert inst.partition == single.partition == want.pop("partition"), inst.digest
         got, by_itself = _built(inst), _built(single)  # the second builds ``single`` as a block of one
         assert inst._block.size == 16 and single._block.size == 1
         for key in want:
@@ -769,40 +774,50 @@ def test_a_block_builds_each_instance_with_the_bits_it_has_alone(n, n_obs):
             assert np.array_equal(got[key], want[key]), (inst.digest, key)
 
 
-def _fault(kind: str, state: tuple, obs: list):
-    """The draws with ``kind`` of fault, and the error that the library's check for one matrix or
-    family raises for it."""
-    if kind == "non-Hermitian observable":
-        bad = obs[1].copy()
-        bad[0, 1] += 1e-6
-        return state, [obs[0], bad], lambda: observable(bad)
-    if kind == "trace":
-        bad = state[0] * (1.0 + 1e-9)
-        return (bad, "generic", None), obs, lambda: density(bad)
-    if kind == "floor":
-        bad = np.diag([1e-11, 0.4, 0.6 - 1e-11]).astype(complex)
-        return (bad, "generic", None), obs, lambda: density(bad)
-    huge = [obs[0], 1e160 * obs[1]]
-    return state, huge, lambda: observable_scale(huge)
-
-
-@pytest.mark.parametrize("kind", ["non-Hermitian observable", "trace", "floor", "overflowing norms"])
+@pytest.mark.parametrize("kind", ["floor"])
 def test_a_block_raises_the_error_of_its_failing_instance_alone(kind):
+    # the one fault a draw can carry: a state Gaussian whose G G^dagger / Tr, here diag(1e-12, 1, 1)
+    # / (2 + 1e-12) exactly, has its least eigenvalue below the floor
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        block = _drawn_block(3, 2, "faults")
-        state, obs = block[4]._source
-        assert state[1] == "generic"
-        state, obs, check = _fault(kind, state, obs)
-        block[4] = PreparedInstance._drawn(state, obs, "fifth")
+        block, single = _drawn_block(3, 2, "faults"), _drawn_block(3, 2, "faults")[4]
+        x, state_kind, pair = block[4]._source
+        assert state_kind == "generic"
+        g, x = np.diag([1e-6, 1.0, 1.0]).astype(complex), x.copy()
+        x[0] = g.real, g.imag  # the state's Gaussian
+        block[4]._source = single._source = x, state_kind, pair
+        formed = g @ g.conj().T
         with pytest.raises(ValueError) as inside:
             InstanceBlock(block)
         with pytest.raises(ValueError) as alone:
-            PreparedInstance._drawn(state, obs, "alone").frame
+            single.frame
         with pytest.raises(ValueError) as reference:
-            check()
+            density(formed / np.trace(formed).real)
         assert type(inside.value) is type(alone.value) is type(reference.value)
         assert str(inside.value) == str(alone.value) == str(reference.value)
+
+
+@pytest.mark.parametrize("kind", ["non-Hermitian observable", "overflowing norms"])
+def test_a_given_family_raises_the_error_of_its_check(kind):
+    # no draw carries these faults (a block forms Hermitian observables of unit norm), so a given
+    # family, which builds alone, must raise what the check of one observable or family raises
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        inst = _drawn_block(3, 2, "faults")[4]
+        obs = list(inst.observables)
+        if kind == "non-Hermitian observable":
+            obs[1] = obs[1].copy()
+            obs[1][0, 1] += 1e-6
+            check, argument = observable, obs[1]
+        else:
+            obs[1] = 1e160 * obs[1]
+            check, argument = observable_scale, obs
+        with pytest.raises(ValueError) as given:
+            PreparedInstance(inst.state, obs)
+        with pytest.raises(ValueError) as reference:
+            check(argument)
+        assert type(given.value) is type(reference.value)
+        assert str(given.value) == str(reference.value)
 
 
 def test_drawing_an_instance_without_observables_fails_at_once():
