@@ -198,32 +198,47 @@ class PreparedInstance:
     def size(self) -> int:
         return self.frame.size
 
-    def _memo(self, memo: dict, key, fill):
-        got = memo.get(key)
-        if got is None:
-            fill()
-            got = memo[key]
-        return got[self._index]
+    # Each memo read is one dict.get; the block fills a missing key for all its instances.
 
     def matrix(self, side) -> np.ndarray:
         """Memoized N x N matrix: Cov for "cov", Qov_f for a function f, and for
         "robertson" the commutator bound matrix Im(S), S_kl = sum_h lambda_h A^k_hj A^l_jh."""
-        return self._memo(self._block.matrix, side, lambda: self._block.assemble((side,)))
+        block = self._block
+        got = block.matrix.get(side)
+        if got is None:
+            block.assemble((side,))
+            got = block.matrix[side]
+        return got[self._index]
 
     def det(self, big, small=None) -> float:
         """Memoized determinant of ``matrix(big)``, or of ``matrix(big) - matrix(small)``."""
-        return self._memo(self._block.det, (big, small), lambda: self._block.determinants(((big, small),)))
+        block = self._block
+        got = block.det.get((big, small))
+        if got is None:
+            block.determinants(((big, small),))
+            got = block.det[big, small]
+        return got[self._index]
 
     def pencil(self, f, g, t) -> tuple:
         """Memoized row t of the pencil (Cov, Qov_f) for g None, else (Qov_f, Qov_g): the
         unit-weight row for t None, else the Firey row at t, filled for the block by
         ``InstanceBlock.fill_pencils`` when it is missing (a t off the grid is a grid of one)."""
-        return self._memo(self._block.pencil, (f, g, t), lambda: self._block.fill_pencils(((f, g),), (t,), ()))
+        block = self._block
+        got = block.pencil.get((f, g, t))
+        if got is None:
+            block.fill_pencils(((f, g),), (t,), ())
+            got = block.pencil[f, g, t]
+        return got[self._index]
 
     def structure(self) -> tuple[int, bool]:
         """Memoized rank of the frame observables as real vectors, and whether some real
         combination of them is diagonal in the state's eigenbasis; every equality check shares them."""
-        return self._memo(self._block.structure, None, self._block.find_structure)
+        block = self._block
+        got = block.structure.get(None)
+        if got is None:
+            block.find_structure()
+            got = block.structure[None]
+        return got[self._index]
 
     def contraction(self, f) -> tuple:
         """The contraction sums for f (``fill_contraction``'s) at the instance's ``partition``, which
@@ -231,22 +246,23 @@ class PreparedInstance:
         return self._block.contraction[f][self._index]
 
 
-def _build(instances) -> None:
-    """Build instances of one (n, N) that no block has built, all at once: drawn Gaussians form the
-    states (``random_density_stack``) and observables (``_unit_observables``) as stacks, a given
-    state is taken as it is.  The observables are checked as one stack, their norms give the scales
+def _build(instances) -> tuple:
+    """Build instances of one (n, N) that no block has built, all at once, and return their stacked
+    frame and observable norms: drawn Gaussians form the states (``random_density_stack``) and
+    observables (``_unit_observables``, exactly Hermitian by construction) as stacks, a given state
+    and family are taken as they are and the family is checked.  The norms give the scales
     (overflow raises before anything on them can warn), and ``eigenframe_stack`` rotates them all.
     A failing check raises the error of its first failing instance, the one it raises alone."""
     if isinstance(instances[0]._source[0], DensityMatrix):  # only a PreparedInstance(d, obs), which builds alone
         d, obs = instances[0]._source
         matrices, values, vectors, obs = d.matrix[None], d.eigenvalues[None], d.eigen.unitary[None], obs[None]
+        require_hermitian(obs, label="observable")
+        obs = hermitian_part(obs)
     else:
         x, kinds, pairs = zip(*(inst._source for inst in instances))
         x = np.array(x)
         matrices, values, vectors = random_density_stack(x[:, 0], kinds, pairs)
         obs = _unit_observables(x[:, 1:])
-    require_hermitian(obs, label="observable")
-    obs = hermitian_part(obs)
     scales, norms = observable_scale(obs)
     frame = eigenframe_stack((matrices, values, vectors), obs)
     for k, inst in enumerate(instances):
@@ -254,6 +270,7 @@ def _build(instances) -> None:
         inst.observables = tuple(obs[k])
         inst.frame = EigenFrame(frame.lambdas[k], frame.observables[k], frame.norms[k])
         inst.scale, inst.norms = scales[k], tuple(norms[k].tolist())
+    return frame, norms
 
 
 class InstanceBlock:
@@ -268,12 +285,14 @@ class InstanceBlock:
 
     def __init__(self, instances):
         todo = [inst for inst in instances if "frame" not in vars(inst)]
-        if todo:
-            _build(todo)
+        built = _build(todo) if todo else None
         # what the block reads of its instances, not the instances: they refer to it
-        frames = [inst.frame for inst in instances]
-        self.frame = EigenFrame(*(np.stack([getattr(fr, a) for fr in frames]) for a in ("lambdas", "observables", "norms")))
-        self.norms = np.array([inst.norms for inst in instances])
+        if built and len(todo) == len(instances):  # all built just now, in this order: their stacks as _build made them
+            self.frame, self.norms = built
+        else:
+            frames = [inst.frame for inst in instances]
+            self.frame = EigenFrame(*(np.stack([getattr(fr, a) for fr in frames]) for a in ("lambdas", "observables", "norms")))
+            self.norms = np.array([inst.norms for inst in instances])
         for k, inst in enumerate(instances):
             inst._block, inst._index = self, k
         self.size = len(instances)
@@ -435,7 +454,13 @@ def _pencil(name, keys, inst, f, g, t, tol):
         components = {keys[0]: lhs, keys[1]: q, keys[2]: dd, keys[3]: rem, "t": t, "f": f.label}
     if g is not None:
         components["g"] = g.label
-    return _report(name, lhs, rhs, inst.scale, tol, components, inst.digest, clamps, hypothesis_ok)
+    # _report's verdict and NaN guard, inline: this is the body of every pencil outcome
+    scale = inst.scale
+    margin = lhs - rhs
+    passed = bool(margin >= -(tol * scale))
+    if not passed and margin != margin:
+        raise ArithmeticError(f"{name}: margin is NaN (lhs {lhs!r}, rhs {rhs!r})")
+    return InequalityReport(name, lhs, rhs, margin, scale, tol, passed, hypothesis_ok, clamps, components, inst.digest)
 
 
 def check_conj1(inst: PreparedInstance, f: MonotoneFunction, tol: float = DEFAULT_TOL) -> InequalityReport:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 import dataclasses
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qfidet.campaign import (
     BLOCK_INSTANCES,
@@ -244,6 +247,91 @@ def test_emit_rejects_unknown_format():
     report = run_campaign(CampaignConfig(dims=(2,), num_obs=(1,), instances_per_cell=0))
     with pytest.raises(ConfigError, match="format"):
         emit_report(report, "xml")
+
+
+def _stdlib_json(report: CampaignReport) -> str:
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        CampaignConfig(instances_per_cell=4, seed=2026),
+        CampaignConfig(dims=(4, 5), num_obs=(4, 5), instances_per_cell=3, seed=11),
+        CampaignConfig(
+            dims=(6, 8), num_obs=(4, 6), instances_per_cell=2, functions=("sld", "wy"), function_pairs=(),
+            checks=("main", "conj1", "robertson", "equality", "contraction"),
+        ),
+        CampaignConfig(
+            dims=(2,), num_obs=(2,), instances_per_cell=3, seed=7, tol=1e-30, checks=("main", "conj1", "firey", "robertson")
+        ),
+    ],
+    ids=["default", "n4-5,N4-5", "n6-8,N4-6", "violations"],
+)
+def test_json_writer_matches_the_stdlib_indentation_byte_for_byte(config, tmp_path):
+    report = run_campaign(config)
+    if config.tol == 1e-30:
+        assert len(report.violations) == VIOLATION_CAP  # the violations list at its cap
+    want = _stdlib_json(report)
+    assert emit_report(report, "json") == want
+    path = tmp_path / "report.json"
+    assert emit_report(report, "json", path) == want
+    assert path.read_bytes() == want.encode()
+
+
+# labels that look like the JSON around them: separators, braces, escapes, a row boundary
+_TRICKY = st.lists(
+    st.sampled_from(["sld", ",", '"', "\\", "{", "}", "},", "}, {", "},\n      {", "\n", ": ", "é", "∞", "ü"]), max_size=5
+).map("".join)
+_LABEL = st.one_of(st.none(), _TRICKY, st.text(max_size=6))
+_MARGIN = st.one_of(st.none(), st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([math.inf, -math.inf, math.nan]))
+_ROW = st.fixed_dictionaries(
+    {
+        "check": _TRICKY,
+        "n": st.integers(2, 16),
+        "N": st.integers(1, 8),
+        "f": _LABEL,
+        "g": _LABEL,
+        "t": st.one_of(st.none(), st.floats(0.0, 1.0)),
+        "pass": st.integers(0, 10**6),
+        "fail": st.integers(0, 10**6),
+        "worst_margin": _MARGIN,
+        "clamps": st.integers(0, 9),
+        "worst_instance": _TRICKY,
+    }
+)
+_VIOLATION = st.fixed_dictionaries(
+    {
+        "check": _TRICKY,
+        "n": st.integers(2, 16),
+        "N": st.integers(1, 8),
+        "kind": _TRICKY,
+        "index": st.integers(0, 999),
+        "seed": st.integers(0, 2**63),
+        "derived_seed": st.integers(0, 2**64 - 1),
+        "f": _LABEL,
+        "g": _LABEL,
+        "t": st.one_of(st.none(), st.floats(0.0, 1.0)),
+        "margin": _MARGIN,
+    },
+    optional={"verdict": _TRICKY},
+)
+_WORST = st.fixed_dictionaries(
+    {"margin": _MARGIN, "n": st.integers(2, 16), "N": st.integers(1, 8), "f": _LABEL, "g": _LABEL, "t": _MARGIN, "instance": _TRICKY}
+)
+_QUAD = st.fixed_dictionaries({name: st.integers(0, 10**6) for name in ("pass", "fail", "hypothesis_skipped", "clamped")})
+
+
+@given(
+    counts=st.dictionaries(_TRICKY, _QUAD, max_size=3),
+    rows=st.lists(_ROW, max_size=4),
+    worst=st.dictionaries(_TRICKY, _WORST, max_size=3),
+    violations=st.lists(_VIOLATION, max_size=3),
+    version=_TRICKY,
+)
+def test_json_writer_matches_the_stdlib_on_generated_reports(counts, rows, worst, violations, version):
+    report = CampaignReport(TINY, counts, rows, worst, violations, 0.0, version)
+    assert emit_report(report, "json") == _stdlib_json(report)
 
 
 def test_violation_entries_reproduce(monkeypatch):

@@ -678,6 +678,18 @@ def test_a_nan_margin_raises_instead_of_reading_as_a_violation():
     assert _report("main", 1.0, math.inf, 1.0, 1e-9, {}, "custom").violated
 
 
+@pytest.mark.parametrize("name, t", [("conj1", None), ("firey", 0.5)])
+def test_a_nan_margin_raises_in_pencil_outcomes(tight, name, t):
+    # a row (lhs, cross terms, rhs, q, dd, clamps, raw q, raw dd) whose lhs and rhs are both inf
+    tight._block.pencil[SLD, None, t] = [(math.inf, 0.0, math.inf, 0.0, 0.0, 0, 0.0, 0.0)]
+    check = (lambda: check_conj1(tight, SLD)) if t is None else (lambda: check_firey(tight, SLD, t))
+    with pytest.raises(ArithmeticError, match=f"{name}: margin is NaN"):
+        check()
+    for outside in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="t must"):
+            check_firey(tight, SLD, outside)
+
+
 def test_overflowing_observables_raise_instead_of_failing(tight):
     # Cov entries near 1e160 give a determinant past the float range
     scaled = PreparedInstance(tight.state, [1e80 * a for a in tight.observables])
