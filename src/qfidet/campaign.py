@@ -6,10 +6,13 @@ or single instance reproduces in isolation.  A work item is a block of up to
 which may span kinds: it is drawn, evaluated and tallied on its own, and the
 merge adds the block tallies in that order, so the report is identical for any
 worker count and block size.  The config fixes, before the first instance is
-drawn, the (check, f, g, t) of every outcome of an instance: a block tallies one
-row per entry of that layout.  An instance draws from one generator of its
+drawn, the (check, f, g, t) of every outcome of an instance: the plan and this
+layout are built once per campaign (once per pool worker), and a block tallies
+one row per entry of the layout.  An instance draws from one generator of its
 derived seed; the block forms, checks, eigensolves and rotates all at once,
-evaluates what the active checks read as stacks, and the outcomes read memos.
+evaluates what the active checks read as stacks, binds each layout entry to its
+check function and arguments, and the outcomes read memos: a pencil outcome is
+a report that holds the memo row it was judged from.
 The JSON report is the source of truth; CSV is a flattened view with one row per
 (check, n, N, f, g, t), aggregated over kinds and instances.
 """
@@ -61,8 +64,9 @@ class CheckPlan:
     """What the checks of one instance range over.
 
     ``layout`` lists the (check, f, g, t) of every outcome, fixed by the plan
-    before any instance is drawn; ``CHECKS`` gives an instance's outcome at one
-    entry.  ``evaluate`` fills, for a block of instances, what the outcomes read.
+    before any instance is drawn; ``bind`` gives each entry the function and
+    arguments of its outcome on an instance.  ``evaluate`` fills, for a block of
+    instances, what the outcomes read.
     """
 
     functions: tuple[MonotoneFunction, ...]
@@ -85,6 +89,19 @@ class CheckPlan:
         }
         return [(name, *entry) for name in CHECK_NAMES if name in names for entry in ranges[name]]
 
+    def bind(self, layout) -> list[tuple]:
+        """Each (check, f, g, t) of ``layout`` as (check, f, g, t, function, arguments), where
+        ``function(inst, *arguments)`` is the outcome on an instance and ``function`` is looked up
+        by its module name now, so that a replaced ``campaign.check_main`` (a test double, a tracer)
+        is the one called."""
+        scope, tol = globals(), self.tol
+        checks = {name: (scope[function], arguments) for name, (function, arguments) in CHECKS.items()}
+        bound = []
+        for name, f, g, t in layout:
+            function, arguments = checks[name]
+            bound.append((name, f, g, t, function, arguments(f, g, t, tol)))
+        return bound
+
     def evaluate(self, instances, names) -> None:
         """Evaluate as stacks over ``instances`` what the checks in ``names`` read, and nothing
         else, so that their outcomes only read memos."""
@@ -103,17 +120,21 @@ class CheckPlan:
             block.contraction.update(fill_contraction(cases, self.functions))
 
 
-# check name -> its outcome (plan, instance, f, g, t) at one layout entry, in the order checks
-# run.  Each looks its check function up by module name when it runs, so that replacing
-# ``campaign.check_main`` (a test double, a tracer) reaches every dispatch.
+def _contraction(inst, f, tol):
+    return contraction_report(inst.contraction(f), f, inst.state.dim, tol)
+
+
+# check name -> (the module-level name of the function that gives its outcome on an instance, its
+# arguments after the instance from a layout entry's f, g, t and the tolerance), in the order
+# checks run; ``CheckPlan.bind`` looks the functions up
 CHECKS = {
-    "main": lambda plan, inst, f, g, t: check_main(inst, f, plan.tol),
-    "conj1": lambda plan, inst, f, g, t: check_conj1(inst, f, plan.tol),
-    "conj2": lambda plan, inst, f, g, t: check_conj2(inst, f, g, plan.tol),
-    "firey": lambda plan, inst, f, g, t: check_firey(inst, f, t, g, plan.tol),
-    "robertson": lambda plan, inst, f, g, t: check_robertson(inst, plan.tol),
-    "equality": lambda plan, inst, f, g, t: classify_equality(inst, f, g, plan.tol),
-    "contraction": lambda plan, inst, f, g, t: contraction_report(inst.contraction(f), f, inst.state.dim, plan.tol),
+    "main": ("check_main", lambda f, g, t, tol: (f, tol)),
+    "conj1": ("check_conj1", lambda f, g, t, tol: (f, tol)),
+    "conj2": ("check_conj2", lambda f, g, t, tol: (f, g, tol)),
+    "firey": ("check_firey", lambda f, g, t, tol: (f, t, g, tol)),
+    "robertson": ("check_robertson", lambda f, g, t, tol: (tol,)),
+    "equality": ("classify_equality", lambda f, g, t, tol: (f, g, tol)),
+    "contraction": ("_contraction", lambda f, g, t, tol: (f, tol)),
 }
 CHECK_NAMES = tuple(CHECKS)
 
@@ -248,16 +269,35 @@ def _add_row(into: list, row: list) -> None:
         into[4:] = row[4:]
 
 
-def _run_block(config: CampaignConfig, n: int, n_obs: int, positions: range) -> tuple[dict, list]:
-    """Draw, evaluate and tally the instances at ``positions`` of (n, N), numbered in (kind, index) order."""
+def _campaign_plan(config: CampaignConfig) -> tuple:
+    """``config`` with its plan and the plan's layout, built once per campaign: the specs parse to
+    functions, which hold lambdas and so cannot be pickled, so a pool worker builds its own."""
     plan = CheckPlan(
         functions=tuple(parse_function_spec(s) for s in config.functions),
         pairs=tuple((parse_function_spec(a), parse_function_spec(b)) for a, b in config.function_pairs),
         tol=config.tol,
         t_grid=config.t_grid,
     )
-    names = set(config.checks)
-    layout = plan.layout(names)
+    return config, plan, plan.layout(set(config.checks))
+
+
+# a pool worker's (config, plan, layout), set by the pool's initializer; it ends with the worker
+_worker_plan: tuple = ()
+
+
+def _start_worker(config: CampaignConfig) -> None:
+    global _worker_plan
+    _worker_plan = _campaign_plan(config)
+
+
+def _run_pooled(n: int, n_obs: int, positions: range) -> tuple[dict, list]:
+    return _run_block(*_worker_plan, n, n_obs, positions)
+
+
+def _run_block(
+    config: CampaignConfig, plan: CheckPlan, layout: list, n: int, n_obs: int, positions: range
+) -> tuple[dict, list]:
+    """Draw, evaluate and tally the instances at ``positions`` of (n, N), numbered in (kind, index) order."""
     # one tally row per layout entry, as every instance has an outcome at each
     tally = [_empty_row() for _ in layout]
     violations: list[dict] = []
@@ -265,13 +305,13 @@ def _run_block(config: CampaignConfig, n: int, n_obs: int, positions: range) -> 
     members = [(config.kinds[k // count], k % count) for k in positions]
     seeds = [derive_seed(config.seed, n, n_obs, kind, index) for kind, index in members]
     block = [prepare_random(n, n_obs, derived, kind) for derived, (kind, _) in zip(seeds, members)]
-    plan.evaluate(block, names)
-    # each layout entry with its outcome callable and its tally row, bound once per block
-    outcomes = [(name, CHECKS[name], f, g, t, row) for (name, f, g, t), row in zip(layout, tally)]
+    plan.evaluate(block, set(config.checks))
+    # each layout entry with its check function, arguments and tally row, bound once per block
+    outcomes = [(*entry, row) for entry, row in zip(plan.bind(layout), tally)]
     for (kind, index), derived, inst in zip(members, seeds, block):
         where = f"kind={kind},index={index}"
-        for name, check, f, g, t, row in outcomes:
-            rep = check(plan, inst, f, g, t)
+        for name, f, g, t, check, args, row in outcomes:
+            rep = check(inst, *args)
             # the tally of _add_row, one outcome at a time
             if not rep.hypothesis_ok:
                 row[2] += 1
@@ -315,17 +355,18 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
     start = time.perf_counter()
     span = len(config.kinds) * config.instances_per_cell
     ranges = [range(k, min(k + BLOCK_INSTANCES, span)) for k in range(0, span, BLOCK_INSTANCES)]
-    blocks = [(config, n, n_obs, r) for n, n_obs, r in product(config.dims, config.num_obs, ranges)]
+    blocks = list(product(config.dims, config.num_obs, ranges))
     # the executor forks all of its processes up front, so no more than there are blocks or CPUs
     processes = min(workers, len(blocks), os.cpu_count() or 1)
     if processes > 1:
         # imported here: it loads multiprocessing, which a 1-worker run never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            partials = list(pool.map(_run_block, *zip(*blocks)))
+        with ProcessPoolExecutor(max_workers=processes, initializer=_start_worker, initargs=(config,)) as pool:
+            partials = list(pool.map(_run_pooled, *zip(*blocks)))
     else:
-        partials = [_run_block(*block) for block in blocks]
+        planned = _campaign_plan(config)
+        partials = [_run_block(*planned, *block) for block in blocks]
 
     merged: dict[tuple, list] = {}
     violations: list[dict] = []

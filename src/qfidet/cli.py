@@ -18,7 +18,6 @@ import numpy as np
 
 from .campaign import (
     CHECK_NAMES,
-    CHECKS,
     DEFAULT_T_GRID,
     CampaignConfig,
     CheckPlan,
@@ -124,7 +123,7 @@ def _cmd_compute(args) -> int:
     def run(checks, functions=(), pairs=()) -> int:
         plan = CheckPlan(functions=functions, pairs=pairs, tol=args.tol, t_grid=DEFAULT_T_GRID)
         plan.evaluate([inst], set(checks))
-        return sum(_show(CHECKS[name](plan, inst, f, g, t)) for name, f, g, t in plan.layout(checks))
+        return sum(_show(check(inst, *args)) for *_, check, args in plan.bind(plan.layout(checks)))
 
     print(f"instance {args.instance}: dim={loaded.state.dim}, observables={len(loaded.observables)}")
     print(f"  eigenvalues: {' '.join(f'{v:.6g}' for v in loaded.state.eigenvalues)}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -85,11 +86,11 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
+# builds a report from its fields without the NamedTuple's generated keyword __new__
+_new_report = tuple.__new__
 
 
-class InequalityReport(NamedTuple):
-    """Outcome of one inequality check on one instance (an immutable record)."""
-
+class _ReportFields(NamedTuple):
     name: str
     lhs: float
     rhs: float
@@ -99,8 +100,42 @@ class InequalityReport(NamedTuple):
     passed: bool
     hypothesis_ok: bool
     clamps: int
-    components: dict
+    components: dict  # or, for a pencil outcome, the pencil row it was judged from
     digest: str
+
+
+# pencil check -> the components' names of lhs, det K_small, det(K_big - K_small) and the cross terms
+_PENCIL_KEYS = {
+    "conj1": ("det_cov", "det_qov", "det_diff", "remainder"),
+    "conj2": ("det_qov_f", "det_qov_g", "det_diff_fg", "remainder"),
+    "firey": ("det_mix", "det_small", "det_diff", "remainder_t"),
+}
+
+
+class InequalityReport(_ReportFields):
+    """Outcome of one inequality check on one instance (an immutable record).
+
+    A pencil outcome keeps the memo row it was judged from in place of its components
+    (``InstanceBlock.fill_pencils``'s row, which carries its own f, g and t) and builds the dict
+    from it on each read; any other report holds the dict it was given.
+    """
+
+    __slots__ = ()
+
+    @property
+    def components(self) -> dict:
+        held = self[9]
+        if type(held) is not tuple:
+            return held
+        lhs, rem, _, q, dd, _, _, _, f, g, t = held
+        keys = _PENCIL_KEYS[self.name]
+        out = {keys[0]: lhs, keys[1]: q, keys[2]: dd, keys[3]: rem}
+        if t is not None:
+            out["t"] = t
+        out["f"] = f.label
+        if g is not None:
+            out["g"] = g.label
+        return out
 
     @property
     def violated(self) -> bool:
@@ -342,9 +377,9 @@ class InstanceBlock:
         broadcast B·P·T stack.  One elementwise formula gives every right side,
         a^N q + b^N dd + cross terms of a q^{1/N} and b dd^{1/N}, where q = det K_small and
         dd = det(K_big - K_small) are clamped at 0.  A row is (lhs, cross terms, rhs, q, dd,
-        clamp count, raw det K_small, raw det(K_big - K_small)): no window enters it, each
-        outcome tests its own.  Unit weights multiply exactly, so row None is not 2^N times
-        row 1/2: the two can round apart."""
+        clamp count, raw det K_small, raw det(K_big - K_small), f, g, t): no window enters it,
+        each outcome tests its own and keeps the row as its components.  Unit weights multiply
+        exactly, so row None is not 2^N times row 1/2: the two can round apart."""
         firey = [k for k, t in enumerate(ts) if t is not None]
         for k in firey:
             _require_unit(ts[k])
@@ -375,7 +410,7 @@ class InstanceBlock:
         columns += [v[:, :, 0].T.tolist() for v in (q, dd, 2 - ok.sum(axis=0), raw[0], raw[1])]
         for (f, g), lhs_t, rem_t, rhs_t, *rest in zip(pencils, *columns):
             for t, lhs_b, rem_b, rhs_b in zip(ts, lhs_t, rem_t, rhs_t):
-                self.pencil[f, g, t] = list(zip(lhs_b, rem_b, rhs_b, *rest))
+                self.pencil[f, g, t] = list(zip(lhs_b, rem_b, rhs_b, *rest, repeat(f), repeat(g), repeat(t)))
 
     def find_structure(self) -> None:
         """Every ``structure()``, by one batched SVD for the ranks and one for the dependence."""
@@ -409,7 +444,8 @@ def _report(name, lhs, rhs, scale, tol, components, digest, clamps=0, hypothesis
     passed = bool(margin >= -(tol * scale if window is None else window))
     if not passed and margin != margin:
         raise ArithmeticError(f"{name}: margin is NaN (lhs {lhs!r}, rhs {rhs!r})")
-    return InequalityReport(name, lhs, rhs, margin, scale, tol, passed, hypothesis_ok, clamps, components, digest)
+    fields = (name, lhs, rhs, margin, scale, tol, passed, hypothesis_ok, clamps, components, digest)
+    return _new_report(InequalityReport, fields)
 
 
 def check_main(inst: PreparedInstance, f: MonotoneFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -420,52 +456,48 @@ def check_main(inst: PreparedInstance, f: MonotoneFunction, tol: float = DEFAULT
     return _report("main", lhs, rhs, inst.scale, tol, components, inst.digest)
 
 
-def _pair_hypothesis(f: MonotoneFunction, g: MonotoneFunction) -> bool:
-    """Strict dominance f(0)/f > g(0)/g, extended to nonregular g (ratio 0)."""
-    if f.regular and g.regular:
-        return dominates(f, g).strict
-    return f.regular and not g.regular
-
-
-def _pencil(name, keys, inst, f, g, t, tol):
+def _pencil(name, inst, f, g, t, tol):
     """det K_big >= det K_small + det(K_big - K_small) + cross terms, with unit
     weights for t None and the Firey weights (1 - t, t) otherwise.
 
     (K_big, K_small) is (Cov, Qov_f) with g None and (Qov_f, Qov_g) for the
-    pair, which needs strict dominance.  ``keys`` names the components lhs,
-    det K_small, det(K_big - K_small) and the cross terms.  Both sides are row
-    t of the pencil, where both determinants enter clamped at 0.  A clamped
-    determinant must lie in the window tol * scale, or ``_clamp`` raises:
-    K_small (Qov_f or Qov_g) is PSD, so det K_small is tested in every outcome,
-    and K_big - K_small is PSD only under the hypothesis (Cov >= Qov_f always,
-    Qov_f >= Qov_g when f dominates g), so det(K_big - K_small) is tested only
-    where it holds.
+    pair, which needs strict dominance f(0)/f > g(0)/g, extended to a
+    nonregular g (ratio 0).  Both sides are row t of the pencil, where both
+    determinants enter clamped at 0.  A clamped determinant must lie in the
+    window tol * scale, or ``_clamp`` raises: K_small (Qov_f or Qov_g) is PSD,
+    so det K_small is tested in every outcome, and K_big - K_small is PSD only
+    under the hypothesis (Cov >= Qov_f always, Qov_f >= Qov_g when f dominates
+    g), so det(K_big - K_small) is tested only where it holds.  The report
+    keeps the row as its components.  This is the body of every pencil outcome,
+    so the memo read and ``_report``'s verdict and NaN guard are inline.
     """
-    hypothesis_ok = True if g is None else _pair_hypothesis(f, g)
-    lhs, rem, rhs, q, dd, clamps, raw_q, raw_dd = inst.pencil(f, g, t)
+    if g is None:
+        hypothesis_ok = True
+    elif f.regular and g.regular:
+        hypothesis_ok = dominates(f, g).strict
+    else:  # not both regular: it holds when g alone is not
+        hypothesis_ok = f.regular
+    got = inst._block.pencil.get((f, g, t))
+    # a missing row (a t off the grid) is filled for the whole block
+    row = inst.pencil(f, g, t) if got is None else got[inst._index]
+    lhs, _, rhs, _, _, clamps, raw_q, raw_dd, _, _, _ = row
+    scale = inst.scale
     if clamps:
-        window = tol * inst.scale
+        window = tol * scale
         _clamp(raw_q, window, "det Qov" if g is None else "det Qov_g")
         if hypothesis_ok:
             _clamp(raw_dd, window, "det(Cov - Qov)" if g is None else "det(Qov_f - Qov_g)")
-    if t is None:
-        components = {keys[0]: lhs, keys[1]: q, keys[2]: dd, keys[3]: rem, "f": f.label}
-    else:
-        components = {keys[0]: lhs, keys[1]: q, keys[2]: dd, keys[3]: rem, "t": t, "f": f.label}
-    if g is not None:
-        components["g"] = g.label
-    # _report's verdict and NaN guard, inline: this is the body of every pencil outcome
-    scale = inst.scale
     margin = lhs - rhs
-    passed = bool(margin >= -(tol * scale))
+    passed = margin >= -(tol * scale)  # the row holds Python floats, so this is a bool
     if not passed and margin != margin:
         raise ArithmeticError(f"{name}: margin is NaN (lhs {lhs!r}, rhs {rhs!r})")
-    return InequalityReport(name, lhs, rhs, margin, scale, tol, passed, hypothesis_ok, clamps, components, inst.digest)
+    fields = (name, lhs, rhs, margin, scale, tol, passed, hypothesis_ok, clamps, row, inst.digest)
+    return _new_report(InequalityReport, fields)
 
 
 def check_conj1(inst: PreparedInstance, f: MonotoneFunction, tol: float = DEFAULT_TOL) -> InequalityReport:
     """det Cov >= det Qov + det(Cov - Qov) + cross terms."""
-    return _pencil("conj1", ("det_cov", "det_qov", "det_diff", "remainder"), inst, f, None, None, tol)
+    return _pencil("conj1", inst, f, None, None, tol)
 
 
 def check_conj2(
@@ -475,7 +507,7 @@ def check_conj2(
     tol: float = DEFAULT_TOL,
 ) -> InequalityReport:
     """det Qov_f >= det Qov_g + det(Qov_f - Qov_g) + cross terms."""
-    return _pencil("conj2", ("det_qov_f", "det_qov_g", "det_diff_fg", "remainder"), inst, f, g, None, tol)
+    return _pencil("conj2", inst, f, g, None, tol)
 
 
 def check_firey(
@@ -491,8 +523,9 @@ def check_firey(
     Note t K_big + (1-2t) K_small = (1-t) K_small + t (K_big - K_small), so
     this is the Firey combination of the two summands on the right.
     """
-    _require_unit(t)
-    return _pencil("firey", ("det_mix", "det_small", "det_diff", "remainder_t"), inst, f, g, t, tol)
+    if not 0.0 <= t <= 1.0:  # the range test, inline; its error only where it fails
+        _require_unit(t)
+    return _pencil("firey", inst, f, g, t, tol)
 
 
 def check_robertson(inst: PreparedInstance, tol: float = DEFAULT_TOL) -> InequalityReport:

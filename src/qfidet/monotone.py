@@ -320,19 +320,15 @@ class DominanceReport:
         return "neither"
 
 
+@lru_cache(maxsize=None)
 def dominates(f: MonotoneFunction, g: MonotoneFunction) -> DominanceReport:
     """Compare f(0)/f against g(0)/g pointwise on the standard grid (both must be regular).
 
-    The report is computed once per (f, g) and shared, with read-only margins.
+    The report is computed once per (f, g) and shared, with read-only margins; a call that
+    raises caches nothing.
     """
-    for h in (f, g):
-        if not h.regular:
-            raise CatalogError(f"{h.label}: dominance is defined for regular functions only")
-    return _dominance(f, g)
-
-
-@lru_cache(maxsize=None)
-def _dominance(f: MonotoneFunction, g: MonotoneFunction) -> DominanceReport:
+    if not (f.regular and g.regular):
+        raise CatalogError(f"{(g if f.regular else f).label}: dominance is defined for regular functions only")
     margins = f.value_at_zero / f(STANDARD_GRID) - g.value_at_zero / g(STANDARD_GRID)
     margins.flags.writeable = False
     k = int(np.argmin(margins))

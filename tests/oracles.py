@@ -201,3 +201,37 @@ def check_operator_monotone(f, dim: int, trials: int, seed: int) -> OrderCheckRe
         if m < -1e-9:
             violations.append((k, m))
     return OrderCheckReport(f.label, dim, trials, tuple(violations), worst)
+
+
+# pencil check -> the names its components give lhs, det K_small, det(K_big - K_small) and the cross terms
+_PENCIL_COMPONENTS = {
+    "conj1": ("det_cov", "det_qov", "det_diff", "remainder"),
+    "conj2": ("det_qov_f", "det_qov_g", "det_diff_fg", "remainder"),
+    "firey": ("det_mix", "det_small", "det_diff", "remainder_t"),
+}
+
+
+def components_reference(name: str, inst, f, g, t, tol: float) -> dict:
+    """The components of the ``name`` outcome at (f, g, t) on an evaluated instance, built as one
+    dict per outcome from the values the outcome was judged from: its pencil row, its determinant
+    memos or its contraction sums.  The keys, their order and the window formula are written out
+    here rather than taken from the library."""
+    if name in _PENCIL_COMPONENTS:
+        lhs, rem, _, q, dd = inst.pencil(f, g, t)[:5]
+        keys = _PENCIL_COMPONENTS[name]
+        out = {keys[0]: lhs, keys[1]: q, keys[2]: dd, keys[3]: rem}
+        if t is not None:
+            out["t"] = t
+        out["f"] = f.label
+        if g is not None:
+            out["g"] = g.label
+        return out
+    if name == "main":
+        return {"det_cov": inst.det("cov"), "det_qov": inst.det(f), "f": f.label}
+    if name == "robertson":
+        return {"det_cov": inst.det("cov"), "det_commutator": inst.det("robertson")}
+    if name == "contraction":
+        before, after, floor, blocks = inst.contraction(f)
+        window = tol * max(1.0, before) + 4.0 * inst.state.dim * float(np.finfo(float).eps) / floor * before
+        return {"before": before, "after": after, "window": window, "blocks": blocks, "f": f.label}
+    raise ValueError(f"{name}: no components")

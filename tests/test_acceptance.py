@@ -59,7 +59,7 @@ from qfidet.monotone import (
 from qfidet.states import (
     density,
     derive_seed,
-    eigenframe,
+    eigenframe_stack,
     offdiagonal_dependence,
     random_density,
     random_observable,
@@ -134,34 +134,42 @@ class RouteSweep:
 
 @pytest.fixture(scope="module")
 def route_sweep() -> RouteSweep:
+    """Each instance is drawn on its own and checked by the scalar routes one at a time; the frame
+    side of one (n, kind) runs as stacks, which give each instance the bits it has alone."""
     functions = [parse_function_spec(s) for s in REGULAR_SPECS]
     out = RouteSweep()
     t0 = time.perf_counter()
     for n in ROUTE_DIMS:
         for kind in KINDS:
+            draws = []
             for k in range(ROUTE_PER_CELL):
                 seed = derive_seed(SEED, "route", n, kind, k)
                 d = random_density(n, seed, kind)
-                a = random_observable(n, derive_seed(seed, "a"))
-                b = random_observable(n, derive_seed(seed, "b"))
-                frame = eigenframe(d, [a, b])
-                scale, _ = observable_scale([a, b])
+                draws.append((d, random_observable(n, derive_seed(seed, "a")), random_observable(n, derive_seed(seed, "b"))))
+            states = tuple(np.array(x) for x in zip(*((d.matrix, d.eigenvalues, d.eigen.unitary) for d, _, _ in draws)))
+            obs = np.array([(a, b) for _, a, b in draws])
+            frame = eigenframe_stack(states, obs)
+            scales, _ = observable_scale(obs)
+            cov_frame = cov_matrix_frame(frame)[:, 0, 1].tolist()
+            lam = frame.lambdas
+            pair_scale = np.maximum(lam[:, :, None], lam[:, None, :])
+            q_frames, alpha_devs = [], []
+            for f in functions:
+                q_frames.append(qov_matrix_frame(frame, f)[:, (0, 0), (1, 0)].tolist())
+                direct = f.value_at_zero * (lam[:, :, None] - lam[:, None, :]) ** 2 / (2.0 * pair_means(lam, f))
+                alpha_devs.append(np.max(np.abs(alpha_coefficients(lam, f) - direct) / pair_scale, axis=(1, 2)).tolist())
+            for k, ((d, a, b), scale) in enumerate(zip(draws, scales)):
                 window = 1e-10 * scale
-                dev = abs(cov(d, a, b) - cov_matrix_frame(frame)[0, 1])
+                dev = abs(cov(d, a, b) - cov_frame[k])
                 out.worst_cov = max(out.worst_cov, dev / scale)
                 out.cov_failures += dev > window
-                lam = frame.lambdas
-                pair_scale = np.maximum(lam[:, None], lam[None, :])
-                for f in functions:
-                    q_frame = qov_matrix_frame(frame, f)
-                    for x, y, i, j in ((a, b, 0, 1), (a, a, 0, 0)):
-                        dev = abs(qov(d, f, x, y) - q_frame[i, j])
+                for f, q_frame, adevs in zip(functions, q_frames, alpha_devs):
+                    for x, y, q in ((a, b, q_frame[k][0]), (a, a, q_frame[k][1])):
+                        dev = abs(qov(d, f, x, y) - q)
                         out.worst_qov = max(out.worst_qov, dev / scale)
                         out.qov_failures += dev > window
-                    direct = f.value_at_zero * (lam[:, None] - lam[None, :]) ** 2 / (2.0 * pair_means(lam, f))
-                    adev = float(np.max(np.abs(alpha_coefficients(lam, f) - direct) / pair_scale))
-                    out.worst_alpha = max(out.worst_alpha, adev)
-                    out.alpha_failures += adev > 1e-11
+                    out.worst_alpha = max(out.worst_alpha, adevs[k])
+                    out.alpha_failures += adevs[k] > 1e-11
                 out.instances += 1
     for k in range(SUPEROP_INSTANCES):
         seed = derive_seed(SEED, "superop", k)

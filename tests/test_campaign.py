@@ -169,8 +169,9 @@ def test_the_pool_has_at_most_one_process_per_block_and_cpu(monkeypatch):
     class InlineExecutor:
         """Stands in for the process pool: records its size and runs the blocks inline, starting no process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -182,6 +183,7 @@ def test_the_pool_has_at_most_one_process_per_block_and_cpu(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(campaign_module, "_worker_plan", ())  # the stand-in initializer sets it in this process
     config = dataclasses.replace(TINY, instances_per_cell=1)
     expected = run_campaign(config).to_dict()
     # (CPUs, workers, BLOCK_INSTANCES): at 16, one block per (n, N), 4 in all; at 1, one per instance, 8 in all
@@ -669,11 +671,11 @@ def _compare_with_fresh_outcomes(config) -> int:
                 block = [prepare_random(n, n_obs, derived, kind) for derived in seeds]
                 plan.evaluate(block, set(CHECKS))
                 for inst, derived in zip(block, seeds):
-                    for check, f, g, t in plan.layout(CHECKS):
-                        rep = CHECKS[check](plan, inst, f, g, t)
+                    for name, f, g, t, check, args in plan.bind(plan.layout(CHECKS)):
+                        rep = check(inst, *args)
                         fl, gl = f and f.label, g and g.label
-                        want = _fresh_outcome(check, n, n_obs, kind, derived, fl, gl, t, config.tol)
-                        assert _facts(rep) == _facts(want), (n, n_obs, kind, check, fl, gl, t)
+                        want = _fresh_outcome(name, n, n_obs, kind, derived, fl, gl, t, config.tol)
+                        assert _facts(rep) == _facts(want), (n, n_obs, kind, name, fl, gl, t)
                         compared += 1
     return compared
 
@@ -690,10 +692,10 @@ def test_a_drawn_instance_used_alone_gives_its_campaign_block_outcomes():
         used, computed = prepare_random(3, 2, seed, kind), prepare_random(3, 2, seed, kind)
         assert "frame" not in vars(used)  # drawn only, until its first use
         plan.evaluate([computed], names)  # as ``qfidet compute`` evaluates its instance
-        for check, f, g, t in plan.layout(names):
-            want = _facts(CHECKS[check](plan, inst, f, g, t))
-            assert _facts(_outcome_alone(used, check, f and f.label, g and g.label, t, config.tol)) == want
-            assert _facts(CHECKS[check](plan, computed, f, g, t)) == want
+        for name, f, g, t, check, args in plan.bind(plan.layout(names)):
+            want = _facts(check(inst, *args))
+            assert _facts(_outcome_alone(used, name, f and f.label, g and g.label, t, config.tol)) == want
+            assert _facts(check(computed, *args)) == want
         assert used._block.size == computed._block.size == 1 and inst._block.size == BLOCK_INSTANCES
 
 

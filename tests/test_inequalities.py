@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from qfidet.campaign import BLOCK_INSTANCES, CHECKS, DEFAULT_T_GRID, CampaignConfig, CheckPlan, run_campaign
+from qfidet.campaign import BLOCK_INSTANCES, DEFAULT_T_GRID, CampaignConfig, CheckPlan, run_campaign
 from qfidet.covariance import metric_inner, observable_scale, robertson_matrix
 from qfidet.inequalities import (
     EqualityClassification,
+    InequalityReport,
     InstanceBlock,
     PreparedInstance,
     _report,
@@ -38,6 +39,7 @@ from qfidet.states import (
 )
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
+from oracles import components_reference
 from oracles import draw_per_matrix, prepared_per_matrix
 
 SLD = make_function("sld")
@@ -509,7 +511,8 @@ KINDS = ("generic", "degenerate", "near-singular")
 
 def _outcomes(plan, inst, names) -> dict:
     """(check, f label, g label, t) -> the outcome on ``inst`` at each layout entry of ``names``."""
-    return {(name, f.label, g and g.label, t): CHECKS[name](plan, inst, f, g, t) for name, f, g, t in plan.layout(names)}
+    bound = plan.bind(plan.layout(names))
+    return {(name, f.label, g and g.label, t): check(inst, *args) for name, f, g, t, check, args in bound}
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -580,11 +583,11 @@ def test_a_clamp_failure_inside_a_block_raises_its_instances_error():
     block = [prepare_random(2, 3, s) for s in (clean, first, second)]
     # the block's rows hold no window: evaluating them raises nothing, each outcome tests its own
     plan.evaluate(block, {"conj1"})
-    ((_, f, g, t),) = plan.layout({"conj1"})
-    assert CHECKS["conj1"](plan, block[0], f, g, t).passed
+    ((*_, check, args),) = plan.bind(plan.layout({"conj1"}))
+    assert check(block[0], *args).passed
     for inst, seed in zip(block[1:], (first, second)):
         with pytest.raises(ArithmeticError) as inside:
-            CHECKS["conj1"](plan, inst, f, g, t)
+            check(inst, *args)
         assert str(inside.value) == _conj1_error(seed)
     # a campaign that reaches such an instance stops with its text
     config = CampaignConfig(
@@ -680,8 +683,8 @@ def test_a_nan_margin_raises_instead_of_reading_as_a_violation():
 
 @pytest.mark.parametrize("name, t", [("conj1", None), ("firey", 0.5)])
 def test_a_nan_margin_raises_in_pencil_outcomes(tight, name, t):
-    # a row (lhs, cross terms, rhs, q, dd, clamps, raw q, raw dd) whose lhs and rhs are both inf
-    tight._block.pencil[SLD, None, t] = [(math.inf, 0.0, math.inf, 0.0, 0.0, 0, 0.0, 0.0)]
+    # a row (lhs, cross terms, rhs, q, dd, clamps, raw q, raw dd, f, g, t) whose lhs and rhs are both inf
+    tight._block.pencil[SLD, None, t] = [(math.inf, 0.0, math.inf, 0.0, 0.0, 0, 0.0, 0.0, SLD, None, t)]
     check = (lambda: check_conj1(tight, SLD)) if t is None else (lambda: check_firey(tight, SLD, t))
     with pytest.raises(ArithmeticError, match=f"{name}: margin is NaN"):
         check()
@@ -835,3 +838,66 @@ def test_a_given_family_raises_the_error_of_its_check(kind):
 def test_drawing_an_instance_without_observables_fails_at_once():
     with pytest.raises(ValueError, match="^eigenframe needs at least one observable$"):
         prepare_random(3, 0, 1)
+
+
+def test_components_are_built_from_the_row_as_one_dict_per_outcome_would_be():
+    config = CampaignConfig()
+    pairs = ((SLD, WY), (SLD, WYD), (WY, WYD))
+    plan = CheckPlan(functions=(SLD, WY, WYD, KM), pairs=pairs, tol=config.tol, t_grid=config.t_grid)
+    assert [f.label for f in plan.functions] == list(config.functions)
+    assert [(f.label, g.label) for f, g in plan.pairs] == [tuple(pair) for pair in config.function_pairs]
+    names = set(config.checks)
+    bound = plan.bind(plan.layout(names))
+    members = [(kind, index) for kind in config.kinds for index in range(config.instances_per_cell)][:BLOCK_INSTANCES]
+    compared = 0
+    for n in config.dims:
+        for n_obs in config.num_obs:
+            block = [prepare_random(n, n_obs, derive_seed(config.seed, n, n_obs, kind, k), kind) for kind, k in members]
+            plan.evaluate(block, names)
+            for inst in block:
+                for name, f, g, t, check, args in bound:
+                    rep = check(inst, *args)
+                    if name == "equality":
+                        assert isinstance(rep, EqualityClassification)
+                        continue
+                    want = components_reference(name, inst, f, g, t, config.tol)
+                    got = rep.components
+                    assert list(got) == list(want), (n, n_obs, name)
+                    assert [_bits(v) if isinstance(v, float) else v for v in got.values()] == [
+                        _bits(v) if isinstance(v, float) else v for v in want.values()
+                    ], (n, n_obs, name, f.label, g and g.label, t)
+                    compared += 1
+    assert compared == 9 * BLOCK_INSTANCES * (96 - 3)
+
+
+@pytest.mark.parametrize("name", ["conj1", "conj2", "firey"])
+def test_each_read_of_components_is_a_new_dict_that_leaves_the_memo_alone(name):
+    inst = prepare_random(3, 2, 77, "generic")
+    g = WY if name == "conj2" else None
+    t = 0.3 if name == "firey" else None
+    rep = check_firey(inst, SLD, t) if name == "firey" else check_conj2(inst, SLD, WY) if g else check_conj1(inst, SLD)
+    row = inst._block.pencil[SLD, g, t][inst._index]
+    kept = [_bits(v) for v in row[:8]]
+    first, second = rep.components, rep.components
+    assert first == second and first is not second
+    for key in list(first):
+        first[key] = -1.0
+    first["extra"] = 0.0
+    assert rep.components == second
+    assert inst._block.pencil[SLD, g, t][inst._index] is row
+    assert [_bits(v) for v in row[:8]] == kept
+
+
+def test_a_report_built_from_keywords_or_replaced_keeps_its_fields():
+    inst = prepare_random(3, 3, 5, "degenerate")
+    for rep in (check_firey(inst, SLD, 0.4, g=WY), check_main(inst, SLD), check_conj1(inst, WY)):
+        fields = {k: getattr(rep, k) for k in rep._fields}
+        built = InequalityReport(**fields)
+        assert type(built) is InequalityReport
+        assert built == rep._replace(components=rep.components)
+        assert built.components is fields["components"]  # a given dict is held as it is
+        assert [getattr(built, k) for k in rep._fields] == [getattr(rep, k) for k in rep._fields]
+        failed = rep._replace(passed=False, margin=-1.0)
+        assert type(failed) is InequalityReport and failed.violated
+        assert failed.components == rep.components and failed.lhs == rep.lhs and failed.digest == rep.digest
+        assert InequalityReport._make(rep) == rep and InequalityReport._make(rep).components == rep.components

@@ -359,3 +359,10 @@ def test_label_is_the_formatted_name_and_parameters():
     twin = dataclasses.replace(f)
     assert twin == f and hash(twin) == hash(f) and twin.label == f.label
     assert dataclasses.replace(f, params=(0.4,)).label == "wyd:0.4"
+
+
+@pytest.mark.parametrize("f, g", [("kubo-mori", "sld"), ("sld", "kubo-mori"), ("harmonic", "log-square")])
+def test_dominance_names_the_first_function_that_is_not_regular(f, g):
+    bad = f if not parse_function_spec(f).regular else g
+    with pytest.raises(CatalogError, match=rf"^{bad}: dominance is defined for regular functions only$"):
+        dominates(parse_function_spec(f), parse_function_spec(g))
