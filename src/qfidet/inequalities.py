@@ -437,14 +437,14 @@ def prepare_random(n: int, n_obs: int, seed: int, kind: str = "generic") -> Prep
     return inst
 
 
-def _report(name, lhs, rhs, scale, tol, components, digest, clamps=0, hypothesis_ok=True, window=None):
+def _report(name, lhs, rhs, scale, tol, components, digest, clamps=0, window=None):
     """Pass when margin >= -window, by default -tol * scale.  A NaN margin
     raises ArithmeticError instead of reading as a violation."""
     margin = lhs - rhs
     passed = bool(margin >= -(tol * scale if window is None else window))
     if not passed and margin != margin:
         raise ArithmeticError(f"{name}: margin is NaN (lhs {lhs!r}, rhs {rhs!r})")
-    fields = (name, lhs, rhs, margin, scale, tol, passed, hypothesis_ok, clamps, components, digest)
+    fields = (name, lhs, rhs, margin, scale, tol, passed, True, clamps, components, digest)
     return _new_report(InequalityReport, fields)
 
 

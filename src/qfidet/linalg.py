@@ -1,8 +1,8 @@
 """Dense Hermitian linear algebra at desk scale (n <= 16 or so).
 
 Matrices are plain complex128 ndarrays.  Eigenvalues and eigenvectors come
-only from LAPACK (``np.linalg.eigh`` and ``eigvalsh``).  Determinants are taken
-directly: by cofactor expansion up to 3x3 and by LU above.
+only from LAPACK (``np.linalg.eigh``).  Determinants are taken directly: by
+cofactor expansion up to 3x3 and by LU above.
 """
 from __future__ import annotations
 
@@ -18,10 +18,8 @@ __all__ = [
     "require_hermitian",
     "frobenius",
     "hermitian_eigen",
-    "commutator",
     "det_real_symmetric",
     "det_antisymmetric",
-    "min_eigenvalue",
     "numeric_rank",
     "SYMMETRY_TOL",
     "RANK_TOL",
@@ -120,15 +118,6 @@ def hermitian_eigen(h) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=values, unitary=unitary)
 
 
-def commutator(a, b) -> np.ndarray:
-    """AB - BA."""
-    ma = as_complex_matrix(a, "left operand")
-    mb = as_complex_matrix(b, "right operand")
-    if ma.shape != mb.shape:
-        raise ValueError(f"commutator: shape mismatch {ma.shape} vs {mb.shape}")
-    return ma @ mb - mb @ ma
-
-
 def _real_stack(m, sign: float, label: str) -> np.ndarray:
     """A real N x N matrix ``m``, or an (N, N, K) stack of K of them, as an (N, N, K) float
     stack, once every matrix is checked: N >= 1, finite entries, and symmetric (``sign`` = 1)
@@ -209,24 +198,15 @@ def det_antisymmetric(k):
     return _finite(dets, s, np.ndim(k) == 3)
 
 
-def min_eigenvalue(m) -> float:
-    """Smallest eigenvalue of a Hermitian (or real symmetric) matrix."""
-    a = np.asarray(m)
-    if np.isrealobj(a) and a.ndim == 2:
-        return float(np.linalg.eigvalsh(_real_stack(a, 1.0, "matrix")[:, :, 0])[0])
-    h = as_complex_matrix(a)
-    require_hermitian(h)
-    return float(np.linalg.eigvalsh(h)[0])
-
-
-def numeric_rank(vectors: Sequence[np.ndarray] | np.ndarray, floor=0.0):
-    """Number of singular values above ``RANK_TOL`` times the largest one.
+def numeric_rank(vectors: Sequence[np.ndarray] | np.ndarray, floor):
+    """Number of singular values above both ``RANK_TOL`` times the largest one and ``floor``.
 
     A purely relative threshold calls a stack of rounding-noise rows full
-    rank, since the noise is compared only against itself.  Callers that
-    know the scale the rows were produced at can pass ``floor`` (an absolute
-    singular value below which a direction counts as zero).  A stack (..., rows,
-    cols) gives its ranks from one batched SVD, each with its own entry of ``floor``.
+    rank, since the noise is compared only against itself, so callers pass
+    the scale the rows were produced at as ``floor`` (an absolute singular
+    value at or below which a direction counts as zero; 0 for none).  A stack
+    (..., rows, cols) gives its ranks from one batched SVD, each with its own
+    entry of ``floor``.
     """
     floors = np.asarray(floor, dtype=float)
     if not (floors >= 0).all():

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .covariance import cov, metric_inner, qov
+from .covariance import metric_inner
 from .inequalities import (
     PreparedInstance,
     check_conj1,
@@ -74,11 +74,11 @@ def _cases(tol: float):
         return rep.strict, f"sld vs wy: {rep.classification}"
 
     def case_cov():
-        got = cov(d, PAULI_Z, PAULI_Z)
+        got = float(PreparedInstance(d, [PAULI_Z]).matrix("cov")[0, 0])
         return _within(got, 0.75, 1e-13), f"cov(sigma_z) = {got:.12g}"
 
     def case_qov():
-        got = qov(d, wy, PAULI_X, PAULI_X)
+        got = float(PreparedInstance(d, [PAULI_X]).matrix(wy)[0, 0])
         target = (2.0 - math.sqrt(3.0)) / 2.0
         return _within(got, target, 1e-13), f"qov_wy(sigma_x) = {got:.12g}"
 

@@ -36,7 +36,6 @@ __all__ = [
     "density_stack",
     "observable",
     "observable_stack",
-    "centered",
     "eigenframe",
     "eigenframe_stack",
     "random_density",
@@ -79,16 +78,9 @@ class DensityMatrix:
         return self.eigen.eigenvalues
 
 
-def density(matrix, *, eigen: EigenDecomposition | None = None) -> DensityMatrix:
-    """Validate and wrap a state: ``density_stack`` of a block of one.
-
-    A precomputed eigendecomposition may be supplied; it is accepted only if
-    it reconstructs the matrix.
-    """
-    m = as_complex_matrix(matrix, label="state")
-    if eigen is not None:
-        eigen = EigenDecomposition(np.asarray(eigen.eigenvalues)[None], np.asarray(eigen.unitary)[None])
-    m, values, vectors = density_stack(m[None], eigen)
+def density(matrix) -> DensityMatrix:
+    """Validate and wrap a state: ``density_stack`` of a block of one."""
+    m, values, vectors = density_stack(as_complex_matrix(matrix, label="state")[None], None)
     return DensityMatrix(m[0], EigenDecomposition(values[0], vectors[0]))
 
 
@@ -140,13 +132,6 @@ def _centered(states: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """obs - Tr(D obs) I, for states D and observables that broadcast against each other."""
     expectation = np.trace(states @ obs, axis1=-2, axis2=-1).real
     return obs - expectation[..., None, None] * np.eye(obs.shape[-1])
-
-
-def centered(d: DensityMatrix, a: np.ndarray) -> np.ndarray:
-    """Subtract the state expectation: a - Tr(d a) * identity."""
-    if a.shape != d.matrix.shape:
-        raise ValueError(f"observable shape {a.shape} does not match state shape {d.matrix.shape}")
-    return _centered(d.matrix, a)
 
 
 @dataclass(frozen=True, eq=False)

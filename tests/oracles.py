@@ -1,14 +1,29 @@
-"""Independent reference computations used only by the test suite.
+"""Reference computations used only by the test suite.
 
-Everything here deliberately avoids the library's own code paths: exact
-determinants by elimination in rationals, the metric through an explicit
-superoperator matrix in the standard basis, diagonalized whole by numpy's
-``eigh`` instead of through the state's eigenframe, and matrix functions and
-smallest eigenvalues straight from numpy's ``eigh`` and ``eigvalsh``.
+Two kinds live here.  The independent oracles deliberately avoid the
+library's own code paths: exact determinants by elimination in rationals, the
+metric through an explicit superoperator matrix in the standard basis,
+diagonalized whole by numpy's ``eigh`` instead of through the state's
+eigenframe, matrix functions and smallest eigenvalues straight from numpy's
+``eigh`` and ``eigvalsh``, and the drawn instances rebuilt one matrix at a
+time.  The definition routes (``cov``, ``qov``, their entrywise matrices
+``cov_matrix`` and ``qov_matrix``, ``robertson_matrix`` and ``commutator``)
+follow the paper's formulas: traces of matrix products, and the metric inner
+product of the commutators i[D, A].  The program runs none of them; its
+eigenframe routes are tested against them.
 
-The one exception is ``custom_function``: it wraps a test's evaluator in the
-library's ``MonotoneFunction`` and runs the library's grid validation on it,
-so that the order check and the catalogue tests can take it like a member.
+Library code used here, and what for:
+
+* ``custom_function`` wraps a test's evaluator in the library's
+  ``MonotoneFunction`` and runs the library's grid validation on it, so that
+  the order check and the catalogue tests can take it like a member.
+* ``components_reference`` reads an evaluated instance's memos (its pencil
+  rows, determinants and contraction sums) and builds the dict from them.
+* The definition routes take the library's ``DensityMatrix`` (its matrix,
+  and for ``qov`` its eigendecomposition) and ``MonotoneFunction``;
+  ``commutator`` coerces with ``as_complex_matrix``; ``qov`` takes Hermitian
+  parts with ``hermitian_part`` and sums over the eigenbasis with
+  ``pair_means`` and ``metric_sum``, the operations of ``metric_inner``.
 """
 from __future__ import annotations
 
@@ -18,6 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from qfidet.covariance import metric_sum, pair_means
+from qfidet.linalg import as_complex_matrix, hermitian_part
 from qfidet.monotone import MonotoneFunction, _validate_grid
 
 
@@ -76,6 +93,79 @@ def qov_superop(d: np.ndarray, f, a: np.ndarray, b: np.ndarray) -> float:
     xa = 1j * (d @ a - a @ d)
     xb = 1j * (d @ b - b @ d)
     return 0.5 * f(0.0) * metric_inner_superop(d, f, xa, xb)
+
+
+def commutator(a, b) -> np.ndarray:
+    """AB - BA."""
+    ma = as_complex_matrix(a, "left operand")
+    mb = as_complex_matrix(b, "right operand")
+    if ma.shape != mb.shape:
+        raise ValueError(f"commutator: shape mismatch {ma.shape} vs {mb.shape}")
+    return ma @ mb - mb @ ma
+
+
+def cov(d, a: np.ndarray, b: np.ndarray) -> float:
+    """Symmetrized covariance Tr(D(AB+BA))/2 - Tr(DA)Tr(DB) of a ``DensityMatrix`` d."""
+    if a.shape != d.matrix.shape or b.shape != d.matrix.shape:
+        raise ValueError("observable shape does not match the state")
+    dm = d.matrix
+    mean_a = float(np.trace(dm @ a).real)
+    mean_b = float(np.trace(dm @ b).real)
+    sym = 0.5 * float(np.trace(dm @ (a @ b + b @ a)).real)
+    return sym - mean_a * mean_b
+
+
+def qov(d, f, a: np.ndarray, b: np.ndarray) -> float:
+    """Quantum covariance f(0)/2 * <i[D,A], i[D,B]>_{D,f} of a ``DensityMatrix`` d; f must be regular.
+
+    The scalar product is the library's ``metric_inner`` with the same
+    operations, less its Hermitian check of the tangents, which are Hermitian
+    parts by construction: both rotated into D's eigenbasis, and
+    sum conj(X_hj) Y_hj / m_f(lambda_h, lambda_j).
+    """
+    if not f.regular:
+        raise ValueError(f"{f.label} is not regular (f(0) = 0), so its quantum covariance is identically zero")
+    ca = hermitian_part(1j * commutator(d.matrix, a))
+    cb = hermitian_part(1j * commutator(d.matrix, b))
+    u = d.eigen.unitary
+    xr = u.conj().T @ ca @ u
+    yr = u.conj().T @ cb @ u
+    return 0.5 * f.value_at_zero * float(metric_sum(xr.conj() * yr, pair_means(d.eigenvalues, f), f))
+
+
+def _entrywise(obs_count: int, entry) -> np.ndarray:
+    out = np.empty((obs_count, obs_count), dtype=float)
+    for i in range(obs_count):
+        for j in range(i, obs_count):
+            out[i, j] = out[j, i] = entry(i, j)
+    return out
+
+
+def cov_matrix(d, obs) -> np.ndarray:
+    """N x N matrix of pairwise covariances, entrywise from the trace formula."""
+    obs = list(obs)
+    return _entrywise(len(obs), lambda i, j: cov(d, obs[i], obs[j]))
+
+
+def qov_matrix(d, f, obs) -> np.ndarray:
+    """N x N matrix of pairwise quantum covariances, entrywise from the definition."""
+    obs = list(obs)
+    return _entrywise(len(obs), lambda i, j: qov(d, f, obs[i], obs[j]))
+
+
+def robertson_matrix(d, obs) -> np.ndarray:
+    """Antisymmetric matrix with entries -(i/2) Tr(D [A_h, A_j])."""
+    obs = list(obs)
+    n = len(obs)
+    out = np.zeros((n, n), dtype=float)
+    for i in range(n):
+        if obs[i].shape != d.matrix.shape:
+            raise ValueError(f"observable {i} shape {obs[i].shape} does not match the state")
+        for j in range(i + 1, n):
+            t = complex(np.trace(d.matrix @ commutator(obs[i], obs[j])))
+            out[i, j] = 0.5 * t.imag
+            out[j, i] = -out[i, j]
+    return out
 
 
 def unitarity_residual(eig) -> float:

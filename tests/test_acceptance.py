@@ -25,16 +25,14 @@ import pytest
 from conftest import FIXTURES, PAULI_X, PAULI_Y
 
 import qfidet.campaign as campaign_module
-from oracles import check_operator_monotone, qov_superop
+from oracles import check_operator_monotone, cov, qov, qov_superop
 from qfidet.campaign import BLOCK_INSTANCES, REPORT_VERSION, CampaignConfig, CheckPlan, run_campaign
 from qfidet.cli import main as cli_main
 from qfidet.covariance import (
     alpha_coefficients,
-    cov,
     cov_matrix_frame,
     observable_scale,
     pair_means,
-    qov,
     qov_matrix_frame,
 )
 from qfidet.inequalities import (
@@ -56,12 +54,17 @@ from qfidet.monotone import (
     parse_function_spec,
     tilde,
 )
+from qfidet.linalg import EigenDecomposition
 from qfidet.states import (
+    DensityMatrix,
+    _draw_gaussians,
+    _unit_observables,
     density,
     derive_seed,
     eigenframe_stack,
     offdiagonal_dependence,
     random_density,
+    random_density_stack,
     random_observable,
     random_partition,
 )
@@ -132,22 +135,38 @@ class RouteSweep:
     elapsed: float = 0.0
 
 
+def _route_draws(n: int, seeds: list, kind: str) -> tuple:
+    """For each seed, the state ``random_density(n, seed, kind)`` and the observables
+    ``random_observable(n, derive_seed(seed, side))`` for side "a" and "b", each from its own
+    generator as those functions draw it, formed as one stack of states (as ``density_stack``
+    returns them) and one (B, 2, n, n) stack of observables.  A stacked matrix has the bits it
+    has alone."""
+    states = [_draw_gaussians(np.random.default_rng(derive_seed("density", n, seed, kind)), n, 1, kind) for seed in seeds]
+    stacked = random_density_stack(np.concatenate([x for x, _ in states]), (kind,) * len(seeds), [p for _, p in states])
+    rngs = [np.random.default_rng(derive_seed("observable", n, derive_seed(seed, side))) for seed in seeds for side in "ab"]
+    x = np.concatenate([_draw_gaussians(rng, n, 1, "generic")[0] for rng in rngs])
+    return stacked, _unit_observables(x).reshape(len(seeds), 2, n, n)
+
+
 @pytest.fixture(scope="module")
 def route_sweep() -> RouteSweep:
-    """Each instance is drawn on its own and checked by the scalar routes one at a time; the frame
-    side of one (n, kind) runs as stacks, which give each instance the bits it has alone."""
+    """Each instance is checked by the scalar routes one at a time.  The draws of one (n, kind),
+    each from its own generator, and its frame side run as stacks, which give each instance the
+    bits it has alone; the first instance of each is drawn alone as well, to show it."""
     functions = [parse_function_spec(s) for s in REGULAR_SPECS]
     out = RouteSweep()
     t0 = time.perf_counter()
     for n in ROUTE_DIMS:
         for kind in KINDS:
-            draws = []
-            for k in range(ROUTE_PER_CELL):
-                seed = derive_seed(SEED, "route", n, kind, k)
-                d = random_density(n, seed, kind)
-                draws.append((d, random_observable(n, derive_seed(seed, "a")), random_observable(n, derive_seed(seed, "b"))))
-            states = tuple(np.array(x) for x in zip(*((d.matrix, d.eigenvalues, d.eigen.unitary) for d, _, _ in draws)))
-            obs = np.array([(a, b) for _, a, b in draws])
+            seeds = [derive_seed(SEED, "route", n, kind, k) for k in range(ROUTE_PER_CELL)]
+            states, obs = _route_draws(n, seeds, kind)
+            draws = [
+                (DensityMatrix(m, EigenDecomposition(lam, u)), a, b)
+                for m, lam, u, (a, b) in zip(*states, obs)
+            ]
+            alone = random_density(n, seeds[0], kind)
+            assert np.array_equal(alone.matrix, states[0][0]) and np.array_equal(alone.eigen.unitary, states[2][0])
+            assert np.array_equal(random_observable(n, derive_seed(seeds[0], "b")), obs[0, 1])
             frame = eigenframe_stack(states, obs)
             scales, _ = observable_scale(obs)
             cov_frame = cov_matrix_frame(frame)[:, 0, 1].tolist()

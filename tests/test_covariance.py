@@ -7,24 +7,19 @@ import pytest
 
 from qfidet.covariance import (
     alpha_coefficients,
-    cov,
-    cov_matrix,
     cov_matrix_frame,
     metric_inner,
     observable_scale,
     pair_means,
-    qov,
-    qov_matrix,
     qov_matrix_frame,
-    robertson_matrix,
 )
 from qfidet.inequalities import PreparedInstance
-from qfidet.linalg import EigenDecomposition, det_real_symmetric, min_eigenvalue
+from qfidet.linalg import EigenDecomposition, det_real_symmetric
 from qfidet.monotone import make_function, parse_function_spec
-from qfidet.states import density, eigenframe, random_density, random_observable
+from qfidet.states import DensityMatrix, density, density_stack, eigenframe, random_density, random_observable
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
-from oracles import metric_inner_superop, qov_superop
+from oracles import cov, cov_matrix, metric_inner_superop, qov, qov_matrix, qov_superop, robertson_matrix
 
 REGULAR = [make_function("sld"), make_function("wy"), make_function("wyd", 0.3)]
 NONREGULAR = ["harmonic", "kubo-mori", "log-square", "sqrt-log", "alpha:0.2", "wyd:-0.4"]
@@ -242,10 +237,10 @@ def test_matrix_positivity_and_ordering(rng):
         cm = cov_matrix_frame(frame)
         qm_f = qov_matrix_frame(frame, sld)
         qm_g = qov_matrix_frame(frame, wy)
-        assert min_eigenvalue(qm_f.astype(complex)) >= -1e-10 * scale
-        assert min_eigenvalue((cm - qm_f).astype(complex)) >= -1e-10 * scale
+        assert np.linalg.eigvalsh(qm_f)[0] >= -1e-10 * scale
+        assert np.linalg.eigvalsh(cm - qm_f)[0] >= -1e-10 * scale
         # sld dominates wy strictly, so its quantum covariance dominates too
-        assert min_eigenvalue((qm_f - qm_g).astype(complex)) >= -1e-10 * scale
+        assert np.linalg.eigvalsh(qm_f - qm_g)[0] >= -1e-10 * scale
 
 
 def test_repeated_observable_makes_cov_singular():
@@ -319,7 +314,8 @@ def test_degenerate_state_results_do_not_depend_on_basis_choice():
         bases.append(u)
     values = []
     for u in bases:
-        d = density(base.matrix, eigen=EigenDecomposition(lam, u))
+        m, spectra, unitaries = density_stack(base.matrix[None], EigenDecomposition(lam[None], u[None]))
+        d = DensityMatrix(m[0], EigenDecomposition(spectra[0], unitaries[0]))
         frame = eigenframe(d, obs)
         values.append(
             (

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qfidet.campaign import BLOCK_INSTANCES, DEFAULT_T_GRID, CampaignConfig, CheckPlan, run_campaign
-from qfidet.covariance import metric_inner, observable_scale, robertson_matrix
+from qfidet.covariance import metric_inner, observable_scale
 from qfidet.inequalities import (
     EqualityClassification,
     InequalityReport,
@@ -40,7 +40,7 @@ from qfidet.states import (
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
 from oracles import components_reference
-from oracles import draw_per_matrix, prepared_per_matrix
+from oracles import draw_per_matrix, prepared_per_matrix, robertson_matrix
 
 SLD = make_function("sld")
 WY = make_function("wy")

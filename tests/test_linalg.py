@@ -8,18 +8,16 @@ import numpy as np
 import pytest
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, random_hermitian
-from oracles import apply_scalar_function, det_exact, unitarity_residual
+from oracles import apply_scalar_function, commutator, det_exact, unitarity_residual
 
 from qfidet.inequalities import prepare_random
 from qfidet.linalg import (
     as_complex_matrix,
-    commutator,
     det_antisymmetric,
     det_real_symmetric,
     frobenius,
     hermitian_eigen,
     hermitian_part,
-    min_eigenvalue,
     numeric_rank,
 )
 from qfidet.monotone import make_function
@@ -188,35 +186,34 @@ def test_non_finite_entries_are_rejected(n, bad):
         m[h, j] = m[j, h] = bad
         with pytest.raises(ValueError, match="non-finite entry"):
             det_real_symmetric(np.stack([np.eye(n), m], axis=-1))
-        for solver in (hermitian_eigen, det_real_symmetric, det_antisymmetric, min_eigenvalue):
+        for solver in (hermitian_eigen, det_real_symmetric, det_antisymmetric):
             with pytest.raises(ValueError, match="non-finite entry"):
                 solver(m)
 
 
-def test_det_and_min_eigenvalue_check_their_input():
-    """det_real_symmetric on both sides of its size switch, and the real path of
-    min_eigenvalue, reject non-square, asymmetric and non-finite input."""
-    for solver in (det_real_symmetric, min_eigenvalue):
-        with pytest.raises(ValueError, match=r"not symmetric \(max \|M - M\^T\| = 5.000e\+00\)"):
-            solver(np.array([[1.0, 5.0], [0.0, 2.0]]))
-        with pytest.raises(ValueError, match=r"not symmetric"):
-            solver(np.triu(np.ones((5, 5))))
-        with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
-            solver(np.ones((2, 3)))
+def test_det_checks_its_input():
+    """det_real_symmetric, on both sides of its size switch, rejects non-square, asymmetric and
+    non-finite input."""
+    with pytest.raises(ValueError, match=r"not symmetric \(max \|M - M\^T\| = 5.000e\+00\)"):
+        det_real_symmetric(np.array([[1.0, 5.0], [0.0, 2.0]]))
+    with pytest.raises(ValueError, match=r"not symmetric"):
+        det_real_symmetric(np.triu(np.ones((5, 5))))
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        det_real_symmetric(np.ones((2, 3)))
     with pytest.raises(ValueError, match=r"non-finite entry \(0, 1\) = nan"):
         det_real_symmetric(np.array([[1.0, math.nan], [math.nan, 1.0]]))
 
 
 def test_real_matrices_share_one_symmetry_tolerance():
-    """The determinants and the real path of min_eigenvalue accept an asymmetry up to
-    SYMMETRY_TOL times max(1, the largest entry) and reject one above it."""
+    """The determinants accept an asymmetry up to SYMMETRY_TOL times max(1, the largest entry)
+    and reject one above it."""
     for scale in (1.0, 1e6):
         for off, ok in ((0.5e-12, True), (5e-12, False)):
             m = scale * np.eye(4)
             m[0, 1] += off * scale
             k = np.kron(np.eye(2), np.array([[0.0, scale], [-scale, 0.0]]))
             k[0, 1] += off * scale
-            for solver, matrix in ((det_real_symmetric, m), (min_eigenvalue, m), (det_antisymmetric, k)):
+            for solver, matrix in ((det_real_symmetric, m), (det_antisymmetric, k)):
                 if ok:
                     solver(matrix)
                 else:
@@ -334,23 +331,18 @@ def test_det_antisymmetric_examples(rng):
     assert det_antisymmetric(g5 - g5.T) == 0.0
 
 
-def test_min_eigenvalue():
-    assert min_eigenvalue(np.diag([3.0, -1.0, 2.0])) == pytest.approx(-1.0, abs=1e-14)
-    assert min_eigenvalue(PAULI_Y) == pytest.approx(-1.0, abs=1e-13)
-
-
 def test_numeric_rank_cases():
-    assert numeric_rank(np.zeros((3, 4))) == 0
-    assert numeric_rank([]) == 0
-    assert numeric_rank([[1.0, 0.0], [0.0, 1.0]]) == 2
-    assert numeric_rank([[1.0, 2.0], [2.0, 4.0]]) == 1
+    assert numeric_rank(np.zeros((3, 4)), 0.0) == 0
+    assert numeric_rank([], 0.0) == 0
+    assert numeric_rank([[1.0, 0.0], [0.0, 1.0]], 0.0) == 2
+    assert numeric_rank([[1.0, 2.0], [2.0, 4.0]], 0.0) == 1
     v = np.array([1.0, -0.5, 0.25])
-    assert numeric_rank([v, 2.0 * v, np.array([0.0, 1.0, 1.0])]) == 2
+    assert numeric_rank([v, 2.0 * v, np.array([0.0, 1.0, 1.0])], 0.0) == 2
 
 
 def test_numeric_rank_floor_discards_noise_rows():
     noise = 1e-16 * np.ones((1, 4))
-    assert numeric_rank(noise) == 1
+    assert numeric_rank(noise, 0.0) == 1
     assert numeric_rank(noise, floor=1e-9) == 0
     stack = np.vstack([np.array([1.0, 0.0, 0.0, 0.0]), 1e-16 * np.ones(4)])
     assert numeric_rank(stack, floor=1e-9) == 1

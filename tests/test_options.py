@@ -19,7 +19,6 @@ DEFAULTED = [
     "cli.run(pairs)",
     "inequalities.prepare_random(kind)",
     "inequalities._report(clamps)",
-    "inequalities._report(hypothesis_ok)",
     "inequalities._report(window)",
     "inequalities.check_main(tol)",
     "inequalities.check_conj1(tol)",
@@ -37,10 +36,8 @@ DEFAULTED = [
     "io.save_instance(pairs)",
     "linalg.as_complex_matrix(label)",
     "linalg.require_hermitian(label)",
-    "linalg.numeric_rank(floor)",
     "monotone.make_function(param)",
     "selftest.run_selftest(tol)",
-    "states.density(eigen)",
     "states.random_density(kind)",
 ]
 

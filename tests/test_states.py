@@ -6,8 +6,8 @@ import pytest
 from qfidet.linalg import EigenDecomposition, frobenius, hermitian_eigen
 from qfidet.states import (
     DependenceReport,
-    centered,
     density,
+    density_stack,
     derive_seed,
     eigenframe,
     observable,
@@ -51,9 +51,9 @@ def test_density_rejects_nonpositive():
 
 def test_density_rejects_stale_eigendecomposition():
     m = np.diag([0.75, 0.25]).astype(complex)
-    wrong = EigenDecomposition(np.array([0.5, 0.5]), np.eye(2, dtype=complex))
+    wrong = EigenDecomposition(np.array([[0.5, 0.5]]), np.eye(2, dtype=complex)[None])
     with pytest.raises(ValueError, match="eigendecomposition"):
-        density(m, eigen=wrong)
+        density_stack(m[None], wrong)
 
 
 def test_observable_round_trip():
@@ -63,13 +63,19 @@ def test_observable_round_trip():
         observable([[0.0, 1.0], [0.0, 0.0]])
 
 
+def _centered(d, a):
+    """The frame's centered observable a - Tr(d a) I, rotated back out of the eigenbasis."""
+    u = d.eigen.unitary
+    return u @ eigenframe(d, [a]).observables[0] @ u.conj().T
+
+
 def test_centering_examples():
     d = qubit_state()
-    assert np.abs(centered(d, np.eye(2, dtype=complex))).max() <= 1e-15
-    shifted = centered(d, PAULI_Z)
+    assert np.abs(_centered(d, np.eye(2, dtype=complex))).max() <= 1e-15
+    shifted = _centered(d, PAULI_Z)
     assert np.abs(shifted - (PAULI_Z - 0.5 * np.eye(2))).max() <= 1e-15
     half = density(np.eye(2, dtype=complex) / 2)
-    assert np.abs(centered(half, PAULI_X) - PAULI_X).max() == 0.0
+    assert np.abs(_centered(half, PAULI_X) - PAULI_X).max() <= 1e-15
 
 
 def test_centering_idempotent(rng):
@@ -77,15 +83,15 @@ def test_centering_idempotent(rng):
         n = int(rng.integers(2, 6))
         d = random_density(n, int(rng.integers(1 << 30)))
         a = random_observable(n, int(rng.integers(1 << 30)))
-        once = centered(d, a)
-        twice = centered(d, once)
+        once = _centered(d, a)
+        twice = _centered(d, once)
         assert np.abs(twice - once).max() <= 1e-12
         assert abs(np.trace(d.matrix @ once).real) <= 1e-13
 
 
 def test_centering_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
-        centered(qubit_state(), np.eye(3, dtype=complex))
+        eigenframe(qubit_state(), [np.eye(3, dtype=complex)])
 
 
 def test_eigenframe_diagonal_state_is_transparent():

@@ -1,0 +1,104 @@
+"""The public surface of ``qfidet``: every public module-level function and class is used by
+other program code.
+
+A public name that only tests call is a reference route or dead code.  Reference
+routes live in ``tests/oracles.py``; dead code goes.  A use is a name loaded or
+read as an attribute somewhere in ``src/qfidet`` outside the definition itself,
+or a function named as a string in ``campaign.CHECKS``, which looks its
+functions up by name.  Imports, ``__all__``, docstrings and comments are not
+uses.
+"""
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import qfidet
+
+SRC = Path(qfidet.__file__).parent
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+# (module, name) -> why the name stays although no program path calls it
+KEPT = {
+    ("io", "save_instance"): "writes an instance file, for replaying a report row into one",
+    ("cli", "entry"): "the console script that pyproject.toml names",
+}
+
+
+def _traced() -> set:
+    """(module, name) of every function that the benchmark's tracer looks up by name."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets):
+            return {(module, name) for module, names in ast.literal_eval(node.value).items() for name in names}
+    raise AssertionError(f"{TRACER} defines no TRACED")
+
+
+def _uses(node) -> Counter:
+    """Names that ``node`` loads or reads as attributes, and the strings in CHECKS' values."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.Assign) and any(getattr(t, "id", None) == "CHECKS" for t in sub.targets):
+            strings = (c for v in sub.value.values for c in ast.walk(v) if isinstance(c, ast.Constant))
+            found.update(c.value for c in strings if isinstance(c.value, str))
+    return found
+
+
+def _unused(src: Path) -> list:
+    """(module, name) of each public module-level function or class in ``src`` that nothing
+    outside its own definition uses."""
+    statements = []  # (module, statement, its uses)
+    for path in sorted(src.glob("*.py")):
+        statements += [(path.stem, node, _uses(node)) for node in ast.parse(path.read_text()).body]
+    total = sum((uses for _, _, uses in statements), Counter())
+    unused = []
+    for module, node, uses in statements:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if total[node.name] - uses[node.name] == 0:
+                unused.append((module, node.name))
+    return unused
+
+
+def test_every_public_function_and_class_has_a_program_caller():
+    exempt = _traced() | set(KEPT)
+    assert [name for name in _unused(SRC) if name not in exempt] == []
+
+
+def test_every_exempt_name_still_exists():
+    defined = set()
+    for path in SRC.glob("*.py"):
+        body = ast.parse(path.read_text()).body
+        defined |= {(path.stem, node.name) for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert (_traced() | set(KEPT)) - defined == set()
+
+
+def test_the_walk_counts_loads_attributes_and_check_names_only(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '"""used_in_docstring"""\n'
+        "from .b import imported_only\n"
+        "__all__ = ['listed_only']\n"
+        "def recursive():\n    return recursive()\n"
+        "def called():\n    pass\n"
+        "def by_attribute():\n    pass\n"
+        "def by_check_name():\n    pass\n"
+        "def listed_only():\n    pass\n"
+        "def imported_only():\n    pass\n"
+        "def used_in_docstring():\n    pass\n"
+        "class _Private:\n    pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "import a\n"
+        "CHECKS = {'listed_only': ('by_check_name', None)}\n"
+        "def user():\n    # recursive()\n    return called(), a.by_attribute()\n"
+    )
+    assert _unused(tmp_path) == [
+        ("a", "recursive"),
+        ("a", "listed_only"),
+        ("a", "imported_only"),
+        ("a", "used_in_docstring"),
+        ("b", "user"),
+    ]
