@@ -3,12 +3,14 @@
 Every instance is generated from hash(seed, n, N, kind, index), so any cell
 or single instance reproduces in isolation.  A work item is a block of up to
 ``BLOCK_INSTANCES`` consecutive instances of one (n, N) in (kind, index) order,
-which may span kinds: it is drawn, evaluated and tallied on its own, and the
-merge adds the block tallies in that order, so the report is identical for any
-worker count and block size.  The config fixes, before the first instance is
-drawn, the (check, f, g, t) of every outcome of an instance: the plan and this
-layout are built once per campaign (once per pool worker), and a block tallies
-one row per entry of the layout.  An instance draws from one generator of its
+which may span kinds: it is drawn, evaluated and tallied on its own.  The config
+fixes, before the first instance is drawn, the (check, f, g, t) of every outcome
+of an instance: the plan and this layout are built once per campaign (once per
+pool worker), and a block returns one tally row per layout entry, in layout
+order and with no keys.  The merge adds the blocks of one (n, N) row by row in
+(kind, index) order, so the report is identical for any worker count and block
+size, and writes the rows through a permutation of the layout sorted once, in
+(check, n, N, f, g, t) order.  An instance draws from one generator of its
 derived seed; the block forms, checks, eigensolves and rotates all at once,
 evaluates what the active checks read as stacks, binds each layout entry to its
 check function and arguments, and the outcomes read memos: a pencil outcome is
@@ -26,7 +28,8 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass
-from itertools import chain, product
+from itertools import chain, groupby, product
+from operator import itemgetter
 from pathlib import Path
 
 from .inequalities import (
@@ -116,8 +119,8 @@ class CheckPlan:
         if "equality" in names:
             block.find_structure()
         if "contraction" in names:
-            cases = [(inst.state, inst.observables[0], inst.partition) for inst in instances]
-            block.contraction.update(fill_contraction(cases, self.functions))
+            partitions = [inst.partition for inst in instances]
+            block.contraction.update(fill_contraction(block.states, block.observables[:, 0], partitions, self.functions))
 
 
 def _contraction(inst, f, tol):
@@ -290,14 +293,15 @@ def _start_worker(config: CampaignConfig) -> None:
     _worker_plan = _campaign_plan(config)
 
 
-def _run_pooled(n: int, n_obs: int, positions: range) -> tuple[dict, list]:
+def _run_pooled(n: int, n_obs: int, positions: range) -> tuple[list, list]:
     return _run_block(*_worker_plan, n, n_obs, positions)
 
 
 def _run_block(
     config: CampaignConfig, plan: CheckPlan, layout: list, n: int, n_obs: int, positions: range
-) -> tuple[dict, list]:
-    """Draw, evaluate and tally the instances at ``positions`` of (n, N), numbered in (kind, index) order."""
+) -> tuple[list, list]:
+    """Draw, evaluate and tally the instances at ``positions`` of (n, N), numbered in (kind, index) order:
+    one tally row per layout entry, in layout order, and the block's violations."""
     # one tally row per layout entry, as every instance has an outcome at each
     tally = [_empty_row() for _ in layout]
     violations: list[dict] = []
@@ -340,13 +344,7 @@ def _run_block(
             if isinstance(rep, EqualityClassification):
                 violation["verdict"] = rep.verdict
             violations.append(violation)
-    rows = {(name, n, n_obs, f and f.label, g and g.label, t): row for (name, f, g, t), row in zip(layout, tally)}
-    return rows, violations
-
-
-def _row_sort_key(key):
-    check, n, n_obs, fl, gl, t = key
-    return (check, n, n_obs, fl or "", gl or "", -1.0 if t is None else t)
+    return tally, violations
 
 
 def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
@@ -358,6 +356,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
     blocks = list(product(config.dims, config.num_obs, ranges))
     # the executor forks all of its processes up front, so no more than there are blocks or CPUs
     processes = min(workers, len(blocks), os.cpu_count() or 1)
+    planned = _campaign_plan(config)
     if processes > 1:
         # imported here: it loads multiprocessing, which a 1-worker run never needs
         from concurrent.futures import ProcessPoolExecutor
@@ -365,41 +364,38 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
         with ProcessPoolExecutor(max_workers=processes, initializer=_start_worker, initargs=(config,)) as pool:
             partials = list(pool.map(_run_pooled, *zip(*blocks)))
     else:
-        planned = _campaign_plan(config)
         partials = [_run_block(*planned, *block) for block in blocks]
 
+    # the blocks of one (n, N) added row by row, in (kind, index) order
     merged: dict[tuple, list] = {}
     violations: list[dict] = []
-    for block_rows, block_violations in partials:
-        for key, row in block_rows.items():
-            _add_row(merged.setdefault(key, _empty_row()), row)
+    for (n, n_obs, _), (tally, block_violations) in zip(blocks, partials):
+        cell = merged.setdefault((n, n_obs), tally)
+        if cell is not tally:
+            for into, row in zip(cell, tally):
+                _add_row(into, row)
         violations.extend(block_violations)
     del violations[VIOLATION_CAP:]
 
+    # the report rows in (check, n, N, f, g, t) order: the layout's entries sorted once, each
+    # check's entries then written for every (n, N)
+    entries = sorted(
+        ((name, f and f.label, g and g.label, t, j) for j, (name, f, g, t) in enumerate(planned[2])),
+        key=lambda e: (e[0], e[1] or "", e[2] or "", -1.0 if e[3] is None else e[3]),
+    )
     per_check = {c: _empty_row() for c in config.checks}
     rows = []
     worst: dict[str, dict] = {}
-    for key in sorted(merged, key=_row_sort_key):
-        check, n, n_obs, fl, gl, t = key
-        _add_row(per_check[check], merged[key])
-        npass, nfail, _, clamps, margin, instance = merged[key]
-        rows.append(
-            {
-                "check": check,
-                "n": n,
-                "N": n_obs,
-                "f": fl,
-                "g": gl,
-                "t": t,
-                "pass": npass,
-                "fail": nfail,
-                "worst_margin": margin,
-                "clamps": clamps,
-                "worst_instance": instance,
-            }
-        )
-        if margin is not None and (check not in worst or margin < worst[check]["margin"]):
-            worst[check] = {"margin": margin, "n": n, "N": n_obs, "f": fl, "g": gl, "t": t, "instance": instance}
+    for check, group in groupby(entries, key=itemgetter(0)):
+        group = list(group)
+        for (n, n_obs), cell in sorted(merged.items()):
+            for _, fl, gl, t, j in group:
+                _add_row(per_check[check], cell[j])
+                npass, nfail, _, clamps, margin, instance = cell[j]
+                rows.append({"check": check, "n": n, "N": n_obs, "f": fl, "g": gl, "t": t, "pass": npass, "fail": nfail,
+                             "worst_margin": margin, "clamps": clamps, "worst_instance": instance})
+                if margin is not None and (check not in worst or margin < worst[check]["margin"]):
+                    worst[check] = {"margin": margin, "n": n, "N": n_obs, "f": fl, "g": gl, "t": t, "instance": instance}
     runtime = time.perf_counter() - start
     return CampaignReport(
         config=config,

@@ -5,9 +5,11 @@ and N observables: the covariance matrix, the quantum covariance matrices of
 one or two monotone functions, their differences, and binomial cross terms
 (the Minkowski/Firey machinery).  Instances of one (n, N) are built and
 evaluated as a block: their drawn states and observables are formed, checked
-and rotated, then each matrix, determinant and pencil row is computed for all
-of them at once from stacked arrays and memoized per block, so that the checks
-of an instance only read memos; an instance on its own is a block of one.
+and rotated, then each matrix, determinant, pencil row and contraction sum is
+computed for all of them at once from the block's stacks and memoized per
+block (the contraction with one masked pinching of the block at each instance's
+partition), so that the checks of an instance only read memos; an instance on
+its own is a block of one.
 conj1, conj2 and firey are one inequality on a pencil (K_big, K_small) of PSD
 matrices, with one check body.  Its unit-weight and Firey rows come from one
 elementwise kernel and hold no clamp window: each outcome reads the hypothesis
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -229,10 +232,6 @@ class PreparedInstance:
         InstanceBlock((self,))
         return getattr(self, name)
 
-    @property
-    def size(self) -> int:
-        return self.frame.size
-
     # Each memo read is one dict.get; the block fills a missing key for all its instances.
 
     def matrix(self, side) -> np.ndarray:
@@ -283,11 +282,11 @@ class PreparedInstance:
 
 def _build(instances) -> tuple:
     """Build instances of one (n, N) that no block has built, all at once, and return their stacked
-    frame and observable norms: drawn Gaussians form the states (``random_density_stack``) and
-    observables (``_unit_observables``, exactly Hermitian by construction) as stacks, a given state
-    and family are taken as they are and the family is checked.  The norms give the scales
-    (overflow raises before anything on them can warn), and ``eigenframe_stack`` rotates them all.
-    A failing check raises the error of its first failing instance, the one it raises alone."""
+    states, observables, frame and observable norms: drawn Gaussians form the states
+    (``random_density_stack``) and observables (``_unit_observables``, exactly Hermitian by construction)
+    as stacks, a given state and family are taken as they are and the family is checked.  The norms give
+    the scales (overflow raises before anything on them can warn), and ``eigenframe_stack`` rotates them
+    all.  A failing check raises the error of its first failing instance, the one it raises alone."""
     if isinstance(instances[0]._source[0], DensityMatrix):  # only a PreparedInstance(d, obs), which builds alone
         d, obs = instances[0]._source
         matrices, values, vectors, obs = d.matrix[None], d.eigenvalues[None], d.eigen.unitary[None], obs[None]
@@ -305,16 +304,16 @@ def _build(instances) -> tuple:
         inst.observables = tuple(obs[k])
         inst.frame = EigenFrame(frame.lambdas[k], frame.observables[k], frame.norms[k])
         inst.scale, inst.norms = scales[k], tuple(norms[k].tolist())
-    return frame, norms
+    return (matrices, values, vectors), obs, frame, norms
 
 
 class InstanceBlock:
     """Instances of one (n, N), evaluated together: each memo maps a key to its value for
     every instance, computed on first use by one stacked evaluation.  The block first builds
     the instances that no block has built (``_build``), so a campaign's block of drawn
-    instances forms, checks, eigensolves and rotates them all at once.  A campaign fills the memos
-    its checks read with ``fill_pencils`` and ``find_structure``, and stores the contraction sums
-    at each instance's partition.
+    instances forms, checks, eigensolves and rotates them all at once, and keeps the stacks of states
+    and observables that its instances view.  A campaign fills the memos its checks read with
+    ``fill_pencils`` and ``find_structure``, and stores ``fill_contraction``'s sums from those stacks.
     Every stacked operation acts on each instance's slice alone (elementwise, or LAPACK and BLAS
     per matrix), so a value is bit-identical whichever block computed it."""
 
@@ -323,11 +322,12 @@ class InstanceBlock:
         built = _build(todo) if todo else None
         # what the block reads of its instances, not the instances: they refer to it
         if built and len(todo) == len(instances):  # all built just now, in this order: their stacks as _build made them
-            self.frame, self.norms = built
+            self.states, self.observables, self.frame, self.norms = built
         else:
-            frames = [inst.frame for inst in instances]
-            self.frame = EigenFrame(*(np.stack([getattr(fr, a) for fr in frames]) for a in ("lambdas", "observables", "norms")))
-            self.norms = np.array([inst.norms for inst in instances])
+            members = ("state.matrix", "state.eigenvalues", "state.eigen.unitary", "observables")
+            members += ("frame.lambdas", "frame.observables", "frame.norms", "norms")
+            matrices, values, vectors, self.observables, *frame, self.norms = (np.array(list(map(attrgetter(a), instances))) for a in members)
+            self.states, self.frame = (matrices, values, vectors), EigenFrame(*frame)
         for k, inst in enumerate(instances):
             inst._block, inst._index = self, k
         self.size = len(instances)
@@ -622,12 +622,14 @@ def classify_equality(
     g: MonotoneFunction | None = None,
     tol: float = DEFAULT_TOL,
 ) -> EqualityClassification:
-    window = tol * inst.scale
-    det_cov = inst.det("cov")
-    det_qf = inst.det(f)
-    det_qg = None if g is None else inst.det(g)
-    rank, offdiag = inst.structure()
-    dependent = rank < inst.size
+    block, k, get, window = inst._block, inst._index, inst._block.det.get, tol * inst.scale
+    cov, qf, qg, structure = get(("cov", None)), get((f, None)), get((g, None)), block.structure.get(None)
+    # one dict.get per memo; one that no block call has filled yet is filled by its method, for the block
+    det_cov = inst.det("cov") if cov is None else cov[k]
+    det_qf = inst.det(f) if qf is None else qf[k]
+    det_qg = None if g is None else inst.det(g) if qg is None else qg[k]
+    rank, offdiag = inst.structure() if structure is None else structure[k]
+    dependent = rank < block.frame.size
 
     return EqualityClassification(
         det_cov=det_cov,
@@ -676,30 +678,30 @@ def minkowski_firey_selftest(
     return _report("minkowski-firey", lhs, rhs, scale, tol, components, f"selftest[{n}x{n}]", c1 + c2 + c3)
 
 
-def fill_contraction(cases, functions) -> dict:
-    """Both sides of the contraction check for each f and each (state D, tangent X, partition) of
-    ``cases``: f -> one (before, after, least eigenvalue of D and of the pinched state, number of
-    blocks) per case.  The tangents are checked as one stack and the pinched states by one
-    ``density_stack`` call, one ``eigh`` for all.  The traceless X0 and its pinching are rotated by
-    one stacked matmul (both Hermitian by construction, so unchecked), then per function one
-    ``pair_means`` call over the (B, 2, n) spectra and one weighted sum over the (B, 2, n, n)
-    products."""
-    for d, x, _ in cases:
-        if np.shape(as_complex_matrix(x, label="observable")) != d.matrix.shape:
-            raise ValueError(f"tangent x shape {np.shape(x)} does not match the state")
-    x = np.array([x for _, x, _ in cases], dtype=complex)
+def fill_contraction(states, x, partitions, functions) -> dict:
+    """Both sides of the contraction check for each f and each of B instances: their ``states`` as
+    ``density_stack`` returns them, a (B, n, n) stack ``x`` of tangents and one partition each.  f -> one
+    (before, after, least eigenvalue of the state and of the pinched state, number of blocks) per instance.
+    The tangents are checked as one stack, one ``pinching`` call pinches the states and the traceless X0,
+    and one ``density_stack`` call (one ``eigh``) takes the pinched states.  Each X0 and its pinching are
+    rotated by one stacked matmul (Hermitian by construction, so unchecked), then per function one
+    ``pair_means`` call over the (B, 2, n) spectra and one weighted sum over the (B, 2, n, n) products."""
+    matrices, values, vectors = states
+    x = np.asarray(x, dtype=complex)
+    if x.shape != matrices.shape:
+        raise ValueError(f"tangent x shape {x.shape[1:]} does not match the state")
     require_hermitian(x, label="observable")
     x = hermitian_part(x)
     n = x.shape[-1]
     x0 = x - (np.trace(x, axis1=-2, axis2=-1).real / n)[:, None, None] * np.eye(n)
-    pinched = np.array([pinching(np.stack((d.matrix, tangent)), partition) for (d, _, partition), tangent in zip(cases, x0)])
-    _, values, vectors = density_stack(pinched[:, 0], None)
-    u = np.stack((np.array([d.eigen.unitary for d, _, _ in cases]), vectors), axis=1)
+    pinched = pinching(np.stack((matrices, x0), axis=1), partitions)
+    _, pinched_values, pinched_vectors = density_stack(pinched[:, 0], None)
+    u = np.stack((vectors, pinched_vectors), axis=1)
     r = np.swapaxes(u.conj(), -1, -2) @ np.stack((x0, pinched[:, 1]), axis=1) @ u
     products = r.conj() * r
-    spectra = np.stack((np.array([d.eigen.eigenvalues for d, _, _ in cases]), values), axis=1)
+    spectra = np.stack((values, pinched_values), axis=1)
     floors = spectra[:, :, 0].min(axis=1).tolist()
-    blocks = [len(partition) for _, _, partition in cases]
+    blocks = [len(partition) for partition in partitions]
     got = {}
     for f in functions:
         sums = metric_sum(products, pair_means(spectra, f), f).tolist()
@@ -732,7 +734,7 @@ def check_metric_contraction(
 
     X is projected onto the traceless part first (tangent vectors of the
     state space); pinching commutes with that projection.  Both sides are
-    ``fill_contraction``'s for this one case.
+    ``fill_contraction``'s on a stack of one.
     """
-    (sums,) = fill_contraction(((d, x, partition),), (f,))[f]
+    (sums,) = fill_contraction((d.matrix[None], d.eigenvalues[None], d.eigen.unitary[None]), [x], [partition], (f,))[f]
     return contraction_report(sums, f, d.dim, tol)

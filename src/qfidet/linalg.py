@@ -141,9 +141,13 @@ def _real_stack(m, sign: float, label: str) -> np.ndarray:
 
 
 def _finite(dets: np.ndarray, s: np.ndarray, stacked: bool):
-    """The determinants of the stack ``s``, or the one of a matrix, once all are finite: a
-    determinant of finite entries that overflows raises OverflowError."""
+    """The determinants of the stack ``s``, or the one of a matrix, once all are finite: one that is not
+    is taken again by LU (a cofactor product can overflow where it does not), else OverflowError."""
     finite = np.isfinite(dets)
+    if not finite.all():
+        with np.errstate(over="ignore", invalid="ignore"):
+            dets = np.where(finite, dets, np.linalg.det(s.transpose(2, 0, 1)))
+        finite = np.isfinite(dets)
     if not finite.all():
         largest = np.abs(s[:, :, int(np.argmin(finite))]).max()
         raise OverflowError(f"determinant of finite entries up to {largest:.3e} overflows the float range")

@@ -20,6 +20,7 @@ catalogue's families is a known result, not something this module tests.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -57,9 +58,18 @@ class CatalogError(ValueError):
     """A function failed validation or was used outside its contract."""
 
 
-@dataclass(frozen=True)
+# every live member, by its fields
+_MEMBERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+@dataclass(frozen=True, eq=False)
 class MonotoneFunction:
-    """A normalized symmetric function with its value at zero pinned analytically."""
+    """A normalized symmetric function with its value at zero pinned analytically.
+
+    Members are interned: constructing one with the fields of a live member (``dataclasses.replace``
+    too) returns that member.  So equality is identity and the hash is ``object``'s, C slots both,
+    which the memo keys of every outcome and ``dominates``' cache key take.
+    """
 
     name: str
     evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -67,18 +77,17 @@ class MonotoneFunction:
     regular: bool
     params: tuple[float, ...] = ()
     # "name" or "name:p1,p2", set once here because reports read it per outcome
-    label: str = field(init=False, repr=False, compare=False)
-    # hash of the compared fields, set once here because every memo lookup takes it
-    _hash: int = field(init=False, repr=False, compare=False)
+    label: str = field(init=False, repr=False)
+
+    def __new__(cls, *args, **kwargs):
+        names = ("name", "evaluator", "value_at_zero", "regular", "params")
+        given = dict(zip(names, args), **kwargs)
+        key = tuple(given.get(name, ()) for name in names)  # params defaults to ()
+        return _MEMBERS.get(key) or _MEMBERS.setdefault(key, object.__new__(cls))
 
     def __post_init__(self):
         label = self.name + ":" + ",".join(f"{p:g}" for p in self.params) if self.params else self.name
         object.__setattr__(self, "label", label)
-        key = (self.name, self.evaluator, self.value_at_zero, self.regular, self.params)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)

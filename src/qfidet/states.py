@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -295,21 +296,25 @@ def offdiagonal_dependence(frame: EigenFrame) -> DependenceReport:
     return DependenceReport(dependent=rank < frame.size, rank=rank)
 
 
-def pinching(x: np.ndarray, partition: Sequence[Iterable[int]]) -> np.ndarray:
-    """Block-diagonal truncation sum(P_i x P_i) over coordinate projections (of each of a stack).
+def pinching(x: np.ndarray, partition) -> np.ndarray:
+    """Block-diagonal truncation sum(P_i x P_i) over coordinate projections: of a matrix for one
+    partition, or of a stack (B, ..., n, n) for B partitions, one per leading index, by one mask.
 
     The simplest completely positive trace-preserving map that is not a
     unitary conjugation; used to exercise monotonicity under coarse-graining.
+    The first partition that is not one of range(n) raises ValueError.
     """
+    x = np.asarray(x, dtype=complex)
     n = x.shape[-1]
-    blocks = [sorted(int(i) for i in block) for block in partition]
-    flat = sorted(i for block in blocks for i in block)
-    if flat != list(range(n)):
-        raise ValueError(f"partition {blocks!r} does not partition range({n})")
-    owner = np.empty(n, dtype=int)
-    for k, block in enumerate(blocks):
-        owner[block] = k
-    return np.where(owner[:, None] == owner[None, :], np.asarray(x, dtype=complex), 0.0)
+    owner = []  # per partition, the block number of each index
+    for part in [partition] if x.ndim == 2 else partition:
+        blocks = [sorted(map(int, block)) for block in part]
+        if sorted(chain.from_iterable(blocks)) != list(range(n)):
+            raise ValueError(f"partition {blocks!r} does not partition range({n})")
+        owner.append([k for _, k in sorted((i, k) for k, block in enumerate(blocks) for i in block)])
+    owner = np.array(owner, dtype=int).reshape(-1, n)
+    mask = owner[:, :, None] == owner[:, None, :]
+    return np.where(mask[0] if x.ndim == 2 else mask.reshape(-1, *(1,) * (x.ndim - 3), n, n), x, 0.0)
 
 
 def random_partition(n: int, seed: int) -> list[list[int]]:

@@ -23,7 +23,8 @@ Library code used here, and what for:
   and for ``qov`` its eigendecomposition) and ``MonotoneFunction``;
   ``commutator`` coerces with ``as_complex_matrix``; ``qov`` takes Hermitian
   parts with ``hermitian_part`` and sums over the eigenbasis with
-  ``pair_means`` and ``metric_sum``, the operations of ``metric_inner``.
+  ``pair_means`` and ``metric_sum``, the operations of ``metric_inner``, in
+  two steps (``rotated_tangent``, ``qov_rotated``) that a sweep can reuse.
 """
 from __future__ import annotations
 
@@ -120,17 +121,24 @@ def qov(d, f, a: np.ndarray, b: np.ndarray) -> float:
 
     The scalar product is the library's ``metric_inner`` with the same
     operations, less its Hermitian check of the tangents, which are Hermitian
-    parts by construction: both rotated into D's eigenbasis, and
-    sum conj(X_hj) Y_hj / m_f(lambda_h, lambda_j).
+    parts by construction: both rotated into D's eigenbasis (``rotated_tangent``),
+    and sum conj(X_hj) Y_hj / m_f(lambda_h, lambda_j) (``qov_rotated``).
     """
     if not f.regular:
         raise ValueError(f"{f.label} is not regular (f(0) = 0), so its quantum covariance is identically zero")
-    ca = hermitian_part(1j * commutator(d.matrix, a))
-    cb = hermitian_part(1j * commutator(d.matrix, b))
+    return qov_rotated(f, rotated_tangent(d, a), rotated_tangent(d, b), pair_means(d.eigenvalues, f))
+
+
+def rotated_tangent(d, a: np.ndarray) -> np.ndarray:
+    """The Hermitian part of i[D, A], rotated into the eigenbasis of a ``DensityMatrix`` d."""
     u = d.eigen.unitary
-    xr = u.conj().T @ ca @ u
-    yr = u.conj().T @ cb @ u
-    return 0.5 * f.value_at_zero * float(metric_sum(xr.conj() * yr, pair_means(d.eigenvalues, f), f))
+    return u.conj().T @ hermitian_part(1j * commutator(d.matrix, a)) @ u
+
+
+def qov_rotated(f, xr: np.ndarray, yr: np.ndarray, means: np.ndarray) -> float:
+    """``qov`` of the tangents ``rotated_tangent`` gives, with D's ``pair_means`` for f: a caller
+    that forms each tangent and the means once gets each entry with ``qov``'s operations and bits."""
+    return 0.5 * f.value_at_zero * float(metric_sum(xr.conj() * yr, means, f))
 
 
 def _entrywise(obs_count: int, entry) -> np.ndarray:

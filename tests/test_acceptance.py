@@ -25,7 +25,7 @@ import pytest
 from conftest import FIXTURES, PAULI_X, PAULI_Y
 
 import qfidet.campaign as campaign_module
-from oracles import check_operator_monotone, cov, qov, qov_superop
+from oracles import check_operator_monotone, cov, qov, qov_rotated, qov_superop, rotated_tangent
 from qfidet.campaign import BLOCK_INSTANCES, REPORT_VERSION, CampaignConfig, CheckPlan, run_campaign
 from qfidet.cli import main as cli_main
 from qfidet.covariance import (
@@ -182,9 +182,12 @@ def route_sweep() -> RouteSweep:
                 dev = abs(cov(d, a, b) - cov_frame[k])
                 out.worst_cov = max(out.worst_cov, dev / scale)
                 out.cov_failures += dev > window
+                # the oracle qov of (a, b) and (a, a), its tangents formed once and its means once per f
+                ra, rb = rotated_tangent(d, a), rotated_tangent(d, b)
                 for f, q_frame, adevs in zip(functions, q_frames, alpha_devs):
-                    for x, y, q in ((a, b, q_frame[k][0]), (a, a, q_frame[k][1])):
-                        dev = abs(qov(d, f, x, y) - q)
+                    means = pair_means(d.eigenvalues, f)
+                    for x, y, q in ((ra, rb, q_frame[k][0]), (ra, ra, q_frame[k][1])):
+                        dev = abs(qov_rotated(f, x, y, means) - q)
                         out.worst_qov = max(out.worst_qov, dev / scale)
                         out.qov_failures += dev > window
                     out.worst_alpha = max(out.worst_alpha, adevs[k])

@@ -726,8 +726,13 @@ def test_shared_memos_change_no_outcome_at_n4_5_and_N4_5():
 
 @pytest.mark.parametrize(
     "config",
-    [CampaignConfig(instances_per_cell=3), CampaignConfig(dims=(4, 5), num_obs=(4, 5), instances_per_cell=3, seed=11)],
-    ids=["default-grid", "n4-5,N4-5"],
+    [
+        CampaignConfig(instances_per_cell=3),
+        CampaignConfig(dims=(4, 5), num_obs=(4, 5), instances_per_cell=3, seed=11),
+        # given out of order: the rows are sorted whatever the config's order
+        CampaignConfig(dims=(4, 2), num_obs=(3, 1), instances_per_cell=3, functions=("wy", "sld")),
+    ],
+    ids=["default-grid", "n4-5,N4-5", "unsorted"],
 )
 def test_report_bytes_do_not_depend_on_the_block_size(monkeypatch, config):
     import qfidet.campaign as campaign_module
@@ -757,3 +762,14 @@ def test_report_bytes_do_not_depend_on_the_block_size(monkeypatch, config):
         assert sizes == span * len(config.dims) * len(config.num_obs)
     assert mixed == {2, 7, 16}  # a block holds two kinds unless the size divides the kind boundaries
     assert reports[1] == reports[2] == reports[3] == reports[7] == reports[16]
+    # one row per (check, n, N) and outcome of an instance, in the order of an independent sort
+    rows = json.loads(reports[1])["rows"]
+    want = sorted(rows, key=lambda r: (r["check"], r["n"], r["N"], r["f"] or "", r["g"] or "", -1 if r["t"] is None else r["t"]))
+    assert rows == want
+    plan = CheckPlan(
+        tuple(map(parse_function_spec, config.functions)),
+        tuple(tuple(map(parse_function_spec, pair)) for pair in config.function_pairs),
+        config.tol,
+        config.t_grid,
+    )
+    assert len(rows) == len(config.dims) * len(config.num_obs) * len(plan.layout(set(config.checks)))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from qfidet.inequalities import (
     check_metric_contraction,
     check_robertson,
     classify_equality,
+    contraction_report,
     minkowski_firey_selftest,
     prepare_random,
     remainder,
@@ -196,7 +198,7 @@ def test_firey_endpoints_and_range(rng):
 def test_firey_half_recovers_conj1(rng):
     for seed in range(20):
         inst = prepare_random(int(rng.integers(2, 5)), int(rng.integers(1, 4)), 500 + seed)
-        n = inst.size
+        n = inst.frame.size
         for f in (SLD, WYD):
             half = check_firey(inst, f, 0.5)
             full = check_conj1(inst, f)
@@ -747,6 +749,41 @@ def test_contraction_shares_its_tangent_across_functions_in_any_order():
         whole = [range(n)]
         rep = check_metric_contraction(d, x, SLD, whole)
         assert _bits(rep.components["after"]) == _bits(_fresh_contraction_sides(500 + trial, n, x, SLD, whole)[1])
+
+
+def _partition_of(n: int, chunks: int, seed: int) -> list:
+    """A shuffle of range(n) cut into ``chunks`` contiguous runs, each sorted."""
+    rng = np.random.default_rng(seed)
+    perm, cuts = rng.permutation(n).tolist(), sorted(rng.choice(np.arange(1, n), size=chunks - 1, replace=False).tolist())
+    return [sorted(perm[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_block_contraction_sums_equal_the_single_case_bit_for_bit(n):
+    # every kind, with a partition of every size 1..n, in one block of 3n
+    block = [prepare_random(n, 2, derive_seed("contraction-block", n, k), KINDS[k % 3]) for k in range(3 * n)]
+    for k, inst in enumerate(block):
+        inst.partition = _partition_of(n, 1 + k % n, derive_seed("contraction-partition", n, k))
+    functions = (SLD, WY, WYD, KM)
+    CheckPlan(functions=functions, pairs=(), tol=1e-9).evaluate(block, {"contraction"})
+    for inst in block:
+        for f in functions:
+            sums = inst.contraction(f)
+            alone = check_metric_contraction(inst.state, inst.observables[0], f, inst.partition)
+            assert (_bits(sums[0]), _bits(sums[1])) == (_bits(alone.lhs), _bits(alone.rhs)), (inst.digest, f.label)
+            assert contraction_report(sums, f, n, 1e-9) == alone
+            assert sums[3] == len(inst.partition)
+
+
+def test_a_malformed_partition_in_a_block_raises_its_own_message():
+    block = _drawn_block(3, 2, "bad-partition")
+    block[5].partition, block[9].partition = [[0, 1], [2, 1]], [[0], [1]]
+    want = re.escape("partition [[0, 1], [1, 2]] does not partition range(3)")
+    with pytest.raises(ValueError, match=want):
+        CheckPlan(functions=(SLD,), pairs=(), tol=1e-9).evaluate(block, {"contraction"})
+    # the message of that case alone
+    with pytest.raises(ValueError, match=want):
+        check_metric_contraction(block[5].state, block[5].observables[0], SLD, block[5].partition)
 
 
 def _members(n: int, n_obs: int, tag: str) -> list:

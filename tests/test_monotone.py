@@ -366,3 +366,31 @@ def test_dominance_names_the_first_function_that_is_not_regular(f, g):
     bad = f if not parse_function_spec(f).regular else g
     with pytest.raises(CatalogError, match=rf"^{bad}: dominance is defined for regular functions only$"):
         dominates(parse_function_spec(f), parse_function_spec(g))
+
+
+def test_members_are_interned_by_their_fields():
+    f = parse_function_spec("wyd:0.3")
+    assert parse_function_spec("wyd:.3") is f and make_function("wyd", 0.3) is f
+    assert dataclasses.replace(f) is f and dataclasses.replace(tilde(f)) is tilde(f)
+    assert dataclasses.replace(f, params=(0.4,)) is not f
+    # equality is identity, and the hash is object's
+    assert hash(f) == object.__hash__(f) and type(f).__eq__ is object.__eq__
+    # the same name and value at zero with another evaluator is another member
+    sld = make_function("sld")
+    mine = custom_function("sld", lambda x: 0.5 * (1.0 + x), 0.5)
+    assert mine is not sld and mine != sld and mine is not custom_function("sld", lambda x: 0.5 * (1.0 + x), 0.5)
+    assert dataclasses.replace(mine) is mine
+
+
+def test_a_memo_filled_under_one_spelling_is_hit_under_the_other():
+    from qfidet.inequalities import check_main, prepare_random
+
+    inst = prepare_random(3, 2, 2024, "generic")
+    first = check_main(inst, parse_function_spec("wyd:0.3"))
+    memo = dict(inst._block.det)
+    assert check_main(inst, parse_function_spec("wyd:.3")) == first
+    assert inst._block.det == memo  # no key added
+    hits = dominates.cache_info().hits
+    dominates(parse_function_spec("sld"), parse_function_spec("wyd:0.3"))
+    dominates(parse_function_spec("sld"), parse_function_spec("wyd:.3"))
+    assert dominates.cache_info().hits >= hits + 1
