@@ -5,13 +5,15 @@ or single instance reproduces in isolation.  A work item is a block of up to
 ``BLOCK_INSTANCES`` consecutive instances of one (n, N) in (kind, index) order,
 which may span kinds: it is drawn, evaluated and tallied on its own.  The config
 fixes, before the first instance is drawn, the (check, f, g, t) of every outcome
-of an instance: the plan and this layout are built once per campaign (once per
-pool worker), and a block returns one tally row per layout entry, in layout
-order and with no keys.  The merge adds the blocks of one (n, N) row by row in
-(kind, index) order, so the report is identical for any worker count and block
-size, and writes the rows through a permutation of the layout sorted once, in
-(check, n, N, f, g, t) order.  An instance draws from one generator of its
-derived seed; the block forms, checks, eigensolves and rotates all at once,
+of an instance: the plan and this layout are built once per campaign and once in
+each process it starts, and a block returns one tally row per layout entry, in
+layout order and with no keys.  On more than one process the campaign's own
+process takes blocks beside the ones it starts, each drawing the next block
+index from one shared counter.  The merge adds the blocks of one (n, N) row by
+row in (kind, index) order, so the report is identical for any worker count and
+block size, and writes the rows through a permutation of the layout sorted
+once, in (check, n, N, f, g, t) order.  An instance draws from one generator of
+its derived seed; the block forms, checks, eigensolves and rotates all at once,
 evaluates what the active checks read as stacks, binds each layout entry to its
 check function and arguments, and the outcomes read memos: a pencil outcome is
 a report that holds the memo row it was judged from.
@@ -274,7 +276,7 @@ def _add_row(into: list, row: list) -> None:
 
 def _campaign_plan(config: CampaignConfig) -> tuple:
     """``config`` with its plan and the plan's layout, built once per campaign: the specs parse to
-    functions, which hold lambdas and so cannot be pickled, so a pool worker builds its own."""
+    functions, which hold lambdas and so cannot be pickled, so a started process builds its own."""
     plan = CheckPlan(
         functions=tuple(parse_function_spec(s) for s in config.functions),
         pairs=tuple((parse_function_spec(a), parse_function_spec(b)) for a, b in config.function_pairs),
@@ -284,17 +286,24 @@ def _campaign_plan(config: CampaignConfig) -> tuple:
     return config, plan, plan.layout(set(config.checks))
 
 
-# a pool worker's (config, plan, layout), set by the pool's initializer; it ends with the worker
-_worker_plan: tuple = ()
-
-
-def _start_worker(config: CampaignConfig) -> None:
-    global _worker_plan
-    _worker_plan = _campaign_plan(config)
-
-
-def _run_pooled(n: int, n_obs: int, positions: range) -> tuple[list, list]:
-    return _run_block(*_worker_plan, n, n_obs, positions)
+def _take_blocks(config: CampaignConfig, blocks: list, counter, sender) -> dict:
+    """Block index -> (tally, violations), or the exception of a failed block, for each index this process
+    draws from the shared ``counter``; a failure moves the counter past the end, so that no process starts
+    another block.  A started process builds its own plan and sends the dict through its ``sender``."""
+    planned, partials = _campaign_plan(config), {}
+    while True:
+        with counter.get_lock():
+            k = counter.value
+            counter.value = k + 1
+        if k >= len(blocks):
+            break
+        try:
+            partials[k] = _run_block(*planned, *blocks[k])
+        except Exception as exc:
+            partials[k], counter.value = exc, len(blocks)
+    if sender is not None:
+        sender.send(partials)
+    return partials
 
 
 def _run_block(
@@ -328,23 +337,44 @@ def _run_block(
             # a violation: the hypothesis held and the bound failed
             if passed or len(violations) >= VIOLATION_CAP:
                 continue
-            violation = {
-                "check": name,
-                "n": n,
-                "N": n_obs,
-                "kind": kind,
-                "index": index,
-                "seed": config.seed,
-                "derived_seed": derived,
-                "f": f and f.label,
-                "g": g and g.label,
-                "t": t,
-                "margin": rep.margin,
-            }
+            violation = {"check": name, "n": n, "N": n_obs, "kind": kind, "index": index, "seed": config.seed,
+                         "derived_seed": derived, "f": f and f.label, "g": g and g.label, "t": t, "margin": rep.margin}
             if isinstance(rep, EqualityClassification):
                 violation["verdict"] = rep.verdict
             violations.append(violation)
     return tally, violations
+
+
+def _run_shared(config: CampaignConfig, blocks: list, processes: int) -> list:
+    """The blocks' partials in block order, taken by this process and ``processes - 1`` started ones.
+    Once every started process has ended, the exception of the lowest failing block is raised: every
+    lower block was drawn earlier and finished, so it is the one a 1-worker run raises."""
+    import multiprocessing  # imported here: a 1-worker run never needs it
+
+    counter, children = multiprocessing.Value("i", 0), []
+    try:
+        for _ in range(processes - 1):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_take_blocks, args=(config, blocks, counter, sender))
+            child.start()
+            sender.close()  # so that a child which exits without a reply ends its pipe
+            children.append((child, receiver))
+        partials = _take_blocks(config, blocks, counter, None)
+        for child, receiver in children:  # every reply is read before any child is joined
+            partials.update(receiver.recv())
+        for child, _ in children:
+            child.join()
+    except BaseException as exc:
+        for started, _ in children:
+            started.terminate()
+            started.join()
+        if isinstance(exc, EOFError):
+            raise RuntimeError(f"a campaign process exited with code {child.exitcode} without a reply") from None
+        raise
+    failed = [k for k, partial in partials.items() if isinstance(partial, Exception)]
+    if failed:
+        raise partials[min(failed)]
+    return [partials[k] for k in range(len(blocks))]
 
 
 def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
@@ -354,15 +384,11 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
     span = len(config.kinds) * config.instances_per_cell
     ranges = [range(k, min(k + BLOCK_INSTANCES, span)) for k in range(0, span, BLOCK_INSTANCES)]
     blocks = list(product(config.dims, config.num_obs, ranges))
-    # the executor forks all of its processes up front, so no more than there are blocks or CPUs
+    # this process and the ones it starts, no more than there are blocks or CPUs
     processes = min(workers, len(blocks), os.cpu_count() or 1)
     planned = _campaign_plan(config)
     if processes > 1:
-        # imported here: it loads multiprocessing, which a 1-worker run never needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=processes, initializer=_start_worker, initargs=(config,)) as pool:
-            partials = list(pool.map(_run_pooled, *zip(*blocks)))
+        partials = _run_shared(config, blocks, processes)
     else:
         partials = [_run_block(*planned, *block) for block in blocks]
 
@@ -464,20 +490,10 @@ def emit_report(report: CampaignReport, fmt: str = "json", path: str | Path | No
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["check", "n", "N", "f", "g", "t", "pass", "fail", "worst_margin", "clamps"])
         for row in report.rows:
-            writer.writerow(
-                [
-                    row["check"],
-                    row["n"],
-                    row["N"],
-                    row["f"] or "",
-                    row["g"] or "",
-                    "" if row["t"] is None else f"{row['t']:g}",
-                    row["pass"],
-                    row["fail"],
-                    "" if row["worst_margin"] is None else f"{row['worst_margin']:.12g}",
-                    row["clamps"],
-                ]
-            )
+            t, margin = row["t"], row["worst_margin"]
+            t, margin = "" if t is None else f"{t:g}", "" if margin is None else f"{margin:.12g}"
+            labels = [row["check"], row["n"], row["N"], row["f"] or "", row["g"] or "", t]
+            writer.writerow([*labels, row["pass"], row["fail"], margin, row["clamps"]])
         text = buf.getvalue()
     else:
         raise ConfigError(f"format: expected json or csv, got {fmt!r}")

@@ -103,10 +103,13 @@ class _ReportFields(NamedTuple):
     passed: bool
     hypothesis_ok: bool
     clamps: int
-    components: dict  # or, for a pencil outcome, the pencil row it was judged from
+    components: dict  # or the values of ``_HELD_KEYS``, or for a pencil outcome the pencil row it was judged from
     digest: str
 
 
+# check -> the components' names of the tuple its outcome holds in their place
+_HELD_KEYS = {"main": ("det_cov", "det_qov", "f"), "robertson": ("det_cov", "det_commutator"),
+              "contraction": ("before", "after", "window", "blocks", "f")}
 # pencil check -> the components' names of lhs, det K_small, det(K_big - K_small) and the cross terms
 _PENCIL_KEYS = {
     "conj1": ("det_cov", "det_qov", "det_diff", "remainder"),
@@ -119,8 +122,9 @@ class InequalityReport(_ReportFields):
     """Outcome of one inequality check on one instance (an immutable record).
 
     A pencil outcome keeps the memo row it was judged from in place of its components
-    (``InstanceBlock.fill_pencils``'s row, which carries its own f, g and t) and builds the dict
-    from it on each read; any other report holds the dict it was given.
+    (``InstanceBlock.fill_pencils``'s row, which carries its own f, g and t), a ``main``,
+    ``robertson`` or ``contraction`` outcome the tuple of their values, and each builds the dict
+    on each read; any other report holds the dict it was given.
     """
 
     __slots__ = ()
@@ -130,6 +134,8 @@ class InequalityReport(_ReportFields):
         held = self[9]
         if type(held) is not tuple:
             return held
+        if self.name in _HELD_KEYS:
+            return dict(zip(_HELD_KEYS[self.name], held))
         lhs, rem, _, q, dd, _, _, _, f, g, t = held
         keys = _PENCIL_KEYS[self.name]
         out = {keys[0]: lhs, keys[1]: q, keys[2]: dd, keys[3]: rem}
@@ -452,8 +458,7 @@ def check_main(inst: PreparedInstance, f: MonotoneFunction, tol: float = DEFAULT
     """det Cov >= det Qov_f."""
     lhs = inst.det("cov")
     rhs = inst.det(f)
-    components = {"det_cov": lhs, "det_qov": rhs, "f": f.label}
-    return _report("main", lhs, rhs, inst.scale, tol, components, inst.digest)
+    return _report("main", lhs, rhs, inst.scale, tol, (lhs, rhs, f.label), inst.digest)
 
 
 def _pencil(name, inst, f, g, t, tol):
@@ -532,8 +537,7 @@ def check_robertson(inst: PreparedInstance, tol: float = DEFAULT_TOL) -> Inequal
     """det Cov >= det of the commutator bound matrix (exactly 0 for odd N)."""
     lhs = inst.det("cov")
     rhs = inst.det("robertson")
-    components = {"det_cov": lhs, "det_commutator": rhs}
-    return _report("robertson", lhs, rhs, inst.scale, tol, components, inst.digest)
+    return _report("robertson", lhs, rhs, inst.scale, tol, (lhs, rhs), inst.digest)
 
 
 @dataclass(frozen=True)
@@ -719,8 +723,8 @@ def contraction_report(sums, f: MonotoneFunction, n: int, tol: float) -> Inequal
     # two sides degrades by that factor.  Widen the window accordingly;
     # for healthy spectra the extra term is far below tol*scale.
     window = tol * scale + 4.0 * n * _EPS / lam_floor * before
-    components = {"before": before, "after": after, "window": window, "blocks": blocks, "f": f.label}
-    return _report("contraction", before, after, scale, tol, components, f"contraction[n={n}]", window=window)
+    held = (before, after, window, blocks, f.label)
+    return _report("contraction", before, after, scale, tol, held, f"contraction[n={n}]", window=window)
 
 
 def check_metric_contraction(

@@ -3,6 +3,10 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import os
+import signal
+import time
+from itertools import product
 
 import pytest
 
@@ -159,40 +163,199 @@ def test_worker_determinism():
 
 
 def test_the_pool_has_at_most_one_process_per_block_and_cpu(monkeypatch):
-    import concurrent.futures
-    import os
+    """The campaign's own process and the ones it starts number min(workers, blocks, CPUs).  A stand-in
+    for the process start counts the children and runs each in a thread of this process, starting no
+    process; the children share the block counter with this process as started ones would."""
+    import multiprocessing.connection
+    import threading
 
     import qfidet.campaign as campaign_module
 
-    sizes = []
+    started = []
 
-    class InlineExecutor:
-        """Stands in for the process pool: records its size and runs the blocks inline, starting no process."""
+    class ThreadChild(threading.Thread):
+        exitcode = 0
 
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
+        def __init__(self, target, args):
+            # its own copy of the reply pipe's sending end, which the campaign closes once the child starts
+            *rest, sender = args
+            copy = multiprocessing.connection.Connection(os.dup(sender.fileno()), readable=False)
+            super().__init__(target=target, args=(*rest, copy))
+            started.append(self)
 
-        def __enter__(self):
-            return self
+        def terminate(self):
+            pass
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
-    monkeypatch.setattr(campaign_module, "_worker_plan", ())  # the stand-in initializer sets it in this process
+    monkeypatch.setattr(multiprocessing, "Process", ThreadChild)
     config = dataclasses.replace(TINY, instances_per_cell=1)
     expected = run_campaign(config).to_dict()
+    children = []
     # (CPUs, workers, BLOCK_INSTANCES): at 16, one block per (n, N), 4 in all; at 1, one per instance, 8 in all
     for cpus, workers, block in [(64, 64, 16), (64, 64, 1), (4, 64, 1), (4, 2, 1), (1, 64, 1)]:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(campaign_module, "BLOCK_INSTANCES", block)
         assert run_campaign(config, workers=workers).to_dict() == expected
-    # bounded by the blocks, the blocks, the CPUs and the workers; a bound of 1 runs inline
-    assert sizes == [4, 8, 4, 2]
+        children.append(len(started))
+        started.clear()
+    # min(workers, blocks, CPUs) - 1 beside the campaign's own process: bounded by the blocks, the
+    # blocks, the CPUs and the workers; a bound of 1 runs inline and starts none
+    assert children == [3, 7, 3, 1, 0]
+
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="started processes see the stand-ins only when forked"
+)
+# one instance per block, 8 blocks: block k is the k-th instance in (n, N, index) order
+ONE_KIND = dataclasses.replace(TINY, instances_per_cell=2, kinds=("generic",))
+
+
+def _blocks_of(monkeypatch, config, act):
+    """Replace ``prepare_random`` with one that calls ``act(k)`` with the block index first."""
+    import qfidet.campaign as campaign_module
+
+    monkeypatch.setattr(campaign_module, "BLOCK_INSTANCES", 1)
+    members = product(config.dims, config.num_obs, config.kinds, range(config.instances_per_cell))
+    order = {derive_seed(config.seed, *member): k for k, member in enumerate(members)}
+    real = campaign_module.prepare_random
+
+    def prepare(n, n_obs, seed, kind):
+        act(order[seed])
+        return real(n, n_obs, seed, kind)
+
+    monkeypatch.setattr(campaign_module, "prepare_random", prepare)
+
+
+def _wait_for_children(k):
+    """In its block 0, the campaign's own process waits until every process it started has ended,
+    so that those draw the next blocks."""
+    deadline = time.monotonic() + 30.0
+    while k == 0 and multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+@fork_only
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_lowest_failing_block_raises_at_any_worker_count(monkeypatch, workers):
+    def act(k):
+        if k == 3:
+            time.sleep(0.2)  # so that block 6 may fail first on another process
+            raise ArithmeticError("block 3: det K = -1 is below the clamp window")
+        if k == 6:
+            raise np.linalg.LinAlgError("block 6: eigenvalues did not converge")
+
+    _blocks_of(monkeypatch, ONE_KIND, act)
+    with pytest.raises(ArithmeticError) as caught:
+        run_campaign(ONE_KIND, workers=workers)
+    assert type(caught.value) is ArithmeticError
+    assert str(caught.value) == "block 3: det K = -1 is below the clamp window"
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+@pytest.mark.parametrize("error", [ArithmeticError, OverflowError, np.linalg.LinAlgError])
+def test_verify_exits_3_for_a_numerical_failure_in_any_process(monkeypatch, capsys, error):
+    from qfidet.cli import main
+
+    parent = os.getpid()
+
+    def act(k):
+        if os.getpid() != parent:
+            raise error(f"{error.__name__} in a started process")
+        _wait_for_children(k)
+
+    _blocks_of(monkeypatch, ONE_KIND, act)
+    args = ["verify", "--dims", "2,3", "--num-obs", "1,2", "--instances", "2", "--kinds", "generic", "--seed", "99"]
+    args += ["--functions", "sld,kubo-mori", "--pairs", "sld/wy", "--t-grid", "0,0.5,1", "--workers", "2"]
+    assert main(args) == 3
+    assert capsys.readouterr().err == f"error: {error.__name__} in a started process\n"
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_every_block_is_taken_once_when_processes_contend_for_the_counter(monkeypatch):
+    """Four processes draw 2000 blocks that take no time, so that their draws contend for the counter:
+    a lost update would run a block twice."""
+    import qfidet.campaign as campaign_module
+
+    drawn = multiprocessing.Value("i", 0)
+
+    def take(config, plan, layout, n, n_obs, positions):
+        with drawn.get_lock():
+            drawn.value += 1
+        return [[len(positions), 0, 0, 0, None, ""] for _ in layout], []
+
+    config = dataclasses.replace(ONE_KIND, instances_per_cell=500)
+    monkeypatch.setattr(campaign_module, "BLOCK_INSTANCES", 1)
+    monkeypatch.setattr(campaign_module, "_run_block", take)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for _ in range(3):
+        drawn.value = 0
+        report = run_campaign(config, workers=4)
+        assert drawn.value == 2000
+        assert report.counts["main"]["pass"] == 2000 * len(config.functions)
+        assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_a_child_that_dies_in_a_block_raises_instead_of_hanging(monkeypatch):
+    parent = os.getpid()
+
+    def act(k):
+        if os.getpid() != parent:
+            os._exit(1)
+        _wait_for_children(k)
+
+    _blocks_of(monkeypatch, ONE_KIND, act)
+    with pytest.raises(RuntimeError, match="exited with code 1 without a reply"):
+        run_campaign(ONE_KIND, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_a_failed_block_stops_every_process_from_starting_another(monkeypatch):
+    drawn = multiprocessing.Value("i", 0)
+
+    def act(k):
+        with drawn.get_lock():
+            drawn.value += 1
+        if k == 0:
+            raise ArithmeticError("block 0")
+        time.sleep(0.05)
+
+    _blocks_of(monkeypatch, ONE_KIND, act)
+    with pytest.raises(ArithmeticError, match="block 0"):
+        run_campaign(ONE_KIND, workers=2)
+    # block 0 and at most the one block the other process had drawn before it failed
+    assert drawn.value <= 2
+    assert multiprocessing.active_children() == []
+
+
+class _Interrupt(BaseException):
+    pass
+
+
+@fork_only
+def test_an_interrupt_in_the_campaign_process_ends_its_children(monkeypatch):
+    parent = os.getpid()
+    children = []
+
+    class Recorded(multiprocessing.Process):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            children.append(self)
+
+    def act(k):
+        if os.getpid() == parent:
+            raise _Interrupt
+        time.sleep(3.0)  # a child is still in its block when the interrupt comes, unless left to end it
+        os._exit(0)
+
+    _blocks_of(monkeypatch, ONE_KIND, act)
+    monkeypatch.setattr(multiprocessing, "Process", Recorded)
+    with pytest.raises(_Interrupt):
+        run_campaign(ONE_KIND, workers=2)
+    assert [child.exitcode for child in children] == [-signal.SIGTERM]
+    assert multiprocessing.active_children() == []
 
 
 def test_repeat_run_is_identical():
