@@ -1,22 +1,21 @@
 """Verification campaigns over derived-seed random instances.
 
-Every instance is generated from hash(seed, n, N, kind, index), so any cell
-or single instance reproduces in isolation.  A work item is a block of up to
+Every instance is generated from hash(seed, n, N, kind, index), so any cell or
+single instance reproduces in isolation.  A work item is a block of up to
 ``BLOCK_INSTANCES`` consecutive instances of one (n, N) in (kind, index) order,
 which may span kinds: it is drawn, evaluated and tallied on its own.  The config
 fixes, before the first instance is drawn, the (check, f, g, t) of every outcome
-of an instance: the plan and this layout are built once per campaign and once in
-each process it starts, and a block returns one tally row per layout entry, in
-layout order and with no keys.  On more than one process the campaign's own
-process takes blocks beside the ones it starts, each drawing the next block
-index from one shared counter.  The merge adds the blocks of one (n, N) row by
-row in (kind, index) order, so the report is identical for any worker count and
-block size, and writes the rows through a permutation of the layout sorted
-once, in (check, n, N, f, g, t) order.  An instance draws from one generator of
-its derived seed; the block forms, checks, eigensolves and rotates all at once,
-evaluates what the active checks read as stacks, binds each layout entry to its
-check function and arguments, and the outcomes read memos: a pencil outcome is
-a report that holds the memo row it was judged from.
+of an instance: the plan and this layout, bound to the check functions, are
+built once per campaign and once per started process, and a block returns one
+tally row per layout entry, in layout order and with no keys.  On more than one
+process, the campaign's own takes blocks beside the ones it starts, each drawing
+the next block index from one shared counter.  The merge adds the blocks of one
+(n, N) row by row in (kind, index) order, so the report is identical for any
+worker count and block size, and writes the rows through a permutation of the
+layout sorted once, in (check, n, N, f, g, t) order.  An instance draws from one
+generator of its derived seed; the block forms, checks, eigensolves and rotates
+all at once, evaluates what the active checks read as stacks, and the outcomes
+read memos: a pencil outcome holds the memo row it was judged from.
 The JSON report is the source of truth; CSV is a flattened view with one row per
 (check, n, N, f, g, t), aggregated over kinds and instances.
 """
@@ -62,6 +61,10 @@ BLOCK_INSTANCES = 16
 
 class ConfigError(ValueError):
     pass
+
+
+class CampaignProcessError(RuntimeError):
+    """A process that a campaign started exited without sending its blocks' results."""
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ class CheckPlan:
 
 
 def _contraction(inst, f, tol):
-    return contraction_report(inst.contraction(f), f, inst.state.dim, tol)
+    return contraction_report(inst.contraction(f), f, inst._block.frame.dim, tol)
 
 
 # check name -> (the module-level name of the function that gives its outcome on an instance, its
@@ -275,15 +278,15 @@ def _add_row(into: list, row: list) -> None:
 
 
 def _campaign_plan(config: CampaignConfig) -> tuple:
-    """``config`` with its plan and the plan's layout, built once per campaign: the specs parse to
-    functions, which hold lambdas and so cannot be pickled, so a started process builds its own."""
+    """``config`` with its plan and its layout bound by ``CheckPlan.bind``, built once per campaign: the
+    specs parse to functions, which hold lambdas and cannot be pickled, so a started process builds its own."""
     plan = CheckPlan(
         functions=tuple(parse_function_spec(s) for s in config.functions),
         pairs=tuple((parse_function_spec(a), parse_function_spec(b)) for a, b in config.function_pairs),
         tol=config.tol,
         t_grid=config.t_grid,
     )
-    return config, plan, plan.layout(set(config.checks))
+    return config, plan, plan.bind(plan.layout(set(config.checks)))
 
 
 def _take_blocks(config: CampaignConfig, blocks: list, counter, sender) -> dict:
@@ -307,20 +310,20 @@ def _take_blocks(config: CampaignConfig, blocks: list, counter, sender) -> dict:
 
 
 def _run_block(
-    config: CampaignConfig, plan: CheckPlan, layout: list, n: int, n_obs: int, positions: range
+    config: CampaignConfig, plan: CheckPlan, bound: list, n: int, n_obs: int, positions: range
 ) -> tuple[list, list]:
     """Draw, evaluate and tally the instances at ``positions`` of (n, N), numbered in (kind, index) order:
-    one tally row per layout entry, in layout order, and the block's violations."""
+    one tally row per entry of the ``bound`` layout, in layout order, and the block's violations."""
     # one tally row per layout entry, as every instance has an outcome at each
-    tally = [_empty_row() for _ in layout]
+    tally = [_empty_row() for _ in bound]
     violations: list[dict] = []
     count = config.instances_per_cell
     members = [(config.kinds[k // count], k % count) for k in positions]
     seeds = [derive_seed(config.seed, n, n_obs, kind, index) for kind, index in members]
     block = [prepare_random(n, n_obs, derived, kind) for derived, (kind, _) in zip(seeds, members)]
     plan.evaluate(block, set(config.checks))
-    # each layout entry with its check function, arguments and tally row, bound once per block
-    outcomes = [(*entry, row) for entry, row in zip(plan.bind(layout), tally)]
+    # each layout entry with its check function, arguments and tally row
+    outcomes = [(*entry, row) for entry, row in zip(bound, tally)]
     for (kind, index), derived, inst in zip(members, seeds, block):
         where = f"kind={kind},index={index}"
         for name, f, g, t, check, args, row in outcomes:
@@ -369,7 +372,7 @@ def _run_shared(config: CampaignConfig, blocks: list, processes: int) -> list:
             started.terminate()
             started.join()
         if isinstance(exc, EOFError):
-            raise RuntimeError(f"a campaign process exited with code {child.exitcode} without a reply") from None
+            raise CampaignProcessError(f"a campaign process exited with code {child.exitcode} without a reply") from None
         raise
     failed = [k for k, partial in partials.items() if isinstance(partial, Exception)]
     if failed:
@@ -406,7 +409,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
     # the report rows in (check, n, N, f, g, t) order: the layout's entries sorted once, each
     # check's entries then written for every (n, N)
     entries = sorted(
-        ((name, f and f.label, g and g.label, t, j) for j, (name, f, g, t) in enumerate(planned[2])),
+        ((name, f and f.label, g and g.label, t, j) for j, (name, f, g, t, *_) in enumerate(planned[2])),
         key=lambda e: (e[0], e[1] or "", e[2] or "", -1.0 if e[3] is None else e[3]),
     )
     per_check = {c: _empty_row() for c in config.checks}

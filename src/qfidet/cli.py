@@ -1,9 +1,9 @@
 """Command line front end: verify, compute, catalog, selftest.
 
-Exit codes: 0 all checks passed, 1 at least one inequality violation,
-2 configuration or input error, 3 numerical invariant failure (a determinant
-below its clamp window, a determinant of finite entries that overflows, or a
-LAPACK eigensolver that did not converge).
+Exit codes: 0 all checks passed, 1 at least one inequality violation, 2 configuration or input
+error, 3 numerical invariant failure (a determinant below its clamp window, a determinant of finite
+entries that overflows, or a LAPACK eigensolver that did not converge) or a campaign process that
+exited without a reply.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .campaign import (
     CHECK_NAMES,
     DEFAULT_T_GRID,
     CampaignConfig,
+    CampaignProcessError,
     CheckPlan,
     ConfigError,
     emit_report,
@@ -213,7 +214,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError, CampaignProcessError) as exc:
         # before ValueError: LinAlgError is one
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -42,12 +41,9 @@ from .linalg import (
     RANK_TOL,
     EigenDecomposition,
     _real_stack,
-    as_complex_matrix,
     det_antisymmetric,
     det_real_symmetric,
-    hermitian_part,
     numeric_rank,
-    require_hermitian,
 )
 from .monotone import MonotoneFunction, dominates
 from .states import (
@@ -55,10 +51,11 @@ from .states import (
     EigenFrame,
     _draw_gaussians,
     _draw_partition,
+    _require_positive,
     _unit_observables,
-    density_stack,
     derive_seed,
     eigenframe_stack,
+    observable,
     observable_stack,
     offdiagonal_dependence,
     pinching,
@@ -215,10 +212,10 @@ def remainder_t(det_q: float, det_diff: float, n_obs: int, t: float) -> float:
 class PreparedInstance:
     """One (state, observables) pair whose derived quantities its block memoizes.
 
-    ``PreparedInstance(d, obs)`` is built at once, as a block of one.  A drawn
-    instance (``prepare_random``'s) is built by the first block it joins, or
-    alone when it is first used: its state and frame come from the same stacked
-    path either way, so they have the same bits.
+    ``PreparedInstance(d, obs)`` is built at once, as a block of one.  A drawn instance
+    (``prepare_random``'s) is built by the first block it joins, or alone when it is first used:
+    its state and frame come from the same stacked path either way, so they have the same bits.
+    Building sets its ``scale``; ``state``, ``observables``, ``frame`` and ``norms`` view its block.
 
     Quantum covariance matrices are produced here for nonregular functions
     too, which the covariance assemblers reject: they are exactly zero there
@@ -227,16 +224,34 @@ class PreparedInstance:
     """
 
     def __init__(self, d: DensityMatrix, obs: Sequence[np.ndarray], digest: str = "custom"):
-        self._source = d, observable_stack(d.matrix.shape, [as_complex_matrix(a, label="observable") for a in obs])
+        self._source = d, observable_stack(d.matrix.shape, [observable(a) for a in obs])
         self.partition, self.digest = random_partition(d.dim, derive_seed("partition", None)), digest
         InstanceBlock((self,))
 
     def __getattr__(self, name):
         # reached for an attribute the instance lacks: one that no block has built yet, or none
-        if name.startswith("__") or "frame" in vars(self):
+        if name.startswith("__") or "_block" in vars(self):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         InstanceBlock((self,))
         return getattr(self, name)
+
+    @property
+    def state(self) -> DensityMatrix:
+        (matrices, values, vectors), k = self._block.states, self._index
+        return DensityMatrix(matrices[k], EigenDecomposition(values[k], vectors[k]))
+
+    @property
+    def observables(self) -> tuple:
+        return tuple(self._block.observables[self._index])
+
+    @property
+    def frame(self) -> EigenFrame:
+        frame, k = self._block.frame, self._index
+        return EigenFrame(frame.lambdas[k], frame.observables[k], frame.norms[k])
+
+    @property
+    def norms(self) -> tuple:
+        return tuple(self._block.norms[self._index].tolist())
 
     # Each memo read is one dict.get; the block fills a missing key for all its instances.
 
@@ -287,17 +302,15 @@ class PreparedInstance:
 
 
 def _build(instances) -> tuple:
-    """Build instances of one (n, N) that no block has built, all at once, and return their stacked
-    states, observables, frame and observable norms: drawn Gaussians form the states
+    """Build instances of one (n, N) that no block has built, all at once: set their ``scale`` and return
+    their stacked states, observables, frame and observable norms.  Drawn Gaussians form the states
     (``random_density_stack``) and observables (``_unit_observables``, exactly Hermitian by construction)
-    as stacks, a given state and family are taken as they are and the family is checked.  The norms give
-    the scales (overflow raises before anything on them can warn), and ``eigenframe_stack`` rotates them
-    all.  A failing check raises the error of its first failing instance, the one it raises alone."""
+    as stacks; a given state and family, checked when given, are taken as they are.  The norms give the
+    scales (overflow raises before anything on them can warn), and ``eigenframe_stack`` rotates them all.
+    A failing check raises the error of its first failing instance, the one it raises alone."""
     if isinstance(instances[0]._source[0], DensityMatrix):  # only a PreparedInstance(d, obs), which builds alone
         d, obs = instances[0]._source
         matrices, values, vectors, obs = d.matrix[None], d.eigenvalues[None], d.eigen.unitary[None], obs[None]
-        require_hermitian(obs, label="observable")
-        obs = hermitian_part(obs)
     else:
         x, kinds, pairs = zip(*(inst._source for inst in instances))
         x = np.array(x)
@@ -305,11 +318,8 @@ def _build(instances) -> tuple:
         obs = _unit_observables(x[:, 1:])
     scales, norms = observable_scale(obs)
     frame = eigenframe_stack((matrices, values, vectors), obs)
-    for k, inst in enumerate(instances):
-        inst.state = DensityMatrix(matrices[k], EigenDecomposition(values[k], vectors[k]))
-        inst.observables = tuple(obs[k])
-        inst.frame = EigenFrame(frame.lambdas[k], frame.observables[k], frame.norms[k])
-        inst.scale, inst.norms = scales[k], tuple(norms[k].tolist())
+    for inst, scale in zip(instances, scales):
+        inst.scale = scale
     return (matrices, values, vectors), obs, frame, norms
 
 
@@ -324,16 +334,17 @@ class InstanceBlock:
     per matrix), so a value is bit-identical whichever block computed it."""
 
     def __init__(self, instances):
-        todo = [inst for inst in instances if "frame" not in vars(inst)]
-        built = _build(todo) if todo else None
+        todo = [inst for inst in instances if "_block" not in vars(inst)]
         # what the block reads of its instances, not the instances: they refer to it
-        if built and len(todo) == len(instances):  # all built just now, in this order: their stacks as _build made them
-            self.states, self.observables, self.frame, self.norms = built
+        if todo and len(todo) == len(instances):  # all built now, in this order: their stacks as _build makes them
+            self.states, self.observables, self.frame, self.norms = _build(todo)
         else:
-            members = ("state.matrix", "state.eigenvalues", "state.eigen.unitary", "observables")
-            members += ("frame.lambdas", "frame.observables", "frame.norms", "norms")
-            matrices, values, vectors, self.observables, *frame, self.norms = (np.array(list(map(attrgetter(a), instances))) for a in members)
-            self.states, self.frame = (matrices, values, vectors), EigenFrame(*frame)
+            if todo:  # built first as a block of their own, whose stacks are read below
+                InstanceBlock(todo)
+            at = [(inst._block, inst._index) for inst in instances]  # each member's block and place in it
+            self.states = tuple(np.array([b.states[j][k] for b, k in at]) for j in range(3))
+            self.observables, self.norms = (np.array([getattr(b, a)[k] for b, k in at]) for a in ("observables", "norms"))
+            self.frame = EigenFrame(*(np.array([getattr(b.frame, a)[k] for b, k in at]) for a in ("lambdas", "observables", "norms")))
         for k, inst in enumerate(instances):
             inst._block, inst._index = self, k
         self.size = len(instances)
@@ -684,22 +695,19 @@ def minkowski_firey_selftest(
 
 def fill_contraction(states, x, partitions, functions) -> dict:
     """Both sides of the contraction check for each f and each of B instances: their ``states`` as
-    ``density_stack`` returns them, a (B, n, n) stack ``x`` of tangents and one partition each.  f -> one
-    (before, after, least eigenvalue of the state and of the pinched state, number of blocks) per instance.
-    The tangents are checked as one stack, one ``pinching`` call pinches the states and the traceless X0,
-    and one ``density_stack`` call (one ``eigh``) takes the pinched states.  Each X0 and its pinching are
-    rotated by one stacked matmul (Hermitian by construction, so unchecked), then per function one
-    ``pair_means`` call over the (B, 2, n) spectra and one weighted sum over the (B, 2, n, n) products."""
+    ``density_stack`` returns them, a (B, n, n) stack ``x`` of checked, exactly Hermitian tangents and one
+    partition each.  f -> one (before, after, least eigenvalue of the state and of the pinched state, number
+    of blocks) per instance.  One ``pinching`` call pinches the states and the traceless X0, and one ``eigh``
+    takes the pinched states, tested only against ``POSITIVITY_FLOOR`` (pinching keeps a state finite,
+    Hermitian and its diagonal bit for bit).  Each X0 and its pinching are rotated by one stacked matmul
+    (Hermitian by construction, so unchecked), then per function one ``pair_means`` call over the
+    (B, 2, n) spectra and one weighted sum over the (B, 2, n, n) products."""
     matrices, values, vectors = states
-    x = np.asarray(x, dtype=complex)
-    if x.shape != matrices.shape:
-        raise ValueError(f"tangent x shape {x.shape[1:]} does not match the state")
-    require_hermitian(x, label="observable")
-    x = hermitian_part(x)
     n = x.shape[-1]
     x0 = x - (np.trace(x, axis1=-2, axis2=-1).real / n)[:, None, None] * np.eye(n)
     pinched = pinching(np.stack((matrices, x0), axis=1), partitions)
-    _, pinched_values, pinched_vectors = density_stack(pinched[:, 0], None)
+    pinched_values, pinched_vectors = np.linalg.eigh(pinched[:, 0])
+    _require_positive(pinched_values)
     u = np.stack((vectors, pinched_vectors), axis=1)
     r = np.swapaxes(u.conj(), -1, -2) @ np.stack((x0, pinched[:, 1]), axis=1) @ u
     products = r.conj() * r
@@ -736,9 +744,11 @@ def check_metric_contraction(
 ) -> InequalityReport:
     """Metric monotonicity under pinching: K_T(D)(T(X), T(X)) <= K_D(X, X).
 
-    X is projected onto the traceless part first (tangent vectors of the
-    state space); pinching commutes with that projection.  Both sides are
-    ``fill_contraction``'s on a stack of one.
+    X, checked as an observable of the state's shape, is projected onto the
+    traceless part first (tangent vectors of the state space); pinching
+    commutes with that projection.  Both sides are ``fill_contraction``'s on a stack of one.
     """
-    (sums,) = fill_contraction((d.matrix[None], d.eigenvalues[None], d.eigen.unitary[None]), [x], [partition], (f,))[f]
+    if np.shape(x) != d.matrix.shape:
+        raise ValueError(f"tangent x shape {np.shape(x)} does not match the state")
+    (sums,) = fill_contraction((d.matrix[None], d.eigenvalues[None], d.eigen.unitary[None]), observable(x)[None], [partition], (f,))[f]
     return contraction_report(sums, f, d.dim, tol)

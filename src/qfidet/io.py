@@ -43,6 +43,15 @@ def _complex_matrix(raw, dim: int, field: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _checked_matrix(raw, dim: int, field: str, check) -> np.ndarray:
+    """``check`` of the complex matrix in ``raw``; a ValueError it raises is prefixed with ``field``."""
+    matrix = _complex_matrix(raw, dim, field)
+    try:
+        return check(matrix)
+    except ValueError as exc:
+        raise InstanceFormatError(f"{field}: {exc}") from None
+
+
 def _encode_matrix(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
     return np.stack([m.real, m.imag], axis=-1).tolist()
@@ -68,25 +77,12 @@ def load_instance(path: str | Path) -> LoadedInstance:
 
     if "state" not in payload:
         raise InstanceFormatError("state: missing")
-    try:
-        state = density(_complex_matrix(payload["state"], dim, "state"))
-    except ValueError as exc:
-        if isinstance(exc, InstanceFormatError):
-            raise
-        raise InstanceFormatError(f"state: {exc}") from None
+    state = _checked_matrix(payload["state"], dim, "state", density)
 
     raw_obs = payload.get("observables", [])
     if not isinstance(raw_obs, list) or not raw_obs:
         raise InstanceFormatError(f"observables: expected a non-empty list of matrices, got {raw_obs!r}")
-    checked = []
-    for k, raw in enumerate(raw_obs):
-        name = f"observables[{k}]"
-        try:
-            checked.append(observable(_complex_matrix(raw, dim, name)))
-        except ValueError as exc:
-            if isinstance(exc, InstanceFormatError):
-                raise
-            raise InstanceFormatError(f"{name}: {exc}") from None
+    checked = [_checked_matrix(raw, dim, f"observables[{k}]", observable) for k, raw in enumerate(raw_obs)]
 
     raw_functions = payload.get("functions", ["sld"])
     if not isinstance(raw_functions, list) or not raw_functions:

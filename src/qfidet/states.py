@@ -88,38 +88,40 @@ def density(matrix) -> DensityMatrix:
 def density_stack(matrices: np.ndarray, eigen: EigenDecomposition | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate a (B, n, n) stack of states; return their Hermitian parts, eigenvalues and eigenvectors.
 
-    Each matrix must be finite and Hermitian, of trace one within
-    ``_TRACE_TOL``, and its least eigenvalue must reach ``POSITIVITY_FLOOR``.
-    The eigendecompositions come from one ``np.linalg.eigh`` of the stack for
-    ``eigen`` None; supplied ones, an ``EigenDecomposition`` of stacks, must
-    reconstruct their matrices.  The first matrix that fails raises the
-    ``ValueError`` that ``density`` raises for it alone.
+    Each matrix must be of trace one within ``_TRACE_TOL`` and its least
+    eigenvalue must reach ``POSITIVITY_FLOOR``.  For ``eigen`` None each must
+    be finite and Hermitian too, and one ``np.linalg.eigh`` of the stack takes
+    them; supplied ones (``random_density_stack``'s, of states exactly Hermitian
+    and checked by ``hermitian_eigen``) must reconstruct their matrices.  The
+    first that fails raises the ``ValueError`` ``density`` raises for it alone.
     """
-    require_hermitian(matrices, label="state")
-    m = hermitian_part(matrices)
-    tr = np.trace(m, axis1=-2, axis2=-1).real
-    wrong = np.abs(tr - 1.0) > _TRACE_TOL
-    if wrong.any():
-        raise ValueError(f"state trace is {float(tr[np.argmax(wrong)])!r}, expected 1 within {_TRACE_TOL:g}")
     if eigen is None:
+        require_hermitian(matrices, label="state")
+        m = hermitian_part(matrices)
         # m is exactly Hermitian now, so LAPACK needs no second check
         values, vectors = np.linalg.eigh(m)
     else:
-        values, vectors = eigen.eigenvalues, eigen.unitary
+        m, values, vectors = matrices, eigen.eigenvalues, eigen.unitary
         residual = frobenius(eigen.reconstruct() - m)
         wrong = residual > 1e-11 * np.maximum(1.0, frobenius(m))
         if wrong.any():
             raise ValueError(
                 f"supplied eigendecomposition does not match the state (residual {residual[np.argmax(wrong)]:.3e})"
             )
-    smallest = values[:, 0]
-    wrong = smallest < POSITIVITY_FLOOR
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    wrong = np.abs(tr - 1.0) > _TRACE_TOL
     if wrong.any():
-        raise ValueError(
-            f"state is not strictly positive: min eigenvalue {smallest[np.argmax(wrong)]:.3e} "
-            f"is below the floor {POSITIVITY_FLOOR:g}"
-        )
+        raise ValueError(f"state trace is {float(tr[np.argmax(wrong)])!r}, expected 1 within {_TRACE_TOL:g}")
+    _require_positive(values)
     return m, values, vectors
+
+
+def _require_positive(values: np.ndarray) -> None:
+    """Raise for the first of a (B, n) stack of ascending spectra whose least one is below ``POSITIVITY_FLOOR``."""
+    wrong = values[:, 0] < POSITIVITY_FLOOR
+    if wrong.any():
+        least = values[np.argmax(wrong), 0]
+        raise ValueError(f"state is not strictly positive: min eigenvalue {least:.3e} is below the floor {POSITIVITY_FLOOR:g}")
 
 
 def observable(matrix) -> np.ndarray:
@@ -234,7 +236,7 @@ def random_density_stack(x: np.ndarray, kinds: Sequence[str], pairs: Sequence) -
     bits it has alone), one ``hermitian_eigen`` call over all of them, then one
     stacked edit of the degenerate and near-singular spectra: renormalized,
     sorted, and rebuilt into their matrices.  ``density_stack`` then checks
-    every state against its decomposition.
+    every state against its decomposition, and not a second time for Hermiticity.
     """
     g = x[:, 0] + 1j * x[:, 1]
     m = hermitian_part(g @ np.swapaxes(g.conj(), -1, -2))

@@ -853,7 +853,7 @@ def test_a_drawn_instance_used_alone_gives_its_campaign_block_outcomes():
     plan.evaluate(block, names)
     for inst, seed, (kind, _) in zip(block, seeds, members):
         used, computed = prepare_random(3, 2, seed, kind), prepare_random(3, 2, seed, kind)
-        assert "frame" not in vars(used)  # drawn only, until its first use
+        assert "_block" not in vars(used)  # drawn only, until its first use
         plan.evaluate([computed], names)  # as ``qfidet compute`` evaluates its instance
         for name, f, g, t, check, args in plan.bind(plan.layout(names)):
             want = _facts(check(inst, *args))

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from qfidet.cli import main
+from qfidet.cli import entry, main
 from qfidet.io import save_instance
 from qfidet.states import density, random_observable
 
@@ -304,3 +307,28 @@ def test_verify_numerical_failure_exits_3(exc, monkeypatch, capsys):
     args = ["verify", "--dims", "2", "--num-obs", "1", "--instances", "1", "--kinds", "generic"]
     assert main(args + ["--checks", "main", "--functions", "sld", "--pairs", ""]) == 3
     assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="a started process sees the stand-in only when forked")
+def test_verify_exits_3_when_a_started_process_dies_without_a_reply(monkeypatch, capsys):
+    import qfidet.campaign as campaign_module
+
+    parent, real = os.getpid(), campaign_module.prepare_random
+
+    def prepare(n, n_obs, seed, kind):
+        if os.getpid() != parent:
+            os._exit(1)
+        # the campaign's own process waits in its first block until the started one has died in its own
+        deadline = time.monotonic() + 30.0
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return real(n, n_obs, seed, kind)
+
+    monkeypatch.setattr(campaign_module, "prepare_random", prepare)
+    monkeypatch.setattr(sys, "argv", ["qfidet", "verify", "--instances", "1", "--workers", "2"])
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(SystemExit) as exited:
+        entry()
+    assert exited.value.code == 3
+    assert capsys.readouterr().err == "error: a campaign process exited with code 1 without a reply\n"
+    assert multiprocessing.active_children() == []

@@ -23,6 +23,7 @@ from qfidet.inequalities import (
     check_robertson,
     classify_equality,
     contraction_report,
+    fill_contraction,
     minkowski_firey_selftest,
     prepare_random,
     remainder,
@@ -31,6 +32,7 @@ from qfidet.inequalities import (
 from qfidet.monotone import make_function
 from qfidet.linalg import det_real_symmetric
 from qfidet.states import (
+    POSITIVITY_FLOOR,
     density,
     derive_seed,
     observable,
@@ -786,6 +788,104 @@ def test_a_malformed_partition_in_a_block_raises_its_own_message():
         check_metric_contraction(block[5].state, block[5].observables[0], SLD, block[5].partition)
 
 
+# a tangent or observable with one fault each, and the text each check of outside data raises for it
+FAULTY = {
+    "NaN": (np.array([[0.0, np.nan], [np.nan, 0.0]], dtype=complex), "observable: non-finite entry (0, 1) = (nan+0j)"),
+    "non-Hermitian": (
+        np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+        "observable: not Hermitian, entry (0,1) = (1+0j) vs conjugate of (1,0) = -0j",
+    ),
+    "wrong shape": (np.eye(3, dtype=complex), "tangent x shape (3, 3) does not match the state"),
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTY))
+def test_a_faulty_tangent_raises_where_it_enters(fault):
+    # the block path hands fill_contraction its own checked stacks; an outside tangent is checked on entry
+    x, text = FAULTY[fault]
+    with pytest.raises(ValueError) as caught:
+        check_metric_contraction(density(np.diag([0.75, 0.25]).astype(complex)), x, SLD, [[0], [1]])
+    assert str(caught.value) == text
+
+
+# a state with one fault each, and the text density raises for it
+FAULTY_STATES = {
+    "NaN": (np.array([[0.5, np.nan], [np.nan, 0.5]]), "state: non-finite entry (0, 1) = (nan+0j)"),
+    "non-Hermitian": (
+        np.array([[0.5, 0.5], [0.0, 0.5]]),
+        "state: not Hermitian, entry (0,1) = (0.5+0j) vs conjugate of (1,0) = -0j",
+    ),
+    "wrong trace": (np.eye(2), "state trace is 2.0, expected 1 within 1e-12"),
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTY_STATES))
+def test_a_faulty_state_raises_where_it_enters(fault):
+    m, text = FAULTY_STATES[fault]
+    with pytest.raises(ValueError) as caught:
+        density(m)
+    assert str(caught.value) == text
+
+
+@pytest.mark.parametrize("fault", ["NaN", "non-Hermitian"])
+def test_a_faulty_family_raises_where_it_enters(fault):
+    x, text = FAULTY[fault]
+    with pytest.raises(ValueError) as caught:
+        PreparedInstance(density(np.diag([0.75, 0.25]).astype(complex)), [PAULI_X, x])
+    assert str(caught.value) == text
+
+
+def test_a_pinched_state_below_the_floor_raises_the_positivity_message():
+    # a state stack that fill_contraction takes as checked; pinched at [[0], [1]] it is its own
+    # diagonal, whose least entry is below the floor
+    m = np.array([[1.0 - 1e-12, 1e-13], [1e-13, 1e-12]], dtype=complex)
+    assert m[1, 1].real < POSITIVITY_FLOOR
+    values, vectors = np.linalg.eigh(m)
+    with pytest.raises(ValueError) as caught:
+        fill_contraction((m[None], values[None], vectors[None]), PAULI_X[None], [[[0], [1]]], (SLD,))
+    with pytest.raises(ValueError) as reference:
+        density(np.diag(np.diag(m)))
+    assert str(caught.value) == str(reference.value)
+    assert str(caught.value).startswith("state is not strictly positive")
+
+
+def _views(inst) -> dict:
+    """Every view of an instance onto its block's stacks, as arrays."""
+    state, frame = inst.state, inst.frame
+    views = {"matrix": state.matrix, "eigenvalues": state.eigenvalues, "unitary": state.eigen.unitary}
+    views.update(lambdas=frame.lambdas, frame_observables=frame.observables, frame_norms=frame.norms)
+    views.update(observables=np.array(inst.observables), norms=np.array(inst.norms))
+    assert type(inst.observables) is type(inst.norms) is tuple
+    assert all(type(v) is float for v in inst.norms)
+    return views
+
+
+def _same_views(got, want, where) -> None:
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].dtype == want[key].dtype and np.array_equal(got[key], want[key]), (where, key)
+
+
+def test_instances_view_their_block_with_the_bits_of_a_block_of_one():
+    # a drawn block of three kinds, each instance against the block of one it builds alone
+    block, alone = _drawn_block(3, 2, "views"), _drawn_block(3, 2, "views")
+    InstanceBlock(block)
+    kinds = {inst.digest.split("kind=")[1].split(",")[0] for inst in block}
+    assert kinds == set(KINDS)
+    for inst, single in zip(block, alone):
+        assert "_block" not in vars(single)
+        want = _views(single)  # the first attribute read builds it alone
+        assert single._block.size == 1 and inst._block.size == 16
+        _same_views(_views(inst), want, inst.digest)
+    # a given state and family: its views, and again in a block with a built and an unbuilt drawn instance
+    given, fresh = PreparedInstance(block[7].state, list(block[7].observables)), _drawn_block(3, 2, "views")[11]
+    _same_views(_views(given), _views(alone[7]), "given")
+    InstanceBlock([block[3], given, fresh])
+    assert given._block is block[3]._block is fresh._block and given._index == 1
+    for inst, single in ((block[3], alone[3]), (given, alone[7]), (fresh, alone[11])):
+        _same_views(_views(inst), _views(single), "in a mixed block")
+
+
 def _members(n: int, n_obs: int, tag: str) -> list:
     """(seed, kind) of 16 instances of (n, N), in runs of the three kinds as a campaign block holds
     them: 6 generic, then 5 degenerate, then 5 near-singular."""
@@ -813,7 +913,7 @@ def _built(inst) -> dict:
 @pytest.mark.parametrize("n, n_obs", [(2, 1), (3, 3), (4, 2), (8, 6)])
 def test_a_block_builds_each_instance_with_the_bits_it_has_alone(n, n_obs):
     block, alone = _drawn_block(n, n_obs, "bits"), _drawn_block(n, n_obs, "bits")
-    assert not any("frame" in vars(inst) for inst in block + alone)  # drawn only
+    assert not any("_block" in vars(inst) for inst in block + alone)  # drawn only
     InstanceBlock(block)
     for inst, single, (seed, kind) in zip(block, alone, _members(n, n_obs, "bits")):
         want = prepared_per_matrix(*draw_per_matrix(n, n_obs, seed, kind))
