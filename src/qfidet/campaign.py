@@ -111,14 +111,20 @@ class CheckPlan:
         return bound
 
     def evaluate(self, instances, names) -> None:
-        """Evaluate as stacks over ``instances`` what the checks in ``names`` read, and nothing
-        else, so that their outcomes only read memos."""
+        """Evaluate as stacks over the block of ``instances`` what the checks in ``names`` read, and
+        nothing else, so that their outcomes only read memos.  Instances that no block has built are
+        built as one block; built ones are the whole of their block, in its order, whose memos stay."""
         unit = [(f, None) for f in self.functions]
         equality = [h for pair in self.pairs or unit[:1] for h in pair if h is not None]
         reads = {"main": ["cov", *self.functions], "robertson": ["cov", "robertson"], "equality": ["cov", *equality]}
         sides = [side for name in CHECK_NAMES if name in names for side in reads.get(name, ())]
         pencils = (unit if {"conj1", "firey"} & names else []) + (list(self.pairs) if {"conj2", "firey"} & names else [])
-        block = InstanceBlock(instances)  # the instances' memos start afresh
+        if "_block" not in vars(instances[0]):
+            block = InstanceBlock(instances)
+        else:
+            block = instances[0]._block
+            if [(inst._block, inst._index) for inst in instances] != [(block, k) for k in range(block.size)]:
+                raise ValueError("built instances are evaluated as the whole of their block, in its order")
         # one determinant call for all, then one for the Firey grid
         block.fill_pencils(pencils, (None, *(self.t_grid if "firey" in names else ())), sides)
         if "equality" in names:

@@ -24,6 +24,7 @@ verified theorem.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple, Sequence
@@ -100,13 +101,10 @@ class _ReportFields(NamedTuple):
     passed: bool
     hypothesis_ok: bool
     clamps: int
-    components: dict  # or the values of ``_HELD_KEYS``, or for a pencil outcome the pencil row it was judged from
+    components: dict  # or, for a pencil outcome, the pencil row it was judged from
     digest: str
 
 
-# check -> the components' names of the tuple its outcome holds in their place
-_HELD_KEYS = {"main": ("det_cov", "det_qov", "f"), "robertson": ("det_cov", "det_commutator"),
-              "contraction": ("before", "after", "window", "blocks", "f")}
 # pencil check -> the components' names of lhs, det K_small, det(K_big - K_small) and the cross terms
 _PENCIL_KEYS = {
     "conj1": ("det_cov", "det_qov", "det_diff", "remainder"),
@@ -119,9 +117,8 @@ class InequalityReport(_ReportFields):
     """Outcome of one inequality check on one instance (an immutable record).
 
     A pencil outcome keeps the memo row it was judged from in place of its components
-    (``InstanceBlock.fill_pencils``'s row, which carries its own f, g and t), a ``main``,
-    ``robertson`` or ``contraction`` outcome the tuple of their values, and each builds the dict
-    on each read; any other report holds the dict it was given.
+    (``InstanceBlock.fill_pencils``'s row, which carries its own f, g and t) and builds the dict
+    from it on each read; any other report holds the dict it was given.
     """
 
     __slots__ = ()
@@ -131,8 +128,6 @@ class InequalityReport(_ReportFields):
         held = self[9]
         if type(held) is not tuple:
             return held
-        if self.name in _HELD_KEYS:
-            return dict(zip(_HELD_KEYS[self.name], held))
         lhs, rem, _, q, dd, _, _, _, f, g, t = held
         keys = _PENCIL_KEYS[self.name]
         out = {keys[0]: lhs, keys[1]: q, keys[2]: dd, keys[3]: rem}
@@ -213,7 +208,7 @@ class PreparedInstance:
     """One (state, observables) pair whose derived quantities its block memoizes.
 
     ``PreparedInstance(d, obs)`` is built at once, as a block of one.  A drawn instance
-    (``prepare_random``'s) is built by the first block it joins, or alone when it is first used:
+    (``prepare_random``'s) is built by the one block it joins, or alone when it is first used:
     its state and frame come from the same stacked path either way, so they have the same bits.
     Building sets its ``scale``; ``state``, ``observables``, ``frame`` and ``norms`` view its block.
 
@@ -253,47 +248,21 @@ class PreparedInstance:
     def norms(self) -> tuple:
         return tuple(self._block.norms[self._index].tolist())
 
-    # Each memo read is one dict.get; the block fills a missing key for all its instances.
+    # Each memo read is one subscript; the block fills a missing key for all its instances.
 
     def matrix(self, side) -> np.ndarray:
         """Memoized N x N matrix: Cov for "cov", Qov_f for a function f, and for
         "robertson" the commutator bound matrix Im(S), S_kl = sum_h lambda_h A^k_hj A^l_jh."""
-        block = self._block
-        got = block.matrix.get(side)
-        if got is None:
-            block.assemble((side,))
-            got = block.matrix[side]
-        return got[self._index]
+        return self._block.matrix[side][self._index]
 
     def det(self, big, small=None) -> float:
         """Memoized determinant of ``matrix(big)``, or of ``matrix(big) - matrix(small)``."""
-        block = self._block
-        got = block.det.get((big, small))
-        if got is None:
-            block.determinants(((big, small),))
-            got = block.det[big, small]
-        return got[self._index]
+        return self._block.det[big, small][self._index]
 
     def pencil(self, f, g, t) -> tuple:
         """Memoized row t of the pencil (Cov, Qov_f) for g None, else (Qov_f, Qov_g): the
-        unit-weight row for t None, else the Firey row at t, filled for the block by
-        ``InstanceBlock.fill_pencils`` when it is missing (a t off the grid is a grid of one)."""
-        block = self._block
-        got = block.pencil.get((f, g, t))
-        if got is None:
-            block.fill_pencils(((f, g),), (t,), ())
-            got = block.pencil[f, g, t]
-        return got[self._index]
-
-    def structure(self) -> tuple[int, bool]:
-        """Memoized rank of the frame observables as real vectors, and whether some real
-        combination of them is diagonal in the state's eigenbasis; every equality check shares them."""
-        block = self._block
-        got = block.structure.get(None)
-        if got is None:
-            block.find_structure()
-            got = block.structure[None]
-        return got[self._index]
+        unit-weight row for t None, else the Firey row at t (a t off the grid is a grid of one)."""
+        return self._block.pencil[f, g, t][self._index]
 
     def contraction(self, f) -> tuple:
         """The contraction sums for f (``fill_contraction``'s) at the instance's ``partition``, which
@@ -323,10 +292,27 @@ def _build(instances) -> tuple:
     return (matrices, values, vectors), obs, frame, norms
 
 
+class _Memo(dict):
+    """A memo of an ``InstanceBlock``, key -> the value of every instance, whose missing key
+    ``fill(block, key)`` fills for the whole block.  It refers to its block weakly, so that the two
+    make no reference cycle and a block is freed by reference counting when its instances go."""
+
+    __slots__ = ("block", "fill")
+
+    def __init__(self, block, fill):
+        self.block, self.fill = weakref.ref(block), fill
+
+    def __missing__(self, key):
+        self.fill(self.block(), key)
+        if key not in self:  # a key that no fill makes, such as ("robertson", "cov")
+            raise KeyError(key)
+        return self[key]
+
+
 class InstanceBlock:
     """Instances of one (n, N), evaluated together: each memo maps a key to its value for
-    every instance, computed on first use by one stacked evaluation.  The block first builds
-    the instances that no block has built (``_build``), so a campaign's block of drawn
+    every instance, computed on first use by one stacked evaluation.  The block builds its
+    instances (``_build``), none of which another block has built, so a campaign's block of drawn
     instances forms, checks, eigensolves and rotates them all at once, and keeps the stacks of states
     and observables that its instances view.  A campaign fills the memos its checks read with
     ``fill_pencils`` and ``find_structure``, and stores ``fill_contraction``'s sums from those stacks.
@@ -334,24 +320,19 @@ class InstanceBlock:
     per matrix), so a value is bit-identical whichever block computed it."""
 
     def __init__(self, instances):
-        todo = [inst for inst in instances if "_block" not in vars(inst)]
+        for inst in instances:
+            if "_block" in vars(inst):
+                raise ValueError(f"instance {inst.digest} is already built, in a block of its own")
         # what the block reads of its instances, not the instances: they refer to it
-        if todo and len(todo) == len(instances):  # all built now, in this order: their stacks as _build makes them
-            self.states, self.observables, self.frame, self.norms = _build(todo)
-        else:
-            if todo:  # built first as a block of their own, whose stacks are read below
-                InstanceBlock(todo)
-            at = [(inst._block, inst._index) for inst in instances]  # each member's block and place in it
-            self.states = tuple(np.array([b.states[j][k] for b, k in at]) for j in range(3))
-            self.observables, self.norms = (np.array([getattr(b, a)[k] for b, k in at]) for a in ("observables", "norms"))
-            self.frame = EigenFrame(*(np.array([getattr(b.frame, a)[k] for b, k in at]) for a in ("lambdas", "observables", "norms")))
+        self.states, self.observables, self.frame, self.norms = _build(instances)
         for k, inst in enumerate(instances):
             inst._block, inst._index = self, k
         self.size = len(instances)
-        self.matrix: dict = {}  # side -> (B, N, N) stack
-        self.det: dict = {}  # (big, small) -> B determinants
-        self.pencil: dict = {}  # (f, g, t) -> B pencil rows
-        self.structure: dict = {}  # None -> B (rank, off-diagonal dependence) pairs
+        self.matrix = _Memo(self, lambda block, side: block.assemble((side,)))  # side -> (B, N, N) stack
+        self.det = _Memo(self, lambda block, key: block.determinants((key,)))  # (big, small) -> B determinants
+        # (f, g, t) -> B pencil rows; a t off the grid is a grid of one
+        self.pencil = _Memo(self, lambda block, key: block.fill_pencils((key[:2],), key[2:], ()))
+        self.structure = _Memo(self, lambda block, key: block.find_structure())  # None -> B (rank, dependence) pairs
         self.contraction: dict = {}  # f -> B contraction sums, filled only by CheckPlan.evaluate
 
     def assemble(self, sides) -> None:
@@ -430,7 +411,9 @@ class InstanceBlock:
                 self.pencil[f, g, t] = list(zip(lhs_b, rem_b, rhs_b, *rest, repeat(f), repeat(g), repeat(t)))
 
     def find_structure(self) -> None:
-        """Every ``structure()``, by one batched SVD for the ranks and one for the dependence."""
+        """Each instance's rank of the frame observables as real vectors, and whether some real
+        combination of them is diagonal in the state's eigenbasis, which every equality check shares:
+        one batched SVD for the ranks and one for the dependence."""
         frame = self.frame
         flat = frame.observables.reshape(self.size, frame.size, -1)
         # Centering an observable proportional to the identity leaves only
@@ -469,7 +452,8 @@ def check_main(inst: PreparedInstance, f: MonotoneFunction, tol: float = DEFAULT
     """det Cov >= det Qov_f."""
     lhs = inst.det("cov")
     rhs = inst.det(f)
-    return _report("main", lhs, rhs, inst.scale, tol, (lhs, rhs, f.label), inst.digest)
+    components = {"det_cov": lhs, "det_qov": rhs, "f": f.label}
+    return _report("main", lhs, rhs, inst.scale, tol, components, inst.digest)
 
 
 def _pencil(name, inst, f, g, t, tol):
@@ -493,9 +477,7 @@ def _pencil(name, inst, f, g, t, tol):
         hypothesis_ok = dominates(f, g).strict
     else:  # not both regular: it holds when g alone is not
         hypothesis_ok = f.regular
-    got = inst._block.pencil.get((f, g, t))
-    # a missing row (a t off the grid) is filled for the whole block
-    row = inst.pencil(f, g, t) if got is None else got[inst._index]
+    row = inst._block.pencil[f, g, t][inst._index]
     lhs, _, rhs, _, _, clamps, raw_q, raw_dd, _, _, _ = row
     scale = inst.scale
     if clamps:
@@ -548,7 +530,8 @@ def check_robertson(inst: PreparedInstance, tol: float = DEFAULT_TOL) -> Inequal
     """det Cov >= det of the commutator bound matrix (exactly 0 for odd N)."""
     lhs = inst.det("cov")
     rhs = inst.det("robertson")
-    return _report("robertson", lhs, rhs, inst.scale, tol, (lhs, rhs), inst.digest)
+    components = {"det_cov": lhs, "det_commutator": rhs}
+    return _report("robertson", lhs, rhs, inst.scale, tol, components, inst.digest)
 
 
 @dataclass(frozen=True)
@@ -637,13 +620,11 @@ def classify_equality(
     g: MonotoneFunction | None = None,
     tol: float = DEFAULT_TOL,
 ) -> EqualityClassification:
-    block, k, get, window = inst._block, inst._index, inst._block.det.get, tol * inst.scale
-    cov, qf, qg, structure = get(("cov", None)), get((f, None)), get((g, None)), block.structure.get(None)
-    # one dict.get per memo; one that no block call has filled yet is filled by its method, for the block
-    det_cov = inst.det("cov") if cov is None else cov[k]
-    det_qf = inst.det(f) if qf is None else qf[k]
-    det_qg = None if g is None else inst.det(g) if qg is None else qg[k]
-    rank, offdiag = inst.structure() if structure is None else structure[k]
+    block, k, det, window = inst._block, inst._index, inst._block.det, tol * inst.scale
+    # one subscript per memo; a key that no block call has filled yet is filled for the block
+    det_cov, det_qf = det["cov", None][k], det[f, None][k]
+    det_qg = None if g is None else det[g, None][k]
+    rank, offdiag = block.structure[None][k]
     dependent = rank < block.frame.size
 
     return EqualityClassification(
@@ -731,8 +712,8 @@ def contraction_report(sums, f: MonotoneFunction, n: int, tol: float) -> Inequal
     # two sides degrades by that factor.  Widen the window accordingly;
     # for healthy spectra the extra term is far below tol*scale.
     window = tol * scale + 4.0 * n * _EPS / lam_floor * before
-    held = (before, after, window, blocks, f.label)
-    return _report("contraction", before, after, scale, tol, held, f"contraction[n={n}]", window=window)
+    components = {"before": before, "after": after, "window": window, "blocks": blocks, "f": f.label}
+    return _report("contraction", before, after, scale, tol, components, f"contraction[n={n}]", window=window)
 
 
 def check_metric_contraction(

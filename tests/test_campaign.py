@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
 import multiprocessing
 import os
 import signal
 import time
+import weakref
 from itertools import product
 
 import pytest
@@ -860,6 +862,30 @@ def test_a_drawn_instance_used_alone_gives_its_campaign_block_outcomes():
             assert _facts(_outcome_alone(used, name, f and f.label, g and g.label, t, config.tol)) == want
             assert _facts(check(computed, *args)) == want
         assert used._block.size == computed._block.size == 1 and inst._block.size == BLOCK_INSTANCES
+
+
+def test_a_block_is_freed_by_reference_counting_once_its_instances_go():
+    # a block refers to nothing of its instances, its memos refer to it weakly and no outcome holds
+    # it, so with the cyclic collector off it goes with the last reference to its instances
+    config = CampaignConfig(dims=(3,), num_obs=(2,), instances_per_cell=6)
+    plan, names = _plan(config), set(config.checks)
+    members = [(kind, index) for kind in config.kinds for index in range(config.instances_per_cell)][:BLOCK_INSTANCES]
+    block = [prepare_random(3, 2, derive_seed(config.seed, 3, 2, kind, index), kind) for kind, index in members]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        plan.evaluate(block, names)
+        outcomes = [check(inst, *args) for inst in block for *_, check, args in plan.bind(plan.layout(names))]
+        # and keys that evaluate did not fill, each filled for the block on its first read
+        sld, harmonic = plan.functions[0], parse_function_spec("harmonic")
+        outcomes += [check_firey(block[0], sld, 0.37), classify_equality(block[1], harmonic), check_main(block[2], harmonic)]
+        freed = weakref.ref(block[0]._block)
+        del block
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(outcomes) == BLOCK_INSTANCES * 96 + 3
 
 
 def test_each_worst_row_replays_from_its_derived_seed_alone():

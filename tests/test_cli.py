@@ -214,6 +214,22 @@ def test_compute_output_at_n4_matches_the_golden_file(monkeypatch, capsys):
     _compute_matches_its_golden_file(monkeypatch, capsys, "n4_pair")
 
 
+@pytest.mark.parametrize("name", ["qubit_tight", "n4_pair"])
+def test_compute_builds_one_block_for_its_instance(monkeypatch, capsys, name):
+    # every plan evaluates the block the instance was built in, and its memos carry over
+    from qfidet.inequalities import InstanceBlock
+
+    build, built = InstanceBlock.__init__, []
+
+    def counted(self, instances):
+        built.append(len(instances))
+        build(self, instances)
+
+    monkeypatch.setattr(InstanceBlock, "__init__", counted)
+    _compute_matches_its_golden_file(monkeypatch, capsys, name)
+    assert built == [1]
+
+
 def test_compute_fills_the_pencils_once_per_plan(monkeypatch, capsys):
     from qfidet.inequalities import InstanceBlock
 

@@ -624,38 +624,6 @@ def test_a_det_qov_g_below_its_window_raises_though_the_hypothesis_failed():
         assert not rep.hypothesis_ok and not rep.violated
 
 
-def test_each_instance_of_a_block_clamps_in_its_own_window():
-    # The copy scaled by 1e3 has a window 1e6 times wider; its structurally zero det Qov
-    # rounds to a negative value inside its own window but far outside the original's.
-    tol = 1e-6
-    for seed in range(300):
-        inst = prepare_random(2, 3, seed)
-        scaled = PreparedInstance(inst.state, [1e3 * a for a in inst.observables])
-        if inst.det(SLD) < 0.0 and -tol * scaled.scale <= scaled.det(SLD) < -tol * inst.scale:
-            break
-    else:
-        pytest.fail("no n = 2, N = 3 seed below 300 clamps in both windows")
-    plan = CheckPlan(functions=(SLD,), pairs=((SLD, WY),), tol=tol, t_grid=DEFAULT_T_GRID)
-    names = {"conj1", "conj2", "firey"}
-
-    def outcomes(inst):
-        return list(_outcomes(plan, inst, names).values())
-
-    def fresh(which):
-        base = prepare_random(2, 3, seed)
-        return base if which == "inst" else PreparedInstance(base.state, [1e3 * a for a in base.observables])
-
-    want = {which: outcomes(fresh(which)) for which in ("inst", "scaled")}
-    assert all(rep.clamps and rep.passed for reps in want.values() for rep in reps[:1])
-    for order in (("inst", "scaled"), ("scaled", "inst")):
-        block = [fresh(which) for which in order]
-        plan.evaluate(block, names)
-        for which, member in zip(order, block):
-            got = outcomes(member)
-            assert got == want[which], order
-            assert [_bits(rep.margin) for rep in got] == [_bits(rep.margin) for rep in want[which]], order
-
-
 def test_firey_right_side_is_the_scalar_formula_bit_for_bit(rng):
     # the grid's powers must round as Python's float power does, not as numpy's
     plan = CheckPlan(functions=(SLD, WY, WYD, KM), pairs=MEMO_PAIRS, tol=1e-9, t_grid=DEFAULT_T_GRID)
@@ -877,13 +845,31 @@ def test_instances_view_their_block_with_the_bits_of_a_block_of_one():
         want = _views(single)  # the first attribute read builds it alone
         assert single._block.size == 1 and inst._block.size == 16
         _same_views(_views(inst), want, inst.digest)
-    # a given state and family: its views, and again in a block with a built and an unbuilt drawn instance
-    given, fresh = PreparedInstance(block[7].state, list(block[7].observables)), _drawn_block(3, 2, "views")[11]
+    # a given state and family, which builds as a block of one
+    given = PreparedInstance(block[7].state, list(block[7].observables))
     _same_views(_views(given), _views(alone[7]), "given")
-    InstanceBlock([block[3], given, fresh])
-    assert given._block is block[3]._block is fresh._block and given._index == 1
-    for inst, single in ((block[3], alone[3]), (given, alone[7]), (fresh, alone[11])):
-        _same_views(_views(inst), _views(single), "in a mixed block")
+
+
+def test_a_block_builds_only_instances_that_no_block_has_built():
+    block, fresh = _drawn_block(3, 2, "rebuild"), prepare_random(3, 2, 5)
+    InstanceBlock(block)
+    given = PreparedInstance(block[0].state, list(block[0].observables))
+    for instances in (block, [given], [fresh, block[3]], [fresh, given]):
+        with pytest.raises(ValueError, match=r"^instance \S+ is already built, in a block of its own$"):
+            InstanceBlock(instances)
+    assert "_block" not in vars(fresh)  # a refused block builds none of its instances
+    kept = block[3]._block
+    assert block[0]._block is kept and block[3]._index == 3 and given._block.size == 1
+    # evaluate takes built instances as the whole of their block, in its order, and keeps its memos
+    plan = CheckPlan(functions=(SLD,), pairs=(), tol=1e-9)
+    for part in (block[:3], block[::-1]):
+        with pytest.raises(ValueError, match="^built instances are evaluated as the whole of their block"):
+            plan.evaluate(part, {"main", "contraction"})
+    det_wy = kept.det[WY, None]
+    plan.evaluate(block, {"main", "contraction"})
+    plan.evaluate([given], {"main", "contraction"})
+    assert block[15]._block is kept and kept.det[WY, None] is det_wy
+    assert check_main(block[15], SLD) == check_main(_drawn_block(3, 2, "rebuild")[15], SLD)
 
 
 def _members(n: int, n_obs: int, tag: str) -> list:
