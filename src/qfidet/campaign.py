@@ -29,7 +29,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass
-from itertools import chain, groupby, product
+from itertools import groupby, product
 from operator import itemgetter
 from pathlib import Path
 
@@ -49,7 +49,7 @@ from .inequalities import (
 from .monotone import MonotoneFunction, checked_spec, parse_function_spec
 from .states import STATE_KINDS, derive_seed
 
-REPORT_VERSION = "qfi-report/5"
+REPORT_VERSION = "qfi-report/6"
 VIOLATION_CAP = 100
 COUNT_NAMES = ("pass", "fail", "hypothesis_skipped", "clamped")
 DEFAULT_T_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -393,8 +393,9 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
     span = len(config.kinds) * config.instances_per_cell
     ranges = [range(k, min(k + BLOCK_INSTANCES, span)) for k in range(0, span, BLOCK_INSTANCES)]
     blocks = list(product(config.dims, config.num_obs, ranges))
-    # this process and the ones it starts, no more than there are blocks or CPUs
-    processes = min(workers, len(blocks), os.cpu_count() or 1)
+    # this process and the ones it starts, no more than there are blocks or CPUs it may run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    processes = min(workers, len(blocks), cpus)
     planned = _campaign_plan(config)
     if processes > 1:
         partials = _run_shared(config, blocks, processes)
@@ -442,58 +443,15 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
     )
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
-def _scalars(items) -> bool:
-    """Whether no item is a JSON container, from the set of the items' types."""
-    return not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items)))
-
-
-def _write_json(value, level: int, out: list) -> None:
-    """Append to ``out`` the pieces of ``json.dumps(value, indent=2, sort_keys=True)``'s text for
-    ``value`` nested ``level`` deep, from the C encoder: a container of scalars is one call, and so
-    is a list of non-empty dicts of scalars (the report's rows and violations), with the indentation
-    in the item separator.  Every dict key is a string, as in a report."""
-    if not isinstance(value, _CONTAINERS) or not value:
-        out.append(json.dumps(value))
-        return
-    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
-    is_dict = isinstance(value, dict)
-    if _scalars(value.values() if is_dict else value):
-        text = json.dumps(value, separators=("," + inner, ": "), sort_keys=True)
-        out += (text[0], inner, text[1:-1], outer, text[-1])
-        return
-    if not is_dict and all(isinstance(item, dict) and item for item in value):
-        if _scalars(chain.from_iterable(map(dict.values, value))):
-            deeper = "\n" + "  " * (level + 2)
-            text = json.dumps(value, separators=("," + deeper, ": "), sort_keys=True)
-            # a JSON string holds no raw newline, so "}," + deeper + "{" only ever joins two dicts
-            text = text.replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
-            out += ("[", inner, "{", deeper, text[2:-2], inner, "}", outer, "]")
-            return
-    out.append("{" if is_dict else "[")
-    for k, key in enumerate(sorted(value) if is_dict else range(len(value))):
-        out.append("," + inner if k else inner)
-        if is_dict:
-            out.append(json.dumps(key) + ": ")
-        _write_json(value[key], level + 1, out)
-    out += (outer, "}" if is_dict else "]")
-
-
 def emit_report(report: CampaignReport, fmt: str = "json", path: str | Path | None = None) -> str:
     """The report as text, written to ``path`` too when one is given.
 
-    JSON is exactly ``json.dumps(report.to_dict(), indent=2, sort_keys=True)`` plus a newline.
-    The writer does not call it that way: with an ``indent`` the stdlib runs its pure-Python
-    encoder, several times slower than its C encoder on a report's hundreds of rows, so
-    ``_write_json`` lays out the same text from C encoder calls.  CSV has one row per report row.
+    JSON is ``json.dumps(report.to_dict(), sort_keys=True, separators=(",\n", ": "))`` plus a
+    newline: one object member or array element per line, unindented, from the stdlib's C encoder.
+    CSV has one row per report row.
     """
     if fmt == "json":
-        pieces: list[str] = []
-        _write_json(report.to_dict(), 0, pieces)
-        pieces.append("\n")
-        text = "".join(pieces)  # the one copy of the whole text
+        text = json.dumps(report.to_dict(), sort_keys=True, separators=(",\n", ": ")) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -259,11 +259,6 @@ class PreparedInstance:
         """Memoized determinant of ``matrix(big)``, or of ``matrix(big) - matrix(small)``."""
         return self._block.det[big, small][self._index]
 
-    def pencil(self, f, g, t) -> tuple:
-        """Memoized row t of the pencil (Cov, Qov_f) for g None, else (Qov_f, Qov_g): the
-        unit-weight row for t None, else the Firey row at t (a t off the grid is a grid of one)."""
-        return self._block.pencil[f, g, t][self._index]
-
     def contraction(self, f) -> tuple:
         """The contraction sums for f (``fill_contraction``'s) at the instance's ``partition``, which
         ``CheckPlan.evaluate`` stores in the block."""

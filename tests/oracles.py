@@ -315,7 +315,7 @@ def components_reference(name: str, inst, f, g, t, tol: float) -> dict:
     memos or its contraction sums.  The keys, their order and the window formula are written out
     here rather than taken from the library."""
     if name in _PENCIL_COMPONENTS:
-        lhs, rem, _, q, dd = inst.pencil(f, g, t)[:5]
+        lhs, rem, _, q, dd = inst._block.pencil[f, g, t][inst._index][:5]
         keys = _PENCIL_COMPONENTS[name]
         out = {keys[0]: lhs, keys[1]: q, keys[2]: dd, keys[3]: rem}
         if t is not None:

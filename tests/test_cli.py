@@ -35,7 +35,7 @@ def test_verify_stdout_json(capsys):
     out = capsys.readouterr().out
     assert code == 0
     payload = json.loads(out)
-    assert payload["version"] == "qfi-report/5"
+    assert payload["version"] == "qfi-report/6"
     assert payload["totals"]["fail"] == 0
 
 
@@ -342,7 +342,7 @@ def test_verify_exits_3_when_a_started_process_dies_without_a_reply(monkeypatch,
 
     monkeypatch.setattr(campaign_module, "prepare_random", prepare)
     monkeypatch.setattr(sys, "argv", ["qfidet", "verify", "--instances", "1", "--workers", "2"])
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
     with pytest.raises(SystemExit) as exited:
         entry()
     assert exited.value.code == 3
