@@ -5,7 +5,7 @@ single instance reproduces in isolation.  A work item is a block of up to
 ``BLOCK_INSTANCES`` consecutive instances of one (n, N) in (kind, index) order,
 which may span kinds: it is drawn, evaluated and tallied on its own.  The config
 fixes, before the first instance is drawn, the (check, f, g, t) of every outcome
-of an instance: the plan and this layout, bound to the check functions, are
+of an instance: the plan and this layout, with the check functions, are
 built once per campaign and once per started process, and a block returns one
 tally row per layout entry, in layout order and with no keys.  On more than one
 process, the campaign's own takes blocks beside the ones it starts, each drawing
@@ -34,6 +34,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .inequalities import (
+    DEFAULT_TOL,
     EqualityClassification,
     InstanceBlock,
     check_conj1,
@@ -71,10 +72,10 @@ class CampaignProcessError(RuntimeError):
 class CheckPlan:
     """What the checks of one instance range over.
 
-    ``layout`` lists the (check, f, g, t) of every outcome, fixed by the plan
-    before any instance is drawn; ``bind`` gives each entry the function and
-    arguments of its outcome on an instance.  ``evaluate`` fills, for a block of
-    instances, what the outcomes read.
+    ``layout`` lists every outcome, fixed by the plan before any instance is
+    drawn, with the function and arguments that give it on an instance, from the
+    rows of ``CHECKS``.  ``evaluate`` fills, for a block of instances, what the
+    outcomes read.
     """
 
     functions: tuple[MonotoneFunction, ...]
@@ -82,43 +83,28 @@ class CheckPlan:
     tol: float
     t_grid: tuple[float, ...] = ()
 
-    def layout(self, names) -> list[tuple]:
-        """(check, f, g, t) of each outcome of the checks in ``names``, in registry order."""
-        unit = [(f, None, None) for f in self.functions]
-        pairs = [(f, g, None) for f, g in self.pairs]
-        ranges = {
-            "main": unit,
-            "conj1": unit,
-            "conj2": pairs,
-            "firey": [(f, g, t) for t in self.t_grid for f, g, _ in unit + pairs],
-            "robertson": [(None, None, None)],
-            "equality": pairs or unit[:1],
-            "contraction": unit,
-        }
-        return [(name, *entry) for name in CHECK_NAMES if name in names for entry in ranges[name]]
+    @property
+    def unit(self) -> tuple:
+        """Each function as the pencil (f, None)."""
+        return tuple((f, None) for f in self.functions)
 
-    def bind(self, layout) -> list[tuple]:
-        """Each (check, f, g, t) of ``layout`` as (check, f, g, t, function, arguments), where
-        ``function(inst, *arguments)`` is the outcome on an instance and ``function`` is looked up
-        by its module name now, so that a replaced ``campaign.check_main`` (a test double, a tracer)
-        is the one called."""
-        scope, tol = globals(), self.tol
-        checks = {name: (scope[function], arguments) for name, (function, arguments) in CHECKS.items()}
-        bound = []
-        for name, f, g, t in layout:
-            function, arguments = checks[name]
-            bound.append((name, f, g, t, function, arguments(f, g, t, tol)))
-        return bound
+    def layout(self, names) -> list[tuple]:
+        """(check, f, g, t, function, arguments) of each outcome of the checks in ``names``, in registry
+        order, where ``function(inst, *arguments)`` is the outcome on an instance and ``function`` is looked
+        up by its module name now, so that a replaced ``campaign.check_main`` (a test double, a tracer) is
+        the one called."""
+        scope = globals()
+        return [(name, f, g, t, scope[function], arguments) for name, (function, outcomes) in CHECKS.items()
+                if name in names for f, g, t, arguments in outcomes(self)]
 
     def evaluate(self, instances, names) -> None:
         """Evaluate as stacks over the block of ``instances`` what the checks in ``names`` read, and
         nothing else, so that their outcomes only read memos.  Instances that no block has built are
         built as one block; built ones are the whole of their block, in its order, whose memos stay."""
-        unit = [(f, None) for f in self.functions]
-        equality = [h for pair in self.pairs or unit[:1] for h in pair if h is not None]
+        equality = [h for pair in self.pairs or self.unit[:1] for h in pair if h is not None]
         reads = {"main": ["cov", *self.functions], "robertson": ["cov", "robertson"], "equality": ["cov", *equality]}
         sides = [side for name in CHECK_NAMES if name in names for side in reads.get(name, ())]
-        pencils = (unit if {"conj1", "firey"} & names else []) + (list(self.pairs) if {"conj2", "firey"} & names else [])
+        pencils = (self.unit if {"conj1", "firey"} & names else ()) + (self.pairs if {"conj2", "firey"} & names else ())
         if "_block" not in vars(instances[0]):
             block = InstanceBlock(instances)
         else:
@@ -138,23 +124,36 @@ def _contraction(inst, f, tol):
     return contraction_report(inst.contraction(f), f, inst._block.frame.dim, tol)
 
 
-# check name -> (the module-level name of the function that gives its outcome on an instance, its
-# arguments after the instance from a layout entry's f, g, t and the tolerance), in the order
-# checks run; ``CheckPlan.bind`` looks the functions up
+# check name -> (the module-level name of the function that gives its outcome on an instance, and the
+# (f, g, t, arguments after the instance) of each of its outcomes under a plan), in the order checks
+# run; firey runs t-major over the functions and then the pairs, and equality over the pairs or,
+# without them, the first function.  ``CheckPlan.layout`` looks the functions up
 CHECKS = {
-    "main": ("check_main", lambda f, g, t, tol: (f, tol)),
-    "conj1": ("check_conj1", lambda f, g, t, tol: (f, tol)),
-    "conj2": ("check_conj2", lambda f, g, t, tol: (f, g, tol)),
-    "firey": ("check_firey", lambda f, g, t, tol: (f, t, g, tol)),
-    "robertson": ("check_robertson", lambda f, g, t, tol: (tol,)),
-    "equality": ("classify_equality", lambda f, g, t, tol: (f, g, tol)),
-    "contraction": ("_contraction", lambda f, g, t, tol: (f, tol)),
+    "main": ("check_main", lambda plan: [(f, None, None, (f, plan.tol)) for f in plan.functions]),
+    "conj1": ("check_conj1", lambda plan: [(f, None, None, (f, plan.tol)) for f in plan.functions]),
+    "conj2": ("check_conj2", lambda plan: [(f, g, None, (f, g, plan.tol)) for f, g in plan.pairs]),
+    "firey": ("check_firey", lambda plan: [(f, g, t, (f, t, g, plan.tol)) for t in plan.t_grid for f, g in plan.unit + plan.pairs]),
+    "robertson": ("check_robertson", lambda plan: [(None, None, None, (plan.tol,))]),
+    "equality": ("classify_equality", lambda plan: [(f, g, None, (f, g, plan.tol)) for f, g in plan.pairs or plan.unit[:1]]),
+    "contraction": ("_contraction", lambda plan: [(f, None, None, (f, plan.tol)) for f in plan.functions]),
 }
 CHECK_NAMES = tuple(CHECKS)
 
 
 def _label(spec: str, field: str) -> str:
     return parse_function_spec(checked_spec(spec, field, ConfigError)).label
+
+
+def _number(field: str, value, kind: type):
+    """``value`` as ``kind``, int or float.  ConfigError names ``field`` for a boolean, a value that is not
+    a number, and a number that is not whole where an int is asked for, which ``kind`` would truncate."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, bool) or (kind is int and number != value):
+        raise ConfigError(f"{field}: expected {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return number
 
 
 def _require_distinct(field: str, items, keys) -> None:
@@ -178,21 +177,21 @@ class CampaignConfig:
     )
     kinds: tuple[str, ...] = STATE_KINDS
     t_grid: tuple[float, ...] = DEFAULT_T_GRID
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     seed: int = 2026
     checks: tuple[str, ...] = CHECK_NAMES
 
     def __post_init__(self):
         coerce = object.__setattr__
-        coerce(self, "dims", tuple(int(n) for n in self.dims))
-        coerce(self, "num_obs", tuple(int(n) for n in self.num_obs))
-        coerce(self, "instances_per_cell", int(self.instances_per_cell))
+        coerce(self, "dims", tuple(_number("dims", n, int) for n in self.dims))
+        coerce(self, "num_obs", tuple(_number("num_obs", n, int) for n in self.num_obs))
+        coerce(self, "instances_per_cell", _number("instances_per_cell", self.instances_per_cell, int))
         coerce(self, "functions", tuple(str(s) for s in self.functions))
         coerce(self, "function_pairs", tuple((str(a), str(b)) for a, b in self.function_pairs))
         coerce(self, "kinds", tuple(str(k) for k in self.kinds))
-        coerce(self, "t_grid", tuple(float(t) for t in self.t_grid))
-        coerce(self, "tol", float(self.tol))
-        coerce(self, "seed", int(self.seed))
+        coerce(self, "t_grid", tuple(_number("t_grid", t, float) for t in self.t_grid))
+        coerce(self, "tol", _number("tol", self.tol, float))
+        coerce(self, "seed", _number("seed", self.seed, int))
         coerce(self, "checks", tuple(str(c) for c in self.checks))
 
         if not self.dims:
@@ -245,7 +244,6 @@ class CampaignReport:
     worst: dict
     violations: list
     runtime: float  # seconds; left out of to_dict() so that report files are deterministic
-    version: str = REPORT_VERSION
 
     @property
     def total_failures(self) -> int:
@@ -260,7 +258,7 @@ class CampaignReport:
 
     def to_dict(self) -> dict:
         return {
-            "version": self.version,
+            "version": REPORT_VERSION,
             "config": asdict(self.config),
             "counts": self.counts,
             "rows": self.rows,
@@ -284,7 +282,7 @@ def _add_row(into: list, row: list) -> None:
 
 
 def _campaign_plan(config: CampaignConfig) -> tuple:
-    """``config`` with its plan and its layout bound by ``CheckPlan.bind``, built once per campaign: the
+    """``config`` with its plan and that plan's layout, built once per campaign: the
     specs parse to functions, which hold lambdas and cannot be pickled, so a started process builds its own."""
     plan = CheckPlan(
         functions=tuple(parse_function_spec(s) for s in config.functions),
@@ -292,7 +290,7 @@ def _campaign_plan(config: CampaignConfig) -> tuple:
         tol=config.tol,
         t_grid=config.t_grid,
     )
-    return config, plan, plan.bind(plan.layout(set(config.checks)))
+    return config, plan, plan.layout(set(config.checks))
 
 
 def _take_blocks(config: CampaignConfig, blocks: list, counter, sender) -> dict:
@@ -316,12 +314,12 @@ def _take_blocks(config: CampaignConfig, blocks: list, counter, sender) -> dict:
 
 
 def _run_block(
-    config: CampaignConfig, plan: CheckPlan, bound: list, n: int, n_obs: int, positions: range
+    config: CampaignConfig, plan: CheckPlan, layout: list, n: int, n_obs: int, positions: range
 ) -> tuple[list, list]:
     """Draw, evaluate and tally the instances at ``positions`` of (n, N), numbered in (kind, index) order:
-    one tally row per entry of the ``bound`` layout, in layout order, and the block's violations."""
+    one tally row per entry of the plan's ``layout``, in layout order, and the block's violations."""
     # one tally row per layout entry, as every instance has an outcome at each
-    tally = [_empty_row() for _ in bound]
+    tally = [_empty_row() for _ in layout]
     violations: list[dict] = []
     count = config.instances_per_cell
     members = [(config.kinds[k // count], k % count) for k in positions]
@@ -329,7 +327,7 @@ def _run_block(
     block = [prepare_random(n, n_obs, derived, kind) for derived, (kind, _) in zip(seeds, members)]
     plan.evaluate(block, set(config.checks))
     # each layout entry with its check function, arguments and tally row
-    outcomes = [(*entry, row) for entry, row in zip(bound, tally)]
+    outcomes = [(*entry, row) for entry, row in zip(layout, tally)]
     for (kind, index), derived, inst in zip(members, seeds, block):
         where = f"kind={kind},index={index}"
         for name, f, g, t, check, args, row in outcomes:

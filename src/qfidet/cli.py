@@ -125,7 +125,7 @@ def _cmd_compute(args) -> int:
         # every plan evaluates the one block the instance was built in, and its memos carry over
         plan = CheckPlan(functions=functions, pairs=pairs, tol=args.tol, t_grid=DEFAULT_T_GRID)
         plan.evaluate([inst], set(checks))
-        return sum(_show(check(inst, *args)) for *_, check, args in plan.bind(plan.layout(checks)))
+        return sum(_show(check(inst, *args)) for *_, check, args in plan.layout(checks))
 
     print(f"instance {args.instance}: dim={loaded.state.dim}, observables={len(loaded.observables)}")
     print(f"  eigenvalues: {' '.join(f'{v:.6g}' for v in loaded.state.eigenvalues)}")
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--functions", type=_csv_list, default=None, help="comma-separated function specs, e.g. sld,wyd:0.3")
     verify.add_argument("--pairs", dest="function_pairs", default=None, help="comma-separated f/g pairs, e.g. sld/wy")
     verify.add_argument("--t-grid", type=_items(float), default=None, help="comma-separated t values in [0,1]")
-    verify.add_argument("--tol", type=_tolerance, default=None, help="relative tolerance (default 1e-9)")
+    verify.add_argument("--tol", type=_tolerance, default=None, help=f"relative tolerance (default {DEFAULT_TOL:g})")
     verify.add_argument("--kinds", type=_csv_list, default=None, help=f"state kinds from: {','.join(STATE_KINDS)}")
     verify.add_argument("--checks", type=_csv_list, default=None, help=f"checks from: {','.join(CHECK_NAMES)}")
     verify.add_argument("--out", default=None, help="write the report to this path")

@@ -16,7 +16,7 @@ m_f(lambda_h, lambda_j).  That metric is ``metric_inner`` (and, on sums the
 caller forms, ``metric_sum``).
 
 A nonregular f (f(0) = 0) makes Qov_f identically zero.  ``qov_matrix_frame``
-rejects it rather than return that zero; ``inequalities.PreparedInstance``
+rejects it rather than return that zero; ``inequalities.InstanceBlock.assemble``
 supplies the zero matrix itself.
 """
 from __future__ import annotations

@@ -75,6 +75,8 @@ def test_config_coercion_and_defaults():
     config = CampaignConfig(dims=[2, 3], functions=["sld"], t_grid=[0, 1])
     assert config.dims == (2, 3)
     assert config.t_grid == (0.0, 1.0)
+    # whole floats and numpy integers are integers
+    assert CampaignConfig(dims=(2.0, np.int64(3)), seed=np.int64(7)).dims == (2, 3)
     assert CampaignConfig().checks == CHECK_NAMES
     assert CampaignConfig().instances_per_cell == 1000
 
@@ -103,6 +105,17 @@ def test_config_coercion_and_defaults():
         ({"function_pairs": (), "checks": ("conj2",)}, "function_pairs: the conj2 check needs"),
         ({"tol": float("inf")}, "tol"),
         ({"tol": float("nan")}, "tol"),
+        # a value that is not a whole number is refused, not truncated, and the error names its field
+        ({"dims": (2.5,)}, "^dims: expected an integer, got 2.5$"),
+        ({"num_obs": (1, 1.5)}, "^num_obs: expected an integer, got 1.5$"),
+        ({"instances_per_cell": 2.7}, "^instances_per_cell: expected an integer, got 2.7$"),
+        ({"seed": 3.9}, "^seed: expected an integer, got 3.9$"),
+        ({"dims": (True, 3)}, "^dims: expected an integer, got True$"),
+        ({"seed": float("inf")}, "^seed: expected an integer, got inf$"),
+        ({"dims": ("x",)}, "^dims: expected an integer, got 'x'$"),
+        ({"seed": None}, "^seed: expected an integer, got None$"),
+        ({"t_grid": (0.5, "half")}, "^t_grid: expected a number, got 'half'$"),
+        ({"tol": "abc"}, "^tol: expected a number, got 'abc'$"),
     ],
 )
 def test_config_validation(kwargs, message):
@@ -747,7 +760,7 @@ def _plan(config) -> CheckPlan:
 
 
 def _labelled_layout(config) -> list[tuple]:
-    return [(name, f and f.label, g and g.label, t) for name, f, g, t in _plan(config).layout(config.checks)]
+    return [(name, f and f.label, g and g.label, t) for name, f, g, t, *_ in _plan(config).layout(config.checks)]
 
 
 def test_the_layout_lists_each_outcome_of_an_instance_once_in_registry_order():
@@ -794,7 +807,7 @@ def _compare_with_fresh_outcomes(config) -> int:
                 block = [prepare_random(n, n_obs, derived, kind) for derived in seeds]
                 plan.evaluate(block, set(CHECKS))
                 for inst, derived in zip(block, seeds):
-                    for name, f, g, t, check, args in plan.bind(plan.layout(CHECKS)):
+                    for name, f, g, t, check, args in plan.layout(CHECKS):
                         rep = check(inst, *args)
                         fl, gl = f and f.label, g and g.label
                         want = _fresh_outcome(name, n, n_obs, kind, derived, fl, gl, t, config.tol)
@@ -815,7 +828,7 @@ def test_a_drawn_instance_used_alone_gives_its_campaign_block_outcomes():
         used, computed = prepare_random(3, 2, seed, kind), prepare_random(3, 2, seed, kind)
         assert "_block" not in vars(used)  # drawn only, until its first use
         plan.evaluate([computed], names)  # as ``qfidet compute`` evaluates its instance
-        for name, f, g, t, check, args in plan.bind(plan.layout(names)):
+        for name, f, g, t, check, args in plan.layout(names):
             want = _facts(check(inst, *args))
             assert _facts(_outcome_alone(used, name, f and f.label, g and g.label, t, config.tol)) == want
             assert _facts(check(computed, *args)) == want
@@ -833,7 +846,7 @@ def test_a_block_is_freed_by_reference_counting_once_its_instances_go():
     gc.disable()
     try:
         plan.evaluate(block, names)
-        outcomes = [check(inst, *args) for inst in block for *_, check, args in plan.bind(plan.layout(names))]
+        outcomes = [check(inst, *args) for inst in block for *_, check, args in plan.layout(names)]
         # and keys that evaluate did not fill, each filled for the block on its first read
         sld, harmonic = plan.functions[0], parse_function_spec("harmonic")
         outcomes += [check_firey(block[0], sld, 0.37), classify_equality(block[1], harmonic), check_main(block[2], harmonic)]

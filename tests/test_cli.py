@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from qfidet import selftest
 from qfidet.cli import entry, main
 from qfidet.io import save_instance
 from qfidet.states import density, random_observable
@@ -45,6 +46,14 @@ def test_verify_out_file_and_workers(tmp_path, capsys):
     assert main(TINY_ARGS + ["--workers", "2", "--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_tol_reaches_the_config(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    assert main(["verify", "--dims", "2", "--num-obs", "1", "--instances", "1", "--checks", "robertson",
+                 "--tol", "1e-6", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert json.loads(path.read_text())["config"]["tol"] == 1e-6
 
 
 def test_verify_csv(tmp_path, capsys):
@@ -283,6 +292,16 @@ def test_selftest_passes(capsys):
     lines = out.strip().splitlines()
     assert len(lines) >= 10
     assert all(line.startswith("ok ") for line in lines)
+
+
+def test_a_selftest_case_that_raises_is_a_failure(monkeypatch, capsys):
+    def broken():
+        raise ValueError("no fixture")
+
+    cases = [("broken", broken), ("fine", lambda: (True, "held"))]
+    monkeypatch.setattr(selftest, "_cases", lambda tol: cases)
+    assert main(["selftest"]) == 1
+    assert capsys.readouterr().out == "FAIL broken: raised ValueError: no fixture\nok   fine: held\n"
 
 
 def test_module_entry_point_subprocess():

@@ -9,6 +9,7 @@ from qfidet.covariance import (
     alpha_coefficients,
     cov_matrix_frame,
     metric_inner,
+    metric_sum,
     observable_scale,
     pair_means,
     qov_matrix_frame,
@@ -68,6 +69,16 @@ def test_metric_inner_maximally_mixed():
     assert metric_inner(d, make_function("sld"), zero, zero) == 0.0
     with pytest.raises(ValueError, match="[Hh]ermitian"):
         metric_inner(d, make_function("sld"), np.array([[0, 1], [0, 0]], dtype=complex), PAULI_X)
+    with pytest.raises(ValueError, match=r"^tangent y shape \(3, 3\) does not match the state$"):
+        metric_inner(d, make_function("sld"), PAULI_X, np.eye(3, dtype=complex))
+
+
+def test_metric_sum_refuses_a_nonpositive_mean():
+    # the second of two stacks holds a zero mean, as a state of rank one gives a nonregular f
+    means = np.ones((2, 2, 2))
+    means[1, 0, 1] = 0.0
+    with pytest.raises(ValueError, match=r"^matrix mean underflow for kubo-mori: min 0\.000e\+00$"):
+        metric_sum(np.ones((2, 2, 2)), means, make_function("kubo-mori"))
 
 
 def test_metric_inner_is_a_scalar_product(rng):

@@ -471,6 +471,18 @@ def test_prepared_instance_caches(tight):
     assert inst.digest == "n=3,N=2,kind=degenerate,seed=123"
 
 
+def test_a_built_instance_refuses_what_no_block_makes_without_building_again():
+    inst = prepare_random(3, 2, 123)
+    assert inst.scale > 0.0  # built, as a block of one
+    block = inst._block
+    with pytest.raises(AttributeError, match="^'PreparedInstance' object has no attribute 'nope'$"):
+        inst.nope
+    assert inst._block is block
+    # a determinant key that no fill makes
+    with pytest.raises(KeyError, match=r"^\('robertson', 'cov'\)$"):
+        inst.det("robertson", "cov")
+
+
 def test_report_shape(tight):
     rep = check_conj1(tight, SLD)
     assert rep.name == "conj1"
@@ -515,7 +527,7 @@ KINDS = ("generic", "degenerate", "near-singular")
 
 def _outcomes(plan, inst, names) -> dict:
     """(check, f label, g label, t) -> the outcome on ``inst`` at each layout entry of ``names``."""
-    bound = plan.bind(plan.layout(names))
+    bound = plan.layout(names)
     return {(name, f.label, g and g.label, t): check(inst, *args) for name, f, g, t, check, args in bound}
 
 
@@ -587,7 +599,7 @@ def test_a_clamp_failure_inside_a_block_raises_its_instances_error():
     block = [prepare_random(2, 3, s) for s in (clean, first, second)]
     # the block's rows hold no window: evaluating them raises nothing, each outcome tests its own
     plan.evaluate(block, {"conj1"})
-    ((*_, check, args),) = plan.bind(plan.layout({"conj1"}))
+    ((*_, check, args),) = plan.layout({"conj1"})
     assert check(block[0], *args).passed
     for inst, seed in zip(block[1:], (first, second)):
         with pytest.raises(ArithmeticError) as inside:
@@ -970,7 +982,7 @@ def test_components_are_built_from_the_row_as_one_dict_per_outcome_would_be():
     assert [f.label for f in plan.functions] == list(config.functions)
     assert [(f.label, g.label) for f, g in plan.pairs] == [tuple(pair) for pair in config.function_pairs]
     names = set(config.checks)
-    bound = plan.bind(plan.layout(names))
+    bound = plan.layout(names)
     members = [(kind, index) for kind in config.kinds for index in range(config.instances_per_cell)][:BLOCK_INSTANCES]
     compared = 0
     for n in config.dims:

@@ -105,6 +105,14 @@ def test_rejects_missing_and_bad_fields(tmp_path):
         load_instance(_write(tmp_path, [1, 2]))
 
 
+@pytest.mark.parametrize("field", ["state", "observables"])
+def test_matrix_entries_must_be_numbers(tmp_path, field):
+    entries = [[["a", 0], [0, 0]], [[0, 0], [1, 0]]]
+    payload = dict(GOOD, **{field: entries if field == "state" else [entries]})
+    with pytest.raises(InstanceFormatError, match=rf"^{field}(\[0\])?: entries must be numeric \[re, im\] pairs$"):
+        load_instance(_write(tmp_path, payload))
+
+
 @pytest.mark.parametrize("value", [2.7, True, False, "2", None, [2]])
 def test_dim_must_be_a_json_integer(tmp_path, value):
     with pytest.raises(InstanceFormatError, match=r"^dim: not an integer"):

@@ -14,6 +14,8 @@ from qfidet.monotone import (
     CATALOG_NAMES,
     STANDARD_GRID,
     CatalogError,
+    MonotoneFunction,
+    _validate_grid,
     catalog_families,
     dominates,
     make_function,
@@ -173,6 +175,21 @@ def test_tilde_closed_forms():
 def test_tilde_rejects_nonregular():
     with pytest.raises(CatalogError, match="regular"):
         tilde(make_function("kubo-mori"))
+
+
+@pytest.mark.parametrize(
+    "evaluator, value_at_zero, regular, message",
+    [
+        (lambda x: np.log(x) + 1.0, 0.0, False, "not strictly positive and finite on the grid"),
+        # symmetric, positive and 1 at 1, but falling for x between about 1.3 and 42
+        (lambda x: np.sqrt(x) / (1.0 + np.log(x) ** 2), 0.0, False, "not nondecreasing on the grid"),
+        (lambda x: (1.0 + x) / 2.0, 0.5, False, "regularity flag False inconsistent with f\\(0\\) = 0.5"),
+    ],
+    ids=["not-positive", "decreasing", "regularity-flag"],
+)
+def test_the_grid_check_refuses_a_function_that_is_not_a_member(evaluator, value_at_zero, regular, message):
+    with pytest.raises(CatalogError, match=f"^bad: {message}$"):
+        _validate_grid(MonotoneFunction("bad", evaluator, value_at_zero, regular))
 
 
 def test_tilde_output_is_valid_member(regular_function):

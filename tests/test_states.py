@@ -10,6 +10,7 @@ from qfidet.states import (
     density_stack,
     derive_seed,
     eigenframe,
+    eigenframe_stack,
     observable,
     offdiagonal_dependence,
     pinching,
@@ -121,6 +122,15 @@ def test_eigenframe_centering_residue(rng):
         for a in frame.observables:
             assert np.abs(a - a.conj().T).max() <= 1e-14
             assert abs(np.sum(frame.lambdas * a.diagonal().real)) <= 1e-12
+
+
+def test_eigenframe_stack_refuses_a_spectrum_that_does_not_match_its_states():
+    # diag(0.3, 0.7) given the spectrum (0.7, 0.3): the centered diag(1, 0) averages to 0.4
+    matrices = np.diag([0.3, 0.7]).astype(complex)[None]
+    states = (matrices, np.array([[0.7, 0.3]]), np.eye(2, dtype=complex)[None])
+    obs = np.array([[PAULI_X, np.diag([1.0, 0.0])]], dtype=complex)
+    with pytest.raises(ValueError, match=r"^observable 1: centering residue 4\.000e-01 after rotation$"):
+        eigenframe_stack(states, obs)
 
 
 def test_eigenframe_observables_are_one_read_only_array():
