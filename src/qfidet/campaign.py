@@ -28,10 +28,13 @@ import json
 import math
 import os
 import time
+from collections.abc import Mapping, Set
 from dataclasses import asdict, dataclass
 from itertools import groupby, product
 from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .inequalities import (
     DEFAULT_TOL,
@@ -145,15 +148,35 @@ def _label(spec: str, field: str) -> str:
 
 
 def _number(field: str, value, kind: type):
-    """``value`` as ``kind``, int or float.  ConfigError names ``field`` for a boolean, a value that is not
-    a number, and a number that is not whole where an int is asked for, which ``kind`` would truncate."""
+    """``value`` as ``kind``, int or float.  ConfigError names ``field`` for a boolean (numpy's too), a value that
+    is not a number, and a number that is not whole where an int is asked for, which ``kind`` would truncate."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         number = None
-    if number is None or isinstance(value, bool) or (kind is int and number != value):
+    if number is None or isinstance(value, (bool, np.bool_)) or (kind is int and number != value):
         raise ConfigError(f"{field}: expected {'an integer' if kind is int else 'a number'}, got {value!r}")
     return number
+
+
+def _items(field: str, value) -> tuple:
+    """The items of the sequence ``value``; ConfigError names ``field`` for a string, which would be read one
+    character at a time, a set or mapping, whose order can change with the hash seed, and a scalar."""
+    if not isinstance(value, (str, bytes, Set, Mapping)):
+        try:
+            return tuple(value)
+        except TypeError:  # not iterable: a number, a 0-d array
+            pass
+    raise ConfigError(f"{field}: expected a sequence, got {value!r}")
+
+
+def _pair(value) -> tuple[str, str]:
+    """A ``function_pairs`` entry as (f, g); ConfigError for anything but a sequence of two."""
+    try:
+        f, g = _items("function_pairs", value)
+    except ValueError:  # ConfigError among them
+        raise ConfigError(f"function_pairs: expected a pair of function specs, got {value!r}") from None
+    return str(f), str(g)
 
 
 def _require_distinct(field: str, items, keys) -> None:
@@ -183,16 +206,16 @@ class CampaignConfig:
 
     def __post_init__(self):
         coerce = object.__setattr__
-        coerce(self, "dims", tuple(_number("dims", n, int) for n in self.dims))
-        coerce(self, "num_obs", tuple(_number("num_obs", n, int) for n in self.num_obs))
+        coerce(self, "dims", tuple(_number("dims", n, int) for n in _items("dims", self.dims)))
+        coerce(self, "num_obs", tuple(_number("num_obs", n, int) for n in _items("num_obs", self.num_obs)))
         coerce(self, "instances_per_cell", _number("instances_per_cell", self.instances_per_cell, int))
-        coerce(self, "functions", tuple(str(s) for s in self.functions))
-        coerce(self, "function_pairs", tuple((str(a), str(b)) for a, b in self.function_pairs))
-        coerce(self, "kinds", tuple(str(k) for k in self.kinds))
-        coerce(self, "t_grid", tuple(_number("t_grid", t, float) for t in self.t_grid))
+        coerce(self, "functions", tuple(str(s) for s in _items("functions", self.functions)))
+        coerce(self, "function_pairs", tuple(_pair(p) for p in _items("function_pairs", self.function_pairs)))
+        coerce(self, "kinds", tuple(str(k) for k in _items("kinds", self.kinds)))
+        coerce(self, "t_grid", tuple(_number("t_grid", t, float) for t in _items("t_grid", self.t_grid)))
         coerce(self, "tol", _number("tol", self.tol, float))
         coerce(self, "seed", _number("seed", self.seed, int))
-        coerce(self, "checks", tuple(str(c) for c in self.checks))
+        coerce(self, "checks", tuple(str(c) for c in _items("checks", self.checks)))
 
         if not self.dims:
             raise ConfigError("dims: need at least one dimension")

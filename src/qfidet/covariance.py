@@ -109,17 +109,18 @@ def qov_matrix_frame(frame: EigenFrame, f: MonotoneFunction) -> np.ndarray:
 
 
 def observable_scale(obs):
-    """Tolerance scale max(1, sum of squared Frobenius norms), and the norms it
-    is computed from; ValueError, naming the observables, where it overflows.
-
-    A (B, N, n, n) stack of families gives the list of their B scales and the
-    (B, N) array of their norms, from one ``frobenius`` call; the first family
-    that overflows raises.
+    """Tolerance scales max(1, sum of squared Frobenius norms) of a (B, N, n, n) stack of families:
+    the list of their B scales and the (B, N) array of the norms they are computed from, from one
+    ``frobenius`` call.  ValueError for any other shape, one family too, and, naming its
+    observables, for the first family whose sum overflows.
     """
+    obs = np.asarray(obs)
+    if obs.ndim != 4:
+        raise ValueError(f"expected a (B, N, n, n) stack of families, got shape {obs.shape}")
     with np.errstate(over="ignore"):
-        norms = frobenius(np.asarray(obs))
+        norms = frobenius(obs)
     scales = []
-    for family in np.reshape(norms, (-1, norms.shape[-1])).tolist():
+    for family in norms.tolist():
         try:
             total = sum(v**2 for v in family)  # Python's float power raises OverflowError past the float range
         except OverflowError:
@@ -128,4 +129,4 @@ def observable_scale(obs):
             listed = ", ".join(f"norm of observables[{k}] = {v:.3e}" for k, v in enumerate(family))
             raise ValueError(f"observables: the sum of squared Frobenius norms overflows ({listed})")
         scales.append(max(1.0, total))
-    return (scales, norms) if norms.ndim > 1 else (scales[0], tuple(norms.tolist()))
+    return scales, norms

@@ -40,7 +40,6 @@ from .covariance import (
 )
 from .linalg import (
     RANK_TOL,
-    EigenDecomposition,
     _real_stack,
     det_antisymmetric,
     det_real_symmetric,
@@ -49,7 +48,6 @@ from .linalg import (
 from .monotone import MonotoneFunction, dominates
 from .states import (
     DensityMatrix,
-    EigenFrame,
     _draw_gaussians,
     _draw_partition,
     _require_positive,
@@ -73,8 +71,6 @@ __all__ = [
     "prepare_random",
     "fill_contraction",
     "contraction_report",
-    "remainder",
-    "remainder_t",
     "check_main",
     "check_conj1",
     "check_conj2",
@@ -162,11 +158,7 @@ def _require_unit(t: float) -> None:
 
 
 def _root(det: float, n_obs: int) -> float:
-    """det^{1/N}, with a roundoff-negative det (down to -1e-12) read as 0."""
-    if n_obs < 1:
-        raise ValueError(f"observable count must be >= 1, got {n_obs}")
-    if det < -1e-12:
-        raise ValueError(f"determinant {det!r} is negative beyond roundoff")
+    """det^{1/N} of a determinant already clamped at 0 (0 for -0.0 too)."""
     return det ** (1.0 / n_obs) if det > 0.0 else 0.0
 
 
@@ -186,31 +178,13 @@ def _cross_terms(q, c, n_obs: int) -> np.ndarray:
     return total
 
 
-def remainder(det_q: float, det_diff: float, n_obs: int) -> float:
-    """Binomial cross-term sum between the N-th roots of two determinants.
-
-    Equals ((det_q)^{1/N} + (det_diff)^{1/N})^N minus the two pure terms;
-    zero for N = 1 and whenever either determinant vanishes.
-    """
-    return float(_cross_terms([_root(det_q, n_obs)], [_root(det_diff, n_obs)], n_obs)[0])
-
-
-def remainder_t(det_q: float, det_diff: float, n_obs: int, t: float) -> float:
-    """Weighted cross terms ((1-t) q^{1/N})^k (t c^{1/N})^{N-k}, k = 1..N-1.
-
-    At t = 1/2 this is exactly 2^{-N} times ``remainder``.
-    """
-    _require_unit(t)
-    return float(_cross_terms([_root(det_q, n_obs) * (1.0 - t)], [_root(det_diff, n_obs) * t], n_obs)[0])
-
-
 class PreparedInstance:
     """One (state, observables) pair whose derived quantities its block memoizes.
 
     ``PreparedInstance(d, obs)`` is built at once, as a block of one.  A drawn instance
     (``prepare_random``'s) is built by the one block it joins, or alone when it is first used:
     its state and frame come from the same stacked path either way, so they have the same bits.
-    Building sets its ``scale``; ``state``, ``observables``, ``frame`` and ``norms`` view its block.
+    Building sets its ``scale``; the stacks of states, observables and frames stay in its block.
 
     Quantum covariance matrices are produced here for nonregular functions
     too, which the covariance assemblers reject: they are exactly zero there
@@ -229,24 +203,6 @@ class PreparedInstance:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         InstanceBlock((self,))
         return getattr(self, name)
-
-    @property
-    def state(self) -> DensityMatrix:
-        (matrices, values, vectors), k = self._block.states, self._index
-        return DensityMatrix(matrices[k], EigenDecomposition(values[k], vectors[k]))
-
-    @property
-    def observables(self) -> tuple:
-        return tuple(self._block.observables[self._index])
-
-    @property
-    def frame(self) -> EigenFrame:
-        frame, k = self._block.frame, self._index
-        return EigenFrame(frame.lambdas[k], frame.observables[k], frame.norms[k])
-
-    @property
-    def norms(self) -> tuple:
-        return tuple(self._block.norms[self._index].tolist())
 
     # Each memo read is one subscript; the block fills a missing key for all its instances.
 
@@ -308,9 +264,10 @@ class InstanceBlock:
     """Instances of one (n, N), evaluated together: each memo maps a key to its value for
     every instance, computed on first use by one stacked evaluation.  The block builds its
     instances (``_build``), none of which another block has built, so a campaign's block of drawn
-    instances forms, checks, eigensolves and rotates them all at once, and keeps the stacks of states
-    and observables that its instances view.  A campaign fills the memos its checks read with
-    ``fill_pencils`` and ``find_structure``, and stores ``fill_contraction``'s sums from those stacks.
+    instances forms, checks, eigensolves and rotates them all at once, and keeps the stacks of
+    states, observables and frames that its memos are filled from.  A campaign fills the memos its
+    checks read with ``fill_pencils`` and ``find_structure``, and stores ``fill_contraction``'s sums
+    from those stacks.
     Every stacked operation acts on each instance's slice alone (elementwise, or LAPACK and BLAS
     per matrix), so a value is bit-identical whichever block computed it."""
 
@@ -654,7 +611,7 @@ def minkowski_firey_selftest(
     n = k.shape[0]
     named = (("K", k), ("L", l))
     # each checked as its determinant call checks it, then max(1, the largest entry of either)
-    scale = max(1.0, *(float(np.abs(_real_stack(m, 1.0, name)).max()) for name, m in named))
+    scale = max(1.0, *(float(np.abs(_real_stack(m[:, :, None], 1.0, name)).max()) for name, m in named))
     for name, m in named:
         if np.linalg.eigvalsh(m)[0] < -1e-10 * scale:
             raise ValueError(f"{name} is not positive semidefinite")

@@ -1,8 +1,10 @@
 """Dense Hermitian linear algebra at desk scale (n <= 16 or so).
 
-Matrices are plain complex128 ndarrays.  Eigenvalues and eigenvectors come
-only from LAPACK (``np.linalg.eigh``).  Determinants are taken directly: by
-cofactor expansion up to 3x3 and by LU above.
+Matrices are plain complex128 ndarrays.  The norms, the eigensolver and the
+determinants take stacks only, as a block evaluates them: one matrix is a
+stack of one.  Eigenvalues and eigenvectors come only from LAPACK
+(``np.linalg.eigh``).  Determinants are taken directly: by cofactor expansion
+up to 3x3 and by LU above.
 """
 from __future__ import annotations
 
@@ -48,16 +50,16 @@ def hermitian_part(a) -> np.ndarray:
 
 
 def frobenius(a):
-    """Frobenius norm of a matrix, or the array of norms of a stack (..., n, n).
+    """The array of Frobenius norms of a stack (..., n, n) of matrices.
 
-    Each norm of a stack has the bits of ``np.linalg.norm`` of its matrix
-    alone: the BLAS dot of the real parts with themselves plus that of the
-    imaginary parts, from one matmul of row vectors over the stack.  A plain
-    sum of squares rounds differently.
+    Each norm has the bits of ``np.linalg.norm`` of its matrix alone: the BLAS
+    dot of the real parts with themselves plus that of the imaginary parts,
+    from one matmul of row vectors over the stack.  A plain sum of squares
+    rounds differently.
     """
     m = np.asarray(a)
     if m.ndim < 3:
-        return float(np.linalg.norm(m))
+        raise ValueError(f"expected a stack (..., n, n) of matrices, got shape {m.shape}")
     flat = m.reshape(*m.shape[:-2], 1, -1)
     parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
     return np.sqrt(sum(p @ np.swapaxes(p, -1, -2) for p in parts))[..., 0, 0]
@@ -103,8 +105,8 @@ class EigenDecomposition:
 
 
 def hermitian_eigen(h) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian n x n matrix ``h`` by LAPACK (``np.linalg.eigh``), or
-    of an (n, n, K) stack of K of them, from one call; either way ``len(h)`` is n.
+    """Eigendecompositions of an (n, n, K) stack of K Hermitian matrices by LAPACK
+    (``np.linalg.eigh``), from one call; ``len(h)`` is n.
 
     The stack runs along the last axis, as in ``det_real_symmetric``; its K
     eigenvalue rows and unitaries come back stacked along a leading axis,
@@ -112,22 +114,22 @@ def hermitian_eigen(h) -> EigenDecomposition:
     degenerate eigenspace the basis is whichever one LAPACK returns.
     """
     m = np.asarray(h, dtype=complex)
-    m = as_complex_matrix(m) if m.ndim != 3 or m.shape[0] != m.shape[1] else np.moveaxis(m, -1, 0)
+    if m.ndim != 3 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected an (n, n, K) stack of square matrices, got shape {m.shape}")
+    m = np.moveaxis(m, -1, 0)
     require_hermitian(m)
     values, unitary = np.linalg.eigh(m)
     return EigenDecomposition(eigenvalues=values, unitary=unitary)
 
 
 def _real_stack(m, sign: float, label: str) -> np.ndarray:
-    """A real N x N matrix ``m``, or an (N, N, K) stack of K of them, as an (N, N, K) float
-    stack, once every matrix is checked: N >= 1, finite entries, and symmetric (``sign`` = 1)
-    or antisymmetric (``sign`` = -1) within ``SYMMETRY_TOL`` times max(1, its largest entry).
-    Otherwise ValueError names the first matrix that is not, as ``label``."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim not in (2, 3) or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        what = "an (N, N, K) stack of square matrices" if a.ndim == 3 else "a square matrix"
-        raise ValueError(f"expected {what}, got shape {a.shape}")
-    s = a if a.ndim == 3 else a[:, :, None]
+    """An (N, N, K) stack ``m`` of K real matrices as a float stack, once every matrix is checked:
+    N >= 1, finite entries, and symmetric (``sign`` = 1) or antisymmetric (``sign`` = -1) within
+    ``SYMMETRY_TOL`` times max(1, its largest entry).  Otherwise ValueError names the first matrix
+    that is not, as ``label``."""
+    s = np.asarray(m, dtype=float)
+    if s.ndim != 3 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
+        raise ValueError(f"expected an (N, N, K) stack of square matrices, got shape {s.shape}")
     largest = np.abs(s).max(axis=(0, 1))
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, and overflowing sums
         asym = np.abs(s - sign * s.transpose(1, 0, 2)).max(axis=(0, 1))
@@ -140,9 +142,9 @@ def _real_stack(m, sign: float, label: str) -> np.ndarray:
     return s
 
 
-def _finite(dets: np.ndarray, s: np.ndarray, stacked: bool):
-    """The determinants of the stack ``s``, or the one of a matrix, once all are finite: one that is not
-    is taken again by LU (a cofactor product can overflow where it does not), else OverflowError."""
+def _finite(dets: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The determinants of the stack ``s`` once all are finite: one that is not is taken again by
+    LU (a cofactor product can overflow where it does not), else OverflowError."""
     finite = np.isfinite(dets)
     if not finite.all():
         with np.errstate(over="ignore", invalid="ignore"):
@@ -151,12 +153,11 @@ def _finite(dets: np.ndarray, s: np.ndarray, stacked: bool):
     if not finite.all():
         largest = np.abs(s[:, :, int(np.argmin(finite))]).max()
         raise OverflowError(f"determinant of finite entries up to {largest:.3e} overflows the float range")
-    return dets if stacked else float(dets[0])
+    return dets
 
 
 def det_real_symmetric(m):
-    """Determinant of a real symmetric N x N matrix ``m``, or the K determinants of an
-    (N, N, K) stack of them; either way ``len(m)`` is N.
+    """The K determinants of an (N, N, K) stack ``m`` of real symmetric matrices; ``len(m)`` is N.
 
     The stack runs along the last axis, so that ``m[i, j]`` holds entry (i, j)
     of every matrix.  Up to 3x3 by cofactor expansion on those entries (the
@@ -164,15 +165,15 @@ def det_real_symmetric(m):
     not depend on the stack it is taken in), LU (``np.linalg.det``) above.
     numpy forms the LU determinant as the exp of a sum of logs, so its
     relative error grows with |log det|.
-    Input that is not square, not finite or not symmetric within
-    ``SYMMETRY_TOL`` times its largest entry raises ValueError naming the
-    first such matrix, and a determinant of finite entries that overflows
-    raises OverflowError.
+    Input that is not such a stack (one matrix too) raises ValueError, and so
+    does a matrix that is not finite or not symmetric within ``SYMMETRY_TOL``
+    times its largest entry, naming the first such matrix; a determinant of
+    finite entries that overflows raises OverflowError.
     """
     s = _real_stack(m, 1.0, "matrix")
     with np.errstate(over="ignore", invalid="ignore"):
         dets = np.linalg.det(s.transpose(2, 0, 1)) if len(s) > 3 else _cofactor_det(s)
-    return _finite(dets, s, np.ndim(m) == 3)
+    return _finite(dets, s)
 
 
 def _cofactor_det(r):
@@ -189,17 +190,16 @@ def _cofactor_det(r):
 
 
 def det_antisymmetric(k):
-    """Determinant of a real antisymmetric N x N matrix ``k``, or the K determinants of an
-    (N, N, K) stack of them, checked and stacked as in ``det_real_symmetric``: exactly zero
-    at odd N, LU (``np.linalg.det``, one matrix at a time) at even N, and OverflowError for
-    a determinant of finite entries that overflows."""
+    """The K determinants of an (N, N, K) stack ``k`` of real antisymmetric matrices, checked as
+    in ``det_real_symmetric``: exactly zero at odd N, LU (``np.linalg.det``, one matrix at a time)
+    at even N, and OverflowError for a determinant of finite entries that overflows."""
     s = _real_stack(k, -1.0, "matrix")
     if len(s) % 2 == 1:
         dets = np.zeros(s.shape[2])
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             dets = np.linalg.det(s.transpose(2, 0, 1))
-    return _finite(dets, s, np.ndim(k) == 3)
+    return _finite(dets, s)
 
 
 def numeric_rank(vectors: Sequence[np.ndarray] | np.ndarray, floor):

@@ -21,8 +21,6 @@ from .inequalities import (
     check_robertson,
     classify_equality,
     minkowski_firey_selftest,
-    remainder,
-    remainder_t,
 )
 from .monotone import dominates, make_function, mean, tilde
 from .states import density
@@ -48,12 +46,13 @@ def _cases(tol: float):
     d = density(np.diag([0.75, 0.25]).astype(complex))
     witness = tight_witness_instance()
 
+    # the cross terms of the witness's conj1 and firey(1/2) rows: det Qov = 1/16, det(Cov - Qov) = 9/16, N = 2
     def case_remainder():
-        got = remainder(1.0 / 16.0, 9.0 / 16.0, 2)
+        got = check_conj1(witness, sld, tol).components["remainder"]
         return _within(got, 0.375, 1e-14), f"remainder(1/16, 9/16, 2) = {got:.12g}"
 
     def case_remainder_half():
-        got = remainder_t(1.0 / 16.0, 9.0 / 16.0, 2, 0.5)
+        got = check_firey(witness, sld, 0.5, tol=tol).components["remainder_t"]
         return _within(got, 3.0 / 32.0, 1e-14), f"remainder_t(..., 1/2) = {got:.12g}"
 
     def case_mean():

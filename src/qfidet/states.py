@@ -298,25 +298,28 @@ def offdiagonal_dependence(frame: EigenFrame) -> DependenceReport:
     return DependenceReport(dependent=rank < frame.size, rank=rank)
 
 
-def pinching(x: np.ndarray, partition) -> np.ndarray:
-    """Block-diagonal truncation sum(P_i x P_i) over coordinate projections: of a matrix for one
-    partition, or of a stack (B, ..., n, n) for B partitions, one per leading index, by one mask.
+def pinching(x: np.ndarray, partitions) -> np.ndarray:
+    """Block-diagonal truncation sum(P_i x P_i) over coordinate projections, of a stack (B, ..., n, n)
+    for B partitions, one per leading index, by one mask.
 
     The simplest completely positive trace-preserving map that is not a
     unitary conjugation; used to exercise monotonicity under coarse-graining.
-    The first partition that is not one of range(n) raises ValueError.
+    Input that is not such a stack (one matrix too) raises ValueError, and so
+    does the first partition that is not one of range(n).
     """
     x = np.asarray(x, dtype=complex)
+    if x.ndim < 3 or len(partitions) != len(x):
+        raise ValueError(f"expected a (B, ..., n, n) stack and B partitions, got shape {x.shape} and {len(partitions)}")
     n = x.shape[-1]
     owner = []  # per partition, the block number of each index
-    for part in [partition] if x.ndim == 2 else partition:
+    for part in partitions:
         blocks = [sorted(map(int, block)) for block in part]
         if sorted(chain.from_iterable(blocks)) != list(range(n)):
             raise ValueError(f"partition {blocks!r} does not partition range({n})")
         owner.append([k for _, k in sorted((i, k) for k, block in enumerate(blocks) for i in block)])
     owner = np.array(owner, dtype=int).reshape(-1, n)
     mask = owner[:, :, None] == owner[:, None, :]
-    return np.where(mask[0] if x.ndim == 2 else mask.reshape(-1, *(1,) * (x.ndim - 3), n, n), x, 0.0)
+    return np.where(mask.reshape(-1, *(1,) * (x.ndim - 3), n, n), x, 0.0)
 
 
 def random_partition(n: int, seed: int) -> list[list[int]]:

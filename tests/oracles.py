@@ -18,7 +18,14 @@ Library code used here, and what for:
   ``MonotoneFunction`` and runs the library's grid validation on it, so that
   the order check and the catalogue tests can take it like a member.
 * ``components_reference`` reads an evaluated instance's memos (its pencil
-  rows, determinants and contraction sums) and builds the dict from them.
+  rows, determinants and contraction sums) and builds the dict from them, and
+  ``instance_views`` reads an instance's state, observables, frame and norms
+  from its block's stacks.
+* The single-matrix forms ``det_one``, ``det_antisymmetric_one``,
+  ``eigen_one``, ``frobenius_one``, ``pinching_one`` and ``scale_one`` call
+  the library's stack-only routines on a stack of one and read its one result.
+* ``remainder`` and ``remainder_t`` are the scalar cross terms, from the
+  library's ``_cross_terms`` kernel on arrays of one.
 * The definition routes take the library's ``DensityMatrix`` (its matrix,
   and for ``qov`` its eigendecomposition) and ``MonotoneFunction``;
   ``commutator`` coerces with ``as_complex_matrix``; ``qov`` takes Hermitian
@@ -31,12 +38,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from qfidet.covariance import metric_sum, pair_means
-from qfidet.linalg import as_complex_matrix, hermitian_part
+from qfidet.covariance import metric_sum, observable_scale, pair_means
+from qfidet.inequalities import _cross_terms
+from qfidet.linalg import (
+    EigenDecomposition,
+    as_complex_matrix,
+    det_antisymmetric,
+    det_real_symmetric,
+    frobenius,
+    hermitian_eigen,
+    hermitian_part,
+)
 from qfidet.monotone import MonotoneFunction, _validate_grid
+from qfidet.states import DensityMatrix, EigenFrame, pinching
 
 
 def det_exact(m) -> Fraction:
@@ -57,6 +75,89 @@ def det_exact(m) -> Fraction:
             ratio = a[i][j] / a[j][j]
             a[i] = [x - ratio * y for x, y in zip(a[i], a[j])]
     return det
+
+
+def det_one(m) -> float:
+    """``det_real_symmetric`` of one matrix, as a stack of one."""
+    return float(det_real_symmetric(np.asarray(m, dtype=float)[..., None])[0])
+
+
+def det_antisymmetric_one(k) -> float:
+    """``det_antisymmetric`` of one matrix, as a stack of one."""
+    return float(det_antisymmetric(np.asarray(k, dtype=float)[..., None])[0])
+
+
+def eigen_one(h) -> EigenDecomposition:
+    """``hermitian_eigen`` of one matrix, as a stack of one."""
+    eig = hermitian_eigen(np.asarray(h)[..., None])
+    return EigenDecomposition(eig.eigenvalues[0], eig.unitary[0])
+
+
+def frobenius_one(a) -> float:
+    """``frobenius`` of one matrix, as a stack of one."""
+    return float(frobenius(np.asarray(a)[None])[0])
+
+
+def pinching_one(x, partition) -> np.ndarray:
+    """``pinching`` of one matrix at one partition, as a stack of one."""
+    return pinching(np.asarray(x)[None], [partition])[0]
+
+
+def scale_one(obs) -> tuple:
+    """``observable_scale`` of one family, as a stack of one: its scale and the tuple of its norms."""
+    scales, norms = observable_scale(np.asarray(obs)[None])
+    return scales[0], tuple(norms[0].tolist())
+
+
+def remainder(det_q: float, det_diff: float, n_obs: int) -> float:
+    """Binomial cross-term sum between the N-th roots of two determinants.
+
+    Equals ((det_q)^{1/N} + (det_diff)^{1/N})^N minus the two pure terms;
+    zero for N = 1 and whenever either determinant vanishes.
+    """
+    return float(_cross_terms([_root(det_q, n_obs)], [_root(det_diff, n_obs)], n_obs)[0])
+
+
+def remainder_t(det_q: float, det_diff: float, n_obs: int, t: float) -> float:
+    """Weighted cross terms ((1-t) q^{1/N})^k (t c^{1/N})^{N-k}, k = 1..N-1.
+
+    At t = 1/2 this is exactly 2^{-N} times ``remainder``.
+    """
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t must lie in [0, 1], got {t!r}")
+    return float(_cross_terms([_root(det_q, n_obs) * (1.0 - t)], [_root(det_diff, n_obs) * t], n_obs)[0])
+
+
+def _root(det: float, n_obs: int) -> float:
+    """det^{1/N}, with a roundoff-negative det (down to -1e-12) read as 0."""
+    if n_obs < 1:
+        raise ValueError(f"observable count must be >= 1, got {n_obs}")
+    if det < -1e-12:
+        raise ValueError(f"determinant {det!r} is negative beyond roundoff")
+    return det ** (1.0 / n_obs) if det > 0.0 else 0.0
+
+
+class InstanceViews(NamedTuple):
+    """An instance's own slices of its block's stacks."""
+
+    state: DensityMatrix
+    observables: tuple
+    frame: EigenFrame
+    norms: tuple
+
+
+def instance_views(inst) -> InstanceViews:
+    """An instance's state, observables (a tuple of matrices), frame and observable norms (a tuple of
+    floats), read from its block's stacks; an instance that no block has built is built alone first."""
+    block, k = inst._block, inst._index
+    matrices, values, vectors = block.states
+    frame = block.frame
+    return InstanceViews(
+        DensityMatrix(matrices[k], EigenDecomposition(values[k], vectors[k])),
+        tuple(block.observables[k]),
+        EigenFrame(frame.lambdas[k], frame.observables[k], frame.norms[k]),
+        tuple(block.norms[k].tolist()),
+    )
 
 
 def _vec(x: np.ndarray) -> np.ndarray:
@@ -330,6 +431,6 @@ def components_reference(name: str, inst, f, g, t, tol: float) -> dict:
         return {"det_cov": inst.det("cov"), "det_commutator": inst.det("robertson")}
     if name == "contraction":
         before, after, floor, blocks = inst.contraction(f)
-        window = tol * max(1.0, before) + 4.0 * inst.state.dim * float(np.finfo(float).eps) / floor * before
+        window = tol * max(1.0, before) + 4.0 * inst._block.frame.dim * float(np.finfo(float).eps) / floor * before
         return {"before": before, "after": after, "window": window, "blocks": blocks, "f": f.label}
     raise ValueError(f"{name}: no components")

@@ -43,6 +43,8 @@ from qfidet.inequalities import (
 from qfidet.monotone import parse_function_spec
 from qfidet.states import derive_seed
 
+from oracles import instance_views
+
 TINY = CampaignConfig(
     dims=(2, 3),
     num_obs=(1, 2),
@@ -116,6 +118,29 @@ def test_config_coercion_and_defaults():
         ({"seed": None}, "^seed: expected an integer, got None$"),
         ({"t_grid": (0.5, "half")}, "^t_grid: expected a number, got 'half'$"),
         ({"tol": "abc"}, "^tol: expected a number, got 'abc'$"),
+        # a string is not read one character at a time, and a scalar is not a sequence
+        ({"functions": "sld"}, "^functions: expected a sequence, got 'sld'$"),
+        ({"num_obs": "12"}, "^num_obs: expected a sequence, got '12'$"),
+        ({"checks": "main"}, "^checks: expected a sequence, got 'main'$"),
+        ({"kinds": "generic"}, "^kinds: expected a sequence, got 'generic'$"),
+        ({"dims": 3}, "^dims: expected a sequence, got 3$"),
+        ({"t_grid": 0.5}, "^t_grid: expected a sequence, got 0.5$"),
+        ({"dims": np.array(3)}, r"^dims: expected a sequence, got array\(3\)$"),
+        ({"function_pairs": 7}, "^function_pairs: expected a sequence, got 7$"),
+        # a set or a mapping has no fixed order, so the report would depend on the hash seed
+        ({"kinds": {"generic"}}, r"^kinds: expected a sequence, got \{'generic'\}$"),
+        ({"functions": frozenset({"sld"})}, r"^functions: expected a sequence, got frozenset\(\{'sld'\}\)$"),
+        ({"dims": {2: "a", 3: "b"}}, "^dims: expected a sequence, got "),
+        ({"function_pairs": ({"sld", "wy"},)}, "^function_pairs: expected a pair of function specs, got "),
+        # each pair is a sequence of two specs
+        ({"function_pairs": (("sld",),)}, r"^function_pairs: expected a pair of function specs, got \('sld',\)$"),
+        ({"function_pairs": (("sld", "wy", "wyd:0.3"),)}, "^function_pairs: expected a pair of function specs"),
+        ({"function_pairs": ("sw",)}, "^function_pairs: expected a pair of function specs, got 'sw'$"),
+        ({"function_pairs": (None,)}, "^function_pairs: expected a pair of function specs, got None$"),
+        # a numpy boolean is a boolean, not the number 1 (its repr depends on the numpy version)
+        ({"seed": np.True_}, f"^seed: expected an integer, got {np.True_!r}$"),
+        ({"dims": (np.True_, 3)}, f"^dims: expected an integer, got {np.True_!r}$"),
+        ({"t_grid": (np.False_,)}, f"^t_grid: expected a number, got {np.False_!r}$"),
     ],
 )
 def test_config_validation(kwargs, message):
@@ -737,7 +762,8 @@ def _outcome_alone(inst, check, fl, gl, t, tol):
     f = None if fl is None else parse_function_spec(fl)
     g = None if gl is None else parse_function_spec(gl)
     if check == "contraction":
-        return check_metric_contraction(inst.state, inst.observables[0], f, inst.partition, tol)
+        views = instance_views(inst)
+        return check_metric_contraction(views.state, views.observables[0], f, inst.partition, tol)
     calls = {
         "main": lambda: check_main(inst, f, tol),
         "conj1": lambda: check_conj1(inst, f, tol),

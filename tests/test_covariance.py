@@ -10,17 +10,26 @@ from qfidet.covariance import (
     cov_matrix_frame,
     metric_inner,
     metric_sum,
-    observable_scale,
     pair_means,
     qov_matrix_frame,
 )
 from qfidet.inequalities import PreparedInstance
-from qfidet.linalg import EigenDecomposition, det_real_symmetric
+from qfidet.linalg import EigenDecomposition
 from qfidet.monotone import make_function, parse_function_spec
 from qfidet.states import DensityMatrix, density, density_stack, eigenframe, random_density, random_observable
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
-from oracles import cov, cov_matrix, metric_inner_superop, qov, qov_matrix, qov_superop, robertson_matrix
+from oracles import (
+    cov,
+    cov_matrix,
+    det_one,
+    metric_inner_superop,
+    qov,
+    qov_matrix,
+    qov_superop,
+    robertson_matrix,
+    scale_one,
+)
 
 REGULAR = [make_function("sld"), make_function("wy"), make_function("wyd", 0.3)]
 NONREGULAR = ["harmonic", "kubo-mori", "log-square", "sqrt-log", "alpha:0.2", "wyd:-0.4"]
@@ -244,7 +253,7 @@ def test_matrix_positivity_and_ordering(rng):
         d = random_density(3, 8500 + trial)
         obs = [random_observable(3, 8600 + 10 * trial + k) for k in range(3)]
         frame = eigenframe(d, obs)
-        scale, _ = observable_scale(obs)
+        scale, _ = scale_one(obs)
         cm = cov_matrix_frame(frame)
         qm_f = qov_matrix_frame(frame, sld)
         qm_g = qov_matrix_frame(frame, wy)
@@ -257,13 +266,13 @@ def test_matrix_positivity_and_ordering(rng):
 def test_repeated_observable_makes_cov_singular():
     d = qubit()
     cm = cov_matrix(d, [PAULI_X, PAULI_X])
-    assert abs(det_real_symmetric(cm)) <= 1e-10
+    assert abs(det_one(cm)) <= 1e-10
 
 
 def test_dependent_family_makes_qov_singular():
     d = qubit()
     qm = qov_matrix(d, make_function("sld"), [PAULI_X, PAULI_X + PAULI_Z])
-    assert abs(det_real_symmetric(qm)) <= 1e-10
+    assert abs(det_one(qm)) <= 1e-10
 
 
 def test_qov_matrix_nonregular_gate():
@@ -341,5 +350,5 @@ def test_degenerate_state_results_do_not_depend_on_basis_choice():
 
 
 def test_observable_scale():
-    assert observable_scale([PAULI_X]) == (pytest.approx(2.0), (pytest.approx(math.sqrt(2.0)),))
-    assert observable_scale([0.1 * PAULI_X])[0] == 1.0
+    assert scale_one([PAULI_X]) == (pytest.approx(2.0), (pytest.approx(math.sqrt(2.0)),))
+    assert scale_one([0.1 * PAULI_X])[0] == 1.0

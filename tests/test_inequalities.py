@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qfidet.campaign import BLOCK_INSTANCES, DEFAULT_T_GRID, CampaignConfig, CheckPlan, run_campaign
-from qfidet.covariance import metric_inner, observable_scale
+from qfidet.covariance import metric_inner
 from qfidet.inequalities import (
     EqualityClassification,
     InequalityReport,
@@ -26,24 +26,20 @@ from qfidet.inequalities import (
     fill_contraction,
     minkowski_firey_selftest,
     prepare_random,
-    remainder,
-    remainder_t,
 )
 from qfidet.monotone import make_function
-from qfidet.linalg import det_real_symmetric
 from qfidet.states import (
     POSITIVITY_FLOOR,
     density,
     derive_seed,
     observable,
-    pinching,
     random_density,
     random_observable,
     random_partition,
 )
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
-from oracles import components_reference
+from oracles import components_reference, det_one, instance_views, pinching_one, remainder, remainder_t, scale_one
 from oracles import draw_per_matrix, prepared_per_matrix, robertson_matrix
 
 SLD = make_function("sld")
@@ -200,7 +196,7 @@ def test_firey_endpoints_and_range(rng):
 def test_firey_half_recovers_conj1(rng):
     for seed in range(20):
         inst = prepare_random(int(rng.integers(2, 5)), int(rng.integers(1, 4)), 500 + seed)
-        n = inst.frame.size
+        n = instance_views(inst).frame.size
         for f in (SLD, WYD):
             half = check_firey(inst, f, 0.5)
             full = check_conj1(inst, f)
@@ -248,7 +244,8 @@ def test_robertson_odd_count_is_zero():
 def test_robertson_frame_route_matches_trace_route(rng):
     for seed in range(15):
         inst = prepare_random(int(rng.integers(2, 5)), int(rng.integers(2, 4)), 40 + seed)
-        direct = robertson_matrix(inst.state, list(inst.observables))
+        views = instance_views(inst)
+        direct = robertson_matrix(views.state, list(views.observables))
         assert np.abs(direct - inst.matrix("robertson")).max() <= 1e-12
 
 
@@ -513,10 +510,10 @@ def test_firey_left_side_is_the_array_determinant_of_the_mix():
         for t in DEFAULT_T_GRID:
             w = 1.0 - 2.0 * t
             for f in (SLD, WY, WYD, KM):
-                ref = det_real_symmetric(t * inst.matrix("cov") + w * inst.matrix(f))
+                ref = det_one(t * inst.matrix("cov") + w * inst.matrix(f))
                 assert _bits(check_firey(inst, f, t).components["det_mix"]) == _bits(ref), (trial, t, f.label)
             for f, g in pairs:
-                ref = det_real_symmetric(t * inst.matrix(f) + w * inst.matrix(g))
+                ref = det_one(t * inst.matrix(f) + w * inst.matrix(g))
                 got = check_firey(inst, f, t, g=g).components["det_mix"]
                 assert _bits(got) == _bits(ref), (trial, t, f.label, g.label)
 
@@ -653,7 +650,7 @@ def test_firey_right_side_is_the_scalar_formula_bit_for_bit(rng):
         outcomes += [(check_conj2(inst, f, g), f) for f, g in MEMO_PAIRS]
         for rep, big in outcomes:
             lhs, q, dd, rem = list(rep.components.values())[:4]
-            assert _bits(lhs) == _bits(rep.lhs) == _bits(det_real_symmetric(inst.matrix(big))), (trial, rep.name)
+            assert _bits(lhs) == _bits(rep.lhs) == _bits(det_one(inst.matrix(big))), (trial, rep.name)
             assert _bits(rem) == _bits(remainder(q, dd, n_obs)), (trial, rep.name)
             assert _bits(rep.rhs) == _bits(q + dd + rem), (trial, rep.name)
 
@@ -679,12 +676,13 @@ def test_a_nan_margin_raises_in_pencil_outcomes(tight, name, t):
 
 def test_overflowing_observables_raise_instead_of_failing(tight):
     # Cov entries near 1e160 give a determinant past the float range
-    scaled = PreparedInstance(tight.state, [1e80 * a for a in tight.observables])
+    views = instance_views(tight)
+    scaled = PreparedInstance(views.state, [1e80 * a for a in views.observables])
     with pytest.raises(OverflowError):
         check_main(scaled, SLD)
     # squared norms past the float range are rejected before anything warns
     with pytest.raises(ValueError, match=r"observables: .*observables\[1\] = inf"):
-        PreparedInstance(tight.state, [PAULI_X, 1e160 * PAULI_Y])
+        PreparedInstance(views.state, [PAULI_X, 1e160 * PAULI_Y])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -705,8 +703,8 @@ def _fresh_contraction_sides(seed: int, n: int, x, f, part) -> tuple[float, floa
     d = random_density(n, seed)
     x0 = observable(x)
     x0 = x0 - (np.trace(x0).real / n) * np.eye(n)
-    px0 = pinching(x0, part)
-    return metric_inner(d, f, x0, x0), metric_inner(density(pinching(d.matrix, part)), f, px0, px0)
+    px0 = pinching_one(x0, part)
+    return metric_inner(d, f, x0, x0), metric_inner(density(pinching_one(d.matrix, part)), f, px0, px0)
 
 
 def test_contraction_shares_its_tangent_across_functions_in_any_order():
@@ -751,7 +749,8 @@ def test_block_contraction_sums_equal_the_single_case_bit_for_bit(n):
     for inst in block:
         for f in functions:
             sums = inst.contraction(f)
-            alone = check_metric_contraction(inst.state, inst.observables[0], f, inst.partition)
+            views = instance_views(inst)
+            alone = check_metric_contraction(views.state, views.observables[0], f, inst.partition)
             assert (_bits(sums[0]), _bits(sums[1])) == (_bits(alone.lhs), _bits(alone.rhs)), (inst.digest, f.label)
             assert contraction_report(sums, f, n, 1e-9) == alone
             assert sums[3] == len(inst.partition)
@@ -765,7 +764,8 @@ def test_a_malformed_partition_in_a_block_raises_its_own_message():
         CheckPlan(functions=(SLD,), pairs=(), tol=1e-9).evaluate(block, {"contraction"})
     # the message of that case alone
     with pytest.raises(ValueError, match=want):
-        check_metric_contraction(block[5].state, block[5].observables[0], SLD, block[5].partition)
+        views = instance_views(block[5])
+        check_metric_contraction(views.state, views.observables[0], SLD, block[5].partition)
 
 
 # a tangent or observable with one fault each, and the text each check of outside data raises for it
@@ -831,12 +831,12 @@ def test_a_pinched_state_below_the_floor_raises_the_positivity_message():
 
 def _views(inst) -> dict:
     """Every view of an instance onto its block's stacks, as arrays."""
-    state, frame = inst.state, inst.frame
+    state, observables, frame, norms = instance_views(inst)
     views = {"matrix": state.matrix, "eigenvalues": state.eigenvalues, "unitary": state.eigen.unitary}
     views.update(lambdas=frame.lambdas, frame_observables=frame.observables, frame_norms=frame.norms)
-    views.update(observables=np.array(inst.observables), norms=np.array(inst.norms))
-    assert type(inst.observables) is type(inst.norms) is tuple
-    assert all(type(v) is float for v in inst.norms)
+    views.update(observables=np.array(observables), norms=np.array(norms))
+    assert type(observables) is type(norms) is tuple
+    assert all(type(v) is float for v in norms)
     return views
 
 
@@ -858,14 +858,16 @@ def test_instances_view_their_block_with_the_bits_of_a_block_of_one():
         assert single._block.size == 1 and inst._block.size == 16
         _same_views(_views(inst), want, inst.digest)
     # a given state and family, which builds as a block of one
-    given = PreparedInstance(block[7].state, list(block[7].observables))
+    views = instance_views(block[7])
+    given = PreparedInstance(views.state, list(views.observables))
     _same_views(_views(given), _views(alone[7]), "given")
 
 
 def test_a_block_builds_only_instances_that_no_block_has_built():
     block, fresh = _drawn_block(3, 2, "rebuild"), prepare_random(3, 2, 5)
     InstanceBlock(block)
-    given = PreparedInstance(block[0].state, list(block[0].observables))
+    views = instance_views(block[0])
+    given = PreparedInstance(views.state, list(views.observables))
     for instances in (block, [given], [fresh, block[3]], [fresh, given]):
         with pytest.raises(ValueError, match=r"^instance \S+ is already built, in a block of its own$"):
             InstanceBlock(instances)
@@ -897,14 +899,15 @@ def _drawn_block(n: int, n_obs: int, tag: str) -> list:
 
 def _built(inst) -> dict:
     """What building an instance gives, keyed as ``prepared_per_matrix`` keys it."""
+    state, _, frame, norms = instance_views(inst)
     return {
-        "matrix": inst.state.matrix,
-        "eigenvalues": inst.state.eigenvalues,
-        "unitary": inst.state.eigen.unitary,
-        "observables": inst.frame.observables,
-        "frame_norms": inst.frame.norms,
+        "matrix": state.matrix,
+        "eigenvalues": state.eigenvalues,
+        "unitary": state.eigen.unitary,
+        "observables": frame.observables,
+        "frame_norms": frame.norms,
         "scale": inst.scale,
-        "norms": np.array(inst.norms),
+        "norms": np.array(norms),
     }
 
 
@@ -940,7 +943,7 @@ def test_a_block_raises_the_error_of_its_failing_instance_alone(kind):
         with pytest.raises(ValueError) as inside:
             InstanceBlock(block)
         with pytest.raises(ValueError) as alone:
-            single.frame
+            instance_views(single)
         with pytest.raises(ValueError) as reference:
             density(formed / np.trace(formed).real)
         assert type(inside.value) is type(alone.value) is type(reference.value)
@@ -954,16 +957,17 @@ def test_a_given_family_raises_the_error_of_its_check(kind):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         inst = _drawn_block(3, 2, "faults")[4]
-        obs = list(inst.observables)
+        state, observables, _, _ = instance_views(inst)
+        obs = list(observables)
         if kind == "non-Hermitian observable":
             obs[1] = obs[1].copy()
             obs[1][0, 1] += 1e-6
             check, argument = observable, obs[1]
         else:
             obs[1] = 1e160 * obs[1]
-            check, argument = observable_scale, obs
+            check, argument = scale_one, obs
         with pytest.raises(ValueError) as given:
-            PreparedInstance(inst.state, obs)
+            PreparedInstance(state, obs)
         with pytest.raises(ValueError) as reference:
             check(argument)
         assert type(given.value) is type(reference.value)

@@ -8,8 +8,18 @@ import numpy as np
 import pytest
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, random_hermitian
-from oracles import apply_scalar_function, commutator, det_exact, unitarity_residual
+from oracles import (
+    apply_scalar_function,
+    commutator,
+    det_antisymmetric_one,
+    det_exact,
+    det_one,
+    eigen_one,
+    frobenius_one,
+    unitarity_residual,
+)
 
+from qfidet.covariance import observable_scale
 from qfidet.inequalities import prepare_random
 from qfidet.linalg import (
     as_complex_matrix,
@@ -21,7 +31,7 @@ from qfidet.linalg import (
     numeric_rank,
 )
 from qfidet.monotone import make_function
-from qfidet.states import derive_seed
+from qfidet.states import derive_seed, pinching
 
 # Largest |det - exact det| allowed, in units of eps * max(|prod diag|,
 # max|entry|^N).  The worst case over 40 reseeded runs of the inputs below
@@ -32,21 +42,21 @@ KINDS = ("generic", "degenerate", "near-singular")
 
 
 def test_pauli_x_spectrum():
-    eig = hermitian_eigen(PAULI_X)
+    eig = eigen_one(PAULI_X)
     assert np.abs(eig.eigenvalues - np.array([-1.0, 1.0])).max() < 1e-14
-    assert frobenius(eig.reconstruct() - PAULI_X) < 1e-13
+    assert frobenius_one(eig.reconstruct() - PAULI_X) < 1e-13
 
 
 def test_diagonal_input_is_exact():
     d = np.diag([0.75, 0.25]).astype(complex)
-    eig = hermitian_eigen(d)
+    eig = eigen_one(d)
     assert eig.eigenvalues.tolist() == [0.25, 0.75]
     # already diagonal, so the unitary is a pure permutation
     assert np.abs(np.abs(eig.unitary) - np.array([[0.0, 1.0], [1.0, 0.0]])).max() == 0.0
 
 
 def test_zero_matrix():
-    eig = hermitian_eigen(np.zeros((3, 3)))
+    eig = eigen_one(np.zeros((3, 3)))
     assert np.all(eig.eigenvalues == 0.0)
     assert unitarity_residual(eig) == 0.0
 
@@ -56,9 +66,9 @@ def test_eigen_random_reconstruction(rng):
     for _ in range(250):
         n = int(rng.integers(2, 9))
         h = random_hermitian(rng, n)
-        eig = hermitian_eigen(h)
-        scale = max(1.0, frobenius(h))
-        assert frobenius(eig.reconstruct() - h) <= 1e-11 * scale
+        eig = eigen_one(h)
+        scale = max(1.0, frobenius_one(h))
+        assert frobenius_one(eig.reconstruct() - h) <= 1e-11 * scale
         assert unitarity_residual(eig) <= 1e-12
         assert np.all(np.diff(eig.eigenvalues) >= 0.0)
 
@@ -66,14 +76,14 @@ def test_eigen_random_reconstruction(rng):
 def test_eigen_matches_lapack(rng):
     for n in (2, 3, 5, 8):
         h = random_hermitian(rng, n)
-        mine = hermitian_eigen(h).eigenvalues
+        mine = eigen_one(h).eigenvalues
         ref = np.linalg.eigvalsh(h)
-        assert np.abs(mine - ref).max() < 1e-11 * max(1.0, frobenius(h))
+        assert np.abs(mine - ref).max() < 1e-11 * max(1.0, frobenius_one(h))
 
 
 def test_eigen_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        eigen_one(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_eigen_of_a_stack_gives_each_matrix_its_bits_alone(rng):
@@ -83,7 +93,7 @@ def test_eigen_of_a_stack_gives_each_matrix_its_bits_alone(rng):
         eig = hermitian_eigen(stack)
         assert eig.eigenvalues.shape == (5, n) and eig.unitary.shape == (5, n, n)
         for k, m in enumerate(mats):
-            alone = hermitian_eigen(m)
+            alone = eigen_one(m)
             assert np.array_equal(eig.eigenvalues[k], alone.eigenvalues)
             assert np.array_equal(eig.unitary[k], alone.unitary)
         stack[0, 1, 3] += 1e-6
@@ -101,7 +111,7 @@ def test_commutator_antisymmetry_and_trace(rng):
     b = random_hermitian(rng, 4)
     c = commutator(a, b)
     assert np.abs(c + commutator(b, a)).max() == 0.0
-    assert abs(np.trace(c)) <= 1e-12 * frobenius(a) * frobenius(b)
+    assert abs(np.trace(c)) <= 1e-12 * frobenius_one(a) * frobenius_one(b)
 
 
 def test_commutator_shape_mismatch():
@@ -112,7 +122,7 @@ def test_commutator_shape_mismatch():
 def test_scalar_function_square(rng):
     h = random_hermitian(rng, 4)
     sq = apply_scalar_function(h, lambda x: x**2)
-    assert frobenius(sq - h @ h) < 1e-11 * max(1.0, frobenius(h) ** 2)
+    assert frobenius_one(sq - h @ h) < 1e-11 * max(1.0, frobenius_one(h) ** 2)
 
 
 def test_scalar_function_on_scaled_identity():
@@ -121,10 +131,10 @@ def test_scalar_function_on_scaled_identity():
 
 
 def test_det_small_examples():
-    assert det_real_symmetric(np.diag([0.75, 0.25])) == pytest.approx(3.0 / 16.0, abs=1e-15)
-    assert det_real_symmetric(np.eye(3)) == pytest.approx(1.0, abs=1e-14)
+    assert det_one(np.diag([0.75, 0.25])) == pytest.approx(3.0 / 16.0, abs=1e-15)
+    assert det_one(np.eye(3)) == pytest.approx(1.0, abs=1e-14)
     m = np.array([[2.0, 1.0], [1.0, 2.0]])
-    assert det_real_symmetric(m) == pytest.approx(3.0, rel=1e-13)
+    assert det_one(m) == pytest.approx(3.0, rel=1e-13)
 
 
 def _det_error(det: float, m: np.ndarray) -> float:
@@ -147,7 +157,7 @@ def test_det_real_symmetric_matches_exact_rationals():
             cov = inst.matrix("cov")
             for m in (g + g.T, g @ g.T, cov, inst.matrix(sld), cov - inst.matrix(wy)):
                 m = m * 10.0 ** rng.uniform(-6.0, 3.0)
-                assert _det_error(det_real_symmetric(m), m) <= DET_ERROR_BOUND, m.tolist()
+                assert _det_error(det_one(m), m) <= DET_ERROR_BOUND, m.tolist()
 
 
 def test_det_antisymmetric_matches_exact_rationals():
@@ -158,11 +168,11 @@ def test_det_antisymmetric_matches_exact_rationals():
             g = rng.standard_normal((n_obs, n_obs))
             for m in (g - g.T, inst.matrix("robertson")):
                 m = m * 10.0 ** rng.uniform(-6.0, 3.0)
-                assert _det_error(det_antisymmetric(m), m) <= DET_ERROR_BOUND, m.tolist()
+                assert _det_error(det_antisymmetric_one(m), m) <= DET_ERROR_BOUND, m.tolist()
     for n_obs in (1, 3, 5):
         g = rng.standard_normal((n_obs, n_obs))
         assert det_exact(g - g.T) == 0
-        assert det_antisymmetric(g - g.T) == 0.0
+        assert det_antisymmetric_one(g - g.T) == 0.0
 
 
 def test_det_near_singular_sign():
@@ -170,12 +180,12 @@ def test_det_near_singular_sign():
     # cofactor expansion of entries no larger than 1 adds a few eps at most
     v = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
     m = np.eye(3) - np.outer(v, v)
-    assert abs(det_real_symmetric(m)) < 1e-14
+    assert abs(det_one(m)) < 1e-14
 
 
 def test_det_rejects_asymmetric():
     with pytest.raises(ValueError, match="not symmetric"):
-        det_real_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        det_one(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -188,20 +198,20 @@ def test_non_finite_entries_are_rejected(n, bad):
             det_real_symmetric(np.stack([np.eye(n), m], axis=-1))
         for solver in (hermitian_eigen, det_real_symmetric, det_antisymmetric):
             with pytest.raises(ValueError, match="non-finite entry"):
-                solver(m)
+                solver(m[:, :, None])
 
 
 def test_det_checks_its_input():
     """det_real_symmetric, on both sides of its size switch, rejects non-square, asymmetric and
     non-finite input."""
     with pytest.raises(ValueError, match=r"not symmetric \(max \|M - M\^T\| = 5.000e\+00\)"):
-        det_real_symmetric(np.array([[1.0, 5.0], [0.0, 2.0]]))
+        det_one(np.array([[1.0, 5.0], [0.0, 2.0]]))
     with pytest.raises(ValueError, match=r"not symmetric"):
-        det_real_symmetric(np.triu(np.ones((5, 5))))
-    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        det_one(np.triu(np.ones((5, 5))))
+    with pytest.raises(ValueError, match=r"expected an \(N, N, K\) stack of square matrices, got shape \(2, 3\)"):
         det_real_symmetric(np.ones((2, 3)))
     with pytest.raises(ValueError, match=r"non-finite entry \(0, 1\) = nan"):
-        det_real_symmetric(np.array([[1.0, math.nan], [math.nan, 1.0]]))
+        det_one(np.array([[1.0, math.nan], [math.nan, 1.0]]))
 
 
 def test_real_matrices_share_one_symmetry_tolerance():
@@ -215,10 +225,10 @@ def test_real_matrices_share_one_symmetry_tolerance():
             k[0, 1] += off * scale
             for solver, matrix in ((det_real_symmetric, m), (det_antisymmetric, k)):
                 if ok:
-                    solver(matrix)
+                    solver(matrix[:, :, None])
                 else:
                     with pytest.raises(ValueError, match="not (anti)?symmetric"):
-                        solver(matrix)
+                        solver(matrix[:, :, None])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -228,7 +238,7 @@ def test_det_stack_equals_det_real_symmetric_bit_for_bit(n):
     stack = (g + g.transpose(0, 2, 1)) * 10.0 ** rng.uniform(-8.0, 4.0, size=(300, 1, 1))
     stack[0] = 0.0
     dets = det_real_symmetric(stack.transpose(1, 2, 0))
-    singles = np.array([det_real_symmetric(m) for m in stack])
+    singles = np.array([det_one(m) for m in stack])
     # the closed forms on Python floats up to 3x3, numpy's LU one matrix at a time above
     reference = np.array([_cofactor_on_floats(m.tolist()) if n <= 3 else float(np.linalg.det(m)) for m in stack])
     assert dets.shape == (300,)
@@ -260,7 +270,7 @@ def test_det_stack_checks_its_input():
     stack[1, 2, 3] = stack[2, 1, 3] = math.inf
     with pytest.raises(ValueError, match=r"non-finite entry \(1, 2\) = inf"):
         det_real_symmetric(stack)
-    for shape, what in (((3,), "a square matrix"), ((2, 3, 2), "an (N, N, K) stack of square matrices")):
+    for shape, what in (((3,), "an (N, N, K) stack of square matrices"), ((2, 3, 2), "an (N, N, K) stack of square matrices")):
         with pytest.raises(ValueError, match=re.escape(f"expected {what}, got shape {shape}")):
             det_real_symmetric(np.ones(shape))
     for shape in ((0, 0), (0, 0, 4), (2, 2, 3, 1)):
@@ -274,26 +284,26 @@ def test_a_determinant_that_overflows_raises_overflow_error(n):
     # finite entries on both sides of the size switch whose determinant is past the float range
     big = np.eye(n) * 1e308 ** (2.0 / n)
     with pytest.raises(OverflowError, match="overflows the float range"):
-        det_real_symmetric(big)
+        det_one(big)
     with pytest.raises(OverflowError, match="overflows the float range"):
         det_real_symmetric(np.stack([np.eye(n), big], axis=-1))
     if n == 2:
         # cofactor products past the float range (inf - inf) of a determinant that is 0: LU gives it
         m = np.full((2, 2), 1e200)
-        assert det_real_symmetric(m) == 0.0
+        assert det_one(m) == 0.0
         assert det_real_symmetric(np.stack([np.eye(2), m], axis=-1)).tolist() == [1.0, 0.0]
     if n % 2 == 0:
         k = np.kron(np.eye(n // 2), np.array([[0.0, 1e200], [-1e200, 0.0]]))
         with pytest.raises(OverflowError, match="overflows the float range"):
-            det_antisymmetric(k)
+            det_antisymmetric_one(k)
     # large entries whose determinant stays in range pass, within Hadamard's
     # bound (sqrt(N) max|entry|)^N <= e^700 and beyond it
     for m in (np.eye(n) * 1e300 ** (1.0 / n), np.diag([1e200] + [1e-50] * (n - 1))):
-        assert 0.0 < det_real_symmetric(m) < math.inf
+        assert 0.0 < det_one(m) < math.inf
         assert 0.0 < det_real_symmetric(m[:, :, None])[0] < math.inf
     if n % 2 == 0:
         k = np.kron(np.diag([1e154] + [1e-50] * (n // 2 - 1)), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        assert 0.0 < det_antisymmetric(k) < math.inf
+        assert 0.0 < det_antisymmetric_one(k) < math.inf
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -302,7 +312,7 @@ def test_det_antisymmetric_stack_equals_single_matrices_bit_for_bit(n):
     g = rng.standard_normal((300, n, n))
     stack = (g - g.transpose(0, 2, 1)) * 10.0 ** rng.uniform(-8.0, 4.0, size=(300, 1, 1))
     dets = det_antisymmetric(stack.transpose(1, 2, 0))
-    singles = np.array([det_antisymmetric(m) for m in stack])
+    singles = np.array([det_antisymmetric_one(m) for m in stack])
     # exactly zero at odd sizes, numpy's LU one matrix at a time at even ones
     reference = np.array([0.0 if n % 2 else float(np.linalg.det(m)) for m in stack])
     assert dets.shape == (300,)
@@ -323,14 +333,14 @@ def test_det_antisymmetric_stack_names_its_first_bad_matrix(n):
 
 def test_det_antisymmetric_examples(rng):
     k = np.array([[0.0, 0.5], [-0.5, 0.0]])
-    assert det_antisymmetric(k) == pytest.approx(0.25, rel=1e-13)
-    assert det_antisymmetric(np.zeros((3, 3))) == 0.0
+    assert det_antisymmetric_one(k) == pytest.approx(0.25, rel=1e-13)
+    assert det_antisymmetric_one(np.zeros((3, 3))) == 0.0
     g = rng.standard_normal((4, 4))
     a = g - g.T
-    assert det_antisymmetric(a) == pytest.approx(float(np.linalg.det(a)), rel=1e-10)
+    assert det_antisymmetric_one(a) == pytest.approx(float(np.linalg.det(a)), rel=1e-10)
     # odd size is exactly zero by construction
     g5 = rng.standard_normal((5, 5))
-    assert det_antisymmetric(g5 - g5.T) == 0.0
+    assert det_antisymmetric_one(g5 - g5.T) == 0.0
 
 
 def test_numeric_rank_cases():
@@ -360,3 +370,20 @@ def test_hermitian_part_and_coercion():
     assert np.abs(h - h.conj().T).max() == 0.0
     with pytest.raises(ValueError, match="square"):
         as_complex_matrix(np.ones((2, 3)))
+
+
+# each routine that takes stacks only, a single matrix or family, and the error it raises for that
+STACK_ONLY = [
+    (frobenius, (PAULI_X,), "expected a stack (..., n, n) of matrices, got shape (2, 2)"),
+    (hermitian_eigen, (PAULI_X,), "expected an (n, n, K) stack of square matrices, got shape (2, 2)"),
+    (det_real_symmetric, (np.eye(2),), "expected an (N, N, K) stack of square matrices, got shape (2, 2)"),
+    (det_antisymmetric, (np.zeros((2, 2)),), "expected an (N, N, K) stack of square matrices, got shape (2, 2)"),
+    (pinching, (PAULI_X, [[0], [1]]), "expected a (B, ..., n, n) stack and B partitions, got shape (2, 2) and 2"),
+    (observable_scale, ([PAULI_X, PAULI_Y],), "expected a (B, N, n, n) stack of families, got shape (2, 2, 2)"),
+]
+
+
+@pytest.mark.parametrize("routine, arguments, expected", STACK_ONLY, ids=[case[0].__name__ for case in STACK_ONLY])
+def test_a_stack_only_routine_refuses_one_matrix_or_one_family(routine, arguments, expected):
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        routine(*arguments)

@@ -1,12 +1,15 @@
-"""The public surface of ``qfidet``: every public module-level function and class is used by
-other program code.
+"""The public surface of ``qfidet``: every public module-level function and class, and every
+public method and property of a public class, is used by other program code.
 
 A public name that only tests call is a reference route or dead code.  Reference
 routes live in ``tests/oracles.py``; dead code goes.  A use is a name loaded or
 read as an attribute somewhere in ``src/qfidet`` outside the definition itself,
 or a function named as a string in ``campaign.CHECKS``, which looks its
 functions up by name.  Imports, ``__all__``, docstrings and comments are not
-uses.
+uses.  Methods and properties are matched by name alone, not by class, so a
+name that another class or a module also defines limits the walk: a property
+``PreparedInstance.state`` would count as used by every read of
+``LoadedInstance.state``.
 """
 from __future__ import annotations
 
@@ -50,7 +53,8 @@ def _uses(node) -> Counter:
 
 def _unused(src: Path) -> list:
     """(module, name) of each public module-level function or class in ``src`` that nothing
-    outside its own definition uses."""
+    outside its own definition uses, and (module, "Class.name") of each public method or
+    property of a public class whose name nothing outside that method's definition uses."""
     statements = []  # (module, statement, its uses)
     for path in sorted(src.glob("*.py")):
         statements += [(path.stem, node, _uses(node)) for node in ast.parse(path.read_text()).body]
@@ -60,6 +64,10 @@ def _unused(src: Path) -> list:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             if total[node.name] - uses[node.name] == 0:
                 unused.append((module, node.name))
+            for member in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    if total[member.name] - _uses(member)[member.name] == 0:
+                        unused.append((module, f"{node.name}.{member.name}"))
     return unused
 
 
@@ -89,16 +97,24 @@ def test_the_walk_counts_loads_attributes_and_check_names_only(tmp_path):
         "def imported_only():\n    pass\n"
         "def used_in_docstring():\n    pass\n"
         "class _Private:\n    pass\n"
+        "class Shown:\n"
+        "    def read(self):\n        return self.helper()\n"
+        "    def helper(self):\n        return 1\n"
+        "    def recursive_method(self):\n        return self.recursive_method()\n"
+        "    @property\n    def unread(self):\n        return 0\n"
+        "    def _private(self):\n        pass\n"
     )
     (tmp_path / "b.py").write_text(
         "import a\n"
         "CHECKS = {'listed_only': ('by_check_name', None)}\n"
-        "def user():\n    # recursive()\n    return called(), a.by_attribute()\n"
+        "def user():\n    # recursive()\n    return called(), a.by_attribute(), a.Shown().read()\n"
     )
     assert _unused(tmp_path) == [
         ("a", "recursive"),
         ("a", "listed_only"),
         ("a", "imported_only"),
         ("a", "used_in_docstring"),
+        ("a", "Shown.recursive_method"),
+        ("a", "Shown.unread"),
         ("b", "user"),
     ]
