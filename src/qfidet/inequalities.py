@@ -211,9 +211,9 @@ class PreparedInstance:
         "robertson" the commutator bound matrix Im(S), S_kl = sum_h lambda_h A^k_hj A^l_jh."""
         return self._block.matrix[side][self._index]
 
-    def det(self, big, small=None) -> float:
-        """Memoized determinant of ``matrix(big)``, or of ``matrix(big) - matrix(small)``."""
-        return self._block.det[big, small][self._index]
+    def det(self, side) -> float:
+        """Memoized determinant of ``matrix(side)``."""
+        return self._block.det[side][self._index]
 
     def contraction(self, f) -> tuple:
         """The contraction sums for f (``fill_contraction``'s) at the instance's ``partition``, which
@@ -245,8 +245,9 @@ def _build(instances) -> tuple:
 
 class _Memo(dict):
     """A memo of an ``InstanceBlock``, key -> the value of every instance, whose missing key
-    ``fill(block, key)`` fills for the whole block.  It refers to its block weakly, so that the two
-    make no reference cycle and a block is freed by reference counting when its instances go."""
+    ``fill(block, key)`` fills for the whole block; a key that no fill makes, such as a ``det`` key that
+    is not a side, raises KeyError.  It refers to its block weakly, so that the two make no reference
+    cycle and a block is freed by reference counting when its instances go."""
 
     __slots__ = ("block", "fill")
 
@@ -255,7 +256,7 @@ class _Memo(dict):
 
     def __missing__(self, key):
         self.fill(self.block(), key)
-        if key not in self:  # a key that no fill makes, such as ("robertson", "cov")
+        if key not in self:
             raise KeyError(key)
         return self[key]
 
@@ -266,8 +267,9 @@ class InstanceBlock:
     instances (``_build``), none of which another block has built, so a campaign's block of drawn
     instances forms, checks, eigensolves and rotates them all at once, and keeps the stacks of
     states, observables and frames that its memos are filled from.  A campaign fills the memos its
-    checks read with ``fill_pencils`` and ``find_structure``, and stores ``fill_contraction``'s sums
-    from those stacks.
+    checks read with ``fill_pencils``, which takes every determinant of the block in one call (the
+    ``det`` memo is keyed by side: "cov", "robertson" or a function), and ``find_structure``, and
+    stores ``fill_contraction``'s sums from those stacks.
     Every stacked operation acts on each instance's slice alone (elementwise, or LAPACK and BLAS
     per matrix), so a value is bit-identical whichever block computed it."""
 
@@ -281,7 +283,7 @@ class InstanceBlock:
             inst._block, inst._index = self, k
         self.size = len(instances)
         self.matrix = _Memo(self, lambda block, side: block.assemble((side,)))  # side -> (B, N, N) stack
-        self.det = _Memo(self, lambda block, key: block.determinants((key,)))  # (big, small) -> B determinants
+        self.det = _Memo(self, lambda block, side: block.fill_pencils((), (), (side,)))  # side -> B determinants
         # (f, g, t) -> B pencil rows; a t off the grid is a grid of one
         self.pencil = _Memo(self, lambda block, key: block.fill_pencils((key[:2],), key[2:], ()))
         self.structure = _Memo(self, lambda block, key: block.find_structure())  # None -> B (rank, dependence) pairs
@@ -299,60 +301,56 @@ class InstanceBlock:
                 x = frame.observables
                 r = np.einsum("...h,...khj,...ljh->...kl", frame.lambdas, x, x).imag
                 got = 0.5 * (r - np.swapaxes(r, -1, -2))
+            elif not isinstance(side, MonotoneFunction):  # not a side: no matrix
+                continue
             elif not side.regular:
                 got = np.zeros((self.size, frame.size, frame.size))
             else:
                 got = qov_matrix_frame(frame, side)
             self.matrix[side] = got
 
-    def determinants(self, keys) -> None:
-        """det(big), or det(big - small), of each missing key (big, small): the symmetric ones by
-        one ``det_real_symmetric`` call on the instance-major (N, N, B·K) stack, the
-        commutator matrices' by one ``det_antisymmetric`` call on their (N, N, B) stack."""
-        todo = [key for key in dict.fromkeys(keys) if key not in self.det]
-        self.assemble([side for key in todo for side in key if side is not None])
-        m = self.matrix
-        symmetric = [key for key in todo if key[0] != "robertson"]
-        if symmetric:
-            stack = np.stack([m[big] if small is None else m[big] - m[small] for big, small in symmetric], axis=1)
-            values = det_real_symmetric(stack.reshape(-1, *stack.shape[2:]).transpose(1, 2, 0)).reshape(stack.shape[:2])
-            self.det.update(zip(symmetric, values.T.tolist()))
-        if ("robertson", None) in todo:
-            self.det["robertson", None] = det_antisymmetric(m["robertson"].transpose(1, 2, 0)).tolist()
-
     def fill_pencils(self, pencils, ts, sides) -> None:
-        """Rows t of the pencils (f, g) for every instance, their determinants taken in one call
-        with those of ``sides``.  Row None has the weights (a, b) = (1, 1) and lhs det K_big; row
-        t has (1 - t, t) and lhs det(t K_big + (1 - 2t) K_small), the mixes of every t in one
-        broadcast B·P·T stack.  One elementwise formula gives every right side,
-        a^N q + b^N dd + cross terms of a q^{1/N} and b dd^{1/N}, where q = det K_small and
-        dd = det(K_big - K_small) are clamped at 0.  A row is (lhs, cross terms, rhs, q, dd,
-        clamp count, raw det K_small, raw det(K_big - K_small), f, g, t): no window enters it,
-        each outcome tests its own and keeps the row as its components.  Unit weights multiply
-        exactly, so row None is not 2^N times row 1/2: the two can round apart."""
-        firey = [k for k, t in enumerate(ts) if t is not None]
-        for k in firey:
-            _require_unit(ts[k])
+        """Rows t of the pencils (f, g) for every instance, and the determinants of the missing ``sides``
+        and pencil sides, from one ``det_real_symmetric`` call on an instance-major stack (the commutator
+        matrices' from one ``det_antisymmetric`` call).  Each other pencil determinant is det(b K_big +
+        c K_small): dd = det(K_big - K_small) at (1, -1) and the mix at (t, 1 - 2t) for 0 < t < 1.  Row
+        None has the weights (a, b) = (1, 1) and lhs det K_big; row t has (1 - t, t) and lhs the mix,
+        q = det K_small at t = 0 and dd at t = 1.  Every right side is a^N q + b^N dd + cross terms of
+        a q^{1/N} and b dd^{1/N}, with q and dd clamped at 0.  A row is (lhs, cross terms, rhs, q, dd,
+        clamp count, raw q, raw dd, f, g, t): no window enters it, each outcome tests its own and keeps
+        the row as its components.  Unit weights multiply exactly, so row None is not 2^N times row 1/2."""
+        for t in ts:
+            if t is not None:
+                _require_unit(t)
         pairs = [("cov", f) if g is None else (f, g) for f, g in pencils]
-        keys = [key for big, small in pairs for key in ((small, None), (big, small), (big, None))]
-        self.determinants([(side, None) for side in sides] + keys)
-        if not pencils:
+        todo = [side for side in dict.fromkeys([*sides, *(s for pair in pairs for s in pair)]) if side not in self.det]
+        self.assemble(todo)
+        m, det, n = self.matrix, self.det, self.frame.size
+        if "robertson" in todo:
+            det["robertson"] = det_antisymmetric(m["robertson"].transpose(1, 2, 0)).tolist()
+        symmetric = [side for side in todo if side in m and side != "robertson"]  # a non-side has no matrix
+        if not symmetric and not pairs:
             return
-        n = self.frame.size
-        # det K_small, det(K_big - K_small) and det K_big, each (B, P, 1) to broadcast over the rows
-        raw = np.array([self.det[key] for key in keys]).reshape(len(pairs), 3, -1, 1).transpose(1, 2, 0, 3)
-        ok = raw[:2] >= 0.0
-        clamped = np.where(ok, raw[:2], 0.0)  # keeps -0.0, as _clamp does
+        mixed = [t for t in ts if t is not None and 0.0 < t < 1.0]
+        on_big, on_small = np.array([(1.0, -1.0), *((t, 1.0 - 2.0 * t) for t in mixed)]).T[:, :, None, None]
+        pencil_parts = [on_big * m[big][:, None] + on_small * m[small][:, None] for big, small in pairs]
+        stack = np.concatenate([m[side][:, None] for side in symmetric] + pencil_parts, axis=1)
+        values = det_real_symmetric(stack.reshape(-1, n, n).transpose(1, 2, 0)).reshape(self.size, -1)
+        det.update(zip(symmetric, values[:, : len(symmetric)].T.tolist()))
+        if not pairs:
+            return
+        weighted = values[:, len(symmetric) :].reshape(self.size, len(pairs), -1)  # (B, P, 1 + mixed)
+        raw_small, raw_big = (np.array([det[pair[k]] for pair in pairs]).T for k in (1, 0))  # each (B, P)
+        lhs_of = {None: raw_big, 0.0: raw_small, 1.0: weighted[:, :, 0]}
+        lhs_of.update((t, weighted[:, :, 1 + k]) for k, t in enumerate(mixed))
+        lhs = np.stack([lhs_of[t] for t in ts], axis=2)
+        raw = np.stack((raw_small, weighted[:, :, 0]))[..., None]  # each (B, P, 1), to broadcast over the rows
+        ok = raw >= 0.0
+        clamped = np.where(ok, raw, 0.0)  # keeps -0.0, as _clamp does
         q, dd = clamped
         root_q, root_dd = np.array([_root(v, n) for v in clamped.ravel().tolist()]).reshape(clamped.shape)
         a = np.array([1.0 if t is None else 1.0 - t for t in ts])
         b = np.array([1.0 if t is None else t for t in ts])
-        lhs = np.repeat(raw[2], len(ts), axis=2)
-        if firey:
-            grid = b[firey]
-            big, small = (np.stack([self.matrix[pair[k]] for pair in pairs], axis=1)[:, :, None] for k in (0, 1))
-            mixes = (grid[:, None, None] * big + (1.0 - 2.0 * grid)[:, None, None] * small).reshape(-1, n, n)
-            lhs[:, :, firey] = det_real_symmetric(mixes.transpose(1, 2, 0)).reshape(*lhs.shape[:2], -1)
         rem = _cross_terms((root_q * a).ravel(), (root_dd * b).ravel(), n)
         rhs = (np.array([v**n for v in a.tolist()]) * q + np.array([v**n for v in b.tolist()]) * dd).ravel() + rem
         # per pencil: (T, B) lists of lhs, rem and rhs, then (B,) lists of the row's other entries
@@ -574,8 +572,8 @@ def classify_equality(
 ) -> EqualityClassification:
     block, k, det, window = inst._block, inst._index, inst._block.det, tol * inst.scale
     # one subscript per memo; a key that no block call has filled yet is filled for the block
-    det_cov, det_qf = det["cov", None][k], det[f, None][k]
-    det_qg = None if g is None else det[g, None][k]
+    det_cov, det_qf = det["cov"][k], det[f][k]
+    det_qg = None if g is None else det[g][k]
     rank, offdiag = block.structure[None][k]
     dependent = rank < block.frame.size
 

@@ -17,6 +17,8 @@ Library code used here, and what for:
 * ``custom_function`` wraps a test's evaluator in the library's
   ``MonotoneFunction`` and runs the library's grid validation on it, so that
   the order check and the catalogue tests can take it like a member.
+* ``planted_function`` builds the planted f_c as a ``MonotoneFunction``
+  directly: the grid validation rightly refuses it for c > 0.
 * ``components_reference`` reads an evaluated instance's memos (its pencil
   rows, determinants and contraction sums) and builds the dict from them, and
   ``instance_views`` reads an instance's state, observables, frame and norms
@@ -364,6 +366,13 @@ def custom_function(name: str, evaluator, value_at_zero: float) -> MonotoneFunct
     f = MonotoneFunction(name, evaluator, float(value_at_zero), abs(value_at_zero) > 1e-12)
     _validate_grid(f)
     return f
+
+
+def planted_function(c: float) -> MonotoneFunction:
+    """f_c(x) = (1 + x)/2 + c (sqrt(x) - 1)^2: symmetric, f(1) = 1 and f(0) = 1/2 + c, but for c > 0
+    not monotone, and its transform is negative on a band of ratios, so Qov_{f_c} can exceed Cov and
+    ``main`` fails.  At c = 0 it is ``sld``'s (1 + x)/2.  Built without ``_validate_grid``, which refuses it."""
+    return MonotoneFunction("planted", lambda x: 0.5 * (1.0 + x) + c * (np.sqrt(x) - 1.0) ** 2, 0.5 + c, True, (c,))
 
 
 @dataclass(frozen=True)

@@ -910,6 +910,42 @@ def test_shared_memos_change_no_outcome_at_n4_5_and_N4_5():
     assert _compare_with_fresh_outcomes(config) == 12 * 2 * 96
 
 
+def test_a_block_takes_its_determinants_in_one_call_and_the_firey_ends_reuse_them(monkeypatch):
+    import qfidet.inequalities as inequalities_module
+
+    calls = {"det_real_symmetric": 0, "det_antisymmetric": 0}
+
+    def counted(name):
+        real = getattr(inequalities_module, name)
+
+        def call(m):
+            calls[name] += 1
+            return real(m)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(inequalities_module, name, counted(name))
+    config = CampaignConfig()
+    plan, names = _plan(config), set(config.checks)
+    assert names == set(CHECK_NAMES) and {0.0, 1.0} <= set(config.t_grid) and plan.pairs
+    for n, n_obs in product(config.dims, config.num_obs):
+        block = [prepare_random(n, n_obs, derive_seed("one-call", n, n_obs, k), kind) for k, kind in enumerate(config.kinds * 2)]
+        calls.update(dict.fromkeys(calls, 0))
+        plan.evaluate(block, names)
+        assert calls == {"det_real_symmetric": 1, "det_antisymmetric": 1}, (n, n_obs)
+        for inst in block:
+            for f, g in plan.unit + plan.pairs:
+                rows = {t: inst._block.pencil[f, g, t][inst._index] for t in (None, 0.0, 1.0)}
+                # lhs of row t = 0 is the raw det K_small, of row t = 1 the raw det(K_big - K_small),
+                # and of row None det K_big, all bit for bit
+                assert np.float64(rows[0.0][0]).tobytes() == np.float64(rows[0.0][6]).tobytes(), (inst.digest, f.label)
+                assert np.float64(rows[1.0][0]).tobytes() == np.float64(rows[1.0][7]).tobytes(), (inst.digest, f.label)
+                big = "cov" if g is None else f
+                assert np.float64(rows[None][0]).tobytes() == np.float64(inst.det(big)).tobytes(), (inst.digest, f.label)
+        assert calls == {"det_real_symmetric": 1, "det_antisymmetric": 1}  # the reads took nothing again
+
+
 @pytest.mark.parametrize(
     "config",
     [

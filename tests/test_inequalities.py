@@ -96,8 +96,8 @@ def test_remainder_t_halving(rng):
 def test_tight_witness_components(tight):
     assert tight.det("cov") == pytest.approx(1.0, abs=1e-12)
     assert tight.det(SLD) == pytest.approx(1.0 / 16.0, abs=1e-12)
-    assert tight.det("cov", SLD) == pytest.approx(9.0 / 16.0, abs=1e-12)
     rep = check_conj1(tight, SLD)
+    assert rep.components["det_diff"] == pytest.approx(9.0 / 16.0, abs=1e-12)
     assert rep.components["remainder"] == pytest.approx(3.0 / 8.0, abs=1e-12)
     assert abs(rep.margin) <= 1e-12
     assert rep.passed and rep.clamps == 0
@@ -475,9 +475,9 @@ def test_a_built_instance_refuses_what_no_block_makes_without_building_again():
     with pytest.raises(AttributeError, match="^'PreparedInstance' object has no attribute 'nope'$"):
         inst.nope
     assert inst._block is block
-    # a determinant key that no fill makes
+    # a determinant key that is not a side
     with pytest.raises(KeyError, match=r"^\('robertson', 'cov'\)$"):
-        inst.det("robertson", "cov")
+        inst.det(("robertson", "cov"))
 
 
 def test_report_shape(tight):
@@ -879,10 +879,10 @@ def test_a_block_builds_only_instances_that_no_block_has_built():
     for part in (block[:3], block[::-1]):
         with pytest.raises(ValueError, match="^built instances are evaluated as the whole of their block"):
             plan.evaluate(part, {"main", "contraction"})
-    det_wy = kept.det[WY, None]
+    det_wy = kept.det[WY]
     plan.evaluate(block, {"main", "contraction"})
     plan.evaluate([given], {"main", "contraction"})
-    assert block[15]._block is kept and kept.det[WY, None] is det_wy
+    assert block[15]._block is kept and kept.det[WY] is det_wy
     assert check_main(block[15], SLD) == check_main(_drawn_block(3, 2, "rebuild")[15], SLD)
 
 

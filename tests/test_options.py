@@ -31,7 +31,6 @@ DEFAULTED = [
     "inequalities.minkowski_firey_selftest(tol)",
     "inequalities.check_metric_contraction(tol)",
     "inequalities.__init__(digest)",
-    "inequalities.det(small)",
     "io.save_instance(functions)",
     "io.save_instance(pairs)",
     "linalg.as_complex_matrix(label)",
