@@ -77,7 +77,7 @@ class CheckPlan:
 
     ``layout`` lists every outcome, fixed by the plan before any instance is
     drawn, with the function and arguments that give it on an instance, from the
-    rows of ``CHECKS``.  ``evaluate`` fills, for a block of instances, what the
+    rows of ``CHECKS``.  ``evaluate`` builds a block of instances and fills what the
     outcomes read.
     """
 
@@ -101,26 +101,21 @@ class CheckPlan:
                 if name in names for f, g, t, arguments in outcomes(self)]
 
     def evaluate(self, instances, names) -> None:
-        """Evaluate as stacks over the block of ``instances`` what the checks in ``names`` read, and
-        nothing else, so that their outcomes only read memos.  Instances that no block has built are
-        built as one block; built ones are the whole of their block, in its order, whose memos stay."""
+        """Build ``instances``, none of which a block has built, as one block, and fill as stacks what the
+        checks in ``names`` read, and nothing else, so that their outcomes only read memos: one
+        ``fill_pencils`` call, ``find_structure`` and one ``fill_contraction`` call for all the functions.
+        A built instance raises the block's ValueError; a key left unfilled fills itself on its first read."""
         equality = [h for pair in self.pairs or self.unit[:1] for h in pair if h is not None]
         reads = {"main": ["cov", *self.functions], "robertson": ["cov", "robertson"], "equality": ["cov", *equality]}
         sides = [side for name in CHECK_NAMES if name in names for side in reads.get(name, ())]
         pencils = (self.unit if {"conj1", "firey"} & names else ()) + (self.pairs if {"conj2", "firey"} & names else ())
-        if "_block" not in vars(instances[0]):
-            block = InstanceBlock(instances)
-        else:
-            block = instances[0]._block
-            if [(inst._block, inst._index) for inst in instances] != [(block, k) for k in range(block.size)]:
-                raise ValueError("built instances are evaluated as the whole of their block, in its order")
-        # one determinant call for all, then one for the Firey grid
+        block = InstanceBlock(instances)
+        # every determinant and pencil row of the block in one call
         block.fill_pencils(pencils, (None, *(self.t_grid if "firey" in names else ())), sides)
         if "equality" in names:
             block.find_structure()
         if "contraction" in names:
-            partitions = [inst.partition for inst in instances]
-            block.contraction.update(fill_contraction(block.states, block.observables[:, 0], partitions, self.functions))
+            block.contraction.update(fill_contraction(block.states, block.observables[:, 0], block.partitions, self.functions))
 
 
 def _contraction(inst, f, tol):
@@ -235,6 +230,9 @@ class CampaignConfig:
         _require_distinct("functions", self.functions, [_label(s, "functions") for s in self.functions])
         pair_labels = [tuple(_label(s, "function_pairs") for s in pair) for pair in self.function_pairs]
         _require_distinct("function_pairs", self.function_pairs, pair_labels)
+        for pair, (f, g) in zip(self.function_pairs, pair_labels):
+            if f == g:  # no function strictly dominates itself, so each of its outcomes would be skipped
+                raise ConfigError(f"function_pairs: {pair!r} pairs {f!r} with itself")
         if not self.kinds:
             raise ConfigError("kinds: need at least one state kind")
         for kind in self.kinds:

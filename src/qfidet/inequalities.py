@@ -216,8 +216,8 @@ class PreparedInstance:
         return self._block.det[side][self._index]
 
     def contraction(self, f) -> tuple:
-        """The contraction sums for f (``fill_contraction``'s) at the instance's ``partition``, which
-        ``CheckPlan.evaluate`` stores in the block."""
+        """Memoized contraction sums for f (``fill_contraction``'s) at the ``partition`` the instance had
+        when its block built it."""
         return self._block.contraction[f][self._index]
 
 
@@ -263,15 +263,17 @@ class _Memo(dict):
 
 class InstanceBlock:
     """Instances of one (n, N), evaluated together: each memo maps a key to its value for
-    every instance, computed on first use by one stacked evaluation.  The block builds its
-    instances (``_build``), none of which another block has built, so a campaign's block of drawn
-    instances forms, checks, eigensolves and rotates them all at once, and keeps the stacks of
-    states, observables and frames that its memos are filled from.  A campaign fills the memos its
-    checks read with ``fill_pencils``, which takes every determinant of the block in one call (the
-    ``det`` memo is keyed by side: "cov", "robertson" or a function), and ``find_structure``, and
-    stores ``fill_contraction``'s sums from those stacks.
+    every instance, and a missing key is filled for all of them by one stacked evaluation on its
+    first read.  The block builds its instances (``_build``), none of which another block has built,
+    so a campaign's block of drawn instances forms, checks, eigensolves and rotates them all at once,
+    and keeps the stacks of states, observables and frames, and the instances' partitions, that its
+    memos are filled from.  A miss fills: ``matrix`` by ``assemble``; ``det`` (keyed by side: "cov",
+    "robertson" or a function) and ``pencil`` by ``fill_pencils``, which takes every determinant it
+    needs in one call; ``structure`` by ``find_structure``; and ``contraction`` (keyed by function)
+    by one ``fill_contraction`` call.  A campaign pre-fills what its checks read with one call of
+    each (``CheckPlan.evaluate``).
     Every stacked operation acts on each instance's slice alone (elementwise, or LAPACK and BLAS
-    per matrix), so a value is bit-identical whichever block computed it."""
+    per matrix), so a value is bit-identical whichever block, and whichever fill, computed it."""
 
     def __init__(self, instances):
         for inst in instances:
@@ -279,6 +281,7 @@ class InstanceBlock:
                 raise ValueError(f"instance {inst.digest} is already built, in a block of its own")
         # what the block reads of its instances, not the instances: they refer to it
         self.states, self.observables, self.frame, self.norms = _build(instances)
+        self.partitions = [inst.partition for inst in instances]
         for k, inst in enumerate(instances):
             inst._block, inst._index = self, k
         self.size = len(instances)
@@ -287,7 +290,9 @@ class InstanceBlock:
         # (f, g, t) -> B pencil rows; a t off the grid is a grid of one
         self.pencil = _Memo(self, lambda block, key: block.fill_pencils((key[:2],), key[2:], ()))
         self.structure = _Memo(self, lambda block, key: block.find_structure())  # None -> B (rank, dependence) pairs
-        self.contraction: dict = {}  # f -> B contraction sums, filled only by CheckPlan.evaluate
+        # f -> B contraction sums
+        self.contraction = _Memo(self, lambda block, f: block.contraction.update(
+            fill_contraction(block.states, block.observables[:, 0], block.partitions, (f,))))
 
     def assemble(self, sides) -> None:
         """Each missing side by one einsum over the stacked frames (zeros for a nonregular f)."""
@@ -371,7 +376,7 @@ class InstanceBlock:
         # such a row from counting as an independent direction.
         floors = RANK_TOL * np.maximum(1.0, self.norms.max(axis=-1))
         ranks = numeric_rank(np.concatenate((flat.real, flat.imag), axis=-1), floor=floors).tolist()
-        self.structure[None] = list(zip(ranks, offdiagonal_dependence(frame).dependent.tolist()))
+        self.structure[None] = list(zip(ranks, offdiagonal_dependence(frame).tolist()))
 
 
 def prepare_random(n: int, n_obs: int, seed: int, kind: str = "generic") -> PreparedInstance:

@@ -1,15 +1,14 @@
 """Dense Hermitian linear algebra at desk scale (n <= 16 or so).
 
-Matrices are plain complex128 ndarrays.  The norms, the eigensolver and the
-determinants take stacks only, as a block evaluates them: one matrix is a
-stack of one.  Eigenvalues and eigenvectors come only from LAPACK
+Matrices are plain complex128 ndarrays.  The norms, the eigensolver, the
+determinants and the ranks take stacks only, as a block evaluates them: one
+matrix is a stack of one.  Eigenvalues and eigenvectors come only from LAPACK
 (``np.linalg.eigh``).  Determinants are taken directly: by cofactor expansion
 up to 3x3 and by LU above.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -202,23 +201,23 @@ def det_antisymmetric(k):
     return _finite(dets, s)
 
 
-def numeric_rank(vectors: Sequence[np.ndarray] | np.ndarray, floor):
-    """Number of singular values above both ``RANK_TOL`` times the largest one and ``floor``.
+def numeric_rank(vectors, floor) -> np.ndarray:
+    """The ranks of a (B, rows, cols) stack of B real matrices, from one batched SVD: the number of
+    singular values of each above both ``RANK_TOL`` times its largest one and its entry of ``floor``.
 
-    A purely relative threshold calls a stack of rounding-noise rows full
+    A purely relative threshold calls a matrix of rounding-noise rows full
     rank, since the noise is compared only against itself, so callers pass
-    the scale the rows were produced at as ``floor`` (an absolute singular
-    value at or below which a direction counts as zero; 0 for none).  A stack
-    (..., rows, cols) gives its ranks from one batched SVD, each with its own
-    entry of ``floor``.
+    the scale each matrix's rows were produced at as ``floor`` (B absolute
+    singular values, or one for all, at or below which a direction counts as
+    zero; 0 for none).  Input that is not such a stack (one matrix too)
+    raises ValueError, and so does a negative floor.
     """
+    rows = np.asarray(vectors, dtype=float)
+    if rows.ndim != 3:
+        raise ValueError(f"expected a (B, rows, cols) stack of matrices, got shape {rows.shape}")
     floors = np.asarray(floor, dtype=float)
     if not (floors >= 0).all():
         raise ValueError(f"floor must be nonnegative, got {floor}")
-    rows = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if rows.size == 0:
-        return 0
     s = np.linalg.svd(rows, compute_uv=False)
     # all-zero rows give s = 0, which no threshold max(0, floor) counts
-    ranks = np.count_nonzero(s > np.maximum(RANK_TOL * s[..., :1], floors[..., None]), axis=-1)
-    return int(ranks) if ranks.ndim == 0 else ranks
+    return np.count_nonzero(s > np.maximum(RANK_TOL * s[:, :1], floors[..., None]), axis=-1)

@@ -32,7 +32,6 @@ __all__ = [
     "STATE_KINDS",
     "DensityMatrix",
     "EigenFrame",
-    "DependenceReport",
     "density",
     "density_stack",
     "observable",
@@ -272,21 +271,18 @@ def random_observable(n: int, seed: int) -> np.ndarray:
     return _unit_observables(x)[0]
 
 
-@dataclass(frozen=True)
-class DependenceReport:
-    dependent: bool | np.ndarray
-    rank: int | np.ndarray
-
-
-def offdiagonal_dependence(frame: EigenFrame) -> DependenceReport:
-    """Can some real combination of the frame's observables be made diagonal?
+def offdiagonal_dependence(frame: EigenFrame) -> np.ndarray:
+    """For each of the B frames of a stacked frame, whether some real combination of its observables
+    can be made diagonal: the B flags, from one batched SVD.
 
     Each rotated observable is flattened to the real vector of its strictly
     upper-triangular entries (real parts then imaginary parts; the lower
     triangle is redundant by Hermiticity).  A combination is diagonal exactly
-    when it kills all these vectors, so dependence is a rank deficiency (arrays
-    of them for a stacked frame, from one batched SVD).
+    when it kills all these vectors, so dependence is a rank deficiency.  A
+    frame that is not stacked, with (B, N, n, n) observables, raises ValueError.
     """
+    if frame.observables.ndim != 4:
+        raise ValueError(f"expected a stacked frame of (B, N, n, n) observables, got shape {frame.observables.shape}")
     h, j = np.triu_indices(frame.dim, k=1)
     upper = frame.observables[..., h, j]
     vectors = np.concatenate((upper.real, upper.imag), axis=-1)
@@ -294,8 +290,7 @@ def offdiagonal_dependence(frame: EigenFrame) -> DependenceReport:
     # off-diagonal entries whenever the basis itself was computed; measure
     # that noise against the observables, not against itself.
     scale = np.maximum(1.0, frame.norms.max(axis=-1))
-    rank = numeric_rank(vectors, floor=RANK_TOL * scale)
-    return DependenceReport(dependent=rank < frame.size, rank=rank)
+    return numeric_rank(vectors, floor=RANK_TOL * scale) < frame.size
 
 
 def pinching(x: np.ndarray, partitions) -> np.ndarray:

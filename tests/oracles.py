@@ -24,8 +24,10 @@ Library code used here, and what for:
   ``instance_views`` reads an instance's state, observables, frame and norms
   from its block's stacks.
 * The single-matrix forms ``det_one``, ``det_antisymmetric_one``,
-  ``eigen_one``, ``frobenius_one``, ``pinching_one`` and ``scale_one`` call
-  the library's stack-only routines on a stack of one and read its one result.
+  ``eigen_one``, ``frobenius_one``, ``pinching_one``, ``scale_one``,
+  ``rank_one`` and ``dependence_one`` call the library's stack-only routines
+  on a stack of one and read its one result; ``dependence_one`` also gives the
+  rank behind its flag, from ``rank_one``.
 * ``remainder`` and ``remainder_t`` are the scalar cross terms, from the
   library's ``_cross_terms`` kernel on arrays of one.
 * The definition routes take the library's ``DensityMatrix`` (its matrix,
@@ -47,6 +49,7 @@ import numpy as np
 from qfidet.covariance import metric_sum, observable_scale, pair_means
 from qfidet.inequalities import _cross_terms
 from qfidet.linalg import (
+    RANK_TOL,
     EigenDecomposition,
     as_complex_matrix,
     det_antisymmetric,
@@ -54,9 +57,10 @@ from qfidet.linalg import (
     frobenius,
     hermitian_eigen,
     hermitian_part,
+    numeric_rank,
 )
 from qfidet.monotone import MonotoneFunction, _validate_grid
-from qfidet.states import DensityMatrix, EigenFrame, pinching
+from qfidet.states import DensityMatrix, EigenFrame, offdiagonal_dependence, pinching
 
 
 def det_exact(m) -> Fraction:
@@ -109,6 +113,22 @@ def scale_one(obs) -> tuple:
     """``observable_scale`` of one family, as a stack of one: its scale and the tuple of its norms."""
     scales, norms = observable_scale(np.asarray(obs)[None])
     return scales[0], tuple(norms[0].tolist())
+
+
+def rank_one(vectors, floor) -> int:
+    """``numeric_rank`` of one matrix of row vectors, as a stack of one; no rows at all have rank 0."""
+    return int(numeric_rank(np.atleast_2d(np.asarray(vectors, dtype=float))[None], floor)[0])
+
+
+def dependence_one(frame) -> tuple[bool, int]:
+    """``offdiagonal_dependence`` of one frame, as a stacked frame of one, and the rank behind its flag:
+    that of the real and imaginary parts of the observables' strictly upper entries, at the floor
+    ``RANK_TOL`` times max(1, the largest frame norm)."""
+    stacked = EigenFrame(frame.lambdas[None], frame.observables[None], frame.norms[None])
+    h, j = np.triu_indices(frame.dim, k=1)
+    upper = frame.observables[:, h, j]
+    rank = rank_one(np.concatenate((upper.real, upper.imag), axis=-1), RANK_TOL * max(1.0, float(frame.norms.max())))
+    return bool(offdiagonal_dependence(stacked)[0]), rank
 
 
 def remainder(det_q: float, det_diff: float, n_obs: int) -> float:

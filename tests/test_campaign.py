@@ -5,6 +5,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import signal
 import time
 import weakref
@@ -31,6 +32,7 @@ from qfidet.campaign import (
 from qfidet.inequalities import (
     EqualityClassification,
     InequalityReport,
+    InstanceBlock,
     check_conj1,
     check_conj2,
     check_firey,
@@ -146,6 +148,22 @@ def test_config_coercion_and_defaults():
 def test_config_validation(kwargs, message):
     with pytest.raises(ConfigError, match=message):
         CampaignConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "pairs, label",
+    [
+        ((("sld", "sld"),), "sld"),
+        ((("sld", "wy"), ("wyd:0.30", "wyd:3e-1")), "wyd:0.3"),
+        ((("wy", "wy"),), "wy"),
+    ],
+)
+def test_a_pair_of_a_function_with_itself_is_refused(pairs, label):
+    # no function strictly dominates itself, so every conj2 and pair-firey outcome of it would be
+    # skipped, and a campaign would pass with nothing checked
+    for checks in (("conj2",), ("firey",), CHECK_NAMES):
+        with pytest.raises(ConfigError, match=rf"^function_pairs: {re.escape(repr(pairs[-1]))} pairs '{label}' with itself$"):
+            CampaignConfig(function_pairs=pairs, checks=checks)
 
 
 @pytest.mark.parametrize("workers", [0, -5])
@@ -853,12 +871,33 @@ def test_a_drawn_instance_used_alone_gives_its_campaign_block_outcomes():
     for inst, seed, (kind, _) in zip(block, seeds, members):
         used, computed = prepare_random(3, 2, seed, kind), prepare_random(3, 2, seed, kind)
         assert "_block" not in vars(used)  # drawn only, until its first use
-        plan.evaluate([computed], names)  # as ``qfidet compute`` evaluates its instance
+        plan.evaluate([computed], names)  # a block of one
         for name, f, g, t, check, args in plan.layout(names):
             want = _facts(check(inst, *args))
             assert _facts(_outcome_alone(used, name, f and f.label, g and g.label, t, config.tol)) == want
             assert _facts(check(computed, *args)) == want
         assert used._block.size == computed._block.size == 1 and inst._block.size == BLOCK_INSTANCES
+
+
+@pytest.mark.parametrize("n, n_obs", [(3, 2), (8, 6)])
+def test_every_memo_fills_itself_with_the_bits_that_evaluate_gives(n, n_obs):
+    # a drawn block of the three kinds, read entry by entry with no evaluate call, so that each memo
+    # fills a key on its first read, against the same block evaluated as a campaign evaluates it
+    config = CampaignConfig()
+    plan, names = _plan(config), set(config.checks)
+    members = [(kind, index) for kind in config.kinds for index in range(6)][:BLOCK_INSTANCES]
+
+    def drawn():
+        return [prepare_random(n, n_obs, derive_seed(config.seed, n, n_obs, kind, index), kind) for kind, index in members]
+
+    filled, evaluated = drawn(), drawn()
+    InstanceBlock(filled)
+    plan.evaluate(evaluated, names)
+    assert {inst.digest.split("kind=")[1].split(",")[0] for inst in filled} == set(config.kinds)
+    for inst, want in zip(filled, evaluated):
+        for name, f, g, t, check, args in plan.layout(names):
+            assert _facts(check(inst, *args)) == _facts(check(want, *args)), (inst.digest, name, f and f.label, g and g.label, t)
+    assert filled[0]._block.size == evaluated[0]._block.size == BLOCK_INSTANCES
 
 
 def test_a_block_is_freed_by_reference_counting_once_its_instances_go():

@@ -90,6 +90,13 @@ def test_verify_config_errors_exit_2(args, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_verify_refuses_a_pair_of_a_function_with_itself(capsys):
+    # every outcome of such a pair is a skipped hypothesis, so this run used to pass with nothing checked
+    args = ["verify", "--dims", "3", "--num-obs", "2", "--instances", "1", "--functions", "sld", "--pairs", "sld/sld", "--checks", "conj2"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: function_pairs: ('sld', 'sld') pairs 'sld' with itself\n"
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -225,7 +232,7 @@ def test_compute_output_at_n4_matches_the_golden_file(monkeypatch, capsys):
 
 @pytest.mark.parametrize("name", ["qubit_tight", "n4_pair"])
 def test_compute_builds_one_block_for_its_instance(monkeypatch, capsys, name):
-    # every plan evaluates the block the instance was built in, and its memos carry over
+    # every outcome fills what it reads in the block the instance was built in, and the memos carry over
     from qfidet.inequalities import InstanceBlock
 
     build, built = InstanceBlock.__init__, []
@@ -239,21 +246,25 @@ def test_compute_builds_one_block_for_its_instance(monkeypatch, capsys, name):
     assert built == [1]
 
 
-def test_compute_fills_the_pencils_once_per_plan(monkeypatch, capsys):
+def test_compute_fills_each_memo_key_once(monkeypatch, capsys):
     from qfidet.inequalities import InstanceBlock
 
-    fill, calls = InstanceBlock.fill_pencils, []
+    fill, calls, keys = InstanceBlock.fill_pencils, [], []
 
     def counted(self, pencils, ts, sides):
-        calls.append((len(pencils), len(ts)))
+        calls.append((len(pencils), len(ts), len(sides)))
+        keys.extend(side if isinstance(side, str) else side.label for side in sides)
+        keys.extend((f.label, g and g.label, t) for f, g in pencils for t in ts)
         return fill(self, pencils, ts, sides)
 
     monkeypatch.setattr(InstanceBlock, "fill_pencils", counted)
     assert main(["compute", str(FIXTURES / "n4_pair.json")]) == 0
     capsys.readouterr()
-    # a plan per function, one for robertson and one for the pair, each filling every row of
-    # its pencils (the unit row and the 11 Firey rows) in one call
-    assert calls == [(1, 12)] * 4 + [(0, 1), (1, 12)]
+    # each outcome fills what it reads on its first read, one side or one pencil row per call, and the
+    # memos carry over from plan to plan: the sides cov, robertson and the four functions, then for each
+    # function and for the pair the unit row and the 11 Firey rows, each filled once
+    assert set(calls) == {(0, 0, 1), (1, 1, 0)}
+    assert len(calls) == len(keys) == len(set(keys)) == 6 + 5 * 12
 
 
 def _scaled_fixture(tmp_path, factor: float) -> str:

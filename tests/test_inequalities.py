@@ -756,6 +756,18 @@ def test_block_contraction_sums_equal_the_single_case_bit_for_bit(n):
             assert sums[3] == len(inst.partition)
 
 
+def test_a_given_instance_fills_its_contraction_sums_itself():
+    # with no evaluate call, the first read fills the sums at the instance's partition for its block
+    d, obs = random_density(3, 21), [random_observable(3, 22), random_observable(3, 23)]
+    inst = PreparedInstance(d, obs)
+    for f in (SLD, WY, WYD, KM):
+        sums = inst.contraction(f)
+        alone = check_metric_contraction(d, obs[0], f, inst.partition)
+        assert (_bits(sums[0]), _bits(sums[1])) == (_bits(alone.lhs), _bits(alone.rhs)), f.label
+        assert contraction_report(sums, f, 3, 1e-9) == alone
+        assert inst._block.contraction[f][0] is sums
+
+
 def test_a_malformed_partition_in_a_block_raises_its_own_message():
     block = _drawn_block(3, 2, "bad-partition")
     block[5].partition, block[9].partition = [[0, 1], [2, 1]], [[0], [1]]
@@ -874,14 +886,16 @@ def test_a_block_builds_only_instances_that_no_block_has_built():
     assert "_block" not in vars(fresh)  # a refused block builds none of its instances
     kept = block[3]._block
     assert block[0]._block is kept and block[3]._index == 3 and given._block.size == 1
-    # evaluate takes built instances as the whole of their block, in its order, and keeps its memos
+    # evaluate builds a new block, so built instances, a whole block among them, raise the block's error;
+    # their memos fill themselves instead, and keep what they hold
     plan = CheckPlan(functions=(SLD,), pairs=(), tol=1e-9)
-    for part in (block[:3], block[::-1]):
-        with pytest.raises(ValueError, match="^built instances are evaluated as the whole of their block"):
+    for part in (block[:3], block[::-1], block, [given]):
+        with pytest.raises(ValueError, match=r"^instance \S+ is already built, in a block of its own$"):
             plan.evaluate(part, {"main", "contraction"})
     det_wy = kept.det[WY]
-    plan.evaluate(block, {"main", "contraction"})
-    plan.evaluate([given], {"main", "contraction"})
+    for inst in (block[15], given):
+        for *_, check, args in plan.layout({"main", "contraction"}):
+            check(inst, *args)
     assert block[15]._block is kept and kept.det[WY] is det_wy
     assert check_main(block[15], SLD) == check_main(_drawn_block(3, 2, "rebuild")[15], SLD)
 

@@ -16,6 +16,7 @@ from oracles import (
     det_one,
     eigen_one,
     frobenius_one,
+    rank_one,
     unitarity_residual,
 )
 
@@ -31,7 +32,7 @@ from qfidet.linalg import (
     numeric_rank,
 )
 from qfidet.monotone import make_function
-from qfidet.states import derive_seed, pinching
+from qfidet.states import density, derive_seed, eigenframe, offdiagonal_dependence, pinching
 
 # Largest |det - exact det| allowed, in units of eps * max(|prod diag|,
 # max|entry|^N).  The worst case over 40 reseeded runs of the inputs below
@@ -344,24 +345,24 @@ def test_det_antisymmetric_examples(rng):
 
 
 def test_numeric_rank_cases():
-    assert numeric_rank(np.zeros((3, 4)), 0.0) == 0
-    assert numeric_rank([], 0.0) == 0
-    assert numeric_rank([[1.0, 0.0], [0.0, 1.0]], 0.0) == 2
-    assert numeric_rank([[1.0, 2.0], [2.0, 4.0]], 0.0) == 1
+    assert rank_one(np.zeros((3, 4)), 0.0) == 0
+    assert rank_one([], 0.0) == 0
+    assert rank_one([[1.0, 0.0], [0.0, 1.0]], 0.0) == 2
+    assert rank_one([[1.0, 2.0], [2.0, 4.0]], 0.0) == 1
     v = np.array([1.0, -0.5, 0.25])
-    assert numeric_rank([v, 2.0 * v, np.array([0.0, 1.0, 1.0])], 0.0) == 2
+    assert rank_one([v, 2.0 * v, np.array([0.0, 1.0, 1.0])], 0.0) == 2
 
 
 def test_numeric_rank_floor_discards_noise_rows():
     noise = 1e-16 * np.ones((1, 4))
-    assert numeric_rank(noise, 0.0) == 1
-    assert numeric_rank(noise, floor=1e-9) == 0
+    assert rank_one(noise, 0.0) == 1
+    assert rank_one(noise, floor=1e-9) == 0
     stack = np.vstack([np.array([1.0, 0.0, 0.0, 0.0]), 1e-16 * np.ones(4)])
-    assert numeric_rank(stack, floor=1e-9) == 1
-    assert numeric_rank(stack, floor=0.5) == 1
-    assert numeric_rank(stack, floor=2.0) == 0
+    assert rank_one(stack, floor=1e-9) == 1
+    assert rank_one(stack, floor=0.5) == 1
+    assert rank_one(stack, floor=2.0) == 0
     with pytest.raises(ValueError, match="floor"):
-        numeric_rank([[1.0]], floor=-1e-9)
+        rank_one([[1.0]], floor=-1e-9)
 
 
 def test_hermitian_part_and_coercion():
@@ -380,6 +381,12 @@ STACK_ONLY = [
     (det_antisymmetric, (np.zeros((2, 2)),), "expected an (N, N, K) stack of square matrices, got shape (2, 2)"),
     (pinching, (PAULI_X, [[0], [1]]), "expected a (B, ..., n, n) stack and B partitions, got shape (2, 2) and 2"),
     (observable_scale, ([PAULI_X, PAULI_Y],), "expected a (B, N, n, n) stack of families, got shape (2, 2, 2)"),
+    (numeric_rank, (np.eye(2), 0.0), "expected a (B, rows, cols) stack of matrices, got shape (2, 2)"),
+    (
+        offdiagonal_dependence,
+        (eigenframe(density(np.eye(2) / 2), [PAULI_X]),),
+        "expected a stacked frame of (B, N, n, n) observables, got shape (1, 2, 2)",
+    ),
 ]
 
 

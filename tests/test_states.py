@@ -5,21 +5,19 @@ import pytest
 
 from qfidet.linalg import EigenDecomposition
 from qfidet.states import (
-    DependenceReport,
     density,
     density_stack,
     derive_seed,
     eigenframe,
     eigenframe_stack,
     observable,
-    offdiagonal_dependence,
     random_density,
     random_observable,
     random_partition,
 )
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
-from oracles import frobenius_one, pinching_one
+from oracles import dependence_one, frobenius_one, pinching_one
 
 
 def qubit_state(p=0.75):
@@ -201,17 +199,17 @@ def test_derive_seed_is_stable():
 def test_offdiagonal_dependence_cases():
     d = density(np.diag([0.25, 0.75]).astype(complex))
     two = eigenframe(d, [PAULI_X, PAULI_X + PAULI_Z])
-    rep = offdiagonal_dependence(two)
-    assert rep == DependenceReport(dependent=True, rank=1)
+    rep = dependence_one(two)
+    assert rep == (True, 1)
 
-    indep = offdiagonal_dependence(eigenframe(d, [PAULI_X, PAULI_Y]))
-    assert indep == DependenceReport(dependent=False, rank=2)
+    indep = dependence_one(eigenframe(d, [PAULI_X, PAULI_Y]))
+    assert indep == (False, 2)
 
-    single_diag = offdiagonal_dependence(eigenframe(d, [PAULI_Z]))
-    assert single_diag.dependent and single_diag.rank == 0
+    single_diag = dependence_one(eigenframe(d, [PAULI_Z]))
+    assert single_diag[0] and single_diag[1] == 0
 
-    single = offdiagonal_dependence(eigenframe(d, [PAULI_X]))
-    assert not single.dependent and single.rank == 1
+    single = dependence_one(eigenframe(d, [PAULI_X]))
+    assert not single[0] and single[1] == 1
 
 
 def test_offdiagonal_dependence_survives_basis_rounding():
@@ -224,8 +222,8 @@ def test_offdiagonal_dependence_survives_basis_rounding():
     frame = eigenframe(d, [0.5 * (a + a.conj().T)])
     offupper = frame.observables[0][np.triu_indices(3, k=1)]
     assert 0.0 < np.abs(offupper).max() < 1e-12
-    got = offdiagonal_dependence(frame)
-    assert got.dependent and got.rank == 0
+    got = dependence_one(frame)
+    assert got[0] and got[1] == 0
 
 
 def test_pinching_identity_and_full():
