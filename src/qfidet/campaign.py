@@ -15,7 +15,8 @@ worker count and block size, and writes the rows through a permutation of the
 layout sorted once, in (check, n, N, f, g, t) order.  An instance draws from one
 generator of its derived seed; the block forms, checks, eigensolves and rotates
 all at once, evaluates what the active checks read as stacks, and the outcomes
-read memos: a pencil outcome holds the memo row it was judged from.
+read memos: each outcome holds the values it was judged from, a pencil outcome
+its memo row.
 The JSON report is the source of truth; CSV is a flattened view with one row per
 (check, n, N, f, g, t), aggregated over kinds and instances.
 """
@@ -38,7 +39,6 @@ import numpy as np
 
 from .inequalities import (
     DEFAULT_TOL,
-    EqualityClassification,
     InstanceBlock,
     check_conj1,
     check_conj2,
@@ -50,7 +50,7 @@ from .inequalities import (
     fill_contraction,
     prepare_random,
 )
-from .monotone import MonotoneFunction, checked_spec, parse_function_spec
+from .monotone import STANDARD_GRID, MonotoneFunction, checked_spec, parse_function_spec
 from .states import STATE_KINDS, derive_seed
 
 REPORT_VERSION = "qfi-report/6"
@@ -138,8 +138,13 @@ CHECKS = {
 CHECK_NAMES = tuple(CHECKS)
 
 
-def _label(spec: str, field: str) -> str:
-    return parse_function_spec(checked_spec(spec, field, ConfigError)).label
+def _keys(specs, field: str) -> list[str]:
+    """Each spec's key: the label of the first of ``specs`` that is one function with it, with f(0) and the
+    values on ``STANDARD_GRID`` the same to within 1e-12 relative, so that two specs of one function share a key."""
+    functions = [parse_function_spec(checked_spec(spec, field, ConfigError)) for spec in specs]
+    # f(0) >= 0 and the grid values > 0 (the catalogue validates them), so f(0) = 0 matches only itself
+    values = [(f.label, np.append(f.value_at_zero, f(STANDARD_GRID))) for f in functions]
+    return [next(label for label, y in values if np.all(abs(y - x) <= 1e-12 * np.maximum(y, x))) for _, x in values]
 
 
 def _number(field: str, value, kind: type):
@@ -178,7 +183,7 @@ def _require_distinct(field: str, items, keys) -> None:
     seen = {}
     for item, key in zip(items, keys):
         if key in seen:
-            raise ConfigError(f"{field}: {seen[key]!r} and {item!r} both parse to {key!r}")
+            raise ConfigError(f"{field}: {seen[key]!r} and {item!r} both read as {key!r}")
         seen[key] = item
 
 
@@ -226,9 +231,10 @@ class CampaignConfig:
             raise ConfigError(f"instances_per_cell: must be nonnegative, got {self.instances_per_cell}")
         if not self.functions:
             raise ConfigError("functions: need at least one function spec")
-        # a value repeated under any spelling would count its outcomes twice
-        _require_distinct("functions", self.functions, [_label(s, "functions") for s in self.functions])
-        pair_labels = [tuple(_label(s, "function_pairs") for s in pair) for pair in self.function_pairs]
+        # a function repeated under any spelling or label would count its outcomes twice
+        _require_distinct("functions", self.functions, _keys(self.functions, "functions"))
+        keys = iter(_keys([spec for pair in self.function_pairs for spec in pair], "function_pairs"))
+        pair_labels = list(zip(keys, keys))
         _require_distinct("function_pairs", self.function_pairs, pair_labels)
         for pair, (f, g) in zip(self.function_pairs, pair_labels):
             if f == g:  # no function strictly dominates itself, so each of its outcomes would be skipped
@@ -367,8 +373,8 @@ def _run_block(
                 continue
             violation = {"check": name, "n": n, "N": n_obs, "kind": kind, "index": index, "seed": config.seed,
                          "derived_seed": derived, "f": f and f.label, "g": g and g.label, "t": t, "margin": rep.margin}
-            if isinstance(rep, EqualityClassification):
-                violation["verdict"] = rep.verdict
+            if name == "equality":
+                violation["verdict"] = rep.components["verdict"]
             violations.append(violation)
     return tally, violations
 

@@ -26,7 +26,7 @@ from .campaign import (
     emit_report,
     run_campaign,
 )
-from .inequalities import DEFAULT_TOL, EqualityClassification, PreparedInstance
+from .inequalities import DEFAULT_TOL, PreparedInstance
 from .io import load_instance
 from .monotone import catalog_families, parse_function_spec
 from .selftest import run_selftest
@@ -99,17 +99,18 @@ def _cmd_verify(args) -> int:
 
 def _show(rep) -> int:
     """Print one outcome of ``compute``; return 1 if it counts as a failure."""
-    if isinstance(rep, EqualityClassification):
+    facts = rep.components
+    if rep.name == "equality":
         print(
-            f"  equality: verdict={rep.verdict} det_cov={rep.det_cov:.12g} "
-            f"det_qov_f={rep.det_qov_f:.12g} det_qov_g={rep.det_qov_g:.12g} "
-            f"consistent={rep.consistent}"
+            f"  equality: verdict={facts['verdict']} det_cov={facts['det_cov']:.12g} "
+            f"det_qov_f={facts['det_qov_f']:.12g} det_qov_g={facts['det_qov_g']:.12g} "
+            f"consistent={facts['consistent']}"
         )
     else:
         status = "pass" if rep.passed else "FAIL"
         if not rep.hypothesis_ok:
             status = "skipped (dominance hypothesis not met)"
-        extras = " ".join(f"{k}={v:.12g}" for k, v in rep.components.items() if isinstance(v, float))
+        extras = " ".join(f"{k}={v:.12g}" for k, v in facts.items() if isinstance(v, float))
         print(f"  {rep.name}: lhs={rep.lhs:.12g} rhs={rep.rhs:.12g} margin={rep.margin:.3e} [{status}]")
         if extras:
             print(f"    {extras}")

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
@@ -65,7 +64,6 @@ from .states import (
 __all__ = [
     "DEFAULT_TOL",
     "InequalityReport",
-    "EqualityClassification",
     "PreparedInstance",
     "InstanceBlock",
     "prepare_random",
@@ -97,41 +95,45 @@ class _ReportFields(NamedTuple):
     passed: bool
     hypothesis_ok: bool
     clamps: int
-    components: dict  # or, for a pencil outcome, the pencil row it was judged from
+    components: tuple  # the values the outcome was judged from, which ``_COMPONENTS`` names
     digest: str
 
 
-# pencil check -> the components' names of lhs, det K_small, det(K_big - K_small) and the cross terms
-_PENCIL_KEYS = {
-    "conj1": ("det_cov", "det_qov", "det_diff", "remainder"),
-    "conj2": ("det_qov_f", "det_qov_g", "det_diff_fg", "remainder"),
-    "firey": ("det_mix", "det_small", "det_diff", "remainder_t"),
+# where a pencil outcome's components are in the memo row it holds: (lhs, cross terms, rhs, q, dd, clamp
+# count, raw q, raw dd, f, g, t) gives lhs, det K_small, det(K_big - K_small), the cross terms, t, f and g
+_PENCIL_AT = (0, 3, 4, 1, 10, 8, 9)
+# check name -> its components' keys, in order, and the index of each one's value in what the outcome holds
+_COMPONENTS = {
+    "main": (("det_cov", "det_qov", "f"), range(3)),
+    "conj1": (("det_cov", "det_qov", "det_diff", "remainder", "t", "f", "g"), _PENCIL_AT),
+    "conj2": (("det_qov_f", "det_qov_g", "det_diff_fg", "remainder", "t", "f", "g"), _PENCIL_AT),
+    "firey": (("det_mix", "det_small", "det_diff", "remainder_t", "t", "f", "g"), _PENCIL_AT),
+    "robertson": (("det_cov", "det_commutator"), range(2)),
+    "equality": (("det_cov", "det_qov_f", "det_qov_g", "condition_a", "condition_b", "condition_c", "linearly_dependent",
+                  "offdiag_dependent", "rank", "verdict", "resolved", "consistent"), range(12)),
+    "contraction": (("before", "after", "window", "blocks", "f"), range(5)),
+    "minkowski-firey": (("det_k", "det_l", "det_mix", "t"), range(4)),
 }
 
 
 class InequalityReport(_ReportFields):
     """Outcome of one inequality check on one instance (an immutable record).
 
-    A pencil outcome keeps the memo row it was judged from in place of its components
-    (``InstanceBlock.fill_pencils``'s row, which carries its own f, g and t) and builds the dict
-    from it on each read; any other report holds the dict it was given.
+    It holds the values it was judged from as a tuple (a pencil outcome holds the memo row of
+    ``InstanceBlock.fill_pencils``, which carries its own f, g and t) and builds the dict of its
+    components from them on each read.
     """
 
     __slots__ = ()
 
     @property
     def components(self) -> dict:
-        held = self[9]
-        if type(held) is not tuple:
-            return held
-        lhs, rem, _, q, dd, _, _, _, f, g, t = held
-        keys = _PENCIL_KEYS[self.name]
-        out = {keys[0]: lhs, keys[1]: q, keys[2]: dd, keys[3]: rem}
-        if t is not None:
-            out["t"] = t
-        out["f"] = f.label
-        if g is not None:
-            out["g"] = g.label
+        held, out = self[9], {}
+        for key, k in zip(*_COMPONENTS[self.name]):
+            value = held[k]
+            if value is None and key in ("t", "g"):  # a unit pencil has no g, and its row None no t
+                continue
+            out[key] = value.label if key in ("f", "g") else value
         return out
 
     @property
@@ -290,8 +292,8 @@ class InstanceBlock:
         # (f, g, t) -> B pencil rows; a t off the grid is a grid of one
         self.pencil = _Memo(self, lambda block, key: block.fill_pencils((key[:2],), key[2:], ()))
         self.structure = _Memo(self, lambda block, key: block.find_structure())  # None -> B (rank, dependence) pairs
-        # f -> B contraction sums
-        self.contraction = _Memo(self, lambda block, f: block.contraction.update(
+        # f -> B contraction sums; a key that is not a function fills nothing
+        self.contraction = _Memo(self, lambda block, f: isinstance(f, MonotoneFunction) and block.contraction.update(
             fill_contraction(block.states, block.observables[:, 0], block.partitions, (f,))))
 
     def assemble(self, sides) -> None:
@@ -392,14 +394,14 @@ def prepare_random(n: int, n_obs: int, seed: int, kind: str = "generic") -> Prep
     return inst
 
 
-def _report(name, lhs, rhs, scale, tol, components, digest, clamps=0, window=None):
-    """Pass when margin >= -window, by default -tol * scale.  A NaN margin
-    raises ArithmeticError instead of reading as a violation."""
+def _report(name, lhs, rhs, scale, tol, values, digest, clamps=0, window=None):
+    """Pass when margin >= -window, by default -tol * scale; the report holds ``values`` as its
+    components.  A NaN margin raises ArithmeticError instead of reading as a violation."""
     margin = lhs - rhs
     passed = bool(margin >= -(tol * scale if window is None else window))
     if not passed and margin != margin:
         raise ArithmeticError(f"{name}: margin is NaN (lhs {lhs!r}, rhs {rhs!r})")
-    fields = (name, lhs, rhs, margin, scale, tol, passed, True, clamps, components, digest)
+    fields = (name, lhs, rhs, margin, scale, tol, passed, True, clamps, values, digest)
     return _new_report(InequalityReport, fields)
 
 
@@ -407,8 +409,7 @@ def check_main(inst: PreparedInstance, f: MonotoneFunction, tol: float = DEFAULT
     """det Cov >= det Qov_f."""
     lhs = inst.det("cov")
     rhs = inst.det(f)
-    components = {"det_cov": lhs, "det_qov": rhs, "f": f.label}
-    return _report("main", lhs, rhs, inst.scale, tol, components, inst.digest)
+    return _report("main", lhs, rhs, inst.scale, tol, (lhs, rhs, f), inst.digest)
 
 
 def _pencil(name, inst, f, g, t, tol):
@@ -485,19 +486,37 @@ def check_robertson(inst: PreparedInstance, tol: float = DEFAULT_TOL) -> Inequal
     """det Cov >= det of the commutator bound matrix (exactly 0 for odd N)."""
     lhs = inst.det("cov")
     rhs = inst.det("robertson")
-    components = {"det_cov": lhs, "det_commutator": rhs}
-    return _report("robertson", lhs, rhs, inst.scale, tol, components, inst.digest)
+    return _report("robertson", lhs, rhs, inst.scale, tol, (lhs, rhs), inst.digest)
 
 
-@dataclass(frozen=True)
-class EqualityClassification:
-    """Which equality conditions hold, plus the structural facts behind them.
+def _equality(facts, scale, tol, digest) -> InequalityReport:
+    """The equality outcome from its first nine components (det Cov, det Qov_f, det Qov_g, conditions a,
+    b and c, linear and offdiagonal dependence, rank), with the verdict, whether it is resolved and whether
+    it is consistent after them.  A contradicted equivalence fails at margin -1, and an equality that fired
+    without the dependence behind it is a skipped hypothesis."""
+    _, _, _, a, b, c, dependent, offdiag, _ = facts
+    verdict = ",".join([name for name, held in (("a", a), ("b", b), ("c", c)) if held]) or "none"
+    resolved = not (a and not dependent) and not (b and not offdiag)
+    # a dependent family must show its determinant equality
+    consistent = not (dependent and not (a and c)) and not (b is not None and offdiag and not b)
+    fields = ("equality", facts[0], facts[1], 0.0 if consistent else -1.0, scale, tol, consistent,
+              not consistent or resolved, 0, (*facts, verdict, resolved, consistent), digest)
+    return _new_report(InequalityReport, fields)
+
+
+def classify_equality(
+    inst: PreparedInstance,
+    f: MonotoneFunction,
+    g: MonotoneFunction | None = None,
+    tol: float = DEFAULT_TOL,
+) -> InequalityReport:
+    """Which equality conditions hold, plus the structural facts behind them, as components.
 
     condition_a: det Cov = det Qov_f.  condition_c: the centered observables
     are linearly dependent over the reals.  These two are equivalent.
-    condition_b: det Qov_f = det Qov_g; this one is equivalent to offdiagonal
-    dependence, which is strictly weaker than condition_c (a single
-    observable diagonal in the state's eigenbasis has b without a or c).
+    condition_b: det Qov_f = det Qov_g (None without g); this one is equivalent
+    to offdiagonal dependence, which is strictly weaker than condition_c (a
+    single observable diagonal in the state's eigenbasis has b without a or c).
 
     Only one direction of each equivalence is numerically decidable:
     dependence forces the determinant equality exactly, while independence
@@ -509,90 +528,15 @@ class EqualityClassification:
     matrices coincide).  An equality that fired without its structural
     counterpart is reported as unresolved, not as a contradiction.
     """
-
-    det_cov: float
-    det_qov_f: float
-    det_qov_g: float | None
-    condition_a: bool
-    condition_b: bool | None
-    condition_c: bool
-    linearly_dependent: bool
-    offdiag_dependent: bool
-    rank: int
-
-    @property
-    def verdict(self) -> str:
-        held = [name for name, ok in (("a", self.condition_a), ("b", self.condition_b), ("c", self.condition_c)) if ok]
-        return ",".join(held) if held else "none"
-
-    @property
-    def resolved(self) -> bool:
-        """False when a determinant equality fired without the dependence
-        that would explain it; such an instance cannot corroborate the
-        equivalence either way."""
-        if self.condition_a and not self.linearly_dependent:
-            return False
-        if self.condition_b is not None and self.condition_b and not self.offdiag_dependent:
-            return False
-        return True
-
-    @property
-    def consistent(self) -> bool:
-        """No decidable direction was contradicted: a dependent family must
-        show its determinant equality."""
-        if self.linearly_dependent and not (self.condition_a and self.condition_c):
-            return False
-        if self.condition_b is not None and self.offdiag_dependent and not self.condition_b:
-            return False
-        return True
-
-    # The campaign and ``compute`` read a classification as an outcome, with
-    # the names of InequalityReport: a contradicted equivalence fails at
-    # margin -1, and an equality that fired without the dependence behind it
-    # is a skipped hypothesis.
-    clamps = 0
-
-    @property
-    def passed(self) -> bool:
-        return self.consistent
-
-    @property
-    def hypothesis_ok(self) -> bool:
-        return not self.consistent or self.resolved
-
-    @property
-    def margin(self) -> float:
-        return 0.0 if self.consistent else -1.0
-
-    @property
-    def violated(self) -> bool:
-        return self.hypothesis_ok and not self.passed
-
-
-def classify_equality(
-    inst: PreparedInstance,
-    f: MonotoneFunction,
-    g: MonotoneFunction | None = None,
-    tol: float = DEFAULT_TOL,
-) -> EqualityClassification:
     block, k, det, window = inst._block, inst._index, inst._block.det, tol * inst.scale
     # one subscript per memo; a key that no block call has filled yet is filled for the block
     det_cov, det_qf = det["cov"][k], det[f][k]
     det_qg = None if g is None else det[g][k]
     rank, offdiag = block.structure[None][k]
     dependent = rank < block.frame.size
-
-    return EqualityClassification(
-        det_cov=det_cov,
-        det_qov_f=det_qf,
-        det_qov_g=det_qg,
-        condition_a=bool(abs(det_cov - det_qf) <= window),
-        condition_b=None if det_qg is None else bool(abs(det_qf - det_qg) <= window),
-        condition_c=dependent,
-        linearly_dependent=dependent,
-        offdiag_dependent=offdiag,
-        rank=rank,
-    )
+    a = bool(abs(det_cov - det_qf) <= window)
+    b = None if det_qg is None else bool(abs(det_qf - det_qg) <= window)
+    return _equality((det_cov, det_qf, det_qg, a, b, dependent, dependent, offdiag, rank), inst.scale, tol, inst.digest)
 
 
 def minkowski_firey_selftest(
@@ -625,8 +569,7 @@ def minkowski_firey_selftest(
     det_mix, c3 = _clamp(dets[2], window, "det mix")
     lhs = det_mix ** (1.0 / n)
     rhs = (1.0 - t) * det_k ** (1.0 / n) + t * det_l ** (1.0 / n)
-    components = {"det_k": det_k, "det_l": det_l, "det_mix": det_mix, "t": t}
-    return _report("minkowski-firey", lhs, rhs, scale, tol, components, f"selftest[{n}x{n}]", c1 + c2 + c3)
+    return _report("minkowski-firey", lhs, rhs, scale, tol, (det_k, det_l, det_mix, t), f"selftest[{n}x{n}]", c1 + c2 + c3)
 
 
 def fill_contraction(states, x, partitions, functions) -> dict:
@@ -667,8 +610,8 @@ def contraction_report(sums, f: MonotoneFunction, n: int, tol: float) -> Inequal
     # two sides degrades by that factor.  Widen the window accordingly;
     # for healthy spectra the extra term is far below tol*scale.
     window = tol * scale + 4.0 * n * _EPS / lam_floor * before
-    components = {"before": before, "after": after, "window": window, "blocks": blocks, "f": f.label}
-    return _report("contraction", before, after, scale, tol, components, f"contraction[n={n}]", window=window)
+    values = (before, after, window, blocks, f)
+    return _report("contraction", before, after, scale, tol, values, f"contraction[n={n}]", window=window)
 
 
 def check_metric_contraction(

@@ -113,9 +113,9 @@ def _cases(tol: float):
 
     def case_equality():
         single = PreparedInstance(d, [PAULI_Z], digest="single-diagonal")
-        got = classify_equality(single, sld, wy, tol)
-        ok = got.verdict == "b" and got.consistent and got.offdiag_dependent and not got.linearly_dependent
-        return ok, f"single diagonal observable: verdict {got.verdict}"
+        got = classify_equality(single, sld, wy, tol).components
+        ok = got["verdict"] == "b" and got["consistent"] and got["offdiag_dependent"] and not got["linearly_dependent"]
+        return ok, f"single diagonal observable: verdict {got['verdict']}"
 
     return [
         ("remainder-hand-value", case_remainder),

@@ -442,8 +442,8 @@ _PENCIL_COMPONENTS = {
 def components_reference(name: str, inst, f, g, t, tol: float) -> dict:
     """The components of the ``name`` outcome at (f, g, t) on an evaluated instance, built as one
     dict per outcome from the values the outcome was judged from: its pencil row, its determinant
-    memos or its contraction sums.  The keys, their order and the window formula are written out
-    here rather than taken from the library."""
+    memos (and, for equality, its block's structure) or its contraction sums.  The keys, their order
+    and the window formula are written out here rather than taken from the library."""
     if name in _PENCIL_COMPONENTS:
         lhs, rem, _, q, dd = inst._block.pencil[f, g, t][inst._index][:5]
         keys = _PENCIL_COMPONENTS[name]
@@ -458,6 +458,21 @@ def components_reference(name: str, inst, f, g, t, tol: float) -> dict:
         return {"det_cov": inst.det("cov"), "det_qov": inst.det(f), "f": f.label}
     if name == "robertson":
         return {"det_cov": inst.det("cov"), "det_commutator": inst.det("robertson")}
+    if name == "equality":
+        det_cov, det_qov_f = inst.det("cov"), inst.det(f)
+        det_qov_g = None if g is None else inst.det(g)
+        rank, offdiag = inst._block.structure[None][inst._index]
+        window = tol * inst.scale
+        a = abs(det_cov - det_qov_f) <= window
+        b = None if g is None else abs(det_qov_f - det_qov_g) <= window
+        c = rank < inst._block.frame.size
+        verdict = ",".join(name for name, held in zip("abc", (a, b, c)) if held) or "none"
+        # an equality without the dependence behind it is unresolved; a dependence without its equality, inconsistent
+        resolved = not (a and not c) and not (b and not offdiag)
+        consistent = not (c and not a) and not (g is not None and offdiag and not b)
+        return {"det_cov": det_cov, "det_qov_f": det_qov_f, "det_qov_g": det_qov_g, "condition_a": a, "condition_b": b,
+                "condition_c": c, "linearly_dependent": c, "offdiag_dependent": offdiag, "rank": rank, "verdict": verdict,
+                "resolved": resolved, "consistent": consistent}
     if name == "contraction":
         before, after, floor, blocks = inst.contraction(f)
         window = tol * max(1.0, before) + 4.0 * inst._block.frame.dim * float(np.finfo(float).eps) / floor * before

@@ -384,9 +384,9 @@ def test_criterion_06_equality_classifier() -> None:
             c1, c2 = rng.standard_normal(2)
             obs = [anchor, second, c1 * anchor + c2 * second + shift * np.eye(n)]
         inst = PreparedInstance(d, obs, digest=f"dependent-{i}")
-        got = classify_equality(inst, SLD, WY)
-        assert got.condition_a and got.condition_b and got.condition_c, got.verdict
-        assert got.linearly_dependent and got.offdiag_dependent
+        got = classify_equality(inst, SLD, WY).components
+        assert got["condition_a"] and got["condition_b"] and got["condition_c"], got["verdict"]
+        assert got["linearly_dependent"] and got["offdiag_dependent"]
         window = 1e-10 * inst.scale
         dets = (inst.det("cov"), inst.det(SLD), inst.det(WY))
         assert all(abs(v) <= window for v in dets), dets
@@ -400,13 +400,13 @@ def test_criterion_06_equality_classifier() -> None:
     for n in GRID_DIMS:
         for n_obs in GRID_SIZES:
             for inst in _evaluated(plan, {"equality"}, "random-family", n, n_obs, FAMILIES_PER_CELL, ("generic",)):
-                got = classify_equality(inst, SLD, WY)
+                got = classify_equality(inst, SLD, WY).components
                 families += 1
-                inconsistent += not got.consistent
-                if not got.resolved:
+                inconsistent += not got["consistent"]
+                if not got["resolved"]:
                     unresolved += 1
                     continue
-                bad = got.condition_a or got.condition_c or (got.condition_b != got.offdiag_dependent)
+                bad = got["condition_a"] or got["condition_c"] or (got["condition_b"] != got["offdiag_dependent"])
                 mismatches += bad
     ok = mismatches == 0 and inconsistent == 0 and unresolved <= 10
     text = _line(
@@ -448,9 +448,9 @@ def test_criterion_07_offdiagonal_collapse() -> None:
         last = last / np.linalg.norm(last)
         inst = PreparedInstance(d, base + [last], digest=f"offdiag-{i}")
         assert offdiagonal_dependence(inst._block.frame)[inst._index]  # the flag of its block's stacked frame
-        got = classify_equality(inst, SLD, WY)
-        assert not got.linearly_dependent and got.rank == n_obs
-        assert got.condition_b and got.consistent
+        got = classify_equality(inst, SLD, WY).components
+        assert not got["linearly_dependent"] and got["rank"] == n_obs
+        assert got["condition_b"] and got["consistent"]
         det_q = abs(inst.det(SLD))
         gap = check_conj1(inst, SLD).components["det_diff"]
         assert det_q <= 1e-10 * inst.scale, (i, det_q)

@@ -30,9 +30,10 @@ from qfidet.campaign import (
     run_campaign,
 )
 from qfidet.inequalities import (
-    EqualityClassification,
+    DEFAULT_TOL,
     InequalityReport,
     InstanceBlock,
+    _equality,
     check_conj1,
     check_conj2,
     check_firey,
@@ -156,6 +157,8 @@ def test_config_validation(kwargs, message):
         ((("sld", "sld"),), "sld"),
         ((("sld", "wy"), ("wyd:0.30", "wyd:3e-1")), "wyd:0.3"),
         ((("wy", "wy"),), "wy"),
+        ((("wyd:0.5", "wy"),), "wyd:0.5"),
+        ((("sld", "wy"), ("wy", "wyd:0.5")), "wy"),
     ],
 )
 def test_a_pair_of_a_function_with_itself_is_refused(pairs, label):
@@ -170,6 +173,12 @@ def test_a_pair_of_a_function_with_itself_is_refused(pairs, label):
 def test_run_campaign_rejects_a_worker_count_below_one(workers):
     with pytest.raises(ConfigError, match=f"workers: must be at least 1, got {workers}"):
         run_campaign(dataclasses.replace(TINY, instances_per_cell=1), workers=workers)
+
+
+def test_functions_that_differ_anywhere_on_the_grid_are_distinct():
+    # CI's pairs-without-dominance config, and members near one another that are different functions
+    CampaignConfig(functions=("sld",), function_pairs=(("wyd:0.7", "sld"), ("kubo-mori", "sld")))
+    CampaignConfig(functions=("wy", "wyd:0.49", "wyd:0.3", "kubo-mori", "harmonic", "alpha:0.45"))
 
 
 def test_empty_ranges_are_fine_for_checks_that_do_not_use_them():
@@ -560,18 +569,8 @@ def test_violation_entries_reproduce(monkeypatch):
     assert "derived_seed" in entry
 
 
-def _classification(dependent: bool, condition_a: bool) -> EqualityClassification:
-    return EqualityClassification(
-        det_cov=1.0,
-        det_qov_f=0.5,
-        det_qov_g=0.25,
-        condition_a=condition_a,
-        condition_b=False,
-        condition_c=dependent,
-        linearly_dependent=dependent,
-        offdiag_dependent=False,
-        rank=1,
-    )
+def _classification(dependent: bool, condition_a: bool) -> InequalityReport:
+    return _equality((1.0, 0.5, 0.25, condition_a, False, dependent, dependent, False, 1), 1.0, DEFAULT_TOL, "stand-in")
 
 
 def test_equality_outcomes_reach_the_report(monkeypatch):
@@ -590,7 +589,7 @@ def test_equality_outcomes_reach_the_report(monkeypatch):
     # a dependent family without its determinant equality contradicts the
     # decidable direction of the equivalence: a violation
     inconsistent = _classification(dependent=True, condition_a=False)
-    assert not inconsistent.consistent
+    assert not inconsistent.components["consistent"]
     monkeypatch.setattr(campaign_module, "classify_equality", lambda inst, f, g, tol: inconsistent)
     report = run_campaign(config)
     assert not report.ok
@@ -598,7 +597,7 @@ def test_equality_outcomes_reach_the_report(monkeypatch):
     assert [v["index"] for v in report.violations] == [0, 1]
     for entry in report.violations:
         assert entry["check"] == "equality" and entry["margin"] == -1.0
-        assert entry["verdict"] == inconsistent.verdict
+        assert entry["verdict"] == inconsistent.components["verdict"]
         assert entry["derived_seed"] == derive_seed(5, 2, 1, "generic", entry["index"])
         assert (entry["f"], entry["g"], entry["t"]) == ("sld", "wy", None)
     assert report.worst["equality"]["margin"] == -1.0
@@ -606,7 +605,7 @@ def test_equality_outcomes_reach_the_report(monkeypatch):
     # an equality that fired without the dependence behind it is unresolved:
     # counted as a skipped hypothesis, neither pass nor violation
     unresolved = _classification(dependent=False, condition_a=True)
-    assert unresolved.consistent and not unresolved.resolved
+    assert unresolved.components["consistent"] and not unresolved.components["resolved"]
     monkeypatch.setattr(campaign_module, "classify_equality", lambda inst, f, g, tol: unresolved)
     report = run_campaign(config)
     assert report.ok and report.violations == []
@@ -625,8 +624,14 @@ def test_equality_outcomes_reach_the_report(monkeypatch):
         ({"kinds": ("generic", "generic")}, "'generic'", "'generic'"),
         ({"t_grid": (0.5, "0.50")}, "0.5", "0.5"),
         ({"checks": ("main", "firey", "main")}, "'main'", "'main'"),
+        # one function under two labels: ((1 + sqrt x)/2)^2 is wyd at 1/2, and wyd at b is wyd at 1 - b
+        ({"functions": ("wy", "wyd:0.5")}, "'wy'", "'wyd:0.5'"),
+        ({"functions": ("sld", "wyd:0.3", "wyd:0.7")}, "'wyd:0.3'", "'wyd:0.7'"),
+        ({"functions": ("harmonic", "alpha:0.5")}, "'harmonic'", "'alpha:0.5'"),
+        ({"function_pairs": (("sld", "wy"), ("sld", "wyd:0.5"))}, "('sld', 'wy')", "('sld', 'wyd:0.5')"),
     ],
-    ids=["repeated", "respelled", "respelled-pair", "dims", "num_obs", "kinds", "t_grid", "checks"],
+    ids=["repeated", "respelled", "respelled-pair", "dims", "num_obs", "kinds", "t_grid", "checks",
+         "one-function", "one-wyd", "one-nonregular", "one-pair"],
 )
 def test_config_rejects_specs_with_one_label(kwargs, first, second):
     field = next(iter(kwargs))
@@ -765,7 +770,7 @@ def test_tally_of_scripted_outcomes(monkeypatch, workers, block):
 
 def _facts(rep) -> tuple:
     """What a report says about an outcome, with every float as its bits."""
-    fields = dataclasses.asdict(rep) if isinstance(rep, EqualityClassification) else dict(rep.components, lhs=rep.lhs, rhs=rep.rhs)
+    fields = dict(rep.components, lhs=rep.lhs, rhs=rep.rhs)
     fields = {k: np.float64(v).tobytes() if isinstance(v, float) else v for k, v in fields.items()}
     return np.float64(rep.margin).tobytes(), rep.clamps, rep.hypothesis_ok, rep.passed, fields
 

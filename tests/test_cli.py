@@ -97,6 +97,15 @@ def test_verify_refuses_a_pair_of_a_function_with_itself(capsys):
     assert capsys.readouterr().err == "error: function_pairs: ('sld', 'sld') pairs 'sld' with itself\n"
 
 
+def test_verify_refuses_a_pair_of_one_function_under_two_labels(capsys):
+    # wyd at 1/2 is wy: the run used to skip all 3 of its outcomes and exit 0
+    args = ["verify", "--dims", "3", "--num-obs", "2", "--instances", "1", "--functions", "sld", "--pairs", "wyd:0.5/wy", "--checks", "conj2"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: function_pairs: ('wyd:0.5', 'wy') pairs 'wyd:0.5' with itself\n"
+    assert main(["verify", "--instances", "1", "--functions", "wy,wyd:0.5"]) == 2
+    assert capsys.readouterr().err == "error: functions: 'wy' and 'wyd:0.5' both read as 'wy'\n"
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

@@ -10,10 +10,10 @@ import pytest
 from qfidet.campaign import BLOCK_INSTANCES, DEFAULT_T_GRID, CampaignConfig, CheckPlan, run_campaign
 from qfidet.covariance import metric_inner
 from qfidet.inequalities import (
-    EqualityClassification,
     InequalityReport,
     InstanceBlock,
     PreparedInstance,
+    _equality,
     _report,
     check_conj1,
     check_conj2,
@@ -258,45 +258,45 @@ def test_robertson_passes_randomly(rng):
 def test_classify_collapsed_pair():
     d = density(np.diag([0.75, 0.25]).astype(complex))
     inst = PreparedInstance(d, [PAULI_X, PAULI_X + np.eye(2)])
-    got = classify_equality(inst, SLD, WY)
-    assert got.condition_a and got.condition_b and got.condition_c
-    assert got.linearly_dependent and got.offdiag_dependent
-    assert got.verdict == "a,b,c" and got.consistent
-    assert got.det_cov <= 1e-10 and got.det_qov_f <= 1e-10
+    got = classify_equality(inst, SLD, WY).components
+    assert got["condition_a"] and got["condition_b"] and got["condition_c"]
+    assert got["linearly_dependent"] and got["offdiag_dependent"]
+    assert got["verdict"] == "a,b,c" and got["consistent"]
+    assert got["det_cov"] <= 1e-10 and got["det_qov_f"] <= 1e-10
 
 
 def test_classify_identity_multiple_is_dependent():
     # Centering wipes out an observable proportional to the identity, so the
     # leftover rounding noise must not be counted as an independent direction.
     inst = PreparedInstance(random_density(2, 77), [PAULI_X, 2.5 * np.eye(2, dtype=complex)])
-    got = classify_equality(inst, SLD, WY)
-    assert got.linearly_dependent and got.rank == 1
-    assert got.condition_a and got.condition_c and got.consistent
+    got = classify_equality(inst, SLD, WY).components
+    assert got["linearly_dependent"] and got["rank"] == 1
+    assert got["condition_a"] and got["condition_c"] and got["consistent"]
 
 
 def test_classify_independent_pair(tight):
-    got = classify_equality(tight, SLD, WY)
-    assert got.verdict == "none"
-    assert not got.linearly_dependent and not got.offdiag_dependent
-    assert got.consistent
-    assert got.rank == 2
+    got = classify_equality(tight, SLD, WY).components
+    assert got["verdict"] == "none"
+    assert not got["linearly_dependent"] and not got["offdiag_dependent"]
+    assert got["consistent"]
+    assert got["rank"] == 2
 
 
 def test_classify_single_diagonal_observable():
     # offdiagonal dependence without linear dependence: b holds, a and c fail
     d = density(np.diag([0.75, 0.25]).astype(complex))
     inst = PreparedInstance(d, [PAULI_Z])
-    got = classify_equality(inst, SLD, WY)
-    assert got.condition_b and not got.condition_a and not got.condition_c
-    assert got.offdiag_dependent and not got.linearly_dependent
-    assert got.verdict == "b" and got.consistent and got.resolved
-    assert got.det_cov > 0.5  # variance of sigma_z at p = 3/4
+    got = classify_equality(inst, SLD, WY).components
+    assert got["condition_b"] and not got["condition_a"] and not got["condition_c"]
+    assert got["offdiag_dependent"] and not got["linearly_dependent"]
+    assert got["verdict"] == "b" and got["consistent"] and got["resolved"]
+    assert got["det_cov"] > 0.5  # variance of sigma_z at p = 3/4
 
 
 def test_classify_without_second_function(tight):
-    got = classify_equality(tight, SLD)
-    assert got.condition_b is None and got.det_qov_g is None
-    assert got.verdict == "none" and got.consistent
+    got = classify_equality(tight, SLD).components
+    assert got["condition_b"] is None and got["det_qov_g"] is None
+    assert got["verdict"] == "none" and got["consistent"]
 
 
 def test_classify_no_false_equalities(rng):
@@ -305,10 +305,10 @@ def test_classify_no_false_equalities(rng):
     # dimension count, and its Qov determinant genuinely vanishes)
     for seed in range(60):
         inst = prepare_random(int(rng.integers(2, 5)), int(rng.integers(1, 4)), 1500 + seed)
-        got = classify_equality(inst, SLD, WY)
-        assert not got.condition_a and not got.condition_c
-        assert got.condition_b == got.offdiag_dependent
-        assert got.resolved and got.consistent
+        got = classify_equality(inst, SLD, WY).components
+        assert not got["condition_a"] and not got["condition_c"]
+        assert got["condition_b"] == got["offdiag_dependent"]
+        assert got["resolved"] and got["consistent"]
 
 
 def test_classify_near_pure_state_is_flagged_not_failed():
@@ -316,12 +316,12 @@ def test_classify_near_pure_state_is_flagged_not_failed():
     # condition-a determinant gap shrinks to the order of the smallest
     # eigenvalue; where it lands inside the window the instance is unresolved
     drawn = [prepare_random(2, 2, derive_seed(2026, 2, 2, "near-singular", k), "near-singular") for k in range(20)]
-    fired = [got for got in (classify_equality(inst, SLD, WY) for inst in drawn) if got.condition_a]
+    fired = [got for got in (classify_equality(inst, SLD, WY).components for inst in drawn) if got["condition_a"]]
     assert fired
     for got in fired:
-        assert not got.linearly_dependent
-        assert not got.resolved
-        assert got.consistent
+        assert not got["linearly_dependent"]
+        assert not got["resolved"]
+        assert got["consistent"]
 
 
 def test_classify_degenerate_spectrum_is_flagged_not_failed():
@@ -329,12 +329,12 @@ def test_classify_degenerate_spectrum_is_flagged_not_failed():
     # determinants are exactly zero for independent observables: condition b
     # fires but cannot count against the equivalence
     inst = PreparedInstance(density(np.eye(2, dtype=complex) / 2), [PAULI_X, PAULI_Y])
-    got = classify_equality(inst, SLD, WY)
-    assert got.det_qov_f == 0.0 and got.det_qov_g == 0.0
-    assert got.condition_b and not got.offdiag_dependent
-    assert not got.condition_a and not got.condition_c
-    assert not got.resolved
-    assert got.consistent
+    got = classify_equality(inst, SLD, WY).components
+    assert got["det_qov_f"] == 0.0 and got["det_qov_g"] == 0.0
+    assert got["condition_b"] and not got["offdiag_dependent"]
+    assert not got["condition_a"] and not got["condition_c"]
+    assert not got["resolved"]
+    assert got["consistent"]
 
 
 @pytest.mark.parametrize(
@@ -351,20 +351,14 @@ def test_classify_degenerate_spectrum_is_flagged_not_failed():
     ],
 )
 def test_classification_reads_as_an_outcome(dependent, offdiag, condition_a, condition_b, outcome):
-    got = EqualityClassification(
-        det_cov=1.0,
-        det_qov_f=0.5,
-        det_qov_g=None if condition_b is None else 0.25,
-        condition_a=condition_a,
-        condition_b=condition_b,
-        condition_c=dependent,
-        linearly_dependent=dependent,
-        offdiag_dependent=offdiag,
-        rank=1 if dependent else 2,
-    )
+    det_qov_g = None if condition_b is None else 0.25
+    facts = (1.0, 0.5, det_qov_g, condition_a, condition_b, dependent, dependent, offdiag, 1 if dependent else 2)
+    got = _equality(facts, 1.0, 1e-9, "facts")
     assert (got.passed, got.hypothesis_ok, got.margin, got.violated) == outcome
-    assert got.passed == got.consistent and got.clamps == 0
+    assert got.passed == got.components["consistent"] and got.clamps == 0
     assert type(got.margin) is float
+    assert (got.name, got.lhs, got.rhs) == ("equality", 1.0, 0.5)
+    assert list(got.components.values())[:9] == list(facts)
 
 
 def test_minkowski_selftest_hand_value():
@@ -457,7 +451,7 @@ def test_battery_over_random_instances(rng):
             assert not check_firey(inst, SLD, t, g=WYD).violated
         assert not check_conj2(inst, SLD, WY).violated
         assert not check_robertson(inst).violated
-        assert classify_equality(inst, SLD, WY).consistent
+        assert classify_equality(inst, SLD, WY).components["consistent"]
 
 
 def test_prepared_instance_caches(tight):
@@ -478,6 +472,19 @@ def test_a_built_instance_refuses_what_no_block_makes_without_building_again():
     # a determinant key that is not a side
     with pytest.raises(KeyError, match=r"^\('robertson', 'cov'\)$"):
         inst.det(("robertson", "cov"))
+
+
+def test_a_contraction_key_that_is_not_a_function_raises_key_error():
+    # as the det and pencil memos do; the fill used to call the key as a function, a bare TypeError
+    inst = prepare_random(3, 2, 5)
+    for key in ("nope", None, ("sld", None)):
+        with pytest.raises(KeyError) as info:
+            inst.contraction(key)
+        assert info.value.args == (key,)
+        with pytest.raises(KeyError):
+            inst._block.contraction[key]
+        assert key not in inst._block.contraction
+    assert inst.contraction(SLD) == inst._block.contraction[SLD][inst._index]
 
 
 def test_report_shape(tight):
@@ -1010,9 +1017,6 @@ def test_components_are_built_from_the_row_as_one_dict_per_outcome_would_be():
             for inst in block:
                 for name, f, g, t, check, args in bound:
                     rep = check(inst, *args)
-                    if name == "equality":
-                        assert isinstance(rep, EqualityClassification)
-                        continue
                     want = components_reference(name, inst, f, g, t, config.tol)
                     got = rep.components
                     assert list(got) == list(want), (n, n_obs, name)
@@ -1020,7 +1024,7 @@ def test_components_are_built_from_the_row_as_one_dict_per_outcome_would_be():
                         _bits(v) if isinstance(v, float) else v for v in want.values()
                     ], (n, n_obs, name, f.label, g and g.label, t)
                     compared += 1
-    assert compared == 9 * BLOCK_INSTANCES * (96 - 3)
+    assert compared == 9 * BLOCK_INSTANCES * 96
 
 
 @pytest.mark.parametrize("name", ["conj1", "conj2", "firey"])
@@ -1043,12 +1047,11 @@ def test_each_read_of_components_is_a_new_dict_that_leaves_the_memo_alone(name):
 
 def test_a_report_built_from_keywords_or_replaced_keeps_its_fields():
     inst = prepare_random(3, 3, 5, "degenerate")
-    for rep in (check_firey(inst, SLD, 0.4, g=WY), check_main(inst, SLD), check_conj1(inst, WY)):
-        fields = {k: getattr(rep, k) for k in rep._fields}
+    for rep in (check_firey(inst, SLD, 0.4, g=WY), check_main(inst, SLD), check_conj1(inst, WY), classify_equality(inst, SLD, WY)):
+        fields = rep._asdict()  # each field as the report holds it: the components as the values they are built from
         built = InequalityReport(**fields)
         assert type(built) is InequalityReport
-        assert built == rep._replace(components=rep.components)
-        assert built.components is fields["components"]  # a given dict is held as it is
+        assert built == rep and built.components == rep.components
         assert [getattr(built, k) for k in rep._fields] == [getattr(rep, k) for k in rep._fields]
         failed = rep._replace(passed=False, margin=-1.0)
         assert type(failed) is InequalityReport and failed.violated

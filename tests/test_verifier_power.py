@@ -7,21 +7,112 @@ metric inner product of the commutators), never through the transformed
 function that the program's fast route sums, so the tests show that ``main``
 with its window tol * scale reports what the definitions say, and that the
 Loewner form Cov >= Qov_f, which ``main`` follows from, fails wherever it does.
+
+Metamorphic relations: a unitary conjugation of the state and the family, a
+shift of each observable by a multiple of the identity, and a permutation of
+the family leave every bound unchanged, so they must leave every outcome of
+the campaign's checks unchanged too, and the planted violations with them.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
 import numpy as np
+import pytest
 
-from oracles import cov_matrix, det_one, instance_views, planted_function, qov_matrix
-from qfidet.inequalities import DEFAULT_TOL, prepare_random
-from qfidet.states import derive_seed
+from oracles import cov_matrix, det_one, instance_views, planted_function, qov_matrix, scale_one
+from qfidet.campaign import CampaignConfig, _campaign_plan
+from qfidet.inequalities import DEFAULT_TOL, PreparedInstance, prepare_random
+from qfidet.states import STATE_KINDS, density, derive_seed
 
 # the cells of the sweep, each with 16 near-singular instances (smallest eigenvalue 1e-8)
 PLANTED_CELLS = ((2, 1), (3, 2), (4, 3))
 # the Loewner form fails where the least eigenvalue of Cov - Qov_f is below -LOEWNER_TOL * scale
 LOEWNER_TOL = 1e-12
+
+
+# the cells of the relations, each with RELATION_DRAWS instances of each kind
+RELATION_CELLS = ((2, 1), (3, 2), (4, 3))
+RELATION_DRAWS = 3
+# every outcome of an instance in a default campaign: (check, f, g, t, function, arguments)
+LAYOUT = _campaign_plan(CampaignConfig())[2]
+
+
+def _conjugate(rng, state: np.ndarray, obs) -> tuple:
+    """(U D U*, [U A_k U*]) for a Haar-random unitary U."""
+    n = len(state)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    u = q * (np.diag(r) / abs(np.diag(r)))
+    return u @ state @ u.conj().T, [u @ a @ u.conj().T for a in obs]
+
+
+def _shift(rng, state: np.ndarray, obs) -> tuple:
+    """(D, [A_k + c_k I]) with each |c_k| <= 1."""
+    return state, [a + c * np.eye(len(a)) for a, c in zip(obs, rng.uniform(-1.0, 1.0, len(obs)))]
+
+
+def _permute(rng, state: np.ndarray, obs) -> tuple:
+    """(D, the family in a random order)."""
+    return state, [obs[k] for k in rng.permutation(len(obs))]
+
+
+# relation -> (its map, whether the contraction outcomes are compared): contraction pinches in the
+# computational basis and reads the first observable, so only the shift leaves it unchanged
+RELATIONS = {"conjugation": (_conjugate, False), "shift": (_shift, True), "permutation": (_permute, False)}
+
+
+def _outcomes(inst, contraction: bool) -> dict:
+    """(check, f, g, t) -> the outcome on ``inst``, of every layout entry."""
+    return {
+        (name, f and f.label, g and g.label, t): check(inst, *arguments)
+        for name, f, g, t, check, arguments in LAYOUT
+        if contraction or name != "contraction"
+    }
+
+
+def _relation_breaks(relation: str) -> list:
+    """(seed, kind, outcome key, what differs) of each outcome that ``relation`` changes on the drawn instances."""
+    transform, contraction = RELATIONS[relation]
+    breaks = []
+    for n, n_obs in RELATION_CELLS:
+        for kind in STATE_KINDS:
+            for k in range(RELATION_DRAWS):
+                seed = derive_seed("relations", n, n_obs, kind, k)
+                views = instance_views(prepare_random(n, n_obs, seed, kind))
+                state, obs = views.state.matrix, list(views.observables)
+                moved_state, moved_obs = transform(np.random.default_rng(derive_seed(relation, seed)), state, obs)
+                before = _outcomes(PreparedInstance(density(state), obs), contraction)
+                after = _outcomes(PreparedInstance(density(moved_state), moved_obs), contraction)
+                for key, was in before.items():
+                    now = after[key]
+                    window = min(was.tol * was.scale, now.tol * now.scale)
+                    if (was.passed, was.hypothesis_ok) != (now.passed, now.hypothesis_ok):
+                        breaks.append((seed, kind, key, "verdict"))
+                    elif key[0] == "equality" and was.components["verdict"] != now.components["verdict"]:
+                        breaks.append((seed, kind, key, "equality verdict"))
+                    elif not abs(was.margin - now.margin) <= window:
+                        breaks.append((seed, kind, key, f"margin moved {now.margin - was.margin:.3e}, window {window:.1e}"))
+    return breaks
+
+
+@pytest.mark.parametrize("relation", list(RELATIONS))
+def test_each_relation_leaves_every_outcome_of_every_check_unchanged(relation):
+    assert _relation_breaks(relation) == []
+
+
+def test_the_planted_main_failures_survive_a_unitary_conjugation():
+    # the definition route of the sweep on each instance conjugated by its own random unitary
+    f = planted_function(0.25)
+    caught = []
+    for n, n_obs in PLANTED_CELLS:
+        for k in range(16):
+            seed = derive_seed("planted", n, n_obs, k)
+            views = instance_views(prepare_random(n, n_obs, seed, "near-singular"))
+            state, obs = _conjugate(np.random.default_rng(derive_seed("conjugation", seed)), views.state.matrix, views.observables)
+            d = density(state)
+            if det_one(cov_matrix(d, obs)) - det_one(qov_matrix(d, f, obs)) < -DEFAULT_TOL * scale_one(obs)[0]:
+                caught.append((n, n_obs, k))
+    assert caught and caught == _main_failures(0.25)  # the same 16 of 48
 
 
 @lru_cache(maxsize=None)
