@@ -50,7 +50,7 @@ from .inequalities import (
     fill_contraction,
     prepare_random,
 )
-from .monotone import STANDARD_GRID, MonotoneFunction, checked_spec, parse_function_spec
+from .monotone import MonotoneFunction, parse_function_spec, read_function_specs
 from .states import STATE_KINDS, derive_seed
 
 REPORT_VERSION = "qfi-report/6"
@@ -138,15 +138,6 @@ CHECKS = {
 CHECK_NAMES = tuple(CHECKS)
 
 
-def _keys(specs, field: str) -> list[str]:
-    """Each spec's key: the label of the first of ``specs`` that is one function with it, with f(0) and the
-    values on ``STANDARD_GRID`` the same to within 1e-12 relative, so that two specs of one function share a key."""
-    functions = [parse_function_spec(checked_spec(spec, field, ConfigError)) for spec in specs]
-    # f(0) >= 0 and the grid values > 0 (the catalogue validates them), so f(0) = 0 matches only itself
-    values = [(f.label, np.append(f.value_at_zero, f(STANDARD_GRID))) for f in functions]
-    return [next(label for label, y in values if np.all(abs(y - x) <= 1e-12 * np.maximum(y, x))) for _, x in values]
-
-
 def _number(field: str, value, kind: type):
     """``value`` as ``kind``, int or float.  ConfigError names ``field`` for a boolean (numpy's too), a value that
     is not a number, and a number that is not whole where an int is asked for, which ``kind`` would truncate."""
@@ -168,23 +159,6 @@ def _items(field: str, value) -> tuple:
         except TypeError:  # not iterable: a number, a 0-d array
             pass
     raise ConfigError(f"{field}: expected a sequence, got {value!r}")
-
-
-def _pair(value) -> tuple[str, str]:
-    """A ``function_pairs`` entry as (f, g); ConfigError for anything but a sequence of two."""
-    try:
-        f, g = _items("function_pairs", value)
-    except ValueError:  # ConfigError among them
-        raise ConfigError(f"function_pairs: expected a pair of function specs, got {value!r}") from None
-    return str(f), str(g)
-
-
-def _require_distinct(field: str, items, keys) -> None:
-    seen = {}
-    for item, key in zip(items, keys):
-        if key in seen:
-            raise ConfigError(f"{field}: {seen[key]!r} and {item!r} both read as {key!r}")
-        seen[key] = item
 
 
 @dataclass(frozen=True)
@@ -209,8 +183,10 @@ class CampaignConfig:
         coerce(self, "dims", tuple(_number("dims", n, int) for n in _items("dims", self.dims)))
         coerce(self, "num_obs", tuple(_number("num_obs", n, int) for n in _items("num_obs", self.num_obs)))
         coerce(self, "instances_per_cell", _number("instances_per_cell", self.instances_per_cell, int))
-        coerce(self, "functions", tuple(str(s) for s in _items("functions", self.functions)))
-        coerce(self, "function_pairs", tuple(_pair(p) for p in _items("function_pairs", self.function_pairs)))
+        functions, pairs = _items("functions", self.functions), _items("function_pairs", self.function_pairs)
+        functions, pairs = read_function_specs(functions, pairs, "functions", "function_pairs", ConfigError)
+        coerce(self, "functions", functions)
+        coerce(self, "function_pairs", pairs)
         coerce(self, "kinds", tuple(str(k) for k in _items("kinds", self.kinds)))
         coerce(self, "t_grid", tuple(_number("t_grid", t, float) for t in _items("t_grid", self.t_grid)))
         coerce(self, "tol", _number("tol", self.tol, float))
@@ -229,16 +205,6 @@ class CampaignConfig:
                 raise ConfigError(f"num_obs: counts must be positive, got {n}")
         if self.instances_per_cell < 0:
             raise ConfigError(f"instances_per_cell: must be nonnegative, got {self.instances_per_cell}")
-        if not self.functions:
-            raise ConfigError("functions: need at least one function spec")
-        # a function repeated under any spelling or label would count its outcomes twice
-        _require_distinct("functions", self.functions, _keys(self.functions, "functions"))
-        keys = iter(_keys([spec for pair in self.function_pairs for spec in pair], "function_pairs"))
-        pair_labels = list(zip(keys, keys))
-        _require_distinct("function_pairs", self.function_pairs, pair_labels)
-        for pair, (f, g) in zip(self.function_pairs, pair_labels):
-            if f == g:  # no function strictly dominates itself, so each of its outcomes would be skipped
-                raise ConfigError(f"function_pairs: {pair!r} pairs {f!r} with itself")
         if not self.kinds:
             raise ConfigError("kinds: need at least one state kind")
         for kind in self.kinds:
@@ -255,7 +221,10 @@ class CampaignConfig:
             if check not in CHECK_NAMES:
                 raise ConfigError(f"checks: unknown check {check!r}; expected one of {', '.join(CHECK_NAMES)}")
         for field in ("dims", "num_obs", "kinds", "t_grid", "checks"):
-            _require_distinct(field, getattr(self, field), getattr(self, field))
+            values = getattr(self, field)
+            for k, value in enumerate(values):
+                if value in values[:k]:
+                    raise ConfigError(f"{field}: {values[values.index(value)]!r} and {value!r} both read as {value!r}")
         # a check with nothing to range over would pass with zero outcomes
         if "firey" in self.checks and not self.t_grid:
             raise ConfigError("t_grid: the firey check needs at least one t value")
@@ -483,7 +452,8 @@ def emit_report(report: CampaignReport, fmt: str = "json", path: str | Path | No
         writer.writerow(["check", "n", "N", "f", "g", "t", "pass", "fail", "worst_margin", "clamps"])
         for row in report.rows:
             t, margin = row["t"], row["worst_margin"]
-            t, margin = "" if t is None else f"{t:g}", "" if margin is None else f"{margin:.12g}"
+            # repr reads back as the same float, so that no two t values share a cell
+            t, margin = "" if t is None else repr(t), "" if margin is None else f"{margin:.12g}"
             labels = [row["check"], row["n"], row["N"], row["f"] or "", row["g"] or "", t]
             writer.writerow([*labels, row["pass"], row["fail"], margin, row["clamps"]])
         text = buf.getvalue()

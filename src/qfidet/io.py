@@ -3,7 +3,8 @@
 Schema: {"dim": n, "state": [[[re, im], ...], ...], "observables": [matrix, ...],
 "functions": ["sld", "wyd:0.3"], "pairs": [["sld", "wy"]]}.  Every matrix entry
 is a two-element [re, im] list.  Validation failures name the offending field
-and quote the measured value.
+and quote the measured value; ``functions`` and ``pairs`` are read by
+``monotone.read_function_specs``, under the rules of a campaign config.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .monotone import checked_spec
+from .monotone import read_function_specs
 from .states import DensityMatrix, density, observable
 
 
@@ -84,21 +85,13 @@ def load_instance(path: str | Path) -> LoadedInstance:
         raise InstanceFormatError(f"observables: expected a non-empty list of matrices, got {raw_obs!r}")
     checked = [_checked_matrix(raw, dim, f"observables[{k}]", observable) for k, raw in enumerate(raw_obs)]
 
-    raw_functions = payload.get("functions", ["sld"])
-    if not isinstance(raw_functions, list) or not raw_functions:
-        raise InstanceFormatError(f"functions: expected a non-empty list of function specs, got {raw_functions!r}")
-    functions = tuple(
-        checked_spec(str(s), f"functions[{k}]", InstanceFormatError) for k, s in enumerate(raw_functions)
-    )
-    raw_pairs = payload.get("pairs", [])
-    if not isinstance(raw_pairs, list):
-        raise InstanceFormatError(f"pairs: expected a list of [f, g] lists, got {raw_pairs!r}")
-    pairs = []
-    for k, raw_pair in enumerate(raw_pairs):
-        if not isinstance(raw_pair, (list, tuple)) or len(raw_pair) != 2:
-            raise InstanceFormatError(f"pairs[{k}]: expected a two-element [f, g] list, got {raw_pair!r}")
-        pairs.append(tuple(checked_spec(str(s), f"pairs[{k}]", InstanceFormatError) for s in raw_pair))
-    return LoadedInstance(state, tuple(checked), functions, tuple(pairs))
+    functions, pairs = payload.get("functions", ["sld"]), payload.get("pairs", [])
+    if not isinstance(functions, list):
+        raise InstanceFormatError(f"functions: expected a non-empty list of function specs, got {functions!r}")
+    if not isinstance(pairs, list):
+        raise InstanceFormatError(f"pairs: expected a list of [f, g] lists, got {pairs!r}")
+    functions, pairs = read_function_specs(functions, pairs, "functions", "pairs", InstanceFormatError)
+    return LoadedInstance(state, tuple(checked), functions, pairs)
 
 
 def save_instance(

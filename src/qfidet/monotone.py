@@ -21,6 +21,7 @@ catalogue's families is a known result, not something this module tests.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -36,7 +37,7 @@ __all__ = [
     "CATALOG_NAMES",
     "make_function",
     "parse_function_spec",
-    "checked_spec",
+    "read_function_specs",
     "mean",
     "tilde",
     "dominates",
@@ -254,13 +255,46 @@ def parse_function_spec(spec: str) -> MonotoneFunction:
     return make_function(name, param)
 
 
-def checked_spec(spec: str, field: str, error: type[ValueError]) -> str:
-    """Return spec if it parses; otherwise raise ``error`` with the field name as prefix."""
-    try:
-        parse_function_spec(spec)
-    except CatalogError as exc:
-        raise error(f"{field}: {exc}") from None
-    return spec
+def read_function_specs(functions, pairs, functions_field: str, pairs_field: str, error: type[ValueError]) -> tuple:
+    """(functions, pairs) as a tuple of specs and a tuple of (f, g) specs, each spec a string.
+
+    ``error``, prefixed with the field's name, refuses a pair that is not a sequence of two specs, an empty
+    function list, a spec that does not parse, two functions or two pairs that read as one, which would count
+    outcomes twice, and a pair of a function with itself.  A spec reads as the label of the first spec of its
+    list with the same f(0) and ``STANDARD_GRID`` values to within 1e-12 relative.
+    """
+    checked = []
+    for pair in pairs:  # a string or mapping of two would unpack, and a set has no fixed order
+        try:
+            f, g = () if isinstance(pair, (str, bytes, Set, Mapping)) else pair
+        except (TypeError, ValueError):
+            raise error(f"{pairs_field}: expected a pair of function specs, got {pair!r}") from None
+        checked.append((str(f), str(g)))
+    functions, pairs = tuple(str(spec) for spec in functions), tuple(checked)
+    if not functions:
+        raise error(f"{functions_field}: need at least one function spec")
+
+    def keys(field: str, specs) -> list:
+        try:
+            members = [parse_function_spec(spec) for spec in specs]
+        except CatalogError as exc:
+            raise error(f"{field}: {exc}") from None
+        # f(0) >= 0 and the grid values > 0 (``_validate_grid``), so f(0) = 0 matches only itself
+        values = [(f.label, np.append(f.value_at_zero, f(STANDARD_GRID))) for f in members]
+        return [next(label for label, y in values if np.all(abs(y - x) <= 1e-12 * np.maximum(y, x))) for _, x in values]
+
+    def distinct(field: str, items, read_as: list) -> list:
+        for k, key in enumerate(read_as):
+            if key in read_as[:k]:
+                raise error(f"{field}: {items[read_as.index(key)]!r} and {items[k]!r} both read as {key!r}")
+        return read_as
+
+    distinct(functions_field, functions, keys(functions_field, functions))
+    flat = iter(keys(pairs_field, [spec for pair in pairs for spec in pair]))
+    for pair, (f, g) in zip(pairs, distinct(pairs_field, pairs, list(zip(flat, flat)))):
+        if f == g:  # no function strictly dominates itself, so each of its outcomes would be skipped
+            raise error(f"{pairs_field}: {pair!r} pairs {f!r} with itself")
+    return functions, pairs
 
 
 def mean(f: MonotoneFunction, x, y):

@@ -474,6 +474,20 @@ def test_csv_report_shape(tmp_path):
     assert any(line.startswith("firey,2,1,sld,,0.5,") for line in lines)
 
 
+def _csv_t_cells(config: CampaignConfig) -> list[str]:
+    rows = emit_report(run_campaign(config), "csv").splitlines()[1:]
+    return [row.split(",")[5] for row in rows if row.startswith("firey,")]
+
+
+def test_csv_t_cells_read_back_as_the_campaign_t_values():
+    # two t values 1e-7 apart once printed as one, 0.123456, in two rows of each pencil
+    close = CampaignConfig(dims=(2,), num_obs=(1,), instances_per_cell=1, functions=("sld",), function_pairs=(),
+                           checks=("firey",), t_grid=(0.1234561, 0.1234562))
+    assert _csv_t_cells(close) == ["0.1234561", "0.1234562"]
+    cells = _csv_t_cells(dataclasses.replace(close, t_grid=DEFAULT_T_GRID))
+    assert len(cells) == len(DEFAULT_T_GRID) and [float(t) for t in cells] == list(DEFAULT_T_GRID)
+
+
 def test_emit_rejects_unknown_format():
     report = run_campaign(CampaignConfig(dims=(2,), num_obs=(1,), instances_per_cell=0))
     with pytest.raises(ConfigError, match="format"):

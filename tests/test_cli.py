@@ -189,12 +189,34 @@ def test_compute_invalid_instance(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     assert main(["compute", str(path)]) == 2
     assert "state" in capsys.readouterr().err
-    for functions in ("sld", []):  # a bare string, and nothing to evaluate
+    refused = {  # a bare string, and nothing to evaluate
+        "sld": "error: functions: expected a non-empty list of function specs, got 'sld'\n",
+        (): "error: functions: need at least one function spec\n",
+    }
+    for functions, message in refused.items():
         payload = json.loads((FIXTURES / "qubit_tight.json").read_text())
         payload["functions"] = functions
         path.write_text(json.dumps(payload))
         assert main(["compute", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: functions: expected a non-empty list")
+        assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize(
+    "functions, pairs, message",
+    [
+        (["sld", "wyd:0.5", "wy"], [["wy", "wyd:0.5"], ["sld", "sld"]], "functions: 'wyd:0.5' and 'wy' both read as 'wyd:0.5'"),
+        (["sld"], [["sld", "wy"], ["sld", "wy"]], "pairs: ('sld', 'wy') and ('sld', 'wy') both read as ('sld', 'wy')"),
+        (["sld"], [["sld", "sld"]], "pairs: ('sld', 'sld') pairs 'sld' with itself"),
+        (["sld"], [["wy", "wyd:0.5"]], "pairs: ('wy', 'wyd:0.5') pairs 'wy' with itself"),
+    ],
+)
+def test_compute_refuses_the_specs_that_verify_refuses(tmp_path, capsys, functions, pairs, message):
+    # each of these files once ran a function twice, or a pair whose every outcome is skipped, and exited 0
+    path = tmp_path / "refused.json"
+    payload = json.loads((FIXTURES / "qubit_tight.json").read_text())
+    path.write_text(json.dumps(dict(payload, functions=functions, pairs=pairs)))
+    assert main(["compute", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_compute_rejects_non_finite_entries(tmp_path, capsys):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from qfidet.campaign import CampaignConfig, ConfigError
 from qfidet.inequalities import PreparedInstance, check_conj1
 from qfidet.io import InstanceFormatError, load_instance, save_instance
 from qfidet.monotone import make_function
@@ -89,20 +91,47 @@ def test_rejects_missing_and_bad_fields(tmp_path):
         load_instance(_write(tmp_path, dict(GOOD, dim=1)))
     with pytest.raises(InstanceFormatError, match="observables"):
         load_instance(_write(tmp_path, dict(GOOD, observables=[])))
-    with pytest.raises(InstanceFormatError, match=r"functions\[0\]"):
+    with pytest.raises(InstanceFormatError, match=r"^functions: unknown function name 'nope'"):
         load_instance(_write(tmp_path, dict(GOOD, functions=["nope"])))
-    with pytest.raises(InstanceFormatError, match=r"pairs\[0\]"):
+    with pytest.raises(InstanceFormatError, match=r"^pairs: expected a pair of function specs, got \['sld'\]$"):
         load_instance(_write(tmp_path, dict(GOOD, pairs=[["sld"]])))
-    with pytest.raises(InstanceFormatError, match=r"pairs\[0\]"):
+    with pytest.raises(InstanceFormatError, match=r"^pairs: unknown function name 'nope'"):
         load_instance(_write(tmp_path, dict(GOOD, pairs=[["sld", "nope"]])))
-    for value in ("sld", [], {"f": "sld"}):
+    for value in ("sld", {"f": "sld"}):
         with pytest.raises(InstanceFormatError, match=r"functions: expected a non-empty list of function specs"):
             load_instance(_write(tmp_path, dict(GOOD, functions=value)))
+    with pytest.raises(InstanceFormatError, match=r"^functions: need at least one function spec$"):
+        load_instance(_write(tmp_path, dict(GOOD, functions=[])))
     for value in ("sld/wy", {"sld": "wy"}):
         with pytest.raises(InstanceFormatError, match=r"pairs: expected a list of \[f, g\] lists"):
             load_instance(_write(tmp_path, dict(GOOD, pairs=value)))
     with pytest.raises(InstanceFormatError, match="top level"):
         load_instance(_write(tmp_path, [1, 2]))
+
+
+# (rule, functions, pairs, the message with {F} and {P} for the caller's names of the two fields): a campaign config
+# and an instance file refuse the same function specs and pairs with the same text
+SPEC_RULES = [
+    ("empty", [], [], "{F}: need at least one function spec"),
+    ("function-unparsed", ["sld", "wyd:x"], [], "{F}: 'wyd:x': parameter 'x' is not a number"),
+    ("pair-unparsed", ["sld"], [["sld", "alpha:0.7"]], "{P}: alpha: parameter must lie in [0, 1/2], got 0.7"),
+    ("pair-of-one", ["sld"], [["sld"]], "{P}: expected a pair of function specs, got ['sld']"),
+    ("pair-of-three", ["sld"], [["sld", "wy", "wyd:0.3"]], "{P}: expected a pair of function specs, got ['sld', 'wy', 'wyd:0.3']"),
+    ("pair-string", ["sld"], ["sw"], "{P}: expected a pair of function specs, got 'sw'"),
+    ("pair-mapping", ["sld"], [{"f": "sld", "g": "wy"}], "{P}: expected a pair of function specs, got {{'f': 'sld', 'g': 'wy'}}"),
+    ("one-function-twice", ["wy", "wyd:0.5"], [], "{F}: 'wy' and 'wyd:0.5' both read as 'wy'"),
+    ("one-pair-twice", ["sld"], [["sld", "wy"], ["sld", "wy"]], "{P}: ('sld', 'wy') and ('sld', 'wy') both read as ('sld', 'wy')"),
+    ("self-pair", ["sld"], [["sld", "sld"]], "{P}: ('sld', 'sld') pairs 'sld' with itself"),
+    ("self-pair-two-labels", ["sld"], [["wyd:0.5", "wy"]], "{P}: ('wyd:0.5', 'wy') pairs 'wyd:0.5' with itself"),
+]
+
+
+@pytest.mark.parametrize("rule, functions, pairs, message", SPEC_RULES, ids=[row[0] for row in SPEC_RULES])
+def test_configs_and_instance_files_refuse_the_same_specs(tmp_path, rule, functions, pairs, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message.format(F='functions', P='function_pairs'))}$"):
+        CampaignConfig(functions=functions, function_pairs=pairs)
+    with pytest.raises(InstanceFormatError, match=f"^{re.escape(message.format(F='functions', P='pairs'))}$"):
+        load_instance(_write(tmp_path, dict(GOOD, functions=functions, pairs=pairs)))
 
 
 @pytest.mark.parametrize("field", ["state", "observables"])

@@ -9,9 +9,11 @@ with its window tol * scale reports what the definitions say, and that the
 Loewner form Cov >= Qov_f, which ``main`` follows from, fails wherever it does.
 
 Metamorphic relations: a unitary conjugation of the state and the family, a
-shift of each observable by a multiple of the identity, and a permutation of
-the family leave every bound unchanged, so they must leave every outcome of
-the campaign's checks unchanged too, and the planted violations with them.
+shift of each observable by a multiple of the identity, a permutation of the
+family and an integer map of the family with determinant +-1 leave every bound
+unchanged, so they must leave every outcome of the campaign's checks unchanged
+too, and the planted violations with them.  An invertible map C of the family
+takes Cov and every Qov_f to C K C^T, so it scales every determinant by det(C)^2.
 """
 from __future__ import annotations
 
@@ -56,48 +58,95 @@ def _permute(rng, state: np.ndarray, obs) -> tuple:
     return state, [obs[k] for k in rng.permutation(len(obs))]
 
 
-# relation -> (its map, whether the contraction outcomes are compared): contraction pinches in the
-# computational basis and reads the first observable, so only the shift leaves it unchanged
-RELATIONS = {"conjugation": (_conjugate, False), "shift": (_shift, True), "permutation": (_permute, False)}
+def _unimodular(rng, size: int) -> np.ndarray:
+    """An integer matrix of determinant +-1: a unit lower times a unit upper triangular matrix, each with its
+    entries below or above the diagonal in {-1, 0, 1}, with its rows signed and permuted."""
+    lower = np.eye(size, dtype=int) + np.tril(rng.integers(-1, 2, (size, size)), -1)
+    upper = np.eye(size, dtype=int) + np.triu(rng.integers(-1, 2, (size, size)), 1)
+    return (rng.choice((-1, 1), (size, 1)) * (lower @ upper))[rng.permutation(size)]
 
 
-def _outcomes(inst, contraction: bool) -> dict:
-    """(check, f, g, t) -> the outcome on ``inst``, of every layout entry."""
-    return {
-        (name, f and f.label, g and g.label, t): check(inst, *arguments)
-        for name, f, g, t, check, arguments in LAYOUT
-        if contraction or name != "contraction"
-    }
+def _mix(rng, state: np.ndarray, obs) -> tuple:
+    """(D, [sum_l C_kl A_l]) for a drawn integer C of determinant +-1."""
+    return state, [sum(c * a for c, a in zip(row, obs)) for row in _unimodular(rng, len(obs))]
 
 
-def _relation_breaks(relation: str) -> list:
-    """(seed, kind, outcome key, what differs) of each outcome that ``relation`` changes on the drawn instances."""
-    transform, contraction = RELATIONS[relation]
-    breaks = []
+# relation -> (its map, whether the contraction outcomes are compared, whether the determinants above their
+# windows are): contraction pinches in the computational basis and reads the first observable, so only the
+# shift leaves it unchanged; a conjugated state has its own eigensolve, whose rounding moved determinants of
+# near-singular instances by up to 4.1e-9 relative, while the other maps leave the state as it is
+RELATIONS = {
+    "conjugation": (_conjugate, False, False),
+    "shift": (_shift, True, True),
+    "permutation": (_permute, False, True),
+    "invertible-map": (_mix, False, True),
+}
+
+
+def _outcomes(state: np.ndarray, obs) -> dict:
+    """(check, f, g, t) -> the outcome on the instance (state, obs), of every layout entry."""
+    inst = PreparedInstance(density(state), list(obs))
+    return {(name, f and f.label, g and g.label, t): check(inst, *arguments) for name, f, g, t, check, arguments in LAYOUT}
+
+
+@lru_cache(maxsize=None)
+def _drawn() -> tuple:
+    """(seed, kind, state, observables, every outcome on them) of each instance the relations are tried on."""
+    drawn = []
     for n, n_obs in RELATION_CELLS:
         for kind in STATE_KINDS:
             for k in range(RELATION_DRAWS):
                 seed = derive_seed("relations", n, n_obs, kind, k)
                 views = instance_views(prepare_random(n, n_obs, seed, kind))
                 state, obs = views.state.matrix, list(views.observables)
-                moved_state, moved_obs = transform(np.random.default_rng(derive_seed(relation, seed)), state, obs)
-                before = _outcomes(PreparedInstance(density(state), obs), contraction)
-                after = _outcomes(PreparedInstance(density(moved_state), moved_obs), contraction)
-                for key, was in before.items():
-                    now = after[key]
-                    window = min(was.tol * was.scale, now.tol * now.scale)
-                    if (was.passed, was.hypothesis_ok) != (now.passed, now.hypothesis_ok):
-                        breaks.append((seed, kind, key, "verdict"))
-                    elif key[0] == "equality" and was.components["verdict"] != now.components["verdict"]:
-                        breaks.append((seed, kind, key, "equality verdict"))
-                    elif not abs(was.margin - now.margin) <= window:
-                        breaks.append((seed, kind, key, f"margin moved {now.margin - was.margin:.3e}, window {window:.1e}"))
+                drawn.append((seed, kind, state, obs, _outcomes(state, obs)))
+    return tuple(drawn)
+
+
+def _determinants_off(was, now, factor: float) -> list:
+    """The key of each determinant of ``was`` above both outcomes' windows that ``now`` does not give as
+    ``factor`` times it to within 1e-9 relative."""
+    window = max(was.tol * was.scale, now.tol * now.scale)
+    after = now.components
+    return [key for key, det in was.components.items() if key.startswith("det_") and det is not None and abs(det) > window
+            and not abs(after[key] - factor * det) <= 1e-9 * abs(factor * det)]
+
+
+def _relation_breaks(relation: str) -> list:
+    """(seed, kind, outcome key, what differs) of each outcome that ``relation`` changes on the drawn instances."""
+    transform, contraction, determinants = RELATIONS[relation]
+    breaks = []
+    for seed, kind, state, obs, before in _drawn():
+        after = _outcomes(*transform(np.random.default_rng(derive_seed(relation, seed)), state, obs))
+        for key, was in before.items():
+            if key[0] == "contraction" and not contraction:
+                continue
+            now = after[key]
+            window = min(was.tol * was.scale, now.tol * now.scale)
+            if (was.passed, was.hypothesis_ok) != (now.passed, now.hypothesis_ok):
+                breaks.append((seed, kind, key, "verdict"))
+            elif key[0] == "equality" and was.components["verdict"] != now.components["verdict"]:
+                breaks.append((seed, kind, key, "equality verdict"))
+            elif not abs(was.margin - now.margin) <= window:
+                breaks.append((seed, kind, key, f"margin moved {now.margin - was.margin:.3e}, window {window:.1e}"))
+            elif determinants and (moved := _determinants_off(was, now, 1.0)):
+                breaks.append((seed, kind, key, f"determinants moved: {', '.join(moved)}"))
     return breaks
 
 
 @pytest.mark.parametrize("relation", list(RELATIONS))
 def test_each_relation_leaves_every_outcome_of_every_check_unchanged(relation):
     assert _relation_breaks(relation) == []
+
+
+def test_doubling_the_first_observable_scales_every_determinant_by_four():
+    # C = diag(2, 1, ...), with det(C)^2 = 4; the windows grow with the family, so verdicts are not compared
+    off = []
+    for seed, kind, state, obs, before in _drawn():
+        after = _outcomes(state, [2.0 * obs[0], *obs[1:]])
+        off += [(seed, kind, key, moved) for key, was in before.items() if key[0] != "contraction"
+                for moved in _determinants_off(was, after[key], 4.0)]
+    assert off == []
 
 
 def test_the_planted_main_failures_survive_a_unitary_conjugation():
