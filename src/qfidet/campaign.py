@@ -29,7 +29,6 @@ import json
 import math
 import os
 import time
-from collections.abc import Mapping, Set
 from dataclasses import asdict, dataclass
 from itertools import groupby, product
 from operator import itemgetter
@@ -50,7 +49,7 @@ from .inequalities import (
     fill_contraction,
     prepare_random,
 )
-from .monotone import MonotoneFunction, parse_function_spec, read_function_specs
+from .monotone import MonotoneFunction, parse_function_spec, read_function_specs, read_sequence, require_distinct
 from .states import STATE_KINDS, derive_seed
 
 REPORT_VERSION = "qfi-report/6"
@@ -150,17 +149,6 @@ def _number(field: str, value, kind: type):
     return number
 
 
-def _items(field: str, value) -> tuple:
-    """The items of the sequence ``value``; ConfigError names ``field`` for a string, which would be read one
-    character at a time, a set or mapping, whose order can change with the hash seed, and a scalar."""
-    if not isinstance(value, (str, bytes, Set, Mapping)):
-        try:
-            return tuple(value)
-        except TypeError:  # not iterable: a number, a 0-d array
-            pass
-    raise ConfigError(f"{field}: expected a sequence, got {value!r}")
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     dims: tuple[int, ...] = (2, 3, 4)
@@ -180,18 +168,17 @@ class CampaignConfig:
 
     def __post_init__(self):
         coerce = object.__setattr__
-        coerce(self, "dims", tuple(_number("dims", n, int) for n in _items("dims", self.dims)))
-        coerce(self, "num_obs", tuple(_number("num_obs", n, int) for n in _items("num_obs", self.num_obs)))
+        coerce(self, "dims", tuple(_number("dims", n, int) for n in read_sequence("dims", self.dims, ConfigError)))
+        coerce(self, "num_obs", tuple(_number("num_obs", n, int) for n in read_sequence("num_obs", self.num_obs, ConfigError)))
         coerce(self, "instances_per_cell", _number("instances_per_cell", self.instances_per_cell, int))
-        functions, pairs = _items("functions", self.functions), _items("function_pairs", self.function_pairs)
-        functions, pairs = read_function_specs(functions, pairs, "functions", "function_pairs", ConfigError)
+        functions, pairs = read_function_specs(self.functions, self.function_pairs, "functions", "function_pairs", ConfigError)
         coerce(self, "functions", functions)
         coerce(self, "function_pairs", pairs)
-        coerce(self, "kinds", tuple(str(k) for k in _items("kinds", self.kinds)))
-        coerce(self, "t_grid", tuple(_number("t_grid", t, float) for t in _items("t_grid", self.t_grid)))
+        coerce(self, "kinds", tuple(str(k) for k in read_sequence("kinds", self.kinds, ConfigError)))
+        coerce(self, "t_grid", tuple(_number("t_grid", t, float) for t in read_sequence("t_grid", self.t_grid, ConfigError)))
         coerce(self, "tol", _number("tol", self.tol, float))
         coerce(self, "seed", _number("seed", self.seed, int))
-        coerce(self, "checks", tuple(str(c) for c in _items("checks", self.checks)))
+        coerce(self, "checks", tuple(str(c) for c in read_sequence("checks", self.checks, ConfigError)))
 
         if not self.dims:
             raise ConfigError("dims: need at least one dimension")
@@ -221,10 +208,7 @@ class CampaignConfig:
             if check not in CHECK_NAMES:
                 raise ConfigError(f"checks: unknown check {check!r}; expected one of {', '.join(CHECK_NAMES)}")
         for field in ("dims", "num_obs", "kinds", "t_grid", "checks"):
-            values = getattr(self, field)
-            for k, value in enumerate(values):
-                if value in values[:k]:
-                    raise ConfigError(f"{field}: {values[values.index(value)]!r} and {value!r} both read as {value!r}")
+            require_distinct(field, getattr(self, field), getattr(self, field), ConfigError)
         # a check with nothing to range over would pass with zero outcomes
         if "firey" in self.checks and not self.t_grid:
             raise ConfigError("t_grid: the firey check needs at least one t value")

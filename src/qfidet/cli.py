@@ -22,7 +22,6 @@ from .campaign import (
     CampaignConfig,
     CampaignProcessError,
     CheckPlan,
-    ConfigError,
     emit_report,
     run_campaign,
 )
@@ -34,7 +33,7 @@ from .states import STATE_KINDS
 
 
 def _convert(text: str, kind: type):
-    """``kind(text)`` for int or float; argparse prefixes an error with the option's name."""
+    """``kind(text)`` for str, int or float; argparse prefixes an error with the option's name."""
     try:
         return kind(text)
     except ValueError:
@@ -49,36 +48,12 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _worker_count(text: str) -> int:
-    """Type of ``--workers``: an integer of at least 1."""
-    value = _convert(text, int)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text}")
-    return value
-
-
-def _csv_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
-
-
-def _items(kind: type):
-    """Type of an option that lists ``kind`` values, separated by commas."""
-    return lambda text: [_convert(part, kind) for part in _csv_list(text)]
-
-
-def _parse_pairs(text: str) -> list[tuple[str, str]]:
-    pairs = []
-    for chunk in _csv_list(text):
-        parts = chunk.split("/")
-        if len(parts) != 2:
-            raise ConfigError(f"pairs: expected f/g, got {chunk!r}")
-        pairs.append((parts[0].strip(), parts[1].strip()))
-    return pairs
+def _listed(kind: type):
+    """Type of an option that lists ``kind`` values (str, int or float), separated by commas."""
+    return lambda text: [_convert(part.strip(), kind) for part in text.split(",") if part.strip()]
 
 
 def _cmd_verify(args) -> int:
-    if args.function_pairs is not None:
-        args.function_pairs = _parse_pairs(args.function_pairs)
     # each verify option is stored under its config field; an option not given keeps the field's default
     config = CampaignConfig(**{f.name: getattr(args, f.name) for f in fields(CampaignConfig) if getattr(args, f.name) is not None})
     report = run_campaign(config, workers=args.workers)
@@ -181,20 +156,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a randomized verification campaign")
     verify.add_argument("--seed", type=lambda text: _convert(text, int), default=None, help="root seed for instance derivation")
-    verify.add_argument("--dims", type=_items(int), default=None, help="comma-separated state dimensions, e.g. 2,3,4")
-    verify.add_argument("--num-obs", type=_items(int), default=None, help="comma-separated observable counts")
+    verify.add_argument("--dims", type=_listed(int), default=None, help="comma-separated state dimensions, e.g. 2,3,4")
+    verify.add_argument("--num-obs", type=_listed(int), default=None, help="comma-separated observable counts")
     verify.add_argument(
         "--instances", dest="instances_per_cell", type=lambda text: _convert(text, int), default=None, help="instances per (n, N, kind) cell"
     )
-    verify.add_argument("--functions", type=_csv_list, default=None, help="comma-separated function specs, e.g. sld,wyd:0.3")
-    verify.add_argument("--pairs", dest="function_pairs", default=None, help="comma-separated f/g pairs, e.g. sld/wy")
-    verify.add_argument("--t-grid", type=_items(float), default=None, help="comma-separated t values in [0,1]")
+    verify.add_argument("--functions", type=_listed(str), default=None, help="comma-separated function specs, e.g. sld,wyd:0.3")
+    verify.add_argument(
+        "--pairs", dest="function_pairs", type=lambda text: [tuple(spec.strip() for spec in pair.split("/")) for pair in _listed(str)(text)],
+        default=None, help="comma-separated f/g pairs, e.g. sld/wy",
+    )
+    verify.add_argument("--t-grid", type=_listed(float), default=None, help="comma-separated t values in [0,1]")
     verify.add_argument("--tol", type=_tolerance, default=None, help=f"relative tolerance (default {DEFAULT_TOL:g})")
-    verify.add_argument("--kinds", type=_csv_list, default=None, help=f"state kinds from: {','.join(STATE_KINDS)}")
-    verify.add_argument("--checks", type=_csv_list, default=None, help=f"checks from: {','.join(CHECK_NAMES)}")
+    verify.add_argument("--kinds", type=_listed(str), default=None, help=f"state kinds from: {','.join(STATE_KINDS)}")
+    verify.add_argument("--checks", type=_listed(str), default=None, help=f"checks from: {','.join(CHECK_NAMES)}")
     verify.add_argument("--out", default=None, help="write the report to this path")
     verify.add_argument("--format", choices=("json", "csv"), default="json")
-    verify.add_argument("--workers", type=_worker_count, default=1)
+    verify.add_argument("--workers", type=lambda text: _convert(text, int), default=1)
     verify.set_defaults(handler=_cmd_verify)
 
     compute = sub.add_parser("compute", help="run every check on one instance file")

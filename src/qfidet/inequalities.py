@@ -477,9 +477,7 @@ def check_firey(
     Note t K_big + (1-2t) K_small = (1-t) K_small + t (K_big - K_small), so
     this is the Firey combination of the two summands on the right.
     """
-    if not 0.0 <= t <= 1.0:  # the range test, inline; its error only where it fails
-        _require_unit(t)
-    return _pencil("firey", inst, f, g, t, tol)
+    return _pencil("firey", inst, f, g, t, tol)  # the memo fill refuses a t outside [0, 1]
 
 
 def check_robertson(inst: PreparedInstance, tol: float = DEFAULT_TOL) -> InequalityReport:

@@ -86,10 +86,6 @@ def load_instance(path: str | Path) -> LoadedInstance:
     checked = [_checked_matrix(raw, dim, f"observables[{k}]", observable) for k, raw in enumerate(raw_obs)]
 
     functions, pairs = payload.get("functions", ["sld"]), payload.get("pairs", [])
-    if not isinstance(functions, list):
-        raise InstanceFormatError(f"functions: expected a non-empty list of function specs, got {functions!r}")
-    if not isinstance(pairs, list):
-        raise InstanceFormatError(f"pairs: expected a list of [f, g] lists, got {pairs!r}")
     functions, pairs = read_function_specs(functions, pairs, "functions", "pairs", InstanceFormatError)
     return LoadedInstance(state, tuple(checked), functions, pairs)
 

@@ -37,6 +37,8 @@ __all__ = [
     "CATALOG_NAMES",
     "make_function",
     "parse_function_spec",
+    "read_sequence",
+    "require_distinct",
     "read_function_specs",
     "mean",
     "tilde",
@@ -255,19 +257,40 @@ def parse_function_spec(spec: str) -> MonotoneFunction:
     return make_function(name, param)
 
 
+def read_sequence(field: str, value, error: type[ValueError]) -> tuple:
+    """The items of ``value``.  ``error``, prefixed with ``field``, refuses text, which would be read one character
+    at a time, bytes, a set or mapping, whose order can change with the hash seed, and a scalar."""
+    if not isinstance(value, (str, bytes, Set, Mapping)):
+        try:
+            return tuple(value)
+        except TypeError:  # not iterable: a number, a 0-d array
+            pass
+    raise error(f"{field}: expected a sequence, got {value!r}")
+
+
+def require_distinct(field: str, items, read_as, error: type[ValueError]):
+    """``read_as``, what each of ``items`` reads as; ``error``, prefixed with ``field``, refuses the first item that
+    reads as an earlier one."""
+    for k, key in enumerate(read_as):
+        if key in read_as[:k]:
+            raise error(f"{field}: {items[read_as.index(key)]!r} and {items[k]!r} both read as {key!r}")
+    return read_as
+
+
 def read_function_specs(functions, pairs, functions_field: str, pairs_field: str, error: type[ValueError]) -> tuple:
     """(functions, pairs) as a tuple of specs and a tuple of (f, g) specs, each spec a string.
 
-    ``error``, prefixed with the field's name, refuses a pair that is not a sequence of two specs, an empty
-    function list, a spec that does not parse, two functions or two pairs that read as one, which would count
-    outcomes twice, and a pair of a function with itself.  A spec reads as the label of the first spec of its
-    list with the same f(0) and ``STANDARD_GRID`` values to within 1e-12 relative.
+    ``error``, prefixed with the field's name, refuses a ``functions`` or ``pairs`` that is not a sequence
+    (``read_sequence``), a pair that is not a sequence of two specs, an empty function list, a spec that does not
+    parse, two functions or two pairs that read as one, which would count outcomes twice, and a pair of a function
+    with itself.  A spec reads as the label of the first spec of its list with the same f(0) and
+    ``STANDARD_GRID`` values to within 1e-12 relative.
     """
-    checked = []
-    for pair in pairs:  # a string or mapping of two would unpack, and a set has no fixed order
+    functions, checked = read_sequence(functions_field, functions, error), []
+    for pair in read_sequence(pairs_field, pairs, error):
         try:
-            f, g = () if isinstance(pair, (str, bytes, Set, Mapping)) else pair
-        except (TypeError, ValueError):
+            f, g = read_sequence(pairs_field, pair, error)
+        except ValueError:  # not a sequence, or not of two
             raise error(f"{pairs_field}: expected a pair of function specs, got {pair!r}") from None
         checked.append((str(f), str(g)))
     functions, pairs = tuple(str(spec) for spec in functions), tuple(checked)
@@ -283,15 +306,9 @@ def read_function_specs(functions, pairs, functions_field: str, pairs_field: str
         values = [(f.label, np.append(f.value_at_zero, f(STANDARD_GRID))) for f in members]
         return [next(label for label, y in values if np.all(abs(y - x) <= 1e-12 * np.maximum(y, x))) for _, x in values]
 
-    def distinct(field: str, items, read_as: list) -> list:
-        for k, key in enumerate(read_as):
-            if key in read_as[:k]:
-                raise error(f"{field}: {items[read_as.index(key)]!r} and {items[k]!r} both read as {key!r}")
-        return read_as
-
-    distinct(functions_field, functions, keys(functions_field, functions))
+    require_distinct(functions_field, functions, keys(functions_field, functions), error)
     flat = iter(keys(pairs_field, [spec for pair in pairs for spec in pair]))
-    for pair, (f, g) in zip(pairs, distinct(pairs_field, pairs, list(zip(flat, flat)))):
+    for pair, (f, g) in zip(pairs, require_distinct(pairs_field, pairs, list(zip(flat, flat)), error)):
         if f == g:  # no function strictly dominates itself, so each of its outcomes would be skipped
             raise error(f"{pairs_field}: {pair!r} pairs {f!r} with itself")
     return functions, pairs

@@ -1,8 +1,10 @@
 """Reference computations used only by the test suite.
 
 Two kinds live here.  The independent oracles deliberately avoid the
-library's own code paths: exact determinants by elimination in rationals, the
-metric through an explicit superoperator matrix in the standard basis,
+library's own code paths: exact determinants by elimination in rationals,
+exact rational instances (``exact_instance``: a Cayley unitary, a spectrum of
+squares and Gaussian-integer observables, with every Gram matrix and
+determinant in ``Fraction``), the metric through an explicit superoperator matrix in the standard basis,
 diagonalized whole by numpy's ``eigh`` instead of through the state's
 eigenframe, matrix functions and smallest eigenvalues straight from numpy's
 ``eigh`` and ``eigvalsh``, and the drawn instances rebuilt one matrix at a
@@ -66,7 +68,12 @@ from qfidet.states import DensityMatrix, EigenFrame, offdiagonal_dependence, pin
 def det_exact(m) -> Fraction:
     """Exact determinant of a real matrix's float entries, by Gaussian
     elimination in ``fractions.Fraction``."""
-    a = [[Fraction(x) for x in row] for row in np.asarray(m, dtype=float).tolist()]
+    return det_rational([[Fraction(x) for x in row] for row in np.asarray(m, dtype=float).tolist()])
+
+
+def det_rational(rows) -> Fraction:
+    """Determinant of a square matrix of rationals, given as rows, by Gaussian elimination."""
+    a = [list(row) for row in rows]
     n = len(a)
     det = Fraction(1)
     for j in range(n):
@@ -478,3 +485,103 @@ def components_reference(name: str, inst, f, g, t, tol: float) -> dict:
         window = tol * max(1.0, before) + 4.0 * inst._block.frame.dim * float(np.finfo(float).eps) / floor * before
         return {"before": before, "after": after, "window": window, "blocks": blocks, "f": f.label}
     raise ValueError(f"{name}: no components")
+
+
+class ExactInstance(NamedTuple):
+    """A state and family with rational spectrum, eigenvectors and frame, and their exact determinants."""
+
+    state: np.ndarray  # U diag(lambda) U^dagger, each entry rounded to the nearest double
+    observables: list  # Gaussian-integer Hermitian matrices, exact as doubles
+    det: dict  # "cov", "sld", "wy" and "robertson" -> the determinant of that matrix, as a Fraction
+
+
+def _product(a, b) -> list:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _inverse(a) -> list:
+    """Inverse of an invertible matrix of rationals, by Gauss-Jordan elimination."""
+    n = len(a)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for j in range(n):
+        pivot = next(i for i in range(j, n) if rows[i][j])
+        rows[j], rows[pivot] = rows[pivot], rows[j]
+        rows[j] = [x / rows[j][j] for x in rows[j]]
+        for i in range(n):
+            if i != j and rows[i][j]:
+                rows[i] = [x - rows[i][j] * y for x, y in zip(rows[i], rows[j])]
+    return [row[n:] for row in rows]
+
+
+def _real_form(m) -> list:
+    """The complex matrix m, of Gaussian rationals, as the real matrix [[Re m, -Im m], [Im m, Re m]] of
+    Fractions: products, inverses and transposes of these forms are those of the matrices and adjoints."""
+    re, im = [[[Fraction(v) for v in row] for row in part] for part in (np.real(m), np.imag(m))]
+    return [r + [-v for v in i] for r, i in zip(re, im)] + [i + r for r, i in zip(re, im)]
+
+
+def _entries(form) -> list:
+    """The complex matrix of a real form, as rows of (re, im) Fraction pairs."""
+    n = len(form) // 2
+    return [[(form[h][j], form[n + h][j]) for j in range(n)] for h in range(n)]
+
+
+def exact_instance(n: int, n_obs: int, kind: str, dependent: bool, seed: int) -> ExactInstance:
+    """An instance whose quantities are all rational, from one generator seeded with ``seed``.
+
+    The eigenvectors are the columns of the Cayley unitary U = (I - K)(I + K)^-1 of a skew-Hermitian K
+    with Gaussian-integer entries in [-3, 3].  The spectrum is lambda_h = s_h^2 / sum s^2 for integers
+    s_h: distinct ones in [1, 12] for ``generic``, with the first repeated for ``degenerate``, and 1
+    beside distinct ones in [300, 999] for ``near-singular``.  So sqrt(lambda_h lambda_j) is rational,
+    and with it the weights of Cov, (lambda_h + lambda_j)/2, of Qov_sld,
+    (lambda_h - lambda_j)^2 / (2 (lambda_h + lambda_j)), and of Qov_wy, (s_h - s_j)^2 / (2 sum s^2).
+    The observables are Hermitian with Gaussian-integer entries in [-3, 3]; a ``dependent`` family's
+    last one is an integer combination of the others plus a nonzero multiple of I.  The frame is
+    U^dagger (A - Tr(D A) I) U, and the commutator matrix sums Im(lambda_h X^k_hj X^l_jh).
+    """
+    rng = np.random.default_rng(seed)
+
+    def gaussian_integers(sign: int) -> np.ndarray:
+        """An n x n matrix with Gaussian-integer entries in [-3, 3] that is ``sign`` times its adjoint."""
+        re, im, diagonal = rng.integers(-3, 4, (3, n, n))
+        upper = np.triu(re + 1j * im, 1)
+        return upper + sign * upper.conj().T + np.diag(np.diag(diagonal)) * (1 if sign > 0 else 1j)
+
+    if kind == "near-singular":
+        s = [1, *(int(v) for v in rng.choice(np.arange(300, 1000), n - 1, replace=False))]
+    else:
+        s = [int(v) + 1 for v in rng.choice(12, n, replace=False)]
+        if kind == "degenerate":
+            s[1] = s[0]
+    total = sum(v * v for v in s)
+    lam = [Fraction(v * v, total) for v in s]
+    k, eye = gaussian_integers(-1), np.eye(n)
+    u = _product(_real_form(eye - k), _inverse(_real_form(eye + k)))
+    adjoint = [list(col) for col in zip(*u)]
+    state = _entries(_product(_product(u, _real_form(np.diag(lam))), adjoint))
+    family = [gaussian_integers(1) for _ in range(n_obs)]
+    if dependent:
+        c = rng.integers(-2, 3, n_obs).tolist()
+        family[-1] = sum(ck * a for ck, a in zip(c, family[:-1])) + (c[-1] or 1) * eye
+    frames = []
+    for a in family:
+        x = _entries(_product(_product(adjoint, _real_form(a)), u))
+        mean = sum(lam[h] * x[h][h][0] for h in range(n))
+        frames.append([[(re - mean * (h == j), im) for j, (re, im) in enumerate(row)] for h, row in enumerate(x)])
+
+    def gram(weight, imaginary: bool) -> list:
+        """The N x N matrix of sum_hj weight(h, j) X^k_hj X^l_jh, its real or its imaginary part."""
+        def entry(x, y):
+            terms = ((weight(h, j), x[h][j], y[j][h]) for h in range(n) for j in range(n))
+            return sum(w * (a * d + b * c if imaginary else a * c - b * d) for w, (a, b), (c, d) in terms)
+        return [[entry(x, y) for y in frames] for x in frames]
+
+    weights = {
+        "cov": lambda h, j: (lam[h] + lam[j]) / 2,
+        "sld": lambda h, j: (lam[h] - lam[j]) ** 2 / (2 * (lam[h] + lam[j])),
+        "wy": lambda h, j: Fraction((s[h] - s[j]) ** 2, 2 * total),
+        "robertson": lambda h, j: lam[h],
+    }
+    det = {side: det_rational(gram(weight, side == "robertson")) for side, weight in weights.items()}
+    rounded = np.array([[complex(float(re), float(im)) for re, im in row] for row in state])
+    return ExactInstance(rounded, family, det)

@@ -106,6 +106,24 @@ def test_verify_refuses_a_pair_of_one_function_under_two_labels(capsys):
     assert capsys.readouterr().err == "error: functions: 'wy' and 'wyd:0.5' both read as 'wy'\n"
 
 
+@pytest.mark.parametrize("pairs", ["sld", "sld/wy/x"])
+def test_verify_pairs_that_are_not_two_specs_read_as_the_config_field(pairs, capsys):
+    # --pairs only splits each chunk on "/"; the config judges the shape and names its own field
+    assert main(["verify", "--dims", "3", "--num-obs", "2", "--instances", "1", "--pairs", pairs]) == 2
+    captured = capsys.readouterr()
+    expected = tuple(pairs.split("/"))
+    assert captured.err == f"error: function_pairs: expected a pair of function specs, got {expected!r}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_verify_worker_count_below_one_is_refused_by_the_campaign(workers, capsys):
+    # --workers converts the text only; run_campaign judges the count, before any instance is drawn
+    assert main(["verify", "--instances", "1", "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: workers: must be at least 1, got {workers}\n" and captured.out == ""
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -118,6 +136,7 @@ def test_verify_refuses_a_pair_of_one_function_under_two_labels(capsys):
         (["verify", "--t-grid", "0.5,x"], "argument --t-grid: not a number: 'x'"),
         (["verify", "--instances", "abc"], "argument --instances: not an integer: 'abc'"),
         (["verify", "--seed", "1.5"], "argument --seed: not an integer: '1.5'"),
+        (["verify", "--workers", "x"], "argument --workers: not an integer: 'x'"),
     ],
 )
 def test_numeric_option_errors_name_the_option_and_the_text(args, message, capsys):
@@ -190,7 +209,7 @@ def test_compute_invalid_instance(tmp_path, capsys):
     assert main(["compute", str(path)]) == 2
     assert "state" in capsys.readouterr().err
     refused = {  # a bare string, and nothing to evaluate
-        "sld": "error: functions: expected a non-empty list of function specs, got 'sld'\n",
+        "sld": "error: functions: expected a sequence, got 'sld'\n",
         (): "error: functions: need at least one function spec\n",
     }
     for functions, message in refused.items():

@@ -98,12 +98,12 @@ def test_rejects_missing_and_bad_fields(tmp_path):
     with pytest.raises(InstanceFormatError, match=r"^pairs: unknown function name 'nope'"):
         load_instance(_write(tmp_path, dict(GOOD, pairs=[["sld", "nope"]])))
     for value in ("sld", {"f": "sld"}):
-        with pytest.raises(InstanceFormatError, match=r"functions: expected a non-empty list of function specs"):
+        with pytest.raises(InstanceFormatError, match=f"^functions: expected a sequence, got {re.escape(repr(value))}$"):
             load_instance(_write(tmp_path, dict(GOOD, functions=value)))
     with pytest.raises(InstanceFormatError, match=r"^functions: need at least one function spec$"):
         load_instance(_write(tmp_path, dict(GOOD, functions=[])))
     for value in ("sld/wy", {"sld": "wy"}):
-        with pytest.raises(InstanceFormatError, match=r"pairs: expected a list of \[f, g\] lists"):
+        with pytest.raises(InstanceFormatError, match=f"^pairs: expected a sequence, got {re.escape(repr(value))}$"):
             load_instance(_write(tmp_path, dict(GOOD, pairs=value)))
     with pytest.raises(InstanceFormatError, match="top level"):
         load_instance(_write(tmp_path, [1, 2]))
@@ -113,6 +113,11 @@ def test_rejects_missing_and_bad_fields(tmp_path):
 # and an instance file refuse the same function specs and pairs with the same text
 SPEC_RULES = [
     ("empty", [], [], "{F}: need at least one function spec"),
+    ("functions-string", "sld", [], "{F}: expected a sequence, got 'sld'"),
+    ("functions-mapping", {"f": "sld"}, [], "{F}: expected a sequence, got {{'f': 'sld'}}"),
+    ("pairs-string", ["sld"], "sld/wy", "{P}: expected a sequence, got 'sld/wy'"),
+    ("pairs-mapping", ["sld"], {"sld": "wy"}, "{P}: expected a sequence, got {{'sld': 'wy'}}"),
+    ("pairs-number", ["sld"], 7, "{P}: expected a sequence, got 7"),
     ("function-unparsed", ["sld", "wyd:x"], [], "{F}: 'wyd:x': parameter 'x' is not a number"),
     ("pair-unparsed", ["sld"], [["sld", "alpha:0.7"]], "{P}: alpha: parameter must lie in [0, 1/2], got 0.7"),
     ("pair-of-one", ["sld"], [["sld"]], "{P}: expected a pair of function specs, got ['sld']"),
