@@ -73,7 +73,8 @@ def _cmd_verify(args) -> int:
 
 
 def _show(rep) -> int:
-    """Print one outcome of ``compute``; return 1 if it counts as a failure."""
+    """Print one outcome of ``compute``; return 1 if it counts as a failure.  A margin inside its window
+    prints as ``within window``: there it is a rounding residue whose digits depend on the BLAS kernel."""
     facts = rep.components
     if rep.name == "equality":
         print(
@@ -86,7 +87,9 @@ def _show(rep) -> int:
         if not rep.hypothesis_ok:
             status = "skipped (dominance hypothesis not met)"
         extras = " ".join(f"{k}={v:.12g}" for k, v in facts.items() if isinstance(v, float))
-        print(f"  {rep.name}: lhs={rep.lhs:.12g} rhs={rep.rhs:.12g} margin={rep.margin:.3e} [{status}]")
+        window = facts.get("window", rep.tol * rep.scale)  # the contraction's window is its own
+        margin = "within window" if abs(rep.margin) <= window else f"{rep.margin:.3e}"
+        print(f"  {rep.name}: lhs={rep.lhs:.12g} rhs={rep.rhs:.12g} margin={margin} [{status}]")
         if extras:
             print(f"    {extras}")
     return 1 if rep.violated else 0

@@ -42,6 +42,7 @@ from .linalg import (
     _real_stack,
     det_antisymmetric,
     det_real_symmetric,
+    hermitian_eigen,
     numeric_rank,
 )
 from .monotone import MonotoneFunction, dominates
@@ -554,11 +555,10 @@ def minkowski_firey_selftest(
     if k.shape != l.shape or k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError(f"need two equal square matrices, got {k.shape} and {l.shape}")
     n = k.shape[0]
-    named = (("K", k), ("L", l))
     # each checked as its determinant call checks it, then max(1, the largest entry of either)
-    scale = max(1.0, *(float(np.abs(_real_stack(m[:, :, None], 1.0, name)).max()) for name, m in named))
-    for name, m in named:
-        if np.linalg.eigvalsh(m)[0] < -1e-10 * scale:
+    scale = max(1.0, *(float(np.abs(_real_stack(m[:, :, None], 1.0, name)).max()) for name, m in zip("KL", (k, l))))
+    for name, least in zip("KL", hermitian_eigen(np.stack((k, l), axis=-1)).eigenvalues[:, 0]):
+        if least < -1e-10 * scale:
             raise ValueError(f"{name} is not positive semidefinite")
     window = tol * scale**n
     dets = det_real_symmetric(np.stack((k, l, (1.0 - t) * k + t * l), axis=-1)).tolist()
@@ -574,21 +574,21 @@ def fill_contraction(states, x, partitions, functions) -> dict:
     """Both sides of the contraction check for each f and each of B instances: their ``states`` as
     ``density_stack`` returns them, a (B, n, n) stack ``x`` of checked, exactly Hermitian tangents and one
     partition each.  f -> one (before, after, least eigenvalue of the state and of the pinched state, number
-    of blocks) per instance.  One ``pinching`` call pinches the states and the traceless X0, and one ``eigh``
-    takes the pinched states, tested only against ``POSITIVITY_FLOOR`` (pinching keeps a state finite,
-    Hermitian and its diagonal bit for bit).  Each X0 and its pinching are rotated by one stacked matmul
-    (Hermitian by construction, so unchecked), then per function one ``pair_means`` call over the
-    (B, 2, n) spectra and one weighted sum over the (B, 2, n, n) products."""
+    of blocks) per instance.  One ``pinching`` call pinches the states and the traceless X0, and one
+    ``hermitian_eigen`` call takes the pinched states, tested only against ``POSITIVITY_FLOOR`` (pinching
+    keeps a state finite, Hermitian and its diagonal bit for bit).  Each X0 and its pinching are rotated by
+    one stacked matmul (Hermitian by construction, so unchecked), then per function one ``pair_means`` call
+    over the (B, 2, n) spectra and one weighted sum over the (B, 2, n, n) products."""
     matrices, values, vectors = states
     n = x.shape[-1]
     x0 = x - (np.trace(x, axis1=-2, axis2=-1).real / n)[:, None, None] * np.eye(n)
     pinched = pinching(np.stack((matrices, x0), axis=1), partitions)
-    pinched_values, pinched_vectors = np.linalg.eigh(pinched[:, 0])
-    _require_positive(pinched_values)
-    u = np.stack((vectors, pinched_vectors), axis=1)
+    pinched_eigen = hermitian_eigen(np.moveaxis(pinched[:, 0], 0, -1))
+    _require_positive(pinched_eigen.eigenvalues)
+    u = np.stack((vectors, pinched_eigen.unitary), axis=1)
     r = np.swapaxes(u.conj(), -1, -2) @ np.stack((x0, pinched[:, 1]), axis=1) @ u
     products = r.conj() * r
-    spectra = np.stack((values, pinched_values), axis=1)
+    spectra = np.stack((values, pinched_eigen.eigenvalues), axis=1)
     floors = spectra[:, :, 0].min(axis=1).tolist()
     blocks = [len(partition) for partition in partitions]
     got = {}

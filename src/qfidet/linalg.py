@@ -2,9 +2,9 @@
 
 Matrices are plain complex128 ndarrays.  The norms, the eigensolver, the
 determinants and the ranks take stacks only, as a block evaluates them: one
-matrix is a stack of one.  Eigenvalues and eigenvectors come only from LAPACK
-(``np.linalg.eigh``).  Determinants are taken directly: by cofactor expansion
-up to 3x3 and by LU above.
+matrix is a stack of one.  ``hermitian_eigen`` is the package's one caller of
+LAPACK's eigensolver (``np.linalg.eigh``).  Determinants are taken directly: by
+cofactor expansion up to 3x3 and by LU above.
 """
 from __future__ import annotations
 

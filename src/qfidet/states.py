@@ -79,34 +79,28 @@ class DensityMatrix:
 
 
 def density(matrix) -> DensityMatrix:
-    """Validate and wrap a state: ``density_stack`` of a block of one."""
-    m, values, vectors = density_stack(as_complex_matrix(matrix, label="state")[None], None)
+    """Validate and wrap a state: its Hermitian part, once it is finite and Hermitian, as a block of one."""
+    m = as_complex_matrix(matrix, label="state")
+    require_hermitian(m, label="state")
+    h = hermitian_part(m)[None]
+    m, values, vectors = density_stack(h, hermitian_eigen(np.moveaxis(h, 0, -1)))
     return DensityMatrix(m[0], EigenDecomposition(values[0], vectors[0]))
 
 
-def density_stack(matrices: np.ndarray, eigen: EigenDecomposition | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate a (B, n, n) stack of states; return their Hermitian parts, eigenvalues and eigenvectors.
+def density_stack(matrices: np.ndarray, eigen: EigenDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate a (B, n, n) stack of exactly Hermitian states with their ``eigen`` decompositions
+    (``hermitian_eigen``'s); return the states, eigenvalues and eigenvectors.
 
-    Each matrix must be of trace one within ``_TRACE_TOL`` and its least
-    eigenvalue must reach ``POSITIVITY_FLOOR``.  For ``eigen`` None each must
-    be finite and Hermitian too, and one ``np.linalg.eigh`` of the stack takes
-    them; supplied ones (``random_density_stack``'s, of states exactly Hermitian
-    and checked by ``hermitian_eigen``) must reconstruct their matrices.  The
-    first that fails raises the ``ValueError`` ``density`` raises for it alone.
+    Each decomposition must reconstruct its matrix, each matrix must be of
+    trace one within ``_TRACE_TOL``, and its least eigenvalue must reach
+    ``POSITIVITY_FLOOR``.  The first that fails raises the ``ValueError``
+    ``density`` raises for it alone.
     """
-    if eigen is None:
-        require_hermitian(matrices, label="state")
-        m = hermitian_part(matrices)
-        # m is exactly Hermitian now, so LAPACK needs no second check
-        values, vectors = np.linalg.eigh(m)
-    else:
-        m, values, vectors = matrices, eigen.eigenvalues, eigen.unitary
-        residual = frobenius(eigen.reconstruct() - m)
-        wrong = residual > 1e-11 * np.maximum(1.0, frobenius(m))
-        if wrong.any():
-            raise ValueError(
-                f"supplied eigendecomposition does not match the state (residual {residual[np.argmax(wrong)]:.3e})"
-            )
+    m, values, vectors = matrices, eigen.eigenvalues, eigen.unitary
+    residual = frobenius(eigen.reconstruct() - m)
+    wrong = residual > 1e-11 * np.maximum(1.0, frobenius(m))
+    if wrong.any():
+        raise ValueError(f"supplied eigendecomposition does not match the state (residual {residual[np.argmax(wrong)]:.3e})")
     tr = np.trace(m, axis1=-2, axis2=-1).real
     wrong = np.abs(tr - 1.0) > _TRACE_TOL
     if wrong.any():

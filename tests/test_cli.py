@@ -280,6 +280,33 @@ def test_compute_output_at_n4_matches_the_golden_file(monkeypatch, capsys):
     _compute_matches_its_golden_file(monkeypatch, capsys, "n4_pair")
 
 
+@pytest.mark.parametrize(
+    "name, margin, window, shown",
+    [
+        ("main", 0.0, None, "within window [pass]"),
+        ("main", -1e-9, None, "within window [pass]"),
+        ("main", 1e-9, None, "within window [pass]"),
+        ("main", 2e-9, None, "2.000e-09 [pass]"),
+        ("main", -1.5e-9, None, "-1.500e-09 [FAIL]"),
+        # the contraction's window is its own, here wider than tol * scale
+        ("contraction", 5e-7, 1e-6, "within window [pass]"),
+        ("contraction", -2e-6, 1e-6, "-2.000e-06 [FAIL]"),
+    ],
+    ids=["zero", "lower-edge", "upper-edge", "above", "below", "contraction-inside", "contraction-below"],
+)
+def test_compute_prints_a_margin_inside_its_window_as_one_text(capsys, name, margin, window, shown):
+    # a margin inside the window is a rounding residue whose digits depend on the BLAS kernel
+    from qfidet.cli import _show
+    from qfidet.inequalities import _report
+    from qfidet.monotone import parse_function_spec
+
+    f = parse_function_spec("sld")
+    values = (margin, 0.0, f) if window is None else (margin, 0.0, window, 2, f)
+    rep = _report(name, margin, 0.0, 1.0, 1e-9, values, "digest", window=window)
+    assert _show(rep) == (0 if rep.passed else 1)
+    assert capsys.readouterr().out.splitlines()[0].endswith(f" margin={shown}")
+
+
 @pytest.mark.parametrize("name", ["qubit_tight", "n4_pair"])
 def test_compute_builds_one_block_for_its_instance(monkeypatch, capsys, name):
     # every outcome fills what it reads in the block the instance was built in, and the memos carry over

@@ -609,17 +609,22 @@ def test_a_clamp_failure_inside_a_block_raises_its_instances_error():
         with pytest.raises(ArithmeticError) as inside:
             check(inst, *args)
         assert str(inside.value) == _conj1_error(seed)
-    # a campaign that reaches such an instance stops with its text
+    # a campaign that reaches such an instance stops with its text; which instance fails first depends
+    # on rounding signs, so on the BLAS kernel: the campaign seed is the first, from the default on, whose
+    # first failing instance lies inside a block, after a clean instance
+    for seed in range(CampaignConfig.seed, CampaignConfig.seed + 100):
+        texts = (_conj1_error(derive_seed(seed, 2, 3, "generic", k)) for k in range(BLOCK_INSTANCES - 1))
+        index, text = next(((k, text) for k, text in enumerate(texts) if text is not None), (None, None))
+        if index:
+            break
+    assert 0 < index < BLOCK_INSTANCES - 1
     config = CampaignConfig(
         dims=(2,), num_obs=(3,), instances_per_cell=BLOCK_INSTANCES + 4, functions=("sld",), function_pairs=(),
-        kinds=("generic",), tol=1e-30, checks=("main", "conj1"),
+        kinds=("generic",), tol=1e-30, checks=("main", "conj1"), seed=seed,
     )
-    texts = [_conj1_error(derive_seed(config.seed, 2, 3, "generic", k)) for k in range(config.instances_per_cell)]
-    index = next(k for k, text in enumerate(texts) if text is not None)
-    assert 0 < index < BLOCK_INSTANCES - 1  # inside a block, after a clean instance
     with pytest.raises(ArithmeticError) as campaign:
         run_campaign(config)
-    assert str(campaign.value) == texts[index]
+    assert str(campaign.value) == text
 
 
 def test_a_det_qov_g_below_its_window_raises_though_the_hypothesis_failed():

@@ -10,6 +10,10 @@ uses.  Methods and properties are matched by name alone, not by class, so a
 name that another class or a module also defines limits the walk: a property
 ``PreparedInstance.state`` would count as used by every read of
 ``LoadedInstance.state``.
+
+The surface has one door to numpy's linear algebra: no module but ``linalg.py``
+names ``np.linalg``, so every eigendecomposition goes through
+``linalg.hermitian_eigen`` (and its tracer sees them all).
 """
 from __future__ import annotations
 
@@ -117,4 +121,51 @@ def test_the_walk_counts_loads_attributes_and_check_names_only(tmp_path):
         ("a", "Shown.recursive_method"),
         ("a", "Shown.unread"),
         ("b", "user"),
+    ]
+
+
+def _linalg_uses(src: Path) -> list:
+    """(module, line, text) of each ``np.linalg`` (or ``numpy.linalg``) name and each import from
+    ``numpy.linalg`` in ``src`` outside ``linalg.py``.  An exception type named in an ``except``
+    clause, such as ``np.linalg.LinAlgError``, is not a use."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text())
+        caught = {id(sub) for h in ast.walk(tree) if isinstance(h, ast.ExceptHandler) and h.type for sub in ast.walk(h.type)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value) in ("np.linalg", "numpy.linalg"):
+                used = id(node) not in caught
+            elif isinstance(node, ast.ImportFrom):
+                used = (node.module or "").startswith("numpy.linalg")
+            elif isinstance(node, ast.Import):
+                used = any(alias.name.startswith("numpy.linalg") for alias in node.names)
+            else:
+                used = False
+            if used:
+                found.append((path.stem, node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_no_module_but_linalg_names_np_linalg():
+    assert _linalg_uses(SRC) == []
+
+
+def test_the_linalg_walk_finds_calls_names_and_imports_and_skips_caught_errors(tmp_path):
+    (tmp_path / "linalg.py").write_text("import numpy as np\ndef eigen(m):\n    return np.linalg.eigh(m)\n")
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\n"
+        "def least(m):\n    return np.linalg.eigvalsh(m)[0]\n"
+        "solve = np.linalg.solve\n"
+        "def guarded(m):\n"
+        "    try:\n        return least(m)\n"
+        "    except (ArithmeticError, np.linalg.LinAlgError):\n        return None\n"
+    )
+    (tmp_path / "b.py").write_text("from numpy.linalg import eigh\nimport numpy.linalg\n")
+    assert _linalg_uses(tmp_path) == [
+        ("a", 3, "np.linalg.eigvalsh"),
+        ("a", 4, "np.linalg.solve"),
+        ("b", 1, "from numpy.linalg import eigh"),
+        ("b", 2, "import numpy.linalg"),
     ]

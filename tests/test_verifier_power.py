@@ -103,13 +103,20 @@ def _drawn() -> tuple:
     return tuple(drawn)
 
 
-def _determinants_off(was, now, factor: float) -> list:
+def _determinants_off(was, now, factor: float, n_obs: int) -> list:
     """The key of each determinant of ``was`` above both outcomes' windows that ``now`` does not give as
-    ``factor`` times it to within 1e-9 relative."""
+    ``factor`` times it to within 1e-9 relative plus the determinant's rounding floor N eps scale^N.
+
+    Each N x N matrix of the bounds has a norm of at most scale = max(1, sum of squared norms of the
+    observables), and its entries carry roundings of about eps times that, which move its determinant by
+    up to N eps scale^N.  So a determinant a few windows above 0, such as det(Cov - Qov_sld) of a
+    near-singular qubit, can move by more than 1e-9 of itself with the same matrix."""
+    scale = max(was.scale, now.scale)
     window = max(was.tol * was.scale, now.tol * now.scale)
+    floor = n_obs * np.finfo(float).eps * scale**n_obs
     after = now.components
     return [key for key, det in was.components.items() if key.startswith("det_") and det is not None and abs(det) > window
-            and not abs(after[key] - factor * det) <= 1e-9 * abs(factor * det)]
+            and not abs(after[key] - factor * det) <= 1e-9 * abs(factor * det) + floor]
 
 
 def _relation_breaks(relation: str) -> list:
@@ -129,7 +136,7 @@ def _relation_breaks(relation: str) -> list:
                 breaks.append((seed, kind, key, "equality verdict"))
             elif not abs(was.margin - now.margin) <= window:
                 breaks.append((seed, kind, key, f"margin moved {now.margin - was.margin:.3e}, window {window:.1e}"))
-            elif determinants and (moved := _determinants_off(was, now, 1.0)):
+            elif determinants and (moved := _determinants_off(was, now, 1.0, len(obs))):
                 breaks.append((seed, kind, key, f"determinants moved: {', '.join(moved)}"))
     return breaks
 
@@ -145,7 +152,7 @@ def test_doubling_the_first_observable_scales_every_determinant_by_four():
     for seed, kind, state, obs, before in _drawn():
         after = _outcomes(state, [2.0 * obs[0], *obs[1:]])
         off += [(seed, kind, key, moved) for key, was in before.items() if key[0] != "contraction"
-                for moved in _determinants_off(was, after[key], 4.0)]
+                for moved in _determinants_off(was, after[key], 4.0, len(obs))]
     assert off == []
 
 
