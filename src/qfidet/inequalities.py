@@ -39,11 +39,11 @@ from .covariance import (
 )
 from .linalg import (
     RANK_TOL,
-    _real_stack,
     det_antisymmetric,
     det_real_symmetric,
     hermitian_eigen,
     numeric_rank,
+    require_hermitian,
 )
 from .monotone import MonotoneFunction, dominates
 from .states import (
@@ -552,11 +552,12 @@ def minkowski_firey_selftest(
     _require_unit(t)
     k = np.asarray(k, dtype=float)
     l = np.asarray(l, dtype=float)
-    if k.shape != l.shape or k.ndim != 2 or k.shape[0] != k.shape[1]:
+    if k.shape != l.shape or k.ndim != 2 or k.shape[0] != k.shape[1] or k.size == 0:
         raise ValueError(f"need two equal square matrices, got {k.shape} and {l.shape}")
     n = k.shape[0]
-    # each checked as its determinant call checks it, then max(1, the largest entry of either)
-    scale = max(1.0, *(float(np.abs(_real_stack(m[:, :, None], 1.0, name)).max()) for name, m in zip("KL", (k, l))))
+    require_hermitian(k, "K")
+    require_hermitian(l, "L")
+    scale = max(1.0, float(np.abs(k).max()), float(np.abs(l).max()))
     for name, least in zip("KL", hermitian_eigen(np.stack((k, l), axis=-1)).eigenvalues[:, 0]):
         if least < -1e-10 * scale:
             raise ValueError(f"{name} is not positive semidefinite")

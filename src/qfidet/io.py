@@ -16,8 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .linalg import hermitian_part, require_hermitian
 from .monotone import read_function_specs
-from .states import DensityMatrix, density, observable
+from .states import DensityMatrix, density
 
 
 class InstanceFormatError(ValueError):
@@ -44,13 +45,12 @@ def _complex_matrix(raw, dim: int, field: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _checked_matrix(raw, dim: int, field: str, check) -> np.ndarray:
-    """``check`` of the complex matrix in ``raw``; a ValueError it raises is prefixed with ``field``."""
-    matrix = _complex_matrix(raw, dim, field)
+def _refused(check, *args):
+    """``check(*args)``; a ValueError it raises, whose text names its field, as an InstanceFormatError."""
     try:
-        return check(matrix)
+        return check(*args)
     except ValueError as exc:
-        raise InstanceFormatError(f"{field}: {exc}") from None
+        raise InstanceFormatError(str(exc)) from None
 
 
 def _encode_matrix(m: np.ndarray) -> list:
@@ -78,12 +78,17 @@ def load_instance(path: str | Path) -> LoadedInstance:
 
     if "state" not in payload:
         raise InstanceFormatError("state: missing")
-    state = _checked_matrix(payload["state"], dim, "state", density)
+    state = _refused(density, _complex_matrix(payload["state"], dim, "state"))  # each of its texts names the state
 
     raw_obs = payload.get("observables", [])
     if not isinstance(raw_obs, list) or not raw_obs:
         raise InstanceFormatError(f"observables: expected a non-empty list of matrices, got {raw_obs!r}")
-    checked = [_checked_matrix(raw, dim, f"observables[{k}]", observable) for k, raw in enumerate(raw_obs)]
+    checked = []
+    for k, raw in enumerate(raw_obs):
+        field = f"observables[{k}]"
+        matrix = _complex_matrix(raw, dim, field)
+        _refused(require_hermitian, matrix, field)
+        checked.append(hermitian_part(matrix))
 
     functions, pairs = payload.get("functions", ["sld"]), payload.get("pairs", [])
     functions, pairs = read_function_specs(functions, pairs, "functions", "pairs", InstanceFormatError)

@@ -4,7 +4,8 @@ Matrices are plain complex128 ndarrays.  The norms, the eigensolver, the
 determinants and the ranks take stacks only, as a block evaluates them: one
 matrix is a stack of one.  ``hermitian_eigen`` is the package's one caller of
 LAPACK's eigensolver (``np.linalg.eigh``).  Determinants are taken directly: by
-cofactor expansion up to 3x3 and by LU above.
+cofactor expansion up to 3x3 and by LU above.  Every matrix, from outside
+(``require_hermitian``) or into a kernel, is held to one rule in one function.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ SYMMETRY_TOL = 1e-12
 RANK_TOL = 1e-9
 
 
-def as_complex_matrix(a, label: str = "matrix") -> np.ndarray:
+def as_complex_matrix(a, label: str) -> np.ndarray:
     """Coerce to a square complex128 array."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -43,8 +44,6 @@ def as_complex_matrix(a, label: str = "matrix") -> np.ndarray:
 def hermitian_part(a) -> np.ndarray:
     """(A + A^dagger) / 2, of each of a stack (..., n, n) too."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim < 3:
-        m = as_complex_matrix(m)
     return 0.5 * (m + np.swapaxes(m.conj(), -1, -2))
 
 
@@ -64,30 +63,39 @@ def frobenius(a):
     return np.sqrt(sum(p @ np.swapaxes(p, -1, -2) for p in parts))[..., 0, 0]
 
 
-def _require_finite(a: np.ndarray, label: str) -> None:
-    """Raise ValueError naming the first NaN or infinite entry of ``a``, if it has one."""
-    if not np.isfinite(a).all():
-        where = tuple(int(k) for k in np.argwhere(~np.isfinite(a))[0])
-        raise ValueError(f"{label}: non-finite entry {where} = {a[where]}")
-
-
-def require_hermitian(m: np.ndarray, label: str = "matrix") -> None:
-    """Raise with the offending entry if m deviates from m^dagger or is not finite; for a
-    stack (..., n, n), with that of its first such matrix, from one vectorized test of all."""
-    flat = m.reshape(-1, *m.shape[-2:])
-    largest = np.abs(flat).max(axis=(-2, -1), initial=0.0)
+def _symmetric_stack(m, dtype, sign: float, label: str) -> np.ndarray:
+    """An (n, n, K) stack ``m`` of K matrices, n >= 1, as a ``dtype`` array, once each is finite and
+    Hermitian (complex), symmetric (real, ``sign`` = 1) or antisymmetric (real, ``sign`` = -1) within
+    ``SYMMETRY_TOL`` times max(1, its largest entry).  Otherwise ValueError, as ``label`` for the
+    first matrix that is not: its first non-finite entry, else its largest gap."""
+    s = np.asarray(m, dtype=dtype)
+    if s.ndim != 3 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
+        raise ValueError(f"expected an (n, n, K) stack of square matrices, got shape {s.shape}")
+    hermitian, mirror = s.dtype.kind == "c", s.transpose(1, 0, 2)
+    largest = np.abs(s).max(axis=(0, 1))
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, and overflowing differences
-        delta = np.abs(flat - np.swapaxes(flat.conj(), -1, -2))
-        fine = delta.max(axis=(-2, -1), initial=0.0) <= SYMMETRY_TOL * np.maximum(1.0, largest)
-    bad = ~(fine & np.isfinite(largest))
-    if bad.any():
-        k = int(np.argmax(bad))
-        _require_finite(flat[k], label)
-        h, j = np.unravel_index(int(np.argmax(delta[k])), delta.shape[-2:])
-        raise ValueError(
-            f"{label}: not Hermitian, entry ({h},{j}) = {flat[k, h, j]} vs "
-            f"conjugate of ({j},{h}) = {np.conj(flat[k, j, h])}"
-        )
+        delta = np.abs(s - sign * (mirror.conj() if hermitian else mirror))
+        bad = ~((delta.max(axis=(0, 1)) <= SYMMETRY_TOL * np.maximum(1.0, largest)) & np.isfinite(largest))
+    if not bad.any():
+        return s
+    k = int(np.argmax(bad))
+    if not np.isfinite(s[:, :, k]).all():
+        where = tuple(int(i) for i in np.argwhere(~np.isfinite(s[:, :, k]))[0])
+        raise ValueError(f"{label}: non-finite entry {where} = {s[where + (k,)]}")
+    h, j = np.unravel_index(int(np.argmax(delta[:, :, k])), s.shape[:2])
+    if hermitian:
+        what, mirrored = "Hermitian", f"conjugate of ({j},{h}) = {np.conj(s[j, h, k])}"
+    elif sign > 0:
+        what, mirrored = "symmetric", f"({j},{h}) = {s[j, h, k]}"
+    else:
+        what, mirrored = "antisymmetric", f"negative of ({j},{h}) = {-s[j, h, k]}"
+    raise ValueError(f"{label}: not {what}, entry ({h},{j}) = {s[h, j, k]} vs {mirrored}")
+
+
+def require_hermitian(m: np.ndarray, label: str) -> None:
+    """Raise ValueError with the offending entry if ``m``, one matrix or a stack (..., n, n), is not finite
+    or not Hermitian (symmetric, if real); for a stack, for its first such matrix, from one test of all."""
+    _symmetric_stack(m.reshape(-1, *m.shape[-2:]).transpose(1, 2, 0), m.dtype, 1.0, label)
 
 
 @dataclass(frozen=True)
@@ -112,33 +120,8 @@ def hermitian_eigen(h) -> EigenDecomposition:
     each with the bits of its matrix's decomposition alone.  Inside a
     degenerate eigenspace the basis is whichever one LAPACK returns.
     """
-    m = np.asarray(h, dtype=complex)
-    if m.ndim != 3 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected an (n, n, K) stack of square matrices, got shape {m.shape}")
-    m = np.moveaxis(m, -1, 0)
-    require_hermitian(m)
-    values, unitary = np.linalg.eigh(m)
+    values, unitary = np.linalg.eigh(np.moveaxis(_symmetric_stack(h, complex, 1.0, "matrix"), -1, 0))
     return EigenDecomposition(eigenvalues=values, unitary=unitary)
-
-
-def _real_stack(m, sign: float, label: str) -> np.ndarray:
-    """An (N, N, K) stack ``m`` of K real matrices as a float stack, once every matrix is checked:
-    N >= 1, finite entries, and symmetric (``sign`` = 1) or antisymmetric (``sign`` = -1) within
-    ``SYMMETRY_TOL`` times max(1, its largest entry).  Otherwise ValueError names the first matrix
-    that is not, as ``label``."""
-    s = np.asarray(m, dtype=float)
-    if s.ndim != 3 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
-        raise ValueError(f"expected an (N, N, K) stack of square matrices, got shape {s.shape}")
-    largest = np.abs(s).max(axis=(0, 1))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, and overflowing sums
-        asym = np.abs(s - sign * s.transpose(1, 0, 2)).max(axis=(0, 1))
-        bad = ~((asym <= SYMMETRY_TOL * np.maximum(1.0, largest)) & np.isfinite(largest))
-    if bad.any():
-        k = int(np.argmax(bad))
-        _require_finite(s[:, :, k], label)
-        what = "symmetric (max |M - M^T|" if sign > 0 else "antisymmetric (max |M + M^T|"
-        raise ValueError(f"{label} is not {what} = {asym[k]:.3e})")
-    return s
 
 
 def _finite(dets: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -156,7 +139,7 @@ def _finite(dets: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def det_real_symmetric(m):
-    """The K determinants of an (N, N, K) stack ``m`` of real symmetric matrices; ``len(m)`` is N.
+    """The K determinants of an (n, n, K) stack ``m`` of real symmetric matrices; ``len(m)`` is n.
 
     The stack runs along the last axis, so that ``m[i, j]`` holds entry (i, j)
     of every matrix.  Up to 3x3 by cofactor expansion on those entries (the
@@ -169,7 +152,7 @@ def det_real_symmetric(m):
     times its largest entry, naming the first such matrix; a determinant of
     finite entries that overflows raises OverflowError.
     """
-    s = _real_stack(m, 1.0, "matrix")
+    s = _symmetric_stack(m, float, 1.0, "matrix")
     with np.errstate(over="ignore", invalid="ignore"):
         dets = np.linalg.det(s.transpose(2, 0, 1)) if len(s) > 3 else _cofactor_det(s)
     return _finite(dets, s)
@@ -189,10 +172,10 @@ def _cofactor_det(r):
 
 
 def det_antisymmetric(k):
-    """The K determinants of an (N, N, K) stack ``k`` of real antisymmetric matrices, checked as
-    in ``det_real_symmetric``: exactly zero at odd N, LU (``np.linalg.det``, one matrix at a time)
-    at even N, and OverflowError for a determinant of finite entries that overflows."""
-    s = _real_stack(k, -1.0, "matrix")
+    """The K determinants of an (n, n, K) stack ``k`` of real antisymmetric matrices, checked as
+    in ``det_real_symmetric``: exactly zero at odd n, LU (``np.linalg.det``, one matrix at a time)
+    at even n, and OverflowError for a determinant of finite entries that overflows."""
+    s = _symmetric_stack(k, float, -1.0, "matrix")
     if len(s) % 2 == 1:
         dets = np.zeros(s.shape[2])
     else:

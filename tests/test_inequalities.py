@@ -30,6 +30,7 @@ from qfidet.inequalities import (
 from qfidet.monotone import make_function
 from qfidet.states import (
     POSITIVITY_FLOOR,
+    STATE_KINDS,
     density,
     derive_seed,
     observable,
@@ -249,6 +250,39 @@ def test_robertson_frame_route_matches_trace_route(rng):
         assert np.abs(direct - inst.matrix("robertson")).max() <= 1e-12
 
 
+# the cells of the Gram test below, each drawn 3 times of each kind
+GRAM_CELLS = ((2, 1), (2, 2), (3, 2), (3, 4), (4, 3), (4, 4), (4, 6))
+
+
+def test_cov_plus_i_robertson_is_a_psd_gram_matrix():
+    """S = Cov + iR is the Gram matrix Tr(D A_k A_l) of the centered family, so it is PSD.  Whitened by
+    Cov = L L^T, iR has eigenvalues nu in [-1, 1] in +- pairs, so L^-1 S L^-T = I + L^-1 (iR) L^-T >= 0;
+    det R / det Cov = prod |nu| at even N, and one nu is 0 at odd N.  Each bound is 64 N eps cond(Cov):
+    the Cholesky factor, the triangular solves and both determinants are backward stable, so each is
+    off by a few N eps cond(Cov), relative to 1 or to the product."""
+    eps = np.finfo(float).eps
+    for n, n_obs in GRAM_CELLS:
+        drawn = [
+            prepare_random(n, n_obs, derive_seed("robertson-gram", n, n_obs, kind, k), kind)
+            for kind in STATE_KINDS
+            for k in range(3)
+        ]
+        InstanceBlock(drawn)
+        for inst in drawn:
+            cov, r = inst.matrix("cov"), inst.matrix("robertson")
+            chol = np.linalg.cholesky(cov)
+            w = np.linalg.solve(chol, np.linalg.solve(chol, 1j * r).T).T  # L^-1 (iR) L^-T
+            nu = np.linalg.eigvalsh(0.5 * (w + w.conj().T))
+            bound = 64 * n_obs * eps * np.linalg.cond(cov)
+            assert np.abs(nu).max() <= 1.0 + bound, inst.digest
+            assert np.abs(nu + nu[::-1]).max() <= bound, inst.digest
+            if n_obs % 2:
+                assert np.abs(nu).min() <= bound, inst.digest
+            else:
+                ratio = inst.det("robertson") / inst.det("cov")
+                assert abs(np.prod(np.abs(nu)) - ratio) <= bound * abs(ratio), inst.digest
+
+
 def test_robertson_passes_randomly(rng):
     for seed in range(40):
         inst = prepare_random(int(rng.integers(2, 5)), int(rng.integers(1, 5)), 70 + seed)
@@ -397,7 +431,7 @@ def test_minkowski_selftest_checks_k_and_l_as_its_determinants_do():
         if name is None:
             assert minkowski_firey_selftest(np.eye(2), l, 0.5).passed
         else:
-            with pytest.raises(ValueError, match=r"^L is not symmetric \(max \|M - M\^T\| = 5.000e-12\)$"):
+            with pytest.raises(ValueError, match=r"^L: not symmetric, entry \(0,1\) = 5e-12 vs \(1,0\) = 0.0$"):
                 minkowski_firey_selftest(np.eye(2), l, 0.5)
     with pytest.raises(ValueError, match=r"^K: non-finite entry \(0, 1\) = nan$"):
         minkowski_firey_selftest(np.array([[1.0, math.nan], [math.nan, 1.0]]), np.eye(2), 0.5)

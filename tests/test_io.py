@@ -179,6 +179,29 @@ def test_rejects_positivity_violation(tmp_path):
         load_instance(_write(tmp_path, payload))
 
 
+# (fault, the file's state, its second observable, the text): an instance file names each matrix fault once, as
+# its field; every text of ``density`` names the state, and each observable is judged as observables[k]
+MATRIX_FAULTS = [
+    ("state-not-hermitian", [[0.75, 0.1], [0.0, 0.25]], PAULI_Y,
+     "state: not Hermitian, entry (0,1) = (0.1+0j) vs conjugate of (1,0) = -0j"),
+    ("state-non-finite", [[0.75, np.nan], [np.nan, 0.25]], PAULI_Y, "state: non-finite entry (0, 1) = (nan+0j)"),
+    ("state-trace", np.diag([0.7, 0.2]), PAULI_Y, "state trace is 0.8999999999999999, expected 1 within 1e-12"),
+    ("state-not-positive", np.diag([1.2, -0.2]), PAULI_Y,
+     "state is not strictly positive: min eigenvalue -2.000e-01 is below the floor 1e-10"),
+    ("observable-not-hermitian", np.diag([0.75, 0.25]), [[0.0, 1.0], [0.0, 0.0]],
+     "observables[1]: not Hermitian, entry (0,1) = (1+0j) vs conjugate of (1,0) = -0j"),
+    ("observable-non-finite", np.diag([0.75, 0.25]), [[np.nan, 0.0], [0.0, 1.0]],
+     "observables[1]: non-finite entry (0, 0) = (nan+0j)"),
+]
+
+
+@pytest.mark.parametrize("fault, state, second, message", MATRIX_FAULTS, ids=[row[0] for row in MATRIX_FAULTS])
+def test_an_instance_file_names_each_matrix_fault_once(tmp_path, fault, state, second, message):
+    payload = dict(GOOD, state=_encode(state), observables=[_encode(PAULI_X), _encode(second)])
+    with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+        load_instance(_write(tmp_path, payload))
+
+
 def test_save_accepts_custom_state(tmp_path):
     d = density(np.eye(2, dtype=complex) / 2)
     path = tmp_path / "mixed.json"

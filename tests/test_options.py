@@ -33,8 +33,6 @@ DEFAULTED = [
     "inequalities.__init__(digest)",
     "io.save_instance(functions)",
     "io.save_instance(pairs)",
-    "linalg.as_complex_matrix(label)",
-    "linalg.require_hermitian(label)",
     "monotone.make_function(param)",
     "selftest.run_selftest(tol)",
     "states.random_density(kind)",

@@ -13,7 +13,9 @@ name that another class or a module also defines limits the walk: a property
 
 The surface has one door to numpy's linear algebra: no module but ``linalg.py``
 names ``np.linalg``, so every eigendecomposition goes through
-``linalg.hermitian_eigen`` (and its tracer sees them all).
+``linalg.hermitian_eigen`` (and its tracer sees them all).  And one judge of
+symmetry: exactly one function reads ``SYMMETRY_TOL``, and no module imports a
+private name of ``linalg``, so every matrix is held to the same rule and text.
 """
 from __future__ import annotations
 
@@ -169,3 +171,63 @@ def test_the_linalg_walk_finds_calls_names_and_imports_and_skips_caught_errors(t
         ("b", 1, "from numpy.linalg import eigh"),
         ("b", 2, "import numpy.linalg"),
     ]
+
+
+def _readers(src: Path, name: str) -> list:
+    """(module, function) of each function in ``src`` that reads ``name``, as a name or an attribute,
+    outside the functions nested in it; a read outside every function is charged to "<module>"."""
+    found = set()
+
+    def visit(node, module: str, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            read = getattr(child, "id", None) == name or getattr(child, "attr", None) == name
+            if read and isinstance(getattr(child, "ctx", None), ast.Load):
+                found.add((module, where))
+            visit(child, module, where)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "<module>")
+    return sorted(found)
+
+
+def _private_linalg_imports(src: Path) -> list:
+    """(module, line, name) of each ``_``-prefixed name that a module of ``src`` imports from ``linalg``
+    or reads as an attribute of ``linalg``."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "linalg":
+                found += [(path.stem, node.lineno, alias.name) for alias in node.names if alias.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+                if ast.unparse(node.value).split(".")[-1] == "linalg":
+                    found.append((path.stem, node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_one_function_reads_the_symmetry_tolerance():
+    assert _readers(SRC, "SYMMETRY_TOL") == [("linalg", "_symmetric_stack")]
+
+
+def test_no_module_imports_a_private_name_of_linalg():
+    assert _private_linalg_imports(SRC) == []
+
+
+def test_the_symmetry_walks_find_every_reader_and_private_import(tmp_path):
+    (tmp_path / "linalg.py").write_text(
+        "TOL = 1e-12\n"
+        "def judge(m):\n    return m < TOL\n"
+        "def outer(m):\n    def inner():\n        return TOL\n    return inner\n"
+        "class Kernel:\n    def check(self, m):\n        return m < TOL\n"
+    )
+    (tmp_path / "a.py").write_text(
+        "from . import linalg\n"
+        "from .linalg import TOL, _hidden\n"
+        "from qfidet.linalg import judge as _judge\n"
+        "WIDE = 2 * linalg.TOL\n"
+        "def check(m):\n    return linalg._stack(m), _hidden(m)\n"
+    )
+    assert _readers(tmp_path, "TOL") == [("a", "<module>"), ("linalg", "check"), ("linalg", "inner"), ("linalg", "judge")]
+    assert _private_linalg_imports(tmp_path) == [("a", 2, "_hidden"), ("a", 6, "_stack")]
