@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -574,12 +574,12 @@ def minkowski_firey_selftest(
 def fill_contraction(states, x, partitions, functions) -> dict:
     """Both sides of the contraction check for each f and each of B instances: their ``states`` as
     ``density_stack`` returns them, a (B, n, n) stack ``x`` of checked, exactly Hermitian tangents and one
-    partition each.  f -> one (before, after, least eigenvalue of the state and of the pinched state, number
-    of blocks) per instance.  One ``pinching`` call pinches the states and the traceless X0, and one
-    ``hermitian_eigen`` call takes the pinched states, tested only against ``POSITIVITY_FLOOR`` (pinching
-    keeps a state finite, Hermitian and its diagonal bit for bit).  Each X0 and its pinching are rotated by
-    one stacked matmul (Hermitian by construction, so unchecked), then per function one ``pair_means`` call
-    over the (B, 2, n) spectra and one weighted sum over the (B, 2, n, n) products."""
+    partition of range(n) each.  f -> one (before, after, least eigenvalue of the state and of the pinched
+    state, number of blocks) per instance.  One ``pinching`` call pinches the states and the traceless X0,
+    and one ``hermitian_eigen`` call takes the pinched states, tested only against ``POSITIVITY_FLOOR``
+    (pinching keeps a state finite, Hermitian and its diagonal bit for bit).  Each X0 and its pinching are
+    rotated by one stacked matmul (Hermitian by construction, so unchecked), then per function one
+    ``pair_means`` call over the (B, 2, n) spectra and one weighted sum over the (B, 2, n, n) products."""
     matrices, values, vectors = states
     n = x.shape[-1]
     x0 = x - (np.trace(x, axis1=-2, axis2=-1).real / n)[:, None, None] * np.eye(n)
@@ -624,9 +624,12 @@ def check_metric_contraction(
 
     X, checked as an observable of the state's shape, is projected onto the
     traceless part first (tangent vectors of the state space); pinching
-    commutes with that projection.  Both sides are ``fill_contraction``'s on a stack of one.
+    commutes with that projection, at a partition of range(n).  Both sides are ``fill_contraction``'s.
     """
     if np.shape(x) != d.matrix.shape:
         raise ValueError(f"tangent x shape {np.shape(x)} does not match the state")
+    blocks = [sorted(map(int, block)) for block in partition]
+    if sorted(chain.from_iterable(blocks)) != list(range(d.dim)):
+        raise ValueError(f"partition {blocks!r} does not partition range({d.dim})")
     (sums,) = fill_contraction((d.matrix[None], d.eigenvalues[None], d.eigen.unitary[None]), observable(x)[None], [partition], (f,))[f]
     return contraction_report(sums, f, d.dim, tol)

@@ -4,8 +4,8 @@ Matrices are plain complex128 ndarrays.  The norms, the eigensolver, the
 determinants and the ranks take stacks only, as a block evaluates them: one
 matrix is a stack of one.  ``hermitian_eigen`` is the package's one caller of
 LAPACK's eigensolver (``np.linalg.eigh``).  Determinants are taken directly: by
-cofactor expansion up to 3x3 and by LU above.  Every matrix, from outside
-(``require_hermitian``) or into a kernel, is held to one rule in one function.
+cofactor expansion up to 3x3 and by LU above.  ``require_hermitian`` judges a
+matrix from outside, once, at its door; the kernels check only a stack's shape.
 """
 from __future__ import annotations
 
@@ -27,17 +27,18 @@ __all__ = [
     "RANK_TOL",
 ]
 
-# largest |M - M^H| (or |M -+ M^T|) accepted, relative to the largest entry
+# largest |M - M^H| that require_hermitian accepts, relative to max(1, the largest entry)
 SYMMETRY_TOL = 1e-12
 # singular values at or below this fraction of the largest one count as zero
 RANK_TOL = 1e-9
 
 
 def as_complex_matrix(a, label: str) -> np.ndarray:
-    """Coerce to a square complex128 array."""
+    """Coerce to a square complex128 array of at least one entry."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{label}: expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        empty = "non-empty " if m.shape == (0, 0) else ""
+        raise ValueError(f"{label}: expected a {empty}square matrix, got shape {m.shape}")
     return m
 
 
@@ -63,39 +64,35 @@ def frobenius(a):
     return np.sqrt(sum(p @ np.swapaxes(p, -1, -2) for p in parts))[..., 0, 0]
 
 
-def _symmetric_stack(m, dtype, sign: float, label: str) -> np.ndarray:
-    """An (n, n, K) stack ``m`` of K matrices, n >= 1, as a ``dtype`` array, once each is finite and
-    Hermitian (complex), symmetric (real, ``sign`` = 1) or antisymmetric (real, ``sign`` = -1) within
-    ``SYMMETRY_TOL`` times max(1, its largest entry).  Otherwise ValueError, as ``label`` for the
-    first matrix that is not: its first non-finite entry, else its largest gap."""
+def require_hermitian(m: np.ndarray, label: str) -> None:
+    """Raise ValueError, as ``label``, if ``m``, one matrix or a stack (..., n, n), is not finite or not
+    Hermitian (symmetric, if real) within ``SYMMETRY_TOL`` times max(1, its largest entry); for a stack, for
+    its first such matrix, from one test of all: its first non-finite entry, else its largest gap."""
+    s = m.reshape(-1, *m.shape[-2:])
+    largest = np.abs(s).max(axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, and overflowing differences
+        delta = np.abs(s - np.swapaxes(s, 1, 2).conj())
+        bad = ~((delta.max(axis=(1, 2)) <= SYMMETRY_TOL * np.maximum(1.0, largest)) & np.isfinite(largest))
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    if not np.isfinite(s[k]).all():
+        where = tuple(int(i) for i in np.argwhere(~np.isfinite(s[k]))[0])
+        raise ValueError(f"{label}: non-finite entry {where} = {s[k][where]}")
+    h, j = np.unravel_index(int(np.argmax(delta[k])), s.shape[1:])
+    if np.iscomplexobj(s):
+        what, mirrored = "Hermitian", f"conjugate of ({j},{h}) = {np.conj(s[k, j, h])}"
+    else:
+        what, mirrored = "symmetric", f"({j},{h}) = {s[k, j, h]}"
+    raise ValueError(f"{label}: not {what}, entry ({h},{j}) = {s[k, h, j]} vs {mirrored}")
+
+
+def _stack(m, dtype) -> np.ndarray:
+    """An (n, n, K) stack ``m`` of K square matrices, n >= 1, as a ``dtype`` array; otherwise ValueError."""
     s = np.asarray(m, dtype=dtype)
     if s.ndim != 3 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
         raise ValueError(f"expected an (n, n, K) stack of square matrices, got shape {s.shape}")
-    hermitian, mirror = s.dtype.kind == "c", s.transpose(1, 0, 2)
-    largest = np.abs(s).max(axis=(0, 1))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, and overflowing differences
-        delta = np.abs(s - sign * (mirror.conj() if hermitian else mirror))
-        bad = ~((delta.max(axis=(0, 1)) <= SYMMETRY_TOL * np.maximum(1.0, largest)) & np.isfinite(largest))
-    if not bad.any():
-        return s
-    k = int(np.argmax(bad))
-    if not np.isfinite(s[:, :, k]).all():
-        where = tuple(int(i) for i in np.argwhere(~np.isfinite(s[:, :, k]))[0])
-        raise ValueError(f"{label}: non-finite entry {where} = {s[where + (k,)]}")
-    h, j = np.unravel_index(int(np.argmax(delta[:, :, k])), s.shape[:2])
-    if hermitian:
-        what, mirrored = "Hermitian", f"conjugate of ({j},{h}) = {np.conj(s[j, h, k])}"
-    elif sign > 0:
-        what, mirrored = "symmetric", f"({j},{h}) = {s[j, h, k]}"
-    else:
-        what, mirrored = "antisymmetric", f"negative of ({j},{h}) = {-s[j, h, k]}"
-    raise ValueError(f"{label}: not {what}, entry ({h},{j}) = {s[h, j, k]} vs {mirrored}")
-
-
-def require_hermitian(m: np.ndarray, label: str) -> None:
-    """Raise ValueError with the offending entry if ``m``, one matrix or a stack (..., n, n), is not finite
-    or not Hermitian (symmetric, if real); for a stack, for its first such matrix, from one test of all."""
-    _symmetric_stack(m.reshape(-1, *m.shape[-2:]).transpose(1, 2, 0), m.dtype, 1.0, label)
+    return s
 
 
 @dataclass(frozen=True)
@@ -112,15 +109,15 @@ class EigenDecomposition:
 
 
 def hermitian_eigen(h) -> EigenDecomposition:
-    """Eigendecompositions of an (n, n, K) stack of K Hermitian matrices by LAPACK
-    (``np.linalg.eigh``), from one call; ``len(h)`` is n.
+    """Eigendecompositions of an (n, n, K) stack of K finite Hermitian matrices, as their callers build
+    or judge them, by LAPACK (``np.linalg.eigh``), from one call; ``len(h)`` is n.
 
     The stack runs along the last axis, as in ``det_real_symmetric``; its K
     eigenvalue rows and unitaries come back stacked along a leading axis,
     each with the bits of its matrix's decomposition alone.  Inside a
     degenerate eigenspace the basis is whichever one LAPACK returns.
     """
-    values, unitary = np.linalg.eigh(np.moveaxis(_symmetric_stack(h, complex, 1.0, "matrix"), -1, 0))
+    values, unitary = np.linalg.eigh(np.moveaxis(_stack(h, complex), -1, 0))
     return EigenDecomposition(eigenvalues=values, unitary=unitary)
 
 
@@ -147,12 +144,11 @@ def det_real_symmetric(m):
     not depend on the stack it is taken in), LU (``np.linalg.det``) above.
     numpy forms the LU determinant as the exp of a sum of logs, so its
     relative error grows with |log det|.
-    Input that is not such a stack (one matrix too) raises ValueError, and so
-    does a matrix that is not finite or not symmetric within ``SYMMETRY_TOL``
-    times its largest entry, naming the first such matrix; a determinant of
-    finite entries that overflows raises OverflowError.
+    Each matrix must be finite and symmetric (its callers build or judge it
+    so).  Input that is not such a stack (one matrix too) raises ValueError; a
+    determinant of finite entries that overflows raises OverflowError.
     """
-    s = _symmetric_stack(m, float, 1.0, "matrix")
+    s = _stack(m, float)
     with np.errstate(over="ignore", invalid="ignore"):
         dets = np.linalg.det(s.transpose(2, 0, 1)) if len(s) > 3 else _cofactor_det(s)
     return _finite(dets, s)
@@ -172,10 +168,10 @@ def _cofactor_det(r):
 
 
 def det_antisymmetric(k):
-    """The K determinants of an (n, n, K) stack ``k`` of real antisymmetric matrices, checked as
-    in ``det_real_symmetric``: exactly zero at odd n, LU (``np.linalg.det``, one matrix at a time)
-    at even n, and OverflowError for a determinant of finite entries that overflows."""
-    s = _symmetric_stack(k, float, -1.0, "matrix")
+    """The K determinants of an (n, n, K) stack ``k`` of finite real antisymmetric matrices, as their
+    callers build them: exactly zero at odd n, LU (``np.linalg.det``, one matrix at a time) at even n,
+    and OverflowError for a determinant of finite entries that overflows."""
+    s = _stack(k, float)
     if len(s) % 2 == 1:
         dets = np.zeros(s.shape[2])
     else:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -293,19 +292,19 @@ def pinching(x: np.ndarray, partitions) -> np.ndarray:
 
     The simplest completely positive trace-preserving map that is not a
     unitary conjugation; used to exercise monotonicity under coarse-graining.
-    Input that is not such a stack (one matrix too) raises ValueError, and so
-    does the first partition that is not one of range(n).
+    Each partition must partition range(n), as drawn ones do and
+    ``check_metric_contraction`` checks a given one; input that is not such a
+    stack (one matrix too) raises ValueError.
     """
     x = np.asarray(x, dtype=complex)
     if x.ndim < 3 or len(partitions) != len(x):
         raise ValueError(f"expected a (B, ..., n, n) stack and B partitions, got shape {x.shape} and {len(partitions)}")
     n = x.shape[-1]
-    owner = []  # per partition, the block number of each index
-    for part in partitions:
-        blocks = [sorted(map(int, block)) for block in part]
-        if sorted(chain.from_iterable(blocks)) != list(range(n)):
-            raise ValueError(f"partition {blocks!r} does not partition range({n})")
-        owner.append([k for _, k in sorted((i, k) for k, block in enumerate(blocks) for i in block)])
+    owner = [[0] * n for _ in partitions]  # per partition, the block number of each index
+    for row, part in zip(owner, partitions):
+        for k, block in enumerate(part):
+            for i in block:
+                row[i] = k
     owner = np.array(owner, dtype=int).reshape(-1, n)
     mask = owner[:, :, None] == owner[:, None, :]
     return np.where(mask.reshape(-1, *(1,) * (x.ndim - 3), n, n), x, 0.0)

@@ -32,6 +32,10 @@ Library code used here, and what for:
   rank behind its flag, from ``rank_one``.
 * ``remainder`` and ``remainder_t`` are the scalar cross terms, from the
   library's ``_cross_terms`` kernel on arrays of one.
+* ``pencil_spectra`` reads a block's stacked frame and weighs its observables
+  with the library's ``alpha_coefficients``; the pencil determinants then come
+  from one thin QR and one ``eigvalsh`` per block, not from the library's
+  determinants.
 * The definition routes take the library's ``DensityMatrix`` (its matrix,
   and for ``qov`` its eigendecomposition) and ``MonotoneFunction``;
   ``commutator`` coerces with ``as_complex_matrix``; ``qov`` takes Hermitian
@@ -48,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qfidet.covariance import metric_sum, observable_scale, pair_means
+from qfidet.covariance import alpha_coefficients, metric_sum, observable_scale, pair_means
 from qfidet.inequalities import _cross_terms
 from qfidet.linalg import (
     RANK_TOL,
@@ -485,6 +489,41 @@ def components_reference(name: str, inst, f, g, t, tol: float) -> dict:
         window = tol * max(1.0, before) + 4.0 * inst._block.frame.dim * float(np.finfo(float).eps) / floor * before
         return {"before": before, "after": after, "window": window, "blocks": blocks, "f": f.label}
     raise ValueError(f"{name}: no components")
+
+
+def _gram_weights(frame, side) -> np.ndarray:
+    """The (B, 2 n^2) weights w of a side's Gram form K = V diag(w) V^T on the real vectors V of the frame's
+    observables (real parts, then imaginary parts): the mean (lambda_h + lambda_j) / 2 for "cov", the
+    coefficients ``alpha_coefficients`` for a regular f, and zero for a nonregular one."""
+    lam = frame.lambdas
+    if side == "cov":
+        w = 0.5 * (lam[:, :, None] + lam[:, None, :])
+    else:
+        w = alpha_coefficients(lam, side) if side.regular else np.zeros(lam.shape + lam.shape[-1:])
+    w = w.reshape(len(lam), -1)
+    return np.concatenate((w, w), axis=-1)
+
+
+def pencil_spectra(block, f, g) -> tuple[np.ndarray, np.ndarray]:
+    """The generalized eigenvalues mu (B, N) of the pencil (K_small, K_big) of each instance of ``block``,
+    and det K_big (B,), where (K_big, K_small) is (Cov, Qov_f) for g None and (Qov_f, Qov_g) otherwise.
+
+    With Y = V diag(w_big)^{1/2}, one thin QR Y^T = Q T gives K_big = T^T T, so det K_big = prod T_ii^2,
+    and mu are the eigenvalues of Q^T diag(w_small / w_big) Q (the ratio 0 where w_big is 0), from one
+    ``eigvalsh``.  Then det K_small = det K_big prod mu, det(K_big - K_small) = det K_big prod (1 - mu)
+    and det(t K_big + (1 - 2t) K_small) = det K_big prod (t + (1 - 2t) mu).  The program's pencil
+    determinants take none of these steps.
+    """
+    frame = block.frame
+    x = frame.observables.reshape(block.size, frame.size, -1)
+    v = np.concatenate((x.real, x.imag), axis=-1)  # (B, N, 2 n^2)
+    w_big, w_small = (_gram_weights(frame, side) for side in (("cov", f) if g is None else (f, g)))
+    support = w_big > 0.0
+    y = v * np.sqrt(np.where(support, w_big, 0.0))[:, None, :]
+    q, t = np.linalg.qr(np.swapaxes(y, -1, -2))
+    ratio = np.divide(w_small, w_big, out=np.zeros_like(w_big), where=support)
+    mu = np.linalg.eigvalsh(np.swapaxes(q, -1, -2) @ (ratio[:, :, None] * q))
+    return mu, np.prod(np.diagonal(t, axis1=-2, axis2=-1) ** 2, axis=-1)
 
 
 class ExactInstance(NamedTuple):

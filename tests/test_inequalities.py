@@ -424,6 +424,7 @@ def test_minkowski_selftest_validation():
 
 
 def test_minkowski_selftest_checks_k_and_l_as_its_determinants_do():
+    # K and L are judged at the selftest's door, before the eigensolver and the determinants take them:
     # an asymmetry past SYMMETRY_TOL is named after its matrix; one inside it passes
     for off, name in ((5e-12, "L"), (5e-13, None)):
         l = np.eye(2)
@@ -815,15 +816,12 @@ def test_a_given_instance_fills_its_contraction_sums_itself():
 
 
 def test_a_malformed_partition_in_a_block_raises_its_own_message():
-    block = _drawn_block(3, 2, "bad-partition")
-    block[5].partition, block[9].partition = [[0, 1], [2, 1]], [[0], [1]]
-    want = re.escape("partition [[0, 1], [1, 2]] does not partition range(3)")
-    with pytest.raises(ValueError, match=want):
-        CheckPlan(functions=(SLD,), pairs=(), tol=1e-9).evaluate(block, {"contraction"})
-    # the message of that case alone
-    with pytest.raises(ValueError, match=want):
-        views = instance_views(block[5])
-        check_metric_contraction(views.state, views.observables[0], SLD, block[5].partition)
+    # drawn partitions are valid by construction, so only check_metric_contraction, the one caller that
+    # takes a partition from outside, judges one: an overlap and two that miss an index, at a drawn state
+    views = instance_views(_drawn_block(3, 2, "bad-partition")[5])
+    for partition, blocks in (([[0, 1], [2, 1]], "[[0, 1], [1, 2]]"), ([[0, 1]], "[[0, 1]]"), ([[0], [1]], "[[0], [1]]")):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'partition {blocks} does not partition range(3)')}$"):
+            check_metric_contraction(views.state, views.observables[0], SLD, partition)
 
 
 # a tangent or observable with one fault each, and the text each check of outside data raises for it

@@ -30,9 +30,10 @@ from qfidet.linalg import (
     hermitian_eigen,
     hermitian_part,
     numeric_rank,
+    require_hermitian,
 )
 from qfidet.monotone import make_function
-from qfidet.states import density, derive_seed, eigenframe, offdiagonal_dependence, pinching
+from qfidet.states import density, derive_seed, eigenframe, observable, offdiagonal_dependence, pinching
 
 # Largest |det - exact det| allowed, in units of eps * max(|prod diag|,
 # max|entry|^N).  The worst case over 40 reseeded runs of the inputs below
@@ -83,8 +84,13 @@ def test_eigen_matches_lapack(rng):
 
 
 def test_eigen_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="not Hermitian"):
-        eigen_one(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # hermitian_eigen takes what its callers built; a non-Hermitian matrix is refused at the door
+    # (require_hermitian, which density and observable call) before it reaches the eigensolver
+    m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match=r"^matrix: not Hermitian, entry \(0,1\) = \(1\+0j\) vs"):
+        require_hermitian(m, "matrix")
+    with pytest.raises(ValueError, match=r"^observable: not Hermitian"):
+        observable(m)
 
 
 def test_eigen_of_a_stack_gives_each_matrix_its_bits_alone(rng):
@@ -97,9 +103,6 @@ def test_eigen_of_a_stack_gives_each_matrix_its_bits_alone(rng):
             alone = eigen_one(m)
             assert np.array_equal(eig.eigenvalues[k], alone.eigenvalues)
             assert np.array_equal(eig.unitary[k], alone.unitary)
-        stack[0, 1, 3] += 1e-6
-        with pytest.raises(ValueError, match=r"not Hermitian, entry \(0,1\)"):
-            hermitian_eigen(stack)
 
 
 def test_commutator_paulis():
@@ -185,51 +188,56 @@ def test_det_near_singular_sign():
 
 
 def test_det_rejects_asymmetric():
-    with pytest.raises(ValueError, match="not symmetric"):
-        det_one(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    # det_real_symmetric takes what its callers built; an asymmetric real matrix is refused at the door
+    with pytest.raises(ValueError, match=r"^matrix: not symmetric, entry \(0,1\) = 2.0 vs \(1,0\) = 0.0$"):
+        require_hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]), "matrix")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_non_finite_entries_are_rejected(n, bad):
-    for h, j in ((0, 0), (n - 1, 0)):
+    # the door judges finiteness, of one matrix or of any matrix of a stack, real or complex, and names
+    # the first non-finite entry in row-major order
+    for h, j in ((0, 0), (0, n - 1)):
         m = np.eye(n)
         m[h, j] = m[j, h] = bad
-        with pytest.raises(ValueError, match="non-finite entry"):
-            det_real_symmetric(np.stack([np.eye(n), m], axis=-1))
-        for solver in (hermitian_eigen, det_real_symmetric, det_antisymmetric):
-            with pytest.raises(ValueError, match="non-finite entry"):
-                solver(m[:, :, None])
+        for given in (m, np.stack([np.eye(n), m]), m.astype(complex)):
+            with pytest.raises(ValueError, match=f"^matrix: non-finite entry \\({h}, {j}\\) = "):
+                require_hermitian(given, "matrix")
 
 
 def test_det_checks_its_input():
-    """det_real_symmetric, on both sides of its size switch, rejects non-square, asymmetric and
-    non-finite input."""
-    with pytest.raises(ValueError, match=r"^matrix: not symmetric, entry \(0,1\) = 5.0 vs \(1,0\) = 0.0$"):
-        det_one(np.array([[1.0, 5.0], [0.0, 2.0]]))
-    with pytest.raises(ValueError, match=r"not symmetric"):
-        det_one(np.triu(np.ones((5, 5))))
+    """det_real_symmetric rejects input that is not an (n, n, K) stack; a matrix's values are judged at
+    its door (``require_hermitian``)."""
     with pytest.raises(ValueError, match=r"expected an \(n, n, K\) stack of square matrices, got shape \(2, 3\)"):
         det_real_symmetric(np.ones((2, 3)))
-    with pytest.raises(ValueError, match=r"non-finite entry \(0, 1\) = nan"):
-        det_one(np.array([[1.0, math.nan], [math.nan, 1.0]]))
+
+
+def test_require_hermitian_names_the_entry_without_its_mirror():
+    # real matrices are held to symmetry, complex ones to Hermiticity, each in its own words
+    cases = (
+        (np.array([[1.0, 5.0], [0.0, 2.0]]), r"^matrix: not symmetric, entry \(0,1\) = 5.0 vs \(1,0\) = 0.0$"),
+        (np.triu(np.ones((5, 5))), "not symmetric"),
+        (np.array([[1.0, math.nan], [math.nan, 1.0]]), r"^matrix: non-finite entry \(0, 1\) = nan$"),
+    )
+    for matrix, message in cases:
+        with pytest.raises(ValueError, match=message):
+            require_hermitian(matrix, "matrix")
+    require_hermitian(np.array([[1.0, 2.0j], [-2.0j, 1.0]]), "matrix")
 
 
 def test_real_matrices_share_one_symmetry_tolerance():
-    """The determinants accept an asymmetry up to SYMMETRY_TOL times max(1, the largest entry)
-    and reject one above it."""
+    """The door accepts an asymmetry up to SYMMETRY_TOL times max(1, the largest entry) and rejects
+    one above it."""
     for scale in (1.0, 1e6):
         for off, ok in ((0.5e-12, True), (5e-12, False)):
             m = scale * np.eye(4)
             m[0, 1] += off * scale
-            k = np.kron(np.eye(2), np.array([[0.0, scale], [-scale, 0.0]]))
-            k[0, 1] += off * scale
-            for solver, matrix in ((det_real_symmetric, m), (det_antisymmetric, k)):
-                if ok:
-                    solver(matrix[:, :, None])
-                else:
-                    with pytest.raises(ValueError, match="not (anti)?symmetric"):
-                        solver(matrix[:, :, None])
+            if ok:
+                require_hermitian(m, "matrix")
+            else:
+                with pytest.raises(ValueError, match="not symmetric"):
+                    require_hermitian(m, "matrix")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -260,17 +268,6 @@ def _cofactor_on_floats(r):
 
 
 def test_det_stack_checks_its_input():
-    # on both sides of the size switch, the first asymmetric matrix is the one named
-    for n in (2, 4):
-        stack = np.stack([np.eye(n)] * 5, axis=-1)
-        stack[0, 1, 2] += 0.25
-        stack[1, 0, 4] += 7.0
-        with pytest.raises(ValueError, match=r"^matrix: not symmetric, entry \(0,1\) = 0.25 vs \(1,0\) = 0.0$"):
-            det_real_symmetric(stack)
-    stack = np.stack([np.eye(4)] * 5, axis=-1)
-    stack[1, 2, 3] = stack[2, 1, 3] = math.inf
-    with pytest.raises(ValueError, match=r"non-finite entry \(1, 2\) = inf"):
-        det_real_symmetric(stack)
     for shape, what in (((3,), "an (n, n, K) stack of square matrices"), ((2, 3, 2), "an (n, n, K) stack of square matrices")):
         with pytest.raises(ValueError, match=re.escape(f"expected {what}, got shape {shape}")):
             det_real_symmetric(np.ones(shape))
@@ -322,14 +319,23 @@ def test_det_antisymmetric_stack_equals_single_matrices_bit_for_bit(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_det_antisymmetric_stack_names_its_first_bad_matrix(n):
+def test_require_hermitian_names_the_first_bad_matrix_of_a_stack(n):
+    # one test of a (..., n, n) stack, and the text of its first faulty matrix, whichever its fault
     for first, second in ((1, 3), (3, 1)):
-        stack = np.zeros((n, n, 5))
-        stack[0, 1, first] = math.nan
-        stack[1, 0, second] = 0.25  # +0.25 against 0: not antisymmetric
-        message = r"matrix: non-finite entry \(0, 1\) = nan" if first < second else r"matrix: not antisymmetric, entry \(0,1\) = 0.0 vs negative of \(1,0\) = -0.25"
-        with pytest.raises(ValueError, match=message):
-            det_antisymmetric(stack)
+        stack = np.zeros((5, n, n))
+        stack[first, 0, 1] = math.nan
+        stack[second, 1, 0] = 0.25
+        nan, asymmetric = r"^matrix: non-finite entry \(0, 1\) = nan$", r"^matrix: not symmetric, entry \(0,1\) = 0.0 vs \(1,0\) = 0.25$"
+        with pytest.raises(ValueError, match=nan if first < second else asymmetric):
+            require_hermitian(stack, "matrix")
+    stack = np.stack([np.eye(n)] * 5).astype(complex)
+    stack[2, 0, 1] += 0.25
+    stack[4, 1, 0] += 7.0
+    stack[3, n - 1, n - 1] = math.inf
+    # a complex stack of any leading shape, whose first faulty matrix comes before a non-finite one
+    hermitian = r"^matrix: not Hermitian, entry \(0,1\) = \(0.25\+0j\) vs conjugate of \(1,0\) = -?0j$"
+    with pytest.raises(ValueError, match=hermitian):
+        require_hermitian(stack.reshape(5, 1, n, n), "matrix")
 
 
 def test_det_antisymmetric_examples(rng):

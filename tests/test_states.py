@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qfidet.inequalities import check_metric_contraction
 from qfidet.linalg import EigenDecomposition
+from qfidet.monotone import make_function
 from qfidet.states import (
     density,
     density_stack,
@@ -18,6 +20,8 @@ from qfidet.states import (
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
 from oracles import dependence_one, frobenius_one, pinching_one
+
+SLD = make_function("sld")
 
 
 def qubit_state(p=0.75):
@@ -40,6 +44,15 @@ def test_density_rejects_non_hermitian():
     m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
     with pytest.raises(ValueError, match="[Hh]ermitian"):
         density(m)
+
+
+def test_a_matrix_without_entries_is_refused_in_its_doors_words():
+    for door, label in ((density, "state"), (observable, "observable")):
+        with pytest.raises(ValueError, match=rf"^{label}: expected a non-empty square matrix, got shape \(0, 0\)$"):
+            door(np.zeros((0, 0)))
+        # a matrix without entries that is not square keeps the square-shape text
+        with pytest.raises(ValueError, match=rf"^{label}: expected a square matrix, got shape \(0, 2\)$"):
+            door(np.zeros((0, 2)))
 
 
 def test_density_rejects_nonpositive():
@@ -245,11 +258,12 @@ def test_pinching_preserves_density(rng):
 
 
 def test_pinching_rejects_bad_partition():
-    x = np.eye(3, dtype=complex)
-    with pytest.raises(ValueError, match="partition"):
-        pinching_one(x, [[0, 1]])
-    with pytest.raises(ValueError, match="partition"):
-        pinching_one(x, [[0, 1], [1, 2]])
+    # pinching takes partitions as given; a partition from outside is judged by check_metric_contraction,
+    # the one function that takes one, before it reaches pinching
+    d, x = density(np.eye(3, dtype=complex) / 3.0), np.eye(3, dtype=complex)
+    for partition in ([[0, 1]], [[0, 1], [1, 2]]):
+        with pytest.raises(ValueError, match=r"^partition .* does not partition range\(3\)$"):
+            check_metric_contraction(d, x, SLD, partition)
 
 
 def test_random_partition_covers_range():

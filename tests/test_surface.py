@@ -14,8 +14,11 @@ name that another class or a module also defines limits the walk: a property
 The surface has one door to numpy's linear algebra: no module but ``linalg.py``
 names ``np.linalg``, so every eigendecomposition goes through
 ``linalg.hermitian_eigen`` (and its tracer sees them all).  And one judge of
-symmetry: exactly one function reads ``SYMMETRY_TOL``, and no module imports a
-private name of ``linalg``, so every matrix is held to the same rule and text.
+symmetry: exactly one function, the door ``require_hermitian``, reads
+``SYMMETRY_TOL``, and no module imports a private name of ``linalg``, so every
+matrix from outside is held to the same rule and text.  The kernels that take
+what a block built (the eigensolver, the determinants and ``pinching``) reach
+no judge: only the doors judge a matrix's values.
 """
 from __future__ import annotations
 
@@ -207,8 +210,30 @@ def _private_linalg_imports(src: Path) -> list:
     return sorted(found)
 
 
+def _reached(src: Path, roots) -> set:
+    """Names of the module-level functions of ``src`` that the functions named ``roots`` reach: each
+    function that one of them loads by name or as an attribute, and so on, matched by name alone."""
+    functions = {}
+    for path in sorted(src.glob("*.py")):
+        functions.update((node.name, node) for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef))
+    reached, todo = set(), list(roots)
+    while todo:
+        for name in _uses(functions[todo.pop()]):
+            if name in functions and name not in reached:
+                reached.add(name)
+                todo.append(name)
+    return reached
+
+
 def test_one_function_reads_the_symmetry_tolerance():
-    assert _readers(SRC, "SYMMETRY_TOL") == [("linalg", "_symmetric_stack")]
+    assert _readers(SRC, "SYMMETRY_TOL") == [("linalg", "require_hermitian")]
+
+
+def test_no_kernel_reaches_the_judge():
+    # the eigensolver, the determinants and pinching take what their callers built or judged
+    kernels = ("hermitian_eigen", "det_real_symmetric", "det_antisymmetric", "pinching")
+    judges = {"require_hermitian"} | {function for _, function in _readers(SRC, "SYMMETRY_TOL")}
+    assert _reached(SRC, kernels) & judges == set()
 
 
 def test_no_module_imports_a_private_name_of_linalg():
@@ -231,3 +256,11 @@ def test_the_symmetry_walks_find_every_reader_and_private_import(tmp_path):
     )
     assert _readers(tmp_path, "TOL") == [("a", "<module>"), ("linalg", "check"), ("linalg", "inner"), ("linalg", "judge")]
     assert _private_linalg_imports(tmp_path) == [("a", 2, "_hidden"), ("a", 6, "_stack")]
+    # through a helper, as an attribute and by recursion, and not through a name in a docstring
+    (tmp_path / "b.py").write_text(
+        "def kernel(m):\n    return _helper(m)\n"
+        "def _helper(m):\n    return linalg.judge(m) + _helper(m)\n"
+        'def clean(m):\n    """judge"""\n    return m\n'
+    )
+    assert _reached(tmp_path, ["kernel"]) == {"_helper", "judge"}
+    assert _reached(tmp_path, ["clean"]) == set()
