@@ -12,8 +12,8 @@ Both are one einsum per matrix, or per stack of a block's matrices.  The
 definitions they are tested against live in the test suite's oracles: the
 trace formula for Cov, and for Qov_f f(0)/2 times the metric inner product of
 i[D, A] and i[D, B], where the metric divides by the matrix mean
-m_f(lambda_h, lambda_j).  That metric is ``metric_inner`` (and, on sums the
-caller forms, ``metric_sum``).
+m_f(lambda_h, lambda_j).  That metric is ``metric_inner`` (``metric_sum`` on sums the caller forms); its means
+are ``pair_means``'s, on spectra that a door judged, and ``monotone.mean`` stays the door for scalars and outside input.
 
 A nonregular f (f(0) = 0) makes Qov_f identically zero.  ``qov_matrix_frame``
 rejects it rather than return that zero; ``inequalities.InstanceBlock.assemble``
@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .linalg import frobenius, require_hermitian
-from .monotone import MonotoneFunction, mean, tilde
+from .monotone import MonotoneFunction, tilde
 from .states import DensityMatrix, EigenFrame
 
 __all__ = [
@@ -41,12 +41,11 @@ __all__ = [
 
 
 def pair_means(lambdas: np.ndarray, f: MonotoneFunction) -> np.ndarray:
-    """Matrix of m_f(lambda_h, lambda_j) over all eigenvalue pairs.
-
-    A stack of spectra (..., n) gives the stack of their matrices from one
-    ``mean`` call.
-    """
-    return mean(f, lambdas[..., :, None], lambdas[..., None, :])
+    """Matrix of m_f(lambda_h, lambda_j) over all eigenvalue pairs (a stack of them for spectra (..., n)): ``mean``'s
+    max * f(min/max), on spectra judged finite and at least ``POSITIVITY_FLOOR`` by ``density_stack`` or ``fill_contraction``."""
+    lo = np.minimum(lambdas[..., :, None], lambdas[..., None, :])
+    hi = np.maximum(lambdas[..., :, None], lambdas[..., None, :])
+    return hi * f.evaluator(lo / hi)
 
 
 def metric_sum(products: np.ndarray, means: np.ndarray, f: MonotoneFunction):
@@ -56,7 +55,7 @@ def metric_sum(products: np.ndarray, means: np.ndarray, f: MonotoneFunction):
     bad = ~(lows > 0.0)
     if bad.any():
         raise ValueError(f"matrix mean underflow for {f.label}: min {lows[np.argmax(bad)]:.3e}")
-    return np.sum(products / means, axis=(-2, -1)).real
+    return (products / means).sum(axis=(-2, -1)).real
 
 
 def metric_inner(d: DensityMatrix, f: MonotoneFunction, x: np.ndarray, y: np.ndarray) -> float:
@@ -80,7 +79,7 @@ def alpha_coefficients(lambdas: np.ndarray, f: MonotoneFunction) -> np.ndarray:
 
     Zero on the diagonal, strictly positive off it (for distinct eigenvalues);
     equal to f(0)(lambda_h - lambda_j)^2 / (2 m_f) by the transform identity,
-    which the tests check but this route never uses.  Spectra (..., n) give a stack.
+    which the tests check but this route never uses.  Judged spectra (..., n), as ``pair_means`` takes, give a stack.
     """
     lam = np.asarray(lambdas, dtype=float)
     arithmetic = 0.5 * (lam[..., :, None] + lam[..., None, :])
@@ -90,7 +89,7 @@ def alpha_coefficients(lambdas: np.ndarray, f: MonotoneFunction) -> np.ndarray:
 def _frame_quadratic(frame: EigenFrame, weights: np.ndarray) -> np.ndarray:
     x = frame.observables
     raw = np.einsum("...hj,...khj,...ljh->...kl", weights, x, x).real
-    return 0.5 * (raw + np.swapaxes(raw, -1, -2))
+    return 0.5 * (raw + raw.swapaxes(-1, -2))
 
 
 def cov_matrix_frame(frame: EigenFrame) -> np.ndarray:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from itertools import chain, repeat
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -60,6 +60,7 @@ from .states import (
     pinching,
     random_density_stack,
     random_partition,
+    require_partition,
 )
 
 __all__ = [
@@ -173,7 +174,7 @@ def _cross_terms(q, c, n_obs: int) -> np.ndarray:
     q, c = np.asarray(q, dtype=float), np.asarray(c, dtype=float)
     # x^1 is x itself, and x^2..x^{N-1} come from one list pass
     powers_q, powers_c = (
-        [x, *np.reshape([v**k for k in range(2, n_obs) for v in x.tolist()], (max(n_obs - 2, 0), x.size))] for x in (q, c)
+        [x, *np.array([v**k for k in range(2, n_obs) for v in x.tolist()]).reshape(max(n_obs - 2, 0), x.size)] for x in (q, c)
     )
     total = 0.0 * q
     for k in range(1, n_obs):
@@ -197,8 +198,12 @@ class PreparedInstance:
 
     def __init__(self, d: DensityMatrix, obs: Sequence[np.ndarray], digest: str = "custom"):
         self._source = d, observable_stack(d.matrix.shape, [observable(a) for a in obs])
-        self.partition, self.digest = random_partition(d.dim, derive_seed("partition", None)), digest
+        self._partition, self.digest = random_partition(d.dim, derive_seed("partition", None)), digest
         InstanceBlock((self,))
+
+    # the partition of range(n) its block pinches at: the drawn one as drawn, one set before a block builds it judged
+    partition = property(lambda self: self._partition, lambda self, blocks: setattr(
+        self, "_partition", require_partition(blocks, sum(map(len, self._partition)))))  # the held one covers range(n)
 
     def __getattr__(self, name):
         # reached for an attribute the instance lacks: one that no block has built yet, or none
@@ -308,7 +313,7 @@ class InstanceBlock:
             elif side == "robertson":
                 x = frame.observables
                 r = np.einsum("...h,...khj,...ljh->...kl", frame.lambdas, x, x).imag
-                got = 0.5 * (r - np.swapaxes(r, -1, -2))
+                got = 0.5 * (r - r.swapaxes(-1, -2))
             elif not isinstance(side, MonotoneFunction):  # not a side: no matrix
                 continue
             elif not side.regular:
@@ -351,8 +356,8 @@ class InstanceBlock:
         raw_small, raw_big = (np.array([det[pair[k]] for pair in pairs]).T for k in (1, 0))  # each (B, P)
         lhs_of = {None: raw_big, 0.0: raw_small, 1.0: weighted[:, :, 0]}
         lhs_of.update((t, weighted[:, :, 1 + k]) for k, t in enumerate(mixed))
-        lhs = np.stack([lhs_of[t] for t in ts], axis=2)
-        raw = np.stack((raw_small, weighted[:, :, 0]))[..., None]  # each (B, P, 1), to broadcast over the rows
+        lhs = np.concatenate([lhs_of[t][:, :, None] for t in ts], axis=2)
+        raw = np.concatenate((raw_small[None], weighted[None, :, :, 0]))[..., None]  # each (B, P, 1), to broadcast over the rows
         ok = raw >= 0.0
         clamped = np.where(ok, raw, 0.0)  # keeps -0.0, as _clamp does
         q, dd = clamped
@@ -390,7 +395,7 @@ def prepare_random(n: int, n_obs: int, seed: int, kind: str = "generic") -> Prep
         raise ValueError("eigenframe needs at least one observable")
     rng, inst = np.random.default_rng(seed), PreparedInstance.__new__(PreparedInstance)
     x, pair = _draw_gaussians(rng, n, 1 + n_obs, kind)
-    inst._source, inst.partition = (x, kind, pair), _draw_partition(rng, n)
+    inst._source, inst._partition = (x, kind, pair), _draw_partition(rng, n)
     inst.digest = f"n={n},N={n_obs},kind={kind},seed={seed}"
     return inst
 
@@ -558,11 +563,11 @@ def minkowski_firey_selftest(
     require_hermitian(k, "K")
     require_hermitian(l, "L")
     scale = max(1.0, float(np.abs(k).max()), float(np.abs(l).max()))
-    for name, least in zip("KL", hermitian_eigen(np.stack((k, l), axis=-1)).eigenvalues[:, 0]):
+    for name, least in zip("KL", hermitian_eigen(np.concatenate((k[..., None], l[..., None]), axis=-1)).eigenvalues[:, 0]):
         if least < -1e-10 * scale:
             raise ValueError(f"{name} is not positive semidefinite")
     window = tol * scale**n
-    dets = det_real_symmetric(np.stack((k, l, (1.0 - t) * k + t * l), axis=-1)).tolist()
+    dets = det_real_symmetric(np.concatenate((k[..., None], l[..., None], ((1.0 - t) * k + t * l)[..., None]), axis=-1)).tolist()
     det_k, c1 = _clamp(dets[0], window, "det K")
     det_l, c2 = _clamp(dets[1], window, "det L")
     det_mix, c3 = _clamp(dets[2], window, "det mix")
@@ -582,14 +587,14 @@ def fill_contraction(states, x, partitions, functions) -> dict:
     ``pair_means`` call over the (B, 2, n) spectra and one weighted sum over the (B, 2, n, n) products."""
     matrices, values, vectors = states
     n = x.shape[-1]
-    x0 = x - (np.trace(x, axis1=-2, axis2=-1).real / n)[:, None, None] * np.eye(n)
-    pinched = pinching(np.stack((matrices, x0), axis=1), partitions)
-    pinched_eigen = hermitian_eigen(np.moveaxis(pinched[:, 0], 0, -1))
+    x0 = x - (x.trace(axis1=-2, axis2=-1).real / n)[:, None, None] * np.eye(n)
+    pinched = pinching(np.concatenate((matrices[:, None], x0[:, None]), axis=1), partitions)
+    pinched_eigen = hermitian_eigen(pinched[:, 0].transpose(1, 2, 0))
     _require_positive(pinched_eigen.eigenvalues)
-    u = np.stack((vectors, pinched_eigen.unitary), axis=1)
-    r = np.swapaxes(u.conj(), -1, -2) @ np.stack((x0, pinched[:, 1]), axis=1) @ u
+    u = np.concatenate((vectors[:, None], pinched_eigen.unitary[:, None]), axis=1)
+    r = u.conj().swapaxes(-1, -2) @ np.concatenate((x0[:, None], pinched[:, 1:]), axis=1) @ u
     products = r.conj() * r
-    spectra = np.stack((values, pinched_eigen.eigenvalues), axis=1)
+    spectra = np.concatenate((values[:, None], pinched_eigen.eigenvalues[:, None]), axis=1)
     floors = spectra[:, :, 0].min(axis=1).tolist()
     blocks = [len(partition) for partition in partitions]
     got = {}
@@ -628,8 +633,6 @@ def check_metric_contraction(
     """
     if np.shape(x) != d.matrix.shape:
         raise ValueError(f"tangent x shape {np.shape(x)} does not match the state")
-    blocks = [sorted(map(int, block)) for block in partition]
-    if sorted(chain.from_iterable(blocks)) != list(range(d.dim)):
-        raise ValueError(f"partition {blocks!r} does not partition range({d.dim})")
-    (sums,) = fill_contraction((d.matrix[None], d.eigenvalues[None], d.eigen.unitary[None]), observable(x)[None], [partition], (f,))[f]
+    blocks = require_partition(partition, d.dim)
+    (sums,) = fill_contraction((d.matrix[None], d.eigenvalues[None], d.eigen.unitary[None]), observable(x)[None], [blocks], (f,))[f]
     return contraction_report(sums, f, d.dim, tol)

@@ -45,7 +45,7 @@ def as_complex_matrix(a, label: str) -> np.ndarray:
 def hermitian_part(a) -> np.ndarray:
     """(A + A^dagger) / 2, of each of a stack (..., n, n) too."""
     m = np.asarray(a, dtype=complex)
-    return 0.5 * (m + np.swapaxes(m.conj(), -1, -2))
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def frobenius(a):
@@ -60,8 +60,8 @@ def frobenius(a):
     if m.ndim < 3:
         raise ValueError(f"expected a stack (..., n, n) of matrices, got shape {m.shape}")
     flat = m.reshape(*m.shape[:-2], 1, -1)
-    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
-    return np.sqrt(sum(p @ np.swapaxes(p, -1, -2) for p in parts))[..., 0, 0]
+    parts = (flat.real, flat.imag) if flat.dtype.kind == "c" else (flat,)
+    return np.sqrt(sum(p @ p.swapaxes(-1, -2) for p in parts))[..., 0, 0]
 
 
 def require_hermitian(m: np.ndarray, label: str) -> None:
@@ -71,7 +71,7 @@ def require_hermitian(m: np.ndarray, label: str) -> None:
     s = m.reshape(-1, *m.shape[-2:])
     largest = np.abs(s).max(axis=(1, 2))
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, and overflowing differences
-        delta = np.abs(s - np.swapaxes(s, 1, 2).conj())
+        delta = np.abs(s - s.swapaxes(1, 2).conj())
         bad = ~((delta.max(axis=(1, 2)) <= SYMMETRY_TOL * np.maximum(1.0, largest)) & np.isfinite(largest))
     if not bad.any():
         return
@@ -80,7 +80,7 @@ def require_hermitian(m: np.ndarray, label: str) -> None:
         where = tuple(int(i) for i in np.argwhere(~np.isfinite(s[k]))[0])
         raise ValueError(f"{label}: non-finite entry {where} = {s[k][where]}")
     h, j = np.unravel_index(int(np.argmax(delta[k])), s.shape[1:])
-    if np.iscomplexobj(s):
+    if s.dtype.kind == "c":
         what, mirrored = "Hermitian", f"conjugate of ({j},{h}) = {np.conj(s[k, j, h])}"
     else:
         what, mirrored = "symmetric", f"({j},{h}) = {s[k, j, h]}"
@@ -105,7 +105,7 @@ class EigenDecomposition:
     def reconstruct(self) -> np.ndarray:
         """U diag(eigenvalues) U^dagger, of each of a stack too."""
         u = self.unitary
-        return (u * np.asarray(self.eigenvalues)[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
+        return (u * np.asarray(self.eigenvalues)[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def hermitian_eigen(h) -> EigenDecomposition:
@@ -117,7 +117,7 @@ def hermitian_eigen(h) -> EigenDecomposition:
     each with the bits of its matrix's decomposition alone.  Inside a
     degenerate eigenspace the basis is whichever one LAPACK returns.
     """
-    values, unitary = np.linalg.eigh(np.moveaxis(_stack(h, complex), -1, 0))
+    values, unitary = np.linalg.eigh(_stack(h, complex).transpose(2, 0, 1))
     return EigenDecomposition(eigenvalues=values, unitary=unitary)
 
 
@@ -199,4 +199,4 @@ def numeric_rank(vectors, floor) -> np.ndarray:
         raise ValueError(f"floor must be nonnegative, got {floor}")
     s = np.linalg.svd(rows, compute_uv=False)
     # all-zero rows give s = 0, which no threshold max(0, floor) counts
-    return np.count_nonzero(s > np.maximum(RANK_TOL * s[:, :1], floors[..., None]), axis=-1)
+    return (s > np.maximum(RANK_TOL * s[:, :1], floors[..., None])).sum(axis=-1)

@@ -44,6 +44,7 @@ __all__ = [
     "offdiagonal_dependence",
     "pinching",
     "random_partition",
+    "require_partition",
 ]
 
 # smallest admissible eigenvalue of a state; keeps 1/mean(lambda_h, lambda_j)
@@ -82,7 +83,7 @@ def density(matrix) -> DensityMatrix:
     m = as_complex_matrix(matrix, label="state")
     require_hermitian(m, label="state")
     h = hermitian_part(m)[None]
-    m, values, vectors = density_stack(h, hermitian_eigen(np.moveaxis(h, 0, -1)))
+    m, values, vectors = density_stack(h, hermitian_eigen(h.transpose(1, 2, 0)))
     return DensityMatrix(m[0], EigenDecomposition(values[0], vectors[0]))
 
 
@@ -90,18 +91,17 @@ def density_stack(matrices: np.ndarray, eigen: EigenDecomposition) -> tuple[np.n
     """Validate a (B, n, n) stack of exactly Hermitian states with their ``eigen`` decompositions
     (``hermitian_eigen``'s); return the states, eigenvalues and eigenvectors.
 
-    Each decomposition must reconstruct its matrix, each matrix must be of
-    trace one within ``_TRACE_TOL``, and its least eigenvalue must reach
-    ``POSITIVITY_FLOOR``.  The first that fails raises the ``ValueError``
-    ``density`` raises for it alone.
+    Each decomposition must reconstruct its matrix, each matrix must be of trace one within ``_TRACE_TOL``,
+    and its least eigenvalue must reach ``POSITIVITY_FLOOR``, each by one comparison that NaN fails.  The
+    first that fails raises the ``ValueError`` ``density`` raises for it alone.
     """
     m, values, vectors = matrices, eigen.eigenvalues, eigen.unitary
     residual = frobenius(eigen.reconstruct() - m)
-    wrong = residual > 1e-11 * np.maximum(1.0, frobenius(m))
+    wrong = ~(residual <= 1e-11 * np.maximum(1.0, frobenius(m)))
     if wrong.any():
         raise ValueError(f"supplied eigendecomposition does not match the state (residual {residual[np.argmax(wrong)]:.3e})")
-    tr = np.trace(m, axis1=-2, axis2=-1).real
-    wrong = np.abs(tr - 1.0) > _TRACE_TOL
+    tr = m.trace(axis1=-2, axis2=-1).real
+    wrong = ~(np.abs(tr - 1.0) <= _TRACE_TOL)
     if wrong.any():
         raise ValueError(f"state trace is {float(tr[np.argmax(wrong)])!r}, expected 1 within {_TRACE_TOL:g}")
     _require_positive(values)
@@ -109,8 +109,8 @@ def density_stack(matrices: np.ndarray, eigen: EigenDecomposition) -> tuple[np.n
 
 
 def _require_positive(values: np.ndarray) -> None:
-    """Raise for the first of a (B, n) stack of ascending spectra whose least one is below ``POSITIVITY_FLOOR``."""
-    wrong = values[:, 0] < POSITIVITY_FLOOR
+    """Raise for the first of a (B, n) stack of ascending spectra whose least one is NaN or below ``POSITIVITY_FLOOR``."""
+    wrong = ~(values[:, 0] >= POSITIVITY_FLOOR)
     if wrong.any():
         least = values[np.argmax(wrong), 0]
         raise ValueError(f"state is not strictly positive: min eigenvalue {least:.3e} is below the floor {POSITIVITY_FLOOR:g}")
@@ -125,7 +125,7 @@ def observable(matrix) -> np.ndarray:
 
 def _centered(states: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """obs - Tr(D obs) I, for states D and observables that broadcast against each other."""
-    expectation = np.trace(states @ obs, axis1=-2, axis2=-1).real
+    expectation = (states @ obs).trace(axis1=-2, axis2=-1).real
     return obs - expectation[..., None, None] * np.eye(obs.shape[-1])
 
 
@@ -183,8 +183,8 @@ def eigenframe_stack(states: tuple, obs: np.ndarray) -> EigenFrame:
     """
     matrices, lambdas, u = states
     u = u[:, None]
-    rotated = hermitian_part(np.swapaxes(u.conj(), -1, -2) @ _centered(matrices[:, None], obs) @ u)
-    residue = np.abs(np.sum(lambdas[:, None, :] * np.diagonal(rotated, axis1=-2, axis2=-1).real, axis=-1))
+    rotated = hermitian_part(u.conj().swapaxes(-1, -2) @ _centered(matrices[:, None], obs) @ u)
+    residue = np.abs((lambdas[:, None, :] * rotated.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1))
     norms = frobenius(rotated)
     wrong = residue > 1e-11 * np.maximum(1.0, norms)
     if wrong.any():
@@ -231,9 +231,9 @@ def random_density_stack(x: np.ndarray, kinds: Sequence[str], pairs: Sequence) -
     every state against its decomposition, and not a second time for Hermiticity.
     """
     g = x[:, 0] + 1j * x[:, 1]
-    m = hermitian_part(g @ np.swapaxes(g.conj(), -1, -2))
-    m /= np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
-    eigen = hermitian_eigen(np.moveaxis(m, 0, -1))  # a drawn matrix is exactly Hermitian
+    m = hermitian_part(g @ g.conj().swapaxes(-1, -2))
+    m /= m.trace(axis1=-2, axis2=-1).real[:, None, None]
+    eigen = hermitian_eigen(m.transpose(1, 2, 0))  # a drawn matrix is exactly Hermitian
     values, vectors = eigen.eigenvalues, eigen.unitary
     edited = [k for k, kind in enumerate(kinds) if kind != "generic"]
     if edited:
@@ -243,9 +243,9 @@ def random_density_stack(x: np.ndarray, kinds: Sequence[str], pairs: Sequence) -
         singular = np.array([kinds[k] == "near-singular" for k in edited])
         lam[rows, i] = lam[rows, j] = np.where(singular, 1e-8, 0.5 * (lam[rows, i] + lam[rows, j]))
         lam /= lam.sum(axis=-1, keepdims=True)
-        order = np.argsort(lam, axis=-1, kind="stable")
-        lam = np.take_along_axis(lam, order, axis=-1)
-        u = np.take_along_axis(vectors[edited], order[:, None, :], axis=-1)
+        order = lam.argsort(axis=-1, kind="stable")
+        lam = lam[rows[:, None], order]
+        u = vectors[edited][rows[:, None, None], np.arange(lam.shape[-1])[:, None], order[:, None, :]]
         m[edited] = hermitian_part(EigenDecomposition(lam, u).reconstruct())
         values[edited], vectors[edited] = lam, u
     return density_stack(m, EigenDecomposition(values, vectors))
@@ -276,7 +276,7 @@ def offdiagonal_dependence(frame: EigenFrame) -> np.ndarray:
     """
     if frame.observables.ndim != 4:
         raise ValueError(f"expected a stacked frame of (B, N, n, n) observables, got shape {frame.observables.shape}")
-    h, j = np.triu_indices(frame.dim, k=1)
+    h, j = np.nonzero(np.arange(frame.dim)[:, None] < np.arange(frame.dim))
     upper = frame.observables[..., h, j]
     vectors = np.concatenate((upper.real, upper.imag), axis=-1)
     # An observable diagonal in the eigenbasis leaves rounding noise in its
@@ -293,7 +293,7 @@ def pinching(x: np.ndarray, partitions) -> np.ndarray:
     The simplest completely positive trace-preserving map that is not a
     unitary conjugation; used to exercise monotonicity under coarse-graining.
     Each partition must partition range(n), as drawn ones do and
-    ``check_metric_contraction`` checks a given one; input that is not such a
+    ``require_partition`` checks a given one; input that is not such a
     stack (one matrix too) raises ValueError.
     """
     x = np.asarray(x, dtype=complex)
@@ -308,6 +308,14 @@ def pinching(x: np.ndarray, partitions) -> np.ndarray:
     owner = np.array(owner, dtype=int).reshape(-1, n)
     mask = owner[:, :, None] == owner[:, None, :]
     return np.where(mask.reshape(-1, *(1,) * (x.ndim - 3), n, n), x, 0.0)
+
+
+def require_partition(partition, n: int) -> list[list[int]]:
+    """A given partition of range(n) as its blocks of sorted ints; ValueError if it misses or repeats an index."""
+    blocks = [sorted(map(int, block)) for block in partition]
+    if sorted(i for block in blocks for i in block) != list(range(n)):
+        raise ValueError(f"partition {blocks!r} does not partition range({n})")
+    return blocks
 
 
 def random_partition(n: int, seed: int) -> list[list[int]]:

@@ -13,10 +13,21 @@ from qfidet.covariance import (
     pair_means,
     qov_matrix_frame,
 )
-from qfidet.inequalities import PreparedInstance
-from qfidet.linalg import EigenDecomposition
-from qfidet.monotone import make_function, parse_function_spec
-from qfidet.states import DensityMatrix, density, density_stack, eigenframe, random_density, random_observable
+from qfidet.inequalities import InstanceBlock, PreparedInstance, prepare_random
+from qfidet.linalg import EigenDecomposition, hermitian_eigen
+from qfidet.monotone import make_function, mean, parse_function_spec, tilde
+from qfidet.states import (
+    STATE_KINDS,
+    DensityMatrix,
+    _require_positive,
+    density,
+    density_stack,
+    derive_seed,
+    eigenframe,
+    pinching,
+    random_density,
+    random_observable,
+)
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
 from oracles import (
@@ -157,6 +168,24 @@ def test_qov_against_superoperator(rng):
             ours = qov(d, f, a, b)
             ref = qov_superop(d.matrix, f, a, b)
             assert abs(ours - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+# the catalogue: each family, with a parameter on each side of wyd's regularity
+CATALOGUE = [parse_function_spec(spec) for spec in ("sld", "wy", "wyd:0.3", *NONREGULAR)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+def test_pair_means_has_the_bits_of_mean_on_judged_spectra(n):
+    # the kernel computes what mean computes once its checks pass, on the state and pinched spectra of a drawn
+    # block of the three kinds, one and stacked as fill_contraction passes them, for f and each tilde(f)
+    block = InstanceBlock([prepare_random(n, 1, derive_seed("pair-means", n, k), STATE_KINDS[k % 3]) for k in range(9)])
+    matrices, values, _ = block.states
+    pinched = hermitian_eigen(pinching(matrices, block.partitions).transpose(1, 2, 0)).eigenvalues
+    spectra = np.concatenate((values[:, None], pinched[:, None]), axis=1)
+    _require_positive(spectra.reshape(-1, n))
+    for f in CATALOGUE + [tilde(f) for f in CATALOGUE if f.regular]:
+        for lam in (spectra, values[0], pinched[-1]):
+            assert np.array_equal(pair_means(lam, f), mean(f, lam[..., :, None], lam[..., None, :])), f.label
 
 
 def test_alpha_coefficients_hand_value():

@@ -824,6 +824,20 @@ def test_a_malformed_partition_in_a_block_raises_its_own_message():
             check_metric_contraction(views.state, views.observables[0], SLD, partition)
 
 
+def test_a_malformed_partition_set_on_an_instance_raises_the_same_message():
+    # the setter judges by the one partition rule, for a drawn instance and a given one; a refused set keeps the old
+    drawn = prepare_random(3, 2, derive_seed("bad-partition", "set"))
+    given = PreparedInstance(random_density(3, 31), [random_observable(3, 32)])
+    for inst in (drawn, given):
+        held = inst.partition
+        for partition, blocks in (([[0], [1]], "[[0], [1]]"), ([[0, 1], [2, 1]], "[[0, 1], [1, 2]]")):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'partition {blocks} does not partition range(3)')}$"):
+                inst.partition = partition
+            assert inst.partition == held
+        inst.partition = [[2], [1, 0]]
+        assert inst.partition == [[2], [0, 1]]
+
+
 # a tangent or observable with one fault each, and the text each check of outside data raises for it
 FAULTY = {
     "NaN": (np.array([[0.0, np.nan], [np.nan, 0.0]], dtype=complex), "observable: non-finite entry (0, 1) = (nan+0j)"),

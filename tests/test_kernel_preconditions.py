@@ -1,14 +1,16 @@
 """What the kernels assume, checked once in the suite instead of on every call.
 
-``hermitian_eigen``, ``det_real_symmetric``, ``det_antisymmetric`` and
-``pinching`` judge no values: they take each matrix as finite and Hermitian,
-symmetric or antisymmetric, and each partition as one of range(n), because
+``hermitian_eigen``, ``det_real_symmetric``, ``det_antisymmetric``,
+``pinching`` and ``pair_means`` judge no values: they take each matrix as
+finite and Hermitian, symmetric or antisymmetric, each partition as one of
+range(n) and each spectrum as finite and at least ``POSITIVITY_FLOOR``, because
 their callers build them exactly so (``hermitian_part``, ``0.5 * (raw ± rawᵀ)``,
-a symmetric mask, drawn partitions) or judge them at a door.  This test wraps
-the four kernels in every ``qfidet`` module that holds them and runs the
-command line through verify configs of the CI, ``compute`` on both fixtures and
+a symmetric mask, drawn partitions) or judge them at a door (``density_stack``
+and ``fill_contraction`` judge every spectrum).  This test wraps the five
+kernels in every ``qfidet`` module that holds them and runs the command line
+through verify configs of the CI, ``compute`` on both fixtures and
 ``selftest``, holding every stack to exact equality with its mirror, with no
-tolerance.
+tolerance, and every spectrum to the floor.
 """
 from __future__ import annotations
 
@@ -19,8 +21,10 @@ from itertools import chain
 
 import numpy as np
 
+import qfidet.covariance
 import qfidet.linalg
 import qfidet.states
+from qfidet.states import POSITIVITY_FLOOR
 from qfidet.cli import main
 
 from conftest import FIXTURES
@@ -38,6 +42,7 @@ KERNELS = {
     "det_real_symmetric": (qfidet.linalg, lambda m: _exact(m, (0, 1))),
     "det_antisymmetric": (qfidet.linalg, lambda k: _exact(k, (0, 1), -1.0)),
     "pinching": (qfidet.states, lambda x, partitions: _exact(x, (-2, -1))),
+    "pair_means": (qfidet.covariance, lambda lambdas, f: bool(np.isfinite(lambdas).all() and (lambdas >= POSITIVITY_FLOOR).all())),
 }
 
 # each verify config, as the CI runs it, on the one process whose kernels are wrapped

@@ -7,6 +7,7 @@ from qfidet.inequalities import check_metric_contraction
 from qfidet.linalg import EigenDecomposition
 from qfidet.monotone import make_function
 from qfidet.states import (
+    _require_positive,
     density,
     density_stack,
     derive_seed,
@@ -66,6 +67,29 @@ def test_density_rejects_stale_eigendecomposition():
     wrong = EigenDecomposition(np.array([[0.5, 0.5]]), np.eye(2, dtype=complex)[None])
     with pytest.raises(ValueError, match="eigendecomposition"):
         density_stack(m[None], wrong)
+
+
+# each test of density_stack is one comparison that NaN fails: a NaN residual, a NaN trace (of entries +inf and -inf,
+# whose residual and scale are both inf) and a NaN least eigenvalue, which only NaN input reaches
+def test_density_stack_refuses_a_nan_residual():
+    nan = EigenDecomposition(np.full((1, 2), np.nan), np.eye(2, dtype=complex)[None])
+    with pytest.raises(ValueError) as caught:
+        density_stack(np.full((1, 2, 2), np.nan + 0j), nan)
+    assert str(caught.value) == "supplied eigendecomposition does not match the state (residual nan)"
+
+
+def test_density_stack_refuses_a_nan_trace():
+    eigen = EigenDecomposition(np.array([[0.25, 0.75]]), np.eye(2, dtype=complex)[None])
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError) as caught:
+        density_stack(np.diag([np.inf, -np.inf]).astype(complex)[None], eigen)
+    assert str(caught.value) == "state trace is nan, expected 1 within 1e-12"
+
+
+def test_a_nan_spectrum_is_not_strictly_positive():
+    # the one judge of the state spectra, and of the pinched ones in fill_contraction
+    with pytest.raises(ValueError) as caught:
+        _require_positive(np.array([[0.25, 0.75], [np.nan, 1.0]]))
+    assert str(caught.value) == "state is not strictly positive: min eigenvalue nan is below the floor 1e-10"
 
 
 def test_observable_round_trip():

@@ -19,6 +19,10 @@ symmetry: exactly one function, the door ``require_hermitian``, reads
 matrix from outside is held to the same rule and text.  The kernels that take
 what a block built (the eigensolver, the determinants and ``pinching``) reach
 no judge: only the doors judge a matrix's values.
+
+The per-block path (``linalg``, ``states``, ``covariance`` and ``inequalities``)
+calls no Python-level numpy helper that an ndarray method or a C function does
+the same work of: a block of few instances pays each helper's fixed cost per call.
 """
 from __future__ import annotations
 
@@ -264,3 +268,43 @@ def test_the_symmetry_walks_find_every_reader_and_private_import(tmp_path):
     )
     assert _reached(tmp_path, ["kernel"]) == {"_helper", "judge"}
     assert _reached(tmp_path, ["clean"]) == set()
+
+
+PER_BLOCK = ("linalg.py", "states.py", "covariance.py", "inequalities.py")
+# numpy's Python-level helpers whose work an ndarray method (x.swapaxes, x.trace, x.sum, ...) or a C function
+# (np.concatenate of [:, None] views, one fancy index, np.nonzero) does on the same operands
+HELPERS = {"moveaxis", "stack", "take_along_axis", "triu_indices", "count_nonzero", "iscomplexobj",
+           "swapaxes", "trace", "diagonal", "sum", "argsort", "reshape"}
+
+
+def _helper_uses(src: Path) -> list:
+    """(module, line, text) of each numpy helper in ``HELPERS`` that a ``PER_BLOCK`` module of ``src`` names,
+    as ``np.helper`` or ``numpy.helper``, or imports from numpy."""
+    found = []
+    for path in sorted(src / name for name in PER_BLOCK if (src / name).is_file()):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in HELPERS and ast.unparse(node.value) in ("np", "numpy"):
+                found.append((path.stem, node.lineno, ast.unparse(node)))
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                found += [(path.stem, node.lineno, f"numpy.{a.name}") for a in node.names if a.name in HELPERS]
+    return sorted(found)
+
+
+def test_the_per_block_path_calls_no_numpy_helper():
+    assert _helper_uses(SRC) == []
+
+
+def test_the_helper_walk_finds_helpers_in_per_block_modules_only(tmp_path):
+    (tmp_path / "linalg.py").write_text(
+        "import numpy as np\n"
+        "from numpy import moveaxis, concatenate\n"
+        "def part(m):\n    return 0.5 * (m + np.swapaxes(m.conj(), -1, -2))\n"
+        "def method(m):\n    return m.swapaxes(-1, -2).trace(axis1=-2, axis2=-1).sum(), np.nonzero(m)\n"
+    )
+    (tmp_path / "states.py").write_text("import numpy\nh, j = numpy.triu_indices(3, k=1)\n")
+    (tmp_path / "campaign.py").write_text("import numpy as np\nrows = np.stack([[0], [1]])\n")
+    assert _helper_uses(tmp_path) == [
+        ("linalg", 2, "numpy.moveaxis"),
+        ("linalg", 4, "np.swapaxes"),
+        ("states", 2, "numpy.triu_indices"),
+    ]
