@@ -231,7 +231,7 @@ class PreparedInstance:
 
 def _build(instances) -> tuple:
     """Build instances of one (n, N) that no block has built, all at once: set their ``scale`` and return
-    their stacked states, observables, frame and observable norms.  Drawn Gaussians form the states
+    their stacked states, observables and frame.  Drawn Gaussians form the states
     (``random_density_stack``) and observables (``_unit_observables``, exactly Hermitian by construction)
     as stacks; a given state and family, checked when given, are taken as they are.  The norms give the
     scales (overflow raises before anything on them can warn), and ``eigenframe_stack`` rotates them all.
@@ -245,10 +245,10 @@ def _build(instances) -> tuple:
         matrices, values, vectors = random_density_stack(x[:, 0], kinds, pairs)
         obs = _unit_observables(x[:, 1:])
     scales, norms = observable_scale(obs)
-    frame = eigenframe_stack((matrices, values, vectors), obs)
+    frame = eigenframe_stack((matrices, values, vectors), obs, norms)
     for inst, scale in zip(instances, scales):
         inst.scale = scale
-    return (matrices, values, vectors), obs, frame, norms
+    return (matrices, values, vectors), obs, frame
 
 
 class _Memo(dict):
@@ -288,7 +288,7 @@ class InstanceBlock:
             if "_block" in vars(inst):
                 raise ValueError(f"instance {inst.digest} is already built, in a block of its own")
         # what the block reads of its instances, not the instances: they refer to it
-        self.states, self.observables, self.frame, self.norms = _build(instances)
+        self.states, self.observables, self.frame = _build(instances)
         self.partitions = [inst.partition for inst in instances]
         for k, inst in enumerate(instances):
             inst._block, inst._index = self, k
@@ -379,10 +379,9 @@ class InstanceBlock:
         one batched SVD for the ranks and one for the dependence."""
         frame = self.frame
         flat = frame.observables.reshape(self.size, frame.size, -1)
-        # Centering an observable proportional to the identity leaves only
-        # rounding noise behind; a floor at the raw observables' scale keeps
-        # such a row from counting as an independent direction.
-        floors = RANK_TOL * np.maximum(1.0, self.norms.max(axis=-1))
+        # Centering and rotating round at the observables' own scale (frame.norms, as both rank floors
+        # read them): an observable proportional to the identity leaves only that noise behind.
+        floors = RANK_TOL * np.maximum(1.0, frame.norms.max(axis=-1))
         ranks = numeric_rank(np.concatenate((flat.real, flat.imag), axis=-1), floor=floors).tolist()
         self.structure[None] = list(zip(ranks, offdiagonal_dependence(frame).tolist()))
 

@@ -102,7 +102,7 @@ def _cases(tol: float):
         return ok, f"lhs {rep.lhs:.12g} >= rhs {rep.rhs:.12g}"
 
     def case_minkowski():
-        rep = minkowski_firey_selftest(np.eye(2), np.diag([1.0, 4.0]), 0.5)
+        rep = minkowski_firey_selftest(np.eye(2), np.diag([1.0, 4.0]), 0.5, tol)
         target = math.sqrt(2.5) - 1.5
         return _within(rep.margin, target, 1e-12), f"margin {rep.margin:.12g} (expected {target:.12g})"
 

@@ -135,8 +135,9 @@ class EigenFrame:
 
     ``observables`` is one read-only (N, n, n) array: ``observables[k, h, j]``
     is the (h, j) entry of U† (A_k - Tr(D A_k) I) U where
-    D = U diag(lambdas) U†, and ``norms`` their Frobenius norms.  The double sums
-    behind every covariance formula read their inputs from here.  A block stacks
+    D = U diag(lambdas) U†, and ``norms`` the Frobenius norms ‖A_k‖ of the observables as given: centering
+    rounds at eps ‖A_k‖, so the frame's rounding floors scale with them, and A_k + c I builds as A_k does.
+    The double sums behind every covariance formula read their inputs from here.  A block stacks
     frames along a leading axis, and the assemblers then return stacks.
     """
 
@@ -168,24 +169,24 @@ def eigenframe(d: DensityMatrix, obs: Sequence[np.ndarray]) -> EigenFrame:
     """Center every observable and rotate it into the eigenbasis of ``d``: ``eigenframe_stack``
     of a block of one."""
     state = (d.matrix[None], d.eigen.eigenvalues[None], d.eigen.unitary[None])
-    frame = eigenframe_stack(state, observable_stack(d.matrix.shape, obs)[None])
+    obs = observable_stack(d.matrix.shape, obs)[None]
+    frame = eigenframe_stack(state, obs, frobenius(obs))
     return EigenFrame(frame.lambdas[0], frame.observables[0], frame.norms[0])
 
 
-def eigenframe_stack(states: tuple, obs: np.ndarray) -> EigenFrame:
-    """The stacked frame of B states, given as ``density_stack`` returns them, and their
-    (B, N, n, n) observables: all centered and rotated in one stacked matmul.
+def eigenframe_stack(states: tuple, obs: np.ndarray, norms: np.ndarray) -> EigenFrame:
+    """The stacked frame of B states, given as ``density_stack`` returns them, their (B, N, n, n) observables
+    and those observables' (B, N) norms (``observable_scale``'s): all centered and rotated in one stacked matmul.
 
-    Every operation acts on one matrix at a time (the BLAS products, and the
-    norms through ``frobenius``), so each frame has the bits it has alone.  An
-    observable whose rotated diagonal does not average to zero over the
-    spectrum raises ``ValueError`` naming it, for the first such instance.
+    Every operation acts on one matrix at a time (the BLAS products), so each frame has the bits it has alone.
+    An observable whose rotated diagonal does not average to zero over the spectrum within 1e-11 max(1, ‖A_k‖)
+    raises ``ValueError`` naming it, for the first such instance: ‖A_k‖ as given, not centered, since centering
+    cancels a c I in A_k only to within eps ‖A_k‖.
     """
     matrices, lambdas, u = states
     u = u[:, None]
     rotated = hermitian_part(u.conj().swapaxes(-1, -2) @ _centered(matrices[:, None], obs) @ u)
     residue = np.abs((lambdas[:, None, :] * rotated.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1))
-    norms = frobenius(rotated)
     wrong = residue > 1e-11 * np.maximum(1.0, norms)
     if wrong.any():
         _, k = np.unravel_index(np.argmax(wrong), wrong.shape)
@@ -271,19 +272,17 @@ def offdiagonal_dependence(frame: EigenFrame) -> np.ndarray:
     Each rotated observable is flattened to the real vector of its strictly
     upper-triangular entries (real parts then imaginary parts; the lower
     triangle is redundant by Hermiticity).  A combination is diagonal exactly
-    when it kills all these vectors, so dependence is a rank deficiency.  A
-    frame that is not stacked, with (B, N, n, n) observables, raises ValueError.
+    when it kills all these vectors, so dependence is a rank deficiency, above the floor
+    ``RANK_TOL`` max(1, max ‖A_k‖) of the observables as given (``EigenFrame.norms``): one diagonal in
+    the computed eigenbasis leaves rounding noise at that scale in its off-diagonal entries.
+    A frame that is not stacked, with (B, N, n, n) observables, raises ValueError.
     """
     if frame.observables.ndim != 4:
         raise ValueError(f"expected a stacked frame of (B, N, n, n) observables, got shape {frame.observables.shape}")
     h, j = np.nonzero(np.arange(frame.dim)[:, None] < np.arange(frame.dim))
     upper = frame.observables[..., h, j]
     vectors = np.concatenate((upper.real, upper.imag), axis=-1)
-    # An observable diagonal in the eigenbasis leaves rounding noise in its
-    # off-diagonal entries whenever the basis itself was computed; measure
-    # that noise against the observables, not against itself.
-    scale = np.maximum(1.0, frame.norms.max(axis=-1))
-    return numeric_rank(vectors, floor=RANK_TOL * scale) < frame.size
+    return numeric_rank(vectors, floor=RANK_TOL * np.maximum(1.0, frame.norms.max(axis=-1))) < frame.size
 
 
 def pinching(x: np.ndarray, partitions) -> np.ndarray:

@@ -4,6 +4,8 @@ Two kinds live here.  The independent oracles deliberately avoid the
 library's own code paths: exact determinants by elimination in rationals,
 exact rational instances (``exact_instance``: a Cayley unitary, a spectrum of
 squares and Gaussian-integer observables, with every Gram matrix and
+determinant in ``Fraction``), exact replays of drawn instances (``exact_replay``: the stored doubles as
+rationals, Cov and the commutator matrix by traces and Qov_sld by one rational Lyapunov solve, with every
 determinant in ``Fraction``), the metric through an explicit superoperator matrix in the standard basis,
 diagonalized whole by numpy's ``eigh`` instead of through the state's
 eigenframe, matrix functions and smallest eigenvalues straight from numpy's
@@ -189,7 +191,7 @@ def instance_views(inst) -> InstanceViews:
         DensityMatrix(matrices[k], EigenDecomposition(values[k], vectors[k])),
         tuple(block.observables[k]),
         EigenFrame(frame.lambdas[k], frame.observables[k], frame.norms[k]),
-        tuple(block.norms[k].tolist()),
+        tuple(frame.norms[k].tolist()),
     )
 
 
@@ -358,7 +360,7 @@ def prepared_per_matrix(matrix, kind: str, pair, observables, partition) -> dict
     Works as the per-instance code did before instances were built in blocks:
     ``np.linalg.eigh`` on one matrix, the spectrum edit and rebuild of the
     degenerate and near-singular kinds, then for each observable
-    U^dagger (A - Tr(D A) I) U, and ``np.linalg.norm`` per matrix.
+    U^dagger (A - Tr(D A) I) U, and ``np.linalg.norm`` per observable as given.
     """
 
     def hermitian(x):
@@ -385,7 +387,6 @@ def prepared_per_matrix(matrix, kind: str, pair, observables, partition) -> dict
         "eigenvalues": lam,
         "unitary": u,
         "observables": np.array(rotated),
-        "frame_norms": np.array([float(np.linalg.norm(r)) for r in rotated]),
         "scale": max(1.0, sum(v**2 for v in norms)),
         "norms": np.array(norms),
         "partition": partition,
@@ -624,3 +625,65 @@ def exact_instance(n: int, n_obs: int, kind: str, dependent: bool, seed: int) ->
     det = {side: det_rational(gram(weight, side == "robertson")) for side, weight in weights.items()}
     rounded = np.array([[complex(float(re), float(im)) for re, im in row] for row in state])
     return ExactInstance(rounded, family, det)
+
+
+class ExactReplay(NamedTuple):
+    """The exact matrices of a stored state and family, and their determinants, all in ``Fraction``."""
+
+    matrix: dict  # "cov", "sld" and "robertson" -> that N x N matrix, as rows
+    det: dict  # the same keys -> its determinant
+
+
+def exact_replay(state, observables) -> ExactReplay:
+    """Cov, Qov_sld and the commutator matrix of a drawn instance, exactly, from the dyadic rationals that
+    its stored state matrix and unit observables are.
+
+    The state is its stored matrix divided by its exact trace, so that its trace is exactly one.
+    Cov_kl = Re Tr(D A_k A_l) - Tr(D A_k) Tr(D A_l), the commutator matrix has ``robertson_matrix``'s
+    entries -(i/2) Tr(D [A_k, A_l]), and Qov_sld(A_k, A_l) = Tr(C_k X_l) / 4, with C = i[D, A] and X the
+    solution of (D X + X D) / 2 = C: one rational n^2 x n^2 system over the real coordinates of Hermitian
+    matrices (the diagonal, then the real and the imaginary parts above it), with no eigendecomposition.
+    """
+    n = len(state)
+    trace = sum(Fraction(v) for v in np.real(np.diagonal(state)).tolist())
+    d = [[v / trace for v in row] for row in _real_form(state)]
+    forms = [_real_form(a) for a in observables]
+    left = [_product(d, a) for a in forms]  # D A_k
+
+    def trace_of(x, y, imaginary: bool) -> Fraction:
+        """Re Tr(x y), or Im Tr(x y), of the real forms x and y."""
+        return sum(v * y[j][h] for h in range(n) for j, v in enumerate(x[h + n * imaginary]))
+
+    upper = [(h, j) for h in range(n) for j in range(h + 1, n)]
+
+    def coordinates(form) -> list:
+        z = _entries(form)
+        return [z[h][h][0] for h in range(n)] + [z[h][j][0] for h, j in upper] + [z[h][j][1] for h, j in upper]
+
+    basis = [np.diag(np.eye(n)[h]) for h in range(n)]
+    for part in (1, 1j):
+        for h, j in upper:
+            e = np.zeros((n, n), dtype=complex)
+            e[h, j], e[j, h] = part, np.conj(part)
+            basis.append(e)
+    # column b of the Lyapunov map is (D E_b + E_b D) / 2 in coordinates
+    columns = [coordinates([[(x + y) / 2 for x, y in zip(*rows)] for rows in zip(_product(d, e), _product(e, d))])
+               for e in map(_real_form, basis)]
+    lyapunov = [list(row) for row in zip(*columns)]
+    tangents = []  # C_k = i (D A_k - A_k D), whose real form is J times that of the commutator
+    for dk, a in zip(left, forms):
+        c = [[x - y for x, y in zip(*rows)] for rows in zip(dk, _product(a, d))]
+        tangents.append(coordinates([[-v for v in row] for row in c[n:]] + c[:n]))
+    solved = _product(_inverse(lyapunov), [list(col) for col in zip(*tangents)])  # n^2 x N: column l is X_l
+    weight = [1] * n + [2] * (n * n - n)  # Tr(C X) of Hermitian C and X, in coordinates
+    size = len(forms)
+    means = [sum(dk[h][h] for h in range(n)) for dk in left]
+    matrix = {
+        "cov": [[(trace_of(left[k], forms[l], False) + trace_of(left[l], forms[k], False)) / 2 - means[k] * means[l]
+                 for l in range(size)] for k in range(size)],
+        "sld": [[sum(w * c * row[l] for w, c, row in zip(weight, tangents[k], solved)) / 4 for l in range(size)]
+                for k in range(size)],
+        "robertson": [[(trace_of(left[k], forms[l], True) - trace_of(left[l], forms[k], True)) / 2 for l in range(size)]
+                      for k in range(size)],
+    }
+    return ExactReplay(matrix, {side: det_rational(m) for side, m in matrix.items()})

@@ -167,8 +167,8 @@ def route_sweep() -> RouteSweep:
             alone = random_density(n, seeds[0], kind)
             assert np.array_equal(alone.matrix, states[0][0]) and np.array_equal(alone.eigen.unitary, states[2][0])
             assert np.array_equal(random_observable(n, derive_seed(seeds[0], "b")), obs[0, 1])
-            frame = eigenframe_stack(states, obs)
-            scales, _ = observable_scale(obs)
+            scales, norms = observable_scale(obs)
+            frame = eigenframe_stack(states, obs, norms)
             cov_frame = cov_matrix_frame(frame)[:, 0, 1].tolist()
             lam = frame.lambdas
             pair_scale = np.maximum(lam[:, :, None], lam[:, None, :])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import multiprocessing
@@ -389,6 +390,32 @@ def test_a_selftest_case_that_raises_is_a_failure(monkeypatch, capsys):
     monkeypatch.setattr(selftest, "_cases", lambda tol: cases)
     assert main(["selftest"]) == 1
     assert capsys.readouterr().out == "FAIL broken: raised ValueError: no fixture\nok   fine: held\n"
+
+
+def test_every_selftest_check_runs_at_the_tol_given(monkeypatch, capsys):
+    # every function the selftest imports that takes a tol, wrapped to record the tol each call receives
+    received = {}
+
+    def recording(name, check):
+        signature = inspect.signature(check)
+
+        def wrapped(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            received.setdefault(name, []).append(bound.arguments["tol"])
+            return check(*args, **kwargs)
+
+        return wrapped
+
+    checks = {name: f for name, f in vars(selftest).items() if inspect.isfunction(f) and f.__module__ != selftest.__name__}
+    checks = {name: f for name, f in checks.items() if "tol" in inspect.signature(f).parameters}
+    assert {"check_conj1", "check_robertson", "minkowski_firey_selftest"} <= checks.keys()
+    for name, check in checks.items():
+        monkeypatch.setattr(selftest, name, recording(name, check))
+    selftest.run_selftest(tol=1e-8)
+    capsys.readouterr()
+    assert received.keys() == checks.keys()
+    assert {name: set(tols) for name, tols in received.items()} == {name: {1e-8} for name in checks}
 
 
 def test_module_entry_point_subprocess():

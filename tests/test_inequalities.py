@@ -903,7 +903,7 @@ def _views(inst) -> dict:
     """Every view of an instance onto its block's stacks, as arrays."""
     state, observables, frame, norms = instance_views(inst)
     views = {"matrix": state.matrix, "eigenvalues": state.eigenvalues, "unitary": state.eigen.unitary}
-    views.update(lambdas=frame.lambdas, frame_observables=frame.observables, frame_norms=frame.norms)
+    views.update(lambdas=frame.lambdas, frame_observables=frame.observables)
     views.update(observables=np.array(observables), norms=np.array(norms))
     assert type(observables) is type(norms) is tuple
     assert all(type(v) is float for v in norms)
@@ -977,7 +977,6 @@ def _built(inst) -> dict:
         "eigenvalues": state.eigenvalues,
         "unitary": state.eigen.unitary,
         "observables": frame.observables,
-        "frame_norms": frame.norms,
         "scale": inst.scale,
         "norms": np.array(norms),
     }

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qfidet.inequalities import check_metric_contraction
-from qfidet.linalg import EigenDecomposition
+from qfidet.linalg import EigenDecomposition, frobenius
 from qfidet.monotone import make_function
 from qfidet.states import (
     _require_positive,
@@ -165,7 +165,7 @@ def test_eigenframe_stack_refuses_a_spectrum_that_does_not_match_its_states():
     states = (matrices, np.array([[0.7, 0.3]]), np.eye(2, dtype=complex)[None])
     obs = np.array([[PAULI_X, np.diag([1.0, 0.0])]], dtype=complex)
     with pytest.raises(ValueError, match=r"^observable 1: centering residue 4\.000e-01 after rotation$"):
-        eigenframe_stack(states, obs)
+        eigenframe_stack(states, obs, frobenius(obs))
 
 
 def test_eigenframe_observables_are_one_read_only_array():

@@ -9,7 +9,8 @@ with its window tol * scale reports what the definitions say, and that the
 Loewner form Cov >= Qov_f, which ``main`` follows from, fails wherever it does.
 
 Metamorphic relations: a unitary conjugation of the state and the family, a
-shift of each observable by a multiple of the identity, a permutation of the
+shift of each observable by a multiple of the identity (up to 1e8 times it,
+for the frame and the structure the equality checks read), a permutation of the
 family and an integer map of the family with determinant +-1 leave every bound
 unchanged, so they must leave every outcome of the campaign's checks unchanged
 too, and the planted violations with them.  An invertible map C of the family
@@ -25,7 +26,8 @@ import pytest
 from oracles import cov_matrix, det_one, instance_views, planted_function, qov_matrix, scale_one
 from qfidet.campaign import CampaignConfig, _campaign_plan
 from qfidet.inequalities import DEFAULT_TOL, PreparedInstance, prepare_random
-from qfidet.states import STATE_KINDS, density, derive_seed
+from qfidet.linalg import frobenius
+from qfidet.states import STATE_KINDS, density, derive_seed, eigenframe_stack
 
 # the cells of the sweep, each with 16 near-singular instances (smallest eigenvalue 1e-8)
 PLANTED_CELLS = ((2, 1), (3, 2), (4, 3))
@@ -144,6 +146,34 @@ def _relation_breaks(relation: str) -> list:
 @pytest.mark.parametrize("relation", list(RELATIONS))
 def test_each_relation_leaves_every_outcome_of_every_check_unchanged(relation):
     assert _relation_breaks(relation) == []
+
+
+# the cells and shifts c of the large-shift relation, one drawn family per kind in each cell
+SHIFT_CELLS = ((3, 2), (4, 3))
+LARGE_SHIFTS = (1e4, 1e6, 1e8)
+
+
+@pytest.mark.parametrize("c", LARGE_SHIFTS)
+def test_a_large_shift_builds_the_frame_and_structure_of_the_unshifted_family(c):
+    # Cov and Qov_f see A_k only through its centered part, so A_k + c I must build as A_k does: the frame's
+    # rounding floors scale with the observables as given, whose norms grow with c, as their rounding does
+    off = []
+    for n, n_obs in SHIFT_CELLS:
+        for kind in STATE_KINDS:
+            views = instance_views(prepare_random(n, n_obs, derive_seed("large-shift", n, n_obs, kind), kind))
+            d, obs = density(views.state.matrix), list(views.observables)
+            was, now = PreparedInstance(d, obs), PreparedInstance(d, [a + c * np.eye(n) for a in obs])
+            moved = np.abs(instance_views(now).frame.observables - instance_views(was).frame.observables).max()
+            if not moved <= 64 * n * np.finfo(float).eps * max(1.0, c):
+                off.append((n, n_obs, kind, f"frame moved {moved:.3e}"))
+            if now._block.structure[None] != was._block.structure[None]:
+                off.append((n, n_obs, kind, "structure"))
+    assert off == []
+    # a spectrum that does not match its states is refused with a shifted family as without one
+    states = (np.diag([0.3, 0.7]).astype(complex)[None], np.array([[0.7, 0.3]]), np.eye(2, dtype=complex)[None])
+    obs = np.array([[np.eye(2), np.diag([1.0, 0.0])]], dtype=complex) + c * np.eye(2)
+    with pytest.raises(ValueError, match=r"^observable 1: centering residue 4\.000e-01 after rotation$"):
+        eigenframe_stack(states, obs, frobenius(obs))
 
 
 def test_doubling_the_first_observable_scales_every_determinant_by_four():
