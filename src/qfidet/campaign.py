@@ -52,7 +52,7 @@ from .inequalities import (
 from .monotone import MonotoneFunction, parse_function_spec, read_function_specs, read_sequence, require_distinct
 from .states import STATE_KINDS, derive_seed
 
-REPORT_VERSION = "qfi-report/6"
+REPORT_VERSION = "qfi-report/7"
 VIOLATION_CAP = 100
 COUNT_NAMES = ("pass", "fail", "hypothesis_skipped", "clamped")
 DEFAULT_T_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)

@@ -161,27 +161,6 @@ def _require_unit(t: float) -> None:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
 
 
-def _root(det: float, n_obs: int) -> float:
-    """det^{1/N} of a determinant already clamped at 0 (0 for -0.0 too)."""
-    return det ** (1.0 / n_obs) if det > 0.0 else 0.0
-
-
-def _cross_terms(q, c, n_obs: int) -> np.ndarray:
-    """Binomial cross terms C(N,k) q^k c^{N-k}, k = 1..N-1, elementwise over two arrays of
-    weighted roots q = a det_q^{1/N} >= 0 and c = b det_diff^{1/N}.  Zero for N = 1 and wherever
-    q or c vanishes.  Each side's powers come from one list pass through Python's float power,
-    the C library's pow, since numpy's vectorized power rounds differently on some hosts."""
-    q, c = np.asarray(q, dtype=float), np.asarray(c, dtype=float)
-    # x^1 is x itself, and x^2..x^{N-1} come from one list pass
-    powers_q, powers_c = (
-        [x, *np.array([v**k for k in range(2, n_obs) for v in x.tolist()]).reshape(max(n_obs - 2, 0), x.size)] for x in (q, c)
-    )
-    total = 0.0 * q
-    for k in range(1, n_obs):
-        total = total + math.comb(n_obs, k) * powers_q[k - 1] * powers_c[n_obs - k - 1]
-    return total
-
-
 class PreparedInstance:
     """One (state, observables) pair whose derived quantities its block memoizes.
 
@@ -361,13 +340,16 @@ class InstanceBlock:
         ok = raw >= 0.0
         clamped = np.where(ok, raw, 0.0)  # keeps -0.0, as _clamp does
         q, dd = clamped
-        root_q, root_dd = np.array([_root(v, n) for v in clamped.ravel().tolist()]).reshape(clamped.shape)
         a = np.array([1.0 if t is None else 1.0 - t for t in ts])
         b = np.array([1.0 if t is None else t for t in ts])
-        rem = _cross_terms((root_q * a).ravel(), (root_dd * b).ravel(), n)
-        rhs = (np.array([v**n for v in a.tolist()]) * q + np.array([v**n for v in b.tolist()]) * dd).ravel() + rem
+        # the weighted roots x = a q^{1/N} and y = b dd^{1/N} (0 for a clamped or -0.0 determinant), each (B, P, T)
+        x, y = np.where(raw > 0.0, raw, 0.0) ** (1.0 / n) * np.array((a, b))[:, None, None]
+        # the cross terms C(N,k) x^k y^{N-k}, k = 1..N-1, as an expanded sum of nonnegative terms: the closed
+        # form (x + y)^N - x^N - y^N would lose small ones to cancellation
+        rem = sum((math.comb(n, k) * x**k * y ** (n - k) for k in range(1, n)), 0.0 * x)
+        rhs = a**n * q + b**n * dd + rem
         # per pencil: (T, B) lists of lhs, rem and rhs, then (B,) lists of the row's other entries
-        columns = [v.reshape(lhs.shape).transpose(1, 2, 0).tolist() for v in (lhs, rem, rhs)]
+        columns = [v.transpose(1, 2, 0).tolist() for v in (lhs, rem, rhs)]
         columns += [v[:, :, 0].T.tolist() for v in (q, dd, 2 - ok.sum(axis=0), raw[0], raw[1])]
         for (f, g), lhs_t, rem_t, rhs_t, *rest in zip(pencils, *columns):
             for t, lhs_b, rem_b, rhs_b in zip(ts, lhs_t, rem_t, rhs_t):

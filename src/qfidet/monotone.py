@@ -20,7 +20,6 @@ catalogue's families is a known result, not something this module tests.
 """
 from __future__ import annotations
 
-import weakref
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -61,17 +60,13 @@ class CatalogError(ValueError):
     """A function failed validation or was used outside its contract."""
 
 
-# every live member, by its fields
-_MEMBERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
 @dataclass(frozen=True, eq=False)
 class MonotoneFunction:
     """A normalized symmetric function with its value at zero pinned analytically.
 
-    Members are interned: constructing one with the fields of a live member (``dataclasses.replace``
-    too) returns that member.  So equality is identity and the hash is ``object``'s, C slots both,
-    which the memo keys of every outcome and ``dominates``' cache key take.
+    Equality is identity and the hash is ``object``'s, C slots both, which the memo keys of every
+    outcome and ``dominates``' cache key take.  ``make_function`` and ``tilde`` are cached, so each
+    spec builds one member.
     """
 
     name: str
@@ -81,12 +76,6 @@ class MonotoneFunction:
     params: tuple[float, ...] = ()
     # "name" or "name:p1,p2", set once here because reports read it per outcome
     label: str = field(init=False, repr=False)
-
-    def __new__(cls, *args, **kwargs):
-        names = ("name", "evaluator", "value_at_zero", "regular", "params")
-        given = dict(zip(names, args), **kwargs)
-        key = tuple(given.get(name, ()) for name in names)  # params defaults to ()
-        return _MEMBERS.get(key) or _MEMBERS.setdefault(key, object.__new__(cls))
 
     def __post_init__(self):
         label = self.name + ":" + ",".join(f"{p:g}" for p in self.params) if self.params else self.name

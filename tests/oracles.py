@@ -9,8 +9,9 @@ rationals, Cov and the commutator matrix by traces and Qov_sld by one rational L
 determinant in ``Fraction``), the metric through an explicit superoperator matrix in the standard basis,
 diagonalized whole by numpy's ``eigh`` instead of through the state's
 eigenframe, matrix functions and smallest eigenvalues straight from numpy's
-``eigh`` and ``eigvalsh``, and the drawn instances rebuilt one matrix at a
-time.  The definition routes (``cov``, ``qov``, their entrywise matrices
+``eigh`` and ``eigvalsh``, the scalar cross terms (``remainder`` and
+``remainder_t``) as one sum of Python floats, and the drawn instances rebuilt
+one matrix at a time.  The definition routes (``cov``, ``qov``, their entrywise matrices
 ``cov_matrix`` and ``qov_matrix``, ``robertson_matrix`` and ``commutator``)
 follow the paper's formulas: traces of matrix products, and the metric inner
 product of the commutators i[D, A].  The program runs none of them; its
@@ -27,13 +28,14 @@ Library code used here, and what for:
   rows, determinants and contraction sums) and builds the dict from them, and
   ``instance_views`` reads an instance's state, observables, frame and norms
   from its block's stacks.
+* ``skew_product`` and ``luo_u`` read an instance's memos (``matrix(f)``,
+  ``matrix("cov")`` and ``det("robertson")``) for both sides of two published
+  relatives of the bounds on a family of two.
 * The single-matrix forms ``det_one``, ``det_antisymmetric_one``,
   ``eigen_one``, ``frobenius_one``, ``pinching_one``, ``scale_one``,
   ``rank_one`` and ``dependence_one`` call the library's stack-only routines
   on a stack of one and read its one result; ``dependence_one`` also gives the
   rank behind its flag, from ``rank_one``.
-* ``remainder`` and ``remainder_t`` are the scalar cross terms, from the
-  library's ``_cross_terms`` kernel on arrays of one.
 * ``pencil_spectra`` reads a block's stacked frame and weighs its observables
   with the library's ``alpha_coefficients``; the pencil determinants then come
   from one thin QR and one ``eigvalsh`` per block, not from the library's
@@ -55,7 +57,6 @@ from typing import NamedTuple
 import numpy as np
 
 from qfidet.covariance import alpha_coefficients, metric_sum, observable_scale, pair_means
-from qfidet.inequalities import _cross_terms
 from qfidet.linalg import (
     RANK_TOL,
     EigenDecomposition,
@@ -150,7 +151,7 @@ def remainder(det_q: float, det_diff: float, n_obs: int) -> float:
     Equals ((det_q)^{1/N} + (det_diff)^{1/N})^N minus the two pure terms;
     zero for N = 1 and whenever either determinant vanishes.
     """
-    return float(_cross_terms([_root(det_q, n_obs)], [_root(det_diff, n_obs)], n_obs)[0])
+    return _cross_terms(_root(det_q, n_obs), _root(det_diff, n_obs), n_obs)
 
 
 def remainder_t(det_q: float, det_diff: float, n_obs: int, t: float) -> float:
@@ -160,7 +161,12 @@ def remainder_t(det_q: float, det_diff: float, n_obs: int, t: float) -> float:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    return float(_cross_terms([_root(det_q, n_obs) * (1.0 - t)], [_root(det_diff, n_obs) * t], n_obs)[0])
+    return _cross_terms(_root(det_q, n_obs) * (1.0 - t), _root(det_diff, n_obs) * t, n_obs)
+
+
+def _cross_terms(x: float, y: float, n_obs: int) -> float:
+    """C(N,k) x^k y^{N-k} summed over k = 1..N-1 in Python floats, each power by Python's float power."""
+    return float(sum(math.comb(n_obs, k) * x**k * y ** (n_obs - k) for k in range(1, n_obs)))
 
 
 def _root(det: float, n_obs: int) -> float:
@@ -169,7 +175,25 @@ def _root(det: float, n_obs: int) -> float:
         raise ValueError(f"observable count must be >= 1, got {n_obs}")
     if det < -1e-12:
         raise ValueError(f"determinant {det!r} is negative beyond roundoff")
-    return det ** (1.0 / n_obs) if det > 0.0 else 0.0
+    return float(det) ** (1.0 / n_obs) if det > 0.0 else 0.0
+
+
+def skew_product(inst, f) -> tuple[float, float]:
+    """Both sides of the Heisenberg-type product I_f(A) I_f(B) >= 1/4 |Tr D[A, B]|^2 on a family of two.
+
+    The skew informations I_f are the diagonal of the program's ``matrix(f)`` (for ``wy`` the Wigner-Yanase
+    skew information Tr(D A^2) - Tr(sqrt(D) A sqrt(D) A)), and 1/4 |Tr D[A, B]|^2 is its ``det("robertson")``.
+    """
+    q = inst.matrix(f)
+    return float(q[0, 0] * q[1, 1]), inst.det("robertson")
+
+
+def luo_u(inst, f) -> tuple[float, float]:
+    """Both sides of Luo's U_f(A) U_f(B) >= 1/4 |Tr D[A, B]|^2 on a family of two, U_f(A)^2 = I_f(A) (2 V(A) -
+    I_f(A)): the variances V are the diagonal of the program's ``matrix("cov")``, and I_f and the right side
+    are ``skew_product``'s."""
+    i, v = np.diagonal(inst.matrix(f)), np.diagonal(inst.matrix("cov"))
+    return math.sqrt(float(np.prod(i * (2.0 * v - i)))), inst.det("robertson")
 
 
 class InstanceViews(NamedTuple):

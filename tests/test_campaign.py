@@ -447,14 +447,14 @@ def test_empty_campaign():
         for quad in report.counts.values()
     )
     payload = json.loads(emit_report(report, "json"))
-    assert payload["version"] == "qfi-report/6"
+    assert payload["version"] == "qfi-report/7"
     assert payload["totals"]["pass"] == 0
 
 
 def test_json_report_shape():
     report = run_campaign(TINY)
     payload = json.loads(emit_report(report, "json"))
-    assert payload["version"] == "qfi-report/6"
+    assert payload["version"] == "qfi-report/7"
     assert "runtime" not in payload
     assert payload["config"]["seed"] == 99
     assert set(payload["counts"]) == set(TINY.checks)

@@ -37,7 +37,7 @@ def test_verify_stdout_json(capsys):
     out = capsys.readouterr().out
     assert code == 0
     payload = json.loads(out)
-    assert payload["version"] == "qfi-report/6"
+    assert payload["version"] == "qfi-report/7"
     assert payload["totals"]["fail"] == 0
 
 

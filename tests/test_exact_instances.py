@@ -8,7 +8,7 @@ value, and wherever det Cov equals det Qov_sld exactly, the equality outcome's c
 
 ``oracles.exact_replay`` adjudicates instances a campaign actually draws: their stored doubles are dyadic
 rationals, so Cov, Qov_sld and the commutator matrix of each are exact Fractions too.  The same three
-assertions hold on one drawn instance per (n, N, kind).
+assertions hold on one drawn instance per (n, N, kind), n = 2-4 and N = 1-4.
 """
 from __future__ import annotations
 
@@ -57,7 +57,7 @@ def test_drawn_instances_against_their_exact_replay():
     # one drawn instance per (n, N, kind); its stored state and family are exact rationals
     sld = FUNCTIONS["sld"]
     for n in (2, 3, 4):
-        for n_obs in (1, 2, 3):
+        for n_obs in (1, 2, 3, 4):
             for kind in STATE_KINDS:
                 where = f"n={n},N={n_obs},kind={kind}"
                 inst = prepare_random(n, n_obs, derive_seed("exact-replay", n, n_obs, kind), kind)

@@ -680,25 +680,29 @@ def test_a_det_qov_g_below_its_window_raises_though_the_hypothesis_failed():
         assert not rep.hypothesis_ok and not rep.violated
 
 
-def test_firey_right_side_is_the_scalar_formula_bit_for_bit(rng):
-    # the grid's powers must round as Python's float power does, not as numpy's
+def test_pencil_right_sides_match_the_scalar_formula_within_rounding(rng):
+    # the rows' roots and powers are numpy's, whose last bits follow its SIMD dispatch: every cross-term sum
+    # and Firey right side lies within 8 N eps rhs of the Python-float oracle, and is exact where no power rounds
     plan = CheckPlan(functions=(SLD, WY, WYD, KM), pairs=MEMO_PAIRS, tol=1e-9, t_grid=DEFAULT_T_GRID)
-    for trial in range(30):
-        n_obs = 2 + trial % 3
+    eps = float(np.finfo(float).eps)
+    for trial in range(32):
+        n_obs = 1 + trial % 4
         inst = prepare_random(2 + trial % 3, n_obs, int(rng.integers(2**32)), KINDS[trial % 3])
         for (_, fl, gl, t), rep in _outcomes(plan, inst, {"firey"}).items():
             c = rep.components
             rem = remainder_t(c["det_small"], c["det_diff"], n_obs, t)
             rhs = (1.0 - t) ** n_obs * c["det_small"] + t**n_obs * c["det_diff"] + rem
-            assert _bits(c["remainder_t"]) == _bits(rem), (trial, fl, gl, t)
-            assert _bits(rep.rhs) == _bits(rhs), (trial, fl, gl, t)
+            if n_obs == 1 or t in (0.0, 1.0):  # no cross term: the sum adds exact zeros
+                assert c["remainder_t"] == rem == 0.0 and _bits(rep.rhs) == _bits(rhs), (trial, fl, gl, t)
+            window = 8 * n_obs * eps * rep.rhs
+            assert abs(c["remainder_t"] - rem) <= window and abs(rep.rhs - rhs) <= window, (trial, fl, gl, t)
         # conj1 and conj2 read the unit-weight rows, from the same kernel with the weights (1, 1)
         outcomes = [(check_conj1(inst, f), "cov") for f in plan.functions]
         outcomes += [(check_conj2(inst, f, g), f) for f, g in MEMO_PAIRS]
         for rep, big in outcomes:
             lhs, q, dd, rem = list(rep.components.values())[:4]
             assert _bits(lhs) == _bits(rep.lhs) == _bits(det_one(inst.matrix(big))), (trial, rep.name)
-            assert _bits(rem) == _bits(remainder(q, dd, n_obs)), (trial, rep.name)
+            assert abs(rem - remainder(q, dd, n_obs)) <= 8 * n_obs * eps * rep.rhs, (trial, rep.name)
             assert _bits(rep.rhs) == _bits(q + dd + rem), (trial, rep.name)
 
 
